@@ -148,10 +148,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     eval_raw = dict(EVAL_DEFAULTS)
     user_eval = raw.get("eval", {})
+    if not isinstance(user_eval, dict):
+        raise ConfigError("eval must be an object")
     _reject_unknown(user_eval, set(EVAL_DEFAULTS), "eval.")
     eval_raw.update(user_eval)
-    if eval_raw["kprime"] < 1 or eval_raw["k_eval"] < 1:
-        raise ConfigError("eval.kprime and eval.k_eval must be positive")
+    for key, value in eval_raw.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"eval.{key} must be a positive integer, got {value!r}")
 
     bounds_raw = dict(BOUNDS_DEFAULTS)
     user_bounds = raw.get("bounds", {})
@@ -341,12 +344,12 @@ def export_v_csv(graph: GraphModel, path: str) -> None:
 
 def cmd_train(cfg: ExperimentConfig) -> str:
     """Run the configured experiment; returns the run directory."""
+    stream = build_stream(cfg)  # before the run directory, so bad tasks leave none
     run_dir = _run_dir(cfg)
     digest = config_hash(cfg)
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         fh.write(serialize_config(cfg))
     rng = Rng(cfg.train.seed)
-    stream = build_stream(cfg)
     summary: dict = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
                      "tasks": [t.name for t in stream.tasks]}
 

@@ -6,8 +6,11 @@ set retrained on its own generations plus the new task).
 
 Randomness is keyed by (seed, task name), never by stream position, so the
 same task trains identically wherever it appears in the order. Evaluation
-draws inside the metrics loop are fixed per task, which keeps the logged
-numbers of a frozen node exactly constant across later epochs.
+draws inside the metrics loop are fixed per task. A frozen node's parameters
+never change, so its logged row is computed once, at the last epoch of its
+task, and repeated unchanged in every later epoch; only the node in training
+is evaluated. The replay model changes every epoch, so its rows for all
+tasks so far are recomputed each epoch.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ class TaskStream:
     def __post_init__(self):
         if not self.tasks:
             raise ConfigError("task stream is empty")
+        names = [t.name for t in self.tasks]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            # every random stream is keyed by task name, so repeats would share draws
+            raise ConfigError(f"task names must be unique, repeated: {repeated}")
         dims = {t.train.dim for t in self.tasks}
         if len(dims) != 1:
             raise ConfigError(f"tasks disagree on input_dim: {sorted(dims)}")
@@ -147,6 +155,7 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
     eval_eps = [_eval_eps(rng, t, cfg.latent_dim) for t in stream.tasks]
 
     pending: tuple[str, np.ndarray | None] = ("basic", None)
+    frozen_rows: list[tuple[float, float]] = []  # end-of-task row of each frozen node
     for i, task in enumerate(stream.tasks):
         init_rng = rng.spawn(f"init:{task.name}")
         if pending[0] == "basic":
@@ -158,7 +167,8 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
         epochs = cfg.epochs
         if entry.kind == "specific" and cfg.specific_epochs is not None:
             epochs = cfg.specific_epochs
-        _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, i, stream, eval_eps)
+        frozen_rows.append(_train_node(graph, entry, task, cfg, epochs, rng, log, run_id,
+                                       eval_eps[i], frozen_rows))
 
         if i + 1 < len(stream):
             nxt = stream.tasks[i + 1]
@@ -183,7 +193,8 @@ def _node_objective(graph: GraphModel, entry: NodeEntry, x: np.ndarray, cfg: Tra
     return graph.melbo_iw(s, x, kprime, rng=rng) if kprime > 1 else graph.melbo(s, x, rng=rng)
 
 
-def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, task_i, stream, eval_eps):
+def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, eps, frozen_rows):
+    """Train one node on its task; return its final-epoch row."""
     state = AdamState(lr=cfg.lr)
     params = graph.trainable_params(entry)
     train_rng = rng.spawn(f"train:{task.name}")
@@ -201,20 +212,24 @@ def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, task_i, strea
                     batch_elbo = graph.basics[entry.index].vae.elbo(x, rng=ref_rng).data
                 ref_sum += float(batch_elbo.sum())
                 ref_count += batch_elbo.size
-        _log_epoch(graph, stream, task_i, epoch, log, run_id, eval_eps)
+        live = _log_epoch(graph, entry, task.test.data, epoch, log, run_id, eps, frozen_rows)
     if entry.kind == "basic":
         graph.basics[entry.index].reference_elbo = ref_sum / ref_count
+    return live
 
 
-def _log_epoch(graph, stream, task_i, epoch, log, run_id, eval_eps):
-    for t in range(task_i + 1):
-        entry = graph.owner_entry(t)
-        test = stream.tasks[t].test.data
-        with no_grad():
-            values = graph.node_values(entry, test, kprime=1, eps_list=[eval_eps[t]]).data
-        recon = graph.reconstruct_node(entry, test)
-        log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
-                objective_value=float(values.mean()), square_loss=mean_square_loss(test, recon))
+def _log_epoch(graph, entry, test, epoch, log, run_id, eps, frozen_rows):
+    """Log one row per task so far: the frozen nodes' cached end-of-task rows,
+    then a fresh evaluation of the node in training, which is returned."""
+    task_index = len(frozen_rows) + 1
+    with no_grad():
+        values = graph.node_values(entry, test, kprime=1, eps_list=[eps]).data
+    recon = graph.reconstruct_node(entry, test)
+    live = (float(values.mean()), mean_square_loss(test, recon))
+    for t, (objective_value, square_loss) in enumerate([*frozen_rows, live]):
+        log.add(run_id=run_id, task_index=task_index, epoch=epoch + 1, eval_task=t + 1,
+                objective_value=objective_value, square_loss=square_loss)
+    return live
 
 
 # -- generative replay ----------------------------------------------------------------
@@ -226,7 +241,6 @@ class GrArtifacts:
     snapshots: list = field(default_factory=list)  # model copy after each task
     mixtures: list[np.ndarray] = field(default_factory=list)  # evolved-source sample sets
     replay_sets: list[np.ndarray] = field(default_factory=list)  # generated part only
-    source_log: list[dict] = field(default_factory=list)  # per-epoch source-side numbers
 
 
 def _copy_model(model):
@@ -275,7 +289,6 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
                 values = objective(model, mixture[idx], train_rng)
                 adam_step(state, model.params(), backprop(-values.mean()))
             _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps, cfg)
-            _log_gr_source(model, mixture, i, epoch, artifacts, cfg, rng)
             if epoch_hook is not None:
                 epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture,
                            artifacts=artifacts)
@@ -298,17 +311,6 @@ def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps, cfg):
         recon = model.reconstruct(test)
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=float(values.mean()), square_loss=mean_square_loss(test, recon))
-
-
-def _log_gr_source(model, mixture, task_i, epoch, artifacts, cfg, rng):
-    eps = rng.spawn(f"eval:source:{task_i}").normal((1, cfg.latent_dim))
-    values = _model_elbo_values(model, mixture, eps)
-    recon = model.reconstruct(mixture)
-    artifacts.source_log.append({
-        "task_index": task_i + 1, "epoch": epoch + 1,
-        "objective_value": float(values.mean()),
-        "square_loss": mean_square_loss(mixture, recon),
-    })
 
 
 def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr-hier") -> tuple:

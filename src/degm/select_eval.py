@@ -21,6 +21,7 @@ PSNR_CAP_DB = 99.0
 PSNR_MSE_FLOOR = 1e-12
 SSIM_WINDOW = 8
 SSIM_STRIDE = 4
+METRIC_BLOCK_ROWS = 1024  # rows per SSIM pass; bounds the window copies' memory
 
 
 @dataclass
@@ -68,15 +69,21 @@ def eval_nll(graph: GraphModel, data: np.ndarray, kprime: int = 1, seed: int = 0
              k_eval: int = 1) -> float:
     """Mean negative log-likelihood estimate: select a node per sample, then
     score it with the K'-draw bound."""
-    if kprime < 1:
-        raise ContractError(f"kprime must be >= 1, got {kprime}")
     data = np.asarray(data, dtype=np.float64)
     selection = select_component(graph, data, k_eval=k_eval, seed=seed)
+    return _selected_nll(graph, data, selection.chosen, kprime, seed)
+
+
+def _selected_nll(graph: GraphModel, data: np.ndarray, chosen: np.ndarray, kprime: int,
+                  seed: int) -> float:
+    """Mean negative K'-draw bound, each sample scored by its chosen node."""
+    if kprime < 1:
+        raise ContractError(f"kprime must be >= 1, got {kprime}")
     eps_bank = _eval_eps_bank(graph, seed, kprime, "nll")
     total = 0.0
     with no_grad():
         for j, entry in enumerate(graph.entries):
-            mask = selection.chosen == j
+            mask = chosen == j
             if not mask.any():
                 continue
             values = graph.node_values(entry, data[mask], kprime=kprime, eps_list=eps_bank).data
@@ -106,24 +113,18 @@ def square_loss(x: np.ndarray, recon: np.ndarray) -> float:
 
 def psnr(x: np.ndarray, recon: np.ndarray, max_val: float = 1.0) -> float:
     """10 log10(max^2 / MSE) in dB, capped at 99 for (near-)exact matches."""
-    if max_val <= 0.0:
-        raise ContractError("max_val must be positive")
     x, recon = np.asarray(x), np.asarray(recon)
     if x.shape != recon.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
-    mse = float(((x - recon) ** 2).mean())
-    if mse < PSNR_MSE_FLOOR:
-        return PSNR_CAP_DB
-    return 10.0 * np.log10(max_val * max_val / mse)
+    return float(_psnr_db(((x - recon) ** 2).mean(), max_val))
 
 
-def _ssim_window(a: np.ndarray, b: np.ndarray, c1: float, c2: float) -> float:
-    mu_a, mu_b = a.mean(), b.mean()
-    var_a, var_b = a.var(), b.var()
-    cov = ((a - mu_a) * (b - mu_b)).mean()
-    lum = (2.0 * mu_a * mu_b + c1) / (mu_a ** 2 + mu_b ** 2 + c1)
-    struct = (2.0 * cov + c2) / (var_a + var_b + c2)
-    return lum * struct
+def _psnr_db(mse: np.ndarray, max_val: float) -> np.ndarray:
+    if max_val <= 0.0:
+        raise ContractError("max_val must be positive")
+    capped = mse < PSNR_MSE_FLOOR
+    db = 10.0 * np.log10(max_val * max_val / np.where(capped, 1.0, mse))
+    return np.where(capped, PSNR_CAP_DB, db)
 
 
 def ssim(x: np.ndarray, recon: np.ndarray, window: int = SSIM_WINDOW,
@@ -133,29 +134,55 @@ def ssim(x: np.ndarray, recon: np.ndarray, window: int = SSIM_WINDOW,
     x, recon = np.asarray(x, dtype=np.float64).ravel(), np.asarray(recon, dtype=np.float64).ravel()
     if x.shape != recon.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
+    return float(_ssim_rows(x[None], recon[None], window, stride, max_val)[0])
+
+
+def _ssim_rows(x: np.ndarray, recon: np.ndarray, window: int, stride: int,
+               max_val: float) -> np.ndarray:
+    """ssim of each row pair of two [n, d] float64 arrays, all rows at once.
+    Windows are copied out into contiguous runs: numpy sums a lone strided
+    window in the order it sums such a copy, so each row's value is bitwise
+    what scoring that window on its own gives."""
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
-    side = int(round(np.sqrt(x.size)))
-    if side * side != x.size or side < window:
-        return _ssim_window(x, recon, c1, c2)
-    a = x.reshape(side, side)
-    b = recon.reshape(side, side)
-    values = []
-    for r in range(0, side - window + 1, stride):
-        for c in range(0, side - window + 1, stride):
-            values.append(_ssim_window(a[r:r + window, c:c + window],
-                                       b[r:r + window, c:c + window], c1, c2))
-    return float(np.mean(values))
+    n, d = x.shape
+    side = int(round(np.sqrt(d)))
+    if side * side != d or side < window:
+        wa, wb = x[:, None, :], recon[:, None, :]
+    else:
+        view = np.lib.stride_tricks.sliding_window_view
+        wa, wb = (view(v.reshape(n, side, side), (window, window), axis=(1, 2))
+                  [:, ::stride, ::stride].reshape(n, -1, window * window) for v in (x, recon))
+    mu_a, mu_b = wa.mean(axis=-1), wb.mean(axis=-1)
+    dev_a, dev_b = wa - mu_a[..., None], wb - mu_b[..., None]
+    var_a, var_b = (dev_a * dev_a).mean(axis=-1), (dev_b * dev_b).mean(axis=-1)
+    cov = (dev_a * dev_b).mean(axis=-1)
+    lum = (2.0 * mu_a * mu_b + c1) / (_libm_square(mu_a) + _libm_square(mu_b) + c1)
+    struct = (2.0 * cov + c2) / (var_a + var_b + c2)
+    return (lum * struct).mean(axis=1)
+
+
+def _libm_square(v: np.ndarray) -> np.ndarray:
+    # a float64 scalar's ** 2 calls libm pow, which differs from v * v in the
+    # last bit for about 1 value in 1500; ssim has always squared the window
+    # means that way, and keeping it keeps the logged metrics bit-identical
+    return np.array([m ** 2 for m in v.ravel().tolist()]).reshape(v.shape)
 
 
 def reconstruction_metrics(x: np.ndarray, recon: np.ndarray, max_val: float = 1.0) -> tuple[float, float, float]:
-    """Dataset-level (mean SL, mean PSNR, mean SSIM) over rows."""
-    sls, psnrs, ssims = [], [], []
-    for row_x, row_r in zip(x, recon):
-        sls.append(square_loss(row_x, row_r))
-        psnrs.append(psnr(row_x, row_r, max_val))
-        ssims.append(ssim(row_x, row_r, max_val=max_val))
-    return float(np.mean(sls)), float(np.mean(psnrs)), float(np.mean(ssims))
+    """Dataset-level (mean SL, mean PSNR, mean SSIM) over rows, each row
+    scored as square_loss, psnr and ssim score it."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    recon = np.ascontiguousarray(recon, dtype=np.float64)
+    if x.shape != recon.shape:
+        raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
+    x, recon = x.reshape(x.shape[0], -1), recon.reshape(x.shape[0], -1)
+    sq = (x - recon) ** 2
+    ssims = [_ssim_rows(x[i:i + METRIC_BLOCK_ROWS], recon[i:i + METRIC_BLOCK_ROWS],
+                        SSIM_WINDOW, SSIM_STRIDE, max_val)
+             for i in range(0, x.shape[0], METRIC_BLOCK_ROWS)]
+    return (float(sq.sum(axis=1).mean()), float(_psnr_db(sq.mean(axis=1), max_val).mean()),
+            float(np.concatenate(ssims).mean()))
 
 
 def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0) -> list[dict]:
@@ -171,7 +198,7 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0)
             if mask.any():
                 recon[mask] = graph.reconstruct_node(entry, data[mask])
         sl, ps, ss = reconstruction_metrics(data, recon)
-        record = MetricsRecord(nll=eval_nll(graph, data, kprime=kprime, seed=seed),
+        record = MetricsRecord(nll=_selected_nll(graph, data, selection.chosen, kprime, seed),
                                sl=sl, psnr=ps, ssim=ss)
         hist = np.bincount(selection.chosen, minlength=graph.node_count)
         rows.append({

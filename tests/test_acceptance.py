@@ -272,8 +272,25 @@ def test_criterion_7_no_forgetting_invariant(forgetting_stream, forgetting_cfg, 
         later = {r["square_loss"] for r in log.rows
                  if r["eval_task"] == t and r["task_index"] > t}
         constant = constant and later <= {end_value}
-    report(7, "graph run: frozen node bytes and exactly constant per-task risk",
-           frozen and constant)
+    # frozen rows are logged once and repeated, so also recompute them from the
+    # final graph's parameters: a frozen node that drifted would differ here
+    recomputed = True
+    final_task = len(forgetting_stream)
+    for t in (1, 2):
+        task = forgetting_stream.tasks[t - 1]
+        entry = graph.owner_entry(t - 1)
+        eps = Rng(0).spawn(f"eval:{task.name}").normal((1, forgetting_cfg.latent_dim))
+        with no_grad():
+            values = graph.node_values(entry, task.test.data, eps_list=[eps]).data
+        recon = graph.reconstruct_node(entry, task.test.data)
+        logged = log.query(task_index=final_task, eval_task=t)[-1]
+        recomputed = (recomputed
+                      and logged["objective_value"] == float(values.mean())
+                      and logged["square_loss"]
+                      == float(((task.test.data - recon) ** 2).sum(axis=1).mean()))
+    report(7, "graph run: frozen node bytes, exactly constant per-task risk, "
+           "logged rows equal to recomputation from the final graph",
+           frozen and constant and recomputed)
 
 
 def test_criterion_8_ordering_reproduction(reduced_stream):

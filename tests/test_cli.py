@@ -302,3 +302,27 @@ def test_main_reports_config_errors(tmp_path, capsys):
     config_path.write_text(json.dumps({"mode": "warp", "tasks": []}))
     assert main(["train", "--config", str(config_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_rejects_duplicate_task_names(tmp_path, capsys):
+    raw = two_task_config(out_dir=str(tmp_path / "runs"))
+    raw["tasks"][1]["name"] = "bars"  # every random stream is keyed by task name
+    config_path = tmp_path / "dup.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key", ["kprime", "k_eval"])
+@pytest.mark.parametrize("value", ["5", 2.5, True, 0, -1, None])
+def test_main_rejects_bad_eval_counts(tmp_path, capsys, key, value):
+    config_path = tmp_path / "bad_eval.json"
+    config_path.write_text(json.dumps(minimal_config(eval={key: value})))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parse_rejects_non_object_eval():
+    with pytest.raises(ConfigError, match="eval"):
+        parse_config(json.dumps(minimal_config(eval=5)))

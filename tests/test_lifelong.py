@@ -44,6 +44,12 @@ def test_stream_rejects_mixed_dims():
         TaskStream([a, b])
 
 
+def test_stream_rejects_repeated_task_names():
+    tasks = [make_task("bars", "a", 0), make_task("stripes", "b", 2), make_task("bars", "a", 4)]
+    with pytest.raises(ConfigError, match="unique"):
+        TaskStream(tasks)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)

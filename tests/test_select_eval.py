@@ -16,6 +16,7 @@ from degm.select_eval import (
     eval_nll,
     eval_nll_single,
     psnr,
+    reconstruction_metrics,
     select_component,
     square_loss,
     ssim,
@@ -198,6 +199,93 @@ def test_ssim_bounded(a, b):
     assert -1.0 <= value <= 1.0 + 1e-12
 
 
+# The per-row loop that reconstruction_metrics replaced, kept verbatim (it
+# scored one row at a time through these three functions) as the reference
+# the row-vectorized version must match bit for bit.
+
+def _ref_square_loss(x, recon):
+    return float(((x - recon) ** 2).sum())
+
+
+def _ref_psnr(x, recon, max_val=1.0):
+    mse = float(((x - recon) ** 2).mean())
+    if mse < 1e-12:
+        return 99.0
+    return 10.0 * np.log10(max_val * max_val / mse)
+
+
+def _ref_ssim_window(a, b, c1, c2):
+    mu_a, mu_b = a.mean(), b.mean()
+    var_a, var_b = a.var(), b.var()
+    cov = ((a - mu_a) * (b - mu_b)).mean()
+    lum = (2.0 * mu_a * mu_b + c1) / (mu_a ** 2 + mu_b ** 2 + c1)
+    struct = (2.0 * cov + c2) / (var_a + var_b + c2)
+    return lum * struct
+
+
+def _ref_ssim(x, recon, window=8, stride=4, max_val=1.0):
+    x, recon = np.asarray(x, dtype=np.float64).ravel(), np.asarray(recon, dtype=np.float64).ravel()
+    c1 = (0.01 * max_val) ** 2
+    c2 = (0.03 * max_val) ** 2
+    side = int(round(np.sqrt(x.size)))
+    if side * side != x.size or side < window:
+        return _ref_ssim_window(x, recon, c1, c2)
+    a = x.reshape(side, side)
+    b = recon.reshape(side, side)
+    values = []
+    for r in range(0, side - window + 1, stride):
+        for c in range(0, side - window + 1, stride):
+            values.append(_ref_ssim_window(a[r:r + window, c:c + window],
+                                           b[r:r + window, c:c + window], c1, c2))
+    return float(np.mean(values))
+
+
+def _ref_reconstruction_metrics(x, recon, max_val=1.0):
+    sls, psnrs, ssims = [], [], []
+    for row_x, row_r in zip(x, recon):
+        sls.append(_ref_square_loss(row_x, row_r))
+        psnrs.append(_ref_psnr(row_x, row_r, max_val))
+        ssims.append(_ref_ssim(row_x, row_r, max_val=max_val))
+    return float(np.mean(sls)), float(np.mean(psnrs)), float(np.mean(ssims))
+
+
+@pytest.mark.parametrize("n,dim", [
+    (300, 64),     # 8x8: one window, the benchmark's shape
+    (1000, 64),
+    (200, 784),    # 28x28: 36 strided windows
+    (200, 144),    # 12x12: 4 windows
+    (200, 100),    # 10x10: one strided window
+    (200, 50),     # not square: the flat path
+])
+def test_reconstruction_metrics_match_per_row_loop(n, dim):
+    rng = Rng(60 + dim)
+    x = (rng.uniform(0, 1, (n, dim)) < 0.4).astype(np.float64)
+    recon = rng.uniform(0, 1, (n, dim))
+    recon[::5] = x[::5]  # exact matches hit the PSNR cap
+    assert reconstruction_metrics(x, recon) == _ref_reconstruction_metrics(x, recon)
+    smooth = rng.uniform(0, 1, (n, dim))  # non-binary rows make every sum inexact
+    assert reconstruction_metrics(smooth, recon) == _ref_reconstruction_metrics(smooth, recon)
+    for row_x, row_r in zip(smooth[:50], recon[:50]):
+        assert ssim(row_x, row_r) == _ref_ssim(row_x, row_r)
+        assert psnr(row_x, row_r) == _ref_psnr(row_x, row_r)
+
+
+def test_reconstruction_metrics_keep_scalar_square_rounding():
+    # one-pixel rows: each row's mean is the pixel itself, so picking pixels
+    # whose float64 ** 2 (libm pow) differs from v * v pins that rounding
+    values = Rng(62).uniform(0, 1, 20000)
+    odd = np.array([v for v in values if np.float64(v) ** 2 != v * v])[:, None]
+    other = Rng(63).uniform(0, 1, odd.shape)
+    assert reconstruction_metrics(odd, other) == _ref_reconstruction_metrics(odd, other)
+    for a, b in zip(odd, other):
+        assert ssim(a, b) == _ref_ssim(a, b)
+
+
+def test_reconstruction_metrics_psnr_cap_on_exact_match():
+    x = Rng(61).uniform(0, 1, (10, 64))
+    assert reconstruction_metrics(x, x) == (0.0, 99.0, _ref_reconstruction_metrics(x, x)[2])
+
+
 def test_task_metric_table_shape():
     top = synthetic_task("half-active-top", 60, DIM, Rng(50))
     bottom = synthetic_task("half-active-bottom", 60, DIM, Rng(51))
@@ -213,3 +301,20 @@ def test_task_metric_table_shape():
     for r in rows:
         assert np.isfinite(r["nll"]) and r["sl"] >= 0.0 and r["ssim"] <= 1.0
         assert sum(int(c) for c in r["chosen_hist"].split("|")) == 30
+
+
+def test_task_metric_table_nll_equals_eval_nll():
+    stream = TaskStream([
+        Task("top", synthetic_task("half-active-top", 60, DIM, Rng(55)),
+             synthetic_task("half-active-top", 30, DIM, Rng(56))),
+        Task("bars", synthetic_task("bars", 60, DIM, Rng(57)),
+             synthetic_task("bars", 30, DIM, Rng(58))),
+    ])
+    cfg = TrainConfig(epochs=3, batch=16, lr=2e-3, tau=1e9, probe_size=40,
+                      latent_dim=LATENT, hidden_dim=HIDDEN)
+    graph, _ = run_degm(stream, cfg, Rng(59))
+    assert [e.kind for e in graph.entries] == ["basic", "specific"]
+    rows = task_metric_table(graph, stream, kprime=3, seed=4)
+    assert all("0" not in r["chosen_hist"].split("|") for r in rows)  # both nodes score rows
+    for row, task in zip(rows, stream.tasks):
+        assert row["nll"] == eval_nll(graph, task.test.data, kprime=3, seed=4)  # bitwise
