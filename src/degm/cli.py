@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import os
+import resource
 import sys
 from dataclasses import dataclass
 
@@ -37,11 +38,12 @@ from .lifelong import (
     TrainConfig,
     accumulated_final_risk,
     order_experiment,
+    require_count,
     run_degm,
     run_gr_hier,
     run_gr_single,
 )
-from .nnkit import Rng
+from .nnkit import Rng, alloc
 from .persist import load_checkpoint, save_graph, save_single
 from .select_eval import task_metric_table
 from .vae import HierVae
@@ -120,6 +122,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(spec, dict):
             raise ConfigError(f"tasks[{i}] must be an object")
         _reject_unknown(spec, TASK_KEYS, f"tasks[{i}].")
+        for key in ("n_train", "n_test", "dim"):
+            if key in spec:
+                require_count(spec[key], f"tasks[{i}].{key}")
+        if "seed" in spec:
+            require_count(spec["seed"], f"tasks[{i}].seed", minimum=0)
         source = spec.get("source", "synthetic")
         if source not in ("synthetic", "idx"):
             raise ConfigError(f"tasks[{i}].source must be 'synthetic' or 'idx'")
@@ -153,13 +160,17 @@ def parse_config(text: str) -> ExperimentConfig:
     _reject_unknown(user_eval, set(EVAL_DEFAULTS), "eval.")
     eval_raw.update(user_eval)
     for key, value in eval_raw.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"eval.{key} must be a positive integer, got {value!r}")
+        require_count(value, f"eval.{key}")
 
     bounds_raw = dict(BOUNDS_DEFAULTS)
     user_bounds = raw.get("bounds", {})
+    if not isinstance(user_bounds, dict):
+        raise ConfigError("bounds must be an object")
     _reject_unknown(user_bounds, set(BOUNDS_DEFAULTS), "bounds.")
     bounds_raw.update(user_bounds)
+    require_count(bounds_raw["sample_size"], "bounds.sample_size")
+    if bounds_raw["aux_epochs"] is not None:
+        require_count(bounds_raw["aux_epochs"], "bounds.aux_epochs")
 
     filled = {
         "mode": mode, "out_dir": raw.get("out_dir", "runs"),
@@ -332,6 +343,22 @@ def _write_table(path: str, rows: list[dict], config_hash: str | None = None) ->
         writer.writerows(rows)
 
 
+def _env_block(start: resource.struct_rusage) -> dict:
+    """The numeric build, the allocator setting, and what the command cost
+    the process since ``start``: CPU seconds and minor page faults."""
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy < 1.25 only prints its build info
+        blas = {}
+    return {
+        "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+        "malloc_thresholds_set": alloc.THRESHOLDS_SET,
+        "user_s": end.ru_utime - start.ru_utime, "sys_s": end.ru_stime - start.ru_stime,
+        "minor_faults": end.ru_minflt - start.ru_minflt,
+    }
+
+
 def export_v_csv(graph: GraphModel, path: str) -> None:
     v = graph.v_matrix()
     header = ["task_id"] + [f"C{k + 1}" for k in range(v.shape[1])]
@@ -344,6 +371,7 @@ def export_v_csv(graph: GraphModel, path: str) -> None:
 
 def cmd_train(cfg: ExperimentConfig) -> str:
     """Run the configured experiment; returns the run directory."""
+    start = resource.getrusage(resource.RUSAGE_SELF)
     stream = build_stream(cfg)  # before the run directory, so bad tasks leave none
     run_dir = _run_dir(cfg)
     digest = config_hash(cfg)
@@ -405,6 +433,7 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         report = order_experiment(orders, cfg.train, rng)
         _write_table(os.path.join(run_dir, "order_report.csv"), report, digest)
         summary["orders"] = [r["order"] for r in report]
+    summary["env"] = _env_block(start)
     _write_json(os.path.join(run_dir, "summary.json"), summary)
     return run_dir
 

@@ -65,6 +65,12 @@ class TaskStream:
         return len(self.tasks)
 
 
+def require_count(value, what: str, minimum: int = 1) -> None:
+    """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 500
@@ -84,10 +90,11 @@ class TrainConfig:
     hier_two_layers: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch < 1 or self.probe_size < 1 or self.kprime < 1:
-            raise ConfigError("epochs, batch, probe_size and kprime must be positive")
-        if self.specific_epochs is not None and self.specific_epochs < 1:
-            raise ConfigError("specific_epochs must be positive when set")
+        for key in ("epochs", "batch", "probe_size", "kprime", "latent_dim", "hidden_dim"):
+            require_count(getattr(self, key), key)
+        if self.specific_epochs is not None:
+            require_count(self.specific_epochs, "specific_epochs")
+        require_count(self.seed, "seed", minimum=0)
         if self.lr <= 0.0:
             raise ConfigError("lr must be positive")
         if self.tau < 0.0:

@@ -152,12 +152,28 @@ class Tensor:
         return self._make(out, ((self, lambda g: g * (1.0 - out ** 2)),))
 
     def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
+        # 1 / (1 + exp(-x)), step for step in one buffer
+        out = np.negative(self.data)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
         return self._make(out, ((self, lambda g: g * out * (1.0 - out)),))
 
     def leaky_relu(self, slope: float = 0.01) -> "Tensor":
-        mask = np.where(self.data > 0.0, 1.0, slope)
-        return self._make(self.data * mask, ((self, lambda g: g * mask),))
+        """x * (1 if x > 0 else slope), for a slope in [0, 1]."""
+        if not 0.0 <= slope <= 1.0:
+            raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope!r}")
+        x = self.data
+        if slope == 0.0:
+            out = x * (x > 0.0)  # max(x, x * 0) would turn +inf into NaN
+        else:
+            out = np.maximum(x, x * slope)
+        if not (_GRAD_ENABLED and self.requires_grad):
+            return Tensor(out)  # not recorded, so no gradient mask
+        # (1 - slope) + slope rounds to exactly 1.0 for every slope in [0, 1]
+        mask = (x > 0.0) * (1.0 - slope)
+        mask += slope
+        return self._make(out, ((self, lambda g: g * mask),))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         # gradient passes only where the value is strictly inside the band
@@ -192,7 +208,8 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.shape != (weight.shape[0],):
         raise DimensionError(f"bias shape {bias.shape} does not match output width {weight.shape[0]}")
-    data = x.data @ weight.data.T + bias.data
+    data = x.data @ weight.data.T
+    data += bias.data
     return Tensor._make(data, (
         (x, lambda g: g @ weight.data),
         (weight, lambda g: g.T @ x.data),

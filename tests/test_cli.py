@@ -326,3 +326,33 @@ def test_main_rejects_bad_eval_counts(tmp_path, capsys, key, value):
 def test_parse_rejects_non_object_eval():
     with pytest.raises(ConfigError, match="eval"):
         parse_config(json.dumps(minimal_config(eval=5)))
+
+
+@pytest.mark.parametrize("path, value", [
+    (["bounds"], 5), (["tasks", 0, "n_train"], -1), (["tasks", 0, "dim"], "x"),
+    (["train", "epochs"], 2.5), (["train", "latent_dim"], 0),
+    (["bounds"], {"sample_size": 0}),
+])
+def test_main_rejects_malformed_config_without_run_dir(tmp_path, capsys, path, value):
+    raw = minimal_config("bounds", out_dir=str(tmp_path / "runs"))
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cmd_train_summary_env_block(tmp_path):
+    from degm.nnkit import alloc
+
+    cfg = parse_config(json.dumps(minimal_config("gr", out_dir=str(tmp_path / "runs"))))
+    env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
+    assert env["numpy"] == np.__version__
+    assert env["malloc_thresholds_set"] is alloc.THRESHOLDS_SET
+    assert env["user_s"] > 0.0 and env["sys_s"] >= 0.0 and env["minor_faults"] >= 0
+    assert set(env) == {"numpy", "blas", "blas_version", "malloc_thresholds_set",
+                        "user_s", "sys_s", "minor_faults"}

@@ -1,4 +1,10 @@
-"""Likelihood primitives, reparameterisation, Adam, and the RNG contract."""
+"""Likelihood primitives, reparameterisation, Adam, the RNG contract, the
+rewritten pointwise ops and the allocator thresholds."""
+
+import ctypes
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import degm
 from degm.errors import ContractError, DimensionError, TrainingError
 from degm.nnkit import (
     AdamState,
@@ -13,12 +20,14 @@ from degm.nnkit import (
     Rng,
     Tensor,
     adam_step,
+    affine,
     affine_forward,
     backprop,
     bernoulli_log_likelihood,
     gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
     logmeanexp,
+    no_grad,
     parameter,
     reparameterize,
 )
@@ -242,3 +251,143 @@ def test_rng_bernoulli_range():
     draws = Rng(1).bernoulli(np.full(1000, 0.3))
     assert set(np.unique(draws)) <= {0.0, 1.0}
     assert 0.2 < draws.mean() < 0.4
+
+
+# --- rewritten ops against their former formulas -------------------------------------------
+# The old expressions are kept here verbatim; values and gradients must match bit for bit.
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 2.5, -2.5,
+                     1e-300, -1e-300, 5e-324, -5e-324])
+SLOPES = (0.0, 0.01, 0.3, 1.0)
+
+
+def _op_inputs() -> np.ndarray:
+    block = Rng(21).normal((8, 11)) * 4.0
+    return np.concatenate([SPECIALS[None, :], -SPECIALS[None, :], block])
+
+
+def _assert_bits_equal(actual, expected):
+    actual = np.ascontiguousarray(actual, dtype=np.float64)
+    expected = np.ascontiguousarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _value_and_grad(op, x: np.ndarray, upstream: np.ndarray):
+    """op's value with and without recording, and dL/dx for L = sum(op(x) * upstream)."""
+    with no_grad():
+        plain = op(parameter(x, "x"))
+    assert plain._parents == ()
+    t = parameter(x, "x")
+    out = op(t)
+    grads = backprop((out * upstream).sum())
+    return plain.data, out.data, grads["x"]
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_leaky_relu_bit_identical_to_where_formula(slope):
+    x = _op_inputs()
+    upstream = Rng(22).normal(x.shape)
+    with np.errstate(invalid="ignore"):
+        old_mask = np.where(x > 0, 1.0, slope)
+        old_value = x * old_mask
+        plain, recorded, grad = _value_and_grad(lambda t: t.leaky_relu(slope), x, upstream)
+    _assert_bits_equal(plain, old_value)
+    _assert_bits_equal(recorded, old_value)
+    _assert_bits_equal(grad, upstream * old_mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_leaky_relu_gradient_mask_equals_where_mask(slope):
+    # with a unit upstream gradient, dL/dx is the mask (x > 0) * (1 - slope) + slope
+    x = _op_inputs()
+    with np.errstate(invalid="ignore"):
+        _, _, grad = _value_and_grad(lambda t: t.leaky_relu(slope), x, np.ones(x.shape))
+    _assert_bits_equal(grad, np.where(x > 0, 1.0, slope))
+
+
+@pytest.mark.parametrize("slope", [-0.01, -1.0, 1.5, np.inf, np.nan])
+def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ContractError, match="slope"):
+        Tensor(np.ones(3)).leaky_relu(slope)
+
+
+def test_sigmoid_bit_identical_to_reciprocal_formula():
+    x = _op_inputs()
+    upstream = Rng(23).normal(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        old_value = 1 / (1 + np.exp(-x))
+        old_grad = upstream * old_value * (1.0 - old_value)
+        plain, recorded, grad = _value_and_grad(lambda t: t.sigmoid(), x, upstream)
+    _assert_bits_equal(plain, old_value)
+    _assert_bits_equal(recorded, old_value)
+    _assert_bits_equal(grad, old_grad)
+
+
+def test_affine_bit_identical_to_matmul_plus_bias():
+    rng = Rng(24)
+    x = np.concatenate([_op_inputs()[:, :7], rng.normal((40, 7))])
+    w, b = rng.normal((5, 7)), rng.normal(5)
+    b[:2] = [np.inf, -0.0]
+    upstream = rng.normal((x.shape[0], 5))
+    with np.errstate(invalid="ignore"):
+        old_value = x @ w.T + b
+        with no_grad():
+            plain = affine(Tensor(x), parameter(w, "W"), parameter(b, "b"))
+        tx, tw, tb = parameter(x, "x"), parameter(w, "W"), parameter(b, "b")
+        out = affine(tx, tw, tb)
+        grads = backprop((out * upstream).sum())
+        old_grads = {"x": upstream @ w, "W": upstream.T @ x, "b": upstream.sum(axis=0)}
+    assert plain._parents == ()
+    _assert_bits_equal(plain.data, old_value)
+    _assert_bits_equal(out.data, old_value)
+    for name, expected in old_grads.items():
+        _assert_bits_equal(grads[name], expected)
+
+
+# --- allocator thresholds -------------------------------------------------------------------
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from degm.graph import GraphModel
+from degm.nnkit import AdamState, Rng, adam_step, backprop, no_grad
+
+rng = Rng(0)
+graph = GraphModel(64, 32, 200, "bernoulli", tau=15.0)
+graph.add_basic_node(0, rng.spawn("b0"))
+graph.add_basic_node(1, rng.spawn("b1"))
+entry = graph.entries[graph.add_specific_node(np.array([0.6, 0.4]), 2, rng.spawn("s"))]
+node = graph.specifics[entry.index]
+params, state = graph.trainable_params(entry), AdamState(lr=1e-3)
+data = (rng.uniform(0.0, 1.0, (300, 64)) > 0.5).astype(np.float64)
+
+def step(i):
+    x = data[64 * (i % 4):64 * (i % 4) + 64]
+    adam_step(state, params, backprop(-graph.melbo(node, x, rng=rng).mean()))
+
+for i in range(5):
+    step(i)
+with no_grad():  # an epoch-end evaluation, as in per-epoch logging
+    graph.node_values(entry, data, kprime=1, eps_list=[rng.normal((1, 32))])
+graph.reconstruct_node(entry, data)
+step(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(20):
+    step(i)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_training_steps_reuse_resident_memory():
+    # a fresh process: an earlier test may already have raised glibc's thresholds
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("mallopt is not available on this platform")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degm.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    faults_per_step = float(done.stdout.split()[-1])
+    assert faults_per_step < 50, faults_per_step
