@@ -13,6 +13,7 @@ from degm.bounds import accumulated_error_proxy, bounds_run, bound_check_report,
 from degm.data import synthetic_task
 from degm.lifelong import Task, TaskStream, TrainConfig
 from degm.nnkit import Rng
+from degm.persist import write_table
 
 
 def main():
@@ -38,18 +39,10 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     write_bounds_csv(out.rows, os.path.join(args.out, "bounds_report.csv"), len(stream))
-    import csv
-    with open(os.path.join(args.out, "bound_check.csv"), "w", newline="") as fh:
-        rows = bound_check_report(out)
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_table(os.path.join(args.out, "bound_check.csv"), bound_check_report(out))
     proxy = accumulated_error_proxy(out.gr_artifacts.snapshots, stream, out.gr_model,
                                     Rng(args.seed).spawn("accum"))
-    with open(os.path.join(args.out, "accumulated_error.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(proxy[0]))
-        writer.writeheader()
-        writer.writerows(proxy)
+    write_table(os.path.join(args.out, "accumulated_error.csv"), proxy)
 
     ends = [r for r in out.rows if r.epoch == cfg.epochs]
     print("task-end discrepancy lower bounds:",

@@ -10,10 +10,11 @@ Usage: python scripts/run_forgetting_demo.py --out /tmp/forgetting --epochs 30
 import argparse
 import os
 
-from degm.bounds import forgetting_curves, write_curves_csv
+from degm.bounds import forgetting_curves
 from degm.data import synthetic_task, transform
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm, run_gr_single
 from degm.nnkit import Rng
+from degm.persist import write_table
 
 
 def build_stream(n_train, n_test, dim=196):
@@ -44,7 +45,7 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "curves.csv")
-    write_curves_csv(forgetting_curves(degm_log, gr_log, stream.input_dim), path)
+    write_table(path, forgetting_curves(degm_log, gr_log, stream.input_dim))
     after1 = gr_log.query(task_index=1, eval_task=1)[-1]["square_loss"]
     after3 = gr_log.query(task_index=3, eval_task=1)[-1]["square_loss"]
     print(f"single model task-1 square loss: {after1:.4f} after task 1, "

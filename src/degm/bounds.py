@@ -12,16 +12,15 @@ reconstructions, and the risk of a model is that loss against the input.
 
 from __future__ import annotations
 
-import copy
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import TaskStream, TrainConfig, _minibatches, run_gr_single
+from .lifelong import TaskStream, TrainConfig, _minibatches, elbo_values, run_gr_single
 from .nnkit import AdamState, Rng, adam_step, backprop, kl_diag_gaussian_to_standard, no_grad
-from .vae import HierVae, VaeComponent
+from .persist import write_table
+from .vae import HierVae, VaeComponent, copy_model
 
 
 class HypothesisSet:
@@ -33,7 +32,7 @@ class HypothesisSet:
     def register(self, name: str, model) -> None:
         if name in self._models:
             raise ContractError(f"hypothesis {name!r} already registered")
-        self._models[name] = copy.deepcopy(model)
+        self._models[name] = copy_model(model)
 
     def names(self) -> list[str]:
         return list(self._models)
@@ -146,12 +145,16 @@ class BoundsRow:
     err_a_proxy: float = 0.0  # accumulated bridging terms across replay rounds
     err_d_proxy: float = 0.0  # generator-vs-mixture risk differences (can dip negative)
 
+    @property
+    def ra_lower_bound(self) -> float:
+        """disc + eps: this transition's term of the accumulated-error chain."""
+        return self.disc_lower_bound + self.eps_proxy
+
 
 @dataclass
 class BoundsArtifacts:
     rows: list[BoundsRow] = field(default_factory=list)
     aux_models: dict = field(default_factory=dict)
-    reference_models: dict = field(default_factory=dict)
     gr_model: object = None
     gr_artifacts: object = None
     metrics_log: object = None
@@ -170,12 +173,65 @@ def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
     return model
 
 
-def _neg_elbo_mean(model, data: np.ndarray, eps: np.ndarray) -> float:
-    with no_grad():
-        if isinstance(model, HierVae):
-            return float(-model.hier_elbo(data, eps=eps,
-                                          eps2=np.zeros((1, model.latent_dims[1]))).data.mean())
-        return float(-model.elbo(data, eps=eps).data.mean())
+def _references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
+                epochs: int) -> tuple[list, np.ndarray]:
+    """The reference model of each task, and the fixed noise of the ELBO terms."""
+    refs = [_train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"), epochs,
+                         name=f"ref{i}") for i, task in enumerate(stream.tasks)]
+    return refs, rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+
+
+def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int, t: int) -> VaeComponent:
+    return _train_plain(mixture, cfg, rng.spawn(f"bounds:aux:{t}"), epochs, name=f"aux{t}")
+
+
+def _draw_gen_samples(gen_samples: dict, snapshots: list, sample_size: int, rng: Rng) -> None:
+    """Once per snapshot, the generations the err_d chain scores it on."""
+    for k in range(len(snapshots)):
+        if k not in gen_samples:
+            gen_samples[k] = snapshots[k].generate(min(sample_size, 512),
+                                                   rng.spawn(f"bounds:gen:{k}"))
+
+
+def bounds_row(model, aux, refs: list, source: np.ndarray, target_sets: list[np.ndarray],
+               eval_eps: np.ndarray, kl_rng: Rng, sample_size: int, earlier_ra: list[float],
+               snapshots: list, aux_models: dict, mixtures: list, gen_samples: dict,
+               epoch: int) -> BoundsRow:
+    """One diagnostics row for ``model`` while it learns task t + 1, where
+    ``target_sets`` holds the test sets of tasks 1..t+1. The sets are scored
+    as given; whether to subsample them is the caller's choice.
+
+    ``refs`` holds at least the reference models of tasks 1..t+1,
+    ``earlier_ra`` the final ra term of each earlier transition, and
+    ``snapshots``, ``aux_models``, ``mixtures`` and ``gen_samples`` the
+    transitions the err_d chain sums over.
+    """
+    t = len(target_sets) - 1
+    union = np.concatenate(target_sets)
+    hset = HypothesisSet()
+    hset.register("current", model)
+    hset.register("aux", aux)
+    for k in range(t + 1):
+        hset.register(f"ref{k}", refs[k])
+    target_risks = [risk(model, ts) for ts in target_sets]
+    disc = estimate_discrepancy(union, source, hset)
+    gap = estimate_kl_gap(model, target_sets, source, sample_size, kl_rng)
+    eps_proxy = risk(aux, source) + risk(aux, union)
+    lhs = float(np.mean([-elbo_values(model, ts, eval_eps).mean() for ts in target_sets]))
+    rhs_source = float(-elbo_values(model, source, eval_eps).mean())
+    row = BoundsRow(
+        task_t=t + 1, epoch=epoch,
+        source_risk=risk(model, source),
+        target_risks=target_risks,
+        target_risk_avg=float(np.mean(target_risks)),
+        kl_gap=gap, disc_lower_bound=disc,
+        lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
+        eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
+        err_d_proxy=replay_risk_differences(model, snapshots, aux_models, mixtures,
+                                            gen_samples, t),
+    )
+    row.err_a_proxy = sum(earlier_ra) + row.ra_lower_bound
+    return row
 
 
 def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
@@ -186,16 +242,12 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
 
     The auxiliary model for task t is fitted once, on the same evolved-source
     mixture the main model trains on; for the first task the auxiliary model
-    *is* the current model (nothing has evolved yet).
+    *is* the current model (nothing has evolved yet). Each epoch's row scores
+    subsamples of at most ``sample_size`` rows.
     """
     out = BoundsArtifacts()
     aux_epochs = aux_epochs or cfg.epochs
-    for i, task in enumerate(stream.tasks):
-        out.reference_models[i] = _train_plain(task.train.data, cfg,
-                                               rng.spawn(f"bounds:ref:{task.name}"),
-                                               aux_epochs, name=f"ref{i}")
-
-    eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+    refs, eval_eps = _references(stream, cfg, rng, aux_epochs)
 
     def subsample(x, key):
         if x.shape[0] <= sample_size:
@@ -207,53 +259,52 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
 
     def hook(task_index: int, epoch: int, model, mixture: np.ndarray, artifacts):
         t = task_index
-        if t not in out.aux_models:
-            out.aux_models[t] = None if t == 0 else _train_plain(
-                mixture, cfg, rng.spawn(f"bounds:aux:{t}"), aux_epochs, name=f"aux{t}")
-        aux = out.aux_models[t] if out.aux_models[t] is not None else model
-        for k in range(len(artifacts.snapshots)):
-            if k not in gen_samples:
-                gen_samples[k] = artifacts.snapshots[k].generate(
-                    min(sample_size, 512), rng.spawn(f"bounds:gen:{k}"))
-
-        source = subsample(mixture, f"bounds:src:{t}")
+        if t > 0 and t not in out.aux_models:
+            out.aux_models[t] = _fit_aux(mixture, cfg, rng, aux_epochs, t)
+        _draw_gen_samples(gen_samples, artifacts.snapshots, sample_size, rng)
         target_sets = [subsample(stream.tasks[k].test.data, f"bounds:tgt:{t}:{k}")
                        for k in range(t + 1)]
-        union = np.concatenate(target_sets)
-
-        hset = HypothesisSet()
-        hset.register("current", model)
-        hset.register("aux", aux)
-        for k in range(t + 1):
-            hset.register(f"ref{k}", out.reference_models[k])
-
-        target_risks = [risk(model, ts) for ts in target_sets]
-        disc = estimate_discrepancy(union, source, hset)
-        gap = estimate_kl_gap(model, target_sets, source, sample_size, rng.spawn(f"bounds:kl:{t}"))
-        eps_proxy = risk(aux, source) + risk(aux, union)
-        ra_now = disc + eps_proxy
-        transition_ra[t] = ra_now  # overwritten each epoch; final epoch wins
-        err_a = sum(transition_ra[j] for j in range(t)) + ra_now
-        aux_for_chain = {j: out.aux_models[j] for j in out.aux_models if out.aux_models[j]}
-        err_d = replay_risk_differences(model, artifacts.snapshots, aux_for_chain,
-                                        artifacts.mixtures, gen_samples, t)
-        lhs = float(np.mean([_neg_elbo_mean(model, ts, eval_eps) for ts in target_sets]))
-        rhs_source = _neg_elbo_mean(model, source, eval_eps)
-        slack = rhs_source + gap + disc + eps_proxy - lhs
-        out.rows.append(BoundsRow(
-            task_t=t + 1, epoch=epoch + 1,
-            source_risk=risk(model, source),
-            target_risks=target_risks,
-            target_risk_avg=float(np.mean(target_risks)),
-            kl_gap=gap, disc_lower_bound=disc,
-            lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
-            eps_proxy=eps_proxy, slack=slack,
-            err_a_proxy=err_a, err_d_proxy=err_d,
-        ))
+        row = bounds_row(model, out.aux_models.get(t, model), refs,
+                         subsample(mixture, f"bounds:src:{t}"), target_sets, eval_eps,
+                         rng.spawn(f"bounds:kl:{t}"), sample_size,
+                         [transition_ra[j] for j in range(t)], artifacts.snapshots,
+                         out.aux_models, artifacts.mixtures, gen_samples, epoch + 1)
+        transition_ra[t] = row.ra_lower_bound  # overwritten each epoch; final epoch wins
+        out.rows.append(row)
 
     model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id, epoch_hook=hook)
     out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
     return out
+
+
+def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, rng: Rng,
+                       sample_size: int = 10_000,
+                       aux_epochs: int | None = None) -> list[BoundsRow]:
+    """One row per task, at task end, from the replay model's snapshot after
+    each task; scores the whole mixture and test sets. Reference and
+    auxiliary models are fitted again with the keys ``bounds_run`` uses."""
+    aux_epochs = aux_epochs or cfg.epochs
+    refs, eval_eps = _references(stream, cfg, rng, aux_epochs)
+    rows: list[BoundsRow] = []
+    mixtures, aux_models, gen_samples = [], {}, {}
+    for t, task in enumerate(stream.tasks):
+        model = snapshots[t]
+        if t == 0:
+            mixture = task.train.data
+        else:
+            # the rows of the training mixture, regenerated from the previous
+            # snapshot; run_gr_single also shuffles them, which this does not
+            replay = snapshots[t - 1].generate(t * task.train.n, rng.spawn(f"gr:replay:{t}"))
+            mixture = np.concatenate([task.train.data, replay])
+            aux_models[t] = _fit_aux(mixture, cfg, rng, aux_epochs, t)
+        mixtures.append(mixture)
+        _draw_gen_samples(gen_samples, snapshots[:t], sample_size, rng)
+        rows.append(bounds_row(model, aux_models.get(t, model), refs, mixture,
+                               [seen.test.data for seen in stream.tasks[:t + 1]], eval_eps,
+                               rng.spawn(f"bounds:kl:{t}"), sample_size,
+                               [r.ra_lower_bound for r in rows], snapshots, aux_models,
+                               mixtures, gen_samples, cfg.epochs))
+    return rows
 
 
 def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
@@ -265,7 +316,7 @@ def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
             "lhs_target_neg_elbo": r.lhs_target_neg_elbo,
             "rhs_source_neg_elbo": r.rhs_source_neg_elbo,
             "rhs_kl_gap": r.kl_gap,
-            "rhs_ra_lower_bound": r.disc_lower_bound + r.eps_proxy,
+            "rhs_ra_lower_bound": r.ra_lower_bound,
             "slack": r.slack,
         })
     return rows
@@ -273,21 +324,17 @@ def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
 
 def write_bounds_csv(rows: list[BoundsRow], path: str, n_tasks: int,
                      config_hash: str | None = None) -> None:
-    task_cols = [f"target_risk_task_{k + 1}" for k in range(n_tasks)]
-    header = ["epoch", "task_t", "source_risk", "target_risk_avg", *task_cols,
-              "kl_gap", "disc_lower_bound", "slack"]
-    if config_hash is not None:
-        header.append("config_hash")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in rows:
-            per_task = list(r.target_risks) + [""] * (n_tasks - len(r.target_risks))
-            record = [r.epoch, r.task_t, r.source_risk, r.target_risk_avg,
-                      *per_task, r.kl_gap, r.disc_lower_bound, r.slack]
-            if config_hash is not None:
-                record.append(config_hash)
-            writer.writerow(record)
+    """bounds_report.csv: one line per row, one column per task's target
+    risk, blank for tasks not yet seen."""
+    records = []
+    for r in rows:
+        per_task = list(r.target_risks) + [""] * (n_tasks - len(r.target_risks))
+        records.append({"epoch": r.epoch, "task_t": r.task_t, "source_risk": r.source_risk,
+                        "target_risk_avg": r.target_risk_avg,
+                        **{f"target_risk_task_{k + 1}": v for k, v in enumerate(per_task)},
+                        "kl_gap": r.kl_gap, "disc_lower_bound": r.disc_lower_bound,
+                        "slack": r.slack})
+    write_table(path, records, config_hash)
 
 
 # -- curves and generation chains ----------------------------------------------------------
@@ -304,13 +351,6 @@ def forgetting_curves(degm_log, gr_log, input_dim: int) -> list[dict]:
                 "eval_task": r["eval_task"], "risk": r["square_loss"] / input_dim,
             })
     return rows
-
-
-def write_curves_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,

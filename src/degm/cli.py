@@ -9,7 +9,6 @@ rejected with their dotted path so typos fail loudly.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import os
@@ -39,14 +38,14 @@ from .lifelong import (
     accumulated_final_risk,
     order_experiment,
     require_count,
+    run_ablation,
     run_degm,
     run_gr_hier,
     run_gr_single,
 )
 from .nnkit import Rng, alloc
-from .persist import load_checkpoint, save_graph, save_single
-from .select_eval import task_metric_table
-from .vae import HierVae
+from .persist import load_checkpoint, save_graph, save_single, write_table
+from .select_eval import single_metric_table, task_metric_table
 
 MODES = ("degm", "gr", "gr-hier", "bounds", "order-study", "ablation")
 ABLATIONS = ("degm-1", "degm-4", "degm-5", "degm-6", "degm-7")
@@ -148,8 +147,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     orders = raw.get("orders")
     if mode == "order-study":
-        if not isinstance(orders, list) or len(orders) < 2:
-            raise ConfigError("order-study needs an 'orders' list with at least two orderings")
+        if (not isinstance(orders, list) or len(orders) < 2
+                or not all(isinstance(order, list) and all(isinstance(n, str) for n in order)
+                           for order in orders)):
+            raise ConfigError("order-study needs 'orders': a list of at least two lists "
+                              f"of task names, got {orders!r}")
     elif orders is not None:
         raise ConfigError("orders is only valid with mode 'order-study'")
 
@@ -193,8 +195,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Digest of every semantically meaningful field (out_dir excluded)."""
-    material = copy.deepcopy(cfg.raw)
-    material.pop("out_dir")
+    material = {k: v for k, v in cfg.raw.items() if k != "out_dir"}
     blob = json.dumps(material, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -255,69 +256,6 @@ def build_stream(cfg: ExperimentConfig) -> TaskStream:
     return TaskStream(tasks)
 
 
-# -- ablation edge policies --------------------------------------------------------------
-
-def ablation_edge_policy(name: str):
-    """Alternative weight rules; the expand-or-reuse decision is untouched."""
-    if name == "degm-4":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            # every learned node feeds the new one equally; a specific node's
-            # share resolves onto the basic sub-modules it already blends
-            k = len(graph.basics)
-            acc = np.zeros(k)
-            for e in graph.entries:
-                if e.kind == "basic":
-                    acc[e.index] += 1.0
-                else:
-                    w = graph.specifics[e.index].weights
-                    acc[:w.size] += w
-            return acc / len(graph.entries)
-        return policy
-    if name == "degm-5":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            mask = (scores < graph.tau).astype(np.float64)
-            if mask.sum() == 0.0:  # only possible at exact ks == tau
-                mask[int(np.argmin(scores))] = 1.0
-            return mask / mask.sum()
-        return policy
-    if name == "degm-6":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            return np.full(scores.size, 1.0 / scores.size)
-        return policy
-    if name == "degm-7":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            one_hot = np.zeros(scores.size)
-            one_hot[int(np.argmin(scores))] = 1.0
-            return one_hot
-        return policy
-    if name == "degm-1":
-        return None  # shortened specific training, not a weight rule
-    raise ConfigError(f"unknown ablation {name!r}")
-
-
-def run_ablation(cfg: ExperimentConfig, rng: Rng) -> tuple[list[dict], dict, dict]:
-    """Baseline run plus the selected variant; side-by-side square-loss table."""
-    stream = build_stream(cfg)
-    base_graph, base_log = run_degm(stream, cfg.train, rng, run_id="degm")
-    name = cfg.ablation
-    if name == "degm-1":
-        variant_cfg = TrainConfig(**{**cfg.train.__dict__, "specific_epochs": 5})
-        variant_graph, variant_log = run_degm(stream, variant_cfg, rng, run_id=name)
-    else:
-        variant_graph, variant_log = run_degm(stream, cfg.train, rng, run_id=name,
-                                              edge_policy=ablation_edge_policy(name))
-    table = []
-    last = len(stream)
-    for t in range(1, last + 1):
-        base_sl = base_log.query(task_index=last, eval_task=t)[-1]["square_loss"]
-        var_sl = variant_log.query(task_index=last, eval_task=t)[-1]["square_loss"]
-        table.append({"task": stream.tasks[t - 1].name, "sl_degm": base_sl,
-                      f"sl_{name}": var_sl})
-    graphs = {"degm": base_graph, name: variant_graph}
-    logs = {"degm": base_log, name: variant_log}
-    return table, graphs, logs
-
-
 # -- commands -----------------------------------------------------------------------------
 
 def _run_dir(cfg: ExperimentConfig) -> str:
@@ -329,18 +267,6 @@ def _run_dir(cfg: ExperimentConfig) -> str:
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-def _write_table(path: str, rows: list[dict], config_hash: str | None = None) -> None:
-    import csv as _csv
-    if not rows:
-        raise ContractError(f"refusing to write empty table {path}")
-    if config_hash is not None:
-        rows = [{**r, "config_hash": config_hash} for r in rows]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _env_block(start: resource.struct_rusage) -> dict:
@@ -360,19 +286,17 @@ def _env_block(start: resource.struct_rusage) -> dict:
 
 
 def export_v_csv(graph: GraphModel, path: str) -> None:
-    v = graph.v_matrix()
-    header = ["task_id"] + [f"C{k + 1}" for k in range(v.shape[1])]
-    lines = [",".join(header)]
-    for row, entry in zip(v, graph.entries):
-        lines.append(",".join([str(entry.task_id)] + [repr(float(val)) for val in row]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, [{"task_id": entry.task_id,
+                        **{f"C{k + 1}": float(val) for k, val in enumerate(row)}}
+                       for row, entry in zip(graph.v_matrix(), graph.entries)])
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
     """Run the configured experiment; returns the run directory."""
     start = resource.getrusage(resource.RUSAGE_SELF)
-    stream = build_stream(cfg)  # before the run directory, so bad tasks leave none
+    # both before the run directory, so bad tasks or orderings leave none
+    stream = build_stream(cfg)
+    orders = _order_streams(cfg, stream) if cfg.mode == "order-study" else None
     run_dir = _run_dir(cfg)
     digest = config_hash(cfg)
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
@@ -381,57 +305,52 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     summary: dict = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
                      "tasks": [t.name for t in stream.tasks]}
 
+    def table(name: str, rows: list[dict]) -> None:
+        write_table(os.path.join(run_dir, name), rows, digest)
+
     if cfg.mode in ("degm", "ablation"):
         if cfg.mode == "degm":
             graph, log = run_degm(stream, cfg.train, rng, run_id=digest)
         else:
-            table, graphs, logs = run_ablation(cfg, rng)
-            _write_table(os.path.join(run_dir, "ablation_table.csv"), table, digest)
+            ablation_rows, graphs, logs = run_ablation(stream, cfg.train, cfg.ablation, rng)
+            table("ablation_table.csv", ablation_rows)
             graph, log = graphs[cfg.ablation], logs[cfg.ablation]
-        log.to_csv(os.path.join(run_dir, "metrics.csv"))
+        write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
         save_graph(os.path.join(run_dir, "checkpoint"), graph,
                    extra={"config_hash": digest})
         export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))
         metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime)
-        _write_table(os.path.join(run_dir, "eval_metrics.csv"), metric_rows, digest)
+        table("eval_metrics.csv", metric_rows)
         summary["node_counts"] = {
             "basic": len(graph.basics), "specific": len(graph.specifics)}
         summary["mean_nll"] = float(np.mean([r["nll"] for r in metric_rows]))
         summary["mean_sl"] = float(np.mean([r["sl"] for r in metric_rows]))
-    elif cfg.mode in ("gr", "gr-hier"):
-        runner = run_gr_hier if cfg.mode == "gr-hier" else run_gr_single
-        model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
-        log.to_csv(os.path.join(run_dir, "metrics.csv"))
+    elif cfg.mode in ("gr", "gr-hier", "bounds"):
+        if cfg.mode == "bounds":
+            out = bounds_mod.bounds_run(stream, cfg.train, rng,
+                                        sample_size=cfg.bounds_sample_size,
+                                        aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
+            model, log, artifacts = out.gr_model, out.metrics_log, out.gr_artifacts
+            bounds_mod.write_bounds_csv(out.rows, os.path.join(run_dir, "bounds_report.csv"),
+                                        n_tasks=len(stream), config_hash=digest)
+            table("bound_check.csv", bounds_mod.bound_check_report(out))
+            table("accumulated_error.csv", bounds_mod.accumulated_error_proxy(
+                artifacts.snapshots, stream, model, rng.spawn("accum")))
+            table("curves.csv", bounds_mod.forgetting_curves(None, log, stream.input_dim))
+            summary["final_slack"] = out.rows[-1].slack
+        else:
+            runner = run_gr_hier if cfg.mode == "gr-hier" else run_gr_single
+            model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
+            summary["final_accumulated_risk"] = accumulated_final_risk(log, stream)
+        write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
         save_single(os.path.join(run_dir, "checkpoint"), model,
                     extra={"config_hash": digest})
         for i, snap in enumerate(artifacts.snapshots):
             save_single(os.path.join(run_dir, "checkpoint", f"task_{i + 1}"), snap,
                         extra={"config_hash": digest, "task_index": i + 1})
-        summary["final_accumulated_risk"] = accumulated_final_risk(log, stream)
-    elif cfg.mode == "bounds":
-        out = bounds_mod.bounds_run(stream, cfg.train, rng,
-                                    sample_size=cfg.bounds_sample_size,
-                                    aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
-        out.metrics_log.to_csv(os.path.join(run_dir, "metrics.csv"))
-        bounds_mod.write_bounds_csv(out.rows, os.path.join(run_dir, "bounds_report.csv"),
-                                    n_tasks=len(stream), config_hash=digest)
-        _write_table(os.path.join(run_dir, "bound_check.csv"), bounds_mod.bound_check_report(out), digest)
-        proxy_rows = bounds_mod.accumulated_error_proxy(
-            out.gr_artifacts.snapshots, stream, out.gr_model, rng.spawn("accum"))
-        _write_table(os.path.join(run_dir, "accumulated_error.csv"), proxy_rows, digest)
-        curves = bounds_mod.forgetting_curves(None, out.metrics_log, stream.input_dim)
-        curves = [{**r, "config_hash": digest} for r in curves]
-        bounds_mod.write_curves_csv(curves, os.path.join(run_dir, "curves.csv"))
-        save_single(os.path.join(run_dir, "checkpoint"), out.gr_model,
-                    extra={"config_hash": digest})
-        for i, snap in enumerate(out.gr_artifacts.snapshots):
-            save_single(os.path.join(run_dir, "checkpoint", f"task_{i + 1}"), snap,
-                        extra={"config_hash": digest, "task_index": i + 1})
-        summary["final_slack"] = out.rows[-1].slack
     elif cfg.mode == "order-study":
-        orders = _order_streams(cfg, stream)
         report = order_experiment(orders, cfg.train, rng)
-        _write_table(os.path.join(run_dir, "order_report.csv"), report, digest)
+        table("order_report.csv", report)
         summary["orders"] = [r["order"] for r in report]
     summary["env"] = _env_block(start)
     _write_json(os.path.join(run_dir, "summary.json"), summary)
@@ -454,21 +373,10 @@ def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
     """Metric table for a stored model on the configured stream."""
     kind, model, _ = load_checkpoint(checkpoint_dir)
     stream = build_stream(cfg)
-    if kind == "graph":
-        rows = task_metric_table(model, stream, kprime=kprime)
-    else:
-        from .select_eval import eval_nll_single, reconstruction_metrics
-        rows = []
-        for task in stream.tasks:
-            data = task.test.data
-            base = model.base if isinstance(model, HierVae) else model
-            recon = model.reconstruct(data)
-            sl, ps, ss = reconstruction_metrics(data, recon)
-            rows.append({"task": task.name,
-                         "nll": eval_nll_single(base, data, kprime=kprime),
-                         "sl": sl, "psnr": ps, "ssim": ss, "chosen_hist": "1"})
+    metric_table = task_metric_table if kind == "graph" else single_metric_table
+    rows = metric_table(model, stream, kprime=kprime)
     if out_path:
-        _write_table(out_path, rows)
+        write_table(out_path, rows)
     return rows
 
 
@@ -477,71 +385,16 @@ def cmd_diagnose(run_dir: str) -> str:
     config_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(config_path):
         raise FormatError(f"no config.json in {run_dir}")
-    with open(config_path) as fh:
-        cfg = parse_config(fh.read())
+    cfg = _load_config_file(config_path)
     stream = build_stream(cfg)
-    rng = Rng(cfg.train.seed)
     snapshots = []
     for i in range(len(stream)):
         snap_dir = os.path.join(run_dir, "checkpoint", f"task_{i + 1}")
         if not os.path.isdir(snap_dir):
             raise FormatError(f"missing snapshot {snap_dir}; diagnose needs a gr/bounds run")
-        _, snap, _ = load_checkpoint(snap_dir)
-        snapshots.append(snap)
-
-    rows = []
-    refs = {}
-    aux_epochs = cfg.bounds_aux_epochs or cfg.train.epochs
-    for i, task in enumerate(stream.tasks):
-        refs[i] = bounds_mod._train_plain(task.train.data, cfg.train,
-                                          rng.spawn(f"bounds:ref:{task.name}"),
-                                          aux_epochs, name=f"ref{i}")
-    eval_eps = rng.spawn("bounds:eval").normal((1, cfg.train.latent_dim))
-    mixtures, aux_models, gen_samples, transition_ra = [], {}, {}, {}
-    for t, task in enumerate(stream.tasks):
-        model = snapshots[t]
-        if t == 0:
-            mixture = task.train.data
-            aux = model
-        else:
-            # the training mixture is reproducible from the previous snapshot
-            replay = snapshots[t - 1].generate(t * task.train.n, rng.spawn(f"gr:replay:{t}"))
-            mixture = np.concatenate([task.train.data, replay])
-            aux = bounds_mod._train_plain(mixture, cfg.train, rng.spawn(f"bounds:aux:{t}"),
-                                          aux_epochs, name=f"aux{t}")
-            aux_models[t] = aux
-        mixtures.append(mixture)
-        if t > 0:
-            gen_samples[t - 1] = snapshots[t - 1].generate(
-                min(cfg.bounds_sample_size, 512), rng.spawn(f"bounds:gen:{t - 1}"))
-        hset = bounds_mod.HypothesisSet()
-        hset.register("current", model)
-        hset.register("aux", aux)
-        for k in range(t + 1):
-            hset.register(f"ref{k}", refs[k])
-        target_sets = [stream.tasks[k].test.data for k in range(t + 1)]
-        union = np.concatenate(target_sets)
-        disc = bounds_mod.estimate_discrepancy(union, mixture, hset)
-        gap = bounds_mod.estimate_kl_gap(model, target_sets, mixture,
-                                         cfg.bounds_sample_size, rng.spawn(f"bounds:kl:{t}"))
-        target_risks = [bounds_mod.risk(model, ts) for ts in target_sets]
-        eps_proxy = bounds_mod.risk(aux, mixture) + bounds_mod.risk(aux, union)
-        ra_now = disc + eps_proxy
-        err_a = sum(transition_ra[j] for j in range(t)) + ra_now
-        transition_ra[t] = ra_now
-        err_d = bounds_mod.replay_risk_differences(model, snapshots, aux_models,
-                                                   mixtures, gen_samples, t)
-        lhs = float(np.mean([bounds_mod._neg_elbo_mean(model, ts, eval_eps)
-                             for ts in target_sets]))
-        rhs_source = bounds_mod._neg_elbo_mean(model, mixture, eval_eps)
-        rows.append(bounds_mod.BoundsRow(
-            task_t=t + 1, epoch=cfg.train.epochs,
-            source_risk=bounds_mod.risk(model, mixture),
-            target_risks=target_risks, target_risk_avg=float(np.mean(target_risks)),
-            kl_gap=gap, disc_lower_bound=disc, lhs_target_neg_elbo=lhs,
-            rhs_source_neg_elbo=rhs_source, eps_proxy=eps_proxy,
-            slack=rhs_source + gap + disc + eps_proxy - lhs,
-            err_a_proxy=err_a, err_d_proxy=err_d))
+        snapshots.append(load_checkpoint(snap_dir)[1])
+    rows = bounds_mod.diagnose_snapshots(stream, cfg.train, snapshots, Rng(cfg.train.seed),
+                                         cfg.bounds_sample_size, cfg.bounds_aux_epochs)
     out_path = os.path.join(run_dir, "bounds_report.csv")
     bounds_mod.write_bounds_csv(rows, out_path, n_tasks=len(stream),
                                 config_hash=config_hash(cfg))

@@ -15,8 +15,7 @@ tasks so far are recomputed each epoch.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -25,9 +24,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .graph import GraphModel, NodeEntry, edge_weights, expansion_decide
 from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, backprop, no_grad
-from .vae import HierVae, VaeComponent
-
-METRICS_COLUMNS = ("run_id", "task_index", "epoch", "eval_task", "objective_value", "square_loss")
+from .vae import HierVae, VaeComponent, copy_model
 
 
 @dataclass
@@ -119,12 +116,6 @@ class MetricsLog:
     def query(self, **match) -> list[dict]:
         return [r for r in self.rows if all(r[k] == v for k, v in match.items())]
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
-            writer.writeheader()
-            writer.writerows(self.rows)
-
 
 def _minibatches(n: int, batch: int, rng: Rng):
     perm = rng.permutation(n)
@@ -149,6 +140,66 @@ EdgePolicy = Callable[[np.ndarray, GraphModel], np.ndarray]
 
 def adaptive_edge_policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
     return edge_weights(scores)
+
+
+def ablation_edge_policy(name: str) -> EdgePolicy | None:
+    """Alternative weight rules; the expand-or-reuse decision is untouched."""
+    if name == "degm-4":
+        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+            # every learned node feeds the new one equally; a specific node's
+            # share resolves onto the basic sub-modules it already blends
+            k = len(graph.basics)
+            acc = np.zeros(k)
+            for e in graph.entries:
+                if e.kind == "basic":
+                    acc[e.index] += 1.0
+                else:
+                    w = graph.specifics[e.index].weights
+                    acc[:w.size] += w
+            return acc / len(graph.entries)
+        return policy
+    if name == "degm-5":
+        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+            mask = (scores < graph.tau).astype(np.float64)
+            if mask.sum() == 0.0:  # only possible at exact ks == tau
+                mask[int(np.argmin(scores))] = 1.0
+            return mask / mask.sum()
+        return policy
+    if name == "degm-6":
+        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+            return np.full(scores.size, 1.0 / scores.size)
+        return policy
+    if name == "degm-7":
+        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+            one_hot = np.zeros(scores.size)
+            one_hot[int(np.argmin(scores))] = 1.0
+            return one_hot
+        return policy
+    if name == "degm-1":
+        return None  # shortened specific training, not a weight rule
+    raise ConfigError(f"unknown ablation {name!r}")
+
+
+def run_ablation(stream: TaskStream, cfg: TrainConfig, name: str,
+                 rng: Rng) -> tuple[list[dict], dict, dict]:
+    """Baseline run plus the named variant; side-by-side square-loss table."""
+    base_graph, base_log = run_degm(stream, cfg, rng, run_id="degm")
+    if name == "degm-1":
+        variant_graph, variant_log = run_degm(stream, replace(cfg, specific_epochs=5), rng,
+                                              run_id=name)
+    else:
+        variant_graph, variant_log = run_degm(stream, cfg, rng, run_id=name,
+                                              edge_policy=ablation_edge_policy(name))
+    table = []
+    last = len(stream)
+    for t in range(1, last + 1):
+        base_sl = base_log.query(task_index=last, eval_task=t)[-1]["square_loss"]
+        var_sl = variant_log.query(task_index=last, eval_task=t)[-1]["square_loss"]
+        table.append({"task": stream.tasks[t - 1].name, "sl_degm": base_sl,
+                      f"sl_{name}": var_sl})
+    graphs = {"degm": base_graph, name: variant_graph}
+    logs = {"degm": base_log, name: variant_log}
+    return table, graphs, logs
 
 
 def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm",
@@ -250,18 +301,6 @@ class GrArtifacts:
     replay_sets: list[np.ndarray] = field(default_factory=list)  # generated part only
 
 
-def _copy_model(model):
-    if isinstance(model, VaeComponent):
-        return model.copy()
-    # HierVae: rebuild with empty init, then overwrite buffers
-    dup = HierVae(model.input_dim, model.latent_dims, model.base.hidden_dim,
-                  model.base.likelihood, model.base.sigma, model.two_layers,
-                  rng=None, name=model.name)
-    for mine, theirs in zip(dup.params(), model.params()):
-        mine.data[:] = theirs.data
-    return dup
-
-
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
                   model=None, objective=None, epoch_hook=None) -> tuple:
     """Single model; from the second task on it trains on its own generations
@@ -299,11 +338,12 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
             if epoch_hook is not None:
                 epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture,
                            artifacts=artifacts)
-        artifacts.snapshots.append(_copy_model(model))
+        artifacts.snapshots.append(copy_model(model))
     return model, log, artifacts
 
 
-def _model_elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Per-sample ELBO of a single model on fixed noise, without recording."""
     with no_grad():
         if isinstance(model, HierVae):
             eps2 = np.zeros((1, model.latent_dims[1]))
@@ -314,7 +354,7 @@ def _model_elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
 def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps, cfg):
     for t in range(task_i + 1):
         test = stream.tasks[t].test.data
-        values = _model_elbo_values(model, test, eval_eps[t])
+        values = elbo_values(model, test, eval_eps[t])
         recon = model.reconstruct(test)
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=float(values.mean()), square_loss=mean_square_loss(test, recon))

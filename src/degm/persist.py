@@ -1,18 +1,23 @@
-"""Checkpointing: a JSON manifest plus one little-endian float64 blob per array.
+"""What a run writes to disk: checkpoints and CSV tables.
 
+A checkpoint is a JSON manifest plus one little-endian float64 blob per array.
 The manifest records topology (node kinds, edge weights, task ids, reference
 bounds) and a name/shape/file entry per parameter array. Buffers are written
 byte-exact, so a load reproduces every evaluation output bit for bit.
+
+Every table goes through ``write_table``: a header from the first row's keys,
+then one line per row, floats at full precision.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 from .graph import GraphModel
 from .vae import HierVae, VaeComponent
 
@@ -135,3 +140,15 @@ def load_checkpoint(directory: str):
         _load_into(model.params(), directory, manifest["arrays"])
         return "hier", model, manifest
     raise FormatError(f"unknown checkpoint kind {kind!r}")
+
+
+def write_table(path: str, rows: list[dict], config_hash: str | None = None) -> None:
+    """Write ``rows`` as CSV, with a trailing config_hash column when given."""
+    if not rows:
+        raise ContractError(f"refusing to write empty table {path}")
+    if config_hash is not None:
+        rows = [{**r, "config_hash": config_hash} for r in rows]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)

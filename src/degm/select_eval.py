@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .graph import GraphModel
 from .nnkit import Rng, no_grad
+from .vae import HierVae
 
 PSNR_CAP_DB = 99.0
 PSNR_MSE_FLOOR = 1e-12
@@ -209,4 +210,17 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0)
             "ssim": record.ssim,
             "chosen_hist": "|".join(str(int(c)) for c in hist),
         })
+    return rows
+
+
+def single_metric_table(model, stream, kprime: int = 1) -> list[dict]:
+    """The same per-task rows for a single-model baseline: every sample goes
+    to the one model, whose plain component scores the NLL."""
+    base = model.base if isinstance(model, HierVae) else model
+    rows = []
+    for task in stream.tasks:
+        data = task.test.data
+        sl, ps, ss = reconstruction_metrics(data, model.reconstruct(data))
+        rows.append({"task": task.name, "nll": eval_nll_single(base, data, kprime=kprime),
+                     "sl": sl, "psnr": ps, "ssim": ss, "chosen_hist": "1"})
     return rows

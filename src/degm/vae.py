@@ -136,13 +136,6 @@ class VaeComponent:
             mu, _ = self.encode(x)
             return self.decode(mu).data
 
-    def copy(self, name: str | None = None) -> "VaeComponent":
-        dup = VaeComponent(self.input_dim, self.latent_dim, self.hidden_dim,
-                           self.likelihood, self.sigma, rng=None, name=name or self.name)
-        for mine, theirs in zip(dup.params(), self.params()):
-            mine.data[:] = theirs.data
-        return dup
-
 
 @dataclass
 class BasicNode:
@@ -229,3 +222,18 @@ class HierVae:
 
     def reconstruct(self, x) -> np.ndarray:
         return self.base.reconstruct(x)
+
+
+def copy_model(model):
+    """An independent model of the same shape and name with bit-identical
+    parameters; works for VaeComponent and HierVae."""
+    if isinstance(model, HierVae):
+        dup = HierVae(model.input_dim, model.latent_dims, model.base.hidden_dim,
+                      model.base.likelihood, model.base.sigma, model.two_layers,
+                      rng=None, name=model.name)
+    else:
+        dup = VaeComponent(model.input_dim, model.latent_dim, model.hidden_dim,
+                           model.likelihood, model.sigma, rng=None, name=model.name)
+    for mine, theirs in zip(dup.params(), model.params()):
+        mine.data[:] = theirs.data
+    return dup

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from degm.bounds import bounds_run, estimate_discrepancy, estimate_kl_gap, HypothesisSet
-from degm.cli import ablation_edge_policy, export_v_csv
+from degm.cli import export_v_csv
 from degm.data import load_idx, save_idx_images, synthetic_task, transform
 from degm.graph import GraphModel, edge_weights
 from degm.lifelong import (
     Task,
     TaskStream,
     TrainConfig,
+    ablation_edge_policy,
     accumulated_final_risk,
     run_degm,
     run_gr_single,

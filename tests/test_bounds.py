@@ -1,25 +1,36 @@
 """Bound-quantity estimators: risk, discrepancy, KL gap, per-epoch diagnostics."""
 
+import csv
+import json
+import os
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from degm.bounds import (
+    BoundsRow,
     HypothesisSet,
+    _train_plain,
     accumulated_error_proxy,
     bounds_run,
+    diagnose_snapshots,
     encoder_kl_values,
     estimate_discrepancy,
     estimate_kl_gap,
     forgetting_curves,
     bound_check_report,
+    replay_risk_differences,
     risk,
     write_bounds_csv,
 )
+from degm.cli import build_stream, cmd_diagnose, cmd_train, parse_config
 from degm.data import synthetic_task
 from degm.errors import ContractError
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm, run_gr_single
-from degm.nnkit import Rng
-from degm.vae import VaeComponent
+from degm.nnkit import Rng, no_grad
+from degm.persist import load_checkpoint
+from degm.vae import HierVae, VaeComponent
 
 from helpers import train_elbo_steps
 
@@ -254,3 +265,192 @@ def test_forgetting_curves_rows_and_flat_mixture():
     t1 = [r["risk"] for r in per_model["mixture"]
           if r["eval_task"] == 1 and r["task_index"] == 2]
     assert len(set(t1)) == 1
+
+
+# --- one bounds-row computation, pinned to the two computations it replaced -----------------
+
+def _reference_neg_elbo_mean(model, data, eps):
+    with no_grad():
+        if isinstance(model, HierVae):
+            return float(-model.hier_elbo(data, eps=eps,
+                                          eps2=np.zeros((1, model.latent_dims[1]))).data.mean())
+        return float(-model.elbo(data, eps=eps).data.mean())
+
+
+def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
+    """The per-epoch hook of bounds_run as it was before the row computation
+    was shared with diagnose, kept verbatim apart from its container."""
+    rows, aux_models, reference_models = [], {}, {}
+    for i, task in enumerate(stream.tasks):
+        reference_models[i] = _train_plain(task.train.data, cfg,
+                                           rng.spawn(f"bounds:ref:{task.name}"),
+                                           aux_epochs, name=f"ref{i}")
+
+    eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+
+    def subsample(x, key):
+        if x.shape[0] <= sample_size:
+            return x
+        return x[rng.spawn(key).choice_without_replacement(x.shape[0], sample_size)]
+
+    gen_samples = {}
+    transition_ra = {}
+
+    def hook(task_index, epoch, model, mixture, artifacts):
+        t = task_index
+        if t not in aux_models:
+            aux_models[t] = None if t == 0 else _train_plain(
+                mixture, cfg, rng.spawn(f"bounds:aux:{t}"), aux_epochs, name=f"aux{t}")
+        aux = aux_models[t] if aux_models[t] is not None else model
+        for k in range(len(artifacts.snapshots)):
+            if k not in gen_samples:
+                gen_samples[k] = artifacts.snapshots[k].generate(
+                    min(sample_size, 512), rng.spawn(f"bounds:gen:{k}"))
+
+        source = subsample(mixture, f"bounds:src:{t}")
+        target_sets = [subsample(stream.tasks[k].test.data, f"bounds:tgt:{t}:{k}")
+                       for k in range(t + 1)]
+        union = np.concatenate(target_sets)
+
+        hset = HypothesisSet()
+        hset.register("current", model)
+        hset.register("aux", aux)
+        for k in range(t + 1):
+            hset.register(f"ref{k}", reference_models[k])
+
+        target_risks = [risk(model, ts) for ts in target_sets]
+        disc = estimate_discrepancy(union, source, hset)
+        gap = estimate_kl_gap(model, target_sets, source, sample_size, rng.spawn(f"bounds:kl:{t}"))
+        eps_proxy = risk(aux, source) + risk(aux, union)
+        ra_now = disc + eps_proxy
+        transition_ra[t] = ra_now  # overwritten each epoch; final epoch wins
+        err_a = sum(transition_ra[j] for j in range(t)) + ra_now
+        aux_for_chain = {j: aux_models[j] for j in aux_models if aux_models[j]}
+        err_d = replay_risk_differences(model, artifacts.snapshots, aux_for_chain,
+                                        artifacts.mixtures, gen_samples, t)
+        lhs = float(np.mean([_reference_neg_elbo_mean(model, ts, eval_eps) for ts in target_sets]))
+        rhs_source = _reference_neg_elbo_mean(model, source, eval_eps)
+        slack = rhs_source + gap + disc + eps_proxy - lhs
+        rows.append(BoundsRow(
+            task_t=t + 1, epoch=epoch + 1,
+            source_risk=risk(model, source),
+            target_risks=target_risks,
+            target_risk_avg=float(np.mean(target_risks)),
+            kl_gap=gap, disc_lower_bound=disc,
+            lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
+            eps_proxy=eps_proxy, slack=slack,
+            err_a_proxy=err_a, err_d_proxy=err_d,
+        ))
+
+    run_gr_single(stream, cfg, rng, run_id="bounds", epoch_hook=hook)
+    return rows
+
+
+def reference_diagnose_rows(stream, cfg, snapshots, rng, sample_size, aux_epochs):
+    """The loop of cmd_diagnose as it was before the row computation was
+    shared with bounds_run, kept verbatim apart from its arguments."""
+    rows = []
+    refs = {}
+    for i, task in enumerate(stream.tasks):
+        refs[i] = _train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"),
+                               aux_epochs, name=f"ref{i}")
+    eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+    mixtures, aux_models, gen_samples, transition_ra = [], {}, {}, {}
+    for t, task in enumerate(stream.tasks):
+        model = snapshots[t]
+        if t == 0:
+            mixture = task.train.data
+            aux = model
+        else:
+            replay = snapshots[t - 1].generate(t * task.train.n, rng.spawn(f"gr:replay:{t}"))
+            mixture = np.concatenate([task.train.data, replay])
+            aux = _train_plain(mixture, cfg, rng.spawn(f"bounds:aux:{t}"),
+                               aux_epochs, name=f"aux{t}")
+            aux_models[t] = aux
+        mixtures.append(mixture)
+        if t > 0:
+            gen_samples[t - 1] = snapshots[t - 1].generate(
+                min(sample_size, 512), rng.spawn(f"bounds:gen:{t - 1}"))
+        hset = HypothesisSet()
+        hset.register("current", model)
+        hset.register("aux", aux)
+        for k in range(t + 1):
+            hset.register(f"ref{k}", refs[k])
+        target_sets = [stream.tasks[k].test.data for k in range(t + 1)]
+        union = np.concatenate(target_sets)
+        disc = estimate_discrepancy(union, mixture, hset)
+        gap = estimate_kl_gap(model, target_sets, mixture, sample_size, rng.spawn(f"bounds:kl:{t}"))
+        target_risks = [risk(model, ts) for ts in target_sets]
+        eps_proxy = risk(aux, mixture) + risk(aux, union)
+        ra_now = disc + eps_proxy
+        err_a = sum(transition_ra[j] for j in range(t)) + ra_now
+        transition_ra[t] = ra_now
+        err_d = replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples, t)
+        lhs = float(np.mean([_reference_neg_elbo_mean(model, ts, eval_eps)
+                             for ts in target_sets]))
+        rhs_source = _reference_neg_elbo_mean(model, mixture, eval_eps)
+        rows.append(BoundsRow(
+            task_t=t + 1, epoch=cfg.epochs,
+            source_risk=risk(model, mixture),
+            target_risks=target_risks, target_risk_avg=float(np.mean(target_risks)),
+            kl_gap=gap, disc_lower_bound=disc, lhs_target_neg_elbo=lhs,
+            rhs_source_neg_elbo=rhs_source, eps_proxy=eps_proxy,
+            slack=rhs_source + gap + disc + eps_proxy - lhs,
+            err_a_proxy=err_a, err_d_proxy=err_d))
+    return rows
+
+
+# Every set (mixtures of 80-240 rows, 40 test rows) is larger than the sample
+# size, so the per-epoch rows score subsamples and diagnose whole sets. Three
+# tasks, because the err_d chain first has a term at the third.
+PIN_SAMPLE, PIN_AUX_EPOCHS = 30, 2
+
+
+def pinned_config(out_dir):
+    tasks = [{"name": name, "source": "synthetic", "kind": kind, "n_train": 80, "n_test": 40,
+              "dim": DIM, "seed": seed}
+             for name, kind, seed in (("top", "half-active-top", 3), ("bars", "bars", 4),
+                                      ("bottom", "half-active-bottom", 6))]
+    return parse_config(json.dumps({
+        "mode": "bounds", "out_dir": out_dir, "tasks": tasks,
+        "train": {"epochs": 3, "batch": 32, "lr": 2e-3, "latent_dim": LATENT,
+                  "hidden_dim": HIDDEN, "likelihood": "gaussian", "seed": 5},
+        "bounds": {"sample_size": PIN_SAMPLE, "aux_epochs": PIN_AUX_EPOCHS},
+    }))
+
+
+def bits(rows):
+    return [repr(astuple(r)) for r in rows]
+
+
+def test_bounds_run_rows_equal_reference_hook(tmp_path):
+    cfg = pinned_config(str(tmp_path))
+    stream = build_stream(cfg)
+    assert all(t.test.n > PIN_SAMPLE for t in stream.tasks)
+    out = bounds_run(stream, cfg.train, Rng(5), sample_size=PIN_SAMPLE,
+                     aux_epochs=PIN_AUX_EPOCHS)
+    expected = reference_bounds_rows(stream, cfg.train, Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
+    assert len(out.rows) == 3 * len(stream) and out.rows[-1].err_d_proxy != 0.0
+    assert bits(out.rows) == bits(expected)
+
+
+def test_cmd_diagnose_rows_equal_reference_loop(tmp_path):
+    cfg = pinned_config(str(tmp_path / "runs"))
+    stream = build_stream(cfg)
+    run_dir = cmd_train(cfg)
+    snapshots = [load_checkpoint(os.path.join(run_dir, "checkpoint", f"task_{i + 1}"))[1]
+                 for i in range(len(stream))]
+    expected = reference_diagnose_rows(stream, cfg.train, snapshots, Rng(5),
+                                       PIN_SAMPLE, PIN_AUX_EPOCHS)
+    rows = diagnose_snapshots(stream, cfg.train, snapshots, Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
+    assert rows[-1].err_d_proxy != 0.0
+    assert bits(rows) == bits(expected)
+    with open(cmd_diagnose(run_dir), newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert len(written) == len(expected)
+    for got, want in zip(written, expected):
+        assert (int(got["task_t"]), int(got["epoch"])) == (want.task_t, want.epoch)
+        for key in ("source_risk", "target_risk_avg", "kl_gap", "disc_lower_bound", "slack"):
+            assert got[key] == repr(getattr(want, key)), key
+        for k, value in enumerate(want.target_risks):
+            assert got[f"target_risk_task_{k + 1}"] == repr(value)

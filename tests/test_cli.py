@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from degm.cli import (
-    ablation_edge_policy,
     build_stream,
     cmd_diagnose,
     cmd_eval,
@@ -16,11 +15,11 @@ from degm.cli import (
     config_hash,
     main,
     parse_config,
-    run_ablation,
     serialize_config,
 )
 from degm.errors import ConfigError, FormatError
 from degm.graph import GraphModel
+from degm.lifelong import ablation_edge_policy, run_ablation
 from degm.nnkit import Rng
 from degm.persist import load_checkpoint, save_graph, save_single
 from degm.select_eval import eval_nll
@@ -195,7 +194,7 @@ def test_run_ablation_table(tmp_path):
     raw = two_task_config("ablation", ablation="degm-6")
     raw["train"]["tau"] = 50.0  # force the second node to be specific
     cfg = parse_config(json.dumps(raw))
-    table, graphs, _ = run_ablation(cfg, Rng(0))
+    table, graphs, _ = run_ablation(build_stream(cfg), cfg.train, cfg.ablation, Rng(0))
     assert {r["task"] for r in table} == {"bars", "stripes"}
     assert set(table[0]) == {"task", "sl_degm", "sl_degm-6"}
     variant = graphs["degm-6"]
@@ -340,6 +339,19 @@ def test_main_rejects_malformed_config_without_run_dir(tmp_path, capsys, path, v
         target = target[key]
     target[path[-1]] = value
     config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("orders", [
+    [1, 2], ["bars", "stripes"], [["bars", "stripes"]], [["bars", 3], ["stripes", "bars"]],
+    [["bars", "stripes"], ["stripes", "nope"]],
+], ids=["ints", "names", "one-order", "non-string-name", "unknown-name"])
+def test_main_rejects_malformed_orders_without_run_dir(tmp_path, capsys, orders):
+    raw = two_task_config("order-study", out_dir=str(tmp_path / "runs"), orders=orders)
+    config_path = tmp_path / "bad_orders.json"
     config_path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(config_path)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from degm.errors import ContractError, DimensionError
 from degm.nnkit import AdamState, Rng, adam_step, backprop, kl_diag_gaussian_to_standard, no_grad
-from degm.vae import HierVae, VaeComponent, parameter_bytes
+from degm.vae import HierVae, VaeComponent, copy_model, parameter_bytes
 
 from helpers import analytic_grads, finite_difference_grads, max_rel_err, train_elbo_steps
 
@@ -201,12 +201,21 @@ def test_generate_seed_determinism():
 
 # --- copies and freezing -----------------------------------------------------------------
 
-def test_copy_is_deep_and_bit_identical():
-    c = tiny(33)
-    dup = c.copy()
+@pytest.mark.parametrize("build", [
+    lambda: tiny(33),
+    lambda: hier_tiny(33, two_layers=True),
+    lambda: hier_tiny(33, two_layers=False),
+], ids=["vae", "hier", "hier-one-layer"])
+def test_copy_is_deep_and_bit_identical(build):
+    c = build()
+    dup = copy_model(c)
+    assert type(dup) is type(c) and dup.name == c.name
     assert parameter_bytes(dup) == parameter_bytes(c)
-    dup.enc_lower.weight.data[0, 0] += 1.0
-    assert parameter_bytes(dup) != parameter_bytes(c)
+    assert np.array_equal(dup.generate(7, Rng(51)), c.generate(7, Rng(51)))
+    before = parameter_bytes(c)
+    for p in dup.params():  # the last tensors are a HierVae's second-layer heads
+        p.data[...] += 1.0
+    assert parameter_bytes(c) == before
 
 
 def test_training_one_component_leaves_another_untouched():
