@@ -44,20 +44,23 @@ class HypothesisSet:
         return len(self._models)
 
 
+def _sq_loss(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean over rows of the squared distance, normalised by the row width."""
+    return float(((a - b) ** 2).sum(axis=1).mean()) / a.shape[1]
+
+
 def risk(model, data: np.ndarray) -> float:
     """Mean squared reconstruction error, normalised by the input dimension."""
     data = np.asarray(data, dtype=np.float64)
     if data.shape[0] == 0:
         raise ContractError("risk needs a nonempty dataset")
-    recon = model.reconstruct(data)
-    return float(((data - recon) ** 2).sum(axis=1).mean()) / data.shape[1]
+    return _sq_loss(data, model.reconstruct(data))
 
 
 def pair_loss(model_a, model_b, data: np.ndarray) -> float:
     """Mean dimension-normalised squared distance between two hypotheses."""
     data = np.asarray(data, dtype=np.float64)
-    ra, rb = model_a.reconstruct(data), model_b.reconstruct(data)
-    return float(((ra - rb) ** 2).sum(axis=1).mean()) / data.shape[1]
+    return _sq_loss(model_a.reconstruct(data), model_b.reconstruct(data))
 
 
 def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
@@ -73,11 +76,17 @@ def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
 
 
 def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
-                         hypotheses: HypothesisSet) -> float:
-    """max over ordered pairs (h, h') of |E_P loss(h, h') - E_Q loss(h, h')|.
+                         hypotheses: HypothesisSet, recons: dict | None = None) -> float:
+    """max over pairs (h, h') of |E_P loss(h, h') - E_Q loss(h, h')|.
 
     A lower bound on the true sup; 0 exactly when the two sample sets coincide
-    and symmetric in (P, Q) by construction.
+    and symmetric in (P, Q) by construction. Each unordered pair is scored
+    once: loss(h, h') equals loss(h', h) bit for bit, as fl(a - b) = -fl(b - a),
+    and loss(h, h) is identically zero on both sides.
+
+    ``recons`` maps a hypothesis name to its (P, Q) reconstructions. Names
+    found there are not reconstructed again; the others are added, so the
+    caller can read or keep them.
     """
     if len(hypotheses) < 2:
         raise ContractError("discrepancy needs at least two hypotheses")
@@ -85,16 +94,16 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
     q = np.asarray(q_samples, dtype=np.float64)
     if p.shape[0] == 0 or q.shape[0] == 0:
         raise ContractError("discrepancy needs nonempty sample sets")
-    d = p.shape[1]
-    recon_p = {name: hypotheses.reconstruct(name, p) for name in hypotheses.names()}
-    recon_q = {name: hypotheses.reconstruct(name, q) for name in hypotheses.names()}
+    recons = {} if recons is None else recons
+    names = hypotheses.names()
+    for name in names:
+        if name not in recons:
+            recons[name] = (hypotheses.reconstruct(name, p), hypotheses.reconstruct(name, q))
     best = 0.0
-    for a in hypotheses.names():
-        for b in hypotheses.names():
-            if a == b:
-                continue  # loss(h, h) is identically zero on both sides
-            mean_p = float(((recon_p[a] - recon_p[b]) ** 2).sum(axis=1).mean()) / d
-            mean_q = float(((recon_q[a] - recon_q[b]) ** 2).sum(axis=1).mean()) / d
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            mean_p = _sq_loss(recons[a][0], recons[b][0])
+            mean_q = _sq_loss(recons[a][1], recons[b][1])
             best = max(best, abs(mean_p - mean_q))
     return best
 
@@ -154,6 +163,7 @@ class BoundsRow:
 @dataclass
 class BoundsArtifacts:
     rows: list[BoundsRow] = field(default_factory=list)
+    reference_models: list = field(default_factory=list)
     aux_models: dict = field(default_factory=dict)
     gr_model: object = None
     gr_artifacts: object = None
@@ -173,12 +183,17 @@ def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
     return model
 
 
-def _references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
-                epochs: int) -> tuple[list, np.ndarray]:
-    """The reference model of each task, and the fixed noise of the ELBO terms."""
-    refs = [_train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"), epochs,
+def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
+                   aux_epochs: int | None = None) -> list[VaeComponent]:
+    """The reference model of each task, fitted on that task's training set alone."""
+    epochs = aux_epochs or cfg.epochs
+    return [_train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"), epochs,
                          name=f"ref{i}") for i, task in enumerate(stream.tasks)]
-    return refs, rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+
+
+def _eval_noise(cfg: TrainConfig, rng: Rng) -> np.ndarray:
+    """The fixed noise of every ELBO term of the bound check."""
+    return rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
 
 
 def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int, t: int) -> VaeComponent:
@@ -196,7 +211,7 @@ def _draw_gen_samples(gen_samples: dict, snapshots: list, sample_size: int, rng:
 def bounds_row(model, aux, refs: list, source: np.ndarray, target_sets: list[np.ndarray],
                eval_eps: np.ndarray, kl_rng: Rng, sample_size: int, earlier_ra: list[float],
                snapshots: list, aux_models: dict, mixtures: list, gen_samples: dict,
-               epoch: int) -> BoundsRow:
+               epoch: int, kept: dict | None = None) -> BoundsRow:
     """One diagnostics row for ``model`` while it learns task t + 1, where
     ``target_sets`` holds the test sets of tasks 1..t+1. The sets are scored
     as given; whether to subsample them is the caller's choice.
@@ -205,23 +220,35 @@ def bounds_row(model, aux, refs: list, source: np.ndarray, target_sets: list[np.
     ``earlier_ra`` the final ra term of each earlier transition, and
     ``snapshots``, ``aux_models``, ``mixtures`` and ``gen_samples`` the
     transitions the err_d chain sums over.
+
+    ``kept`` maps hypothesis names to their reconstructions of the union of
+    the target sets and of the source. The row reads what it finds there and
+    adds the reconstructions of every model but ``model``, so a caller that
+    passes the same dict while ``aux``, ``refs`` and the sets stay the same
+    reconstructs those models once.
     """
     t = len(target_sets) - 1
     union = np.concatenate(target_sets)
     hset = HypothesisSet()
     hset.register("current", model)
-    hset.register("aux", aux)
+    if aux is not model:
+        # at the first task the aux model is the current model: its pairs would
+        # repeat current's, and (current, aux) scores exactly 0
+        hset.register("aux", aux)
     for k in range(t + 1):
         hset.register(f"ref{k}", refs[k])
+    recons = {} if kept is None else kept
+    disc = estimate_discrepancy(union, source, hset, recons)
+    current_union, current_source = recons.pop("current")  # it changes every epoch
+    aux_union, aux_source = recons.get("aux", (current_union, current_source))
     target_risks = [risk(model, ts) for ts in target_sets]
-    disc = estimate_discrepancy(union, source, hset)
     gap = estimate_kl_gap(model, target_sets, source, sample_size, kl_rng)
-    eps_proxy = risk(aux, source) + risk(aux, union)
+    eps_proxy = _sq_loss(source, aux_source) + _sq_loss(union, aux_union)
     lhs = float(np.mean([-elbo_values(model, ts, eval_eps).mean() for ts in target_sets]))
     rhs_source = float(-elbo_values(model, source, eval_eps).mean())
     row = BoundsRow(
         task_t=t + 1, epoch=epoch,
-        source_risk=risk(model, source),
+        source_risk=_sq_loss(source, current_source),
         target_risks=target_risks,
         target_risk_avg=float(np.mean(target_risks)),
         kl_gap=gap, disc_lower_bound=disc,
@@ -243,11 +270,14 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     The auxiliary model for task t is fitted once, on the same evolved-source
     mixture the main model trains on; for the first task the auxiliary model
     *is* the current model (nothing has evolved yet). Each epoch's row scores
-    subsamples of at most ``sample_size`` rows.
+    subsamples of at most ``sample_size`` rows. The subsamples, the reference
+    models and the auxiliary model stay fixed while a task trains, so their
+    reconstructions are made at the task's first epoch and reused.
     """
     out = BoundsArtifacts()
     aux_epochs = aux_epochs or cfg.epochs
-    refs, eval_eps = _references(stream, cfg, rng, aux_epochs)
+    out.reference_models = fit_references(stream, cfg, rng, aux_epochs)
+    eval_eps = _eval_noise(cfg, rng)
 
     def subsample(x, key):
         if x.shape[0] <= sample_size:
@@ -256,19 +286,24 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
 
     gen_samples: dict[int, np.ndarray] = {}
     transition_ra: dict[int, float] = {}
+    kept: dict[int, dict] = {}  # task -> reconstructions by the models fixed while it trains
 
     def hook(task_index: int, epoch: int, model, mixture: np.ndarray, artifacts):
         t = task_index
+        if t not in kept:  # a new task: the last one's reconstructions are stale
+            kept.clear()
+            kept[t] = {}
         if t > 0 and t not in out.aux_models:
             out.aux_models[t] = _fit_aux(mixture, cfg, rng, aux_epochs, t)
         _draw_gen_samples(gen_samples, artifacts.snapshots, sample_size, rng)
         target_sets = [subsample(stream.tasks[k].test.data, f"bounds:tgt:{t}:{k}")
                        for k in range(t + 1)]
-        row = bounds_row(model, out.aux_models.get(t, model), refs,
+        row = bounds_row(model, out.aux_models.get(t, model), out.reference_models,
                          subsample(mixture, f"bounds:src:{t}"), target_sets, eval_eps,
                          rng.spawn(f"bounds:kl:{t}"), sample_size,
                          [transition_ra[j] for j in range(t)], artifacts.snapshots,
-                         out.aux_models, artifacts.mixtures, gen_samples, epoch + 1)
+                         out.aux_models, artifacts.mixtures, gen_samples, epoch + 1,
+                         kept=kept[t])
         transition_ra[t] = row.ra_lower_bound  # overwritten each epoch; final epoch wins
         out.rows.append(row)
 
@@ -277,14 +312,15 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     return out
 
 
-def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, rng: Rng,
-                       sample_size: int = 10_000,
+def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, refs: list,
+                       rng: Rng, sample_size: int = 10_000,
                        aux_epochs: int | None = None) -> list[BoundsRow]:
     """One row per task, at task end, from the replay model's snapshot after
-    each task; scores the whole mixture and test sets. Reference and
+    each task; scores the whole mixture and test sets. ``refs`` are the
+    reference models, loaded from the run or made by ``fit_references``; the
     auxiliary models are fitted again with the keys ``bounds_run`` uses."""
     aux_epochs = aux_epochs or cfg.epochs
-    refs, eval_eps = _references(stream, cfg, rng, aux_epochs)
+    eval_eps = _eval_noise(cfg, rng)
     rows: list[BoundsRow] = []
     mixtures, aux_models, gen_samples = [], {}, {}
     for t, task in enumerate(stream.tasks):

@@ -9,6 +9,7 @@ rejected with their dotted path so typos fail loudly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -38,6 +39,7 @@ from .lifelong import (
     accumulated_final_risk,
     order_experiment,
     require_count,
+    require_real,
     run_ablation,
     run_degm,
     run_gr_hier,
@@ -114,6 +116,12 @@ def parse_config(text: str) -> ExperimentConfig:
     except TypeError as err:
         raise ConfigError(f"train: {err}") from err
 
+    out_dir = raw.get("out_dir", "runs")
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir must be a string")
+    if not isinstance(raw.get("desk_scale", False), bool):
+        raise ConfigError("desk_scale must be true or false")
+
     tasks = raw.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("tasks must be a nonempty list")
@@ -126,6 +134,16 @@ def parse_config(text: str) -> ExperimentConfig:
                 require_count(spec[key], f"tasks[{i}].{key}")
         if "seed" in spec:
             require_count(spec["seed"], f"tasks[{i}].seed", minimum=0)
+        if not isinstance(spec.get("name", ""), str):
+            raise ConfigError(f"tasks[{i}].name must be a string")
+        center = spec.get("center", [0.0, 0.0])
+        if not isinstance(center, list) or len(center) != 2:
+            raise ConfigError(f"tasks[{i}].center must be a list of two numbers")
+        for value in center:
+            require_real(value, f"tasks[{i}].center[]")
+        transforms = spec.get("transforms", [])
+        if not isinstance(transforms, list) or not all(isinstance(t, str) for t in transforms):
+            raise ConfigError(f"tasks[{i}].transforms must be a list of strings")
         source = spec.get("source", "synthetic")
         if source not in ("synthetic", "idx"):
             raise ConfigError(f"tasks[{i}].source must be 'synthetic' or 'idx'")
@@ -137,6 +155,9 @@ def parse_config(text: str) -> ExperimentConfig:
             for key in ("train_images", "test_images"):
                 if key not in spec:
                     raise ConfigError(f"tasks[{i}].{key} is required for idx tasks")
+            for key in ("train_images", "test_images", "train_labels", "test_labels"):
+                if not isinstance(spec.get(key, ""), str):
+                    raise ConfigError(f"tasks[{i}].{key} must be a path string")
 
     ablation = raw.get("ablation")
     if mode == "ablation":
@@ -175,8 +196,7 @@ def parse_config(text: str) -> ExperimentConfig:
         require_count(bounds_raw["aux_epochs"], "bounds.aux_epochs")
 
     filled = {
-        "mode": mode, "out_dir": raw.get("out_dir", "runs"),
-        "desk_scale": bool(raw.get("desk_scale", False)),
+        "mode": mode, "out_dir": out_dir, "desk_scale": raw.get("desk_scale", False),
         "ablation": ablation, "orders": orders, "tasks": tasks,
         "train": train_raw, "eval": eval_raw, "bounds": bounds_raw,
     }
@@ -269,9 +289,32 @@ def _write_json(path: str, payload: dict) -> None:
         json.dump(payload, fh, indent=1, sort_keys=True)
 
 
+def _blas_threads() -> int | None:
+    """The thread count of the loaded OpenBLAS, from its own getter; None
+    where no OpenBLAS with a getter is mapped into the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
 def _env_block(start: resource.struct_rusage) -> dict:
-    """The numeric build, the allocator setting, and what the command cost
-    the process since ``start``: CPU seconds and minor page faults."""
+    """The numeric build, the BLAS thread count, the allocator setting, and
+    what the command cost the process since ``start``: CPU seconds and minor
+    page faults."""
     end = resource.getrusage(resource.RUSAGE_SELF)
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -279,7 +322,7 @@ def _env_block(start: resource.struct_rusage) -> dict:
         blas = {}
     return {
         "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-        "malloc_thresholds_set": alloc.THRESHOLDS_SET,
+        "blas_threads": _blas_threads(), "malloc_thresholds_set": alloc.THRESHOLDS_SET,
         "user_s": end.ru_utime - start.ru_utime, "sys_s": end.ru_stime - start.ru_stime,
         "minor_faults": end.ru_minflt - start.ru_minflt,
     }
@@ -345,9 +388,13 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
         save_single(os.path.join(run_dir, "checkpoint"), model,
                     extra={"config_hash": digest})
-        for i, snap in enumerate(artifacts.snapshots):
-            save_single(os.path.join(run_dir, "checkpoint", f"task_{i + 1}"), snap,
-                        extra={"config_hash": digest, "task_index": i + 1})
+        stored = {"task": artifacts.snapshots}
+        if cfg.mode == "bounds":
+            stored["ref"] = out.reference_models  # read back by diagnose
+        for prefix, models in stored.items():
+            for i, m in enumerate(models):
+                save_single(os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}"), m,
+                            extra={"config_hash": digest, "task_index": i + 1})
     elif cfg.mode == "order-study":
         report = order_experiment(orders, cfg.train, rng)
         table("order_report.csv", report)
@@ -376,7 +423,7 @@ def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
     metric_table = task_metric_table if kind == "graph" else single_metric_table
     rows = metric_table(model, stream, kprime=kprime)
     if out_path:
-        write_table(out_path, rows)
+        write_table(out_path, rows, config_hash(cfg))
     return rows
 
 
@@ -386,6 +433,7 @@ def cmd_diagnose(run_dir: str) -> str:
     if not os.path.exists(config_path):
         raise FormatError(f"no config.json in {run_dir}")
     cfg = _load_config_file(config_path)
+    digest = config_hash(cfg)
     stream = build_stream(cfg)
     snapshots = []
     for i in range(len(stream)):
@@ -393,12 +441,36 @@ def cmd_diagnose(run_dir: str) -> str:
         if not os.path.isdir(snap_dir):
             raise FormatError(f"missing snapshot {snap_dir}; diagnose needs a gr/bounds run")
         snapshots.append(load_checkpoint(snap_dir)[1])
-    rows = bounds_mod.diagnose_snapshots(stream, cfg.train, snapshots, Rng(cfg.train.seed),
+    rng = Rng(cfg.train.seed)
+    refs = _stored_references(run_dir, len(stream), digest)
+    if refs is None:  # gr and gr-hier runs store none
+        refs = bounds_mod.fit_references(stream, cfg.train, rng, cfg.bounds_aux_epochs)
+    rows = bounds_mod.diagnose_snapshots(stream, cfg.train, snapshots, refs, rng,
                                          cfg.bounds_sample_size, cfg.bounds_aux_epochs)
     out_path = os.path.join(run_dir, "bounds_report.csv")
-    bounds_mod.write_bounds_csv(rows, out_path, n_tasks=len(stream),
-                                config_hash=config_hash(cfg))
+    bounds_mod.write_bounds_csv(rows, out_path, n_tasks=len(stream), config_hash=digest)
     return out_path
+
+
+def _stored_references(run_dir: str, n_tasks: int, digest: str) -> list | None:
+    """The reference models a bounds run saved as checkpoint/ref_<i>/, or None
+    when it saved none. A partial set, or one saved under another config,
+    is an error rather than a reason to fit them again."""
+    dirs = [os.path.join(run_dir, "checkpoint", f"ref_{i + 1}") for i in range(n_tasks)]
+    present = [d for d in dirs if os.path.isdir(d)]
+    if not present:
+        return None
+    if len(present) != n_tasks:
+        raise FormatError(f"{run_dir} holds {len(present)} of {n_tasks} reference models")
+    refs = []
+    for i, ref_dir in enumerate(dirs):
+        kind, model, manifest = load_checkpoint(ref_dir)
+        extra = manifest.get("extra", {})
+        if (kind, extra.get("config_hash"), extra.get("task_index")) != ("single", digest, i + 1):
+            raise FormatError(f"{ref_dir} is not the task {i + 1} reference model of "
+                              f"config {digest}")
+        refs.append(model)
+    return refs
 
 
 def cmd_export_v(checkpoint_dir: str, out_path: str) -> None:
@@ -477,8 +549,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.verb == "eval":
             cfg = _load_config_file(args.config)
             kprime = args.kprime if args.kprime is not None else cfg.eval_kprime
+            # beside the checkpoint, and never over the table train wrote there
             out = args.out or os.path.join(os.path.dirname(args.checkpoint.rstrip("/")),
-                                           "eval_metrics.csv")
+                                           f"eval_k{kprime}.csv")
             rows = cmd_eval(args.checkpoint, cfg, kprime, out)
             for row in rows:
                 print(row)

@@ -65,8 +65,11 @@ def load_idx(path: str) -> Dataset:
     Label files come back as a 1-pixel dataset carrying the labels, so both
     kinds flow through the same return type.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise FormatError(f"{path}: {err.strerror}") from err
     if len(blob) < 8:
         raise FormatError(f"{path}: truncated header at offset {len(blob)}")
     magic = struct.unpack(">I", blob[:4])[0]
@@ -149,7 +152,12 @@ def transform(d: Dataset, spec: str) -> Dataset:
         imgs = d.data.reshape(d.n, side, side)
         return Dataset(np.rot90(imgs, k=1, axes=(1, 2)).reshape(d.n, d.dim), d.labels)
     if name == "binarize":
-        threshold = float(arg) if arg else 0.5
+        try:
+            threshold = float(arg) if arg else 0.5
+        except ValueError:
+            threshold = float("nan")
+        if not np.isfinite(threshold):
+            raise ConfigError(f"transform {spec!r} needs a finite threshold")
         return Dataset((d.data > threshold).astype(np.float64), d.labels)
     raise ConfigError(f"unknown transform {spec!r}")
 

@@ -68,6 +68,17 @@ def require_count(value, what: str, minimum: int = 1) -> None:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_real(value, what: str, minimum: float | None = None, strict: bool = False) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number (not a bool),
+    at least ``minimum`` when one is given, or above it when ``strict``."""
+    finite = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+              or isinstance(value, (float, np.floating)) and bool(np.isfinite(value)))
+    ok = finite and (minimum is None or value > minimum or (value == minimum and not strict))
+    if not ok:
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 500
@@ -92,10 +103,14 @@ class TrainConfig:
         if self.specific_epochs is not None:
             require_count(self.specific_epochs, "specific_epochs")
         require_count(self.seed, "seed", minimum=0)
-        if self.lr <= 0.0:
-            raise ConfigError("lr must be positive")
-        if self.tau < 0.0:
-            raise ConfigError("tau must be nonnegative")
+        require_real(self.lr, "lr", 0.0, strict=True)
+        require_real(self.tau, "tau", 0.0)
+        if not isinstance(self.hier_latent_dims, (tuple, list)) or len(self.hier_latent_dims) != 2:
+            raise ConfigError(f"hier_latent_dims must hold two sizes, got {self.hier_latent_dims!r}")
+        for size in self.hier_latent_dims:
+            require_count(size, "hier_latent_dims[]")
+        if not isinstance(self.hier_two_layers, bool):
+            raise ConfigError(f"hier_two_layers must be true or false, got {self.hier_two_layers!r}")
         if self.objective not in ("elbo", "iwelbo", "auto"):
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.likelihood not in ("bernoulli", "gaussian"):

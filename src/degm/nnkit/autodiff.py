@@ -264,6 +264,9 @@ def backprop(loss: Tensor) -> dict[str, np.ndarray]:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    # No step writes into a gradient in place, so the first gradient that
+    # reaches a node is stored as is, even where an identity VJP hands the
+    # same array to two parents.
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
     result: dict[str, np.ndarray] = {}
     for node in reversed(order):
@@ -272,17 +275,15 @@ def backprop(loss: Tensor) -> dict[str, np.ndarray]:
             continue
         if node.requires_grad and not node._parents:
             name = node.name if node.name is not None else f"unnamed@{id(node):x}"
-            if name in result:
-                result[name] = result[name] + g
-            else:
-                result[name] = np.array(g, dtype=np.float64, copy=True)
-            node.grad = result[name]
+            total = np.asarray(result[name] + g if name in result else g, dtype=np.float64)
+            total.flags.writeable = False  # it may be shared with another leaf
+            result[name] = node.grad = total
         for parent, vjp in node._parents:
             pg = vjp(g)
             if id(parent) in grads:
                 grads[id(parent)] = grads[id(parent)] + pg
             else:
-                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
+                grads[id(parent)] = pg
         node._parents = ()
         node._consumed = True
     return result

@@ -111,3 +111,107 @@ def test_broadcast_gradient_reduces_correctly():
     x = Tensor(np.ones((4, 2)))
     grads = backprop((x + b).sum())
     np.testing.assert_array_equal(grads["b"], [4.0, 4.0])
+
+
+# --- backprop stores first gradients uncopied; pinned to the copying version ------------------
+
+def reference_backprop(loss: Tensor) -> dict:
+    """backprop as it was while it copied every first gradient, kept verbatim."""
+    if loss.shape != ():
+        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    if loss._consumed:
+        raise ContractError("tape already consumed by a previous backprop")
+
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+
+    grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
+    result: dict[str, np.ndarray] = {}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad and not node._parents:
+            name = node.name if node.name is not None else f"unnamed@{id(node):x}"
+            if name in result:
+                result[name] = result[name] + g
+            else:
+                result[name] = np.array(g, dtype=np.float64, copy=True)
+            node.grad = result[name]
+        for parent, vjp in node._parents:
+            pg = vjp(g)
+            if id(parent) in grads:
+                grads[id(parent)] = grads[id(parent)] + pg
+            else:
+                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
+        node._parents = ()
+        node._consumed = True
+    return result
+
+
+def _vae_elbo_loss(likelihood):
+    from degm.vae import VaeComponent
+
+    model = VaeComponent(16, 3, 8, likelihood, rng=Rng(40), name="vae")
+    x = (Rng(41).uniform(0, 1, (12, 16)) < 0.4).astype(np.float64)
+    return lambda: -model.elbo(x, rng=Rng(42)).mean()
+
+
+def _specific_melbo_loss():
+    from degm.graph import GraphModel
+
+    g = GraphModel(16, 3, 8, tau=1.0)
+    for i in range(2):
+        g.add_basic_node(task_id=i, rng=Rng(43 + i))
+    g.add_specific_node(np.array([0.3, 0.7]), task_id=2, rng=Rng(45))
+    x = (Rng(46).uniform(0, 1, (12, 16)) < 0.4).astype(np.float64)
+    return lambda: -g.melbo(g.specifics[0], x, rng=Rng(47)).mean()
+
+
+def _iwelbo_loss():
+    from degm.vae import VaeComponent
+
+    model = VaeComponent(16, 3, 8, rng=Rng(48), name="iw")
+    x = (Rng(49).uniform(0, 1, (12, 16)) < 0.4).astype(np.float64)
+    return lambda: -model.iwelbo(x, 3, rng=Rng(50)).mean()
+
+
+@pytest.mark.parametrize("build", [lambda: _vae_elbo_loss("bernoulli"),
+                                   lambda: _vae_elbo_loss("gaussian"),
+                                   _specific_melbo_loss, _iwelbo_loss],
+                         ids=["vae-elbo-bernoulli", "vae-elbo-gaussian", "specific-melbo",
+                              "iwelbo-k3"])
+def test_backprop_bit_equal_to_copying_reference(build):
+    loss = build()
+    got, want = backprop(loss()), reference_backprop(loss())
+    assert sorted(got) == sorted(want) and len(got) >= 4
+    for name, value in want.items():
+        assert got[name].dtype == np.float64 and got[name].shape == value.shape, name
+        assert got[name].tobytes() == value.tobytes(), name
+
+
+def test_backprop_leaf_gradients_are_read_only():
+    # an identity VJP hands one array to both leaves of a sum
+    a = parameter(np.ones(3), "a")
+    b = parameter(np.ones(3), "b")
+    grads = backprop((a + b).sum())
+    assert np.shares_memory(grads["a"], grads["b"])
+    for name in ("a", "b"):
+        assert not grads[name].flags.writeable
+        with pytest.raises(ValueError):
+            grads[name][0] = 5.0
+    np.testing.assert_array_equal(grads["a"], [1.0, 1.0, 1.0])
+    assert a.grad is grads["a"]

@@ -18,6 +18,7 @@ from degm.bounds import (
     encoder_kl_values,
     estimate_discrepancy,
     estimate_kl_gap,
+    fit_references,
     forgetting_curves,
     bound_check_report,
     replay_risk_differences,
@@ -442,7 +443,9 @@ def test_cmd_diagnose_rows_equal_reference_loop(tmp_path):
                  for i in range(len(stream))]
     expected = reference_diagnose_rows(stream, cfg.train, snapshots, Rng(5),
                                        PIN_SAMPLE, PIN_AUX_EPOCHS)
-    rows = diagnose_snapshots(stream, cfg.train, snapshots, Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
+    refs = fit_references(stream, cfg.train, Rng(5), PIN_AUX_EPOCHS)
+    rows = diagnose_snapshots(stream, cfg.train, snapshots, refs, Rng(5), PIN_SAMPLE,
+                              PIN_AUX_EPOCHS)
     assert rows[-1].err_d_proxy != 0.0
     assert bits(rows) == bits(expected)
     with open(cmd_diagnose(run_dir), newline="") as fh:

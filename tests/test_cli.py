@@ -1,12 +1,26 @@
 """Config surface, persistence round-trips, ablation policies, CLI verbs."""
 
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from degm.cli import (
+    ABLATIONS,
+    BOUNDS_DEFAULTS,
+    EVAL_DEFAULTS,
+    MODES,
+    TASK_KEYS,
+    TOP_KEYS,
+    TRAIN_DEFAULTS,
     build_stream,
     cmd_diagnose,
     cmd_eval,
@@ -17,6 +31,7 @@ from degm.cli import (
     parse_config,
     serialize_config,
 )
+from degm.data import SYNTHETIC_KINDS
 from degm.errors import ConfigError, FormatError
 from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
@@ -287,6 +302,22 @@ def test_main_cli_round_trip(tmp_path, capsys):
                  "--config", str(config_path), "--kprime", "2"]) == 0
 
 
+def test_main_eval_without_out_keeps_the_training_table(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
+    assert main(["train", "--config", str(config_path)]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    train_table = os.path.join(run_dir, "eval_metrics.csv")
+    before = open(train_table, "rb").read()
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                 "--config", str(config_path), "--kprime", "5"]) == 0
+    assert open(train_table, "rb").read() == before
+    digest = config_hash(parse_config(config_path.read_text()))
+    lines = open(os.path.join(run_dir, "eval_k5.csv")).read().splitlines()
+    assert lines[0].split(",")[-1] == "config_hash"
+    assert len(lines) == 3 and all(line.endswith("," + digest) for line in lines[1:])
+
+
 def test_main_gen_synthetic(tmp_path):
     prefix = str(tmp_path / "toy")
     assert main(["gen-synthetic", "--kind", "bars", "--n", "12", "--dim", "16",
@@ -358,6 +389,163 @@ def test_main_rejects_malformed_orders_without_run_dir(tmp_path, capsys, orders)
     assert not (tmp_path / "runs").exists()
 
 
+# --- every malformed config: exit 2, "error:", no traceback, no run directory ---------------
+
+DELETE = object()  # a mutation that removes the key
+_JUNK = st.one_of(st.none(), st.booleans(), st.lists(st.integers(-2, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_NOT_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _bad_count(minimum=1, nullable=False):
+    junk = _JUNK.filter(lambda v: v is not None) if nullable else _JUNK
+    return st.one_of(st.integers(max_value=minimum - 1), st.floats(), st.text(max_size=4), junk)
+
+
+def _bad_real(below):
+    """Anything but a finite real number >= ``below`` (> 0 when below is None)."""
+    if below is None:
+        out_of_range = st.one_of(st.floats(max_value=0.0), st.integers(max_value=0))
+    else:
+        out_of_range = st.one_of(st.floats(max_value=below, exclude_max=True),
+                                 st.integers(max_value=int(below) - 1))
+    return st.one_of(out_of_range, _NOT_FINITE, st.text(max_size=4), _JUNK)
+
+
+def _bad_choice(allowed):
+    return st.one_of(st.text(max_size=12).filter(lambda v: v not in allowed), st.integers(), _JUNK)
+
+
+def _unknown_key(allowed):
+    return st.text(max_size=8).filter(lambda k: k not in allowed)
+
+
+_NOT_BOOL = st.one_of(st.integers(), st.text(max_size=4), st.none(), st.lists(st.booleans()))
+_NOT_STR = st.one_of(st.integers(), st.floats(), _JUNK)
+_NOT_OBJECT = st.one_of(st.integers(), st.text(max_size=4), st.none(), st.booleans(),
+                        st.lists(st.integers(), max_size=2))
+
+_BAD_VALUES = {
+    ("mode",): _bad_choice(MODES),
+    ("out_dir",): _NOT_STR,
+    ("desk_scale",): _NOT_BOOL,
+    ("ablation",): st.one_of(st.sampled_from(ABLATIONS), st.text(max_size=6), st.integers()),
+    ("orders",): st.one_of(st.just([["bars"], ["bars"]]), st.text(max_size=4), st.integers()),
+    ("train",): _NOT_OBJECT,
+    ("tasks",): st.one_of(_NOT_OBJECT.filter(lambda v: not isinstance(v, list)), st.just([]),
+                          st.lists(_NOT_OBJECT.filter(lambda v: not isinstance(v, dict)),
+                                   min_size=1, max_size=2)),
+    ("eval",): _NOT_OBJECT,
+    ("bounds",): _NOT_OBJECT,
+    **{("train", key): _bad_count() for key in
+       ("epochs", "batch", "kprime", "probe_size", "latent_dim", "hidden_dim")},
+    ("train", "seed"): _bad_count(minimum=0),
+    ("train", "specific_epochs"): _bad_count(nullable=True),
+    ("train", "lr"): _bad_real(None),
+    ("train", "tau"): _bad_real(0.0),
+    ("train", "objective"): _bad_choice(("elbo", "iwelbo", "auto")),
+    ("train", "likelihood"): _bad_choice(("bernoulli", "gaussian")),
+    ("train", "hier_latent_dims"): st.one_of(
+        _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+        st.lists(st.integers(1, 4), max_size=4).filter(lambda v: len(v) != 2),
+        st.tuples(st.integers(1, 4), _bad_count()).map(list),
+        st.tuples(_bad_count(), st.integers(1, 4)).map(list)),
+    ("train", "hier_two_layers"): _NOT_BOOL,
+    **{("tasks", 0, key): _bad_count() for key in ("n_train", "n_test", "dim")},
+    ("tasks", 0, "seed"): _bad_count(minimum=0),
+    ("tasks", 0, "name"): _NOT_STR,
+    ("tasks", 0, "kind"): _bad_choice(SYNTHETIC_KINDS),
+    ("tasks", 0): st.fixed_dictionaries({
+        "name": st.just("digits"), "source": st.just("idx"),
+        # no ints or bools: open() would take them for file descriptors
+        "train_images": st.one_of(st.floats(), st.none(), st.lists(st.text(max_size=2)),
+                                  st.just("missing-images.idx")),
+        "test_images": st.just("missing-images.idx")}),
+    ("tasks", 0, "source"): _bad_choice(("synthetic", "idx")),
+    ("tasks", 0, "center"): st.one_of(
+        _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+        st.lists(st.floats(-2, 2), max_size=4).filter(lambda v: len(v) != 2),
+        st.tuples(st.floats(-2, 2), st.one_of(_NOT_FINITE, st.text(max_size=3), _JUNK)).map(list)),
+    ("tasks", 0, "transforms"): st.one_of(
+        _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+        st.lists(_NOT_STR, min_size=1, max_size=2),
+        st.just(["binarize:x"]), st.just(["binarize:nan"]),
+        st.lists(st.text(max_size=6).filter(
+            lambda v: v.partition(":")[0] not in ("none", "invert", "rotate90", "binarize")),
+            min_size=1, max_size=2)),
+    **{("eval", key): _bad_count() for key in EVAL_DEFAULTS},
+    ("bounds", "sample_size"): _bad_count(),
+    ("bounds", "aux_epochs"): _bad_count(nullable=True),
+}
+_DELETABLE = [("mode",), ("tasks",), ("tasks", 0, "kind"), ("tasks", 0, "dim")]
+_UNKNOWN_KEYS = {(): set(TOP_KEYS), ("train",): set(TRAIN_DEFAULTS), ("tasks", 0): TASK_KEYS,
+                 ("eval",): set(EVAL_DEFAULTS), ("bounds",): set(BOUNDS_DEFAULTS)}
+
+
+def _not_a_config_object(text):
+    try:
+        return not isinstance(json.loads(text), dict)
+    except ValueError:
+        return True
+
+
+_MUTATIONS = st.one_of(
+    st.sampled_from(sorted(_BAD_VALUES, key=str)).flatmap(
+        lambda path: _BAD_VALUES[path].map(lambda value: (path, value))),
+    st.sampled_from(_DELETABLE).map(lambda path: (path, DELETE)),
+    st.sampled_from(sorted(_UNKNOWN_KEYS, key=str)).flatmap(
+        lambda parent: _unknown_key(_UNKNOWN_KEYS[parent]).map(
+            lambda key: (parent + (key,), 1))),
+    st.text(max_size=12).filter(_not_a_config_object).map(lambda text: ((), text)),
+)
+
+
+def _valid_base(out_dir):
+    raw = minimal_config("gr", out_dir=out_dir, eval={"kprime": 1, "k_eval": 1},
+                         bounds={"sample_size": 50, "aux_epochs": None})
+    raw["tasks"][0].update({"seed": 0, "center": [1.5, 1.5], "transforms": ["none"]})
+    raw["train"].update({"seed": 0, "specific_epochs": None, "objective": "elbo",
+                         "likelihood": "bernoulli", "hier_latent_dims": [3, 2],
+                         "hier_two_layers": True, "kprime": 1})
+    raw["desk_scale"] = False
+    return raw
+
+
+def _config_text(raw, mutation):
+    path, value = mutation
+    if path == ():
+        return value  # raw text that is not a JSON object
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return json.dumps(raw)
+
+
+def test_valid_base_config_trains(tmp_path):
+    config_path = tmp_path / "ok.json"
+    config_path.write_text(json.dumps(_valid_base(str(tmp_path / "runs"))))
+    assert main(["train", "--config", str(config_path)]) == 0
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=_MUTATIONS)
+def test_main_rejects_every_malformed_config(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "bad.json")
+        with open(config_path, "w") as fh:
+            fh.write(_config_text(_valid_base(os.path.join(tmp, "runs")), mutation))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--config", config_path])  # an escape raises here
+        assert code == 2
+        assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+        assert os.listdir(tmp) == ["bad.json"]
+
+
 def test_cmd_train_summary_env_block(tmp_path):
     from degm.nnkit import alloc
 
@@ -366,5 +554,18 @@ def test_cmd_train_summary_env_block(tmp_path):
     assert env["numpy"] == np.__version__
     assert env["malloc_thresholds_set"] is alloc.THRESHOLDS_SET
     assert env["user_s"] > 0.0 and env["sys_s"] >= 0.0 and env["minor_faults"] >= 0
-    assert set(env) == {"numpy", "blas", "blas_version", "malloc_thresholds_set",
-                        "user_s", "sys_s", "minor_faults"}
+    assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
+                        "malloc_thresholds_set", "user_s", "sys_s", "minor_faults"}
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+
+def test_blas_threads_reads_the_loaded_library():
+    # OpenBLAS reads its thread count from the environment when it loads
+    code = "from degm.cli import _blas_threads; print(_blas_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    if out == "None":
+        pytest.skip("no OpenBLAS thread getter in this numpy build")
+    assert out == "1"
