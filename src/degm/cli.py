@@ -1,25 +1,25 @@
-"""Experiment configuration and the command-line entry point.
+"""The command-line entry point: argument parsing, stream construction and
+one function per verb.
 
 Verbs: train, eval, diagnose, export-v, ablate, gen-synthetic. A run writes
 into <out_dir>/<config-hash>/ so identical configs land in identical places;
-every table carries the config hash. Config files are JSON; unknown keys are
-rejected with their dotted path so typos fail loudly.
+every table carries the config hash. Config files are JSON, checked by
+:mod:`degm.config`.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
-import hashlib
 import json
 import os
 import resource
+import shutil
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from .config import ExperimentConfig, config_hash, parse_config, serialize_config
 from .data import (
     attach_labels,
     downsample,
@@ -30,303 +30,64 @@ from .data import (
     synthetic_task,
     transform_chain,
 )
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, TrainingError
 from .graph import GraphModel
 from .lifelong import (
     Task,
     TaskStream,
-    TrainConfig,
     accumulated_final_risk,
     order_experiment,
-    require_count,
-    require_real,
     run_ablation,
     run_degm,
     run_gr_hier,
     run_gr_single,
 )
-from .nnkit import Rng, alloc
+from .nnkit import Rng, runtime
 from .persist import load_checkpoint, save_graph, save_single, write_table
 from .select_eval import single_metric_table, task_metric_table
-
-MODES = ("degm", "gr", "gr-hier", "bounds", "order-study", "ablation")
-ABLATIONS = ("degm-1", "degm-4", "degm-5", "degm-6", "degm-7")
-
-TRAIN_DEFAULTS = {
-    "epochs": 500, "batch": 64, "lr": 1e-4, "objective": "elbo", "kprime": 1,
-    "tau": 40.0, "probe_size": 1000, "seed": 0, "specific_epochs": None,
-    "latent_dim": 100, "hidden_dim": 200, "likelihood": "bernoulli",
-    "hier_latent_dims": [100, 50], "hier_two_layers": True,
-}
-TASK_KEYS = {"name", "source", "kind", "n_train", "n_test", "dim", "center", "seed",
-             "transforms", "train_images", "train_labels", "test_images", "test_labels",
-             "labels", "split_groups"}
-EVAL_DEFAULTS = {"kprime": 1, "k_eval": 1}
-BOUNDS_DEFAULTS = {"sample_size": 10000, "aux_epochs": None}
-TOP_KEYS = {"mode", "out_dir", "desk_scale", "ablation", "orders", "tasks", "train",
-            "eval", "bounds"}
-
-
-@dataclass
-class ExperimentConfig:
-    mode: str
-    tasks: list[dict]
-    train: TrainConfig
-    out_dir: str
-    ablation: str | None
-    orders: list[list[str]] | None
-    eval_kprime: int
-    eval_k: int
-    bounds_sample_size: int
-    bounds_aux_epochs: int | None
-    desk_scale: bool
-    raw: dict  # validated dict with defaults filled; hashing happens on this
-
-
-def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}{key!r}")
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, TOP_KEYS, "")
-
-    mode = raw.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-    train_raw = dict(TRAIN_DEFAULTS)
-    user_train = raw.get("train", {})
-    if not isinstance(user_train, dict):
-        raise ConfigError("train must be an object")
-    _reject_unknown(user_train, set(TRAIN_DEFAULTS), "train.")
-    train_raw.update(user_train)
-    try:
-        train = TrainConfig(**{**train_raw,
-                               "hier_latent_dims": tuple(train_raw["hier_latent_dims"])})
-    except ConfigError as err:
-        raise ConfigError(f"train: {err}") from err
-    except TypeError as err:
-        raise ConfigError(f"train: {err}") from err
-
-    out_dir = raw.get("out_dir", "runs")
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string")
-    if not isinstance(raw.get("desk_scale", False), bool):
-        raise ConfigError("desk_scale must be true or false")
-
-    tasks = raw.get("tasks")
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("tasks must be a nonempty list")
-    for i, spec in enumerate(tasks):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"tasks[{i}] must be an object")
-        _reject_unknown(spec, TASK_KEYS, f"tasks[{i}].")
-        for key in ("n_train", "n_test", "dim"):
-            if key in spec:
-                require_count(spec[key], f"tasks[{i}].{key}")
-        if "seed" in spec:
-            require_count(spec["seed"], f"tasks[{i}].seed", minimum=0)
-        if not isinstance(spec.get("name", ""), str):
-            raise ConfigError(f"tasks[{i}].name must be a string")
-        center = spec.get("center", [0.0, 0.0])
-        if not isinstance(center, list) or len(center) != 2:
-            raise ConfigError(f"tasks[{i}].center must be a list of two numbers")
-        for value in center:
-            require_real(value, f"tasks[{i}].center[]")
-        transforms = spec.get("transforms", [])
-        if not isinstance(transforms, list) or not all(isinstance(t, str) for t in transforms):
-            raise ConfigError(f"tasks[{i}].transforms must be a list of strings")
-        source = spec.get("source", "synthetic")
-        if source not in ("synthetic", "idx"):
-            raise ConfigError(f"tasks[{i}].source must be 'synthetic' or 'idx'")
-        if source == "synthetic":
-            for key in ("kind", "dim"):
-                if key not in spec:
-                    raise ConfigError(f"tasks[{i}].{key} is required for synthetic tasks")
-        else:
-            for key in ("train_images", "test_images"):
-                if key not in spec:
-                    raise ConfigError(f"tasks[{i}].{key} is required for idx tasks")
-            for key in ("train_images", "test_images", "train_labels", "test_labels"):
-                if not isinstance(spec.get(key, ""), str):
-                    raise ConfigError(f"tasks[{i}].{key} must be a path string")
-
-    ablation = raw.get("ablation")
-    if mode == "ablation":
-        if ablation not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
-    elif ablation is not None:
-        raise ConfigError("ablation is only valid with mode 'ablation'")
-
-    orders = raw.get("orders")
-    if mode == "order-study":
-        if (not isinstance(orders, list) or len(orders) < 2
-                or not all(isinstance(order, list) and all(isinstance(n, str) for n in order)
-                           for order in orders)):
-            raise ConfigError("order-study needs 'orders': a list of at least two lists "
-                              f"of task names, got {orders!r}")
-    elif orders is not None:
-        raise ConfigError("orders is only valid with mode 'order-study'")
-
-    eval_raw = dict(EVAL_DEFAULTS)
-    user_eval = raw.get("eval", {})
-    if not isinstance(user_eval, dict):
-        raise ConfigError("eval must be an object")
-    _reject_unknown(user_eval, set(EVAL_DEFAULTS), "eval.")
-    eval_raw.update(user_eval)
-    for key, value in eval_raw.items():
-        require_count(value, f"eval.{key}")
-
-    bounds_raw = dict(BOUNDS_DEFAULTS)
-    user_bounds = raw.get("bounds", {})
-    if not isinstance(user_bounds, dict):
-        raise ConfigError("bounds must be an object")
-    _reject_unknown(user_bounds, set(BOUNDS_DEFAULTS), "bounds.")
-    bounds_raw.update(user_bounds)
-    require_count(bounds_raw["sample_size"], "bounds.sample_size")
-    if bounds_raw["aux_epochs"] is not None:
-        require_count(bounds_raw["aux_epochs"], "bounds.aux_epochs")
-
-    filled = {
-        "mode": mode, "out_dir": out_dir, "desk_scale": raw.get("desk_scale", False),
-        "ablation": ablation, "orders": orders, "tasks": tasks,
-        "train": train_raw, "eval": eval_raw, "bounds": bounds_raw,
-    }
-    return ExperimentConfig(
-        mode=mode, tasks=tasks, train=train, out_dir=filled["out_dir"],
-        ablation=ablation, orders=orders, eval_kprime=eval_raw["kprime"],
-        eval_k=eval_raw["k_eval"], bounds_sample_size=bounds_raw["sample_size"],
-        bounds_aux_epochs=bounds_raw["aux_epochs"], desk_scale=filled["desk_scale"],
-        raw=filled,
-    )
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.raw, sort_keys=True, indent=1)
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Digest of every semantically meaningful field (out_dir excluded)."""
-    material = {k: v for k, v in cfg.raw.items() if k != "out_dir"}
-    blob = json.dumps(material, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 # -- stream construction ------------------------------------------------------------
 
-def _task_data_rng(spec: dict, which: str) -> Rng:
-    return Rng(int(spec.get("seed", 0))).spawn(f"data:{spec.get('name', 'task')}:{which}")
+def _load_split(spec: dict, which: str):
+    images = load_idx(spec[f"{which}_images"])
+    labels = spec[f"{which}_labels"]
+    return images if labels is None else attach_labels(images, load_idx(labels))
 
 
-def _build_one(spec: dict, desk_scale: bool) -> list[Task]:
-    name = spec.get("name", spec.get("kind", "task"))
-    transforms = spec.get("transforms", [])
-    if spec.get("source", "synthetic") == "synthetic":
-        center = tuple(spec["center"]) if "center" in spec else None
-        n_train = int(spec.get("n_train", 1000))
-        n_test = int(spec.get("n_test", max(1, n_train // 5)))
-        train = synthetic_task(spec["kind"], n_train, int(spec["dim"]),
-                               _task_data_rng(spec, "train"), center=center)
-        test = synthetic_task(spec["kind"], n_test, int(spec["dim"]),
-                              _task_data_rng(spec, "test"), center=center)
-        pairs = [(name, train, test)]
-    else:
-        train = load_idx(spec["train_images"])
-        test = load_idx(spec["test_images"])
-        if "train_labels" in spec:
-            train = attach_labels(train, load_idx(spec["train_labels"]))
-        if "test_labels" in spec:
-            test = attach_labels(test, load_idx(spec["test_labels"]))
-        if "split_groups" in spec:
-            groups = [set(g) for g in spec["split_groups"]]
-            pairs = [(f"{name}-{gname}", tr, te)
-                     for gname, tr, te in split_by_labels(train, test, groups)]
-        elif "labels" in spec:
-            keep = sorted(int(v) for v in spec["labels"])
-            tr_mask = np.isin(train.labels, keep)
-            te_mask = np.isin(test.labels, keep)
-            if not tr_mask.any() or not te_mask.any():
-                raise ConfigError(f"task {name!r}: label filter {keep} matches nothing")
-            pairs = [(name, train.subset(tr_mask), test.subset(te_mask))]
-        else:
-            pairs = [(name, train, test)]
-
-    tasks = []
-    for task_name, tr, te in pairs:
-        tr = transform_chain(tr, transforms)
-        te = transform_chain(te, transforms)
-        if desk_scale:
-            tr, te = downsample(tr), downsample(te)
-        tasks.append(Task(task_name, tr, te))
-    return tasks
+def _task_data(spec: dict) -> list[tuple]:
+    """(name, train, test) of each task a spec describes, before its transforms.
+    Synthetic data is keyed by the task's seed and name."""
+    if spec["source"] == "synthetic":
+        center = None if spec["center"] is None else tuple(spec["center"])
+        train, test = (synthetic_task(spec["kind"], spec[f"n_{which}"], spec["dim"],
+                                      Rng(spec["seed"]).spawn(f"data:{spec['name']}:{which}"),
+                                      center=center)
+                       for which in ("train", "test"))
+        return [(spec["name"], train, test)]
+    train, test = _load_split(spec, "train"), _load_split(spec, "test")
+    if spec["split_groups"] is not None:
+        groups = [set(g) for g in spec["split_groups"]]
+        return [(f"{spec['name']}-{gname}", tr, te)
+                for gname, tr, te in split_by_labels(train, test, groups)]
+    if spec["labels"] is not None:
+        [(_, train, test)] = split_by_labels(train, test, [set(spec["labels"])])
+    return [(spec["name"], train, test)]
 
 
 def build_stream(cfg: ExperimentConfig) -> TaskStream:
+    """The task stream of the config's specs, their defaults filled by degm.config."""
     tasks = []
     for spec in cfg.tasks:
-        tasks.extend(_build_one(spec, cfg.desk_scale))
+        for name, train, test in _task_data(spec):
+            train, test = (transform_chain(d, spec["transforms"]) for d in (train, test))
+            if cfg.desk_scale:
+                train, test = downsample(train), downsample(test)
+            tasks.append(Task(name, train, test))
     return TaskStream(tasks)
 
 
 # -- commands -----------------------------------------------------------------------------
-
-def _run_dir(cfg: ExperimentConfig) -> str:
-    path = os.path.join(cfg.out_dir, config_hash(cfg))
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-def _blas_threads() -> int | None:
-    """The thread count of the loaded OpenBLAS, from its own getter; None
-    where no OpenBLAS with a getter is mapped into the process."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return int(getter())
-    return None
-
-
-def _env_block(start: resource.struct_rusage) -> dict:
-    """The numeric build, the BLAS thread count, the allocator setting, and
-    what the command cost the process since ``start``: CPU seconds and minor
-    page faults."""
-    end = resource.getrusage(resource.RUSAGE_SELF)
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):  # numpy < 1.25 only prints its build info
-        blas = {}
-    return {
-        "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-        "blas_threads": _blas_threads(), "malloc_thresholds_set": alloc.THRESHOLDS_SET,
-        "user_s": end.ru_utime - start.ru_utime, "sys_s": end.ru_stime - start.ru_stime,
-        "minor_faults": end.ru_minflt - start.ru_minflt,
-    }
-
 
 def export_v_csv(graph: GraphModel, path: str) -> None:
     write_table(path, [{"task_id": entry.task_id,
@@ -335,13 +96,32 @@ def export_v_csv(graph: GraphModel, path: str) -> None:
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
-    """Run the configured experiment; returns the run directory."""
+    """Run the configured experiment; returns the run directory. A run that
+    fails removes the run directory when this call created it."""
     start = resource.getrusage(resource.RUSAGE_SELF)
     # both before the run directory, so bad tasks or orderings leave none
     stream = build_stream(cfg)
     orders = _order_streams(cfg, stream) if cfg.mode == "order-study" else None
-    run_dir = _run_dir(cfg)
     digest = config_hash(cfg)
+    run_dir = os.path.join(cfg.out_dir, digest)
+    created = not os.path.isdir(run_dir)
+    os.makedirs(run_dir, exist_ok=True)
+    try:
+        summary = _run_into(run_dir, digest, cfg, stream, orders)
+    except BaseException:
+        if created:
+            shutil.rmtree(run_dir, ignore_errors=True)
+        raise
+    summary["env"] = runtime.env_block(start)
+    with open(os.path.join(run_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=1, sort_keys=True)
+    return run_dir
+
+
+def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStream,
+              orders: list[TaskStream] | None) -> dict:
+    """Train the configured mode, write its tables and checkpoints into
+    ``run_dir``, and return the summary."""
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         fh.write(serialize_config(cfg))
     rng = Rng(cfg.train.seed)
@@ -362,7 +142,8 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         save_graph(os.path.join(run_dir, "checkpoint"), graph,
                    extra={"config_hash": digest})
         export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))
-        metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime)
+        metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime,
+                                        k_eval=cfg.eval_k)
         table("eval_metrics.csv", metric_rows)
         summary["node_counts"] = {
             "basic": len(graph.basics), "specific": len(graph.specifics)}
@@ -399,20 +180,19 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         report = order_experiment(orders, cfg.train, rng)
         table("order_report.csv", report)
         summary["orders"] = [r["order"] for r in report]
-    summary["env"] = _env_block(start)
-    _write_json(os.path.join(run_dir, "summary.json"), summary)
-    return run_dir
+    return summary
 
 
 def _order_streams(cfg: ExperimentConfig, stream: TaskStream) -> list[TaskStream]:
+    """One stream per configured ordering, each a permutation of the first."""
     by_name = {t.name: t for t in stream.tasks}
-    orders = []
     for i, names in enumerate(cfg.orders):
         missing = [n for n in names if n not in by_name]
         if missing:
             raise ConfigError(f"orders[{i}] references unknown tasks {missing}")
-        orders.append(TaskStream([by_name[n] for n in names]))
-    return orders
+        if sorted(names) != sorted(cfg.orders[0]):
+            raise ConfigError(f"orders[{i}] is not a permutation of orders[0]")
+    return [TaskStream([by_name[n] for n in names]) for names in cfg.orders]
 
 
 def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
@@ -420,8 +200,10 @@ def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
     """Metric table for a stored model on the configured stream."""
     kind, model, _ = load_checkpoint(checkpoint_dir)
     stream = build_stream(cfg)
-    metric_table = task_metric_table if kind == "graph" else single_metric_table
-    rows = metric_table(model, stream, kprime=kprime)
+    if kind == "graph":
+        rows = task_metric_table(model, stream, kprime=kprime, k_eval=cfg.eval_k)
+    else:
+        rows = single_metric_table(model, stream, kprime=kprime)
     if out_path:
         write_table(out_path, rows, config_hash(cfg))
     return rows
@@ -489,9 +271,9 @@ def cmd_gen_synthetic(kind: str, n: int, dim: int, seed: int, out_prefix: str) -
     save_idx_labels(out_prefix + "-labels.idx", np.zeros(n, dtype=np.int64))
 
 
-def _load_config_file(path: str) -> ExperimentConfig:
+def _load_config_file(path: str, **flags) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), **flags)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -499,10 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_train = sub.add_parser("train", help="run the configured experiment")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--out", default=None)
-    p_train.add_argument("--desk-scale", action="store_true")
 
     p_eval = sub.add_parser("eval", help="metric table for a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
@@ -518,9 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     p_export.add_argument("--out", required=True)
 
     p_ablate = sub.add_parser("ablate", help="train with an alternative edge policy")
-    p_ablate.add_argument("--config", required=True)
-    p_ablate.add_argument("--seed", type=int, default=None)
-    p_ablate.add_argument("--out", default=None)
+    for p in (p_train, p_ablate):
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None)
+    p_train.add_argument("--desk-scale", action="store_true")
 
     p_gen = sub.add_parser("gen-synthetic", help="write a synthetic task as IDX files")
     p_gen.add_argument("--kind", required=True)
@@ -532,28 +312,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb in ("train", "ablate"):
-            cfg = _load_config_file(args.config)
+            cfg = _load_config_file(args.config, seed=args.seed, out_dir=args.out,
+                                    desk_scale=getattr(args, "desk_scale", False))
             if args.verb == "ablate" and cfg.mode != "ablation":
                 raise ConfigError("ablate needs a config with mode 'ablation'")
-            if args.seed is not None:
-                cfg.raw["train"]["seed"] = args.seed
-                cfg = parse_config(json.dumps(cfg.raw))
-            if args.out is not None:
-                cfg.out_dir = args.out
-                cfg.raw["out_dir"] = args.out
-            if getattr(args, "desk_scale", False):
-                cfg.raw["desk_scale"] = True
-                cfg = parse_config(json.dumps(cfg.raw))
-            run_dir = cmd_train(cfg)
-            print(run_dir)
+            print(cmd_train(cfg))
         elif args.verb == "eval":
             cfg = _load_config_file(args.config)
             kprime = args.kprime if args.kprime is not None else cfg.eval_kprime
             # beside the checkpoint, and never over the table train wrote there
             out = args.out or os.path.join(os.path.dirname(args.checkpoint.rstrip("/")),
                                            f"eval_k{kprime}.csv")
-            rows = cmd_eval(args.checkpoint, cfg, kprime, out)
-            for row in rows:
+            for row in cmd_eval(args.checkpoint, cfg, kprime, out):
                 print(row)
         elif args.verb == "diagnose":
             print(cmd_diagnose(args.run_dir))
@@ -563,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.verb == "gen-synthetic":
             cmd_gen_synthetic(args.kind, args.n, args.dim, args.seed, args.out)
             print(args.out)
-    except (ConfigError, ContractError, FormatError) as err:
+    except (ConfigError, ContractError, FormatError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

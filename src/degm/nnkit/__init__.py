@@ -1,10 +1,10 @@
 """Dense-network numeric kernel: tensors, tape, layers, Adam, RNG, likelihoods.
 
 Importing the package sets two process-wide glibc malloc thresholds (see
-:mod:`.alloc`).
+:mod:`.runtime`).
 """
 
-from . import alloc
+from . import runtime
 from .autodiff import Tensor, affine, backprop, constant, grad_enabled, no_grad, parameter
 from .layers import ACTIVATIONS, LEAKY_SLOPE, DenseLayer, affine_forward
 from .losses import (

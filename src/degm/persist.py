@@ -105,40 +105,47 @@ def save_single(directory: str, model, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(directory: str):
-    """Rebuild the saved model; returns (kind, model, manifest)."""
+    """Rebuild the saved model; returns (kind, model, manifest). A manifest
+    that does not parse or lacks a field its kind needs is a FormatError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.exists(path):
         raise FormatError(f"no manifest at {path}")
     with open(path) as fh:
-        manifest = json.load(fh)
-    version = manifest.get("format_version")
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise FormatError(f"{path} is not valid JSON: {err}") from err
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format version {version!r}")
-    kind = manifest["kind"]
-    if kind == "graph":
-        graph = GraphModel(manifest["input_dim"], manifest["latent_dim"],
-                           manifest["hidden_dim"], manifest["likelihood"],
-                           manifest["sigma"], manifest["tau"])
-        for node in manifest["nodes"]:
-            if node["kind"] == "basic":
-                idx = graph.add_basic_node(node["task_id"], rng=None)
-                graph.basics[graph.entries[idx].index].reference_elbo = node["reference_elbo"]
-            else:
-                graph.add_specific_node(np.asarray(node["weights"]), node["task_id"], rng=None)
-        _load_into(graph.all_params(), directory, manifest["arrays"])
-        return "graph", graph, manifest
-    if kind == "single":
-        model = VaeComponent(manifest["input_dim"], manifest["latent_dim"],
-                             manifest["hidden_dim"], manifest["likelihood"],
-                             manifest["sigma"], rng=None, name=manifest["name"])
-        _load_into(model.params(), directory, manifest["arrays"])
-        return "single", model, manifest
-    if kind == "hier":
-        model = HierVae(manifest["input_dim"], tuple(manifest["latent_dims"]),
-                        manifest["hidden_dim"], manifest["likelihood"], manifest["sigma"],
-                        manifest["two_layers"], rng=None, name=manifest["name"])
-        _load_into(model.params(), directory, manifest["arrays"])
-        return "hier", model, manifest
+    try:  # every key read below is a manifest field
+        kind = manifest["kind"]
+        if kind == "graph":
+            graph = GraphModel(manifest["input_dim"], manifest["latent_dim"],
+                               manifest["hidden_dim"], manifest["likelihood"],
+                               manifest["sigma"], manifest["tau"])
+            for node in manifest["nodes"]:
+                if node["kind"] == "basic":
+                    idx = graph.add_basic_node(node["task_id"], rng=None)
+                    graph.basics[graph.entries[idx].index].reference_elbo = node["reference_elbo"]
+                else:
+                    graph.add_specific_node(np.asarray(node["weights"]), node["task_id"], rng=None)
+            _load_into(graph.all_params(), directory, manifest["arrays"])
+            return "graph", graph, manifest
+        if kind == "single":
+            model = VaeComponent(manifest["input_dim"], manifest["latent_dim"],
+                                 manifest["hidden_dim"], manifest["likelihood"],
+                                 manifest["sigma"], rng=None, name=manifest["name"])
+            _load_into(model.params(), directory, manifest["arrays"])
+            return "single", model, manifest
+        if kind == "hier":
+            model = HierVae(manifest["input_dim"], tuple(manifest["latent_dims"]),
+                            manifest["hidden_dim"], manifest["likelihood"], manifest["sigma"],
+                            manifest["two_layers"], rng=None, name=manifest["name"])
+            _load_into(model.params(), directory, manifest["arrays"])
+            return "hier", model, manifest
+    except KeyError as err:
+        raise FormatError(f"{path} lacks the field {err}") from err
     raise FormatError(f"unknown checkpoint kind {kind!r}")
 
 

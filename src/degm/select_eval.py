@@ -186,13 +186,15 @@ def reconstruction_metrics(x: np.ndarray, recon: np.ndarray, max_val: float = 1.
             float(np.concatenate(ssims).mean()))
 
 
-def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0) -> list[dict]:
-    """Per-task row: NLL estimate, reconstruction metrics through the selected
-    nodes, and the histogram of which node each sample picked."""
+def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
+                      k_eval: int = 1) -> list[dict]:
+    """Per-task row: NLL estimate, reconstruction metrics through the nodes
+    selected over ``k_eval`` draws, and the histogram of which node each
+    sample picked."""
     rows = []
     for t, task in enumerate(stream.tasks):
         data = task.test.data
-        selection = select_component(graph, data, seed=seed)
+        selection = select_component(graph, data, k_eval=k_eval, seed=seed)
         recon = np.zeros_like(data)
         for j, entry in enumerate(graph.entries):
             mask = selection.chosen == j

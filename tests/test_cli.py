@@ -14,13 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from degm.cli import (
-    ABLATIONS,
-    BOUNDS_DEFAULTS,
-    EVAL_DEFAULTS,
-    MODES,
-    TASK_KEYS,
-    TOP_KEYS,
-    TRAIN_DEFAULTS,
     build_stream,
     cmd_diagnose,
     cmd_eval,
@@ -31,13 +24,13 @@ from degm.cli import (
     parse_config,
     serialize_config,
 )
-from degm.data import SYNTHETIC_KINDS
+from degm.data import SYNTHETIC_KINDS, save_idx_images, save_idx_labels
 from degm.errors import ConfigError, FormatError
 from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
 from degm.nnkit import Rng
 from degm.persist import load_checkpoint, save_graph, save_single
-from degm.select_eval import eval_nll
+from degm.select_eval import eval_nll, task_metric_table
 from degm.vae import VaeComponent
 
 DIM = 16
@@ -118,6 +111,48 @@ def test_config_hash_sensitivity():
     relocated = minimal_config(out_dir="elsewhere")
     c = parse_config(json.dumps(relocated))
     assert config_hash(a) == config_hash(c)  # out_dir is not semantic
+
+
+README_CONFIG = {
+    "mode": "degm",
+    "tasks": [
+        {"name": "top", "source": "synthetic", "kind": "half-active-top",
+         "n_train": 600, "n_test": 300, "dim": 64},
+        {"name": "bottom", "source": "synthetic", "kind": "half-active-bottom",
+         "n_train": 600, "n_test": 300, "dim": 64},
+    ],
+    "train": {"epochs": 50, "batch": 64, "lr": 1e-4, "tau": 40.0,
+              "latent_dim": 32, "hidden_dim": 200, "seed": 0},
+}
+
+
+def test_config_hash_pinned():
+    # run directories are named by this hash, so a change to it moves every run
+    assert config_hash(parse_config(json.dumps(README_CONFIG))) == "b4eef7c2d876"
+    assert config_hash(parse_config(json.dumps(_valid_base("runs")))) == "32b89d7f0a65"
+
+
+def test_unnamed_synthetic_tasks_draw_their_own_data():
+    # each task is named after its kind, and its data is keyed by that name
+    tasks = [{"kind": kind, "n_train": 40, "dim": DIM}
+             for kind in ("half-active-top", "half-active-bottom")]
+    stream = build_stream(parse_config(json.dumps({"mode": "gr", "tasks": tasks})))
+    assert [t.name for t in stream.tasks] == ["half-active-top", "half-active-bottom"]
+    top, bottom = (t.train.data for t in stream.tasks)
+    assert not np.array_equal(top[:, :DIM // 2], bottom[:, DIM // 2:])
+
+
+def test_build_stream_idx_label_filter_and_split(tmp_path):
+    save_idx_images(str(tmp_path / "images.idx"), Rng(0).uniform(0, 1, (40, DIM)), 4, 4)
+    save_idx_labels(str(tmp_path / "labels.idx"), np.arange(40) % 4)
+    files = {f"{split}_{part}": str(tmp_path / f"{part}.idx")
+             for split in ("train", "test") for part in ("images", "labels")}
+    raw = minimal_config("gr", tasks=[{"name": "d", "source": "idx", "labels": [2, 0], **files},
+                                      {"source": "idx", "split_groups": [[1], [3]], **files}])
+    stream = build_stream(parse_config(json.dumps(raw)))
+    assert [t.name for t in stream.tasks] == ["d", "task-labels-1", "task-labels-3"]
+    assert [sorted(set(t.train.labels)) for t in stream.tasks] == [[0, 2], [1], [3]]
+    assert [t.test.n for t in stream.tasks] == [20, 10, 10]
 
 
 def test_build_stream_desk_scale():
@@ -254,6 +289,22 @@ def test_cmd_eval_on_checkpoint(tmp_path):
     assert rows == again  # deterministic under the same seed path
 
 
+def test_k_eval_selects_over_that_many_draws(tmp_path):
+    raw = two_task_config("degm", out_dir=str(tmp_path / "runs"), eval={"k_eval": 3})
+    raw["train"]["epochs"] = 10  # trained this far, one draw picks other nodes than three
+    cfg = parse_config(json.dumps(raw))
+    run_dir = cmd_train(cfg)
+    _, graph, _ = load_checkpoint(os.path.join(run_dir, "checkpoint"))
+    expected = task_metric_table(graph, build_stream(cfg), kprime=1, k_eval=3)
+    assert expected != task_metric_table(graph, build_stream(cfg), kprime=1, k_eval=1)
+    digest = config_hash(cfg)
+    lines = open(os.path.join(run_dir, "eval_metrics.csv")).read().splitlines()
+    assert lines[1:] == [",".join(str(v) for v in row.values()) + "," + digest
+                         for row in expected]
+    rows = cmd_eval(os.path.join(run_dir, "checkpoint"), cfg, kprime=1)
+    assert rows == expected
+
+
 def test_cmd_export_v_after_mixed_run(tmp_path):
     g = trained_graph(12)
     g.add_basic_node(task_id=3, rng=Rng(13))
@@ -378,8 +429,8 @@ def test_main_rejects_malformed_config_without_run_dir(tmp_path, capsys, path, v
 
 @pytest.mark.parametrize("orders", [
     [1, 2], ["bars", "stripes"], [["bars", "stripes"]], [["bars", 3], ["stripes", "bars"]],
-    [["bars", "stripes"], ["stripes", "nope"]],
-], ids=["ints", "names", "one-order", "non-string-name", "unknown-name"])
+    [["bars", "stripes"], ["stripes", "nope"]], [["bars", "stripes"], ["bars"]],
+], ids=["ints", "names", "one-order", "non-string-name", "unknown-name", "not-permutation"])
 def test_main_rejects_malformed_orders_without_run_dir(tmp_path, capsys, orders):
     raw = two_task_config("order-study", out_dir=str(tmp_path / "runs"), orders=orders)
     config_path = tmp_path / "bad_orders.json"
@@ -387,6 +438,37 @@ def test_main_rejects_malformed_orders_without_run_dir(tmp_path, capsys, orders)
     assert main(["train", "--config", str(config_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("labels", ["x"]), ("labels", 5), ("split_groups", 5), ("split_groups", [[0], "a"]),
+])
+def test_main_rejects_malformed_idx_label_keys(tmp_path, capsys, key, value):
+    prefix = str(tmp_path / "toy")
+    assert main(["gen-synthetic", "--kind", "bars", "--n", "12", "--dim", "16",
+                 "--out", prefix]) == 0
+    task = {"name": "toy", "source": "idx", key: value,
+            **{f"{split}_{part}": f"{prefix}-{part}.idx"
+               for split in ("train", "test") for part in ("images", "labels")}}
+    raw = minimal_config("gr", out_dir=str(tmp_path / "runs"), tasks=[task])
+    config_path = tmp_path / "bad_idx.json"
+    config_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: tasks[0].{key}")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the divergence itself
+def test_main_diverging_run_fails_cleanly(tmp_path, capsys):
+    raw = minimal_config("gr", out_dir=str(tmp_path / "runs"))
+    raw["train"]["lr"] = 1e300
+    config_path = tmp_path / "diverge.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert os.listdir(tmp_path / "runs") == []
 
 
 # --- every malformed config: exit 2, "error:", no traceback, no run directory ---------------
@@ -419,6 +501,24 @@ def _bad_choice(allowed):
 def _unknown_key(allowed):
     return st.text(max_size=8).filter(lambda k: k not in allowed)
 
+
+# written out here rather than read from degm.config, so the test does not
+# check the schema against itself
+MODES = ("degm", "gr", "gr-hier", "bounds", "order-study", "ablation")
+ABLATIONS = ("degm-1", "degm-4", "degm-5", "degm-6", "degm-7")
+EVAL_KEYS = {"kprime", "k_eval"}
+_UNKNOWN_KEYS = {
+    (): {"mode", "out_dir", "desk_scale", "ablation", "orders", "tasks", "train", "eval",
+         "bounds"},
+    ("train",): {"epochs", "batch", "lr", "objective", "kprime", "tau", "probe_size", "seed",
+                 "specific_epochs", "latent_dim", "hidden_dim", "likelihood",
+                 "hier_latent_dims", "hier_two_layers"},
+    ("tasks", 0): {"name", "source", "kind", "n_train", "n_test", "dim", "center", "seed",
+                   "transforms", "train_images", "train_labels", "test_images", "test_labels",
+                   "labels", "split_groups"},
+    ("eval",): EVAL_KEYS,
+    ("bounds",): {"sample_size", "aux_epochs"},
+}
 
 _NOT_BOOL = st.one_of(st.integers(), st.text(max_size=4), st.none(), st.lists(st.booleans()))
 _NOT_STR = st.one_of(st.integers(), st.floats(), _JUNK)
@@ -473,13 +573,20 @@ _BAD_VALUES = {
         st.lists(st.text(max_size=6).filter(
             lambda v: v.partition(":")[0] not in ("none", "invert", "rotate90", "binarize")),
             min_size=1, max_size=2)),
-    **{("eval", key): _bad_count() for key in EVAL_DEFAULTS},
+    ("tasks", 0, "labels"): st.one_of(
+        _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+        st.lists(_bad_count(minimum=0), min_size=1, max_size=2)),
+    ("tasks", 0, "split_groups"): st.one_of(
+        _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+        st.lists(_NOT_OBJECT.filter(lambda v: not isinstance(v, list)), min_size=1, max_size=2),
+        st.just([[0], []]),
+        st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=2),
+                  st.lists(_bad_count(minimum=0), min_size=1, max_size=2)).map(list)),
+    **{("eval", key): _bad_count() for key in EVAL_KEYS},
     ("bounds", "sample_size"): _bad_count(),
     ("bounds", "aux_epochs"): _bad_count(nullable=True),
 }
 _DELETABLE = [("mode",), ("tasks",), ("tasks", 0, "kind"), ("tasks", 0, "dim")]
-_UNKNOWN_KEYS = {(): set(TOP_KEYS), ("train",): set(TRAIN_DEFAULTS), ("tasks", 0): TASK_KEYS,
-                 ("eval",): set(EVAL_DEFAULTS), ("bounds",): set(BOUNDS_DEFAULTS)}
 
 
 def _not_a_config_object(text):
@@ -547,12 +654,12 @@ def test_main_rejects_every_malformed_config(mutation):
 
 
 def test_cmd_train_summary_env_block(tmp_path):
-    from degm.nnkit import alloc
+    from degm.nnkit import runtime
 
     cfg = parse_config(json.dumps(minimal_config("gr", out_dir=str(tmp_path / "runs"))))
     env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
     assert env["numpy"] == np.__version__
-    assert env["malloc_thresholds_set"] is alloc.THRESHOLDS_SET
+    assert env["malloc_thresholds_set"] is runtime.THRESHOLDS_SET
     assert env["user_s"] > 0.0 and env["sys_s"] >= 0.0 and env["minor_faults"] >= 0
     assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
                         "malloc_thresholds_set", "user_s", "sys_s", "minor_faults"}
@@ -561,7 +668,7 @@ def test_cmd_train_summary_env_block(tmp_path):
 
 def test_blas_threads_reads_the_loaded_library():
     # OpenBLAS reads its thread count from the environment when it loads
-    code = "from degm.cli import _blas_threads; print(_blas_threads())"
+    code = "from degm.nnkit.runtime import blas_threads; print(blas_threads())"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

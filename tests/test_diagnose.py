@@ -119,8 +119,31 @@ def _swapped(run_dir):
     os.rename(os.path.join(ckpt, "ref_x"), os.path.join(ckpt, "ref_2"))
 
 
-@pytest.mark.parametrize("damage", [_partial, _other_config, _swapped],
-                         ids=["partial", "other-config", "swapped"])
+def _write_manifest(run_dir, model_dir, text):
+    with open(os.path.join(run_dir, "checkpoint", model_dir, "manifest.json"), "w") as fh:
+        fh.write(text)
+
+
+def _not_json(run_dir):
+    _write_manifest(run_dir, "ref_1", "{not json")
+
+
+def _no_kind(run_dir):
+    _write_manifest(run_dir, "task_1", json.dumps({"format_version": 1}))
+
+
+def _no_hidden_dim(run_dir):
+    path = os.path.join(run_dir, "checkpoint", "ref_2", "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    del manifest["hidden_dim"]
+    _write_manifest(run_dir, "ref_2", json.dumps(manifest))
+
+
+@pytest.mark.parametrize("damage", [_partial, _other_config, _swapped, _not_json, _no_kind,
+                                    _no_hidden_dim],
+                         ids=["partial", "other-config", "swapped", "not-json", "no-kind",
+                              "no-hidden-dim"])
 def test_diagnose_rejects_unusable_references(bounds_run_dir, tmp_path, capsys, damage):
     run_dir = _copy_run(bounds_run_dir, tmp_path)
     report = os.path.join(run_dir, "bounds_report.csv")

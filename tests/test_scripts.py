@@ -1,5 +1,7 @@
-"""The experiment scripts still import what they use from the package."""
+"""The experiment scripts still import what they use from the package, and
+every committed experiment config parses."""
 
+import glob
 import importlib.util
 import os
 import subprocess
@@ -7,12 +9,14 @@ import sys
 
 import pytest
 
+from degm.cli import parse_config
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
+CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 
 
-@pytest.mark.parametrize("script", ["run_bounds_demo.py", "run_forgetting_demo.py",
-                                    "run_order_study.py"])
+@pytest.mark.parametrize("script", ["run_forgetting_demo.py"])
 def test_script_help(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
@@ -30,3 +34,13 @@ def test_calibration_script_imports():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.ac10)
+
+
+def test_configs_are_found():
+    assert {"bounds_demo.json", "order_study.json"} <= {os.path.basename(p) for p in CONFIGS}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_config_parses(path):
+    with open(path) as fh:
+        parse_config(fh.read())
