@@ -20,28 +20,7 @@ from .errors import ContractError
 from .lifelong import TaskStream, TrainConfig, _minibatches, elbo_values, run_gr_single
 from .nnkit import AdamState, Rng, adam_step, backprop, kl_diag_gaussian_to_standard, no_grad
 from .persist import write_table
-from .vae import HierVae, VaeComponent, copy_model
-
-
-class HypothesisSet:
-    """Named, frozen model snapshots standing in for the hypothesis space."""
-
-    def __init__(self):
-        self._models: dict[str, object] = {}
-
-    def register(self, name: str, model) -> None:
-        if name in self._models:
-            raise ContractError(f"hypothesis {name!r} already registered")
-        self._models[name] = copy_model(model)
-
-    def names(self) -> list[str]:
-        return list(self._models)
-
-    def reconstruct(self, name: str, x: np.ndarray) -> np.ndarray:
-        return self._models[name].reconstruct(x)
-
-    def __len__(self) -> int:
-        return len(self._models)
+from .vae import HierVae, VaeComponent
 
 
 def _sq_loss(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,9 +54,10 @@ def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
     return total
 
 
-def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
-                         hypotheses: HypothesisSet, recons: dict | None = None) -> float:
-    """max over pairs (h, h') of |E_P loss(h, h') - E_Q loss(h, h')|.
+def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: dict,
+                         recons: dict | None = None) -> float:
+    """max over pairs (h, h') of |E_P loss(h, h') - E_Q loss(h, h')|, where
+    ``models`` maps a hypothesis name to its model.
 
     A lower bound on the true sup; 0 exactly when the two sample sets coincide
     and symmetric in (P, Q) by construction. Each unordered pair is scored
@@ -88,17 +68,17 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
     found there are not reconstructed again; the others are added, so the
     caller can read or keep them.
     """
-    if len(hypotheses) < 2:
+    if len(models) < 2:
         raise ContractError("discrepancy needs at least two hypotheses")
     p = np.asarray(p_samples, dtype=np.float64)
     q = np.asarray(q_samples, dtype=np.float64)
     if p.shape[0] == 0 or q.shape[0] == 0:
         raise ContractError("discrepancy needs nonempty sample sets")
     recons = {} if recons is None else recons
-    names = hypotheses.names()
-    for name in names:
+    for name, model in models.items():
         if name not in recons:
-            recons[name] = (hypotheses.reconstruct(name, p), hypotheses.reconstruct(name, q))
+            recons[name] = (model.reconstruct(p), model.reconstruct(q))
+    names = list(models)
     best = 0.0
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -116,6 +96,15 @@ def encoder_kl_values(model, data: np.ndarray) -> np.ndarray:
         return kl_diag_gaussian_to_standard(mu, lv).data
 
 
+def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
+    """``x`` when it has at most ``size`` rows, else ``size`` of its rows drawn
+    by the stream ``rng.spawn(key)``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] <= size:
+        return x
+    return x[rng.spawn(key).choice_without_replacement(x.shape[0], size)]
+
+
 def estimate_kl_gap(model, target_sets: list[np.ndarray], source: np.ndarray,
                     sample_size: int = 10_000, rng: Rng | None = None) -> float:
     """|mean encoder-KL over the evolved source - task-average over targets|."""
@@ -123,16 +112,11 @@ def estimate_kl_gap(model, target_sets: list[np.ndarray], source: np.ndarray,
     if source.shape[0] == 0 or not target_sets or any(np.shape(t)[0] == 0 for t in target_sets):
         raise ContractError("kl gap needs nonempty source and target sets")
     rng = rng or Rng(0)
-
-    def subsample(x, key):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] <= sample_size:
-            return x
-        return x[rng.spawn(key).choice_without_replacement(x.shape[0], sample_size)]
-
-    source_mean = float(encoder_kl_values(model, subsample(source, "klgap:source")).mean())
-    target_means = [float(encoder_kl_values(model, subsample(t, f"klgap:target:{i}")).mean())
-                    for i, t in enumerate(target_sets)]
+    source_mean = float(encoder_kl_values(
+        model, _subsample(source, sample_size, rng, "klgap:source")).mean())
+    target_means = [float(encoder_kl_values(
+        model, _subsample(t, sample_size, rng, f"klgap:target:{i}")).mean())
+        for i, t in enumerate(target_sets)]
     return abs(source_mean - float(np.mean(target_means)))
 
 
@@ -164,7 +148,6 @@ class BoundsRow:
 class BoundsArtifacts:
     rows: list[BoundsRow] = field(default_factory=list)
     reference_models: list = field(default_factory=list)
-    aux_models: dict = field(default_factory=dict)
     gr_model: object = None
     gr_artifacts: object = None
     metrics_log: object = None
@@ -191,74 +174,82 @@ def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
                          name=f"ref{i}") for i, task in enumerate(stream.tasks)]
 
 
-def _eval_noise(cfg: TrainConfig, rng: Rng) -> np.ndarray:
-    """The fixed noise of every ELBO term of the bound check."""
-    return rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+class BoundsChain:
+    """The chain of per-transition terms, from one task's rows to the next.
 
-
-def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int, t: int) -> VaeComponent:
-    return _train_plain(mixture, cfg, rng.spawn(f"bounds:aux:{t}"), epochs, name=f"aux{t}")
-
-
-def _draw_gen_samples(gen_samples: dict, snapshots: list, sample_size: int, rng: Rng) -> None:
-    """Once per snapshot, the generations the err_d chain scores it on."""
-    for k in range(len(snapshots)):
-        if k not in gen_samples:
-            gen_samples[k] = snapshots[k].generate(min(sample_size, 512),
-                                                   rng.spawn(f"bounds:gen:{k}"))
-
-
-def bounds_row(model, aux, refs: list, source: np.ndarray, target_sets: list[np.ndarray],
-               eval_eps: np.ndarray, kl_rng: Rng, sample_size: int, earlier_ra: list[float],
-               snapshots: list, aux_models: dict, mixtures: list, gen_samples: dict,
-               epoch: int, kept: dict | None = None) -> BoundsRow:
-    """One diagnostics row for ``model`` while it learns task t + 1, where
-    ``target_sets`` holds the test sets of tasks 1..t+1. The sets are scored
-    as given; whether to subsample them is the caller's choice.
-
-    ``refs`` holds at least the reference models of tasks 1..t+1,
-    ``earlier_ra`` the final ra term of each earlier transition, and
-    ``snapshots``, ``aux_models``, ``mixtures`` and ``gen_samples`` the
-    transitions the err_d chain sums over.
-
-    ``kept`` maps hypothesis names to their reconstructions of the union of
-    the target sets and of the source. The row reads what it finds there and
-    adds the reconstructions of every model but ``model``, so a caller that
-    passes the same dict while ``aux``, ``refs`` and the sets stay the same
-    reconstructs those models once.
+    It holds the reference models, the fixed noise of every ELBO term of the
+    bound check, the aux model of each transition, the generations of each
+    snapshot, and the final ra term of each transition. While a task lasts,
+    it keeps the reconstructions of every model that stays fixed: the aux
+    model and the refs.
     """
-    t = len(target_sets) - 1
-    union = np.concatenate(target_sets)
-    hset = HypothesisSet()
-    hset.register("current", model)
-    if aux is not model:
-        # at the first task the aux model is the current model: its pairs would
-        # repeat current's, and (current, aux) scores exactly 0
-        hset.register("aux", aux)
-    for k in range(t + 1):
-        hset.register(f"ref{k}", refs[k])
-    recons = {} if kept is None else kept
-    disc = estimate_discrepancy(union, source, hset, recons)
-    current_union, current_source = recons.pop("current")  # it changes every epoch
-    aux_union, aux_source = recons.get("aux", (current_union, current_source))
-    target_risks = [risk(model, ts) for ts in target_sets]
-    gap = estimate_kl_gap(model, target_sets, source, sample_size, kl_rng)
-    eps_proxy = _sq_loss(source, aux_source) + _sq_loss(union, aux_union)
-    lhs = float(np.mean([-elbo_values(model, ts, eval_eps).mean() for ts in target_sets]))
-    rhs_source = float(-elbo_values(model, source, eval_eps).mean())
-    row = BoundsRow(
-        task_t=t + 1, epoch=epoch,
-        source_risk=_sq_loss(source, current_source),
-        target_risks=target_risks,
-        target_risk_avg=float(np.mean(target_risks)),
-        kl_gap=gap, disc_lower_bound=disc,
-        lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
-        eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
-        err_d_proxy=replay_risk_differences(model, snapshots, aux_models, mixtures,
-                                            gen_samples, t),
-    )
-    row.err_a_proxy = sum(earlier_ra) + row.ra_lower_bound
-    return row
+
+    def __init__(self, refs: list, cfg: TrainConfig, rng: Rng, sample_size: int,
+                 aux_epochs: int | None = None):
+        self.refs = refs
+        self.cfg = cfg
+        self.rng = rng
+        self.sample_size = sample_size
+        self.aux_epochs = aux_epochs or cfg.epochs
+        self.eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
+        self.aux_models: dict[int, VaeComponent] = {}
+        self.gen_samples: dict[int, np.ndarray] = {}
+        self.ra: dict[int, float] = {}  # the final epoch's term wins
+        self.kept: dict = {}
+
+    def start(self, t: int, mixture: np.ndarray, snapshots: list) -> None:
+        """Begin task t + 1: fit its aux model on the mixture from the second
+        task on, and draw, once per snapshot, the generations the err_d chain
+        scores it on."""
+        if t > 0:
+            self.aux_models[t] = _train_plain(mixture, self.cfg, self.rng.spawn(f"bounds:aux:{t}"),
+                                              self.aux_epochs, name=f"aux{t}")
+        for k in range(len(snapshots)):
+            if k not in self.gen_samples:
+                self.gen_samples[k] = snapshots[k].generate(min(self.sample_size, 512),
+                                                            self.rng.spawn(f"bounds:gen:{k}"))
+        self.kept = {}
+
+    def row(self, model, source: np.ndarray, target_sets: list[np.ndarray], snapshots: list,
+            mixtures: list, epoch: int) -> BoundsRow:
+        """One diagnostics row for ``model`` while it learns task t + 1, where
+        ``target_sets`` holds the test sets of tasks 1..t+1. The sets are scored
+        as given, and must stay the same until the next ``start``.
+        ``snapshots`` and ``mixtures`` hold the transitions the err_d chain
+        sums over."""
+        t = len(target_sets) - 1
+        union = np.concatenate(target_sets)
+        aux = self.aux_models.get(t, model)
+        models = {"current": model}
+        if aux is not model:
+            # at the first task the aux model is the current model: its pairs would
+            # repeat current's, and (current, aux) scores exactly 0
+            models["aux"] = aux
+        for k in range(t + 1):
+            models[f"ref{k}"] = self.refs[k]
+        disc = estimate_discrepancy(union, source, models, self.kept)
+        current_union, current_source = self.kept.pop("current")  # it changes every epoch
+        aux_union, aux_source = self.kept.get("aux", (current_union, current_source))
+        target_risks = [risk(model, ts) for ts in target_sets]
+        gap = estimate_kl_gap(model, target_sets, source, self.sample_size,
+                              self.rng.spawn(f"bounds:kl:{t}"))
+        eps_proxy = _sq_loss(source, aux_source) + _sq_loss(union, aux_union)
+        lhs = float(np.mean([-elbo_values(model, ts, self.eval_eps).mean() for ts in target_sets]))
+        rhs_source = float(-elbo_values(model, source, self.eval_eps).mean())
+        row = BoundsRow(
+            task_t=t + 1, epoch=epoch,
+            source_risk=_sq_loss(source, current_source),
+            target_risks=target_risks,
+            target_risk_avg=float(np.mean(target_risks)),
+            kl_gap=gap, disc_lower_bound=disc,
+            lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
+            eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
+            err_d_proxy=replay_risk_differences(model, snapshots, self.aux_models, mixtures,
+                                                self.gen_samples, t),
+        )
+        row.err_a_proxy = sum(self.ra[j] for j in range(t)) + row.ra_lower_bound
+        self.ra[t] = row.ra_lower_bound
+        return row
 
 
 def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
@@ -270,42 +261,22 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     The auxiliary model for task t is fitted once, on the same evolved-source
     mixture the main model trains on; for the first task the auxiliary model
     *is* the current model (nothing has evolved yet). Each epoch's row scores
-    subsamples of at most ``sample_size`` rows. The subsamples, the reference
-    models and the auxiliary model stay fixed while a task trains, so their
-    reconstructions are made at the task's first epoch and reused.
+    subsamples of at most ``sample_size`` rows, the same ones every epoch of
+    a task.
     """
     out = BoundsArtifacts()
-    aux_epochs = aux_epochs or cfg.epochs
     out.reference_models = fit_references(stream, cfg, rng, aux_epochs)
-    eval_eps = _eval_noise(cfg, rng)
-
-    def subsample(x, key):
-        if x.shape[0] <= sample_size:
-            return x
-        return x[rng.spawn(key).choice_without_replacement(x.shape[0], sample_size)]
-
-    gen_samples: dict[int, np.ndarray] = {}
-    transition_ra: dict[int, float] = {}
-    kept: dict[int, dict] = {}  # task -> reconstructions by the models fixed while it trains
+    chain = BoundsChain(out.reference_models, cfg, rng, sample_size, aux_epochs)
 
     def hook(task_index: int, epoch: int, model, mixture: np.ndarray, artifacts):
         t = task_index
-        if t not in kept:  # a new task: the last one's reconstructions are stale
-            kept.clear()
-            kept[t] = {}
-        if t > 0 and t not in out.aux_models:
-            out.aux_models[t] = _fit_aux(mixture, cfg, rng, aux_epochs, t)
-        _draw_gen_samples(gen_samples, artifacts.snapshots, sample_size, rng)
-        target_sets = [subsample(stream.tasks[k].test.data, f"bounds:tgt:{t}:{k}")
-                       for k in range(t + 1)]
-        row = bounds_row(model, out.aux_models.get(t, model), out.reference_models,
-                         subsample(mixture, f"bounds:src:{t}"), target_sets, eval_eps,
-                         rng.spawn(f"bounds:kl:{t}"), sample_size,
-                         [transition_ra[j] for j in range(t)], artifacts.snapshots,
-                         out.aux_models, artifacts.mixtures, gen_samples, epoch + 1,
-                         kept=kept[t])
-        transition_ra[t] = row.ra_lower_bound  # overwritten each epoch; final epoch wins
-        out.rows.append(row)
+        if epoch == 0:
+            chain.start(t, mixture, artifacts.snapshots)
+        target_sets = [_subsample(task.test.data, sample_size, rng, f"bounds:tgt:{t}:{k}")
+                       for k, task in enumerate(stream.tasks[:t + 1])]
+        source = _subsample(mixture, sample_size, rng, f"bounds:src:{t}")
+        out.rows.append(chain.row(model, source, target_sets, artifacts.snapshots,
+                                  artifacts.mixtures, epoch + 1))
 
     model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id, epoch_hook=hook)
     out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
@@ -319,12 +290,10 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
     each task; scores the whole mixture and test sets. ``refs`` are the
     reference models, loaded from the run or made by ``fit_references``; the
     auxiliary models are fitted again with the keys ``bounds_run`` uses."""
-    aux_epochs = aux_epochs or cfg.epochs
-    eval_eps = _eval_noise(cfg, rng)
+    chain = BoundsChain(refs, cfg, rng, sample_size, aux_epochs)
     rows: list[BoundsRow] = []
-    mixtures, aux_models, gen_samples = [], {}, {}
+    mixtures = []
     for t, task in enumerate(stream.tasks):
-        model = snapshots[t]
         if t == 0:
             mixture = task.train.data
         else:
@@ -332,30 +301,21 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
             # snapshot; run_gr_single also shuffles them, which this does not
             replay = snapshots[t - 1].generate(t * task.train.n, rng.spawn(f"gr:replay:{t}"))
             mixture = np.concatenate([task.train.data, replay])
-            aux_models[t] = _fit_aux(mixture, cfg, rng, aux_epochs, t)
         mixtures.append(mixture)
-        _draw_gen_samples(gen_samples, snapshots[:t], sample_size, rng)
-        rows.append(bounds_row(model, aux_models.get(t, model), refs, mixture,
-                               [seen.test.data for seen in stream.tasks[:t + 1]], eval_eps,
-                               rng.spawn(f"bounds:kl:{t}"), sample_size,
-                               [r.ra_lower_bound for r in rows], snapshots, aux_models,
-                               mixtures, gen_samples, cfg.epochs))
+        chain.start(t, mixture, snapshots[:t])
+        rows.append(chain.row(snapshots[t], mixture,
+                              [seen.test.data for seen in stream.tasks[:t + 1]], snapshots,
+                              mixtures, cfg.epochs))
     return rows
 
 
 def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
     """Per-epoch view of the bound check: LHS, each RHS term, and the slack."""
-    rows = []
-    for r in artifacts.rows:
-        rows.append({
-            "task_t": r.task_t, "epoch": r.epoch,
-            "lhs_target_neg_elbo": r.lhs_target_neg_elbo,
-            "rhs_source_neg_elbo": r.rhs_source_neg_elbo,
-            "rhs_kl_gap": r.kl_gap,
-            "rhs_ra_lower_bound": r.ra_lower_bound,
-            "slack": r.slack,
-        })
-    return rows
+    return [{"task_t": r.task_t, "epoch": r.epoch,
+             "lhs_target_neg_elbo": r.lhs_target_neg_elbo,
+             "rhs_source_neg_elbo": r.rhs_source_neg_elbo,
+             "rhs_kl_gap": r.kl_gap, "rhs_ra_lower_bound": r.ra_lower_bound,
+             "slack": r.slack} for r in artifacts.rows]
 
 
 def write_bounds_csv(rows: list[BoundsRow], path: str, n_tasks: int,
@@ -377,16 +337,10 @@ def write_bounds_csv(rows: list[BoundsRow], path: str, n_tasks: int,
 
 def forgetting_curves(degm_log, gr_log, input_dim: int) -> list[dict]:
     """Tidy per-epoch risk rows for the mixture model and the single model."""
-    rows = []
-    for label, log in (("mixture", degm_log), ("single", gr_log)):
-        if log is None:
-            continue
-        for r in log.rows:
-            rows.append({
-                "model": label, "task_index": r["task_index"], "epoch": r["epoch"],
-                "eval_task": r["eval_task"], "risk": r["square_loss"] / input_dim,
-            })
-    return rows
+    return [{"model": label, "task_index": r["task_index"], "epoch": r["epoch"],
+             "eval_task": r["eval_task"], "risk": r["square_loss"] / input_dim}
+            for label, log in (("mixture", degm_log), ("single", gr_log)) if log is not None
+            for r in log.rows]
 
 
 def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,

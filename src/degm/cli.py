@@ -272,8 +272,12 @@ def cmd_gen_synthetic(kind: str, n: int, dim: int, seed: int, out_prefix: str) -
 
 
 def _load_config_file(path: str, **flags) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), **flags)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
+    return parse_config(text, **flags)
 
 
 def main(argv: list[str] | None = None) -> int:

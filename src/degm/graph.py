@@ -9,8 +9,6 @@ a specific node is its edge-weight vector, the row of a basic node is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, DimensionError
@@ -80,6 +78,8 @@ def knowledge_similarity(node: BasicNode, probe: np.ndarray, rng: Rng) -> float:
 class SpecificNode:
     """New lower encoder and upper decoder around frozen basic sub-modules."""
 
+    kind = "specific"
+
     def __init__(self, input_dim: int, hidden_dim: int, weights: np.ndarray, task_id: int,
                  likelihood: str = "bernoulli", rng: Rng | None = None, name: str = "s"):
         w = np.asarray(weights, dtype=np.float64)
@@ -96,13 +96,6 @@ class SpecificNode:
         return self.enc_lower_new.params() + self.dec_upper_new.params()
 
 
-@dataclass
-class NodeEntry:
-    kind: str  # "basic" | "specific"
-    index: int  # position within basics / specifics
-    task_id: int
-
-
 class GraphModel:
     def __init__(self, input_dim: int, latent_dim: int, hidden_dim: int = 200,
                  likelihood: str = "bernoulli", sigma: float = DEFAULT_SIGMA,
@@ -117,7 +110,7 @@ class GraphModel:
         self.tau = float(tau)
         self.basics: list[BasicNode] = []
         self.specifics: list[SpecificNode] = []
-        self.entries: list[NodeEntry] = []
+        self.entries: list[BasicNode | SpecificNode] = []  # every node, in creation order
 
     # -- structure ---------------------------------------------------------
 
@@ -133,8 +126,9 @@ class GraphModel:
         self._check_task_free(task_id)
         vae = VaeComponent(self.input_dim, self.latent_dim, self.hidden_dim,
                            self.likelihood, self.sigma, rng, name=f"b{len(self.basics)}")
-        self.basics.append(BasicNode(vae=vae, task_id=task_id))
-        self.entries.append(NodeEntry("basic", len(self.basics) - 1, task_id))
+        node = BasicNode(vae=vae, task_id=task_id)
+        self.basics.append(node)
+        self.entries.append(node)
         return len(self.entries) - 1
 
     def add_specific_node(self, weights: np.ndarray, task_id: int, rng: Rng) -> int:
@@ -145,10 +139,10 @@ class GraphModel:
         node = SpecificNode(self.input_dim, self.hidden_dim, w, task_id,
                             self.likelihood, rng, name=f"s{len(self.specifics)}")
         self.specifics.append(node)
-        self.entries.append(NodeEntry("specific", len(self.specifics) - 1, task_id))
+        self.entries.append(node)
         return len(self.entries) - 1
 
-    def owner_entry(self, task_id: int) -> NodeEntry:
+    def owner_entry(self, task_id: int) -> BasicNode | SpecificNode:
         for e in self.entries:
             if e.task_id == task_id:
                 return e
@@ -160,8 +154,7 @@ class GraphModel:
         rows = np.zeros((len(self.entries), k))
         for r, e in enumerate(self.entries):
             if e.kind == "specific":
-                w = self.specifics[e.index].weights
-                rows[r, :w.size] = w
+                rows[r, :e.weights.size] = e.weights
         return rows
 
     def knowledge_scores(self, probe: np.ndarray, rng: Rng) -> np.ndarray:
@@ -256,34 +249,23 @@ class GraphModel:
 
     # -- per-node evaluation ------------------------------------------------------
 
-    def node_values(self, entry: NodeEntry, x, kprime: int = 1, rng: Rng | None = None,
-                    eps_list: list[np.ndarray] | None = None) -> Tensor:
+    def node_values(self, entry: BasicNode | SpecificNode, x, kprime: int = 1,
+                    rng: Rng | None = None, eps_list: list[np.ndarray] | None = None) -> Tensor:
         """Per-sample bound for one node: elbo family for basics, melbo for specifics."""
         if entry.kind == "basic":
-            return self.basics[entry.index].vae.iwelbo(x, kprime, rng=rng, eps_list=eps_list)
-        return self.melbo_iw(self.specifics[entry.index], x, kprime, rng=rng, eps_list=eps_list)
+            return entry.vae.iwelbo(x, kprime, rng=rng, eps_list=eps_list)
+        return self.melbo_iw(entry, x, kprime, rng=rng, eps_list=eps_list)
 
-    def reconstruct_node(self, entry: NodeEntry, x) -> np.ndarray:
+    def reconstruct_node(self, entry: BasicNode | SpecificNode, x) -> np.ndarray:
         """Deterministic encode-decode via posterior means for one node."""
         if entry.kind == "basic":
-            return self.basics[entry.index].vae.reconstruct(x)
-        s = self.specifics[entry.index]
+            return entry.vae.reconstruct(x)
         with no_grad():
-            _, stats = self._basic_stats(s, x)
+            _, stats = self._basic_stats(entry, x)
             z = None
-            for pi, (mu, _) in zip(s.weights, stats):
+            for pi, (mu, _) in zip(entry.weights, stats):
                 z = mu * pi if z is None else z + mu * pi
-            return self.specific_decode(s, z).data
-
-    def trainable_params(self, entry: NodeEntry) -> list[Tensor]:
-        if entry.kind == "basic":
-            return self.basics[entry.index].vae.params()
-        return self.specifics[entry.index].params()
+            return self.specific_decode(entry, z).data
 
     def all_params(self) -> list[Tensor]:
-        out = []
-        for b in self.basics:
-            out.extend(b.vae.params())
-        for s in self.specifics:
-            out.extend(s.params())
-        return out
+        return [t for node in self.basics + self.specifics for t in node.params()]

@@ -22,9 +22,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .graph import GraphModel, NodeEntry, edge_weights, expansion_decide
+from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
 from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, backprop, no_grad
-from .vae import HierVae, VaeComponent, copy_model
+from .vae import BasicNode, HierVae, VaeComponent, copy_model
 
 
 @dataclass
@@ -128,16 +128,11 @@ def ablation_edge_policy(name: str) -> EdgePolicy | None:
     """Alternative weight rules; the expand-or-reuse decision is untouched."""
     if name == "degm-4":
         def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            # every learned node feeds the new one equally; a specific node's
-            # share resolves onto the basic sub-modules it already blends
-            k = len(graph.basics)
-            acc = np.zeros(k)
-            for e in graph.entries:
-                if e.kind == "basic":
-                    acc[e.index] += 1.0
-                else:
-                    w = graph.specifics[e.index].weights
-                    acc[:w.size] += w
+            # every learned node feeds the new one equally: a basic node its
+            # own 1, a specific node its weights over the basics it blends
+            acc = np.ones(len(graph.basics))
+            for s in graph.specifics:
+                acc[:s.weights.size] += s.weights
             return acc / len(graph.entries)
         return policy
     if name == "degm-5":
@@ -224,19 +219,18 @@ def _draw_probe(task: Task, probe_size: int, rng: Rng) -> np.ndarray:
     return task.train.data[idx]
 
 
-def _node_objective(graph: GraphModel, entry: NodeEntry, x: np.ndarray, cfg: TrainConfig, rng: Rng):
+def _node_objective(graph: GraphModel, node: BasicNode | SpecificNode, x: np.ndarray,
+                    cfg: TrainConfig, rng: Rng):
     kprime = cfg.kprime if cfg.uses_iw else 1
-    if entry.kind == "basic":
-        vae = graph.basics[entry.index].vae
-        return vae.iwelbo(x, kprime, rng=rng) if kprime > 1 else vae.elbo(x, rng=rng)
-    s = graph.specifics[entry.index]
-    return graph.melbo_iw(s, x, kprime, rng=rng) if kprime > 1 else graph.melbo(s, x, rng=rng)
+    if node.kind == "basic":
+        return node.vae.iwelbo(x, kprime, rng=rng) if kprime > 1 else node.vae.elbo(x, rng=rng)
+    return graph.melbo_iw(node, x, kprime, rng=rng) if kprime > 1 else graph.melbo(node, x, rng=rng)
 
 
 def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, eps, frozen_rows):
     """Train one node on its task; return its final-epoch row."""
     state = AdamState(lr=cfg.lr)
-    params = graph.trainable_params(entry)
+    params = entry.params()
     train_rng = rng.spawn(f"train:{task.name}")
     ref_rng = rng.spawn(f"ref:{task.name}")
     data = task.train.data
@@ -249,12 +243,12 @@ def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, eps, frozen_r
             adam_step(state, params, backprop(-values.mean()))
             if final and entry.kind == "basic":
                 with no_grad():
-                    batch_elbo = graph.basics[entry.index].vae.elbo(x, rng=ref_rng).data
+                    batch_elbo = entry.vae.elbo(x, rng=ref_rng).data
                 ref_sum += float(batch_elbo.sum())
                 ref_count += batch_elbo.size
         live = _log_epoch(graph, entry, task.test.data, epoch, log, run_id, eps, frozen_rows)
     if entry.kind == "basic":
-        graph.basics[entry.index].reference_elbo = ref_sum / ref_count
+        entry.reference_elbo = ref_sum / ref_count
     return live
 
 
@@ -280,7 +274,6 @@ class GrArtifacts:
 
     snapshots: list = field(default_factory=list)  # model copy after each task
     mixtures: list[np.ndarray] = field(default_factory=list)  # evolved-source sample sets
-    replay_sets: list[np.ndarray] = field(default_factory=list)  # generated part only
 
 
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
@@ -306,7 +299,6 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
             mixture = task.train.data
         else:
             replay = artifacts.snapshots[-1].generate(i * task.train.n, rng.spawn(f"gr:replay:{i}"))
-            artifacts.replay_sets.append(replay)
             mixture = np.concatenate([task.train.data, replay])
             mixture = mixture[rng.spawn(f"gr:mix:{i}").permutation(mixture.shape[0])]
         artifacts.mixtures.append(mixture)

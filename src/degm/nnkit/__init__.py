@@ -5,7 +5,7 @@ Importing the package sets two process-wide glibc malloc thresholds (see
 """
 
 from . import runtime
-from .autodiff import Tensor, affine, backprop, constant, grad_enabled, no_grad, parameter
+from .autodiff import Tensor, affine, backprop, grad_enabled, no_grad, parameter
 from .layers import ACTIVATIONS, LEAKY_SLOPE, DenseLayer, affine_forward
 from .losses import (
     DEFAULT_SIGMA,
@@ -38,7 +38,6 @@ __all__ = [
     "affine_forward",
     "backprop",
     "bernoulli_log_likelihood",
-    "constant",
     "diag_gaussian_logpdf",
     "gaussian_log_likelihood",
     "grad_enabled",

@@ -222,10 +222,6 @@ def parameter(data: ArrayLike, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-def constant(data: ArrayLike) -> Tensor:
-    return Tensor(data)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     grad = np.asarray(grad, dtype=np.float64)

@@ -38,11 +38,6 @@ class DenseLayer:
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
-    def set_name(self, name: str) -> None:
-        self.name = name
-        self.weight.name = f"{name}.W"
-        self.bias.name = f"{name}.b"
-
     def __call__(self, x, frozen: bool = False) -> Tensor:
         return affine_forward(self, x, frozen=frozen)
 

@@ -64,13 +64,11 @@ def save_graph(directory: str, graph: GraphModel, extra: dict | None = None) -> 
     nodes = []
     for e in graph.entries:
         if e.kind == "basic":
-            b = graph.basics[e.index]
             nodes.append({"kind": "basic", "task_id": e.task_id,
-                          "reference_elbo": b.reference_elbo, "weights": None})
+                          "reference_elbo": e.reference_elbo, "weights": None})
         else:
-            s = graph.specifics[e.index]
             nodes.append({"kind": "specific", "task_id": e.task_id,
-                          "reference_elbo": None, "weights": list(s.weights)})
+                          "reference_elbo": None, "weights": list(e.weights)})
     params = graph.all_params()
     entries = _array_entries(params)
     manifest = {
@@ -106,7 +104,8 @@ def save_single(directory: str, model, extra: dict | None = None) -> None:
 
 def load_checkpoint(directory: str):
     """Rebuild the saved model; returns (kind, model, manifest). A manifest
-    that does not parse or lacks a field its kind needs is a FormatError."""
+    that does not parse, lacks a field its kind needs or holds one that
+    cannot build the model is a FormatError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.exists(path):
         raise FormatError(f"no manifest at {path}")
@@ -127,7 +126,7 @@ def load_checkpoint(directory: str):
             for node in manifest["nodes"]:
                 if node["kind"] == "basic":
                     idx = graph.add_basic_node(node["task_id"], rng=None)
-                    graph.basics[graph.entries[idx].index].reference_elbo = node["reference_elbo"]
+                    graph.entries[idx].reference_elbo = node["reference_elbo"]
                 else:
                     graph.add_specific_node(np.asarray(node["weights"]), node["task_id"], rng=None)
             _load_into(graph.all_params(), directory, manifest["arrays"])
@@ -146,6 +145,10 @@ def load_checkpoint(directory: str):
             return "hier", model, manifest
     except KeyError as err:
         raise FormatError(f"{path} lacks the field {err}") from err
+    except FormatError:
+        raise
+    except (OSError, TypeError, ValueError) as err:  # ContractError and DimensionError too
+        raise FormatError(f"{path} holds a field that cannot build the model: {err}") from err
     raise FormatError(f"unknown checkpoint kind {kind!r}")
 
 

@@ -32,14 +32,6 @@ class SelectionResult:
     posterior: np.ndarray  # [B, nodes] softmax over nodes
 
 
-@dataclass
-class MetricsRecord:
-    nll: float
-    sl: float
-    psnr: float
-    ssim: float
-
-
 def _eval_eps_bank(graph: GraphModel, seed: int, draws: int, key: str) -> list[np.ndarray]:
     rng = Rng(seed)
     return [rng.spawn(f"{key}:{i}").normal((1, graph.latent_dim)) for i in range(draws)]
@@ -201,17 +193,11 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
             if mask.any():
                 recon[mask] = graph.reconstruct_node(entry, data[mask])
         sl, ps, ss = reconstruction_metrics(data, recon)
-        record = MetricsRecord(nll=_selected_nll(graph, data, selection.chosen, kprime, seed),
-                               sl=sl, psnr=ps, ssim=ss)
         hist = np.bincount(selection.chosen, minlength=graph.node_count)
-        rows.append({
-            "task": task.name,
-            "nll": record.nll,
-            "sl": record.sl,
-            "psnr": record.psnr,
-            "ssim": record.ssim,
-            "chosen_hist": "|".join(str(int(c)) for c in hist),
-        })
+        rows.append({"task": task.name,
+                     "nll": _selected_nll(graph, data, selection.chosen, kprime, seed),
+                     "sl": sl, "psnr": ps, "ssim": ss,
+                     "chosen_hist": "|".join(str(int(c)) for c in hist)})
     return rows
 
 

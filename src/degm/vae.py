@@ -144,6 +144,10 @@ class BasicNode:
     vae: VaeComponent
     task_id: int
     reference_elbo: float | None = None
+    kind = "basic"
+
+    def params(self) -> list[Tensor]:
+        return self.vae.params()
 
 
 def parameter_bytes(obj) -> bytes:

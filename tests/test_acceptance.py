@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from degm.bounds import bounds_run, estimate_discrepancy, estimate_kl_gap, HypothesisSet
+from degm.bounds import bounds_run, estimate_discrepancy, estimate_kl_gap
 from degm.cli import export_v_csv
 from degm.data import load_idx, save_idx_images, synthetic_task, transform
 from degm.graph import GraphModel, edge_weights
@@ -333,9 +333,8 @@ def test_criterion_9_selection_accuracy():
 def test_criterion_10_bounds_diagnostics(bounds_fixture):
     stream, cfg, out = bounds_fixture
     # (a) identical sample sets give exactly zero discrepancy
-    hset = HypothesisSet()
-    hset.register("a", VaeComponent(8, 2, 4, rng=Rng(70), name="a"))
-    hset.register("b", VaeComponent(8, 2, 4, rng=Rng(71), name="b"))
+    hset = {"a": VaeComponent(8, 2, 4, rng=Rng(70), name="a"),
+            "b": VaeComponent(8, 2, 4, rng=Rng(71), name="b")}
     p = binary_data(72, 40, 8)
     zero_ok = estimate_discrepancy(p, p.copy(), hset) == 0.0
     # (b) balanced union of targets closes the KL gap

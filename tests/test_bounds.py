@@ -10,7 +10,6 @@ import pytest
 
 from degm.bounds import (
     BoundsRow,
-    HypothesisSet,
     _train_plain,
     accumulated_error_proxy,
     bounds_run,
@@ -75,10 +74,7 @@ def test_risk_rejects_empty():
 # --- discrepancy ---------------------------------------------------------------------
 
 def hypothesis_pair(seed_a, seed_b):
-    h = HypothesisSet()
-    h.register("a", component(seed_a))
-    h.register("b", component(seed_b))
-    return h
+    return {"a": component(seed_a), "b": component(seed_b)}
 
 
 def test_discrepancy_zero_on_identical_sample_sets():
@@ -93,17 +89,14 @@ def test_discrepancy_symmetric():
 
 
 def test_discrepancy_identical_hypotheses_contribute_zero():
-    h = HypothesisSet()
     c = component(15)
-    h.register("a", c)
-    h.register("b", c)  # deep copies of the same weights
+    h = {"a": c, "b": c}  # the same weights under two names
     p, q = binary_data(16, 20), binary_data(17, 20)
     assert estimate_discrepancy(p, q, h) == 0.0
 
 
 def test_discrepancy_requires_two_hypotheses():
-    h = HypothesisSet()
-    h.register("only", component(18))
+    h = {"only": component(18)}
     with pytest.raises(ContractError):
         estimate_discrepancy(binary_data(19, 5), binary_data(20, 5), h)
 
@@ -115,20 +108,9 @@ def test_discrepancy_separates_disjoint_distributions():
     ref_top, ref_bottom = component(23), component(24)
     train_elbo_steps(ref_top, top, steps=800, lr=1e-2, seed=1)
     train_elbo_steps(ref_bottom, bottom, steps=800, lr=1e-2, seed=2)
-    h = HypothesisSet()
-    h.register("top", ref_top)
-    h.register("bottom", ref_bottom)
+    h = {"top": ref_top, "bottom": ref_bottom}
     value = estimate_discrepancy(top, bottom, h)
     assert value > 0.006  # calibration run at this seed gave 0.012
-
-
-def test_hypothesis_set_snapshots_are_frozen():
-    h = HypothesisSet()
-    c = component(25)
-    h.register("m", c)
-    before = h.reconstruct("m", binary_data(26, 4))
-    c.dec_upper.bias.data[:] += 1.0  # mutate the live model
-    np.testing.assert_array_equal(h.reconstruct("m", binary_data(26, 4)), before)
 
 
 # --- KL gap -----------------------------------------------------------------------------
@@ -313,11 +295,9 @@ def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
                        for k in range(t + 1)]
         union = np.concatenate(target_sets)
 
-        hset = HypothesisSet()
-        hset.register("current", model)
-        hset.register("aux", aux)
+        hset = {"current": model, "aux": aux}
         for k in range(t + 1):
-            hset.register(f"ref{k}", reference_models[k])
+            hset[f"ref{k}"] = reference_models[k]
 
         target_risks = [risk(model, ts) for ts in target_sets]
         disc = estimate_discrepancy(union, source, hset)
@@ -372,11 +352,9 @@ def reference_diagnose_rows(stream, cfg, snapshots, rng, sample_size, aux_epochs
         if t > 0:
             gen_samples[t - 1] = snapshots[t - 1].generate(
                 min(sample_size, 512), rng.spawn(f"bounds:gen:{t - 1}"))
-        hset = HypothesisSet()
-        hset.register("current", model)
-        hset.register("aux", aux)
+        hset = {"current": model, "aux": aux}
         for k in range(t + 1):
-            hset.register(f"ref{k}", refs[k])
+            hset[f"ref{k}"] = refs[k]
         target_sets = [stream.tasks[k].test.data for k in range(t + 1)]
         union = np.concatenate(target_sets)
         disc = estimate_discrepancy(union, mixture, hset)

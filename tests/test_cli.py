@@ -459,6 +459,21 @@ def test_main_rejects_malformed_idx_label_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "eval"])
+@pytest.mark.parametrize("name", ["missing.json", "a-directory", "not-text.json"])
+def test_main_config_file_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch,
+                                                        verb, name):
+    monkeypatch.chdir(tmp_path)  # a run directory would land in ./runs
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "not-text.json").write_bytes(b"\xff\xfe{")
+    argv = {"train": ["train", "--config", name],
+            "eval": ["eval", "--checkpoint", "checkpoint", "--config", name]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["a-directory", "not-text.json"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the divergence itself
 def test_main_diverging_run_fails_cleanly(tmp_path, capsys):
     raw = minimal_config("gr", out_dir=str(tmp_path / "runs"))

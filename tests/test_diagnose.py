@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degm.bounds import HypothesisSet, estimate_discrepancy, write_bounds_csv
+from degm.bounds import estimate_discrepancy, write_bounds_csv
 from degm.cli import build_stream, cmd_diagnose, cmd_train, config_hash, main, parse_config
 from degm.errors import ContractError
 from degm.nnkit import Rng
@@ -30,11 +30,11 @@ def reference_discrepancy(p_samples, q_samples, hypotheses):
     if p.shape[0] == 0 or q.shape[0] == 0:
         raise ContractError("discrepancy needs nonempty sample sets")
     d = p.shape[1]
-    recon_p = {name: hypotheses.reconstruct(name, p) for name in hypotheses.names()}
-    recon_q = {name: hypotheses.reconstruct(name, q) for name in hypotheses.names()}
+    recon_p = {name: model.reconstruct(p) for name, model in hypotheses.items()}
+    recon_q = {name: model.reconstruct(q) for name, model in hypotheses.items()}
     best = 0.0
-    for a in hypotheses.names():
-        for b in hypotheses.names():
+    for a in hypotheses:
+        for b in hypotheses:
             if a == b:
                 continue  # loss(h, h) is identically zero on both sides
             mean_p = float(((recon_p[a] - recon_p[b]) ** 2).sum(axis=1).mean()) / d
@@ -50,15 +50,14 @@ def reference_discrepancy(p_samples, q_samples, hypotheses):
 def test_unordered_pair_discrepancy_bit_equal_to_ordered_scan(seeds, likelihood, n_p, n_q,
                                                               data_seed):
     # repeated seeds register identical models, whose pairs score exactly 0
-    hset = HypothesisSet()
-    for i, seed in enumerate(seeds):
-        hset.register(f"h{i}", VaeComponent(DIM, LATENT, HIDDEN, likelihood, rng=Rng(seed)))
+    hset = {f"h{i}": VaeComponent(DIM, LATENT, HIDDEN, likelihood, rng=Rng(seed))
+            for i, seed in enumerate(seeds)}
     rng = Rng(data_seed)
     p, q = rng.uniform(0, 1, (n_p, DIM)), rng.uniform(0, 1, (n_q, DIM))
     recons = {}
     got = estimate_discrepancy(p, q, hset, recons)
     assert repr(got) == repr(reference_discrepancy(p, q, hset))
-    assert sorted(recons) == sorted(hset.names())
+    assert sorted(recons) == sorted(hset)
     # reconstructions handed back in are used, not made again
     assert repr(estimate_discrepancy(p, q, hset, recons)) == repr(got)
 
@@ -140,10 +139,14 @@ def _no_hidden_dim(run_dir):
     _write_manifest(run_dir, "ref_2", json.dumps(manifest))
 
 
+def _no_array_file(run_dir):
+    os.remove(os.path.join(run_dir, "checkpoint", "task_1", "arr_0000.bin"))
+
+
 @pytest.mark.parametrize("damage", [_partial, _other_config, _swapped, _not_json, _no_kind,
-                                    _no_hidden_dim],
+                                    _no_hidden_dim, _no_array_file],
                          ids=["partial", "other-config", "swapped", "not-json", "no-kind",
-                              "no-hidden-dim"])
+                              "no-hidden-dim", "no-array-file"])
 def test_diagnose_rejects_unusable_references(bounds_run_dir, tmp_path, capsys, damage):
     run_dir = _copy_run(bounds_run_dir, tmp_path)
     report = os.path.join(run_dir, "bounds_report.csv")
@@ -153,6 +156,41 @@ def test_diagnose_rejects_unusable_references(bounds_run_dir, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert _read(report) == before
+
+
+@pytest.fixture(scope="module")
+def degm_run_dir(tmp_path_factory):
+    raw = json.loads(json.dumps(pinned_config(str(tmp_path_factory.mktemp("runs"))).raw))
+    raw["mode"] = "degm"
+    return cmd_train(parse_config(json.dumps(raw)))
+
+
+@pytest.mark.parametrize("field, value", [("hidden_dim", "x"), ("latent_dim", [3])])
+@pytest.mark.parametrize("verb", ["diagnose", "eval", "export-v"])
+def test_manifest_field_of_wrong_type_exits_2(bounds_run_dir, degm_run_dir, tmp_path, capsys,
+                                              verb, field, value):
+    run_dir = _copy_run(degm_run_dir if verb == "export-v" else bounds_run_dir, tmp_path)
+    model_dir = os.path.join(run_dir, "checkpoint", "task_1" if verb == "diagnose" else "")
+    manifest_path = os.path.join(model_dir, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest[field] = value
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    out = str(tmp_path / "out.csv")
+    report = os.path.join(run_dir, "bounds_report.csv")
+    before = _read(report) if verb == "diagnose" else None
+    argv = {"diagnose": ["diagnose", run_dir],
+            "eval": ["eval", "--checkpoint", model_dir, "--config",
+                     os.path.join(run_dir, "config.json"), "--out", out],
+            "export-v": ["export-v", "--checkpoint", model_dir, "--out", out]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert os.path.normpath(manifest_path) in err
+    assert not os.path.exists(out)
+    if verb == "diagnose":
+        assert _read(report) == before
 
 
 @pytest.mark.parametrize("mode", ["gr", "gr-hier"])

@@ -146,7 +146,7 @@ def test_ks_near_zero_on_own_distribution():
 def test_specific_encode_one_hot_selects_single_basic():
     g = small_graph(2, seed=10)
     idx = g.add_specific_node(np.array([0.0, 1.0]), task_id=2, rng=Rng(11))
-    s = g.specifics[g.entries[idx].index]
+    s = g.entries[idx]
     x = binary_data(12, 4)
     eps = Rng(13).normal((4, LATENT))
     with no_grad():

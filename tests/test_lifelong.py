@@ -112,8 +112,7 @@ def test_degm_never_retrains_existing_nodes():
     for upto in (1, 2, 3):
         graph, _ = run_degm(TaskStream(stream.tasks[:upto]), cfg, Rng(7))
         for e in graph.entries:
-            blob = parameter_bytes(graph.basics[e.index].vae if e.kind == "basic"
-                                   else graph.specifics[e.index])
+            blob = parameter_bytes(e)
             finals.setdefault((upto, e.task_id), blob)
     for t in (0, 1):
         assert finals[(t + 1, t)] == finals[(3, t)], f"node for task {t} changed later"
@@ -147,7 +146,7 @@ def test_gr_single_task_equals_plain_training():
             values = plain.elbo(task.train.data[idx], rng=train_rng)
             adam_step(state, plain.params(), backprop(-values.mean()))
     assert parameter_bytes(model) == parameter_bytes(plain)
-    assert len(artifacts.replay_sets) == 0
+    assert [m.shape[0] for m in artifacts.mixtures] == [task.train.n]  # nothing replayed
 
 
 def test_gr_replay_buffer_is_binary_and_sized():
@@ -155,9 +154,10 @@ def test_gr_replay_buffer_is_binary_and_sized():
                          make_task("half-active-bottom", "b", 160, n_train=100),
                          make_task("bars", "c", 170, n_train=100)])
     _, _, artifacts = run_gr_single(stream, quick_cfg(epochs=2), Rng(9))
-    assert [r.shape[0] for r in artifacts.replay_sets] == [100, 200]
-    for r in artifacts.replay_sets:
-        assert set(np.unique(r)) <= {0.0, 1.0}
+    # each mixture holds the task's 100 rows and the replayed ones
+    assert [m.shape[0] - 100 for m in artifacts.mixtures] == [0, 100, 200]
+    for m in artifacts.mixtures:
+        assert set(np.unique(m)) <= {0.0, 1.0}
 
 
 def test_gr_forgetting_ordering():

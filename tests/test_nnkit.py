@@ -358,9 +358,8 @@ rng = Rng(0)
 graph = GraphModel(64, 32, 200, "bernoulli", tau=15.0)
 graph.add_basic_node(0, rng.spawn("b0"))
 graph.add_basic_node(1, rng.spawn("b1"))
-entry = graph.entries[graph.add_specific_node(np.array([0.6, 0.4]), 2, rng.spawn("s"))]
-node = graph.specifics[entry.index]
-params, state = graph.trainable_params(entry), AdamState(lr=1e-3)
+node = graph.entries[graph.add_specific_node(np.array([0.6, 0.4]), 2, rng.spawn("s"))]
+params, state = node.params(), AdamState(lr=1e-3)
 data = (rng.uniform(0.0, 1.0, (300, 64)) > 0.5).astype(np.float64)
 
 def step(i):
@@ -370,8 +369,8 @@ def step(i):
 for i in range(5):
     step(i)
 with no_grad():  # an epoch-end evaluation, as in per-epoch logging
-    graph.node_values(entry, data, kprime=1, eps_list=[rng.normal((1, 32))])
-graph.reconstruct_node(entry, data)
+    graph.node_values(node, data, kprime=1, eps_list=[rng.normal((1, 32))])
+graph.reconstruct_node(node, data)
 step(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for i in range(20):
