@@ -36,21 +36,27 @@ def risk(model, data: np.ndarray) -> float:
     return _sq_loss(data, model.reconstruct(data))
 
 
-def pair_loss(model_a, model_b, data: np.ndarray) -> float:
-    """Mean dimension-normalised squared distance between two hypotheses."""
-    data = np.asarray(data, dtype=np.float64)
-    return _sq_loss(model_a.reconstruct(data), model_b.reconstruct(data))
-
-
 def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
-                            upto: int) -> float:
+                            upto: int, fixed: dict | None = None) -> float:
     """Sum over past transitions of (loss vs the snapshot on its own
     generations) minus (loss vs the auxiliary model on the mixture it
-    bridged); the empirical stand-in for the risk-difference chain."""
+    bridged); the empirical stand-in for the risk-difference chain.
+
+    ``fixed`` maps a transition j to the reconstructions of ``snapshots[j]``
+    on its generations and of ``aux_models[j]`` on its mixture rows. Those
+    found there are not reconstructed again; the others are added, so a
+    caller that keeps the dict reconstructs each fixed model once.
+    """
+    fixed = {} if fixed is None else fixed
     total = 0.0
     for j in range(1, upto):
-        total += (pair_loss(model, snapshots[j], gen_samples[j])
-                  - pair_loss(model, aux_models[j], mixtures[j][:gen_samples[j].shape[0]]))
+        gen = gen_samples[j]
+        mix = mixtures[j][:gen.shape[0]]
+        if j not in fixed:
+            fixed[j] = (snapshots[j].reconstruct(gen), aux_models[j].reconstruct(mix))
+        snap_recon, aux_recon = fixed[j]
+        total += (_sq_loss(model.reconstruct(gen), snap_recon)
+                  - _sq_loss(model.reconstruct(mix), aux_recon))
     return total
 
 
@@ -181,7 +187,9 @@ class BoundsChain:
     bound check, the aux model of each transition, the generations of each
     snapshot, and the final ra term of each transition. While a task lasts,
     it keeps the reconstructions of every model that stays fixed: the aux
-    model and the refs.
+    model and the refs. For the whole chain it keeps the reconstructions
+    the err_d chain compares against, of each earlier snapshot on its
+    generations and each earlier aux model on its mixture.
     """
 
     def __init__(self, refs: list, cfg: TrainConfig, rng: Rng, sample_size: int,
@@ -196,6 +204,7 @@ class BoundsChain:
         self.gen_samples: dict[int, np.ndarray] = {}
         self.ra: dict[int, float] = {}  # the final epoch's term wins
         self.kept: dict = {}
+        self.err_d_fixed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def start(self, t: int, mixture: np.ndarray, snapshots: list) -> None:
         """Begin task t + 1: fit its aux model on the mixture from the second
@@ -245,7 +254,7 @@ class BoundsChain:
             lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
             eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
             err_d_proxy=replay_risk_differences(model, snapshots, self.aux_models, mixtures,
-                                                self.gen_samples, t),
+                                                self.gen_samples, t, self.err_d_fixed),
         )
         row.err_a_proxy = sum(self.ra[j] for j in range(t)) + row.ra_lower_bound
         self.ra[t] = row.ra_lower_bound

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import shutil
 import sys
 
@@ -98,7 +97,7 @@ def export_v_csv(graph: GraphModel, path: str) -> None:
 def cmd_train(cfg: ExperimentConfig) -> str:
     """Run the configured experiment; returns the run directory. A run that
     fails removes the run directory when this call created it."""
-    start = resource.getrusage(resource.RUSAGE_SELF)
+    start = runtime.usage()
     # both before the run directory, so bad tasks or orderings leave none
     stream = build_stream(cfg)
     orders = _order_streams(cfg, stream) if cfg.mode == "order-study" else None
@@ -112,7 +111,8 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         if created:
             shutil.rmtree(run_dir, ignore_errors=True)
         raise
-    summary["env"] = runtime.env_block(start)
+    eval_processes = runtime.share_count(len(stream)) if cfg.mode in ("degm", "ablation") else None
+    summary["env"] = runtime.env_block(start, eval_processes)
     with open(os.path.join(run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return run_dir
@@ -139,6 +139,8 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
             table("ablation_table.csv", ablation_rows)
             graph, log = graphs[cfg.ablation], logs[cfg.ablation]
         write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
+        if log.expansion:  # a one-task stream makes no decision
+            table("expansion.csv", log.expansion)
         save_graph(os.path.join(run_dir, "checkpoint"), graph,
                    extra={"config_hash": digest})
         export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))

@@ -91,6 +91,7 @@ class TrainConfig:
 @dataclass
 class MetricsLog:
     rows: list[dict] = field(default_factory=list)
+    expansion: list[dict] = field(default_factory=list)  # graph runs: one row per decision
 
     def add(self, **row) -> None:
         self.rows.append(row)
@@ -211,7 +212,25 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
             scores = graph.knowledge_scores(probe, rng.spawn(f"ks:{nxt.name}"))
             kind, _ = expansion_decide(scores, cfg.tau)
             pending = (kind, policy(scores, graph) if kind == "specific" else None)
+            log.expansion.append(_expansion_row(graph, stream, nxt, probe, scores, cfg.tau,
+                                                *pending))
     return graph, log
+
+
+def _expansion_row(graph: GraphModel, stream: TaskStream, task: Task, probe: np.ndarray,
+                   scores: np.ndarray, tau: float, kind: str,
+                   weights: np.ndarray | None) -> dict:
+    """Why ``task`` gets the node it gets: its knowledge score against each
+    basic node (named by the task that node learned), their minimum against
+    tau, and the edge weights of a specific node. Lists are joined by "|",
+    each float at full precision."""
+    def joined(values) -> str:
+        return "|".join(repr(float(v)) for v in values)
+
+    return {"task": task.name, "probe_size": int(probe.shape[0]),
+            "basic_nodes": "|".join(stream.tasks[b.task_id].name for b in graph.basics),
+            "knowledge_scores": joined(scores), "min_ks": float(scores.min()), "tau": tau,
+            "decision": kind, "edge_weights": "" if weights is None else joined(weights)}
 
 
 def _draw_probe(task: Task, probe_size: int, rng: Rng) -> np.ndarray:

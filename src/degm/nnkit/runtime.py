@@ -1,5 +1,6 @@
 """Process-wide settings and probes: glibc malloc thresholds, the BLAS thread
-count, and the environment block a run records.
+count, the process fan-out of independent per-task work, and the environment
+block a run records.
 
 One minibatch step of a specific node allocates about 2 MB of [batch, hidden]
 float64 temporaries. Under glibc's defaults, arrays above the dynamic mmap
@@ -14,7 +15,10 @@ nothing is changed.
 from __future__ import annotations
 
 import ctypes
+import os
+import pickle
 import resource
+import signal
 
 import numpy as np
 
@@ -40,9 +44,10 @@ def set_malloc_thresholds() -> bool:
 THRESHOLDS_SET = set_malloc_thresholds()
 
 
-def blas_threads() -> int | None:
-    """The thread count of the loaded OpenBLAS, from its own getter; None
-    where no OpenBLAS with a getter is mapped into the process."""
+def _openblas_function(verb: str):
+    """The ``openblas_<verb>_num_threads`` entry point of the OpenBLAS mapped
+    into the process, under any of the names numpy's wheels export it by;
+    None where no such library or symbol is found."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -53,20 +58,176 @@ def blas_threads() -> int | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return int(getter())
+        for symbol in (f"scipy_openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
     return None
 
 
-def env_block(start: resource.struct_rusage) -> dict:
+def blas_threads() -> int | None:
+    """The thread count of the loaded OpenBLAS, from its own getter; None
+    where no OpenBLAS with a getter is mapped into the process."""
+    getter = _openblas_function("get")
+    if getter is None:
+        return None
+    getter.argtypes = ()
+    getter.restype = ctypes.c_int
+    return int(getter())
+
+
+def set_blas_threads(n: int) -> bool:
+    """Set the thread count of the loaded OpenBLAS; False, and nothing
+    changed, where no OpenBLAS with a setter is mapped into the process."""
+    setter = _openblas_function("set")
+    if setter is None:
+        return False
+    setter.argtypes = (ctypes.c_int,)
+    setter.restype = None
+    setter(int(n))
+    return True
+
+
+# -- one process per CPU for independent items -------------------------------
+
+def share_count(items: int) -> int:
+    """Processes ``fork_map`` splits ``items`` items over: one per CPU in the
+    affinity mask (every CPU where the platform has no mask), no more than
+    there are items, and 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(items, cpus))
+
+
+def split_shares(costs: list, shares: int) -> list[list[int]]:
+    """Item indices per share: longest item first onto the least-loaded share,
+    ties to the lower index, each share's items in index order. The split is
+    a function of the costs alone, so every run gives each process the same
+    items."""
+    loads = [0] * shares
+    out: list[list[int]] = [[] for _ in range(shares)]
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        k = min(range(shares), key=lambda k: (loads[k], k))
+        loads[k] += costs[i]
+        out[k].append(i)
+    return [sorted(share) for share in out]
+
+
+def fork_map(fn, costs: list) -> list:
+    """``[fn(i) for i in range(len(costs))]``, with the items split between
+    this process and one forked child per further CPU (``share_count``).
+
+    ``costs[i]`` is the relative cost of item i; ``split_shares`` turns them
+    into a fixed split, and this process computes share 0 itself, so that
+    it does not sit idle while the children pay their copy-on-write faults.
+    ``fn`` must not depend on what another item did: a child sees the
+    parent's memory as it was at the fork and its own writes stay its own.
+    Results come back pickled, so they must be picklable. While the items
+    run, OpenBLAS is pinned to one thread in every process, so that the
+    processes do not contend for the CPUs with their BLAS threads; the old
+    count is restored afterwards. The processes must hold no other threads
+    of their own when the children are forked.
+
+    An exception an item raises in a child is raised here unchanged; a child
+    that ends without sending its results raises ``ChildProcessError``. On
+    every path each child is reaped before this returns or raises.
+    """
+    shares = split_shares(costs, share_count(len(costs)))
+    if len(shares) < 2:
+        return [fn(i) for i in range(len(costs))]
+    results: list = [None] * len(costs)
+    old_threads = blas_threads()
+    pinned = old_threads is not None and set_blas_threads(1)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(fn, share))
+        for i in shares[0]:
+            results[i] = fn(i)
+        for share in shares[1:]:
+            ok, value = _join_share(*children.pop(0))
+            if not ok:
+                raise value
+            for i, result in zip(share, value):
+                results[i] = result
+    finally:
+        for pid, read_fd in children:  # only left when this process failed
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pinned:
+            set_blas_threads(old_threads)
+    return results
+
+
+def _fork_share(fn, share: list[int]) -> tuple[int, int]:
+    """Fork a child that computes ``fn`` over ``share`` and writes the pickled
+    (ok, results or exception) to a pipe; returns its pid and the read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child never returns into the caller, and leaves through _exit
+        # so that it runs no atexit handler and flushes no inherited buffer
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, [fn(i) for i in share]))
+            except BaseException as err:  # sent to the parent, which raises it
+                try:
+                    payload = pickle.dumps((False, err))
+                except Exception:
+                    payload = pickle.dumps((False, RuntimeError(
+                        f"{type(err).__name__} in a forked share: {err}")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_share(pid: int, read_fd: int) -> tuple[bool, object]:
+    """Read a child's payload to EOF, then reap it. Reading comes first: a
+    payload larger than the pipe buffer blocks the child until it is read."""
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise ChildProcessError(f"a forked share (pid {pid}) ended with exit status "
+                                f"{os.waitstatus_to_exitcode(status)} and sent no results")
+    return pickle.loads(payload)  # written by this program's own child
+
+
+def usage() -> tuple[resource.struct_rusage, resource.struct_rusage]:
+    """What the process and its reaped children have used so far; the
+    ``start`` of ``env_block``."""
+    return resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
+
+
+def env_block(start: tuple[resource.struct_rusage, resource.struct_rusage],
+              eval_processes: int | None = None) -> dict:
     """The numeric build, the BLAS thread count, the allocator setting, and
-    what the command cost the process since ``start``: CPU seconds and minor
-    page faults."""
-    end = resource.getrusage(resource.RUSAGE_SELF)
+    what the command cost since ``start`` (from ``usage``): the CPU seconds
+    and minor page faults of the process, and the CPU seconds of the
+    children it reaped, such as ``fork_map``'s shares. ``children_maxrss_mb``
+    is the peak resident memory of the largest child the process ever
+    reaped, which the kernel does not report per interval. ``eval_processes``
+    is the number of processes the eval table was split over, None where
+    the command made none."""
+    end_self, end_children = usage()
+    start_self, start_children = start
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # numpy < 1.25 only prints its build info
@@ -74,6 +235,11 @@ def env_block(start: resource.struct_rusage) -> dict:
     return {
         "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
         "blas_threads": blas_threads(), "malloc_thresholds_set": THRESHOLDS_SET,
-        "user_s": end.ru_utime - start.ru_utime, "sys_s": end.ru_stime - start.ru_stime,
-        "minor_faults": end.ru_minflt - start.ru_minflt,
+        "user_s": end_self.ru_utime - start_self.ru_utime,
+        "sys_s": end_self.ru_stime - start_self.ru_stime,
+        "minor_faults": end_self.ru_minflt - start_self.ru_minflt,
+        "children_user_s": end_children.ru_utime - start_children.ru_utime,
+        "children_sys_s": end_children.ru_stime - start_children.ru_stime,
+        "children_maxrss_mb": end_children.ru_maxrss / 1024.0,
+        "eval_processes": eval_processes,
     }

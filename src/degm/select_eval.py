@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .graph import GraphModel
 from .nnkit import Rng, no_grad
+from .nnkit.runtime import fork_map
 from .vae import HierVae
 
 PSNR_CAP_DB = 99.0
@@ -182,9 +183,10 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
                       k_eval: int = 1) -> list[dict]:
     """Per-task row: NLL estimate, reconstruction metrics through the nodes
     selected over ``k_eval`` draws, and the histogram of which node each
-    sample picked."""
-    rows = []
-    for t, task in enumerate(stream.tasks):
+    sample picked. No row reads another, so ``fork_map`` shares them out
+    over the CPUs; each row is the same whichever process computes it."""
+    def row(t: int) -> dict:
+        task = stream.tasks[t]
         data = task.test.data
         selection = select_component(graph, data, k_eval=k_eval, seed=seed)
         recon = np.zeros_like(data)
@@ -194,21 +196,24 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
                 recon[mask] = graph.reconstruct_node(entry, data[mask])
         sl, ps, ss = reconstruction_metrics(data, recon)
         hist = np.bincount(selection.chosen, minlength=graph.node_count)
-        rows.append({"task": task.name,
-                     "nll": _selected_nll(graph, data, selection.chosen, kprime, seed),
-                     "sl": sl, "psnr": ps, "ssim": ss,
-                     "chosen_hist": "|".join(str(int(c)) for c in hist)})
-    return rows
+        return {"task": task.name,
+                "nll": _selected_nll(graph, data, selection.chosen, kprime, seed),
+                "sl": sl, "psnr": ps, "ssim": ss,
+                "chosen_hist": "|".join(str(int(c)) for c in hist)}
+
+    return fork_map(row, [task.test.n for task in stream.tasks])
 
 
 def single_metric_table(model, stream, kprime: int = 1) -> list[dict]:
     """The same per-task rows for a single-model baseline: every sample goes
     to the one model, whose plain component scores the NLL."""
     base = model.base if isinstance(model, HierVae) else model
-    rows = []
-    for task in stream.tasks:
+
+    def row(t: int) -> dict:
+        task = stream.tasks[t]
         data = task.test.data
         sl, ps, ss = reconstruction_metrics(data, model.reconstruct(data))
-        rows.append({"task": task.name, "nll": eval_nll_single(base, data, kprime=kprime),
-                     "sl": sl, "psnr": ps, "ssim": ss, "chosen_hist": "1"})
-    return rows
+        return {"task": task.name, "nll": eval_nll_single(base, data, kprime=kprime),
+                "sl": sl, "psnr": ps, "ssim": ss, "chosen_hist": "1"}
+
+    return fork_map(row, [task.test.n for task in stream.tasks])

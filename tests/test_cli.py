@@ -1,6 +1,7 @@
 """Config surface, persistence round-trips, ablation policies, CLI verbs."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -259,13 +260,54 @@ def test_cmd_train_degm_outputs(tmp_path):
     cfg = parse_config(json.dumps(raw))
     run_dir = cmd_train(cfg)
     for name in ("config.json", "metrics.csv", "v_matrix.csv", "summary.json",
-                 "eval_metrics.csv", "checkpoint/manifest.json"):
+                 "eval_metrics.csv", "expansion.csv", "checkpoint/manifest.json"):
         assert os.path.exists(os.path.join(run_dir, name)), name
     summary = json.load(open(os.path.join(run_dir, "summary.json")))
     assert summary["config_hash"] == config_hash(cfg)
     assert summary["node_counts"]["basic"] >= 1
     header = open(os.path.join(run_dir, "v_matrix.csv")).readline().strip().split(",")
     assert header[0] == "task_id" and header[1] == "C1"
+
+
+def test_cmd_train_ablation_writes_the_variant_expansion(tmp_path):
+    raw = two_task_config("ablation", out_dir=str(tmp_path / "runs"), ablation="degm-6")
+    raw["train"]["tau"] = 50.0  # the second node is specific
+    run_dir = cmd_train(parse_config(json.dumps(raw)))
+    with open(os.path.join(run_dir, "expansion.csv"), newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["task"], row["decision"], row["edge_weights"]) == ("stripes", "specific", "1.0")
+
+
+def test_expansion_csv_explains_each_decision(tmp_path):
+    # two disjoint families, alternating: at 3 epochs a task scores 28 or more
+    # against the other family's basic node and 4.6 or less against its own
+    families = ("half-active-top", "half-active-bottom")
+    raw = {"mode": "degm", "out_dir": str(tmp_path / "runs"),
+           "tasks": [{"name": f"{kind.rpartition('-')[2]}-{i}", "source": "synthetic",
+                      "kind": kind, "n_train": 600, "n_test": 300, "dim": 64, "seed": 3}
+                     for i, kind in ((i, families[i % 2]) for i in range(8))],
+           "train": {"epochs": 3, "batch": 64, "lr": 1e-3, "latent_dim": 32, "hidden_dim": 200,
+                     "seed": 3, "tau": 15.0, "probe_size": 300}}
+    cfg = parse_config(json.dumps(raw))
+    run_dir = cmd_train(cfg)
+    with open(os.path.join(run_dir, "expansion.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["task"] for r in rows] == [t["name"] for t in raw["tasks"][1:]]
+    # with the first task's node: 2 basic and 6 specific decisions
+    assert [r["decision"] for r in rows] == ["basic"] + ["specific"] * 6
+    _, graph, _ = load_checkpoint(os.path.join(run_dir, "checkpoint"))
+    assert [e.kind for e in graph.entries] == ["basic"] * 2 + ["specific"] * 6
+    for task_id, r in enumerate(rows, start=1):
+        scores = [float(v) for v in r["knowledge_scores"].split("|")]
+        assert float(r["min_ks"]) == min(scores) and float(r["tau"]) == 15.0
+        assert int(r["probe_size"]) == 300 and r["config_hash"] == config_hash(cfg)
+        if r["decision"] == "basic":
+            assert r["basic_nodes"] == "top-0" and r["edge_weights"] == ""
+            assert all(s > 15.0 for s in scores)
+        else:
+            assert r["basic_nodes"] == "top-0|bottom-1" and min(scores) <= 15.0
+            weights = [float(w) for w in r["edge_weights"].split("|")]
+            assert weights == graph.owner_entry(task_id).weights.tolist()
 
 
 def test_cmd_train_idempotent(tmp_path):
@@ -367,6 +409,19 @@ def test_main_eval_without_out_keeps_the_training_table(tmp_path, capsys):
     lines = open(os.path.join(run_dir, "eval_k5.csv")).read().splitlines()
     assert lines[0].split(",")[-1] == "config_hash"
     assert len(lines) == 3 and all(line.endswith("," + digest) for line in lines[1:])
+
+
+def test_main_eval_error_while_the_table_is_forked_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
+    assert main(["train", "--config", str(config_path)]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                 "--config", str(config_path), "--kprime", "0"]) == 2
+    assert capsys.readouterr().err == "error: kprime must be >= 1, got 0\n"
+    with pytest.raises(ChildProcessError):  # every forked share was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_main_gen_synthetic(tmp_path):
@@ -677,8 +732,21 @@ def test_cmd_train_summary_env_block(tmp_path):
     assert env["malloc_thresholds_set"] is runtime.THRESHOLDS_SET
     assert env["user_s"] > 0.0 and env["sys_s"] >= 0.0 and env["minor_faults"] >= 0
     assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
-                        "malloc_thresholds_set", "user_s", "sys_s", "minor_faults"}
+                        "malloc_thresholds_set", "user_s", "sys_s", "minor_faults",
+                        "children_user_s", "children_sys_s", "children_maxrss_mb",
+                        "eval_processes"}
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    assert env["children_user_s"] >= 0.0 and env["children_sys_s"] >= 0.0
+    assert env["children_maxrss_mb"] >= 0.0
+    assert env["eval_processes"] is None  # a gr run makes no eval table
+
+
+def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = parse_config(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
+    env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
+    assert env["eval_processes"] == 2
+    assert env["children_maxrss_mb"] > 0.0  # the child that scored one task was reaped
 
 
 def test_blas_threads_reads_the_loaded_library():
