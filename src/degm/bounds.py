@@ -18,9 +18,17 @@ import numpy as np
 
 from .errors import ContractError
 from .lifelong import TaskStream, TrainConfig, _minibatches, elbo_values, run_gr_single
-from .nnkit import AdamState, Rng, adam_step, backprop, kl_diag_gaussian_to_standard, no_grad
+from .nnkit import (
+    AdamState,
+    Rng,
+    adam_step,
+    backprop,
+    kl_diag_gaussian_to_standard,
+    no_grad,
+    runtime,
+)
 from .persist import write_table
-from .vae import HierVae, VaeComponent
+from .vae import HierVae, VaeComponent, copy_model
 
 
 def _sq_loss(a: np.ndarray, b: np.ndarray) -> float:
@@ -157,6 +165,8 @@ class BoundsArtifacts:
     gr_model: object = None
     gr_artifacts: object = None
     metrics_log: object = None
+    fit_processes: int = 1  # this process and the children that ran fits
+    fit_wait_s: float = 0.0  # spent here blocked on the children's fits
 
 
 def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
@@ -172,12 +182,27 @@ def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
     return model
 
 
+def _fit_reference(stream: TaskStream, cfg: TrainConfig, rng: Rng, i: int,
+                   epochs: int) -> VaeComponent:
+    """The reference model of task i + 1, fitted on its training set alone."""
+    task = stream.tasks[i]
+    return _train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"), epochs,
+                        name=f"ref{i}")
+
+
+def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, t: int,
+             epochs: int) -> VaeComponent:
+    """The aux model of task t + 1, fitted on the mixture it trains on."""
+    return _train_plain(mixture, cfg, rng.spawn(f"bounds:aux:{t}"), epochs, name=f"aux{t}")
+
+
 def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
                    aux_epochs: int | None = None) -> list[VaeComponent]:
-    """The reference model of each task, fitted on that task's training set alone."""
+    """The reference model of each task, fitted on that task's training set
+    alone; ``fork_map`` splits the fits over the CPUs."""
     epochs = aux_epochs or cfg.epochs
-    return [_train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"), epochs,
-                         name=f"ref{i}") for i, task in enumerate(stream.tasks)]
+    return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, epochs),
+                            [task.train.n for task in stream.tasks])
 
 
 class BoundsChain:
@@ -192,13 +217,10 @@ class BoundsChain:
     generations and each earlier aux model on its mixture.
     """
 
-    def __init__(self, refs: list, cfg: TrainConfig, rng: Rng, sample_size: int,
-                 aux_epochs: int | None = None):
+    def __init__(self, refs: list, cfg: TrainConfig, rng: Rng, sample_size: int):
         self.refs = refs
-        self.cfg = cfg
         self.rng = rng
         self.sample_size = sample_size
-        self.aux_epochs = aux_epochs or cfg.epochs
         self.eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
         self.aux_models: dict[int, VaeComponent] = {}
         self.gen_samples: dict[int, np.ndarray] = {}
@@ -206,13 +228,12 @@ class BoundsChain:
         self.kept: dict = {}
         self.err_d_fixed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def start(self, t: int, mixture: np.ndarray, snapshots: list) -> None:
-        """Begin task t + 1: fit its aux model on the mixture from the second
-        task on, and draw, once per snapshot, the generations the err_d chain
-        scores it on."""
-        if t > 0:
-            self.aux_models[t] = _train_plain(mixture, self.cfg, self.rng.spawn(f"bounds:aux:{t}"),
-                                              self.aux_epochs, name=f"aux{t}")
+    def start(self, t: int, aux: VaeComponent | None, snapshots: list) -> None:
+        """Begin task t + 1 with ``aux``, the aux model fitted on its mixture
+        (None at the first task), and draw, once per snapshot, the
+        generations the err_d chain scores it on."""
+        if aux is not None:
+            self.aux_models[t] = aux
         for k in range(len(snapshots)):
             if k not in self.gen_samples:
                 self.gen_samples[k] = snapshots[k].generate(min(self.sample_size, 512),
@@ -272,23 +293,56 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     *is* the current model (nothing has evolved yet). Each epoch's row scores
     subsamples of at most ``sample_size`` rows, the same ones every epoch of
     a task.
-    """
-    out = BoundsArtifacts()
-    out.reference_models = fit_references(stream, cfg, rng, aux_epochs)
-    chain = BoundsChain(out.reference_models, cfg, rng, sample_size, aux_epochs)
 
-    def hook(task_index: int, epoch: int, model, mixture: np.ndarray, artifacts):
+    No fit reads another fit or the replay model, so the fits run beside the
+    replay training, each started by ``runtime.start``: the references of
+    tasks 2.. in one child at once, while this process fits the first one,
+    which the first task's rows need; the aux model of each later task in a
+    child started when its mixture is built. The model is copied after each
+    epoch, and a task's rows are computed at its last epoch, in epoch order,
+    once the fits they need are joined. The rows are the same for any
+    number of CPUs.
+    """
+    epochs = aux_epochs or cfg.epochs
+    out = BoundsArtifacts()
+    chain = BoundsChain(out.reference_models, cfg, rng, sample_size)
+    fits: dict = {}  # started fits: "refs" (tasks 2..) and t (the aux model of task t + 1)
+    epoch_models: list = []  # the model after each epoch of the current task
+
+    def task_hook(task_index: int, mixture: np.ndarray):
+        if task_index > 0:
+            fits[task_index] = runtime.start(
+                lambda: _fit_aux(mixture, cfg, rng, task_index, epochs))
+
+    def epoch_hook(task_index: int, epoch: int, model, mixture: np.ndarray, artifacts):
         t = task_index
-        if epoch == 0:
-            chain.start(t, mixture, artifacts.snapshots)
+        epoch_models.append(copy_model(model))
+        if epoch + 1 < cfg.epochs:
+            return
+        if len(chain.refs) <= t:
+            chain.refs.extend(fits["refs"].result())
+        chain.start(t, fits[t].result() if t > 0 else None, artifacts.snapshots)
         target_sets = [_subsample(task.test.data, sample_size, rng, f"bounds:tgt:{t}:{k}")
                        for k, task in enumerate(stream.tasks[:t + 1])]
         source = _subsample(mixture, sample_size, rng, f"bounds:src:{t}")
-        out.rows.append(chain.row(model, source, target_sets, artifacts.snapshots,
-                                  artifacts.mixtures, epoch + 1))
+        for e, m in enumerate(epoch_models):
+            out.rows.append(chain.row(m, source, target_sets, artifacts.snapshots,
+                                      artifacts.mixtures, e + 1))
+        epoch_models.clear()
 
-    model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id, epoch_hook=hook)
+    try:
+        if len(stream) > 1:
+            fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
+                                                  for i in range(1, len(stream))])
+        out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
+        model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id,
+                                              epoch_hook=epoch_hook, task_hook=task_hook)
+    finally:
+        for handle in fits.values():  # only left unjoined when the run failed
+            handle.cancel()
     out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
+    out.fit_processes = 1 + sum(handle.forked for handle in fits.values())
+    out.fit_wait_s = sum(handle.wait_s for handle in fits.values())
     return out
 
 
@@ -298,21 +352,26 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
     """One row per task, at task end, from the replay model's snapshot after
     each task; scores the whole mixture and test sets. ``refs`` are the
     reference models, loaded from the run or made by ``fit_references``; the
-    auxiliary models are fitted again with the keys ``bounds_run`` uses."""
-    chain = BoundsChain(refs, cfg, rng, sample_size, aux_epochs)
-    rows: list[BoundsRow] = []
+    auxiliary models are fitted again with the keys ``bounds_run`` uses,
+    split over the CPUs by ``fork_map``."""
+    epochs = aux_epochs or cfg.epochs
     mixtures = []
     for t, task in enumerate(stream.tasks):
         if t == 0:
-            mixture = task.train.data
+            mixtures.append(task.train.data)
         else:
             # the rows of the training mixture, regenerated from the previous
             # snapshot; run_gr_single also shuffles them, which this does not
             replay = snapshots[t - 1].generate(t * task.train.n, rng.spawn(f"gr:replay:{t}"))
-            mixture = np.concatenate([task.train.data, replay])
-        mixtures.append(mixture)
-        chain.start(t, mixture, snapshots[:t])
-        rows.append(chain.row(snapshots[t], mixture,
+            mixtures.append(np.concatenate([task.train.data, replay]))
+    aux_models = [None, *runtime.fork_map(
+        lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
+        [mixture.shape[0] for mixture in mixtures[1:]])]
+    chain = BoundsChain(refs, cfg, rng, sample_size)
+    rows: list[BoundsRow] = []
+    for t, task in enumerate(stream.tasks):
+        chain.start(t, aux_models[t], snapshots[:t])
+        rows.append(chain.row(snapshots[t], mixtures[t],
                               [seen.test.data for seen in stream.tasks[:t + 1]], snapshots,
                               mixtures, cfg.epochs))
     return rows

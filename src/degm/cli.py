@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import ExperimentConfig, config_hash, parse_config, serialize_config
+from .config import EVAL, ExperimentConfig, config_hash, parse_config, rule, serialize_config
 from .data import (
     attach_labels,
     downsample,
@@ -106,27 +106,29 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     created = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     try:
-        summary = _run_into(run_dir, digest, cfg, stream, orders)
+        summary, fits = _run_into(run_dir, digest, cfg, stream, orders)
     except BaseException:
         if created:
             shutil.rmtree(run_dir, ignore_errors=True)
         raise
     eval_processes = runtime.share_count(len(stream)) if cfg.mode in ("degm", "ablation") else None
-    summary["env"] = runtime.env_block(start, eval_processes)
+    summary["env"] = runtime.env_block(start, eval_processes, **fits)
     with open(os.path.join(run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return run_dir
 
 
 def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStream,
-              orders: list[TaskStream] | None) -> dict:
+              orders: list[TaskStream] | None) -> tuple[dict, dict]:
     """Train the configured mode, write its tables and checkpoints into
-    ``run_dir``, and return the summary."""
+    ``run_dir``, and return the summary and, in mode bounds, the
+    ``fit_processes`` and ``fit_wait_s`` of its env block."""
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         fh.write(serialize_config(cfg))
     rng = Rng(cfg.train.seed)
     summary: dict = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
                      "tasks": [t.name for t in stream.tasks]}
+    fits: dict = {}
 
     def table(name: str, rows: list[dict]) -> None:
         write_table(os.path.join(run_dir, name), rows, digest)
@@ -164,6 +166,7 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
                 artifacts.snapshots, stream, model, rng.spawn("accum")))
             table("curves.csv", bounds_mod.forgetting_curves(None, log, stream.input_dim))
             summary["final_slack"] = out.rows[-1].slack
+            fits = {"fit_processes": out.fit_processes, "fit_wait_s": out.fit_wait_s}
         else:
             runner = run_gr_hier if cfg.mode == "gr-hier" else run_gr_single
             model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
@@ -182,7 +185,7 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
         report = order_experiment(orders, cfg.train, rng)
         table("order_report.csv", report)
         summary["orders"] = [r["order"] for r in report]
-    return summary
+    return summary, fits
 
 
 def _order_streams(cfg: ExperimentConfig, stream: TaskStream) -> list[TaskStream]:
@@ -324,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("ablate needs a config with mode 'ablation'")
             print(cmd_train(cfg))
         elif args.verb == "eval":
+            if args.kprime is not None:  # before any work, as eval.kprime in the config
+                rule(EVAL, "kprime")(args.kprime, "--kprime")
             cfg = _load_config_file(args.config)
             kprime = args.kprime if args.kprime is not None else cfg.eval_kprime
             # beside the checkpoint, and never over the table train wrote there

@@ -149,6 +149,12 @@ TASK_NEEDS = {"synthetic": ("kind", "dim"), "idx": ("train_images", "test_images
 MODE_ONLY = {"ablation": "ablation", "orders": "order-study"}  # key: the one mode it serves
 
 
+def rule(rows, key: str):
+    """The check the table ``rows`` applies to ``key``; a command-line flag
+    that overrides the key is checked by it too."""
+    return next(check for k, check, _ in rows if k == key)
+
+
 def _check_links(cfg: dict) -> None:
     for key, mode in MODE_ONLY.items():
         if (cfg["mode"] == mode) != (cfg[key] is not None):

@@ -296,9 +296,13 @@ class GrArtifacts:
 
 
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
-                  model=None, objective=None, epoch_hook=None) -> tuple:
+                  model=None, objective=None, epoch_hook=None, task_hook=None) -> tuple:
     """Single model; from the second task on it trains on its own generations
-    mixed uniformly with the new task's data (replay count (i-1) x |train_i|)."""
+    mixed uniformly with the new task's data (replay count (i-1) x |train_i|).
+
+    ``task_hook(task_index, mixture)`` is called once per task, when its
+    mixture is built and before its first epoch; ``epoch_hook`` after every
+    epoch."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
@@ -321,6 +325,8 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
             mixture = np.concatenate([task.train.data, replay])
             mixture = mixture[rng.spawn(f"gr:mix:{i}").permutation(mixture.shape[0])]
         artifacts.mixtures.append(mixture)
+        if task_hook is not None:
+            task_hook(task_index=i, mixture=mixture)
 
         train_rng = rng.spawn(f"gr:train:{task.name}:{i}")
         for epoch in range(cfg.epochs):

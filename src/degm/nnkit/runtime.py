@@ -1,6 +1,6 @@
 """Process-wide settings and probes: glibc malloc thresholds, the BLAS thread
-count, the process fan-out of independent per-task work, and the environment
-block a run records.
+count, forked children for independent work (``start``, and ``fork_map`` on
+top of it), and the environment block a run records.
 
 One minibatch step of a specific node allocates about 2 MB of [batch, hidden]
 float64 temporaries. Under glibc's defaults, arrays above the dynamic mmap
@@ -19,6 +19,7 @@ import os
 import pickle
 import resource
 import signal
+import time
 
 import numpy as np
 
@@ -118,62 +119,93 @@ def split_shares(costs: list, shares: int) -> list[list[int]]:
     return [sorted(share) for share in out]
 
 
-def fork_map(fn, costs: list) -> list:
-    """``[fn(i) for i in range(len(costs))]``, with the items split between
-    this process and one forked child per further CPU (``share_count``).
+# OpenBLAS runs one thread in every process while a forked child is
+# outstanding, so that the processes do not contend for the CPUs with their
+# BLAS threads. The count before the first child comes back with the last join.
+_outstanding = 0
+_restore_threads: int | None = None
 
-    ``costs[i]`` is the relative cost of item i; ``split_shares`` turns them
-    into a fixed split, and this process computes share 0 itself, so that
-    it does not sit idle while the children pay their copy-on-write faults.
-    ``fn`` must not depend on what another item did: a child sees the
-    parent's memory as it was at the fork and its own writes stay its own.
-    Results come back pickled, so they must be picklable. While the items
-    run, OpenBLAS is pinned to one thread in every process, so that the
-    processes do not contend for the CPUs with their BLAS threads; the old
-    count is restored afterwards. The processes must hold no other threads
-    of their own when the children are forked.
 
-    An exception an item raises in a child is raised here unchanged; a child
-    that ends without sending its results raises ``ChildProcessError``. On
-    every path each child is reaped before this returns or raises.
-    """
-    shares = split_shares(costs, share_count(len(costs)))
-    if len(shares) < 2:
-        return [fn(i) for i in range(len(costs))]
-    results: list = [None] * len(costs)
-    old_threads = blas_threads()
-    pinned = old_threads is not None and set_blas_threads(1)
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(fn, share))
-        for i in shares[0]:
-            results[i] = fn(i)
-        for share in shares[1:]:
-            ok, value = _join_share(*children.pop(0))
-            if not ok:
-                raise value
-            for i, result in zip(share, value):
-                results[i] = result
-    finally:
-        for pid, read_fd in children:  # only left when this process failed
-            os.close(read_fd)
+def _pin_blas() -> None:
+    global _outstanding, _restore_threads
+    if _outstanding == 0:
+        old = blas_threads()
+        _restore_threads = old if old is not None and set_blas_threads(1) else None
+    _outstanding += 1
+
+
+def _unpin_blas() -> None:
+    global _outstanding
+    _outstanding -= 1
+    if _outstanding == 0 and _restore_threads is not None:
+        set_blas_threads(_restore_threads)
+
+
+class Handle:
+    """``fn()`` of one ``start`` call: computed by a forked child, or already
+    computed in this process."""
+
+    def __init__(self, pid: int | None = None, read_fd: int | None = None,
+                 outcome: tuple[bool, object] | None = None):
+        self._pid, self._read_fd = pid, read_fd  # None once reaped
+        self.forked = pid is not None
+        self.wait_s = 0.0  # spent blocked in result()
+        self._outcome = outcome  # (ok, value or exception)
+
+    def result(self):
+        """``fn()``, or the exception it raised, raised unchanged. The first
+        call reads the child's payload to EOF and reaps the child; a child
+        that ends without sending one raises ``ChildProcessError``."""
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            t0 = time.perf_counter()
+            try:
+                self._outcome = _join(pid, self._read_fd)
+            except ChildProcessError as err:
+                self._outcome = (False, err)
+            finally:
+                self.wait_s += time.perf_counter() - t0
+                _unpin_blas()
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
+
+    def cancel(self) -> None:
+        """Kill and reap the child, unless it was joined already."""
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            os.close(self._read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if pinned:
-            set_blas_threads(old_threads)
-    return results
+            _unpin_blas()
 
 
-def _fork_share(fn, share: list[int]) -> tuple[int, int]:
-    """Fork a child that computes ``fn`` over ``share`` and writes the pickled
-    (ok, results or exception) to a pipe; returns its pid and the read end."""
-    read_fd, write_fd = os.pipe()
+def start(fn) -> Handle:
+    """Fork one child that computes ``fn()``, and return its handle at once.
+
+    The child sees this process's memory as it was at the fork, and its own
+    writes stay its own; ``fn()`` must be picklable, as it comes back over a
+    pipe. The caller joins the child with ``Handle.result()``, or kills it
+    with ``Handle.cancel()``, and must do one of them on every path. The
+    process must hold no threads of its own when the child is forked.
+
+    With one CPU (``share_count(2) == 1``) nothing is forked: ``fn`` runs
+    here, before this returns, and what it raises is raised here.
+    """
+    if share_count(2) == 1:
+        return Handle(outcome=(True, fn()))
+    _pin_blas()
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except BaseException:
+        _unpin_blas()
         raise
     if pid == 0:
         # the child never returns into the caller, and leaves through _exit
@@ -181,22 +213,22 @@ def _fork_share(fn, share: list[int]) -> tuple[int, int]:
         try:
             os.close(read_fd)
             try:
-                payload = pickle.dumps((True, [fn(i) for i in share]))
+                payload = pickle.dumps((True, fn()))
             except BaseException as err:  # sent to the parent, which raises it
                 try:
                     payload = pickle.dumps((False, err))
                 except Exception:
                     payload = pickle.dumps((False, RuntimeError(
-                        f"{type(err).__name__} in a forked share: {err}")))
+                        f"{type(err).__name__} in a forked child: {err}")))
             with os.fdopen(write_fd, "wb") as fh:
                 fh.write(payload)
         finally:
             os._exit(0)
     os.close(write_fd)
-    return pid, read_fd
+    return Handle(pid, read_fd)
 
 
-def _join_share(pid: int, read_fd: int) -> tuple[bool, object]:
+def _join(pid: int, read_fd: int) -> tuple[bool, object]:
     """Read a child's payload to EOF, then reap it. Reading comes first: a
     payload larger than the pipe buffer blocks the child until it is read."""
     try:
@@ -205,9 +237,40 @@ def _join_share(pid: int, read_fd: int) -> tuple[bool, object]:
     finally:
         _, status = os.waitpid(pid, 0)
     if not payload:
-        raise ChildProcessError(f"a forked share (pid {pid}) ended with exit status "
+        raise ChildProcessError(f"a forked child (pid {pid}) ended with exit status "
                                 f"{os.waitstatus_to_exitcode(status)} and sent no results")
     return pickle.loads(payload)  # written by this program's own child
+
+
+def fork_map(fn, costs: list) -> list:
+    """``[fn(i) for i in range(len(costs))]``, with the items split between
+    this process and one child (``start``) per further CPU (``share_count``).
+
+    ``costs[i]`` is the relative cost of item i; ``split_shares`` turns them
+    into a fixed split, and this process computes share 0 itself, so that
+    it does not sit idle while the children pay their copy-on-write faults.
+    ``fn`` must not depend on what another item did, and its results must be
+    picklable (see ``start``). An exception an item raises in a child is
+    raised here unchanged. On every path each child is reaped before this
+    returns or raises.
+    """
+    shares = split_shares(costs, share_count(len(costs)))
+    if len(shares) < 2:
+        return [fn(i) for i in range(len(costs))]
+    results: list = [None] * len(costs)
+    handles: list[Handle] = []
+    try:
+        for share in shares[1:]:
+            handles.append(start(lambda share=share: [fn(i) for i in share]))
+        for i in shares[0]:
+            results[i] = fn(i)
+        for share, handle in zip(shares[1:], handles):
+            for i, result in zip(share, handle.result()):
+                results[i] = result
+    finally:
+        for handle in handles:  # only left unjoined when this process failed
+            handle.cancel()
+    return results
 
 
 def usage() -> tuple[resource.struct_rusage, resource.struct_rusage]:
@@ -217,14 +280,17 @@ def usage() -> tuple[resource.struct_rusage, resource.struct_rusage]:
 
 
 def env_block(start: tuple[resource.struct_rusage, resource.struct_rusage],
-              eval_processes: int | None = None) -> dict:
+              eval_processes: int | None = None, fit_processes: int | None = None,
+              fit_wait_s: float | None = None) -> dict:
     """The numeric build, the BLAS thread count, the allocator setting, and
     what the command cost since ``start`` (from ``usage``): the CPU seconds
     and minor page faults of the process, and the CPU seconds of the
     children it reaped, such as ``fork_map``'s shares. ``children_maxrss_mb``
     is the peak resident memory of the largest child the process ever
     reaped, which the kernel does not report per interval. ``eval_processes``
-    is the number of processes the eval table was split over, None where
+    is the number of processes the eval table was split over,
+    ``fit_processes`` the number the bounds fits ran in, and ``fit_wait_s``
+    the seconds the process spent blocked on the fits; each is None where
     the command made none."""
     end_self, end_children = usage()
     start_self, start_children = start
@@ -242,4 +308,6 @@ def env_block(start: tuple[resource.struct_rusage, resource.struct_rusage],
         "children_sys_s": end_children.ru_stime - start_children.ru_stime,
         "children_maxrss_mb": end_children.ru_maxrss / 1024.0,
         "eval_processes": eval_processes,
+        "fit_processes": fit_processes,
+        "fit_wait_s": fit_wait_s,
     }

@@ -26,7 +26,7 @@ from degm.cli import (
     serialize_config,
 )
 from degm.data import SYNTHETIC_KINDS, save_idx_images, save_idx_labels
-from degm.errors import ConfigError, FormatError
+from degm.errors import ConfigError, ContractError, FormatError
 from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
 from degm.nnkit import Rng
@@ -412,16 +412,55 @@ def test_main_eval_without_out_keeps_the_training_table(tmp_path, capsys):
 
 
 def test_main_eval_error_while_the_table_is_forked_exits_2(tmp_path, capsys, monkeypatch):
+    import degm.select_eval as select_eval
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
     assert main(["train", "--config", str(config_path)]) == 0
     run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    parent, selected_nll = os.getpid(), select_eval._selected_nll
+
+    def refused_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise ContractError("refused in the forked share")
+        return selected_nll(*args, **kwargs)
+
+    monkeypatch.setattr(select_eval, "_selected_nll", refused_in_the_child)
     assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
-                 "--config", str(config_path), "--kprime", "0"]) == 2
-    assert capsys.readouterr().err == "error: kprime must be >= 1, got 0\n"
+                 "--config", str(config_path), "--kprime", "2"]) == 2
+    assert capsys.readouterr().err == "error: refused in the forked share\n"
     with pytest.raises(ChildProcessError):  # every forked share was reaped
         os.waitpid(-1, os.WNOHANG)
+    assert not os.path.exists(os.path.join(run_dir, "eval_k2.csv"))
+
+
+@pytest.mark.parametrize("kprime", ["0", "-1", "True"])
+def test_main_eval_refuses_a_bad_kprime_before_any_work(tmp_path, capsys, monkeypatch, kprime):
+    import degm.cli as cli
+
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
+    assert main(["train", "--config", str(config_path)]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused --kprime loads nothing")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    argv = ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+            "--config", str(config_path), "--kprime", kprime]
+    if kprime == "True":  # argparse's int() refuses it before main sees it
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+    else:
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    if kprime != "True":
+        assert err == f"error: --kprime must be an integer >= 1, got {kprime}\n"
+    assert not [f for f in os.listdir(run_dir) if f.startswith("eval_k")]
 
 
 def test_main_gen_synthetic(tmp_path):
@@ -723,7 +762,7 @@ def test_main_rejects_every_malformed_config(mutation):
         assert os.listdir(tmp) == ["bad.json"]
 
 
-def test_cmd_train_summary_env_block(tmp_path):
+def test_cmd_train_summary_env_block(tmp_path, monkeypatch):
     from degm.nnkit import runtime
 
     cfg = parse_config(json.dumps(minimal_config("gr", out_dir=str(tmp_path / "runs"))))
@@ -734,11 +773,24 @@ def test_cmd_train_summary_env_block(tmp_path):
     assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
                         "malloc_thresholds_set", "user_s", "sys_s", "minor_faults",
                         "children_user_s", "children_sys_s", "children_maxrss_mb",
-                        "eval_processes"}
+                        "eval_processes", "fit_processes", "fit_wait_s"}
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert env["children_user_s"] >= 0.0 and env["children_sys_s"] >= 0.0
     assert env["children_maxrss_mb"] >= 0.0
     assert env["eval_processes"] is None  # a gr run makes no eval table
+    assert env["fit_processes"] is None and env["fit_wait_s"] is None  # nor bounds fits
+
+    raw = two_task_config("bounds", out_dir=str(tmp_path / "bounds"))
+    raw["train"]["likelihood"] = "gaussian"
+    raw["bounds"] = {"sample_size": 40, "aux_epochs": 1}
+    for mask, processes in (({0}, 1), ({0, 1}, 3)):  # this one, the refs' child, aux1's child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+        run_dir = cmd_train(parse_config(json.dumps(raw)))
+        env = json.load(open(os.path.join(run_dir, "summary.json")))["env"]
+        assert env["fit_processes"] == processes
+        assert env["fit_wait_s"] >= 0.0
+        if processes == 1:  # nothing to wait for when the fits run inline
+            assert env["fit_wait_s"] == 0.0
 
 
 def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):
