@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import TaskStream, TrainConfig, _minibatches, elbo_values, run_gr_single
+from .lifelong import (TaskStream, TrainConfig, _minibatches, elbo_values, mean_square_loss,
+                       run_gr_single)
 from .nnkit import (
     AdamState,
     Rng,
@@ -33,7 +34,7 @@ from .vae import HierVae, VaeComponent, copy_model
 
 def _sq_loss(a: np.ndarray, b: np.ndarray) -> float:
     """Mean over rows of the squared distance, normalised by the row width."""
-    return float(((a - b) ** 2).sum(axis=1).mean()) / a.shape[1]
+    return mean_square_loss(a, b) / a.shape[1]
 
 
 def risk(model, data: np.ndarray) -> float:
@@ -165,8 +166,6 @@ class BoundsArtifacts:
     gr_model: object = None
     gr_artifacts: object = None
     metrics_log: object = None
-    fit_processes: int = 1  # this process and the children that ran fits
-    fit_wait_s: float = 0.0  # spent here blocked on the children's fits
 
 
 def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
@@ -341,8 +340,6 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
         for handle in fits.values():  # only left unjoined when the run failed
             handle.cancel()
     out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
-    out.fit_processes = 1 + sum(handle.forked for handle in fits.values())
-    out.fit_wait_s = sum(handle.wait_s for handle in fits.values())
     return out
 
 

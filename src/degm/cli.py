@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import EVAL, ExperimentConfig, config_hash, parse_config, rule, serialize_config
+from .config import (EVAL, TASK, ExperimentConfig, config_hash, parse_config, rule,
+                     serialize_config)
 from .data import (
     attach_labels,
     downsample,
@@ -106,29 +107,26 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     created = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     try:
-        summary, fits = _run_into(run_dir, digest, cfg, stream, orders)
+        summary = _run_into(run_dir, digest, cfg, stream, orders)
     except BaseException:
         if created:
             shutil.rmtree(run_dir, ignore_errors=True)
         raise
-    eval_processes = runtime.share_count(len(stream)) if cfg.mode in ("degm", "ablation") else None
-    summary["env"] = runtime.env_block(start, eval_processes, **fits)
+    summary["env"] = runtime.env_block(start)
     with open(os.path.join(run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return run_dir
 
 
 def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStream,
-              orders: list[TaskStream] | None) -> tuple[dict, dict]:
+              orders: list[TaskStream] | None) -> dict:
     """Train the configured mode, write its tables and checkpoints into
-    ``run_dir``, and return the summary and, in mode bounds, the
-    ``fit_processes`` and ``fit_wait_s`` of its env block."""
+    ``run_dir``, and return the summary."""
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         fh.write(serialize_config(cfg))
     rng = Rng(cfg.train.seed)
     summary: dict = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
                      "tasks": [t.name for t in stream.tasks]}
-    fits: dict = {}
 
     def table(name: str, rows: list[dict]) -> None:
         write_table(os.path.join(run_dir, name), rows, digest)
@@ -166,7 +164,6 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
                 artifacts.snapshots, stream, model, rng.spawn("accum")))
             table("curves.csv", bounds_mod.forgetting_curves(None, log, stream.input_dim))
             summary["final_slack"] = out.rows[-1].slack
-            fits = {"fit_processes": out.fit_processes, "fit_wait_s": out.fit_wait_s}
         else:
             runner = run_gr_hier if cfg.mode == "gr-hier" else run_gr_single
             model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
@@ -185,7 +182,7 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
         report = order_experiment(orders, cfg.train, rng)
         table("order_report.csv", report)
         summary["orders"] = [r["order"] for r in report]
-    return summary, fits
+    return summary
 
 
 def _order_streams(cfg: ExperimentConfig, stream: TaskStream) -> list[TaskStream]:
@@ -268,10 +265,10 @@ def cmd_export_v(checkpoint_dir: str, out_path: str) -> None:
 
 
 def cmd_gen_synthetic(kind: str, n: int, dim: int, seed: int, out_prefix: str) -> None:
-    data = synthetic_task(kind, n, dim, Rng(seed).spawn(f"data:{kind}"))
     side = int(round(np.sqrt(dim)))
     if side * side != dim:
         raise ConfigError("gen-synthetic writes IDX images and needs a square dim")
+    data = synthetic_task(kind, n, dim, Rng(seed).spawn(f"data:{kind}"))
     save_idx_images(out_prefix + "-images.idx", data.data, side, side)
     save_idx_labels(out_prefix + "-labels.idx", np.zeros(n, dtype=np.int64))
 
@@ -342,9 +339,12 @@ def main(argv: list[str] | None = None) -> int:
             cmd_export_v(args.checkpoint, args.out)
             print(args.out)
         elif args.verb == "gen-synthetic":
+            # before any work, as a synthetic task's n_train and dim in the config
+            rule(TASK, "n_train")(args.n, "--n")
+            rule(TASK, "dim")(args.dim, "--dim")
             cmd_gen_synthetic(args.kind, args.n, args.dim, args.seed, args.out)
             print(args.out)
-    except (ConfigError, ContractError, FormatError, TrainingError) as err:
+    except (ConfigError, ContractError, FormatError, TrainingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

@@ -97,7 +97,7 @@ TRAIN = (
     ("epochs", count(), DEFAULT_TRAIN.epochs),
     ("batch", count(), DEFAULT_TRAIN.batch),
     ("lr", real(0.0, strict=True), DEFAULT_TRAIN.lr),
-    ("objective", choice("elbo", "iwelbo", "auto"), DEFAULT_TRAIN.objective),
+    ("objective", choice("elbo", "iwelbo"), DEFAULT_TRAIN.objective),
     ("kprime", count(), DEFAULT_TRAIN.kprime),
     ("tau", real(0.0), DEFAULT_TRAIN.tau),
     ("probe_size", count(), DEFAULT_TRAIN.probe_size),

@@ -70,7 +70,7 @@ class TrainConfig:
     epochs: int = 500
     batch: int = 64
     lr: float = 1e-4
-    objective: str = "elbo"  # elbo | iwelbo | auto (auto is an elbo alias)
+    objective: str = "elbo"  # elbo | iwelbo
     kprime: int = 1
     tau: float = 40.0
     probe_size: int = 1000

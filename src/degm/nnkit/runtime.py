@@ -148,8 +148,6 @@ class Handle:
     def __init__(self, pid: int | None = None, read_fd: int | None = None,
                  outcome: tuple[bool, object] | None = None):
         self._pid, self._read_fd = pid, read_fd  # None once reaped
-        self.forked = pid is not None
-        self.wait_s = 0.0  # spent blocked in result()
         self._outcome = outcome  # (ok, value or exception)
 
     def result(self):
@@ -158,13 +156,9 @@ class Handle:
         that ends without sending one raises ``ChildProcessError``."""
         if self._pid is not None:
             pid, self._pid = self._pid, None
-            t0 = time.perf_counter()
             try:
                 self._outcome = _join(pid, self._read_fd)
-            except ChildProcessError as err:
-                self._outcome = (False, err)
             finally:
-                self.wait_s += time.perf_counter() - t0
                 _unpin_blas()
         ok, value = self._outcome
         if not ok:
@@ -176,8 +170,9 @@ class Handle:
         if self._pid is not None:
             pid, self._pid = self._pid, None
             os.close(self._read_fd)
+            t0 = time.perf_counter()
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, t0)
             _unpin_blas()
 
 
@@ -228,17 +223,32 @@ def start(fn) -> Handle:
     return Handle(pid, read_fd)
 
 
+_reaped: list[tuple[float, float, float, float]] = []  # one entry per _reap
+
+
+def _reap(pid: int, t0: float) -> int:
+    """Reap the child ``pid``, append its own user and system CPU seconds,
+    its peak resident memory in MB and the seconds since ``t0``, when this
+    process began to wait for it, to ``_reaped``; return its wait status."""
+    _, status, child = os.wait4(pid, 0)
+    _reaped.append((child.ru_utime, child.ru_stime, child.ru_maxrss / 1024.0,
+                    time.perf_counter() - t0))
+    return status
+
+
 def _join(pid: int, read_fd: int) -> tuple[bool, object]:
-    """Read a child's payload to EOF, then reap it. Reading comes first: a
-    payload larger than the pipe buffer blocks the child until it is read."""
+    """Read a child's outcome to EOF, then reap it; a child that sent none
+    fails with ``ChildProcessError``. Reading comes first: a payload larger
+    than the pipe buffer blocks the child until it is read."""
+    t0 = time.perf_counter()
     try:
         with os.fdopen(read_fd, "rb") as fh:
             payload = fh.read()
     finally:
-        _, status = os.waitpid(pid, 0)
+        status = _reap(pid, t0)
     if not payload:
-        raise ChildProcessError(f"a forked child (pid {pid}) ended with exit status "
-                                f"{os.waitstatus_to_exitcode(status)} and sent no results")
+        return False, ChildProcessError(f"a forked child (pid {pid}) ended with exit status "
+                                        f"{os.waitstatus_to_exitcode(status)} and sent no results")
     return pickle.loads(payload)  # written by this program's own child
 
 
@@ -273,27 +283,23 @@ def fork_map(fn, costs: list) -> list:
     return results
 
 
-def usage() -> tuple[resource.struct_rusage, resource.struct_rusage]:
-    """What the process and its reaped children have used so far; the
-    ``start`` of ``env_block``."""
-    return resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
+def usage() -> tuple[resource.struct_rusage, int]:
+    """What the process has used so far, and how many children it has
+    reaped; the ``start`` of ``env_block``."""
+    return resource.getrusage(resource.RUSAGE_SELF), len(_reaped)
 
 
-def env_block(start: tuple[resource.struct_rusage, resource.struct_rusage],
-              eval_processes: int | None = None, fit_processes: int | None = None,
-              fit_wait_s: float | None = None) -> dict:
+def env_block(start: tuple[resource.struct_rusage, int]) -> dict:
     """The numeric build, the BLAS thread count, the allocator setting, and
     what the command cost since ``start`` (from ``usage``): the CPU seconds
-    and minor page faults of the process, and the CPU seconds of the
-    children it reaped, such as ``fork_map``'s shares. ``children_maxrss_mb``
-    is the peak resident memory of the largest child the process ever
-    reaped, which the kernel does not report per interval. ``eval_processes``
-    is the number of processes the eval table was split over,
-    ``fit_processes`` the number the bounds fits ran in, and ``fit_wait_s``
-    the seconds the process spent blocked on the fits; each is None where
-    the command made none."""
-    end_self, end_children = usage()
-    start_self, start_children = start
+    and minor page faults of the process, and of the children it reaped
+    since then (``start``'s and ``fork_map``'s), their number, their summed
+    CPU seconds, the peak resident memory of the largest (0.0 with none)
+    and the seconds the process spent blocked on them."""
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    since, reaped = start
+    children = np.array(_reaped[reaped:], dtype=np.float64).reshape(-1, 4)
+    user_s, sys_s, maxrss_mb, wait_s = children.T
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # numpy < 1.25 only prints its build info
@@ -301,13 +307,10 @@ def env_block(start: tuple[resource.struct_rusage, resource.struct_rusage],
     return {
         "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
         "blas_threads": blas_threads(), "malloc_thresholds_set": THRESHOLDS_SET,
-        "user_s": end_self.ru_utime - start_self.ru_utime,
-        "sys_s": end_self.ru_stime - start_self.ru_stime,
-        "minor_faults": end_self.ru_minflt - start_self.ru_minflt,
-        "children_user_s": end_children.ru_utime - start_children.ru_utime,
-        "children_sys_s": end_children.ru_stime - start_children.ru_stime,
-        "children_maxrss_mb": end_children.ru_maxrss / 1024.0,
-        "eval_processes": eval_processes,
-        "fit_processes": fit_processes,
-        "fit_wait_s": fit_wait_s,
+        "user_s": end.ru_utime - since.ru_utime,
+        "sys_s": end.ru_stime - since.ru_stime,
+        "minor_faults": end.ru_minflt - since.ru_minflt,
+        "children": len(children), "children_wait_s": float(wait_s.sum()),
+        "children_user_s": float(user_s.sum()), "children_sys_s": float(sys_s.sum()),
+        "children_maxrss_mb": float(maxrss_mb.max(initial=0.0)),
     }

@@ -33,9 +33,9 @@ class SelectionResult:
     posterior: np.ndarray  # [B, nodes] softmax over nodes
 
 
-def _eval_eps_bank(graph: GraphModel, seed: int, draws: int, key: str) -> list[np.ndarray]:
+def _eval_eps_bank(latent_dim: int, seed: int, draws: int, key: str) -> list[np.ndarray]:
     rng = Rng(seed)
-    return [rng.spawn(f"{key}:{i}").normal((1, graph.latent_dim)) for i in range(draws)]
+    return [rng.spawn(f"{key}:{i}").normal((1, latent_dim)) for i in range(draws)]
 
 
 def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
@@ -46,7 +46,7 @@ def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected [batch, dim], got {x.shape}")
-    eps_bank = _eval_eps_bank(graph, seed, k_eval, "select")
+    eps_bank = _eval_eps_bank(graph.latent_dim, seed, k_eval, "select")
     scores = np.zeros((x.shape[0], graph.node_count))
     with no_grad():
         for j, entry in enumerate(graph.entries):
@@ -73,7 +73,7 @@ def _selected_nll(graph: GraphModel, data: np.ndarray, chosen: np.ndarray, kprim
     """Mean negative K'-draw bound, each sample scored by its chosen node."""
     if kprime < 1:
         raise ContractError(f"kprime must be >= 1, got {kprime}")
-    eps_bank = _eval_eps_bank(graph, seed, kprime, "nll")
+    eps_bank = _eval_eps_bank(graph.latent_dim, seed, kprime, "nll")
     total = 0.0
     with no_grad():
         for j, entry in enumerate(graph.entries):
@@ -88,8 +88,7 @@ def _selected_nll(graph: GraphModel, data: np.ndarray, chosen: np.ndarray, kprim
 def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> float:
     """Same estimator for a single-model baseline (no selection step)."""
     data = np.asarray(data, dtype=np.float64)
-    rng = Rng(seed)
-    eps_bank = [rng.spawn(f"nll:{i}").normal((1, model.latent_dim)) for i in range(kprime)]
+    eps_bank = _eval_eps_bank(model.latent_dim, seed, kprime, "nll")
     with no_grad():
         values = model.iwelbo(data, kprime, eps_list=eps_bank).data
     return float(-values.mean())

@@ -472,6 +472,49 @@ def test_main_gen_synthetic(tmp_path):
     assert d.data.shape == (12, 16)
 
 
+@pytest.mark.parametrize("verb", ["export-v", "eval", "gen-synthetic", "train"])
+def test_main_unwritable_output_path_exits_2(tmp_path, capsys, verb):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(minimal_config("degm", out_dir=str(tmp_path / "runs"))))
+    missing = str(tmp_path / "no-such-dir" / "out")
+    if verb == "train":  # --out names an existing file, not a directory
+        blocker = tmp_path / "a-file"
+        blocker.write_text("kept")
+        argv = ["train", "--config", str(config_path), "--out", str(blocker)]
+    elif verb == "gen-synthetic":
+        argv = ["gen-synthetic", "--kind", "bars", "--n", "12", "--dim", "16", "--out", missing]
+    else:
+        assert main(["train", "--config", str(config_path)]) == 0
+        checkpoint = os.path.join(capsys.readouterr().out.strip().splitlines()[-1], "checkpoint")
+        argv = [verb, "--checkpoint", checkpoint, "--out", missing]
+        if verb == "eval":
+            argv += ["--config", str(config_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "no-such-dir")
+    if verb == "train":
+        assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--dim"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_main_gen_synthetic_refuses_a_bad_count_before_any_work(tmp_path, capsys,
+                                                                monkeypatch, flag, value):
+    import degm.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused count generates nothing")
+
+    monkeypatch.setattr(cli, "synthetic_task", never)
+    args = {"--n": "12", "--dim": "16", flag: value}
+    prefix = str(tmp_path / "toy")
+    assert main(["gen-synthetic", "--kind", "bars", *[x for kv in args.items() for x in kv],
+                 "--out", prefix]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be an integer >= 1, got {value}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"mode": "warp", "tasks": []}))
@@ -652,7 +695,7 @@ _BAD_VALUES = {
     ("train", "specific_epochs"): _bad_count(nullable=True),
     ("train", "lr"): _bad_real(None),
     ("train", "tau"): _bad_real(0.0),
-    ("train", "objective"): _bad_choice(("elbo", "iwelbo", "auto")),
+    ("train", "objective"): _bad_choice(("elbo", "iwelbo")),
     ("train", "likelihood"): _bad_choice(("bernoulli", "gaussian")),
     ("train", "hier_latent_dims"): st.one_of(
         _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
@@ -772,33 +815,44 @@ def test_cmd_train_summary_env_block(tmp_path, monkeypatch):
     assert env["user_s"] > 0.0 and env["sys_s"] >= 0.0 and env["minor_faults"] >= 0
     assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
                         "malloc_thresholds_set", "user_s", "sys_s", "minor_faults",
-                        "children_user_s", "children_sys_s", "children_maxrss_mb",
-                        "eval_processes", "fit_processes", "fit_wait_s"}
+                        "children", "children_user_s", "children_sys_s", "children_maxrss_mb",
+                        "children_wait_s"}
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
-    assert env["children_user_s"] >= 0.0 and env["children_sys_s"] >= 0.0
-    assert env["children_maxrss_mb"] >= 0.0
-    assert env["eval_processes"] is None  # a gr run makes no eval table
-    assert env["fit_processes"] is None and env["fit_wait_s"] is None  # nor bounds fits
+    assert env["children"] == 0  # a gr run forks nothing
+    assert env["children_user_s"] == env["children_sys_s"] == env["children_wait_s"] == 0.0
 
     raw = two_task_config("bounds", out_dir=str(tmp_path / "bounds"))
+    raw["tasks"].append({"name": "bars-2", "source": "synthetic", "kind": "bars",
+                         "n_train": 60, "n_test": 30, "dim": DIM})
     raw["train"]["likelihood"] = "gaussian"
     raw["bounds"] = {"sample_size": 40, "aux_epochs": 1}
-    for mask, processes in (({0}, 1), ({0, 1}, 3)):  # this one, the refs' child, aux1's child
+    for mask, children in (({0}, 0), ({0, 1}, 3)):  # the refs' child, one per aux fit
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
         run_dir = cmd_train(parse_config(json.dumps(raw)))
         env = json.load(open(os.path.join(run_dir, "summary.json")))["env"]
-        assert env["fit_processes"] == processes
-        assert env["fit_wait_s"] >= 0.0
-        if processes == 1:  # nothing to wait for when the fits run inline
-            assert env["fit_wait_s"] == 0.0
+        assert env["children"] == children
+        assert env["children_wait_s"] >= 0.0 and env["children_user_s"] >= 0.0
+        if children:
+            assert env["children_maxrss_mb"] > 0.0
+        else:  # nothing to wait for when the fits run inline
+            assert env["children_wait_s"] == env["children_maxrss_mb"] == 0.0
 
 
 def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = parse_config(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
     env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
-    assert env["eval_processes"] == 2
-    assert env["children_maxrss_mb"] > 0.0  # the child that scored one task was reaped
+    assert env["children"] == 1  # the child that scored one of the two tasks
+    assert env["children_maxrss_mb"] > 0.0 and env["children_wait_s"] >= 0.0
+
+
+def test_cmd_train_env_leaves_out_children_reaped_before_it(tmp_path):
+    # a subprocess of this process with a peak resident memory of over 100 MB
+    subprocess.run([sys.executable, "-c", "b'x' * (100 << 20)"], check=True)
+    cfg = parse_config(json.dumps(minimal_config("gr", out_dir=str(tmp_path / "runs"))))
+    env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
+    assert env["children"] == 0 and env["children_maxrss_mb"] == 0.0
+    assert env["children_user_s"] == env["children_sys_s"] == 0.0
 
 
 def test_blas_threads_reads_the_loaded_library():

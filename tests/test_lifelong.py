@@ -55,11 +55,10 @@ def test_stream_rejects_repeated_task_names():
 
 def test_config_validation():
     # TrainConfig holds the values; the config's train section checks them
-    for bad in ({"epochs": 0}, {"tau": -1.0}, {"objective": "banana"}):
+    for bad in ({"epochs": 0}, {"tau": -1.0}, {"objective": "banana"}, {"objective": "auto"}):
         raw = {"mode": "gr", "tasks": [{"kind": "bars", "dim": DIM}], "train": bad}
         with pytest.raises(ConfigError, match=f"train.{next(iter(bad))}"):
             parse_config(json.dumps(raw))
-    assert TrainConfig(objective="auto").uses_iw is False
 
 
 # --- expansion behaviour ---------------------------------------------------------

@@ -202,20 +202,29 @@ def test_buffered_output_is_written_once(monkeypatch, capfd):
 
 # --- start: one child per call --------------------------------------------------------
 
+def reaped_since(mark) -> int:
+    return runtime.env_block(mark)["children"]
+
+
 def test_start_on_one_cpu_runs_inline(monkeypatch):
     cpus(monkeypatch, {0})
-    handle = start(os.getpid)
-    assert not handle.forked and handle.result() == os.getpid() and handle.wait_s == 0.0
+    mark = runtime.usage()
+    assert start(os.getpid).result() == os.getpid() and reaped_since(mark) == 0
 
 
 def test_start_forks_a_child_and_joins_it_once(monkeypatch):
     cpus(monkeypatch, {0, 1})
+    mark = runtime.usage()
     handle = start(os.getpid)
-    assert handle.forked
+    assert reaped_since(mark) == 0  # outstanding until joined
     pid = handle.result()
+    assert reaped_since(mark) == 1
     assert pid != os.getpid() and handle.result() == pid  # the second call reads no pipe
     handle.cancel()  # already joined: nothing left to kill
     assert_no_child_left()
+    env = runtime.env_block(mark)
+    assert env["children"] == 1 and env["children_maxrss_mb"] > 0.0
+    assert env["children_wait_s"] >= 0.0 and env["children_user_s"] >= 0.0
 
 
 def test_start_raises_the_childs_exception_unchanged(monkeypatch):
@@ -233,6 +242,7 @@ def test_start_raises_the_childs_exception_unchanged(monkeypatch):
 
 def test_cancelling_after_the_parent_raises_reaps_every_child(monkeypatch):
     cpus(monkeypatch, {0, 1})
+    mark = runtime.usage()
     handles = []
     with pytest.raises(ContractError, match="the parent failed"):
         try:
@@ -244,6 +254,7 @@ def test_cancelling_after_the_parent_raises_reaps_every_child(monkeypatch):
                 handle.cancel()
     assert len(handles) == 3
     assert_no_child_left()
+    assert reaped_since(mark) == 3  # the cancelled children are recorded too
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the divergence itself
@@ -273,12 +284,14 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
                       likelihood="gaussian")
 
     def run():
+        mark = runtime.usage()
         out = bounds_run(stream, cfg, Rng(74), sample_size=25, aux_epochs=1)
+        env = runtime.env_block(mark)
         refs = fit_references(stream, cfg, Rng(74), aux_epochs=1)
         rows = diagnose_snapshots(stream, cfg, out.gr_artifacts.snapshots, refs, Rng(74),
                                   sample_size=25, aux_epochs=1)
         params = [p.data for m in out.reference_models + refs for p in m.params()]
-        return out, [repr(astuple(r)) for r in out.rows + rows], params
+        return env, [repr(astuple(r)) for r in out.rows + rows], params
 
     cpus(monkeypatch, {0})
     inline, inline_rows, inline_params = run()
@@ -286,6 +299,6 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
     forked, forked_rows, forked_params = run()
     assert forked_rows == inline_rows and len(forked_rows) == 2 * 3 + 3
     assert all(np.array_equal(a, b) for a, b in zip(forked_params, inline_params))
-    assert (inline.fit_processes, inline.fit_wait_s) == (1, 0.0)
-    assert forked.fit_processes == 1 + 1 + 2  # this one, the refs' child, one per aux fit
+    assert (inline["children"], inline["children_wait_s"]) == (0, 0.0)
+    assert forked["children"] == 1 + 2  # the refs' child, one per aux fit
     assert_no_child_left()
