@@ -142,12 +142,6 @@ class GraphModel:
         self.entries.append(node)
         return len(self.entries) - 1
 
-    def owner_entry(self, task_id: int) -> BasicNode | SpecificNode:
-        for e in self.entries:
-            if e.task_id == task_id:
-                return e
-        raise ContractError(f"no node owns task id {task_id}")
-
     def v_matrix(self) -> np.ndarray:
         """Task-by-basic weight matrix in node creation order; basic rows are zero."""
         k = len(self.basics)
@@ -188,14 +182,6 @@ class GraphModel:
             z = zj * pi if z is None else z + zj * pi
         return z
 
-    def specific_encode(self, s: SpecificNode, x, rng: Rng | None = None,
-                        eps: np.ndarray | None = None):
-        """Blend the per-basic posteriors: z = sum_j pi_j z_j. Gradients reach
-        only the node's new lower encoder; basic sub-modules stay frozen."""
-        _, stats = self._basic_stats(s, x)
-        z = self._mix_latent(s, stats, rng=rng, eps=eps)
-        return z, stats
-
     def specific_decode(self, s: SpecificNode, z) -> Tensor:
         """Blend the frozen lower decoders, then the node's new output layer."""
         z = z if isinstance(z, Tensor) else Tensor(z)
@@ -219,9 +205,12 @@ class GraphModel:
         return kl
 
     def melbo(self, s: SpecificNode, x, rng: Rng | None = None,
-              eps: np.ndarray | None = None) -> Tensor:
-        """Reconstruction through the blended pass minus the weighted KL sum."""
-        _, stats = self._basic_stats(s, x)
+              eps: np.ndarray | None = None, stats=None) -> Tensor:
+        """Reconstruction through the blended pass minus the weighted KL sum.
+        ``stats``, when given, are the per-basic posteriors of ``x``, computed
+        once by the caller."""
+        if stats is None:
+            _, stats = self._basic_stats(s, x)
         z = self._mix_latent(s, stats, rng=rng, eps=eps)
         recon = self._log_likelihood(x, self.specific_decode(s, z))
         return recon - self._mixture_kl(s, stats)
@@ -239,14 +228,6 @@ class GraphModel:
             recons.append(self._log_likelihood(x, self.specific_decode(s, z)))
         return logmeanexp(recons) - self._mixture_kl(s, stats)
 
-    def composite_component(self, s: SpecificNode, basic_index: int) -> VaeComponent:
-        """The plain component a one-hot specific node degenerates to."""
-        b = self.basics[basic_index].vae
-        return VaeComponent.from_layers(s.enc_lower_new, b.enc_mu, b.enc_logvar,
-                                        b.dec_lower, s.dec_upper_new,
-                                        self.likelihood, self.sigma,
-                                        name=f"{s.name}+b{basic_index}")
-
     # -- per-node evaluation ------------------------------------------------------
 
     def node_values(self, entry: BasicNode | SpecificNode, x, kprime: int = 1,
@@ -262,10 +243,23 @@ class GraphModel:
             return entry.vae.reconstruct(x)
         with no_grad():
             _, stats = self._basic_stats(entry, x)
-            z = None
-            for pi, (mu, _) in zip(entry.weights, stats):
-                z = mu * pi if z is None else z + mu * pi
-            return self.specific_decode(entry, z).data
+            return self._decode_means(entry, stats)
+
+    def _decode_means(self, s: SpecificNode, stats) -> np.ndarray:
+        z = None
+        for pi, (mu, _) in zip(s.weights, stats):
+            z = mu * pi if z is None else z + mu * pi
+        return self.specific_decode(s, z).data
+
+    def evaluate_node(self, entry: BasicNode | SpecificNode, x,
+                      eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``node_values`` at K'=1 on the draw ``eps`` and ``reconstruct_node``,
+        bit for bit, from one encoder pass."""
+        if entry.kind == "basic":
+            return entry.vae.evaluate(x, eps)
+        with no_grad():
+            _, stats = self._basic_stats(entry, x)
+            return self.melbo(entry, x, eps=eps, stats=stats).data, self._decode_means(entry, stats)
 
     def all_params(self) -> list[Tensor]:
         return [t for node in self.basics + self.specifics for t in node.params()]

@@ -11,6 +11,11 @@ never change, so its logged row is computed once, at the last epoch of its
 task, and repeated unchanged in every later epoch; only the node in training
 is evaluated. The replay model changes every epoch, so its rows for all
 tasks so far are recomputed each epoch.
+
+No expansion decision reads a specific node, and a basic node reads no
+other node, so the graph run trains its nodes out of stream order and on
+every CPU: each node returns its per-epoch rows, and the metrics log is
+assembled from them at the end, in stream order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
-from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, backprop, no_grad
+from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, backprop, no_grad, runtime
 from .vae import BasicNode, HierVae, VaeComponent, copy_model
 
 
@@ -183,38 +188,103 @@ def run_ablation(stream: TaskStream, cfg: TrainConfig, name: str,
 def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm",
              edge_policy: EdgePolicy | None = None) -> tuple[GraphModel, MetricsLog]:
     """One new node per task; probe the next task, score the basic nodes, and
-    expand with either a fresh basic node or a weighted specific node."""
+    expand with either a fresh basic node or a weighted specific node.
+
+    This process walks the decision chain: basic nodes, knowledge scores and
+    decisions. While it trains a basic node, a child started by
+    ``runtime.start`` trains the next task as a basic node too, which is
+    installed if the decision is basic and cancelled if not. Specific nodes
+    are queued, and ``runtime.fork_map`` trains them after the chain. Every
+    process runs OpenBLAS on one thread meanwhile, so the graph and the log
+    are the same for any number of CPUs; with one, nothing is forked and no
+    candidate node is trained.
+    """
     graph = GraphModel(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                        cfg.likelihood, cfg.sigma, cfg.tau)
-    log = MetricsLog()
     policy = edge_policy or adaptive_edge_policy
     eval_eps = [_eval_eps(rng, t, cfg.latent_dim) for t in stream.tasks]
+    expansion: list[dict] = []
+    live: list[list[tuple[float, float]]] = [[] for _ in stream.tasks]  # per node and epoch
+    queued: list[int] = []  # specific nodes; node i learns task i
+    candidate = None  # the next task trained as a basic node in a child
+
+    def train(i: int):
+        return _train_node(graph, graph.entries[i], stream.tasks[i], cfg, rng, eval_eps[i])
 
     pending: tuple[str, np.ndarray | None] = ("basic", None)
-    frozen_rows: list[tuple[float, float]] = []  # end-of-task row of each frozen node
-    for i, task in enumerate(stream.tasks):
-        init_rng = rng.spawn(f"init:{task.name}")
-        if pending[0] == "basic":
-            node_idx = graph.add_basic_node(task_id=i, rng=init_rng)
-        else:
-            node_idx = graph.add_specific_node(pending[1], task_id=i, rng=init_rng)
-        entry = graph.entries[node_idx]
+    # one BLAS thread in every process: a node's bits then do not depend on
+    # where it trained or on how many children were outstanding meanwhile
+    with runtime.one_blas_thread():
+        try:
+            for i, task in enumerate(stream.tasks):
+                init_rng = rng.spawn(f"init:{task.name}")
+                if pending[0] == "specific":
+                    graph.add_specific_node(pending[1], task_id=i, rng=init_rng)
+                    queued.append(i)
+                else:
+                    graph.add_basic_node(task_id=i, rng=init_rng)
+                    if candidate is not None:
+                        trained, candidate = candidate.result(), None
+                    else:
+                        if i + 1 < len(stream) and runtime.share_count(2) > 1:
+                            candidate = runtime.start(lambda k=i + 1: _basic_candidate(
+                                graph, stream.tasks[k], k, cfg, rng, eval_eps[k]))
+                        trained = train(i)
+                    live[i] = _install(graph.entries[i], trained)
 
-        epochs = cfg.epochs
-        if entry.kind == "specific" and cfg.specific_epochs is not None:
-            epochs = cfg.specific_epochs
-        frozen_rows.append(_train_node(graph, entry, task, cfg, epochs, rng, log, run_id,
-                                       eval_eps[i], frozen_rows))
+                if i + 1 < len(stream):
+                    nxt = stream.tasks[i + 1]
+                    probe = _draw_probe(nxt, cfg.probe_size, rng.spawn(f"probe:{nxt.name}"))
+                    scores = graph.knowledge_scores(probe, rng.spawn(f"ks:{nxt.name}"))
+                    kind, _ = expansion_decide(scores, cfg.tau)
+                    pending = (kind, policy(scores, graph) if kind == "specific" else None)
+                    expansion.append(_expansion_row(graph, stream, nxt, probe, scores, cfg.tau,
+                                                    *pending))
+                    if kind == "specific" and candidate is not None:
+                        candidate.cancel()
+                        candidate = None
+        finally:
+            if candidate is not None:  # only left outstanding when the run failed
+                candidate.cancel()
+        costs = [_node_epochs(graph.entries[i], cfg) * stream.tasks[i].train.n for i in queued]
+        pooled = runtime.fork_map(lambda q: train(queued[q]), costs)
+    for i, trained in zip(queued, pooled):
+        live[i] = _install(graph.entries[i], trained)
+    return graph, _metrics_log(live, expansion, run_id)
 
-        if i + 1 < len(stream):
-            nxt = stream.tasks[i + 1]
-            probe = _draw_probe(nxt, cfg.probe_size, rng.spawn(f"probe:{nxt.name}"))
-            scores = graph.knowledge_scores(probe, rng.spawn(f"ks:{nxt.name}"))
-            kind, _ = expansion_decide(scores, cfg.tau)
-            pending = (kind, policy(scores, graph) if kind == "specific" else None)
-            log.expansion.append(_expansion_row(graph, stream, nxt, probe, scores, cfg.tau,
-                                                *pending))
-    return graph, log
+
+def _basic_candidate(graph: GraphModel, task: Task, task_id: int, cfg: TrainConfig, rng: Rng,
+                     eps: np.ndarray) -> tuple:
+    """``task`` trained as the next basic node of ``graph``, with the keys,
+    name and noise it gets in the command's process. Runs in a forked child,
+    whose copy of the graph it changes."""
+    graph.add_basic_node(task_id=task_id, rng=rng.spawn(f"init:{task.name}"))
+    return _train_node(graph, graph.entries[-1], task, cfg, rng, eps)
+
+
+def _install(entry: BasicNode | SpecificNode, trained: tuple) -> list[tuple[float, float]]:
+    """Copy what ``_train_node`` returned into the node's tensors, in place;
+    return the node's rows."""
+    rows, arrays, reference_elbo = trained
+    for tensor, array in zip(entry.params(), arrays):
+        tensor.data[...] = array
+    if entry.kind == "basic":
+        entry.reference_elbo = reference_elbo
+    return rows
+
+
+def _metrics_log(live: list[list[tuple[float, float]]], expansion: list[dict],
+                 run_id: str) -> MetricsLog:
+    """Each epoch of task i logs one row per task so far: the end-of-task
+    rows of the frozen nodes before it, then its own node's row."""
+    log = MetricsLog(expansion=expansion)
+    finals = [rows[-1] for rows in live]
+    for i, rows in enumerate(live):
+        for epoch, row in enumerate(rows):
+            for t, (objective_value, square_loss) in enumerate([*finals[:i], row]):
+                log.add(run_id=run_id, task_index=i + 1, epoch=epoch + 1, eval_task=t + 1,
+                        objective_value=objective_value, square_loss=square_loss)
+    return log
 
 
 def _expansion_row(graph: GraphModel, stream: TaskStream, task: Task, probe: np.ndarray,
@@ -246,14 +316,25 @@ def _node_objective(graph: GraphModel, node: BasicNode | SpecificNode, x: np.nda
     return graph.melbo_iw(node, x, kprime, rng=rng) if kprime > 1 else graph.melbo(node, x, rng=rng)
 
 
-def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, eps, frozen_rows):
-    """Train one node on its task; return its final-epoch row."""
+def _node_epochs(entry: BasicNode | SpecificNode, cfg: TrainConfig) -> int:
+    if entry.kind == "specific" and cfg.specific_epochs is not None:
+        return cfg.specific_epochs
+    return cfg.epochs
+
+
+def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
+                cfg: TrainConfig, rng: Rng, eps: np.ndarray) -> tuple:
+    """Train one node on its task. Returns what ``_install`` puts back: its
+    (objective, square loss) row on the test set after each epoch, its
+    parameter arrays, and its reference ELBO (None for a specific node)."""
     state = AdamState(lr=cfg.lr)
     params = entry.params()
     train_rng = rng.spawn(f"train:{task.name}")
     ref_rng = rng.spawn(f"ref:{task.name}")
-    data = task.train.data
+    data, test = task.train.data, task.test.data
+    epochs = _node_epochs(entry, cfg)
     ref_sum, ref_count = 0.0, 0
+    rows = []
     for epoch in range(epochs):
         final = epoch == epochs - 1
         for idx in _minibatches(data.shape[0], cfg.batch, train_rng):
@@ -265,24 +346,10 @@ def _train_node(graph, entry, task, cfg, epochs, rng, log, run_id, eps, frozen_r
                     batch_elbo = entry.vae.elbo(x, rng=ref_rng).data
                 ref_sum += float(batch_elbo.sum())
                 ref_count += batch_elbo.size
-        live = _log_epoch(graph, entry, task.test.data, epoch, log, run_id, eps, frozen_rows)
-    if entry.kind == "basic":
-        entry.reference_elbo = ref_sum / ref_count
-    return live
-
-
-def _log_epoch(graph, entry, test, epoch, log, run_id, eps, frozen_rows):
-    """Log one row per task so far: the frozen nodes' cached end-of-task rows,
-    then a fresh evaluation of the node in training, which is returned."""
-    task_index = len(frozen_rows) + 1
-    with no_grad():
-        values = graph.node_values(entry, test, kprime=1, eps_list=[eps]).data
-    recon = graph.reconstruct_node(entry, test)
-    live = (float(values.mean()), mean_square_loss(test, recon))
-    for t, (objective_value, square_loss) in enumerate([*frozen_rows, live]):
-        log.add(run_id=run_id, task_index=task_index, epoch=epoch + 1, eval_task=t + 1,
-                objective_value=objective_value, square_loss=square_loss)
-    return live
+        values, recon = graph.evaluate_node(entry, test, eps)
+        rows.append((float(values.mean()), mean_square_loss(test, recon)))
+    reference_elbo = ref_sum / ref_count if entry.kind == "basic" else None
+    return rows, [p.data for p in params], reference_elbo
 
 
 # -- generative replay ----------------------------------------------------------------
@@ -353,8 +420,10 @@ def elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
 def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps, cfg):
     for t in range(task_i + 1):
         test = stream.tasks[t].test.data
-        values = elbo_values(model, test, eval_eps[t])
-        recon = model.reconstruct(test)
+        if isinstance(model, HierVae):
+            values, recon = elbo_values(model, test, eval_eps[t]), model.reconstruct(test)
+        else:
+            values, recon = model.evaluate(test, eval_eps[t])
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=float(values.mean()), square_loss=mean_square_loss(test, recon))
 

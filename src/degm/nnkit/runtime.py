@@ -14,7 +14,9 @@ nothing is changed.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import os
 import pickle
 import resource
@@ -45,10 +47,12 @@ def set_malloc_thresholds() -> bool:
 THRESHOLDS_SET = set_malloc_thresholds()
 
 
+@functools.cache
 def _openblas_function(verb: str):
     """The ``openblas_<verb>_num_threads`` entry point of the OpenBLAS mapped
     into the process, under any of the names numpy's wheels export it by;
-    None where no such library or symbol is found."""
+    None where no such library or symbol is found. Looked up once per verb:
+    numpy, imported above, has mapped its OpenBLAS before the first call."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -63,6 +67,8 @@ def _openblas_function(verb: str):
                        f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
+                fn.argtypes = (ctypes.c_int,) if verb == "set" else ()
+                fn.restype = None if verb == "set" else ctypes.c_int
                 return fn
     return None
 
@@ -71,11 +77,7 @@ def blas_threads() -> int | None:
     """The thread count of the loaded OpenBLAS, from its own getter; None
     where no OpenBLAS with a getter is mapped into the process."""
     getter = _openblas_function("get")
-    if getter is None:
-        return None
-    getter.argtypes = ()
-    getter.restype = ctypes.c_int
-    return int(getter())
+    return None if getter is None else int(getter())
 
 
 def set_blas_threads(n: int) -> bool:
@@ -84,8 +86,6 @@ def set_blas_threads(n: int) -> bool:
     setter = _openblas_function("set")
     if setter is None:
         return False
-    setter.argtypes = (ctypes.c_int,)
-    setter.restype = None
     setter(int(n))
     return True
 
@@ -121,7 +121,8 @@ def split_shares(costs: list, shares: int) -> list[list[int]]:
 
 # OpenBLAS runs one thread in every process while a forked child is
 # outstanding, so that the processes do not contend for the CPUs with their
-# BLAS threads. The count before the first child comes back with the last join.
+# BLAS threads, and inside a ``one_blas_thread`` block. The count before the
+# first pin comes back with the last join or block end.
 _outstanding = 0
 _restore_threads: int | None = None
 
@@ -139,6 +140,19 @@ def _unpin_blas() -> None:
     _outstanding -= 1
     if _outstanding == 0 and _restore_threads is not None:
         set_blas_threads(_restore_threads)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with one OpenBLAS thread, in this process and in every
+    child forked meanwhile. OpenBLAS can round a product differently at
+    another thread count, so work whose bits must not depend on how many
+    children are outstanding, or on the CPU count, runs in such a block."""
+    _pin_blas()
+    try:
+        yield
+    finally:
+        _unpin_blas()
 
 
 class Handle:

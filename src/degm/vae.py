@@ -94,9 +94,11 @@ class VaeComponent:
             return bernoulli_log_likelihood(x, decoded)
         return gaussian_log_likelihood(x, decoded, self.sigma)
 
-    def elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None) -> Tensor:
-        """Single-draw estimate: reconstruction term minus closed-form KL."""
-        mu, logvar = self.encode(x)
+    def elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None,
+             encoded: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """Single-draw estimate: reconstruction term minus closed-form KL.
+        ``encoded``, when given, is ``encode(x)``, computed once by the caller."""
+        mu, logvar = self.encode(x) if encoded is None else encoded
         z = reparameterize(mu, logvar, rng=rng, eps=eps)
         recon = self.log_likelihood(x, self.decode(z))
         return recon - kl_diag_gaussian_to_standard(mu, logvar)
@@ -136,6 +138,13 @@ class VaeComponent:
             mu, _ = self.encode(x)
             return self.decode(mu).data
 
+    def evaluate(self, x, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``elbo`` on the draw ``eps`` and ``reconstruct``, bit for bit, from
+        one encoder pass."""
+        with no_grad():
+            encoded = self.encode(x)
+            return self.elbo(x, eps=eps, encoded=encoded).data, self.decode(encoded[0]).data
+
 
 @dataclass
 class BasicNode:
@@ -148,11 +157,6 @@ class BasicNode:
 
     def params(self) -> list[Tensor]:
         return self.vae.params()
-
-
-def parameter_bytes(obj) -> bytes:
-    """Concatenated raw parameter buffers; equality means bit-identical weights."""
-    return b"".join(t.data.tobytes() for t in obj.params())
 
 
 class HierVae:

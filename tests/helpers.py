@@ -1,10 +1,13 @@
-"""Shared test utilities: the central-finite-difference gradient oracle."""
+"""Shared test utilities: the central-finite-difference gradient oracle, and
+views of models and graphs that only tests need."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from degm.errors import ContractError
 from degm.nnkit import Tensor, backprop
+from degm.vae import VaeComponent
 
 
 def finite_difference_grads(build_loss, params: list[Tensor], h: float = 1e-5) -> dict[str, np.ndarray]:
@@ -64,3 +67,33 @@ def max_rel_err(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray])
         denom = np.maximum(denom, 1e-8)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def parameter_bytes(obj) -> bytes:
+    """Concatenated raw parameter buffers; equality means bit-identical weights."""
+    return b"".join(t.data.tobytes() for t in obj.params())
+
+
+def owner_entry(graph, task_id: int):
+    """The node of ``graph`` that learned task ``task_id``."""
+    for e in graph.entries:
+        if e.task_id == task_id:
+            return e
+    raise ContractError(f"no node owns task id {task_id}")
+
+
+def specific_encode(graph, s, x, rng=None, eps=None):
+    """Blend the per-basic posteriors of specific node ``s``: z = sum_j pi_j z_j.
+    Gradients reach only the node's new lower encoder; basic sub-modules stay
+    frozen. Returns z and the per-basic (mu, logvar)."""
+    _, stats = graph._basic_stats(s, x)
+    return graph._mix_latent(s, stats, rng=rng, eps=eps), stats
+
+
+def composite_component(graph, s, basic_index: int) -> VaeComponent:
+    """The plain component a one-hot specific node ``s`` degenerates to."""
+    b = graph.basics[basic_index].vae
+    return VaeComponent.from_layers(s.enc_lower_new, b.enc_mu, b.enc_logvar,
+                                    b.dec_lower, s.dec_upper_new,
+                                    graph.likelihood, graph.sigma,
+                                    name=f"{s.name}+b{basic_index}")

@@ -34,6 +34,8 @@ from degm.persist import load_checkpoint, save_graph, save_single
 from degm.select_eval import eval_nll, task_metric_table
 from degm.vae import VaeComponent
 
+from helpers import owner_entry
+
 DIM = 16
 
 
@@ -307,7 +309,7 @@ def test_expansion_csv_explains_each_decision(tmp_path):
         else:
             assert r["basic_nodes"] == "top-0|bottom-1" and min(scores) <= 15.0
             weights = [float(w) for w in r["edge_weights"].split("|")]
-            assert weights == graph.owner_entry(task_id).weights.tolist()
+            assert weights == owner_entry(graph, task_id).weights.tolist()
 
 
 def test_cmd_train_idempotent(tmp_path):
@@ -842,7 +844,9 @@ def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = parse_config(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
     env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
-    assert env["children"] == 1  # the child that scored one of the two tasks
+    # the second task trained as a basic node while the first one trained,
+    # and the child that scored one of the two tasks
+    assert env["children"] == 2
     assert env["children_maxrss_mb"] > 0.0 and env["children_wait_s"] >= 0.0
 
 

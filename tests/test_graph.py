@@ -9,9 +9,16 @@ from hypothesis.extra.numpy import arrays
 from degm.errors import ContractError
 from degm.graph import GraphModel, edge_weights, expansion_decide, knowledge_similarity
 from degm.nnkit import AdamState, Rng, adam_step, backprop, no_grad
-from degm.vae import parameter_bytes
 
-from helpers import analytic_grads, finite_difference_grads, max_rel_err, train_elbo_steps
+from helpers import (
+    analytic_grads,
+    composite_component,
+    finite_difference_grads,
+    max_rel_err,
+    parameter_bytes,
+    specific_encode,
+    train_elbo_steps,
+)
 
 DIM, LATENT, HIDDEN = 6, 2, 5
 
@@ -150,7 +157,7 @@ def test_specific_encode_one_hot_selects_single_basic():
     x = binary_data(12, 4)
     eps = Rng(13).normal((4, LATENT))
     with no_grad():
-        z, stats = g.specific_encode(s, x, eps=eps)
+        z, stats = specific_encode(g, s, x, eps=eps)
         h = s.enc_lower_new(x)
         mu = g.basics[1].vae.enc_mu(h)
         lv = g.basics[1].vae.enc_logvar(h)
@@ -171,13 +178,13 @@ def test_specific_encode_identical_uppers_ignore_weights():
         idx = g.add_specific_node(np.array(w), task_id=len(g.entries), rng=Rng(17))
         s = g.specifics[-1]
         with no_grad():
-            z, _ = g.specific_encode(s, x, eps=eps)
+            z, _ = specific_encode(g, s, x, eps=eps)
         # strip the node's own lower encoder from the comparison by sharing it
         if outcomes:
             s_prev = g.specifics[-2]
             s.enc_lower_new = s_prev.enc_lower_new
             with no_grad():
-                z, _ = g.specific_encode(s, x, eps=eps)
+                z, _ = specific_encode(g, s, x, eps=eps)
         outcomes.append(z.data)
     np.testing.assert_allclose(outcomes[0], outcomes[1], atol=1e-12)
 
@@ -237,7 +244,7 @@ def test_melbo_one_hot_equals_composite_elbo():
     s = g.specifics[0]
     x = binary_data(32, 5)
     eps = Rng(33).normal((5, LATENT))
-    composite = g.composite_component(s, basic_index=1)
+    composite = composite_component(g, s, basic_index=1)
     with no_grad():
         np.testing.assert_allclose(g.melbo(s, x, eps=eps).data,
                                    composite.elbo(x, eps=eps).data, atol=1e-9)
@@ -249,7 +256,7 @@ def test_melbo_single_basic_degeneration():
     s = g.specifics[0]
     x = binary_data(36, 6)
     eps = Rng(37).normal((6, LATENT))
-    composite = g.composite_component(s, basic_index=0)
+    composite = composite_component(g, s, basic_index=0)
     with no_grad():
         np.testing.assert_allclose(g.melbo(s, x, eps=eps).data,
                                    composite.elbo(x, eps=eps).data, atol=1e-9)

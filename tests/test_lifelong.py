@@ -20,7 +20,9 @@ from degm.lifelong import (
     run_gr_single,
 )
 from degm.nnkit import Rng
-from degm.vae import VaeComponent, parameter_bytes
+from degm.vae import VaeComponent
+
+from helpers import parameter_bytes
 
 DIM = 36
 

@@ -1,4 +1,5 @@
-"""start and fork_map: work split over forked processes, and the failure paths.
+"""start and fork_map: work split over forked processes, the graph run's
+nodes trained on every CPU, and the failure paths.
 
 Every test that forks sets the affinity mask to two CPUs, so the forked path
 runs whatever the machine has.
@@ -7,6 +8,7 @@ runs whatever the machine has.
 import io
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import astuple
@@ -16,9 +18,10 @@ import pytest
 
 from degm.bounds import bounds_run, diagnose_snapshots, fit_references
 from degm.data import synthetic_task
-from degm.errors import ContractError
+from degm.cli import build_stream, cmd_train, main, parse_config
+from degm.errors import ContractError, TrainingError
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm
-from degm.nnkit import Rng, runtime
+from degm.nnkit import Rng, no_grad, runtime
 from degm.nnkit.runtime import blas_threads, fork_map, set_blas_threads, split_shares, start
 from degm.select_eval import single_metric_table, task_metric_table
 from degm.vae import HierVae, VaeComponent
@@ -302,3 +305,168 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
     assert (inline["children"], inline["children_wait_s"]) == (0, 0.0)
     assert forked["children"] == 1 + 2  # the refs' child, one per aux fit
     assert_no_child_left()
+
+
+# --- the graph's nodes: the same files in any number of processes --------------------
+
+T, B = "half-active-top", "half-active-bottom"
+# At these sizes a task's knowledge score is 8 or more against the other
+# family's basic node and 0.41 or less against its own family's (seed 0), so
+# tau 4 makes the decisions in the comments.
+GRAPH_STREAMS = {
+    # basic, basic (trained by the candidate child), two pooled specific nodes
+    "basics-then-specifics": [T, B, T, B],
+    # basic, specific, basic, specific, specific: both candidates are cancelled
+    "cancelled-candidates": [T, T, B, B, T],
+}
+
+
+def graph_config(out_dir: str, kinds: list[str], **extra) -> dict:
+    tasks = [{"name": f"{kind.rpartition('-')[2]}-{i}", "source": "synthetic", "kind": kind,
+              "n_train": 60, "n_test": 30, "dim": DIM} for i, kind in enumerate(kinds)]
+    return {"mode": "degm", "out_dir": out_dir, "tasks": tasks,
+            "train": {"epochs": 3, "batch": 16, "lr": 3e-2, "tau": 4.0, "probe_size": 30,
+                      "latent_dim": LATENT, "hidden_dim": 16, "seed": 0}, **extra}
+
+
+def graph_run_config(name: str, out_dir: str) -> dict:
+    if name == "ablation degm-1":
+        return graph_config(out_dir, GRAPH_STREAMS["basics-then-specifics"],
+                            mode="ablation", ablation="degm-1")
+    if name == "order-study":
+        raw = graph_config(out_dir, [T, B, "bars"], mode="order-study",
+                           orders=[["top-0", "bottom-1", "bars-2"], ["bars-2", "top-0", "bottom-1"]])
+        raw["train"]["tau"] = 0.0  # every node basic: each next one a candidate's
+        return raw
+    return graph_config(out_dir, GRAPH_STREAMS[name])
+
+
+def run_files(run_dir: str) -> dict[str, bytes]:
+    files = {}
+    for root, _, names in os.walk(run_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, run_dir)] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("name, children, decisions", [
+    # the candidate, the pool's child, the eval table's child
+    ("basics-then-specifics", 3, ["basic", "specific", "specific"]),
+    # two cancelled candidates, the pool's child, the eval table's child
+    ("cancelled-candidates", 4, ["specific", "basic", "specific", "specific"]),
+    # per run: the candidate and the pool's child; then the eval table's child
+    ("ablation degm-1", 5, ["basic", "specific", "specific"]),
+    # per order: the candidate for the second task
+    ("order-study", 2, None),
+])
+def test_graph_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_path, name,
+                                                           children, decisions):
+    raw = graph_run_config(name, str(tmp_path / "runs"))
+
+    def run(mask):
+        cpus(monkeypatch, mask)
+        shutil.rmtree(tmp_path / "runs", ignore_errors=True)
+        files = run_files(cmd_train(parse_config(json.dumps(raw))))
+        summary = json.loads(files.pop("summary.json"))
+        return files, summary, summary.pop("env")
+
+    one, one_summary, one_env = run({0})
+    two, two_summary, two_env = run({0, 1})
+    assert sorted(two) == sorted(one)
+    for path in one:
+        assert two[path] == one[path], path
+    assert two_summary == one_summary
+    assert (one_env["children"], two_env["children"]) == (0, children)
+    if decisions is not None:  # order-study writes its report alone
+        assert "checkpoint/manifest.json" in one
+        lines = one["expansion.csv"].decode().splitlines()
+        column = lines[0].split(",").index("decision")
+        assert [line.split(",")[column] for line in lines[1:]] == decisions
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", GRAPH_STREAMS)
+def test_every_nodes_rows_equal_a_recomputation_from_the_final_graph(monkeypatch, tmp_path,
+                                                                     name):
+    # the rows of the nodes trained in children (the candidate's basic node and
+    # pooled specific nodes) come back with them: recompute each node's final
+    # row from the parameters installed into the final graph
+    cpus(monkeypatch, {0, 1})
+    cfg = parse_config(json.dumps(graph_config(str(tmp_path), GRAPH_STREAMS[name])))
+    stream = build_stream(cfg)
+    graph, log = run_degm(stream, cfg.train, Rng(cfg.train.seed))
+    assert_no_child_left()
+    for t, (task, entry) in enumerate(zip(stream.tasks, graph.entries), start=1):
+        test = task.test.data
+        eps = Rng(cfg.train.seed).spawn(f"eval:{task.name}").normal((1, LATENT))
+        with no_grad():
+            values = graph.node_values(entry, test, eps_list=[eps]).data
+        recon = graph.reconstruct_node(entry, test)
+        want = (float(values.mean()), float(((test - recon) ** 2).sum(axis=1).mean()))
+        for task_index in (t, len(stream)):  # its own last epoch; the stream's
+            row = log.query(task_index=task_index, eval_task=t)[-1]
+            assert (row["objective_value"], row["square_loss"]) == want, (t, task_index)
+
+
+@pytest.mark.parametrize("mask", [{0}, {0, 1}])
+def test_graph_nodes_train_on_one_blas_thread(monkeypatch, tmp_path, mask):
+    # OpenBLAS can round differently at another thread count, so a node's
+    # bits would otherwise depend on whether a child was outstanding
+    import degm.lifelong as lifelong
+
+    before = blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread getter in this numpy build")
+    set_blas_threads(2)
+    try:
+        if blas_threads() != 2:
+            pytest.skip("OpenBLAS runs at most one thread here")
+        cpus(monkeypatch, mask)
+        train_node = lifelong._train_node
+
+        def recording(*args):  # the count comes back with the rows, also from a child
+            rows, arrays, reference_elbo = train_node(*args)
+            return [(*row, blas_threads()) for row in rows], arrays, reference_elbo
+
+        monkeypatch.setattr(lifelong, "_train_node", recording)
+        cfg = parse_config(json.dumps(graph_config(str(tmp_path),
+                                                   GRAPH_STREAMS["basics-then-specifics"])))
+        stream = build_stream(cfg)
+        monkeypatch.setattr(lifelong, "_metrics_log", lambda live, expansion, run_id: live)
+        _, live = run_degm(stream, cfg.train, Rng(cfg.train.seed))
+        assert len(live) == 4 and {row[2] for rows in live for row in rows} == {1}
+        assert blas_threads() == 2  # restored after the run
+    finally:
+        set_blas_threads(before)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["a pooled child", "the parent beside a candidate"])
+def test_main_training_error_while_nodes_are_forked_exits_2(tmp_path, capsys, monkeypatch,
+                                                            where):
+    import degm.lifelong as lifelong
+
+    cpus(monkeypatch, {0, 1})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(graph_config(str(tmp_path / "runs"),
+                                                   GRAPH_STREAMS["basics-then-specifics"])))
+    parent, adam_step = os.getpid(), lifelong.adam_step
+    # the pool's child trains the second specific node; the parent trains the
+    # first basic node while the candidate child trains the second
+    fails = (True, "s1") if where == "a pooled child" else (False, "b0")
+
+    def failing_step(state, params, grads):
+        if (os.getpid() != parent, params[0].name.partition(".")[0]) == fails:
+            raise TrainingError(f"diverged in {where}")
+        return adam_step(state, params, grads)
+
+    monkeypatch.setattr(lifelong, "adam_step", failing_step)
+    mark = runtime.usage()
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: diverged in {where}\n"
+    assert os.listdir(tmp_path / "runs") == []
+    assert_no_child_left()
+    # reaped: the candidate and the pool's child, or the cancelled candidate
+    assert reaped_since(mark) == (2 if where == "a pooled child" else 1)

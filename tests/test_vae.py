@@ -5,9 +5,15 @@ import pytest
 
 from degm.errors import ContractError, DimensionError
 from degm.nnkit import AdamState, Rng, adam_step, backprop, kl_diag_gaussian_to_standard, no_grad
-from degm.vae import HierVae, VaeComponent, copy_model, parameter_bytes
+from degm.vae import HierVae, VaeComponent, copy_model
 
-from helpers import analytic_grads, finite_difference_grads, max_rel_err, train_elbo_steps
+from helpers import (
+    analytic_grads,
+    finite_difference_grads,
+    max_rel_err,
+    parameter_bytes,
+    train_elbo_steps,
+)
 
 
 def tiny(seed=0, input_dim=6, latent=2, hidden=8, likelihood="bernoulli"):
