@@ -19,15 +19,7 @@ import numpy as np
 from .errors import ContractError
 from .lifelong import (TaskStream, TrainConfig, _minibatches, elbo_values, mean_square_loss,
                        run_gr_single)
-from .nnkit import (
-    AdamState,
-    Rng,
-    adam_step,
-    backprop,
-    kl_diag_gaussian_to_standard,
-    no_grad,
-    runtime,
-)
+from .nnkit import AdamState, Rng, adam_step, backprop, runtime
 from .persist import write_table
 from .vae import HierVae, VaeComponent, copy_model
 
@@ -106,9 +98,7 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: d
 def encoder_kl_values(model, data: np.ndarray) -> np.ndarray:
     """Closed-form posterior-to-prior KL per sample (no sampling involved)."""
     base = model.base if isinstance(model, HierVae) else model
-    with no_grad():
-        mu, lv = base.encode(data)
-        return kl_diag_gaussian_to_standard(mu, lv).data
+    return base.array_pass(data).kl()
 
 
 def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
@@ -198,10 +188,12 @@ def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, t: int,
 def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
                    aux_epochs: int | None = None) -> list[VaeComponent]:
     """The reference model of each task, fitted on that task's training set
-    alone; ``fork_map`` splits the fits over the CPUs."""
+    alone; ``fork_map`` splits the fits over the CPUs, each on one OpenBLAS
+    thread, also when there is one CPU."""
     epochs = aux_epochs or cfg.epochs
-    return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, epochs),
-                            [task.train.n for task in stream.tasks])
+    with runtime.one_blas_thread():
+        return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, epochs),
+                                [task.train.n for task in stream.tasks])
 
 
 class BoundsChain:
@@ -299,8 +291,8 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     which the first task's rows need; the aux model of each later task in a
     child started when its mixture is built. The model is copied after each
     epoch, and a task's rows are computed at its last epoch, in epoch order,
-    once the fits they need are joined. The rows are the same for any
-    number of CPUs.
+    once the fits they need are joined. Every process runs OpenBLAS on one
+    thread meanwhile, so the rows are the same for any number of CPUs.
     """
     epochs = aux_epochs or cfg.epochs
     out = BoundsArtifacts()
@@ -329,16 +321,17 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
                                       artifacts.mixtures, e + 1))
         epoch_models.clear()
 
-    try:
-        if len(stream) > 1:
-            fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
-                                                  for i in range(1, len(stream))])
-        out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
-        model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id,
-                                              epoch_hook=epoch_hook, task_hook=task_hook)
-    finally:
-        for handle in fits.values():  # only left unjoined when the run failed
-            handle.cancel()
+    with runtime.one_blas_thread():
+        try:
+            if len(stream) > 1:
+                fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
+                                                      for i in range(1, len(stream))])
+            out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
+            model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id,
+                                                  epoch_hook=epoch_hook, task_hook=task_hook)
+        finally:
+            for handle in fits.values():  # only left unjoined when the run failed
+                handle.cancel()
     out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
     return out
 
@@ -350,27 +343,29 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
     each task; scores the whole mixture and test sets. ``refs`` are the
     reference models, loaded from the run or made by ``fit_references``; the
     auxiliary models are fitted again with the keys ``bounds_run`` uses,
-    split over the CPUs by ``fork_map``."""
+    split over the CPUs by ``fork_map``, on one OpenBLAS thread as there."""
     epochs = aux_epochs or cfg.epochs
     mixtures = []
-    for t, task in enumerate(stream.tasks):
-        if t == 0:
-            mixtures.append(task.train.data)
-        else:
-            # the rows of the training mixture, regenerated from the previous
-            # snapshot; run_gr_single also shuffles them, which this does not
-            replay = snapshots[t - 1].generate(t * task.train.n, rng.spawn(f"gr:replay:{t}"))
-            mixtures.append(np.concatenate([task.train.data, replay]))
-    aux_models = [None, *runtime.fork_map(
-        lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
-        [mixture.shape[0] for mixture in mixtures[1:]])]
-    chain = BoundsChain(refs, cfg, rng, sample_size)
     rows: list[BoundsRow] = []
-    for t, task in enumerate(stream.tasks):
-        chain.start(t, aux_models[t], snapshots[:t])
-        rows.append(chain.row(snapshots[t], mixtures[t],
-                              [seen.test.data for seen in stream.tasks[:t + 1]], snapshots,
-                              mixtures, cfg.epochs))
+    with runtime.one_blas_thread():
+        for t, task in enumerate(stream.tasks):
+            if t == 0:
+                mixtures.append(task.train.data)
+            else:
+                # the rows of the training mixture, regenerated from the previous
+                # snapshot; run_gr_single also shuffles them, which this does not
+                replay = snapshots[t - 1].generate(t * task.train.n,
+                                                   rng.spawn(f"gr:replay:{t}"))
+                mixtures.append(np.concatenate([task.train.data, replay]))
+        aux_models = [None, *runtime.fork_map(
+            lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
+            [mixture.shape[0] for mixture in mixtures[1:]])]
+        chain = BoundsChain(refs, cfg, rng, sample_size)
+        for t, task in enumerate(stream.tasks):
+            chain.start(t, aux_models[t], snapshots[:t])
+            rows.append(chain.row(snapshots[t], mixtures[t],
+                                  [seen.test.data for seen in stream.tasks[:t + 1]], snapshots,
+                                  mixtures, cfg.epochs))
     return rows
 
 
@@ -422,19 +417,20 @@ def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,
     if len(snapshots) != len(stream.tasks):
         raise ContractError("need one snapshot per task")
     rows = []
-    for i, task in enumerate(stream.tasks):
-        lineage = task.train.data
-        rows.append({"task_index": i + 1, "generation": 0,
-                     "risk_under_final": risk(final_model, lineage), "delta": 0.0})
-        for k in range(1, len(stream.tasks) - i):
-            snap = snapshots[i + k - 1]
-            recon = snap.reconstruct(lineage)
-            if getattr(snap, "likelihood", "bernoulli") == "bernoulli":
-                lineage = rng.spawn(f"accum:{i}:{k}").bernoulli(recon)
-            else:
-                lineage = recon
-            prev = rows[-1]["risk_under_final"]
-            value = risk(final_model, lineage)
-            rows.append({"task_index": i + 1, "generation": k,
-                         "risk_under_final": value, "delta": value - prev})
+    with runtime.one_blas_thread():  # the same bits for any number of CPUs
+        for i, task in enumerate(stream.tasks):
+            lineage = task.train.data
+            rows.append({"task_index": i + 1, "generation": 0,
+                         "risk_under_final": risk(final_model, lineage), "delta": 0.0})
+            for k in range(1, len(stream.tasks) - i):
+                snap = snapshots[i + k - 1]
+                recon = snap.reconstruct(lineage)
+                if getattr(snap, "likelihood", "bernoulli") == "bernoulli":
+                    lineage = rng.spawn(f"accum:{i}:{k}").bernoulli(recon)
+                else:
+                    lineage = recon
+                prev = rows[-1]["risk_under_final"]
+                value = risk(final_model, lineage)
+                rows.append({"task_index": i + 1, "generation": k,
+                             "risk_under_final": value, "delta": value - prev})
     return rows

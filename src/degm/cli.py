@@ -10,10 +10,12 @@ every table carries the config hash. Config files are JSON, checked by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
 import sys
+import time
 
 import numpy as np
 
@@ -95,10 +97,14 @@ def export_v_csv(graph: GraphModel, path: str) -> None:
                        for row, entry in zip(graph.v_matrix(), graph.entries)])
 
 
+PHASES = ("train", "eval_table", "write")  # summary.json's env["phase_s"] keys
+
+
 def cmd_train(cfg: ExperimentConfig) -> str:
     """Run the configured experiment; returns the run directory. A run that
     fails removes the run directory when this call created it."""
     start = runtime.usage()
+    phases = dict.fromkeys(PHASES, 0.0)
     # both before the run directory, so bad tasks or orderings leave none
     stream = build_stream(cfg)
     orders = _order_streams(cfg, stream) if cfg.mode == "order-study" else None
@@ -107,45 +113,64 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     created = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     try:
-        summary = _run_into(run_dir, digest, cfg, stream, orders)
+        summary = _run_into(run_dir, digest, cfg, stream, orders, phases)
     except BaseException:
         if created:
             shutil.rmtree(run_dir, ignore_errors=True)
         raise
-    summary["env"] = runtime.env_block(start)
+    summary["env"] = {**runtime.env_block(start), "phase_s": phases}
     with open(os.path.join(run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return run_dir
 
 
+@contextlib.contextmanager
+def _timed(phases: dict, name: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] += time.perf_counter() - t0
+
+
 def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStream,
-              orders: list[TaskStream] | None) -> dict:
+              orders: list[TaskStream] | None, phases: dict) -> dict:
     """Train the configured mode, write its tables and checkpoints into
-    ``run_dir``, and return the summary."""
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write(serialize_config(cfg))
+    ``run_dir``, and return the summary. ``phases`` gains the seconds spent
+    in the mode's training call, the eval table and the writing."""
+    def timed(name: str):
+        return _timed(phases, name)
+
+    def table(name: str, rows: list[dict]) -> None:
+        with timed("write"):
+            write_table(os.path.join(run_dir, name), rows, digest)
+
+    with timed("write"):
+        with open(os.path.join(run_dir, "config.json"), "w") as fh:
+            fh.write(serialize_config(cfg))
     rng = Rng(cfg.train.seed)
     summary: dict = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
                      "tasks": [t.name for t in stream.tasks]}
 
-    def table(name: str, rows: list[dict]) -> None:
-        write_table(os.path.join(run_dir, name), rows, digest)
-
     if cfg.mode in ("degm", "ablation"):
-        if cfg.mode == "degm":
-            graph, log = run_degm(stream, cfg.train, rng, run_id=digest)
-        else:
-            ablation_rows, graphs, logs = run_ablation(stream, cfg.train, cfg.ablation, rng)
+        with timed("train"):
+            if cfg.mode == "degm":
+                graph, log = run_degm(stream, cfg.train, rng, run_id=digest)
+            else:
+                ablation_rows, graphs, logs = run_ablation(stream, cfg.train, cfg.ablation, rng)
+                graph, log = graphs[cfg.ablation], logs[cfg.ablation]
+        if cfg.mode == "ablation":
             table("ablation_table.csv", ablation_rows)
-            graph, log = graphs[cfg.ablation], logs[cfg.ablation]
-        write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
         if log.expansion:  # a one-task stream makes no decision
             table("expansion.csv", log.expansion)
-        save_graph(os.path.join(run_dir, "checkpoint"), graph,
-                   extra={"config_hash": digest})
-        export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))
-        metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime,
-                                        k_eval=cfg.eval_k)
+        with timed("write"):
+            write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
+            save_graph(os.path.join(run_dir, "checkpoint"), graph,
+                       extra={"config_hash": digest})
+            export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))
+        with timed("eval_table"):
+            metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime,
+                                            k_eval=cfg.eval_k)
         table("eval_metrics.csv", metric_rows)
         summary["node_counts"] = {
             "basic": len(graph.basics), "specific": len(graph.specifics)}
@@ -153,12 +178,14 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
         summary["mean_sl"] = float(np.mean([r["sl"] for r in metric_rows]))
     elif cfg.mode in ("gr", "gr-hier", "bounds"):
         if cfg.mode == "bounds":
-            out = bounds_mod.bounds_run(stream, cfg.train, rng,
-                                        sample_size=cfg.bounds_sample_size,
-                                        aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
+            with timed("train"):
+                out = bounds_mod.bounds_run(stream, cfg.train, rng,
+                                            sample_size=cfg.bounds_sample_size,
+                                            aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
             model, log, artifacts = out.gr_model, out.metrics_log, out.gr_artifacts
-            bounds_mod.write_bounds_csv(out.rows, os.path.join(run_dir, "bounds_report.csv"),
-                                        n_tasks=len(stream), config_hash=digest)
+            with timed("write"):
+                bounds_mod.write_bounds_csv(out.rows, os.path.join(run_dir, "bounds_report.csv"),
+                                            n_tasks=len(stream), config_hash=digest)
             table("bound_check.csv", bounds_mod.bound_check_report(out))
             table("accumulated_error.csv", bounds_mod.accumulated_error_proxy(
                 artifacts.snapshots, stream, model, rng.spawn("accum")))
@@ -166,20 +193,23 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
             summary["final_slack"] = out.rows[-1].slack
         else:
             runner = run_gr_hier if cfg.mode == "gr-hier" else run_gr_single
-            model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
+            with timed("train"):
+                model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
             summary["final_accumulated_risk"] = accumulated_final_risk(log, stream)
-        write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
-        save_single(os.path.join(run_dir, "checkpoint"), model,
-                    extra={"config_hash": digest})
         stored = {"task": artifacts.snapshots}
         if cfg.mode == "bounds":
             stored["ref"] = out.reference_models  # read back by diagnose
-        for prefix, models in stored.items():
-            for i, m in enumerate(models):
-                save_single(os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}"), m,
-                            extra={"config_hash": digest, "task_index": i + 1})
+        with timed("write"):
+            write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
+            save_single(os.path.join(run_dir, "checkpoint"), model,
+                        extra={"config_hash": digest})
+            for prefix, models in stored.items():
+                for i, m in enumerate(models):
+                    save_single(os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}"), m,
+                                extra={"config_hash": digest, "task_index": i + 1})
     elif cfg.mode == "order-study":
-        report = order_experiment(orders, cfg.train, rng)
+        with timed("train"):
+            report = order_experiment(orders, cfg.train, rng)
         table("order_report.csv", report)
         summary["orders"] = [r["order"] for r in report]
     return summary

@@ -15,14 +15,14 @@ from .errors import ContractError, DimensionError
 from .nnkit import (
     DEFAULT_SIGMA,
     DenseLayer,
+    DiagGaussian,
     Rng,
     Tensor,
     kl_diag_gaussian_to_standard,
     logmeanexp,
-    no_grad,
     reparameterize,
 )
-from .vae import BasicNode, VaeComponent
+from .vae import ArrayPass, BasicNode, VaeComponent
 
 SIMPLEX_TOL = 1e-9
 
@@ -70,8 +70,7 @@ def knowledge_similarity(node: BasicNode, probe: np.ndarray, rng: Rng) -> float:
     if probe.ndim != 2 or probe.shape[0] == 0:
         raise ContractError("probe must be a nonempty [n, dim] array")
     eps = rng.normal((1, node.vae.latent_dim))
-    with no_grad():
-        mean = float(node.vae.elbo(probe, eps=eps).data.mean())
+    mean = float(node.vae.array_pass(probe).bound([eps]).mean())
     return abs(node.reference_elbo - mean)
 
 
@@ -205,12 +204,9 @@ class GraphModel:
         return kl
 
     def melbo(self, s: SpecificNode, x, rng: Rng | None = None,
-              eps: np.ndarray | None = None, stats=None) -> Tensor:
-        """Reconstruction through the blended pass minus the weighted KL sum.
-        ``stats``, when given, are the per-basic posteriors of ``x``, computed
-        once by the caller."""
-        if stats is None:
-            _, stats = self._basic_stats(s, x)
+              eps: np.ndarray | None = None) -> Tensor:
+        """Reconstruction through the blended pass minus the weighted KL sum."""
+        _, stats = self._basic_stats(s, x)
         z = self._mix_latent(s, stats, rng=rng, eps=eps)
         recon = self._log_likelihood(x, self.specific_decode(s, z))
         return recon - self._mixture_kl(s, stats)
@@ -228,38 +224,36 @@ class GraphModel:
             recons.append(self._log_likelihood(x, self.specific_decode(s, z)))
         return logmeanexp(recons) - self._mixture_kl(s, stats)
 
-    # -- per-node evaluation ------------------------------------------------------
+    # -- per-node evaluation on plain arrays ------------------------------------------------
 
-    def node_values(self, entry: BasicNode | SpecificNode, x, kprime: int = 1,
-                    rng: Rng | None = None, eps_list: list[np.ndarray] | None = None) -> Tensor:
-        """Per-sample bound for one node: elbo family for basics, melbo for specifics."""
+    def node_pass(self, entry: BasicNode | SpecificNode, x) -> ArrayPass:
+        """The no-grad pass of one node over the rows ``x``, its encoder run
+        here: a basic node's own component, or a specific node's new lower
+        encoder into the frozen heads of the basic nodes it blends."""
         if entry.kind == "basic":
-            return entry.vae.iwelbo(x, kprime, rng=rng, eps_list=eps_list)
-        return self.melbo_iw(entry, x, kprime, rng=rng, eps_list=eps_list)
+            return entry.vae.array_pass(x)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise DimensionError(f"expected width {self.input_dim}, got {x.shape}")
+        h = entry.enc_lower_new.apply(x)
+        basics = [b.vae for b in self.basics[:entry.weights.size]]
+        posteriors = []
+        for vae in basics:
+            if vae.latent_dim != self.latent_dim:
+                raise DimensionError("basic nodes must share the latent dimension")
+            posteriors.append(DiagGaussian(vae.enc_mu.apply(h), vae.enc_logvar.apply(h)))
+        return ArrayPass(x, posteriors, entry.weights, [vae.dec_lower for vae in basics],
+                         entry.dec_upper_new, basics[0].likelihood, basics[0].sigma)
+
+    def node_values(self, entry: BasicNode | SpecificNode, x,
+                    eps_list: list[np.ndarray]) -> np.ndarray:
+        """Per-sample bound for one node over one draw per entry of ``eps_list``:
+        ``iwelbo`` for basics, ``melbo_iw`` for specifics, bit for bit."""
+        return self.node_pass(entry, x).bound(eps_list)
 
     def reconstruct_node(self, entry: BasicNode | SpecificNode, x) -> np.ndarray:
         """Deterministic encode-decode via posterior means for one node."""
-        if entry.kind == "basic":
-            return entry.vae.reconstruct(x)
-        with no_grad():
-            _, stats = self._basic_stats(entry, x)
-            return self._decode_means(entry, stats)
-
-    def _decode_means(self, s: SpecificNode, stats) -> np.ndarray:
-        z = None
-        for pi, (mu, _) in zip(s.weights, stats):
-            z = mu * pi if z is None else z + mu * pi
-        return self.specific_decode(s, z).data
-
-    def evaluate_node(self, entry: BasicNode | SpecificNode, x,
-                      eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``node_values`` at K'=1 on the draw ``eps`` and ``reconstruct_node``,
-        bit for bit, from one encoder pass."""
-        if entry.kind == "basic":
-            return entry.vae.evaluate(x, eps)
-        with no_grad():
-            _, stats = self._basic_stats(entry, x)
-            return self.melbo(entry, x, eps=eps, stats=stats).data, self._decode_means(entry, stats)
+        return self.node_pass(entry, x).reconstruction()
 
     def all_params(self) -> list[Tensor]:
         return [t for node in self.basics + self.specifics for t in node.params()]

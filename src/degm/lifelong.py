@@ -342,12 +342,11 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
             values = _node_objective(graph, entry, x, cfg, train_rng)
             adam_step(state, params, backprop(-values.mean()))
             if final and entry.kind == "basic":
-                with no_grad():
-                    batch_elbo = entry.vae.elbo(x, rng=ref_rng).data
+                batch_elbo = entry.vae.array_pass(x).bound(
+                    [ref_rng.normal((x.shape[0], entry.vae.latent_dim))])
                 ref_sum += float(batch_elbo.sum())
                 ref_count += batch_elbo.size
-        values, recon = graph.evaluate_node(entry, test, eps)
-        rows.append((float(values.mean()), mean_square_loss(test, recon)))
+        rows.append(_live_row(graph.node_pass(entry, test), eps))
     reference_elbo = ref_sum / ref_count if entry.kind == "basic" else None
     return rows, [p.data for p in params], reference_elbo
 
@@ -410,22 +409,30 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
 
 def elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Per-sample ELBO of a single model on fixed noise, without recording."""
-    with no_grad():
-        if isinstance(model, HierVae):
+    if isinstance(model, HierVae):
+        with no_grad():
             eps2 = np.zeros((1, model.latent_dims[1]))
             return model.hier_elbo(x, eps=eps, eps2=eps2).data
-        return model.elbo(x, eps=eps).data
+    return model.array_pass(x).bound([eps])
+
+
+def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:
+    """(objective, square loss) of one node on its test rows: the bound on the
+    draw ``eps`` and the reconstruction, from one encoder pass."""
+    values = node_pass.bound([eps])
+    return float(values.mean()), mean_square_loss(node_pass.x, node_pass.reconstruction())
 
 
 def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps, cfg):
     for t in range(task_i + 1):
         test = stream.tasks[t].test.data
         if isinstance(model, HierVae):
-            values, recon = elbo_values(model, test, eval_eps[t]), model.reconstruct(test)
+            row = (float(elbo_values(model, test, eval_eps[t]).mean()),
+                   mean_square_loss(test, model.reconstruct(test)))
         else:
-            values, recon = model.evaluate(test, eval_eps[t])
+            row = _live_row(model.array_pass(test), eval_eps[t])
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
-                objective_value=float(values.mean()), square_loss=mean_square_loss(test, recon))
+                objective_value=row[0], square_loss=row[1])
 
 
 def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr-hier") -> tuple:

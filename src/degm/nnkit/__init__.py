@@ -1,4 +1,5 @@
-"""Dense-network numeric kernel: tensors, tape, layers, Adam, RNG, likelihoods.
+"""Dense-network numeric kernel: tensors, tape, layers, Adam, RNG, likelihoods,
+and their plain-array counterparts for no-grad passes.
 
 Importing the package sets two process-wide glibc malloc thresholds (see
 :mod:`.runtime`).
@@ -12,11 +13,14 @@ from .losses import (
     LOGVAR_HI,
     LOGVAR_LO,
     PROB_EPS,
+    DiagGaussian,
     bernoulli_log_likelihood,
     diag_gaussian_logpdf,
     gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
+    likelihood_kernel,
     logmeanexp,
+    logmeanexp_values,
     reparameterize,
 )
 from .optim import AdamState, adam_step
@@ -27,6 +31,7 @@ __all__ = [
     "AdamState",
     "DEFAULT_SIGMA",
     "DenseLayer",
+    "DiagGaussian",
     "LEAKY_SLOPE",
     "LOGVAR_HI",
     "LOGVAR_LO",
@@ -42,7 +47,9 @@ __all__ = [
     "gaussian_log_likelihood",
     "grad_enabled",
     "kl_diag_gaussian_to_standard",
+    "likelihood_kernel",
     "logmeanexp",
+    "logmeanexp_values",
     "no_grad",
     "parameter",
     "reparameterize",

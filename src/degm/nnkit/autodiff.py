@@ -8,7 +8,9 @@ frees the graph. There is no persistent graph between minibatches.
 
 Only what the dense VAE stack needs is implemented: 2-D matmul inside the
 fused affine op, elementwise arithmetic with numpy-style broadcasting, a few
-pointwise nonlinearities, clipping, and axis/full reductions.
+pointwise nonlinearities, clipping, and axis/full reductions. The array
+formulas of the nonlinearities (``sigmoid_values``, ``leaky_relu_values``)
+are also what :meth:`DenseLayer.apply` runs on plain arrays.
 """
 
 from __future__ import annotations
@@ -152,22 +154,13 @@ class Tensor:
         return self._make(out, ((self, lambda g: g * (1.0 - out ** 2)),))
 
     def sigmoid(self) -> "Tensor":
-        # 1 / (1 + exp(-x)), step for step in one buffer
-        out = np.negative(self.data)
-        np.exp(out, out=out)
-        out += 1.0
-        np.divide(1.0, out, out=out)
+        out = sigmoid_values(self.data)
         return self._make(out, ((self, lambda g: g * out * (1.0 - out)),))
 
     def leaky_relu(self, slope: float = 0.01) -> "Tensor":
         """x * (1 if x > 0 else slope), for a slope in [0, 1]."""
-        if not 0.0 <= slope <= 1.0:
-            raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope!r}")
         x = self.data
-        if slope == 0.0:
-            out = x * (x > 0.0)  # max(x, x * 0) would turn +inf into NaN
-        else:
-            out = np.maximum(x, x * slope)
+        out = leaky_relu_values(x, slope)
         if not (_GRAD_ENABLED and self.requires_grad):
             return Tensor(out)  # not recorded, so no gradient mask
         # (1 - slope) + slope rounds to exactly 1.0 for every slope in [0, 1]
@@ -196,6 +189,25 @@ class Tensor:
 
     def mean(self) -> "Tensor":
         return self.sum() / float(self.data.size)
+
+
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), step for step in one buffer."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
+    """x * (1 if x > 0 else slope), for a slope in [0, 1]."""
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope!r}")
+    if slope == 0.0:
+        return x * (x > 0.0)  # max(x, x * 0) would turn +inf into NaN
+    out = x * slope
+    return np.maximum(x, out, out=out)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

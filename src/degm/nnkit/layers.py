@@ -1,15 +1,28 @@
-"""Dense layers with fixed activations."""
+"""Dense layers with fixed activations.
+
+A layer runs on the tape (``affine_forward``, while training) or on plain
+arrays (``DenseLayer.apply``, for every no-grad pass). Both make the same
+numpy calls in the same order, so their outputs are the same bit for bit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractError, TrainingError
-from .autodiff import Tensor, affine, parameter
+from ..errors import ContractError, DimensionError, TrainingError
+from .autodiff import Tensor, affine, leaky_relu_values, parameter, sigmoid_values
 from .rng import Rng
 
 ACTIVATIONS = ("identity", "leaky-relu", "tanh", "sigmoid")
 LEAKY_SLOPE = 0.01
+
+# activation -> (the Tensor method, its array formula); identity is absent
+_ACTIVATE = {
+    "leaky-relu": (lambda y: y.leaky_relu(LEAKY_SLOPE),
+                   lambda y: leaky_relu_values(y, LEAKY_SLOPE)),
+    "tanh": (lambda y: y.tanh(), np.tanh),
+    "sigmoid": (lambda y: y.sigmoid(), sigmoid_values),
+}
 
 
 class DenseLayer:
@@ -41,6 +54,18 @@ class DenseLayer:
     def __call__(self, x, frozen: bool = False) -> Tensor:
         return affine_forward(self, x, frozen=frozen)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """act(x @ W.T + b) of a C-contiguous float64 [batch, in] array,
+        recording nothing."""
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise DimensionError(f"layer {self.name!r} expects [batch, {self.in_dim}], "
+                                 f"got {x.shape}")
+        y = x @ self.weight.data.T
+        y += self.bias.data
+        if self.activation in _ACTIVATE:
+            y = _ACTIVATE[self.activation][1](y)
+        return _finite(self, y)
+
 
 def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
     """act(x @ W.T + b), recorded on the tape.
@@ -56,12 +81,13 @@ def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
     else:
         w, b = layer.weight, layer.bias
     y = affine(x, w, b)
-    if layer.activation == "leaky-relu":
-        y = y.leaky_relu(LEAKY_SLOPE)
-    elif layer.activation == "tanh":
-        y = y.tanh()
-    elif layer.activation == "sigmoid":
-        y = y.sigmoid()
-    if not np.isfinite(y.data).all():
+    if layer.activation in _ACTIVATE:
+        y = _ACTIVATE[layer.activation][0](y)
+    _finite(layer, y.data)
+    return y
+
+
+def _finite(layer: DenseLayer, y: np.ndarray) -> np.ndarray:
+    if not np.isfinite(y).all():
         raise TrainingError(f"non-finite activation out of layer {layer.name!r}")
     return y

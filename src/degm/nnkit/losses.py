@@ -4,6 +4,12 @@ Conventions: batches are [B, d]; every function here returns one value per
 sample, shape [B]. ``logvar`` is clamped to [-10, 10] before exponentiation
 and Bernoulli probabilities to [1e-6, 1 - 1e-6]; both clamps are numeric
 guards, nothing more.
+
+The Tensor functions build the tape for training. ``DiagGaussian``,
+``likelihood_kernel`` and ``logmeanexp_values`` are their plain-array
+counterparts for no-grad passes: the same numpy calls in the same order, so
+the same values bit for bit, with what does not change between draws
+computed once.
 """
 
 from __future__ import annotations
@@ -113,3 +119,83 @@ def logmeanexp(values: list[Tensor]) -> Tensor:
     for v in values[1:]:
         acc = acc + (v - m).exp()
     return acc.log() + (m - float(np.log(len(values))))
+
+
+# -- the same quantities on plain arrays -------------------------------------------------
+
+class DiagGaussian:
+    """A diagonal-Gaussian posterior on plain arrays. The clipped logvar and
+    the std are computed once; ``sample`` is ``reparameterize`` and ``kl`` is
+    ``kl_diag_gaussian_to_standard``, bit for bit."""
+
+    __slots__ = ("mu", "logvar", "std")
+
+    def __init__(self, mu: np.ndarray, logvar: np.ndarray):
+        if mu.shape != logvar.shape:
+            raise DimensionError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
+        self.mu = mu
+        self.logvar = np.clip(logvar, LOGVAR_LO, LOGVAR_HI)
+        self.std = np.exp(self.logvar * 0.5)
+
+    def sample(self, eps: np.ndarray) -> np.ndarray:
+        return self.mu + self.std * eps
+
+    def kl(self) -> np.ndarray:
+        inner = np.exp(self.logvar) + self.mu ** 2 - 1.0 - self.logvar
+        return np.clip(inner.sum(axis=1) * 0.5, 0.0, np.inf)
+
+
+def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
+    """The per-sample log-likelihood of the fixed targets ``x`` as a function
+    of the decoder output: ``bernoulli_log_likelihood`` or
+    ``gaussian_log_likelihood``, bit for bit. The checks on ``x`` and ``1 - x``
+    are computed here, once; a failed check is raised by each call, where the
+    Tensor function raises it."""
+    if likelihood == "bernoulli":
+        targets_ok = not (x.min() < 0.0 or x.max() > 1.0)
+        one_minus_x = 1.0 - x
+
+        def bernoulli(probs: np.ndarray) -> np.ndarray:
+            if x.shape != probs.shape:
+                raise DimensionError(f"x shape {x.shape} != probs shape {probs.shape}")
+            if not targets_ok:
+                raise ContractError("targets must lie in [0, 1]")
+            if probs.min() < 0.0 or probs.max() > 1.0:
+                raise ContractError("probabilities must lie in [0, 1]")
+            p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+            ll = np.log(p)
+            ll *= x
+            np.subtract(1.0, p, out=p)
+            np.log(p, out=p)
+            p *= one_minus_x
+            ll += p
+            return ll.sum(axis=1)
+
+        return bernoulli
+    if sigma <= 0.0:
+        def invalid(mu: np.ndarray) -> np.ndarray:
+            raise ContractError(f"sigma must be positive, got {sigma}")
+
+        return invalid
+    scale = -0.5 / (sigma * sigma)
+    const = 0.5 * x.shape[1] * float(np.log(2.0 * np.pi * sigma * sigma))
+
+    def gaussian(mu: np.ndarray) -> np.ndarray:
+        if x.shape != mu.shape:
+            raise DimensionError(f"x shape {x.shape} != mu shape {mu.shape}")
+        return ((mu - x) ** 2).sum(axis=1) * scale - const
+
+    return gaussian
+
+
+def logmeanexp_values(values: list[np.ndarray]) -> np.ndarray:
+    """``logmeanexp`` of plain per-sample arrays, bit for bit."""
+    if not values:
+        raise ContractError("logmeanexp needs at least one value")
+    if len(values) == 1:
+        return values[0]
+    m = np.maximum.reduce(values)
+    acc = np.exp(values[0] - m)
+    for v in values[1:]:
+        acc += np.exp(v - m)
+    return np.log(acc) + (m - float(np.log(len(values))))

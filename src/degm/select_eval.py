@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .graph import GraphModel
-from .nnkit import Rng, no_grad
+from .nnkit import Rng
 from .nnkit.runtime import fork_map
 from .vae import HierVae
 
@@ -48,11 +48,9 @@ def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
         raise DimensionError(f"expected [batch, dim], got {x.shape}")
     eps_bank = _eval_eps_bank(graph.latent_dim, seed, k_eval, "select")
     scores = np.zeros((x.shape[0], graph.node_count))
-    with no_grad():
-        for j, entry in enumerate(graph.entries):
-            per_draw = [graph.node_values(entry, x, kprime=1, eps_list=[eps]).data
-                        for eps in eps_bank]
-            scores[:, j] = np.mean(per_draw, axis=0)
+    for j, entry in enumerate(graph.entries):
+        per_draw = [graph.node_values(entry, x, [eps]) for eps in eps_bank]
+        scores[:, j] = np.mean(per_draw, axis=0)
     shifted = scores - scores.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     posterior = weights / weights.sum(axis=1, keepdims=True)
@@ -75,23 +73,20 @@ def _selected_nll(graph: GraphModel, data: np.ndarray, chosen: np.ndarray, kprim
         raise ContractError(f"kprime must be >= 1, got {kprime}")
     eps_bank = _eval_eps_bank(graph.latent_dim, seed, kprime, "nll")
     total = 0.0
-    with no_grad():
-        for j, entry in enumerate(graph.entries):
-            mask = chosen == j
-            if not mask.any():
-                continue
-            values = graph.node_values(entry, data[mask], kprime=kprime, eps_list=eps_bank).data
-            total += float(-values.sum())
+    for j, entry in enumerate(graph.entries):
+        mask = chosen == j
+        if mask.any():
+            total += float(-graph.node_values(entry, data[mask], eps_bank).sum())
     return total / data.shape[0]
 
 
 def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> float:
     """Same estimator for a single-model baseline (no selection step)."""
     data = np.asarray(data, dtype=np.float64)
+    if kprime < 1:
+        raise ContractError(f"kprime must be >= 1, got {kprime}")
     eps_bank = _eval_eps_bank(model.latent_dim, seed, kprime, "nll")
-    with no_grad():
-        values = model.iwelbo(data, kprime, eps_list=eps_bank).data
-    return float(-values.mean())
+    return float(-model.array_pass(data).bound(eps_bank).mean())
 
 
 # -- reconstruction metrics ---------------------------------------------------------

@@ -8,6 +8,11 @@ is what lets the graph model recombine them across components.
 Objectives return one value per sample, shape [B]. The weighted K'-draw bound
 is log-mean-exp of the per-draw reconstruction terms minus the closed-form KL,
 so the single-draw case *is* the ELBO estimate on the same noise.
+
+Training builds the tape (``elbo``, ``iwelbo``, ``encode``, ``decode``).
+Every no-grad pass runs on plain arrays through an ``ArrayPass``, which
+makes the same numpy calls in the same order, so its values are the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +25,16 @@ from .errors import ContractError, DimensionError
 from .nnkit import (
     DEFAULT_SIGMA,
     DenseLayer,
+    DiagGaussian,
     Rng,
     Tensor,
     bernoulli_log_likelihood,
     diag_gaussian_logpdf,
     gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
+    likelihood_kernel,
     logmeanexp,
+    logmeanexp_values,
     no_grad,
     reparameterize,
 )
@@ -94,11 +102,9 @@ class VaeComponent:
             return bernoulli_log_likelihood(x, decoded)
         return gaussian_log_likelihood(x, decoded, self.sigma)
 
-    def elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None,
-             encoded: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        """Single-draw estimate: reconstruction term minus closed-form KL.
-        ``encoded``, when given, is ``encode(x)``, computed once by the caller."""
-        mu, logvar = self.encode(x) if encoded is None else encoded
+    def elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None) -> Tensor:
+        """Single-draw estimate: reconstruction term minus closed-form KL."""
+        mu, logvar = self.encode(x)
         z = reparameterize(mu, logvar, rng=rng, eps=eps)
         recon = self.log_likelihood(x, self.decode(z))
         return recon - kl_diag_gaussian_to_standard(mu, logvar)
@@ -121,29 +127,83 @@ class VaeComponent:
             recons.append(self.log_likelihood(x, self.decode(z)))
         return logmeanexp(recons) - kl
 
+    def array_pass(self, x) -> "ArrayPass":
+        """The no-grad pass over the rows ``x``, its encoder run here."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise DimensionError(f"expected [batch, {self.input_dim}], got {x.shape}")
+        h = self.enc_lower.apply(x)
+        posterior = DiagGaussian(self.enc_mu.apply(h), self.enc_logvar.apply(h))
+        return ArrayPass(x, [posterior], None, [self.dec_lower], self.dec_upper,
+                         self.likelihood, self.sigma)
+
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         """Ancestral samples; Bernoulli outputs are pixel-sampled to {0,1}."""
         if n == 0:
             return np.zeros((0, self.input_dim))
-        with no_grad():
-            z = rng.normal((n, self.latent_dim))
-            out = self.decode(z).data
+        out = self.dec_upper.apply(self.dec_lower.apply(rng.normal((n, self.latent_dim))))
         if self.likelihood == "bernoulli":
             return rng.bernoulli(out)
         return out
 
     def reconstruct(self, x) -> np.ndarray:
         """Deterministic encode-decode through the posterior mean."""
-        with no_grad():
-            mu, _ = self.encode(x)
-            return self.decode(mu).data
+        return self.array_pass(x).reconstruction()
 
-    def evaluate(self, x, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``elbo`` on the draw ``eps`` and ``reconstruct``, bit for bit, from
-        one encoder pass."""
-        with no_grad():
-            encoded = self.encode(x)
-            return self.elbo(x, eps=eps, encoded=encoded).data, self.decode(encoded[0]).data
+
+class ArrayPass:
+    """One node's no-grad forward pass over the rows ``x``, on plain arrays.
+
+    The encoder has run: ``posteriors`` holds one ``DiagGaussian`` per latent
+    source, blended by ``weights`` (None for a plain component, whose one
+    source is used as is). ``lowers`` are the lower decoders, blended the
+    same way, and ``upper`` the output layer. Each method makes the numpy
+    calls of its Tensor composite in the same order, so its values are the
+    same bit for bit: ``bound`` is ``iwelbo`` (``elbo`` at one draw) or the
+    graph's ``melbo_iw`` (``melbo``), ``kl`` the KL term of either, and
+    ``reconstruction`` the decode of the (blended) posterior mean.
+    """
+
+    def __init__(self, x: np.ndarray, posteriors: list[DiagGaussian],
+                 weights: np.ndarray | None, lowers: list[DenseLayer], upper: DenseLayer,
+                 likelihood: str, sigma: float):
+        self.x = x
+        self.posteriors = posteriors
+        self.weights = weights
+        self.lowers = lowers
+        self.upper = upper
+        self.likelihood = likelihood
+        self.sigma = sigma
+        self._log_likelihood = None  # made on the first bound: reconstructions check no x
+
+    def _blend(self, parts):
+        if self.weights is None:
+            return next(iter(parts))
+        total = None
+        for pi, part in zip(self.weights, parts):
+            total = part * pi if total is None else total + part * pi
+        return total
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        return self.upper.apply(self._blend(layer.apply(z) for layer in self.lowers))
+
+    def kl(self) -> np.ndarray:
+        return self._blend(p.kl() for p in self.posteriors)
+
+    def reconstruction(self) -> np.ndarray:
+        return self.decode(self._blend(p.mu for p in self.posteriors))
+
+    def bound(self, eps_list: list[np.ndarray]) -> np.ndarray:
+        """The per-sample bound over one draw per entry of ``eps_list``, each
+        shared by every row (or one row per sample) and by every source."""
+        if self._log_likelihood is None:
+            self._log_likelihood = likelihood_kernel(self.likelihood, self.x, self.sigma)
+        recons = []
+        for eps in eps_list:
+            eps = np.asarray(eps, dtype=np.float64)
+            z = self._blend(p.sample(eps) for p in self.posteriors)
+            recons.append(self._log_likelihood(self.decode(z)))
+        return logmeanexp_values(recons) - self.kl()
 
 
 @dataclass

@@ -1,12 +1,13 @@
-"""Shared test utilities: the central-finite-difference gradient oracle, and
-views of models and graphs that only tests need."""
+"""Shared test utilities: the central-finite-difference gradient oracle,
+views of models and graphs that only tests need, and the no-grad values of
+the Tensor composites that the plain-array passes must equal bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from degm.errors import ContractError
-from degm.nnkit import Tensor, backprop
+from degm.nnkit import Tensor, backprop, no_grad
 from degm.vae import VaeComponent
 
 
@@ -97,3 +98,30 @@ def composite_component(graph, s, basic_index: int) -> VaeComponent:
                                     b.dec_lower, s.dec_upper_new,
                                     graph.likelihood, graph.sigma,
                                     name=f"{s.name}+b{basic_index}")
+
+
+def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:
+    """A node's bound over the draws ``eps_list`` through the Tensor
+    composites: ``elbo``/``melbo`` on one draw, ``iwelbo``/``melbo_iw`` on more."""
+    k = len(eps_list)
+    with no_grad():
+        if entry.kind == "basic":
+            if k == 1:
+                return entry.vae.elbo(x, eps=eps_list[0]).data
+            return entry.vae.iwelbo(x, k, eps_list=eps_list).data
+        if k == 1:
+            return graph.melbo(entry, x, eps=eps_list[0]).data
+        return graph.melbo_iw(entry, x, k, eps_list=eps_list).data
+
+
+def tape_reconstruction(graph, entry, x) -> np.ndarray:
+    """A node's decode of its (blended) posterior mean through the Tensor
+    composites."""
+    with no_grad():
+        if entry.kind == "basic":
+            return entry.vae.decode(entry.vae.encode(x)[0]).data
+        _, stats = graph._basic_stats(entry, x)
+        z = None
+        for pi, (mu, _) in zip(entry.weights, stats):
+            z = mu * pi if z is None else z + mu * pi
+        return graph.specific_decode(entry, z).data

@@ -36,6 +36,8 @@ from helpers import (
     max_rel_err,
     owner_entry,
     parameter_bytes,
+    tape_bound,
+    tape_reconstruction,
     train_elbo_steps,
 )
 
@@ -289,9 +291,9 @@ def test_criterion_7_no_forgetting_invariant(forgetting_stream, forgetting_cfg, 
         task = forgetting_stream.tasks[t - 1]
         entry = owner_entry(graph, t - 1)
         eps = Rng(0).spawn(f"eval:{task.name}").normal((1, forgetting_cfg.latent_dim))
-        with no_grad():
-            values = graph.node_values(entry, task.test.data, eps_list=[eps]).data
-        recon = graph.reconstruct_node(entry, task.test.data)
+        # through the Tensor composites: the logged rows come from the array pass
+        values = tape_bound(graph, entry, task.test.data, [eps])
+        recon = tape_reconstruction(graph, entry, task.test.data)
         logged = log.query(task_index=final_task, eval_task=t)[-1]
         recomputed = (recomputed
                       and logged["objective_value"] == float(values.mean())

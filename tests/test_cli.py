@@ -818,10 +818,14 @@ def test_cmd_train_summary_env_block(tmp_path, monkeypatch):
     assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
                         "malloc_thresholds_set", "user_s", "sys_s", "minor_faults",
                         "children", "children_user_s", "children_sys_s", "children_maxrss_mb",
-                        "children_wait_s"}
+                        "children_wait_s", "phase_s"}
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert env["children"] == 0  # a gr run forks nothing
     assert env["children_user_s"] == env["children_sys_s"] == env["children_wait_s"] == 0.0
+    # a gr run has no eval table
+    assert set(env["phase_s"]) == {"train", "eval_table", "write"}
+    assert env["phase_s"]["train"] > 0.0 and env["phase_s"]["write"] > 0.0
+    assert env["phase_s"]["eval_table"] == 0.0
 
     raw = two_task_config("bounds", out_dir=str(tmp_path / "bounds"))
     raw["tasks"].append({"name": "bars-2", "source": "synthetic", "kind": "bars",
@@ -848,6 +852,7 @@ def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):
     # and the child that scored one of the two tasks
     assert env["children"] == 2
     assert env["children_maxrss_mb"] > 0.0 and env["children_wait_s"] >= 0.0
+    assert min(env["phase_s"].values()) > 0.0  # training, the eval table, writing
 
 
 def test_cmd_train_env_leaves_out_children_reaped_before_it(tmp_path):

@@ -18,13 +18,15 @@ import pytest
 
 from degm.bounds import bounds_run, diagnose_snapshots, fit_references
 from degm.data import synthetic_task
-from degm.cli import build_stream, cmd_train, main, parse_config
+from degm.cli import build_stream, cmd_diagnose, cmd_train, main, parse_config
 from degm.errors import ContractError, TrainingError
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm
-from degm.nnkit import Rng, no_grad, runtime
+from degm.nnkit import Rng, runtime
 from degm.nnkit.runtime import blas_threads, fork_map, set_blas_threads, split_shares, start
 from degm.select_eval import single_metric_table, task_metric_table
 from degm.vae import HierVae, VaeComponent
+
+from helpers import tape_bound, tape_reconstruction
 
 DIM, LATENT, HIDDEN = 16, 3, 8
 
@@ -307,6 +309,37 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
     assert_no_child_left()
 
 
+def test_bounds_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_path):
+    # 196 wide: OpenBLAS rounds some products of this shape differently at 1
+    # and 2 threads, so a run that pinned only while a fit child was
+    # outstanding wrote other bytes on 2 CPUs than on 1
+    kinds = ("half-active-top", "half-active-bottom", "bars")
+    raw = {"mode": "bounds", "out_dir": str(tmp_path / "runs"),
+           "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
+                      "n_train": 200, "n_test": 100, "dim": 196} for i, kind in enumerate(kinds)],
+           "train": {"epochs": 2, "batch": 64, "lr": 1e-3, "latent_dim": 16, "hidden_dim": 64,
+                     "likelihood": "gaussian"},
+           "bounds": {"sample_size": 300}}
+
+    def run(mask):
+        cpus(monkeypatch, mask)
+        shutil.rmtree(tmp_path / "runs", ignore_errors=True)
+        run_dir = cmd_train(parse_config(json.dumps(raw)))
+        files = run_files(run_dir)
+        files["diagnosed bounds_report.csv"] = run_files(os.path.dirname(cmd_diagnose(run_dir)))[
+            "bounds_report.csv"]
+        summary = json.loads(files.pop("summary.json"))
+        return files, summary, summary.pop("env")
+
+    one, one_summary, one_env = run({0})
+    two, two_summary, two_env = run({0, 1})
+    assert sorted(two) == sorted(one)
+    assert [path for path in one if two[path] != one[path]] == []
+    assert two_summary == one_summary
+    assert (one_env["children"], two_env["children"]) == (0, 3)
+    assert_no_child_left()
+
+
 # --- the graph's nodes: the same files in any number of processes --------------------
 
 T, B = "half-active-top", "half-active-bottom"
@@ -401,9 +434,9 @@ def test_every_nodes_rows_equal_a_recomputation_from_the_final_graph(monkeypatch
     for t, (task, entry) in enumerate(zip(stream.tasks, graph.entries), start=1):
         test = task.test.data
         eps = Rng(cfg.train.seed).spawn(f"eval:{task.name}").normal((1, LATENT))
-        with no_grad():
-            values = graph.node_values(entry, test, eps_list=[eps]).data
-        recon = graph.reconstruct_node(entry, test)
+        # through the Tensor composites: the logged rows come from the array pass
+        values = tape_bound(graph, entry, test, [eps])
+        recon = tape_reconstruction(graph, entry, test)
         want = (float(values.mean()), float(((test - recon) ** 2).sum(axis=1).mean()))
         for task_index in (t, len(stream)):  # its own last epoch; the stream's
             row = log.query(task_index=task_index, eval_task=t)[-1]

@@ -1,9 +1,12 @@
-"""The experiment scripts still import what they use from the package, and
-every committed experiment config parses."""
+"""The experiment scripts still import what they use from the package,
+every committed experiment config parses, and the output comparison finds
+the files a change alters."""
 
 import glob
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -44,3 +47,38 @@ def test_configs_are_found():
 def test_config_parses(path):
     with open(path) as fh:
         parse_config(fh.read())
+
+
+def test_compare_outputs_lists_the_files_a_change_alters(tmp_path):
+    # the same tree on both sides writes the same files; a copy whose square
+    # loss is off by one differs in the tables that report it
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "mode": "degm",
+        "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
+                   "n_train": 40, "n_test": 20, "dim": 16}
+                  for i, kind in enumerate(["half-active-top", "half-active-bottom"])],
+        "train": {"epochs": 1, "batch": 16, "latent_dim": 3, "hidden_dim": 8, "probe_size": 20}}))
+    changed = tmp_path / "changed"
+    shutil.copytree(os.path.join(ROOT, "src"), changed / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lifelong = changed / "src" / "degm" / "lifelong.py"
+    source = lifelong.read_text()
+    assert source.count(".sum(axis=1).mean())") == 1
+    lifelong.write_text(source.replace(".sum(axis=1).mean())", ".sum(axis=1).mean()) + 1.0"))
+    mask = str(min(os.sched_getaffinity(0)))
+
+    def compare(change):
+        return subprocess.run([sys.executable, os.path.join(SCRIPTS, "compare_outputs.py"), ROOT,
+                               str(change), "--config", str(config), "--seeds", "0",
+                               "--masks", mask, "--kprimes", "2"],
+                              capture_output=True, text=True, timeout=300)
+
+    same = compare(ROOT)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.splitlines()[-1].startswith("0 of ")
+    other = compare(changed)
+    assert other.returncode == 1, other.stdout + other.stderr
+    differing = {line.rpartition("/")[2] for line in other.stdout.splitlines()
+                 if line.startswith("differs: ")}
+    assert differing == {"metrics.csv"}  # the eval tables score with their own loss
