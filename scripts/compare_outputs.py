@@ -1,11 +1,11 @@
 """Compare every file two source trees write for the same commands.
 
     python scripts/compare_outputs.py PARENT CHANGE --config a.json b.json \
-        --seeds 0 3 --masks 0 0,1 [--kprimes 1 50] [--work DIR]
+        --seeds 0 3 --masks 0 0,1 [--work DIR]
 
 For each config, seed and CPU mask, each tree runs ``degm train`` in a
 subprocess (``PYTHONPATH=<tree>/src``, the CPU affinity set to the mask).
-A degm or ablation run is then scored by ``degm eval`` at each K'; a gr,
+A degm or ablation run is then scored by ``degm eval`` at K'=1 and K'=50; a gr,
 gr-hier or bounds run by ``degm diagnose``, the train-time
 ``bounds_report.csv`` kept as ``bounds_report.train.csv``. Every file the
 change writes is compared with the parent's, byte for byte, except the
@@ -26,6 +26,7 @@ import sys
 import tempfile
 
 IGNORED = {"summary.json": "env", "config.json": "out_dir"}  # file name -> key left out
+KPRIMES = (1, 50)
 
 
 def _degm(tree: str, mask: set[int], *args: str) -> str:
@@ -40,15 +41,14 @@ def _degm(tree: str, mask: set[int], *args: str) -> str:
     return proc.stdout
 
 
-def run_commands(tree: str, config: str, seed: int, mask: set[int], kprimes: list[int],
-                 out: str) -> None:
+def run_commands(tree: str, config: str, seed: int, mask: set[int], out: str) -> None:
     """Every command of one (config, seed, mask) from ``tree``, writing under ``out``."""
     with open(config) as fh:
         mode = json.load(fh)["mode"]
     run_dir = _degm(tree, mask, "train", "--config", config, "--seed", str(seed),
                     "--out", out).strip().splitlines()[-1]
     if mode in ("degm", "ablation"):
-        for k in kprimes:
+        for k in KPRIMES:
             _degm(tree, mask, "eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
                   "--config", config, "--kprime", str(k))
     elif mode in ("gr", "gr-hier", "bounds"):
@@ -89,10 +89,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--masks", nargs="+", required=True,
                         help="CPU masks, each a comma-separated list such as 0,1")
-    parser.add_argument("--kprimes", nargs="+", type=int, default=[1, 50])
     parser.add_argument("--work", default=None, help="where the runs are written "
                         "(default: a temporary directory, removed afterwards)")
     args = parser.parse_args(argv)
+    try:
+        masks = {spec: {int(c) for c in spec.split(",")} for spec in args.masks}
+    except ValueError:
+        parser.error(f"--masks wants comma-separated CPU numbers, got {args.masks}")
+    allowed = os.sched_getaffinity(0)
+    for spec, mask in masks.items():
+        if not mask <= allowed:
+            print(f"error: mask {spec} names CPUs outside this process's {sorted(allowed)}",
+                  file=sys.stderr)
+            return 2
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs-")
     differing, compared = [], 0
     try:
@@ -100,19 +109,17 @@ def main(argv=None) -> int:
             config = os.path.abspath(config)
             stem = os.path.splitext(os.path.basename(config))[0]
             for seed in args.seeds:
-                for mask_spec in args.masks:
-                    mask = {int(c) for c in mask_spec.split(",")}
+                for mask_spec, mask in masks.items():
                     case = os.path.join(stem, f"seed{seed}", f"mask{mask_spec}")
                     outs = {}
                     for label, tree in (("parent", args.parent), ("change", args.change)):
                         outs[label] = os.path.join(work, label, case)
-                        run_commands(os.path.abspath(tree), config, seed, mask, args.kprimes,
-                                     outs[label])
+                        run_commands(os.path.abspath(tree), config, seed, mask, outs[label])
                     compared += len(digests(outs["parent"]))
                     for path in compare(outs["parent"], outs["change"]):
                         differing.append(os.path.join(case, path))
                         print(f"differs: {differing[-1]}")
-    except RuntimeError as err:
+    except (RuntimeError, OSError, subprocess.SubprocessError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -124,22 +124,18 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     return run_dir
 
 
-@contextlib.contextmanager
-def _timed(phases: dict, name: str):
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        phases[name] += time.perf_counter() - t0
-
-
 def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStream,
               orders: list[TaskStream] | None, phases: dict) -> dict:
     """Train the configured mode, write its tables and checkpoints into
     ``run_dir``, and return the summary. ``phases`` gains the seconds spent
     in the mode's training call, the eval table and the writing."""
+    @contextlib.contextmanager
     def timed(name: str):
-        return _timed(phases, name)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            phases[name] += time.perf_counter() - t0
 
     def table(name: str, rows: list[dict]) -> None:
         with timed("write"):

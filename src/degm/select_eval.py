@@ -49,8 +49,8 @@ def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
     eps_bank = _eval_eps_bank(graph.latent_dim, seed, k_eval, "select")
     scores = np.zeros((x.shape[0], graph.node_count))
     for j, entry in enumerate(graph.entries):
-        per_draw = [graph.node_values(entry, x, [eps]) for eps in eps_bank]
-        scores[:, j] = np.mean(per_draw, axis=0)
+        node_pass = graph.node_pass(entry, x)
+        scores[:, j] = np.mean([node_pass.bound([eps]) for eps in eps_bank], axis=0)
     shifted = scores - scores.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     posterior = weights / weights.sum(axis=1, keepdims=True)
@@ -63,21 +63,30 @@ def eval_nll(graph: GraphModel, data: np.ndarray, kprime: int = 1, seed: int = 0
     score it with the K'-draw bound."""
     data = np.asarray(data, dtype=np.float64)
     selection = select_component(graph, data, k_eval=k_eval, seed=seed)
-    return _selected_nll(graph, data, selection.chosen, kprime, seed)
+    passes = _chosen_passes(graph, data, selection.chosen)
+    return _selected_nll(graph, passes, data.shape[0], kprime, seed)
 
 
-def _selected_nll(graph: GraphModel, data: np.ndarray, chosen: np.ndarray, kprime: int,
-                  seed: int) -> float:
-    """Mean negative K'-draw bound, each sample scored by its chosen node."""
+def _chosen_passes(graph: GraphModel, data: np.ndarray, chosen: np.ndarray) -> list:
+    """(mask, pass) of each node that some sample chose, over the rows it chose."""
+    passes = []
+    for j, entry in enumerate(graph.entries):
+        mask = chosen == j
+        if mask.any():
+            passes.append((mask, graph.node_pass(entry, data[mask])))
+    return passes
+
+
+def _selected_nll(graph: GraphModel, passes: list, n: int, kprime: int, seed: int) -> float:
+    """Mean negative K'-draw bound over ``n`` samples, each scored by the
+    pass of its chosen node."""
     if kprime < 1:
         raise ContractError(f"kprime must be >= 1, got {kprime}")
     eps_bank = _eval_eps_bank(graph.latent_dim, seed, kprime, "nll")
     total = 0.0
-    for j, entry in enumerate(graph.entries):
-        mask = chosen == j
-        if mask.any():
-            total += float(-graph.node_values(entry, data[mask], eps_bank).sum())
-    return total / data.shape[0]
+    for _, node_pass in passes:
+        total += float(-node_pass.bound(eps_bank).sum())
+    return total / n
 
 
 def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> float:
@@ -183,15 +192,14 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
         task = stream.tasks[t]
         data = task.test.data
         selection = select_component(graph, data, k_eval=k_eval, seed=seed)
+        passes = _chosen_passes(graph, data, selection.chosen)
         recon = np.zeros_like(data)
-        for j, entry in enumerate(graph.entries):
-            mask = selection.chosen == j
-            if mask.any():
-                recon[mask] = graph.reconstruct_node(entry, data[mask])
+        for mask, node_pass in passes:
+            recon[mask] = node_pass.reconstruction()
         sl, ps, ss = reconstruction_metrics(data, recon)
         hist = np.bincount(selection.chosen, minlength=graph.node_count)
         return {"task": task.name,
-                "nll": _selected_nll(graph, data, selection.chosen, kprime, seed),
+                "nll": _selected_nll(graph, passes, data.shape[0], kprime, seed),
                 "sl": sl, "psnr": ps, "ssim": ss,
                 "chosen_hist": "|".join(str(int(c)) for c in hist)}
 

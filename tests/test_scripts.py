@@ -71,7 +71,7 @@ def test_compare_outputs_lists_the_files_a_change_alters(tmp_path):
     def compare(change):
         return subprocess.run([sys.executable, os.path.join(SCRIPTS, "compare_outputs.py"), ROOT,
                                str(change), "--config", str(config), "--seeds", "0",
-                               "--masks", mask, "--kprimes", "2"],
+                               "--masks", mask],
                               capture_output=True, text=True, timeout=300)
 
     same = compare(ROOT)
@@ -82,3 +82,15 @@ def test_compare_outputs_lists_the_files_a_change_alters(tmp_path):
     differing = {line.rpartition("/")[2] for line in other.stdout.splitlines()
                  if line.startswith("differs: ")}
     assert differing == {"metrics.csv"}  # the eval tables score with their own loss
+
+
+def test_compare_outputs_refuses_a_mask_outside_the_affinity(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", os.path.join(SCRIPTS, "compare_outputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    outside = str(max(os.sched_getaffinity(0)) + 1)
+    assert module.main([ROOT, ROOT, "--config", str(tmp_path / "unread.json"), "--seeds", "0",
+                        "--masks", outside, "--work", str(tmp_path / "work")]) == 2
+    assert f"mask {outside} names CPUs outside" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()  # refused before any command ran
