@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ContractError
 from .lifelong import (TaskStream, TrainConfig, _minibatches, elbo_values, mean_square_loss,
                        run_gr_single)
-from .nnkit import AdamState, Rng, adam_step, backprop, runtime
+from .nnkit import AdamState, Rng, Tensor, adam_step, backprop, runtime
 from .persist import write_table
 from .vae import HierVae, VaeComponent, copy_model
 
@@ -98,7 +98,7 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: d
 def encoder_kl_values(model, data: np.ndarray) -> np.ndarray:
     """Closed-form posterior-to-prior KL per sample (no sampling involved)."""
     base = model.base if isinstance(model, HierVae) else model
-    return base.array_pass(data).kl()
+    return base.node_pass(data).kl()
 
 
 def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
@@ -166,7 +166,8 @@ def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
     train_rng = rng.spawn("train")
     for _ in range(epochs):
         for idx in _minibatches(data.shape[0], cfg.batch, train_rng):
-            values = model.elbo(data[idx], rng=train_rng)
+            node_pass = model.node_pass(Tensor(data[idx]))
+            values = node_pass.bound(node_pass.draws(train_rng))
             adam_step(state, model.params(), backprop(-values.mean()))
     return model
 

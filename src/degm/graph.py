@@ -5,6 +5,10 @@ node owns only a fresh lower encoder and upper decoder; everything between
 them is borrowed, frozen, from the basic nodes it connects to, blended by its
 edge weights. Task-to-node assignment is recorded in the V matrix: the row of
 a specific node is its edge-weight vector, the row of a basic node is zero.
+
+Every node is trained and evaluated through one ``NodePass``
+(``GraphModel.node_pass``): the ELBO or K'-draw bound of a basic node, the
+mixture bound of a specific node, on the tape or on plain arrays.
 """
 
 from __future__ import annotations
@@ -12,17 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nnkit import (
-    DEFAULT_SIGMA,
-    DenseLayer,
-    DiagGaussian,
-    Rng,
-    Tensor,
-    kl_diag_gaussian_to_standard,
-    logmeanexp,
-    reparameterize,
-)
-from .vae import ArrayPass, BasicNode, VaeComponent
+from .nnkit import DEFAULT_SIGMA, DenseLayer, Rng, Tensor
+from .vae import BasicNode, NodePass, VaeComponent
 
 SIMPLEX_TOL = 1e-9
 
@@ -70,7 +65,7 @@ def knowledge_similarity(node: BasicNode, probe: np.ndarray, rng: Rng) -> float:
     if probe.ndim != 2 or probe.shape[0] == 0:
         raise ContractError("probe must be a nonempty [n, dim] array")
     eps = rng.normal((1, node.vae.latent_dim))
-    mean = float(node.vae.array_pass(probe).bound([eps]).mean())
+    mean = float(node.vae.node_pass(probe).bound([eps]).mean())
     return abs(node.reference_elbo - mean)
 
 
@@ -155,105 +150,21 @@ class GraphModel:
         return np.array([knowledge_similarity(b, probe, rng.spawn(f"ks:{i}"))
                          for i, b in enumerate(self.basics)])
 
-    # -- specific-node forward passes ------------------------------------------
+    # -- the forward pass of a node ------------------------------------------------
 
-    def _basic_stats(self, s: SpecificNode, x) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.shape[1] != self.input_dim:
-            raise DimensionError(f"expected width {self.input_dim}, got {x.shape}")
-        h = s.enc_lower_new(x)
-        stats = []
-        for j in range(s.weights.size):
-            vae = self.basics[j].vae
-            if vae.latent_dim != self.latent_dim:
-                raise DimensionError("basic nodes must share the latent dimension")
-            stats.append((vae.enc_mu(h, frozen=True), vae.enc_logvar(h, frozen=True)))
-        return h, stats
-
-    def _mix_latent(self, s: SpecificNode, stats, rng=None, eps=None) -> Tensor:
-        if eps is None:
-            if rng is None:
-                raise ContractError("latent mixing needs an rng or explicit eps")
-            eps = rng.normal((stats[0][0].shape[0], self.latent_dim))
-        z = None
-        for pi, (mu, lv) in zip(s.weights, stats):
-            zj = reparameterize(mu, lv, eps=eps)  # one shared draw across basics
-            z = zj * pi if z is None else z + zj * pi
-        return z
-
-    def specific_decode(self, s: SpecificNode, z) -> Tensor:
-        """Blend the frozen lower decoders, then the node's new output layer."""
-        z = z if isinstance(z, Tensor) else Tensor(z)
-        mixed = None
-        for j, pi in enumerate(s.weights):
-            part = self.basics[j].vae.dec_lower(z, frozen=True) * pi
-            mixed = part if mixed is None else mixed + part
-        return s.dec_upper_new(mixed)
-
-    def _log_likelihood(self, x, decoded: Tensor) -> Tensor:
-        probe = self.basics[0].vae if self.basics else None
-        if probe is not None:
-            return probe.log_likelihood(x, decoded)
-        raise ContractError("graph has no basic nodes")
-
-    def _mixture_kl(self, s: SpecificNode, stats) -> Tensor:
-        kl = None
-        for pi, (mu, lv) in zip(s.weights, stats):
-            term = kl_diag_gaussian_to_standard(mu, lv) * pi
-            kl = term if kl is None else kl + term
-        return kl
-
-    def melbo(self, s: SpecificNode, x, rng: Rng | None = None,
-              eps: np.ndarray | None = None) -> Tensor:
-        """Reconstruction through the blended pass minus the weighted KL sum."""
-        _, stats = self._basic_stats(s, x)
-        z = self._mix_latent(s, stats, rng=rng, eps=eps)
-        recon = self._log_likelihood(x, self.specific_decode(s, z))
-        return recon - self._mixture_kl(s, stats)
-
-    def melbo_iw(self, s: SpecificNode, x, kprime: int, rng: Rng | None = None,
-                 eps_list: list[np.ndarray] | None = None) -> Tensor:
-        """K'-draw weighted form of melbo; K'=1 coincides on the same draw."""
-        if kprime < 1:
-            raise ContractError(f"kprime must be >= 1, got {kprime}")
-        _, stats = self._basic_stats(s, x)
-        recons = []
-        for i in range(kprime):
-            eps = eps_list[i] if eps_list is not None else None
-            z = self._mix_latent(s, stats, rng=rng, eps=eps)
-            recons.append(self._log_likelihood(x, self.specific_decode(s, z)))
-        return logmeanexp(recons) - self._mixture_kl(s, stats)
-
-    # -- per-node evaluation on plain arrays ------------------------------------------------
-
-    def node_pass(self, entry: BasicNode | SpecificNode, x) -> ArrayPass:
-        """The no-grad pass of one node over the rows ``x``, its encoder run
-        here: a basic node's own component, or a specific node's new lower
-        encoder into the frozen heads of the basic nodes it blends."""
+    def node_pass(self, entry: BasicNode | SpecificNode, x) -> NodePass:
+        """The pass of one node over the rows ``x`` (a Tensor on the tape, an
+        array off it), its encoder run here: a basic node's own component, or
+        a specific node's new lower encoder into the frozen heads of the basic
+        nodes it blends."""
         if entry.kind == "basic":
-            return entry.vae.array_pass(x)
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(f"expected width {self.input_dim}, got {x.shape}")
-        h = entry.enc_lower_new.apply(x)
+            return entry.vae.node_pass(x)
         basics = [b.vae for b in self.basics[:entry.weights.size]]
-        posteriors = []
-        for vae in basics:
-            if vae.latent_dim != self.latent_dim:
-                raise DimensionError("basic nodes must share the latent dimension")
-            posteriors.append(DiagGaussian(vae.enc_mu.apply(h), vae.enc_logvar.apply(h)))
-        return ArrayPass(x, posteriors, entry.weights, [vae.dec_lower for vae in basics],
-                         entry.dec_upper_new, basics[0].likelihood, basics[0].sigma)
-
-    def node_values(self, entry: BasicNode | SpecificNode, x,
-                    eps_list: list[np.ndarray]) -> np.ndarray:
-        """Per-sample bound for one node over one draw per entry of ``eps_list``:
-        ``iwelbo`` for basics, ``melbo_iw`` for specifics, bit for bit."""
-        return self.node_pass(entry, x).bound(eps_list)
-
-    def reconstruct_node(self, entry: BasicNode | SpecificNode, x) -> np.ndarray:
-        """Deterministic encode-decode via posterior means for one node."""
-        return self.node_pass(entry, x).reconstruction()
+        if any(vae.latent_dim != self.latent_dim for vae in basics):
+            raise DimensionError("basic nodes must share the latent dimension")
+        return NodePass(x, entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics],
+                        entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
+                        basics[0].likelihood, basics[0].sigma)
 
     def all_params(self) -> list[Tensor]:
         return [t for node in self.basics + self.specifics for t in node.params()]

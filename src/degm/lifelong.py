@@ -28,8 +28,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
-from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, backprop, no_grad, runtime
-from .vae import BasicNode, HierVae, VaeComponent, copy_model
+from .nnkit import DEFAULT_SIGMA, AdamState, Rng, Tensor, adam_step, backprop, no_grad, runtime
+from .vae import BasicNode, HierVae, NodePass, VaeComponent, copy_model
 
 
 @dataclass
@@ -89,8 +89,9 @@ class TrainConfig:
     hier_two_layers: bool = True
 
     @property
-    def uses_iw(self) -> bool:
-        return self.objective == "iwelbo"
+    def train_draws(self) -> int:
+        """Draws per training bound: K' under the iwelbo objective, else one."""
+        return self.kprime if self.objective == "iwelbo" else 1
 
 
 @dataclass
@@ -308,12 +309,10 @@ def _draw_probe(task: Task, probe_size: int, rng: Rng) -> np.ndarray:
     return task.train.data[idx]
 
 
-def _node_objective(graph: GraphModel, node: BasicNode | SpecificNode, x: np.ndarray,
-                    cfg: TrainConfig, rng: Rng):
-    kprime = cfg.kprime if cfg.uses_iw else 1
-    if node.kind == "basic":
-        return node.vae.iwelbo(x, kprime, rng=rng) if kprime > 1 else node.vae.elbo(x, rng=rng)
-    return graph.melbo_iw(node, x, kprime, rng=rng) if kprime > 1 else graph.melbo(node, x, rng=rng)
+def _train_bound(node_pass: NodePass, cfg: TrainConfig, rng: Rng) -> Tensor:
+    """The training objective of one minibatch pass on the tape, its draws
+    taken from the train stream ``rng``."""
+    return node_pass.bound(node_pass.draws(rng, cfg.train_draws))
 
 
 def _node_epochs(entry: BasicNode | SpecificNode, cfg: TrainConfig) -> int:
@@ -339,10 +338,10 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
         final = epoch == epochs - 1
         for idx in _minibatches(data.shape[0], cfg.batch, train_rng):
             x = data[idx]
-            values = _node_objective(graph, entry, x, cfg, train_rng)
+            values = _train_bound(graph.node_pass(entry, Tensor(x)), cfg, train_rng)
             adam_step(state, params, backprop(-values.mean()))
             if final and entry.kind == "basic":
-                batch_elbo = entry.vae.array_pass(x).bound(
+                batch_elbo = entry.vae.node_pass(x).bound(
                     [ref_rng.normal((x.shape[0], entry.vae.latent_dim))])
                 ref_sum += float(batch_elbo.sum())
                 ref_count += batch_elbo.size
@@ -374,9 +373,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
     if objective is None:
         def objective(m, x, train_rng):
-            if cfg.uses_iw:
-                return m.iwelbo(x, cfg.kprime, rng=train_rng)
-            return m.elbo(x, rng=train_rng)
+            return _train_bound(m.node_pass(Tensor(x)), cfg, train_rng)
 
     log = MetricsLog()
     artifacts = GrArtifacts()
@@ -413,7 +410,7 @@ def elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
         with no_grad():
             eps2 = np.zeros((1, model.latent_dims[1]))
             return model.hier_elbo(x, eps=eps, eps2=eps2).data
-    return model.array_pass(x).bound([eps])
+    return model.node_pass(x).bound([eps])
 
 
 def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:
@@ -430,7 +427,7 @@ def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps, cfg):
             row = (float(elbo_values(model, test, eval_eps[t]).mean()),
                    mean_square_loss(test, model.reconstruct(test)))
         else:
-            row = _live_row(model.array_pass(test), eval_eps[t])
+            row = _live_row(model.node_pass(test), eval_eps[t])
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=row[0], square_loss=row[1])
 

@@ -1,5 +1,5 @@
 """Dense-network numeric kernel: tensors, tape, layers, Adam, RNG, likelihoods,
-and their plain-array counterparts for no-grad passes.
+each on the tape and on plain arrays.
 
 Importing the package sets two process-wide glibc malloc thresholds (see
 :mod:`.runtime`).
@@ -14,6 +14,7 @@ from .losses import (
     LOGVAR_LO,
     PROB_EPS,
     DiagGaussian,
+    TapeGaussian,
     bernoulli_log_likelihood,
     diag_gaussian_logpdf,
     gaussian_log_likelihood,
@@ -22,6 +23,7 @@ from .losses import (
     logmeanexp,
     logmeanexp_values,
     reparameterize,
+    tape_likelihood,
 )
 from .optim import AdamState, adam_step
 from .rng import Rng
@@ -37,6 +39,7 @@ __all__ = [
     "LOGVAR_LO",
     "PROB_EPS",
     "Rng",
+    "TapeGaussian",
     "Tensor",
     "adam_step",
     "affine",
@@ -53,4 +56,5 @@ __all__ = [
     "no_grad",
     "parameter",
     "reparameterize",
+    "tape_likelihood",
 ]

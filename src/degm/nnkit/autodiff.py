@@ -149,10 +149,6 @@ class Tensor:
     def log(self) -> "Tensor":
         return self._make(np.log(self.data), ((self, lambda g: g / self.data),))
 
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return self._make(out, ((self, lambda g: g * (1.0 - out ** 2)),))
-
     def sigmoid(self) -> "Tensor":
         out = sigmoid_values(self.data)
         return self._make(out, ((self, lambda g: g * out * (1.0 - out)),))

@@ -1,8 +1,9 @@
 """Dense layers with fixed activations.
 
-A layer runs on the tape (``affine_forward``, while training) or on plain
-arrays (``DenseLayer.apply``, for every no-grad pass). Both make the same
-numpy calls in the same order, so their outputs are the same bit for bit.
+A layer runs on the tape (``affine_forward``) or on plain arrays
+(``DenseLayer.apply``); a node pass picks one for all its layers from the
+type of its input. Both make the same numpy calls in the same order, so their
+outputs are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from ..errors import ContractError, DimensionError, TrainingError
 from .autodiff import Tensor, affine, leaky_relu_values, parameter, sigmoid_values
 from .rng import Rng
 
-ACTIVATIONS = ("identity", "leaky-relu", "tanh", "sigmoid")
+ACTIVATIONS = ("identity", "leaky-relu", "sigmoid")
 LEAKY_SLOPE = 0.01
 
 # activation -> (the Tensor method, its array formula); identity is absent
 _ACTIVATE = {
     "leaky-relu": (lambda y: y.leaky_relu(LEAKY_SLOPE),
                    lambda y: leaky_relu_values(y, LEAKY_SLOPE)),
-    "tanh": (lambda y: y.tanh(), np.tanh),
     "sigmoid": (lambda y: y.sigmoid(), sigmoid_values),
 }
 
@@ -88,6 +88,8 @@ def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
 
 
 def _finite(layer: DenseLayer, y: np.ndarray) -> np.ndarray:
-    if not np.isfinite(y).all():
+    # NaN propagates through min and max, so two reductions see every value
+    # without a boolean array the size of y; an empty y has neither
+    if y.size and not (np.isfinite(y.min()) and np.isfinite(y.max())):
         raise TrainingError(f"non-finite activation out of layer {layer.name!r}")
     return y

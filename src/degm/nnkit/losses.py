@@ -5,11 +5,13 @@ sample, shape [B]. ``logvar`` is clamped to [-10, 10] before exponentiation
 and Bernoulli probabilities to [1e-6, 1 - 1e-6]; both clamps are numeric
 guards, nothing more.
 
-The Tensor functions build the tape for training. ``DiagGaussian``,
+The Tensor functions build the tape. ``DiagGaussian``,
 ``likelihood_kernel`` and ``logmeanexp_values`` are their plain-array
 counterparts for no-grad passes: the same numpy calls in the same order, so
 the same values bit for bit, with what does not change between draws
-computed once.
+computed once. ``TapeGaussian`` and ``tape_likelihood`` give the Tensor
+functions the array counterparts' shape, so that one node pass
+(``degm.vae.NodePass``) picks either set once and runs the same code.
 """
 
 from __future__ import annotations
@@ -119,6 +121,32 @@ def logmeanexp(values: list[Tensor]) -> Tensor:
     for v in values[1:]:
         acc = acc + (v - m).exp()
     return acc.log() + (m - float(np.log(len(values))))
+
+
+class TapeGaussian:
+    """``DiagGaussian`` on the tape: ``sample`` is ``reparameterize`` and ``kl``
+    is ``kl_diag_gaussian_to_standard``. ``logvar`` is kept unclipped; both
+    clip it where they use it."""
+
+    __slots__ = ("mu", "logvar")
+
+    def __init__(self, mu: Tensor, logvar: Tensor):
+        self.mu = mu
+        self.logvar = logvar
+
+    def sample(self, eps: np.ndarray) -> Tensor:
+        return reparameterize(self.mu, self.logvar, eps=eps)
+
+    def kl(self) -> Tensor:
+        return kl_diag_gaussian_to_standard(self.mu, self.logvar)
+
+
+def tape_likelihood(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
+    """``likelihood_kernel`` on the tape: the per-sample log-likelihood of the
+    fixed targets ``x`` as a function of the decoder output Tensor."""
+    if likelihood == "bernoulli":
+        return lambda probs: bernoulli_log_likelihood(x, probs)
+    return lambda mu: gaussian_log_likelihood(x, mu, sigma)
 
 
 # -- the same quantities on plain arrays -------------------------------------------------

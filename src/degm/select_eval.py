@@ -95,7 +95,7 @@ def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> 
     if kprime < 1:
         raise ContractError(f"kprime must be >= 1, got {kprime}")
     eps_bank = _eval_eps_bank(model.latent_dim, seed, kprime, "nll")
-    return float(-model.array_pass(data).bound(eps_bank).mean())
+    return float(-model.node_pass(data).bound(eps_bank).mean())
 
 
 # -- reconstruction metrics ---------------------------------------------------------

@@ -5,19 +5,19 @@ heads (hidden -> mu, hidden -> logvar); the decoder splits into a lower layer
 (latent -> hidden) and an upper output layer. Keeping the four parts separate
 is what lets the graph model recombine them across components.
 
-Objectives return one value per sample, shape [B]. The weighted K'-draw bound
-is log-mean-exp of the per-draw reconstruction terms minus the closed-form KL,
-so the single-draw case *is* the ELBO estimate on the same noise.
-
-Training builds the tape (``elbo``, ``iwelbo``, ``encode``, ``decode``).
-Every no-grad pass runs on plain arrays through an ``ArrayPass``, which
-makes the same numpy calls in the same order, so its values are the same
-bit for bit.
+A node's one forward pass is a ``NodePass`` over its rows: on the tape when
+the rows are a ``Tensor`` (training), on plain arrays otherwise (every
+no-grad pass). Both make the same numpy calls in the same order, so their
+values are the same bit for bit. Bounds return one value per sample, shape
+[B]. The weighted K'-draw bound is log-mean-exp of the per-draw
+reconstruction terms minus the closed-form KL, so the single-draw case *is*
+the ELBO estimate on the same noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,16 +27,16 @@ from .nnkit import (
     DenseLayer,
     DiagGaussian,
     Rng,
+    TapeGaussian,
     Tensor,
-    bernoulli_log_likelihood,
+    affine_forward,
     diag_gaussian_logpdf,
-    gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
     likelihood_kernel,
     logmeanexp,
     logmeanexp_values,
-    no_grad,
     reparameterize,
+    tape_likelihood,
 )
 
 DEFAULT_HIDDEN = 200
@@ -84,97 +84,71 @@ class VaeComponent:
         layers = (self.enc_lower, self.enc_mu, self.enc_logvar, self.dec_lower, self.dec_upper)
         return [t for layer in layers for t in layer.params()]
 
-    def encode(self, x) -> tuple[Tensor, Tensor]:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(f"expected [batch, {self.input_dim}], got {x.shape}")
-        h = self.enc_lower(x)
-        return self.enc_mu(h), self.enc_logvar(h)
-
-    def decode(self, z) -> Tensor:
-        z = z if isinstance(z, Tensor) else Tensor(z)
-        if z.ndim != 2 or z.shape[1] != self.latent_dim:
-            raise DimensionError(f"expected [batch, {self.latent_dim}], got {z.shape}")
-        return self.dec_upper(self.dec_lower(z))
-
-    def log_likelihood(self, x, decoded: Tensor) -> Tensor:
-        if self.likelihood == "bernoulli":
-            return bernoulli_log_likelihood(x, decoded)
-        return gaussian_log_likelihood(x, decoded, self.sigma)
-
-    def elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None) -> Tensor:
-        """Single-draw estimate: reconstruction term minus closed-form KL."""
-        mu, logvar = self.encode(x)
-        z = reparameterize(mu, logvar, rng=rng, eps=eps)
-        recon = self.log_likelihood(x, self.decode(z))
-        return recon - kl_diag_gaussian_to_standard(mu, logvar)
-
-    def iwelbo(self, x, kprime: int, rng: Rng | None = None,
-               eps_list: list[np.ndarray] | None = None) -> Tensor:
-        """K'-draw weighted bound; K'=1 coincides with elbo on the same draw.
-
-        Expectation is non-decreasing in K' (log-mean-exp of i.i.d. draws), so
-        larger K' gives the tighter likelihood estimate.
-        """
-        if kprime < 1:
-            raise ContractError(f"kprime must be >= 1, got {kprime}")
-        mu, logvar = self.encode(x)
-        kl = kl_diag_gaussian_to_standard(mu, logvar)
-        recons = []
-        for i in range(kprime):
-            eps = eps_list[i] if eps_list is not None else None
-            z = reparameterize(mu, logvar, rng=rng, eps=eps)
-            recons.append(self.log_likelihood(x, self.decode(z)))
-        return logmeanexp(recons) - kl
-
-    def array_pass(self, x) -> "ArrayPass":
-        """The no-grad pass over the rows ``x``, its encoder run here."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(f"expected [batch, {self.input_dim}], got {x.shape}")
-        h = self.enc_lower.apply(x)
-        posterior = DiagGaussian(self.enc_mu.apply(h), self.enc_logvar.apply(h))
-        return ArrayPass(x, [posterior], None, [self.dec_lower], self.dec_upper,
-                         self.likelihood, self.sigma)
+    def node_pass(self, x) -> "NodePass":
+        """This component's forward pass over the rows ``x``, its encoder run
+        here: on the tape for a Tensor ``x``, on plain arrays otherwise."""
+        return NodePass(x, self.enc_lower, [(self.enc_mu, self.enc_logvar)], None,
+                        [self.dec_lower], self.dec_upper, self.likelihood, self.sigma)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         """Ancestral samples; Bernoulli outputs are pixel-sampled to {0,1}."""
         if n == 0:
             return np.zeros((0, self.input_dim))
-        out = self.dec_upper.apply(self.dec_lower.apply(rng.normal((n, self.latent_dim))))
+        return self.emit(rng.normal((n, self.latent_dim)), rng)
+
+    def emit(self, z: np.ndarray, rng: Rng) -> np.ndarray:
+        """The decoder output at the latents ``z``, pixel-sampled to {0,1}
+        from ``rng`` under a Bernoulli likelihood."""
+        out = self.dec_upper.apply(self.dec_lower.apply(z))
         if self.likelihood == "bernoulli":
             return rng.bernoulli(out)
         return out
 
     def reconstruct(self, x) -> np.ndarray:
         """Deterministic encode-decode through the posterior mean."""
-        return self.array_pass(x).reconstruction()
+        return self.node_pass(x).reconstruction()
 
 
-class ArrayPass:
-    """One node's no-grad forward pass over the rows ``x``, on plain arrays.
+class NodePass:
+    """One node's forward pass over the rows ``x``, its encoder run here.
 
-    The encoder has run: ``posteriors`` holds one ``DiagGaussian`` per latent
-    source, blended by ``weights`` (None for a plain component, whose one
-    source is used as is). ``lowers`` are the lower decoders, blended the
-    same way, and ``upper`` the output layer. Each method makes the numpy
-    calls of its Tensor composite in the same order, so its values are the
-    same bit for bit: ``bound`` is ``iwelbo`` (``elbo`` at one draw) or the
-    graph's ``melbo_iw`` (``melbo``), ``kl`` the KL term of either, and
-    ``reconstruction`` the decode of the (blended) posterior mean.
+    A Tensor ``x`` runs the pass on the tape, a plain array on arrays; the
+    constructor picks the layer calls, the posterior, the likelihood and the
+    log-mean-exp once, from that type. ``heads`` holds one (mu, logvar) layer
+    pair per latent source, blended by ``weights`` (None for a plain
+    component, whose one source is used as is). ``lowers`` are the lower
+    decoders, blended the same way, and ``upper`` the output layer. The heads
+    and lower decoders of a blended pass are borrowed from frozen basic
+    nodes, so on the tape they enter as constants. ``bound`` is the ELBO (one
+    draw) or the K'-draw bound of a basic node, and the mixture bound of a
+    specific one; ``kl`` is its KL term and ``reconstruction`` the decode of
+    the (blended) posterior mean.
     """
 
-    def __init__(self, x: np.ndarray, posteriors: list[DiagGaussian],
+    def __init__(self, x, enc_lower: DenseLayer, heads: list[tuple[DenseLayer, DenseLayer]],
                  weights: np.ndarray | None, lowers: list[DenseLayer], upper: DenseLayer,
                  likelihood: str, sigma: float):
-        self.x = x
-        self.posteriors = posteriors
+        if isinstance(x, Tensor):
+            self.x = x.data
+            own, posterior = affine_forward, TapeGaussian
+            borrowed = own if weights is None else partial(affine_forward, frozen=True)
+            self._kernel_of, self._logmeanexp = tape_likelihood, logmeanexp
+        else:
+            self.x = x = np.ascontiguousarray(x, dtype=np.float64)
+            own = borrowed = DenseLayer.apply
+            posterior = DiagGaussian
+            self._kernel_of, self._logmeanexp = likelihood_kernel, logmeanexp_values
+        if self.x.ndim != 2 or self.x.shape[1] != enc_lower.in_dim:
+            raise DimensionError(f"expected [batch, {enc_lower.in_dim}], got {self.x.shape}")
+        self._own, self._borrowed = own, borrowed
+        h = own(enc_lower, x)
+        self.posteriors = [posterior(borrowed(mu, h), borrowed(logvar, h)) for mu, logvar in heads]
         self.weights = weights
         self.lowers = lowers
         self.upper = upper
         self.likelihood = likelihood
         self.sigma = sigma
-        self._log_likelihood = None  # made on the first bound: reconstructions check no x
+        self._kernel = None  # made on first use: reconstructions check no x
 
     def _blend(self, parts):
         if self.weights is None:
@@ -184,26 +158,36 @@ class ArrayPass:
             total = part * pi if total is None else total + part * pi
         return total
 
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return self.upper.apply(self._blend(layer.apply(z) for layer in self.lowers))
+    def decode(self, z):
+        return self._own(self.upper, self._blend(self._borrowed(layer, z) for layer in self.lowers))
 
-    def kl(self) -> np.ndarray:
+    def recon_term(self, decoded):
+        """log p(x | decoded) per sample: the reconstruction term of a bound."""
+        if self._kernel is None:
+            self._kernel = self._kernel_of(self.likelihood, self.x, self.sigma)
+        return self._kernel(decoded)
+
+    def kl(self):
         return self._blend(p.kl() for p in self.posteriors)
 
-    def reconstruction(self) -> np.ndarray:
+    def reconstruction(self):
         return self.decode(self._blend(p.mu for p in self.posteriors))
 
-    def bound(self, eps_list: list[np.ndarray]) -> np.ndarray:
+    def sample(self, eps):
+        """The (blended) latent at the draw ``eps``, shared by every source."""
+        return self._blend(p.sample(eps) for p in self.posteriors)
+
+    def draws(self, rng: Rng, k: int = 1) -> list[np.ndarray]:
+        """``k`` draws of the noise from ``rng``, one row per sample, taken as
+        ``reparameterize`` takes them."""
+        return [rng.normal(self.posteriors[0].mu.shape) for _ in range(k)]
+
+    def bound(self, eps_list: list[np.ndarray]):
         """The per-sample bound over one draw per entry of ``eps_list``, each
         shared by every row (or one row per sample) and by every source."""
-        if self._log_likelihood is None:
-            self._log_likelihood = likelihood_kernel(self.likelihood, self.x, self.sigma)
-        recons = []
-        for eps in eps_list:
-            eps = np.asarray(eps, dtype=np.float64)
-            z = self._blend(p.sample(eps) for p in self.posteriors)
-            recons.append(self._log_likelihood(self.decode(z)))
-        return logmeanexp_values(recons) - self.kl()
+        recons = [self.recon_term(self.decode(self.sample(np.asarray(eps, dtype=np.float64))))
+                  for eps in eps_list]
+        return self._logmeanexp(recons) - self.kl()
 
 
 @dataclass
@@ -258,19 +242,22 @@ class HierVae:
     def hier_elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None,
                   eps2: np.ndarray | None = None) -> Tensor:
         """Reconstruction minus both layer penalties (second layer closed-form,
-        first layer a density ratio at the sampled point)."""
+        first layer a density ratio at the sampled point), on the tape."""
+        first = self.base.node_pass(Tensor(x))
+        if eps is None:
+            eps = first.draws(rng)[0]
         if not self.two_layers:
-            return self.base.elbo(x, rng=rng, eps=eps)
-        mu1, lv1 = self.base.encode(x)
-        z1 = reparameterize(mu1, lv1, rng=rng, eps=eps)
+            return first.bound([eps])
+        q1 = first.posteriors[0]
+        z1 = first.sample(eps)
         h2 = self.enc2_lower(z1)
         mu2, lv2 = self.enc2_mu(h2), self.enc2_logvar(h2)
         z2 = reparameterize(mu2, lv2, rng=rng, eps=eps2)
         hp = self.prior_lower(z2)
         mup, lvp = self.prior_mu(hp), self.prior_logvar(hp)
-        recon = self.base.log_likelihood(x, self.base.decode(z1))
+        recon = first.recon_term(first.decode(z1))
         kl2 = kl_diag_gaussian_to_standard(mu2, lv2)
-        ratio1 = diag_gaussian_logpdf(z1, mu1, lv1) - diag_gaussian_logpdf(z1, mup, lvp)
+        ratio1 = diag_gaussian_logpdf(z1, q1.mu, q1.logvar) - diag_gaussian_logpdf(z1, mup, lvp)
         return recon - ratio1 - kl2
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
@@ -278,15 +265,9 @@ class HierVae:
             return self.base.generate(n, rng)
         if n == 0:
             return np.zeros((0, self.input_dim))
-        with no_grad():
-            z2 = rng.normal((n, self.latent_dims[1]))
-            hp = self.prior_lower(Tensor(z2))
-            mup, lvp = self.prior_mu(hp), self.prior_logvar(hp)
-            z1 = reparameterize(mup, lvp, rng=rng)
-            out = self.base.decode(z1).data
-        if self.base.likelihood == "bernoulli":
-            return rng.bernoulli(out)
-        return out
+        hp = self.prior_lower.apply(rng.normal((n, self.latent_dims[1])))
+        prior = DiagGaussian(self.prior_mu.apply(hp), self.prior_logvar.apply(hp))
+        return self.base.emit(prior.sample(rng.normal(prior.mu.shape)), rng)
 
     def reconstruct(self, x) -> np.ndarray:
         return self.base.reconstruct(x)

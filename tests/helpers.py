@@ -1,13 +1,24 @@
 """Shared test utilities: the central-finite-difference gradient oracle,
-views of models and graphs that only tests need, and the no-grad values of
-the Tensor composites that the plain-array passes must equal bit for bit."""
+views of models and graphs that only tests need, and a tape reference for
+node passes, written from the nnkit primitives alone, that ``NodePass``
+must equal bit for bit on the tape and on arrays."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from degm.errors import ContractError
-from degm.nnkit import Tensor, backprop, no_grad
+from degm.nnkit import (
+    Tensor,
+    affine_forward,
+    backprop,
+    bernoulli_log_likelihood,
+    gaussian_log_likelihood,
+    kl_diag_gaussian_to_standard,
+    logmeanexp,
+    no_grad,
+    reparameterize,
+)
 from degm.vae import VaeComponent
 
 
@@ -53,7 +64,7 @@ def train_elbo_steps(component, data: np.ndarray, steps: int, lr: float, seed: i
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
         x = data[idx]
-        values = component.elbo(x, rng=rng)
+        values = drawn_bound(component.node_pass(Tensor(x)), rng)
         history.append(float(values.data.mean()))
         loss = -values.mean()
         adam_step(state, component.params(), backprop(loss))
@@ -83,12 +94,22 @@ def owner_entry(graph, task_id: int):
     raise ContractError(f"no node owns task id {task_id}")
 
 
-def specific_encode(graph, s, x, rng=None, eps=None):
-    """Blend the per-basic posteriors of specific node ``s``: z = sum_j pi_j z_j.
-    Gradients reach only the node's new lower encoder; basic sub-modules stay
-    frozen. Returns z and the per-basic (mu, logvar)."""
-    _, stats = graph._basic_stats(s, x)
-    return graph._mix_latent(s, stats, rng=rng, eps=eps), stats
+def drawn_bound(node_pass, rng, k: int = 1):
+    """The pass's bound over ``k`` draws taken from ``rng``, as training takes them."""
+    return node_pass.bound(node_pass.draws(rng, k))
+
+
+def single_draw_elbo(node_pass, eps):
+    """The ELBO written out: the reconstruction term at the draw ``eps`` minus the KL."""
+    return node_pass.recon_term(node_pass.decode(node_pass.sample(eps))) - node_pass.kl()
+
+
+def specific_encode(graph, s, x, eps):
+    """Blend the per-basic posteriors of specific node ``s`` on the tape:
+    z = sum_j pi_j z_j. Gradients reach only the node's new lower encoder;
+    basic sub-modules stay frozen. Returns z and the per-basic posteriors."""
+    node_pass = graph.node_pass(s, Tensor(x))
+    return node_pass.sample(eps), node_pass.posteriors
 
 
 def composite_component(graph, s, basic_index: int) -> VaeComponent:
@@ -100,28 +121,65 @@ def composite_component(graph, s, basic_index: int) -> VaeComponent:
                                     name=f"{s.name}+b{basic_index}")
 
 
+def _blend(weights, parts):
+    if weights is None:
+        return parts[0]
+    total = None
+    for pi, part in zip(weights, parts):
+        total = part * pi if total is None else total + part * pi
+    return total
+
+
+def _tape_node(graph, entry, x):
+    """A node's encoder on the tape: its (mu, logvar) per latent source, the
+    weights that blend them (None for a basic node), its decode and its
+    likelihood of ``x``."""
+    if entry.kind == "basic":
+        vae = entry.vae
+        h = affine_forward(vae.enc_lower, x)
+        stats = [(affine_forward(vae.enc_mu, h), affine_forward(vae.enc_logvar, h))]
+        weights, lowers, upper, frozen = None, [vae.dec_lower], vae.dec_upper, False
+    else:
+        basics = [b.vae for b in graph.basics[:entry.weights.size]]
+        h = affine_forward(entry.enc_lower_new, x)
+        stats = [(affine_forward(v.enc_mu, h, frozen=True),
+                  affine_forward(v.enc_logvar, h, frozen=True)) for v in basics]
+        weights, lowers, upper, frozen = (entry.weights, [v.dec_lower for v in basics],
+                                          entry.dec_upper_new, True)
+        vae = basics[0]
+
+    def decode(z):
+        return affine_forward(upper, _blend(weights, [affine_forward(layer, z, frozen=frozen)
+                                                      for layer in lowers]))
+
+    def log_likelihood(decoded):
+        if vae.likelihood == "bernoulli":
+            return bernoulli_log_likelihood(x, decoded)
+        return gaussian_log_likelihood(x, decoded, vae.sigma)
+
+    return stats, weights, decode, log_likelihood
+
+
+def tape_objective(graph, entry, x, eps_list: list[np.ndarray]) -> Tensor:
+    """A node's bound over the draws ``eps_list``, recorded on the tape:
+    the ELBO or K'-draw bound of a basic node, the mixture bound of a
+    specific node."""
+    stats, weights, decode, log_likelihood = _tape_node(graph, entry, x)
+    kl = _blend(weights, [kl_diag_gaussian_to_standard(mu, lv) for mu, lv in stats])
+    recons = [log_likelihood(decode(_blend(weights, [reparameterize(mu, lv, eps=eps)
+                                                     for mu, lv in stats])))
+              for eps in eps_list]
+    return logmeanexp(recons) - kl
+
+
 def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:
-    """A node's bound over the draws ``eps_list`` through the Tensor
-    composites: ``elbo``/``melbo`` on one draw, ``iwelbo``/``melbo_iw`` on more."""
-    k = len(eps_list)
+    """The values of ``tape_objective``, recording nothing."""
     with no_grad():
-        if entry.kind == "basic":
-            if k == 1:
-                return entry.vae.elbo(x, eps=eps_list[0]).data
-            return entry.vae.iwelbo(x, k, eps_list=eps_list).data
-        if k == 1:
-            return graph.melbo(entry, x, eps=eps_list[0]).data
-        return graph.melbo_iw(entry, x, k, eps_list=eps_list).data
+        return tape_objective(graph, entry, x, eps_list).data
 
 
 def tape_reconstruction(graph, entry, x) -> np.ndarray:
-    """A node's decode of its (blended) posterior mean through the Tensor
-    composites."""
+    """A node's decode of its (blended) posterior mean on the tape."""
     with no_grad():
-        if entry.kind == "basic":
-            return entry.vae.decode(entry.vae.encode(x)[0]).data
-        _, stats = graph._basic_stats(entry, x)
-        z = None
-        for pi, (mu, _) in zip(entry.weights, stats):
-            z = mu * pi if z is None else z + mu * pi
-        return graph.specific_decode(entry, z).data
+        stats, weights, decode, _ = _tape_node(graph, entry, x)
+        return decode(_blend(weights, [mu for mu, _ in stats])).data

@@ -24,7 +24,7 @@ from degm.lifelong import (
     run_degm,
     run_gr_single,
 )
-from degm.nnkit import Rng, no_grad
+from degm.nnkit import Rng, Tensor
 from degm.persist import load_checkpoint, save_graph
 from degm.select_eval import eval_nll, eval_nll_single, select_component
 from degm.vae import HierVae, VaeComponent
@@ -32,10 +32,12 @@ from degm.vae import HierVae, VaeComponent
 from helpers import (
     analytic_grads,
     composite_component,
+    drawn_bound,
     finite_difference_grads,
     max_rel_err,
     owner_entry,
     parameter_bytes,
+    single_draw_elbo,
     tape_bound,
     tape_reconstruction,
     train_elbo_steps,
@@ -126,8 +128,8 @@ def test_criterion_1_gradient_suite():
     # (correct) one-sided analytic gradient
     x = Rng(2).uniform(0.05, 0.95, (3, 6))
     eps_bank = [Rng(3).spawn(f"e:{i}").normal((3, 3)) for i in range(3)]
-    for build in (lambda: c.elbo(x, eps=eps_bank[0]).mean(),
-                  lambda: c.iwelbo(x, 3, eps_list=eps_bank).mean()):
+    for build in (lambda: c.node_pass(Tensor(x)).bound(eps_bank[:1]).mean(),
+                  lambda: c.node_pass(Tensor(x)).bound(eps_bank).mean()):
         worst = max(worst, max_rel_err(analytic_grads(build, c.params()),
                                        finite_difference_grads(build, c.params())))
 
@@ -136,8 +138,8 @@ def test_criterion_1_gradient_suite():
     g.add_basic_node(1, rng=Rng(5))
     g.add_specific_node(np.array([0.4, 0.6]), 2, rng=Rng(6))
     s = g.specifics[0]
-    for build in (lambda: g.melbo(s, x, eps=eps_bank[0]).mean(),
-                  lambda: g.melbo_iw(s, x, 2, eps_list=eps_bank[:2]).mean()):
+    for build in (lambda: g.node_pass(s, Tensor(x)).bound(eps_bank[:1]).mean(),
+                  lambda: g.node_pass(s, Tensor(x)).bound(eps_bank[:2]).mean()):
         worst = max(worst, max_rel_err(analytic_grads(build, s.params()),
                                        finite_difference_grads(build, s.params())))
 
@@ -158,11 +160,11 @@ def test_criterion_2_bound_ordering():
     train_elbo_steps(c, binary_data(21, 256, dim), steps=200, lr=5e-3, seed=0)
     x = binary_data(22, 10_000, dim)
     eps_bank = [Rng(23).spawn(f"d:{i}").normal((1, latent)) for i in range(50)]
-    with no_grad():
-        el = c.elbo(x, eps=eps_bank[0]).data
-        iw1 = c.iwelbo(x, 1, eps_list=eps_bank[:1]).data
-        iw5 = c.iwelbo(x, 5, eps_list=eps_bank[:5]).data
-        iw50 = c.iwelbo(x, 50, eps_list=eps_bank).data
+    node_pass = c.node_pass(x)
+    el = single_draw_elbo(node_pass, eps_bank[0])
+    iw1 = node_pass.bound(eps_bank[:1])
+    iw5 = node_pass.bound(eps_bank[:5])
+    iw50 = node_pass.bound(eps_bank)
     exact = np.array_equal(iw1, el)
     ok = exact
     detail = [f"exact K'=1: {exact}"]
@@ -189,9 +191,8 @@ def test_criterion_3_mixture_bound_validity():
     x = binary_data(32, 8, dim)
     eps = Rng(33).normal((8, latent))
     composite = composite_component(g, s, 0)
-    with no_grad():
-        gap = float(np.max(np.abs(g.melbo(s, x, eps=eps).data
-                                  - composite.elbo(x, eps=eps).data)))
+    gap = float(np.max(np.abs(g.node_pass(s, x).bound([eps])
+                              - composite.node_pass(x).bound([eps]))))
     identity_ok = gap <= 1e-9
 
     data = binary_data(34, 200, dim)
@@ -200,12 +201,12 @@ def test_criterion_3_mixture_bound_validity():
     state, rng = AdamState(lr=5e-3), Rng(35)
     for _ in range(150):
         xb = data[rng.integers(0, 200, size=32)]
-        adam_step(state, s.params(), backprop(-g.melbo(s, xb, rng=rng).mean()))
+        adam_step(state, s.params(), backprop(-drawn_bound(g.node_pass(s, Tensor(xb)), rng).mean()))
     xe = data[:64]
     draw_rng = Rng(36)
-    with no_grad():
-        draws = np.stack([g.melbo(s, xe, rng=draw_rng).data for _ in range(50)])
-        iw = g.melbo_iw(s, xe, 1000, rng=Rng(37)).data
+    node_pass = g.node_pass(s, xe)
+    draws = np.stack([drawn_bound(node_pass, draw_rng) for _ in range(50)])
+    iw = drawn_bound(node_pass, Rng(37), 1000)
     se = draws.std(ddof=1, axis=0) / np.sqrt(draws.shape[0])
     bound_ok = bool(np.all(draws.mean(axis=0) <= iw + 3.0 * se + 1e-9))
     report(3, "mixture bound: identity degeneration to 1e-9, below IW-1000 + 3SE",
@@ -360,9 +361,8 @@ def test_criterion_10_bounds_diagnostics(bounds_fixture):
     # (d) slack of the first-task bound check stays above -3 SE
     slacks = [r.slack for r in out.rows if r.task_t == 1]
     test_data = stream.tasks[0].test.data
-    with no_grad():
-        eps = Rng(0).spawn("bounds:eval").normal((1, cfg.latent_dim))
-        per_sample = -out.gr_model.elbo(test_data, eps=eps).data
+    eps = Rng(0).spawn("bounds:eval").normal((1, cfg.latent_dim))
+    per_sample = -out.gr_model.node_pass(test_data).bound([eps])
     se = per_sample.std(ddof=1) / np.sqrt(per_sample.size)
     slack_ok = all(v >= -3.0 * se for v in slacks)
     report(10, "bound diagnostics: zero self-disc, closed KL gap, growing disc, valid slack",

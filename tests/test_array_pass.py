@@ -1,6 +1,7 @@
-"""Every no-grad pass runs on plain arrays. Each must equal the Tensor
-composite it replaces, bit for bit (compared with ==, never a tolerance),
-and raise the errors the composite raises."""
+"""A node's one forward pass, ``NodePass``, runs on the tape for a Tensor and
+on plain arrays otherwise. Both must equal the tape reference built from the
+nnkit primitives, bit for bit (compared with ==, never a tolerance), and
+raise the errors it raises."""
 
 import os
 
@@ -12,11 +13,11 @@ from degm.data import synthetic_task
 from degm.errors import ContractError, TrainingError
 from degm.graph import GraphModel, knowledge_similarity
 from degm.lifelong import Task, TaskStream, elbo_values
-from degm.nnkit import (ACTIVATIONS, DenseLayer, Rng, Tensor, affine_forward,
-                        kl_diag_gaussian_to_standard, no_grad)
+from degm.nnkit import (ACTIVATIONS, AdamState, DenseLayer, Rng, Tensor, adam_step,
+                        affine_forward, backprop, kl_diag_gaussian_to_standard, no_grad)
 from degm.select_eval import single_metric_table, task_metric_table
 
-from helpers import tape_bound, tape_reconstruction
+from helpers import tape_bound, tape_objective, tape_reconstruction
 
 DIM, LATENT, HIDDEN = 64, 8, 32
 # the widened weights saturate the sigmoid: exp(-x) overflows to inf, 1 / inf is 0
@@ -57,6 +58,17 @@ def test_dense_layer_apply_equals_the_tape(activation, n):
     assert bits_equal(layer.apply(x), want)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("forward", ["apply", "tape"])
+def test_one_non_finite_output_raises_and_empty_rows_pass(bad, forward):
+    layer = DenseLayer(3, 5, "identity", Rng(11), name="probe")
+    layer.bias.data[2] = bad  # one row in: the middle output alone is not finite
+    run = layer.apply if forward == "apply" else (lambda x: affine_forward(layer, x).data)
+    with pytest.raises(TrainingError, match="non-finite activation out of layer 'probe'"):
+        run(np.ones((1, 3)))
+    assert run(np.zeros((0, 3))).shape == (0, 5)
+
+
 @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
 @pytest.mark.parametrize("kind", ["basic", "specific"])
 @pytest.mark.parametrize("kprime", [1, 2, 50])
@@ -70,8 +82,33 @@ def test_node_bounds_and_reconstructions_equal_the_tape(likelihood, kind, kprime
     shared = [rng.normal((1, LATENT)) for _ in range(kprime)]  # one row per draw
     per_row = [rng.normal((n, LATENT)) for _ in range(kprime)]  # one per sample
     for eps_list in (shared, per_row):
-        assert bits_equal(g.node_values(entry, x, eps_list), tape_bound(g, entry, x, eps_list))
-    assert bits_equal(g.reconstruct_node(entry, x), tape_reconstruction(g, entry, x))
+        want = tape_bound(g, entry, x, eps_list)
+        assert bits_equal(g.node_pass(entry, x).bound(eps_list), want)
+        with no_grad():
+            assert bits_equal(g.node_pass(entry, Tensor(x)).bound(eps_list).data, want)
+    assert bits_equal(g.node_pass(entry, x).reconstruction(), tape_reconstruction(g, entry, x))
+
+
+@pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("kind", ["basic", "specific"])
+@pytest.mark.parametrize("kprime", [1, 3])
+def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kprime):
+    def step(objective) -> tuple[list[str], bytes]:
+        g = spread_graph(likelihood, 0.2)
+        entry = g.entries[0 if kind == "basic" else 2]
+        x = rows(37, likelihood)
+        rng = Rng(4)
+        eps_list = [rng.normal((37, LATENT)) for _ in range(kprime)]
+        grads = backprop(-objective(g, entry, x, eps_list).mean())
+        adam_step(AdamState(lr=1e-3), entry.params(), grads)
+        return sorted(grads), b"".join(t.data.tobytes() for t in g.all_params())
+
+    # equal gradient names: no gradient reaches a borrowed basic layer, as in the reference
+    through_pass = step(lambda g, entry, x, eps_list:
+                        g.node_pass(entry, Tensor(x)).bound(eps_list))
+    assert through_pass == step(tape_objective)
+    untrained = b"".join(t.data.tobytes() for t in spread_graph(likelihood, 0.2).all_params())
+    assert through_pass[1] != untrained
 
 
 @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
@@ -82,13 +119,13 @@ def test_component_passes_equal_the_tape(likelihood, scale):
     x = rows(23, likelihood)
     eps = Rng(6).normal((1, LATENT))
     with no_grad():
-        mu, logvar = vae.encode(x)
-        kl = kl_diag_gaussian_to_standard(mu, logvar).data
-        elbo = vae.elbo(x, eps=eps).data
+        h = affine_forward(vae.enc_lower, x)
+        kl = kl_diag_gaussian_to_standard(affine_forward(vae.enc_mu, h),
+                                          affine_forward(vae.enc_logvar, h)).data
         z = Rng(8).normal((9, LATENT))
-        decoded = vae.decode(z).data
+        decoded = affine_forward(vae.dec_upper, affine_forward(vae.dec_lower, z)).data
     assert bits_equal(encoder_kl_values(vae, x), kl)
-    assert bits_equal(elbo_values(vae, x, eps), elbo)
+    assert bits_equal(elbo_values(vae, x, eps), tape_bound(g, g.basics[1], x, [eps]))
     assert bits_equal(vae.reconstruct(x), tape_reconstruction(g, g.basics[1], x))
     generated = vae.generate(9, Rng(8))
     want = Rng(8)
@@ -113,8 +150,11 @@ def test_a_non_finite_activation_raises_the_tapes_error(kind, layer):
     with pytest.raises(TrainingError) as tape:
         tape_bound(g, entry, x, eps_list)
     with pytest.raises(TrainingError) as array:
-        g.node_values(entry, x, eps_list)
-    assert str(array.value) == str(tape.value) == f"non-finite activation out of layer {layer!r}"
+        g.node_pass(entry, x).bound(eps_list)
+    with pytest.raises(TrainingError) as tape_pass:
+        g.node_pass(entry, Tensor(x)).bound(eps_list)
+    assert (str(array.value) == str(tape_pass.value) == str(tape.value)
+            == f"non-finite activation out of layer {layer!r}")
 
 
 @pytest.mark.parametrize("kind", ["basic", "specific"])
@@ -127,10 +167,13 @@ def test_out_of_range_targets_raise_the_tapes_error(kind):
     with pytest.raises(ContractError) as tape:
         tape_bound(g, entry, x, eps_list)
     with pytest.raises(ContractError) as array:
-        g.node_values(entry, x, eps_list)
-    assert str(array.value) == str(tape.value) == "targets must lie in [0, 1]"
+        g.node_pass(entry, x).bound(eps_list)
+    with pytest.raises(ContractError) as tape_pass:
+        g.node_pass(entry, Tensor(x)).bound(eps_list)
+    assert (str(array.value) == str(tape_pass.value) == str(tape.value)
+            == "targets must lie in [0, 1]")
     # a reconstruction reads no likelihood, on the tape or off it
-    assert bits_equal(g.reconstruct_node(entry, x), tape_reconstruction(g, entry, x))
+    assert bits_equal(g.node_pass(entry, x).reconstruction(), tape_reconstruction(g, entry, x))
 
 
 def test_metric_tables_construct_no_tensor(monkeypatch):

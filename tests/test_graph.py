@@ -8,14 +8,16 @@ from hypothesis.extra.numpy import arrays
 
 from degm.errors import ContractError
 from degm.graph import GraphModel, edge_weights, expansion_decide, knowledge_similarity
-from degm.nnkit import AdamState, Rng, adam_step, backprop, no_grad
+from degm.nnkit import AdamState, Rng, Tensor, adam_step, affine_forward, backprop, no_grad
 
 from helpers import (
     analytic_grads,
     composite_component,
+    drawn_bound,
     finite_difference_grads,
     max_rel_err,
     parameter_bytes,
+    single_draw_elbo,
     specific_encode,
     train_elbo_steps,
 )
@@ -105,9 +107,8 @@ def test_ks_direct_arithmetic():
     g = small_graph(1, seed=3)
     g.basics[0].reference_elbo = -90.0
     probe = binary_data(1, 50)
-    with no_grad():
-        eps = Rng(0).spawn("ks:0").normal((1, LATENT))
-        mean = float(g.basics[0].vae.elbo(probe, eps=eps).data.mean())
+    eps = Rng(0).spawn("ks:0").normal((1, LATENT))
+    mean = float(g.basics[0].vae.node_pass(probe).bound([eps]).mean())
     # shift the reference so the gap is exactly 40
     g.basics[0].reference_elbo = mean - 40.0
     ks = knowledge_similarity(g.basics[0], probe, Rng(0).spawn("ks:0"))
@@ -139,10 +140,10 @@ def test_ks_near_zero_on_own_distribution():
     g.basics[0].reference_elbo = float(np.mean(history[-50:]))
     probe = data[:200]
     ks = knowledge_similarity(g.basics[0], probe, Rng(21))
-    with no_grad():
-        per_sample = vae.elbo(probe, eps=Rng(21).normal((1, LATENT))).data
-        seed_means = [float(vae.elbo(probe, eps=Rng(100 + s).normal((1, LATENT))).data.mean())
-                      for s in range(10)]
+    node_pass = vae.node_pass(probe)
+    per_sample = node_pass.bound([Rng(21).normal((1, LATENT))])
+    seed_means = [float(node_pass.bound([Rng(100 + s).normal((1, LATENT))]).mean())
+                  for s in range(10)]
     se = per_sample.std(ddof=1) / np.sqrt(per_sample.size) + np.std(seed_means, ddof=1)
     # reference comes from a different (training) stream, so allow drift too
     assert ks < 3.0 * se + 0.1 * abs(np.mean(seed_means))
@@ -157,10 +158,10 @@ def test_specific_encode_one_hot_selects_single_basic():
     x = binary_data(12, 4)
     eps = Rng(13).normal((4, LATENT))
     with no_grad():
-        z, stats = specific_encode(g, s, x, eps=eps)
-        h = s.enc_lower_new(x)
-        mu = g.basics[1].vae.enc_mu(h)
-        lv = g.basics[1].vae.enc_logvar(h)
+        z, _ = specific_encode(g, s, x, eps=eps)
+        h = affine_forward(s.enc_lower_new, x)
+        mu = affine_forward(g.basics[1].vae.enc_mu, h)
+        lv = affine_forward(g.basics[1].vae.enc_logvar, h)
         expected = mu.data + np.exp(0.5 * np.clip(lv.data, -10, 10)) * eps
     np.testing.assert_array_equal(z.data, expected)
 
@@ -194,16 +195,18 @@ def test_specific_decode_one_hot_and_zero_map():
     g.add_specific_node(np.array([1.0, 0.0]), task_id=7, rng=Rng(19))
     s = g.specifics[0]
     z = Rng(20).normal((3, LATENT))
+    rows = binary_data(20, 3)
     with no_grad():
-        mixed = g.basics[0].vae.dec_lower(z)
-        expected = s.dec_upper_new(mixed)
-        out = g.specific_decode(s, z)
+        mixed = affine_forward(g.basics[0].vae.dec_lower, z)
+        expected = affine_forward(s.dec_upper_new, mixed)
+        out = g.node_pass(s, Tensor(rows)).decode(z)
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
     # zero new output layer: Bernoulli probabilities collapse to one half
     s.dec_upper_new.weight.data[:] = 0.0
     s.dec_upper_new.bias.data[:] = 0.0
     with no_grad():
-        np.testing.assert_array_equal(g.specific_decode(s, z).data, np.full((3, DIM), 0.5))
+        np.testing.assert_array_equal(g.node_pass(s, Tensor(rows)).decode(z).data,
+                                      np.full((3, DIM), 0.5))
 
 
 def test_specific_training_freezes_basics():
@@ -216,7 +219,7 @@ def test_specific_training_freezes_basics():
     rng = Rng(25)
     for _ in range(100):
         x = data[rng.integers(0, 64, size=16)]
-        loss = -g.melbo(s, x, rng=rng).mean()
+        loss = -drawn_bound(g.node_pass(s, Tensor(x)), rng).mean()
         adam_step(state, s.params(), backprop(loss))
     assert [parameter_bytes(b.vae) for b in g.basics] == before
 
@@ -229,7 +232,7 @@ def test_melbo_gradient_only_reaches_new_layers():
     eps = Rng(29).normal((3, LATENT))
 
     def loss():
-        return g.melbo(s, x, eps=eps).mean()
+        return g.node_pass(s, Tensor(x)).bound([eps]).mean()
 
     grads = backprop(loss())
     basic_names = {t.name for b in g.basics for t in b.vae.params()}
@@ -245,9 +248,8 @@ def test_melbo_one_hot_equals_composite_elbo():
     x = binary_data(32, 5)
     eps = Rng(33).normal((5, LATENT))
     composite = composite_component(g, s, basic_index=1)
-    with no_grad():
-        np.testing.assert_allclose(g.melbo(s, x, eps=eps).data,
-                                   composite.elbo(x, eps=eps).data, atol=1e-9)
+    np.testing.assert_allclose(g.node_pass(s, x).bound([eps]),
+                               composite.node_pass(x).bound([eps]), atol=1e-9)
 
 
 def test_melbo_single_basic_degeneration():
@@ -257,9 +259,8 @@ def test_melbo_single_basic_degeneration():
     x = binary_data(36, 6)
     eps = Rng(37).normal((6, LATENT))
     composite = composite_component(g, s, basic_index=0)
-    with no_grad():
-        np.testing.assert_allclose(g.melbo(s, x, eps=eps).data,
-                                   composite.elbo(x, eps=eps).data, atol=1e-9)
+    np.testing.assert_allclose(g.node_pass(s, x).bound([eps]),
+                               composite.node_pass(x).bound([eps]), atol=1e-9)
 
 
 def test_melbo_kl_term_nonnegative():
@@ -268,9 +269,9 @@ def test_melbo_kl_term_nonnegative():
     s = g.specifics[0]
     x = binary_data(40, 8)
     with no_grad():
-        _, stats = g._basic_stats(s, x)
-        kl = g._mixture_kl(s, stats)
+        kl = g.node_pass(s, Tensor(x)).kl()
     assert (kl.data >= 0.0).all()
+    assert (g.node_pass(s, x).kl() >= 0.0).all()
 
 
 def test_melbo_iw_single_draw_equals_melbo():
@@ -279,9 +280,8 @@ def test_melbo_iw_single_draw_equals_melbo():
     s = g.specifics[0]
     x = binary_data(43, 6)
     eps = Rng(44).normal((6, LATENT))
-    with no_grad():
-        np.testing.assert_array_equal(g.melbo_iw(s, x, 1, eps_list=[eps]).data,
-                                      g.melbo(s, x, eps=eps).data)
+    node_pass = g.node_pass(s, x)
+    np.testing.assert_array_equal(node_pass.bound([eps]), single_draw_elbo(node_pass, eps))
 
 
 def test_melbo_iw_identical_draws_collapse():
@@ -290,9 +290,8 @@ def test_melbo_iw_identical_draws_collapse():
     s = g.specifics[0]
     x = binary_data(47, 4)
     eps = Rng(48).normal((4, LATENT))
-    with no_grad():
-        np.testing.assert_allclose(g.melbo_iw(s, x, 4, eps_list=[eps] * 4).data,
-                                   g.melbo(s, x, eps=eps).data, atol=1e-10)
+    node_pass = g.node_pass(s, x)
+    np.testing.assert_allclose(node_pass.bound([eps] * 4), node_pass.bound([eps]), atol=1e-10)
 
 
 def test_melbo_iw_tightens_with_draws():
@@ -306,12 +305,12 @@ def test_melbo_iw_tightens_with_draws():
     rng = Rng(53)
     for _ in range(150):
         x = data[rng.integers(0, 200, size=32)]
-        adam_step(state, s.params(), backprop(-g.melbo(s, x, rng=rng).mean()))
+        adam_step(state, s.params(), backprop(-drawn_bound(g.node_pass(s, Tensor(x)), rng).mean()))
     x = binary_data(54, 5000)
     eps_bank = [Rng(55).spawn(f"d:{i}").normal((1, LATENT)) for i in range(5)]
-    with no_grad():
-        m1 = g.melbo_iw(s, x, 1, eps_list=eps_bank[:1]).data
-        m5 = g.melbo_iw(s, x, 5, eps_list=eps_bank).data
+    node_pass = g.node_pass(s, x)
+    m1 = node_pass.bound(eps_bank[:1])
+    m5 = node_pass.bound(eps_bank)
     diff = m5 - m1
     se = diff.std(ddof=1) / np.sqrt(diff.size)
     assert diff.mean() >= -3.0 * se
@@ -328,12 +327,12 @@ def test_melbo_bounded_by_iw_estimate():
     rng = Rng(60)
     for _ in range(150):
         x = data[rng.integers(0, 200, size=32)]
-        adam_step(state, s.params(), backprop(-g.melbo(s, x, rng=rng).mean()))
+        adam_step(state, s.params(), backprop(-drawn_bound(g.node_pass(s, Tensor(x)), rng).mean()))
     x = data[:64]
     draw_rng = Rng(61)
-    with no_grad():
-        melbo_draws = np.stack([g.melbo(s, x, rng=draw_rng).data for _ in range(50)])
-        iw = g.melbo_iw(s, x, 1000, rng=Rng(62)).data
+    node_pass = g.node_pass(s, x)
+    melbo_draws = np.stack([drawn_bound(node_pass, draw_rng) for _ in range(50)])
+    iw = drawn_bound(node_pass, Rng(62), 1000)
     mean_melbo = melbo_draws.mean(axis=0)
     se = melbo_draws.std(ddof=1, axis=0) / np.sqrt(melbo_draws.shape[0])
     assert np.all(mean_melbo <= iw + 3.0 * se + 1e-9)

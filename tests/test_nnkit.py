@@ -212,7 +212,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_deterministic_across_runs():
     def run():
         rng = Rng(99)
-        layer = DenseLayer(3, 2, "tanh", rng, name="l")
+        layer = DenseLayer(3, 2, "sigmoid", rng, name="l")
         state = AdamState(lr=1e-3)
         x = rng.normal((4, 3))
         for _ in range(10):
@@ -352,7 +352,7 @@ FAULT_PROBE = """
 import resource
 import numpy as np
 from degm.graph import GraphModel
-from degm.nnkit import AdamState, Rng, adam_step, backprop
+from degm.nnkit import AdamState, Rng, Tensor, adam_step, backprop
 
 rng = Rng(0)
 graph = GraphModel(64, 32, 200, "bernoulli", tau=15.0)
@@ -364,12 +364,14 @@ data = (rng.uniform(0.0, 1.0, (300, 64)) > 0.5).astype(np.float64)
 
 def step(i):
     x = data[64 * (i % 4):64 * (i % 4) + 64]
-    adam_step(state, params, backprop(-graph.melbo(node, x, rng=rng).mean()))
+    node_pass = graph.node_pass(node, Tensor(x))
+    adam_step(state, params, backprop(-node_pass.bound(node_pass.draws(rng)).mean()))
 
 for i in range(5):
     step(i)
-graph.node_values(node, data, [rng.normal((1, 32))])  # an epoch-end evaluation
-graph.reconstruct_node(node, data)
+evaluation = graph.node_pass(node, data)  # an epoch-end evaluation
+evaluation.bound([rng.normal((1, 32))])
+evaluation.reconstruction()
 step(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for i in range(20):

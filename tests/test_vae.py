@@ -1,17 +1,20 @@
-"""Component-level contracts: encode/decode, bounds, generation, the deep baseline."""
+"""Component-level contracts: the node pass's encoder, decoder and bounds,
+generation, the deep baseline."""
 
 import numpy as np
 import pytest
 
 from degm.errors import ContractError, DimensionError
-from degm.nnkit import AdamState, Rng, adam_step, backprop, kl_diag_gaussian_to_standard, no_grad
+from degm.nnkit import AdamState, Rng, Tensor, adam_step, backprop, no_grad
 from degm.vae import HierVae, VaeComponent, copy_model
 
 from helpers import (
     analytic_grads,
+    drawn_bound,
     finite_difference_grads,
     max_rel_err,
     parameter_bytes,
+    single_draw_elbo,
     train_elbo_steps,
 )
 
@@ -24,11 +27,22 @@ def binary_data(rng, n, dim):
     return (rng.uniform(0.0, 1.0, (n, dim)) < 0.4).astype(np.float64)
 
 
+def encode(c, x):
+    """The (mu, logvar) Tensors of the component's pass over ``x`` on the tape."""
+    q = c.node_pass(Tensor(x)).posteriors[0]
+    return q.mu, q.logvar
+
+
+def decode(c, z):
+    """The decoder output at ``z`` on the tape."""
+    return c.node_pass(Tensor(np.zeros((1, c.input_dim)))).decode(z)
+
+
 # --- encode / decode ---------------------------------------------------------
 
 def test_encode_zero_init_gives_standard_normal_params():
     c = VaeComponent(5, 3, 4, rng=None)
-    mu, lv = c.encode(np.random.default_rng(0).random((7, 5)))
+    mu, lv = encode(c, np.random.default_rng(0).random((7, 5)))
     assert np.array_equal(mu.data, np.zeros((7, 3)))
     assert np.array_equal(lv.data, np.zeros((7, 3)))
 
@@ -36,14 +50,16 @@ def test_encode_zero_init_gives_standard_normal_params():
 def test_encode_deterministic():
     c = tiny(3)
     x = Rng(1).uniform(0, 1, (4, 6))
-    mu1, lv1 = c.encode(x)
-    mu2, lv2 = c.encode(x)
+    mu1, lv1 = encode(c, x)
+    mu2, lv2 = encode(c, x)
     assert np.array_equal(mu1.data, mu2.data) and np.array_equal(lv1.data, lv2.data)
 
 
 def test_encode_rejects_wrong_width():
     with pytest.raises(DimensionError):
-        tiny().encode(np.zeros((2, 7)))
+        tiny().node_pass(Tensor(np.zeros((2, 7))))
+    with pytest.raises(DimensionError):
+        tiny().node_pass(np.zeros((2, 7)))
 
 
 def test_encoder_gradient_matches_finite_differences():
@@ -52,7 +68,7 @@ def test_encoder_gradient_matches_finite_differences():
     params = c.enc_lower.params() + c.enc_mu.params()
 
     def loss():
-        return c.encode(x)[0].sum()
+        return encode(c, x)[0].sum()
 
     assert max_rel_err(analytic_grads(loss, params),
                        finite_difference_grads(loss, params)) < 1e-6
@@ -60,14 +76,14 @@ def test_encoder_gradient_matches_finite_differences():
 
 def test_decode_zero_init_bernoulli_is_half():
     c = VaeComponent(5, 3, 4, rng=None)
-    out = c.decode(np.ones((2, 3)))
+    out = decode(c, np.ones((2, 3)))
     np.testing.assert_array_equal(out.data, np.full((2, 5), 0.5))
 
 
 def test_decode_deterministic():
     c = tiny(4)
     z = Rng(3).normal((5, 2))
-    assert np.array_equal(c.decode(z).data, c.decode(z).data)
+    assert np.array_equal(decode(c, z).data, decode(c, z).data)
 
 
 def test_memorizes_single_point():
@@ -85,17 +101,16 @@ def test_memorizes_single_point():
 def test_elbo_zero_init_closed_form():
     c = VaeComponent(8, 3, 5, rng=None)
     x = binary_data(Rng(0), 4, 8)
-    values = c.elbo(x, eps=np.zeros((4, 3)))
+    values = c.node_pass(Tensor(x)).bound([np.zeros((4, 3))])
     np.testing.assert_allclose(values.data, np.full(4, 8 * np.log(0.5)), atol=1e-9)
 
 
 def test_elbo_bounded_by_terms():
     c = tiny(7)
     x = binary_data(Rng(5), 16, 6)
-    with no_grad():
-        mu, lv = c.encode(x)
-        kl = kl_diag_gaussian_to_standard(mu, lv).data
-        values = c.elbo(x, rng=Rng(0)).data
+    node_pass = c.node_pass(x)
+    kl = node_pass.kl()
+    values = drawn_bound(node_pass, Rng(0))
     # Bernoulli reconstruction term is <= 0, so elbo <= -KL
     assert np.all(values <= -kl + 1e-12)
     assert np.all(kl >= 0.0)
@@ -107,8 +122,8 @@ def test_elbo_mean_reproducible_under_seed():
 
     def mean_of_draws():
         rng = Rng(77)
-        with no_grad():
-            return np.mean([c.elbo(x, rng=rng).data.mean() for _ in range(1000)])
+        node_pass = c.node_pass(x)
+        return np.mean([drawn_bound(node_pass, rng).mean() for _ in range(1000)])
 
     assert mean_of_draws() == mean_of_draws()
 
@@ -127,7 +142,7 @@ def test_elbo_gradient_matches_finite_differences():
     eps = Rng(10).normal((3, 2))
 
     def loss():
-        return c.elbo(x, eps=eps).mean()
+        return c.node_pass(Tensor(x)).bound([eps]).mean()
 
     assert max_rel_err(analytic_grads(loss, c.params()),
                        finite_difference_grads(loss, c.params())) < 1e-4
@@ -139,25 +154,24 @@ def test_iwelbo_single_draw_equals_elbo():
     c = tiny(13)
     x = binary_data(Rng(14), 8, 6)
     eps = Rng(15).normal((8, 2))
-    with no_grad():
-        iw = c.iwelbo(x, 1, eps_list=[eps]).data
-        el = c.elbo(x, eps=eps).data
-    np.testing.assert_array_equal(iw, el)
+    node_pass = c.node_pass(x)
+    np.testing.assert_array_equal(node_pass.bound([eps]), single_draw_elbo(node_pass, eps))
 
 
 def test_iwelbo_identical_draws_collapse():
     c = tiny(16)
     x = binary_data(Rng(17), 4, 6)
     eps = Rng(18).normal((4, 2))
-    with no_grad():
-        iw = c.iwelbo(x, 5, eps_list=[eps] * 5).data
-        el = c.elbo(x, eps=eps).data
+    node_pass = c.node_pass(x)
+    iw = node_pass.bound([eps] * 5)
+    el = node_pass.bound([eps])
     np.testing.assert_allclose(iw, el, atol=1e-10)
 
 
 def test_iwelbo_rejects_bad_kprime():
-    with pytest.raises(ContractError):
-        tiny().iwelbo(np.zeros((1, 6)), 0, rng=Rng(0))
+    for rows in (np.zeros((1, 6)), Tensor(np.zeros((1, 6)))):
+        with pytest.raises(ContractError):
+            tiny().node_pass(rows).bound([])
 
 
 def test_iwelbo_tightens_with_more_draws():
@@ -168,9 +182,9 @@ def test_iwelbo_tightens_with_more_draws():
     train_elbo_steps(c, data, steps=200, lr=5e-3, seed=2)
     x = binary_data(Rng(22), 10_000, 6)
     eps_bank = [Rng(23).spawn(f"draw:{i}").normal((1, 2)) for i in range(5)]
-    with no_grad():
-        iw1 = c.iwelbo(x, 1, eps_list=eps_bank[:1]).data
-        iw5 = c.iwelbo(x, 5, eps_list=eps_bank).data
+    node_pass = c.node_pass(x)
+    iw1 = node_pass.bound(eps_bank[:1])
+    iw5 = node_pass.bound(eps_bank)
     diff = iw5 - iw1
     se = diff.std(ddof=1) / np.sqrt(diff.size)
     assert diff.mean() >= -3.0 * se
@@ -182,9 +196,9 @@ def test_iwelbo_many_draw_average_dominates_elbo():
     train_elbo_steps(c, binary_data(Rng(25), 128, 5), steps=150, lr=5e-3, seed=3)
     x = binary_data(Rng(26), 1, 5)
     draw_rng = Rng(27)
-    with no_grad():
-        singles = np.array([c.elbo(x, rng=draw_rng).data[0] for _ in range(1000)])
-        iw = c.iwelbo(x, 1000, rng=Rng(28)).data[0]
+    node_pass = c.node_pass(x)
+    singles = np.array([drawn_bound(node_pass, draw_rng)[0] for _ in range(1000)])
+    iw = drawn_bound(node_pass, Rng(28), 1000)[0]
     se = singles.std(ddof=1) / np.sqrt(singles.size)
     assert iw >= singles.mean() - 3.0 * se
 
@@ -252,7 +266,7 @@ def test_hier_disabled_matches_plain_elbo():
     eps = Rng(42).normal((6, 3))
     with no_grad():
         np.testing.assert_array_equal(h.hier_elbo(x, eps=eps).data,
-                                      h.base.elbo(x, eps=eps).data)
+                                      single_draw_elbo(h.base.node_pass(Tensor(x)), eps).data)
 
 
 def test_hier_gradient_matches_finite_differences():
