@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import (TaskStream, TrainConfig, _minibatches, elbo_values, mean_square_loss,
-                       run_gr_single)
-from .nnkit import AdamState, Rng, Tensor, adam_step, backprop, runtime
+from .lifelong import (TaskStream, TrainConfig, elbo_values, mean_square_loss, pass_grads,
+                       run_gr_single, train_epoch)
+from .nnkit import AdamState, Rng, runtime
 from .persist import write_table
 from .vae import HierVae, VaeComponent, copy_model
 
@@ -164,11 +164,9 @@ def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
                          cfg.likelihood, cfg.sigma, rng.spawn("init"), name=name)
     state = AdamState(lr=cfg.lr)
     train_rng = rng.spawn("train")
+    grads_of = pass_grads(lambda x: model.node_pass(x, train=True), 1)
     for _ in range(epochs):
-        for idx in _minibatches(data.shape[0], cfg.batch, train_rng):
-            node_pass = model.node_pass(Tensor(data[idx]))
-            values = node_pass.bound(node_pass.draws(train_rng))
-            adam_step(state, model.params(), backprop(-values.mean()))
+        train_epoch(state, model.params(), data, cfg.batch, grads_of, train_rng)
     return model
 
 

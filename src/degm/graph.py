@@ -152,19 +152,19 @@ class GraphModel:
 
     # -- the forward pass of a node ------------------------------------------------
 
-    def node_pass(self, entry: BasicNode | SpecificNode, x) -> NodePass:
+    def node_pass(self, entry: BasicNode | SpecificNode, x, train: bool = False) -> NodePass:
         """The pass of one node over the rows ``x`` (a Tensor on the tape, an
-        array off it), its encoder run here: a basic node's own component, or
-        a specific node's new lower encoder into the frozen heads of the basic
-        nodes it blends."""
+        array off it; with ``train``, one that gives gradients), its encoder
+        run here: a basic node's own component, or a specific node's new lower
+        encoder into the frozen heads of the basic nodes it blends."""
         if entry.kind == "basic":
-            return entry.vae.node_pass(x)
+            return entry.vae.node_pass(x, train)
         basics = [b.vae for b in self.basics[:entry.weights.size]]
         if any(vae.latent_dim != self.latent_dim for vae in basics):
             raise DimensionError("basic nodes must share the latent dimension")
         return NodePass(x, entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics],
                         entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
-                        basics[0].likelihood, basics[0].sigma)
+                        basics[0].likelihood, basics[0].sigma, train)
 
     def all_params(self) -> list[Tensor]:
         return [t for node in self.basics + self.specifics for t in node.params()]

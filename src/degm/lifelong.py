@@ -112,6 +112,33 @@ def _minibatches(n: int, batch: int, rng: Rng):
         yield perm[start:start + batch]
 
 
+# a training step's gradients of its rows x, its draws taken from the train stream
+GradsOf = Callable[[np.ndarray, Rng], dict[str, np.ndarray]]
+
+
+def train_epoch(state: AdamState, params: list[Tensor], data: np.ndarray, batch: int,
+                grads_of: GradsOf, train_rng: Rng,
+                on_step: Callable[[np.ndarray], None] | None = None) -> None:
+    """One epoch of Adam steps on ``params``: the rows of ``data`` in
+    minibatches of ``batch``, shuffled from ``train_rng``, each step taking
+    ``grads_of(x, train_rng)`` and then calling ``on_step(x)``."""
+    for idx in _minibatches(data.shape[0], batch, train_rng):
+        x = data[idx]
+        adam_step(state, params, grads_of(x, train_rng))
+        if on_step is not None:
+            on_step(x)
+
+
+def pass_grads(make_pass: Callable[[np.ndarray], NodePass], draws: int) -> GradsOf:
+    """The gradient function of a model trained through its node pass: the
+    gradients of ``make_pass(x)``'s mean bound over ``draws`` draws."""
+    def grads_of(x: np.ndarray, train_rng: Rng) -> dict[str, np.ndarray]:
+        node_pass = make_pass(x)
+        return node_pass.bound_and_grads(node_pass.draws(train_rng, draws))[1]
+
+    return grads_of
+
+
 def _eval_eps(rng: Rng, task: Task, latent_dim: int) -> np.ndarray:
     # one fixed broadcast draw per task: frozen nodes then log constant values
     return rng.spawn(f"eval:{task.name}").normal((1, latent_dim))
@@ -309,12 +336,6 @@ def _draw_probe(task: Task, probe_size: int, rng: Rng) -> np.ndarray:
     return task.train.data[idx]
 
 
-def _train_bound(node_pass: NodePass, cfg: TrainConfig, rng: Rng) -> Tensor:
-    """The training objective of one minibatch pass on the tape, its draws
-    taken from the train stream ``rng``."""
-    return node_pass.bound(node_pass.draws(rng, cfg.train_draws))
-
-
 def _node_epochs(entry: BasicNode | SpecificNode, cfg: TrainConfig) -> int:
     if entry.kind == "specific" and cfg.specific_epochs is not None:
         return cfg.specific_epochs
@@ -330,22 +351,23 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
     params = entry.params()
     train_rng = rng.spawn(f"train:{task.name}")
     ref_rng = rng.spawn(f"ref:{task.name}")
-    data, test = task.train.data, task.test.data
+    grads_of = pass_grads(lambda x: graph.node_pass(entry, x, train=True), cfg.train_draws)
     epochs = _node_epochs(entry, cfg)
     ref_sum, ref_count = 0.0, 0
+
+    def add_reference(x: np.ndarray) -> None:  # a basic node's ELBO after its last steps
+        nonlocal ref_sum, ref_count
+        batch_elbo = entry.vae.node_pass(x).bound(
+            [ref_rng.normal((x.shape[0], entry.vae.latent_dim))])
+        ref_sum += float(batch_elbo.sum())
+        ref_count += batch_elbo.size
+
     rows = []
     for epoch in range(epochs):
-        final = epoch == epochs - 1
-        for idx in _minibatches(data.shape[0], cfg.batch, train_rng):
-            x = data[idx]
-            values = _train_bound(graph.node_pass(entry, Tensor(x)), cfg, train_rng)
-            adam_step(state, params, backprop(-values.mean()))
-            if final and entry.kind == "basic":
-                batch_elbo = entry.vae.node_pass(x).bound(
-                    [ref_rng.normal((x.shape[0], entry.vae.latent_dim))])
-                ref_sum += float(batch_elbo.sum())
-                ref_count += batch_elbo.size
-        rows.append(_live_row(graph.node_pass(entry, test), eps))
+        final = epoch == epochs - 1 and entry.kind == "basic"
+        train_epoch(state, params, task.train.data, cfg.batch, grads_of, train_rng,
+                    add_reference if final else None)
+        rows.append(_live_row(graph.node_pass(entry, task.test.data), eps))
     reference_elbo = ref_sum / ref_count if entry.kind == "basic" else None
     return rows, [p.data for p in params], reference_elbo
 
@@ -361,19 +383,20 @@ class GrArtifacts:
 
 
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
-                  model=None, objective=None, epoch_hook=None, task_hook=None) -> tuple:
+                  model=None, grads_of: GradsOf | None = None, epoch_hook=None,
+                  task_hook=None) -> tuple:
     """Single model; from the second task on it trains on its own generations
     mixed uniformly with the new task's data (replay count (i-1) x |train_i|).
 
-    ``task_hook(task_index, mixture)`` is called once per task, when its
-    mixture is built and before its first epoch; ``epoch_hook`` after every
-    epoch."""
+    ``grads_of`` gives the model's training gradients (by default those of
+    its node pass). ``task_hook(task_index, mixture)`` is called once per
+    task, when its mixture is built and before its first epoch;
+    ``epoch_hook`` after every epoch."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
-    if objective is None:
-        def objective(m, x, train_rng):
-            return _train_bound(m.node_pass(Tensor(x)), cfg, train_rng)
+    if grads_of is None:
+        grads_of = pass_grads(lambda x: model.node_pass(x, train=True), cfg.train_draws)
 
     log = MetricsLog()
     artifacts = GrArtifacts()
@@ -393,9 +416,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
 
         train_rng = rng.spawn(f"gr:train:{task.name}:{i}")
         for epoch in range(cfg.epochs):
-            for idx in _minibatches(mixture.shape[0], cfg.batch, train_rng):
-                values = objective(model, mixture[idx], train_rng)
-                adam_step(state, model.params(), backprop(-values.mean()))
+            train_epoch(state, model.params(), mixture, cfg.batch, grads_of, train_rng)
             _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps, cfg)
             if epoch_hook is not None:
                 epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture,
@@ -440,10 +461,10 @@ def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "g
     model = HierVae(stream.input_dim, latent_dims, cfg.hidden_dim, cfg.likelihood,
                     cfg.sigma, cfg.hier_two_layers, rng.spawn("gr:init"), name="gr")
 
-    def objective(m, x, train_rng):
-        return m.hier_elbo(x, rng=train_rng)
+    def grads_of(x: np.ndarray, train_rng: Rng) -> dict[str, np.ndarray]:
+        return backprop(-model.hier_elbo(x, rng=train_rng).mean())  # on the tape
 
-    return run_gr_single(stream, cfg, rng, run_id=run_id, model=model, objective=objective)
+    return run_gr_single(stream, cfg, rng, run_id=run_id, model=model, grads_of=grads_of)
 
 
 # -- order study ------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from .losses import (
     diag_gaussian_logpdf,
     gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
+    likelihood_grad,
     likelihood_kernel,
     logmeanexp,
+    logmeanexp_grads,
     logmeanexp_values,
     reparameterize,
     tape_likelihood,
@@ -50,8 +52,10 @@ __all__ = [
     "gaussian_log_likelihood",
     "grad_enabled",
     "kl_diag_gaussian_to_standard",
+    "likelihood_grad",
     "likelihood_kernel",
     "logmeanexp",
+    "logmeanexp_grads",
     "logmeanexp_values",
     "no_grad",
     "parameter",

@@ -66,6 +66,35 @@ class DenseLayer:
             y = _ACTIVATE[self.activation][1](y)
         return _finite(self, y)
 
+    def activation_grad(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The gradient at the affine output of ``apply``, from the gradient
+        ``g`` at its output ``y``: the tape's VJP of the activation, bit for bit.
+
+        The leaky-relu mask is the tape's, ``(a > 0) * (1 - slope) + slope``
+        for the affine output ``a``; with a positive slope ``y > 0`` exactly
+        where ``a > 0``.
+        """
+        if self.activation == "sigmoid":
+            return g * y * (1.0 - y)
+        if self.activation == "leaky-relu":
+            mask = (y > 0.0).astype(np.float64)
+            mask *= 1.0 - LEAKY_SLOPE
+            mask += LEAKY_SLOPE
+            mask *= g
+            return mask
+        return g
+
+    def accumulate_grads(self, grads: dict[str, np.ndarray], x: np.ndarray,
+                         g: np.ndarray) -> None:
+        """Add this layer's weight and bias gradients, from its input ``x``
+        and the gradient ``g`` at its affine output, into ``grads`` by
+        parameter name: the tape's VJPs of ``affine``, summed in call order."""
+        for p, pg in ((self.weight, g.T @ x), (self.bias, g.sum(axis=0))):
+            if p.name in grads:
+                grads[p.name] += pg
+            else:
+                grads[p.name] = pg
+
 
 def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
     """act(x @ W.T + b), recorded on the tape.

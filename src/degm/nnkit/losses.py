@@ -7,11 +7,13 @@ guards, nothing more.
 
 The Tensor functions build the tape. ``DiagGaussian``,
 ``likelihood_kernel`` and ``logmeanexp_values`` are their plain-array
-counterparts for no-grad passes: the same numpy calls in the same order, so
-the same values bit for bit, with what does not change between draws
-computed once. ``TapeGaussian`` and ``tape_likelihood`` give the Tensor
-functions the array counterparts' shape, so that one node pass
-(``degm.vae.NodePass``) picks either set once and runs the same code.
+counterparts: the same numpy calls in the same order, so the same values bit
+for bit, with what does not change between draws computed once.
+``DiagGaussian.grads``, ``likelihood_grad`` and ``logmeanexp_grads`` are the
+tape's VJPs of the same functions on arrays, step for step. ``TapeGaussian``
+and ``tape_likelihood`` give the Tensor functions the array counterparts'
+shape, so that one node pass (``degm.vae.NodePass``) picks either set once
+and runs the same code.
 """
 
 from __future__ import annotations
@@ -172,6 +174,26 @@ class DiagGaussian:
         inner = np.exp(self.logvar) + self.mu ** 2 - 1.0 - self.logvar
         return np.clip(inner.sum(axis=1) * 0.5, 0.0, np.inf)
 
+    def grads(self, g_samples: list[np.ndarray], eps_list: list[np.ndarray], kl: np.ndarray,
+              g_kl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients at mu and at the unclipped logvar, from the gradient at
+        ``sample(eps)`` for each draw of ``eps_list`` and ``g_kl`` at ``kl``
+        (the value ``kl()`` gave): the tape's VJPs of ``reparameterize`` and
+        ``kl_diag_gaussian_to_standard``, summed as the tape sums them, draw
+        by draw and then the KL."""
+        inside = (self.logvar > LOGVAR_LO) & (self.logvar < LOGVAR_HI)
+        g_mu = g_lv = None
+        for g, eps in zip(g_samples, eps_list):
+            lv = g * eps * self.std * 0.5 * inside
+            g_mu = g if g_mu is None else g_mu + g
+            g_lv = lv if g_lv is None else g_lv + lv
+        g_inner = (g_kl * ((kl > 0.0) & (kl < np.inf)) * 0.5)[:, None]
+        g_mu = g_mu + g_inner * (2.0 * self.mu)
+        g_clipped = g_inner * np.exp(self.logvar)
+        g_clipped -= g_inner
+        g_clipped *= inside
+        return g_mu, g_lv + g_clipped
+
 
 def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
     """The per-sample log-likelihood of the fixed targets ``x`` as a function
@@ -216,6 +238,38 @@ def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIG
     return gaussian
 
 
+def likelihood_grad(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
+    """The gradient at the decoder output of ``likelihood_kernel``'s values,
+    as a function of the output and the gradient at the values: the tape's
+    VJPs of ``bernoulli_log_likelihood`` or ``gaussian_log_likelihood``, step
+    for step, so bit for bit."""
+    if likelihood == "bernoulli":
+        one_minus_x = 1.0 - x
+
+        def bernoulli(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+            col = g[:, None]
+            p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+            g_probs = col * x
+            g_probs /= p
+            np.subtract(1.0, p, out=p)
+            g_rest = col * one_minus_x
+            g_rest /= p
+            g_probs -= g_rest
+            g_probs *= (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+            return g_probs
+
+        return bernoulli
+    scale = -0.5 / (sigma * sigma)
+
+    def gaussian(mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+        diff = mu - x
+        diff *= 2.0
+        diff *= (g * scale)[:, None]
+        return diff
+
+    return gaussian
+
+
 def logmeanexp_values(values: list[np.ndarray]) -> np.ndarray:
     """``logmeanexp`` of plain per-sample arrays, bit for bit."""
     if not values:
@@ -227,3 +281,17 @@ def logmeanexp_values(values: list[np.ndarray]) -> np.ndarray:
     for v in values[1:]:
         acc += np.exp(v - m)
     return np.log(acc) + (m - float(np.log(len(values))))
+
+
+def logmeanexp_grads(values: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
+    """The gradient at each of ``values`` of ``logmeanexp_values(values)``,
+    from the gradient ``g`` at it: the tape's VJPs of ``logmeanexp``."""
+    if len(values) == 1:
+        return [g]
+    m = np.maximum.reduce(values)
+    exps = [np.exp(v - m) for v in values]
+    acc = exps[0] + exps[1]
+    for e in exps[2:]:
+        acc += e
+    g_acc = g / acc
+    return [g_acc * e for e in exps]

@@ -6,12 +6,13 @@ heads (hidden -> mu, hidden -> logvar); the decoder splits into a lower layer
 is what lets the graph model recombine them across components.
 
 A node's one forward pass is a ``NodePass`` over its rows: on the tape when
-the rows are a ``Tensor`` (training), on plain arrays otherwise (every
-no-grad pass). Both make the same numpy calls in the same order, so their
-values are the same bit for bit. Bounds return one value per sample, shape
-[B]. The weighted K'-draw bound is log-mean-exp of the per-draw
-reconstruction terms minus the closed-form KL, so the single-draw case *is*
-the ELBO estimate on the same noise.
+the rows are a ``Tensor`` (the two-layer model's training), on plain arrays
+otherwise. Both make the same numpy calls in the same order, so their values
+are the same bit for bit. A training pass on arrays also gives the
+gradients, its backward written out VJP by VJP in the tape's order. Bounds
+return one value per sample, shape [B]. The weighted K'-draw bound is
+log-mean-exp of the per-draw reconstruction terms minus the closed-form KL,
+so the single-draw case *is* the ELBO estimate on the same noise.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from .nnkit import (
     affine_forward,
     diag_gaussian_logpdf,
     kl_diag_gaussian_to_standard,
+    likelihood_grad,
     likelihood_kernel,
     logmeanexp,
+    logmeanexp_grads,
     logmeanexp_values,
     reparameterize,
     tape_likelihood,
@@ -84,11 +87,12 @@ class VaeComponent:
         layers = (self.enc_lower, self.enc_mu, self.enc_logvar, self.dec_lower, self.dec_upper)
         return [t for layer in layers for t in layer.params()]
 
-    def node_pass(self, x) -> "NodePass":
+    def node_pass(self, x, train: bool = False) -> "NodePass":
         """This component's forward pass over the rows ``x``, its encoder run
-        here: on the tape for a Tensor ``x``, on plain arrays otherwise."""
+        here: on the tape for a Tensor ``x``, on plain arrays otherwise; with
+        ``train``, one that gives gradients."""
         return NodePass(x, self.enc_lower, [(self.enc_mu, self.enc_logvar)], None,
-                        [self.dec_lower], self.dec_upper, self.likelihood, self.sigma)
+                        [self.dec_lower], self.dec_upper, self.likelihood, self.sigma, train)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         """Ancestral samples; Bernoulli outputs are pixel-sampled to {0,1}."""
@@ -122,13 +126,17 @@ class NodePass:
     nodes, so on the tape they enter as constants. ``bound`` is the ELBO (one
     draw) or the K'-draw bound of a basic node, and the mixture bound of a
     specific one; ``kl`` is its KL term and ``reconstruction`` the decode of
-    the (blended) posterior mean.
+    the (blended) posterior mean. A ``train`` pass runs on arrays and keeps
+    the encoder output, so that ``bound_and_grads`` can give the gradients
+    without the tape.
     """
 
     def __init__(self, x, enc_lower: DenseLayer, heads: list[tuple[DenseLayer, DenseLayer]],
                  weights: np.ndarray | None, lowers: list[DenseLayer], upper: DenseLayer,
-                 likelihood: str, sigma: float):
+                 likelihood: str, sigma: float, train: bool = False):
         if isinstance(x, Tensor):
+            if train:
+                raise ContractError("a training pass runs on arrays")
             self.x = x.data
             own, posterior = affine_forward, TapeGaussian
             borrowed = own if weights is None else partial(affine_forward, frozen=True)
@@ -143,6 +151,9 @@ class NodePass:
         self._own, self._borrowed = own, borrowed
         h = own(enc_lower, x)
         self.posteriors = [posterior(borrowed(mu, h), borrowed(logvar, h)) for mu, logvar in heads]
+        self._h = h if train else None
+        self.enc_lower = enc_lower
+        self.heads = heads
         self.weights = weights
         self.lowers = lowers
         self.upper = upper
@@ -188,6 +199,64 @@ class NodePass:
         recons = [self.recon_term(self.decode(self.sample(np.asarray(eps, dtype=np.float64))))
                   for eps in eps_list]
         return self._logmeanexp(recons) - self.kl()
+
+    def bound_and_grads(self, eps_list: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+        """``bound(eps_list)`` and the gradients of ``-bound.mean()`` by
+        parameter name, of a ``train`` pass. The backward is written out: each
+        step is the tape's VJP, and where gradients meet they are summed in the
+        tape's order (draw by draw, then the KL; each source's mu then logvar
+        head; each lower decoder), so every array equals ``backprop``'s bit for
+        bit. The borrowed heads and lower decoders of a blended pass get none.
+        """
+        if self._h is None:
+            raise ContractError("gradients need a pass made with train=True")
+        eps_list = [np.asarray(eps, dtype=np.float64) for eps in eps_list]
+        draws = []  # per draw: z, the lower decoder outputs, their blend, the output
+        for eps in eps_list:
+            z = self.sample(eps)
+            lows = [layer.apply(z) for layer in self.lowers]
+            hidden = self._blend(lows)
+            draws.append((z, lows, hidden, self.upper.apply(hidden)))
+        recons = [self.recon_term(out) for *_, out in draws]
+        kls = [p.kl() for p in self.posteriors]
+        values = logmeanexp_values(recons) - self._blend(kls)
+
+        n = values.shape[0]
+        g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
+        own = self.weights is None  # else the heads and lower decoders are borrowed
+        pis = [None] if own else self.weights
+
+        def scaled(g, pi):
+            return g if pi is None else g * pi
+
+        grads: dict[str, np.ndarray] = {}
+        likelihood_vjp = likelihood_grad(self.likelihood, self.x, self.sigma)
+        g_samples = [[] for _ in self.posteriors]
+        for (z, lows, hidden, out), g_recon in zip(draws, logmeanexp_grads(recons, g_values)):
+            g_out = self.upper.activation_grad(out, likelihood_vjp(out, g_recon))
+            self.upper.accumulate_grads(grads, hidden, g_out)
+            g_hidden = g_out @ self.upper.weight.data
+            g_z = None
+            for layer, low, pi in zip(self.lowers, lows, pis):
+                g_low = layer.activation_grad(low, scaled(g_hidden, pi))
+                if own:
+                    layer.accumulate_grads(grads, z, g_low)
+                g_part = g_low @ layer.weight.data
+                g_z = g_part if g_z is None else g_z + g_part
+            for g_sample, pi in zip(g_samples, pis):
+                g_sample.append(scaled(g_z, pi))
+
+        g_h = None
+        g_kl = -g_values
+        for p, heads, kl, g_sample, pi in zip(self.posteriors, self.heads, kls, g_samples, pis):
+            for layer, g in zip(heads, p.grads(g_sample, eps_list, kl, scaled(g_kl, pi))):
+                if own:
+                    layer.accumulate_grads(grads, self._h, g)
+                g_part = g @ layer.weight.data
+                g_h = g_part if g_h is None else g_h + g_part
+        self.enc_lower.accumulate_grads(grads, self.x,
+                                        self.enc_lower.activation_grad(self._h, g_h))
+        return values, grads
 
 
 @dataclass

@@ -27,8 +27,13 @@ def finite_difference_grads(build_loss, params: list[Tensor], h: float = 1e-5) -
 
     ``build_loss`` must rebuild the whole forward pass from current parameter
     values (the tape is per-evaluation). Deliberately independent of the tape:
-    it only perturbs raw buffers and re-reads the loss value.
+    it only perturbs raw buffers and re-reads the loss value, a Tensor or an
+    array.
     """
+    def value() -> float:
+        loss = build_loss()
+        return float(loss.data if isinstance(loss, Tensor) else loss)
+
     grads = {}
     for p in params:
         g = np.zeros_like(p.data)
@@ -37,9 +42,9 @@ def finite_difference_grads(build_loss, params: list[Tensor], h: float = 1e-5) -
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = float(build_loss().data)
+            hi = value()
             flat[i] = orig - h
-            lo = float(build_loss().data)
+            lo = value()
             flat[i] = orig
             gflat[i] = (hi - lo) / (2.0 * h)
         grads[p.name] = g
@@ -130,46 +135,68 @@ def _blend(weights, parts):
     return total
 
 
-def _tape_node(graph, entry, x):
-    """A node's encoder on the tape: its (mu, logvar) per latent source, the
-    weights that blend them (None for a basic node), its decode and its
-    likelihood of ``x``."""
+def _node_layers(graph, entry) -> tuple:
+    """A node's layers as a ``NodePass`` takes them: its lower encoder, one
+    (mu, logvar) head pair per latent source, the weights that blend them
+    (None for a basic node), the lower decoders, the output layer, the
+    likelihood and sigma."""
     if entry.kind == "basic":
         vae = entry.vae
-        h = affine_forward(vae.enc_lower, x)
-        stats = [(affine_forward(vae.enc_mu, h), affine_forward(vae.enc_logvar, h))]
-        weights, lowers, upper, frozen = None, [vae.dec_lower], vae.dec_upper, False
-    else:
-        basics = [b.vae for b in graph.basics[:entry.weights.size]]
-        h = affine_forward(entry.enc_lower_new, x)
-        stats = [(affine_forward(v.enc_mu, h, frozen=True),
-                  affine_forward(v.enc_logvar, h, frozen=True)) for v in basics]
-        weights, lowers, upper, frozen = (entry.weights, [v.dec_lower for v in basics],
-                                          entry.dec_upper_new, True)
-        vae = basics[0]
+        return (vae.enc_lower, [(vae.enc_mu, vae.enc_logvar)], None, [vae.dec_lower],
+                vae.dec_upper, vae.likelihood, vae.sigma)
+    basics = [b.vae for b in graph.basics[:entry.weights.size]]
+    return (entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics], entry.weights,
+            [v.dec_lower for v in basics], entry.dec_upper_new, basics[0].likelihood,
+            basics[0].sigma)
+
+
+def _tape_node(layers: tuple, x):
+    """A node's encoder on the tape: its (mu, logvar) per latent source, the
+    weights that blend them (None for a plain component, which trains its
+    heads and lower decoder; a blend borrows them, frozen), its decode and
+    its likelihood of ``x``."""
+    enc_lower, heads, weights, lowers, upper, likelihood, sigma = layers
+    frozen = weights is not None
+    h = affine_forward(enc_lower, x)
+    stats = [(affine_forward(mu, h, frozen=frozen), affine_forward(logvar, h, frozen=frozen))
+             for mu, logvar in heads]
 
     def decode(z):
         return affine_forward(upper, _blend(weights, [affine_forward(layer, z, frozen=frozen)
                                                       for layer in lowers]))
 
     def log_likelihood(decoded):
-        if vae.likelihood == "bernoulli":
+        if likelihood == "bernoulli":
             return bernoulli_log_likelihood(x, decoded)
-        return gaussian_log_likelihood(x, decoded, vae.sigma)
+        return gaussian_log_likelihood(x, decoded, sigma)
 
     return stats, weights, decode, log_likelihood
+
+
+def _layers_objective(layers: tuple, x, eps_list: list[np.ndarray]) -> Tensor:
+    stats, weights, decode, log_likelihood = _tape_node(layers, x)
+    kl = _blend(weights, [kl_diag_gaussian_to_standard(mu, lv) for mu, lv in stats])
+    recons = [log_likelihood(decode(_blend(weights, [reparameterize(mu, lv, eps=eps)
+                                                     for mu, lv in stats])))
+              for eps in eps_list]
+    return logmeanexp(recons) - kl
 
 
 def tape_objective(graph, entry, x, eps_list: list[np.ndarray]) -> Tensor:
     """A node's bound over the draws ``eps_list``, recorded on the tape:
     the ELBO or K'-draw bound of a basic node, the mixture bound of a
     specific node."""
-    stats, weights, decode, log_likelihood = _tape_node(graph, entry, x)
-    kl = _blend(weights, [kl_diag_gaussian_to_standard(mu, lv) for mu, lv in stats])
-    recons = [log_likelihood(decode(_blend(weights, [reparameterize(mu, lv, eps=eps)
-                                                     for mu, lv in stats])))
-              for eps in eps_list]
-    return logmeanexp(recons) - kl
+    return _layers_objective(_node_layers(graph, entry), x, eps_list)
+
+
+def tape_bound_and_grads(node_pass, eps_list: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+    """What ``NodePass.bound_and_grads`` gives, from the tape reference over
+    the pass's own layers: the bound's values and ``backprop`` of minus its
+    mean."""
+    layers = (node_pass.enc_lower, node_pass.heads, node_pass.weights, node_pass.lowers,
+              node_pass.upper, node_pass.likelihood, node_pass.sigma)
+    objective = _layers_objective(layers, node_pass.x, eps_list)
+    return objective.data, backprop(-objective.mean())
 
 
 def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:
@@ -181,5 +208,5 @@ def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:
 def tape_reconstruction(graph, entry, x) -> np.ndarray:
     """A node's decode of its (blended) posterior mean on the tape."""
     with no_grad():
-        stats, weights, decode, _ = _tape_node(graph, entry, x)
+        stats, weights, decode, _ = _tape_node(_node_layers(graph, entry), x)
         return decode(_blend(weights, [mu for mu, _ in stats])).data

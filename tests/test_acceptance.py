@@ -121,28 +121,64 @@ def bounds_fixture():
 def test_criterion_1_gradient_suite():
     start = time.time()
     worst = 0.0
-
-    c = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
     # interior-valued inputs keep pre-activations off the leaky-relu kink,
     # where central differences straddle the corner and disagree with the
     # (correct) one-sided analytic gradient
     x = Rng(2).uniform(0.05, 0.95, (3, 6))
     eps_bank = [Rng(3).spawn(f"e:{i}").normal((3, 3)) for i in range(3)]
-    for build in (lambda: c.node_pass(Tensor(x)).bound(eps_bank[:1]).mean(),
-                  lambda: c.node_pass(Tensor(x)).bound(eps_bank).mean()):
-        worst = max(worst, max_rel_err(analytic_grads(build, c.params()),
-                                       finite_difference_grads(build, c.params())))
 
-    g = GraphModel(6, 3, 12)
-    g.add_basic_node(0, rng=Rng(4))
-    g.add_basic_node(1, rng=Rng(5))
-    g.add_specific_node(np.array([0.4, 0.6]), 2, rng=Rng(6))
+    def closed_form_err(make_pass, params, eps_list, rows=x) -> float:
+        # training's closed-form backward against central differences of -mean bound
+        analytic = make_pass(rows, train=True).bound_and_grads(eps_list)[1]
+        numeric = finite_difference_grads(lambda: -make_pass(rows).bound(eps_list).mean(),
+                                          params)
+        assert sorted(analytic) == sorted(numeric)
+        return max_rel_err(analytic, numeric)
+
+    def graph(likelihood: str) -> GraphModel:
+        g = GraphModel(6, 3, 12, likelihood)
+        g.add_basic_node(0, rng=Rng(4))
+        g.add_basic_node(1, rng=Rng(5))
+        g.add_specific_node(np.array([0.4, 0.6]), 2, rng=Rng(6))
+        return g
+
+    for likelihood in ("bernoulli", "gaussian"):
+        c = VaeComponent(6, 3, 12, likelihood=likelihood, rng=Rng(1), name="c")
+        for eps_list in (eps_bank[:1], eps_bank):
+            worst = max(worst, closed_form_err(c.node_pass, c.params(), eps_list))
+        g = graph(likelihood)
+        s = g.specifics[0]
+        for eps_list in (eps_bank[:1], eps_bank[:2]):
+            worst = max(worst, closed_form_err(lambda rows, train=False: g.node_pass(s, rows, train),
+                                               s.params(), eps_list))
+
+    # where the masks act: a logvar past its clip at -10, and decoder outputs
+    # past the 1e-6 probability clip on both sides, toward targets at the
+    # interior bounds, so that the clipped terms stay small
+    rows = x.copy()
+    rows[:, :2] = (0.95, 0.05)
+    c = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
+    g = graph("bernoulli")
     s = g.specifics[0]
-    for build in (lambda: g.node_pass(s, Tensor(x)).bound(eps_bank[:1]).mean(),
-                  lambda: g.node_pass(s, Tensor(x)).bound(eps_bank[:2]).mean()):
-        worst = max(worst, max_rel_err(analytic_grads(build, s.params()),
-                                       finite_difference_grads(build, s.params())))
+    for logvar, output in ((c.enc_logvar, c.dec_upper), (g.basics[0].vae.enc_logvar, s.dec_upper_new)):
+        logvar.bias.data[0] = -15.0
+        output.bias.data[:2] = (25.0, -25.0)
+    for make_pass, params in ((c.node_pass, c.params()),
+                              (lambda rows, train=False: g.node_pass(s, rows, train), s.params())):
+        node_pass = make_pass(rows)
+        out = node_pass.decode(node_pass.sample(eps_bank[0]))
+        assert (node_pass.posteriors[0].logvar == -10.0).any()
+        assert (out < 1e-6).any() and (out > 1.0 - 1e-6).any()
+        for eps_list in (eps_bank[:1], eps_bank):
+            worst = max(worst, closed_form_err(make_pass, params, eps_list, rows))
+    # past +10 the KL adds e^10 / 2 per sample, more than central differences
+    # resolve at 1e-4, so there the gradient is checked to be exactly zero
+    c.enc_logvar.bias.data[1] = 15.0
+    assert (c.node_pass(x).posteriors[0].logvar[:, 1] == 10.0).all()
+    grads = c.node_pass(x, train=True).bound_and_grads(eps_bank)[1]
+    assert grads["c.enc_logvar.b"][1] == 0.0 and not grads["c.enc_logvar.W"][1].any()
 
+    # the two-layer model still trains on the tape
     h = HierVae(6, latent_dims=(3, 2), hidden_dim=12, rng=Rng(7), name="h")
     eps2 = Rng(8).normal((3, 2))
     build = lambda: h.hier_elbo(x, eps=eps_bank[0], eps2=eps2).mean()

@@ -28,15 +28,18 @@ def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def spread_graph(likelihood: str, scale: float = 0.8) -> GraphModel:
-    """Two basic nodes and a specific node blending them, with weights drawn
-    at ``scale``: 0.8 takes logvar to both clip bounds, 0.2 keeps every term
-    of a bound of like size, so that a last-bit change in one shows."""
+SPECIFIC_WEIGHTS = {2: [0.3, 0.7], 3: [0.2, 0.3, 0.5]}
+
+
+def spread_graph(likelihood: str, scale: float = 0.8, basics: int = 2) -> GraphModel:
+    """``basics`` basic nodes and a specific node blending them, with weights
+    drawn at ``scale``: 0.8 takes logvar to both clip bounds, 0.2 keeps every
+    term of a bound of like size, so that a last-bit change in one shows."""
     g = GraphModel(DIM, LATENT, HIDDEN, likelihood)
     rng = Rng(3)
-    g.add_basic_node(task_id=0, rng=rng.spawn("b0"))
-    g.add_basic_node(task_id=1, rng=rng.spawn("b1"))
-    g.add_specific_node(np.array([0.3, 0.7]), task_id=2, rng=rng.spawn("s0"))
+    for b in range(basics):
+        g.add_basic_node(task_id=b, rng=rng.spawn(f"b{b}"))
+    g.add_specific_node(np.array(SPECIFIC_WEIGHTS[basics]), task_id=basics, rng=rng.spawn("s0"))
     for k, tensor in enumerate(g.all_params()):
         tensor.data[...] = Rng(100 + k).normal(tensor.shape) * scale
     return g
@@ -90,25 +93,58 @@ def test_node_bounds_and_reconstructions_equal_the_tape(likelihood, kind, kprime
 
 
 @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("kind, basics", [("basic", 2), ("specific", 2), ("specific", 3)])
+@pytest.mark.parametrize("kprime", [1, 3])
+@pytest.mark.parametrize("scale", [0.8, 0.2])
+def test_closed_form_gradients_equal_the_tapes(likelihood, kind, basics, kprime, scale):
+    g = spread_graph(likelihood, scale, basics)
+    entry = g.entries[0 if kind == "basic" else basics]
+    x = rows(37, likelihood)
+    rng = Rng(4)
+    shared = [rng.normal((1, LATENT)) for _ in range(kprime)]
+    per_row = [rng.normal((37, LATENT)) for _ in range(kprime)]
+    for eps_list in (shared, per_row):
+        want = backprop(-tape_objective(g, entry, x, eps_list).mean())
+        values, grads = g.node_pass(entry, x, train=True).bound_and_grads(eps_list)
+        assert bits_equal(values, tape_bound(g, entry, x, eps_list))
+        # equal names: no gradient reaches a borrowed basic layer, as in the reference
+        assert sorted(grads) == sorted(want) == sorted(t.name for t in entry.params())
+        for name, array in want.items():
+            assert bits_equal(grads[name], array), name
+
+
+def test_only_a_training_pass_gives_gradients():
+    g = spread_graph("bernoulli")
+    x, eps_list = rows(5, "bernoulli"), [Rng(1).normal((1, LATENT))]
+    with pytest.raises(ContractError, match="train=True"):
+        g.node_pass(g.entries[2], x).bound_and_grads(eps_list)
+    with pytest.raises(ContractError, match="runs on arrays"):
+        g.node_pass(g.entries[2], Tensor(x), train=True)
+
+
+@pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
 @pytest.mark.parametrize("kind", ["basic", "specific"])
 @pytest.mark.parametrize("kprime", [1, 3])
 def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kprime):
-    def step(objective) -> tuple[list[str], bytes]:
+    def step(grads_of) -> tuple[list[str], bytes]:
         g = spread_graph(likelihood, 0.2)
         entry = g.entries[0 if kind == "basic" else 2]
         x = rows(37, likelihood)
         rng = Rng(4)
         eps_list = [rng.normal((37, LATENT)) for _ in range(kprime)]
-        grads = backprop(-objective(g, entry, x, eps_list).mean())
+        grads = grads_of(g, entry, x, eps_list)
         adam_step(AdamState(lr=1e-3), entry.params(), grads)
         return sorted(grads), b"".join(t.data.tobytes() for t in g.all_params())
 
     # equal gradient names: no gradient reaches a borrowed basic layer, as in the reference
-    through_pass = step(lambda g, entry, x, eps_list:
-                        g.node_pass(entry, Tensor(x)).bound(eps_list))
-    assert through_pass == step(tape_objective)
+    reference = step(lambda g, entry, x, eps_list:
+                     backprop(-tape_objective(g, entry, x, eps_list).mean()))
+    assert step(lambda g, entry, x, eps_list:
+                backprop(-g.node_pass(entry, Tensor(x)).bound(eps_list).mean())) == reference
+    assert step(lambda g, entry, x, eps_list: g.node_pass(entry, x, train=True)
+                .bound_and_grads(eps_list)[1]) == reference
     untrained = b"".join(t.data.tobytes() for t in spread_graph(likelihood, 0.2).all_params())
-    assert through_pass[1] != untrained
+    assert reference[1] != untrained
 
 
 @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])

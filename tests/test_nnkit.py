@@ -231,6 +231,19 @@ def test_adam_rejects_nan_gradient():
         adam_step(AdamState(), [p], {"enc.W": np.array([np.nan, 0.0])})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("lr", [1e-3, 0.0])
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_adam_names_an_infinite_gradient_and_an_overflowing_update(bad, lr):
+    p = parameter(np.ones(2), "enc.W")
+    with pytest.raises(TrainingError, match="NaN or inf gradient for parameter 'enc.W'"):
+        adam_step(AdamState(lr=lr), [p], {"enc.W": np.array([bad, 0.0])})
+    # a finite gradient whose update leaves the float range names the parameter too
+    q = parameter(np.full(2, 1.7e308), "dec.b")
+    with pytest.raises(TrainingError, match="non-finite value in parameter 'dec.b' after update"):
+        adam_step(AdamState(lr=1e308), [q], {"dec.b": np.array([-1.0, 0.0])})
+
+
 # --- RNG ---------------------------------------------------------------------------------
 
 def test_rng_same_seed_same_stream():
