@@ -10,8 +10,10 @@ gr-hier or bounds run by ``degm diagnose``, the train-time
 ``bounds_report.csv`` kept as ``bounds_report.train.csv``. Every file the
 change writes is compared with the parent's, byte for byte, except the
 ``env`` block of ``summary.json`` and the ``out_dir`` of ``config.json``.
-Prints the differing files; exits 1 when there is any, 2 when a command
-fails, 0 otherwise.
+With two or more masks, the files the change writes on each mask are also
+compared with those it writes on the first, the same way. Prints the
+differing files; exits 1 when there is any, 2 when a command fails, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -103,12 +105,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs-")
-    differing, compared = [], 0
+    differing, across, compared = [], [], 0
     try:
         for config in args.config:
             config = os.path.abspath(config)
             stem = os.path.splitext(os.path.basename(config))[0]
             for seed in args.seeds:
+                change_runs = {}  # mask -> the change's outputs
                 for mask_spec, mask in masks.items():
                     case = os.path.join(stem, f"seed{seed}", f"mask{mask_spec}")
                     outs = {}
@@ -119,14 +122,22 @@ def main(argv=None) -> int:
                     for path in compare(outs["parent"], outs["change"]):
                         differing.append(os.path.join(case, path))
                         print(f"differs: {differing[-1]}")
+                    change_runs[mask_spec] = outs["change"]
+                first, *others = change_runs
+                for mask_spec in others:
+                    for path in compare(change_runs[first], change_runs[mask_spec]):
+                        across.append(os.path.join(stem, f"seed{seed}", f"mask{mask_spec}", path))
+                        print(f"differs from mask {first}: {across[-1]}")
     except (RuntimeError, OSError, subprocess.SubprocessError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
+    if len(masks) > 1:
+        print(f"{len(across)} files the change writes differ between masks")
     print(f"{len(differing)} of {compared} files differ")
-    return 1 if differing else 0
+    return 1 if differing or across else 0
 
 
 if __name__ == "__main__":

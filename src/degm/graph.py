@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nnkit import DEFAULT_SIGMA, DenseLayer, Rng, Tensor
+from .nnkit import DEFAULT_SIGMA, DenseLayer, ParamVector, Rng, Tensor
 from .vae import BasicNode, NodePass, VaeComponent
 
 SIMPLEX_TOL = 1e-9
@@ -82,12 +82,13 @@ class SpecificNode:
         out_act = "sigmoid" if likelihood == "bernoulli" else "identity"
         self.enc_lower_new = DenseLayer(input_dim, hidden_dim, "leaky-relu", rng, f"{name}.enc_lower_new")
         self.dec_upper_new = DenseLayer(hidden_dim, input_dim, out_act, rng, f"{name}.dec_upper_new")
+        self._params = ParamVector(self.enc_lower_new.params() + self.dec_upper_new.params())
         self.weights = w
         self.task_id = int(task_id)
         self.name = name
 
-    def params(self) -> list[Tensor]:
-        return self.enc_lower_new.params() + self.dec_upper_new.params()
+    def params(self) -> ParamVector:
+        return self._params
 
 
 class GraphModel:
@@ -164,7 +165,7 @@ class GraphModel:
             raise DimensionError("basic nodes must share the latent dimension")
         return NodePass(x, entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics],
                         entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
-                        basics[0].likelihood, basics[0].sigma, train)
+                        basics[0].likelihood, basics[0].sigma, entry.params() if train else None)
 
     def all_params(self) -> list[Tensor]:
         return [t for node in self.basics + self.specifics for t in node.params()]

@@ -28,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
-from .nnkit import DEFAULT_SIGMA, AdamState, Rng, Tensor, adam_step, backprop, no_grad, runtime
+from .nnkit import DEFAULT_SIGMA, AdamState, ParamVector, Rng, adam_step, backprop, no_grad, runtime
 from .vae import BasicNode, HierVae, NodePass, VaeComponent, copy_model
 
 
@@ -112,11 +112,11 @@ def _minibatches(n: int, batch: int, rng: Rng):
         yield perm[start:start + batch]
 
 
-# a training step's gradients of its rows x, its draws taken from the train stream
-GradsOf = Callable[[np.ndarray, Rng], dict[str, np.ndarray]]
+# a training step's gradient vector of its rows x, its draws taken from the train stream
+GradsOf = Callable[[np.ndarray, Rng], np.ndarray]
 
 
-def train_epoch(state: AdamState, params: list[Tensor], data: np.ndarray, batch: int,
+def train_epoch(state: AdamState, params: ParamVector, data: np.ndarray, batch: int,
                 grads_of: GradsOf, train_rng: Rng,
                 on_step: Callable[[np.ndarray], None] | None = None) -> None:
     """One epoch of Adam steps on ``params``: the rows of ``data`` in
@@ -131,8 +131,8 @@ def train_epoch(state: AdamState, params: list[Tensor], data: np.ndarray, batch:
 
 def pass_grads(make_pass: Callable[[np.ndarray], NodePass], draws: int) -> GradsOf:
     """The gradient function of a model trained through its node pass: the
-    gradients of ``make_pass(x)``'s mean bound over ``draws`` draws."""
-    def grads_of(x: np.ndarray, train_rng: Rng) -> dict[str, np.ndarray]:
+    gradient vector of ``make_pass(x)``'s mean bound over ``draws`` draws."""
+    def grads_of(x: np.ndarray, train_rng: Rng) -> np.ndarray:
         node_pass = make_pass(x)
         return node_pass.bound_and_grads(node_pass.draws(train_rng, draws))[1]
 
@@ -291,11 +291,10 @@ def _basic_candidate(graph: GraphModel, task: Task, task_id: int, cfg: TrainConf
 
 
 def _install(entry: BasicNode | SpecificNode, trained: tuple) -> list[tuple[float, float]]:
-    """Copy what ``_train_node`` returned into the node's tensors, in place;
-    return the node's rows."""
-    rows, arrays, reference_elbo = trained
-    for tensor, array in zip(entry.params(), arrays):
-        tensor.data[...] = array
+    """Copy what ``_train_node`` returned into the node's parameter vector,
+    in place; return the node's rows."""
+    rows, flat, reference_elbo = trained
+    entry.params().flat[...] = flat
     if entry.kind == "basic":
         entry.reference_elbo = reference_elbo
     return rows
@@ -346,7 +345,7 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
                 cfg: TrainConfig, rng: Rng, eps: np.ndarray) -> tuple:
     """Train one node on its task. Returns what ``_install`` puts back: its
     (objective, square loss) row on the test set after each epoch, its
-    parameter arrays, and its reference ELBO (None for a specific node)."""
+    parameter vector, and its reference ELBO (None for a specific node)."""
     state = AdamState(lr=cfg.lr)
     params = entry.params()
     train_rng = rng.spawn(f"train:{task.name}")
@@ -369,7 +368,7 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
                     add_reference if final else None)
         rows.append(_live_row(graph.node_pass(entry, task.test.data), eps))
     reference_elbo = ref_sum / ref_count if entry.kind == "basic" else None
-    return rows, [p.data for p in params], reference_elbo
+    return rows, params.flat, reference_elbo
 
 
 # -- generative replay ----------------------------------------------------------------
@@ -382,6 +381,7 @@ class GrArtifacts:
     mixtures: list[np.ndarray] = field(default_factory=list)  # evolved-source sample sets
 
 
+@runtime.one_blas_thread()
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
                   model=None, grads_of: GradsOf | None = None, epoch_hook=None,
                   task_hook=None) -> tuple:
@@ -391,7 +391,8 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     ``grads_of`` gives the model's training gradients (by default those of
     its node pass). ``task_hook(task_index, mixture)`` is called once per
     task, when its mixture is built and before its first epoch;
-    ``epoch_hook`` after every epoch."""
+    ``epoch_hook`` after every epoch. The run holds OpenBLAS at one thread,
+    so its bits do not depend on the CPU count."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
@@ -461,8 +462,8 @@ def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "g
     model = HierVae(stream.input_dim, latent_dims, cfg.hidden_dim, cfg.likelihood,
                     cfg.sigma, cfg.hier_two_layers, rng.spawn("gr:init"), name="gr")
 
-    def grads_of(x: np.ndarray, train_rng: Rng) -> dict[str, np.ndarray]:
-        return backprop(-model.hier_elbo(x, rng=train_rng).mean())  # on the tape
+    def grads_of(x: np.ndarray, train_rng: Rng) -> np.ndarray:
+        return model.params().gradient(backprop(-model.hier_elbo(x, rng=train_rng).mean()))
 
     return run_gr_single(stream, cfg, rng, run_id=run_id, model=model, grads_of=grads_of)
 

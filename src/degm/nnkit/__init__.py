@@ -19,7 +19,6 @@ from .losses import (
     diag_gaussian_logpdf,
     gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
-    likelihood_grad,
     likelihood_kernel,
     logmeanexp,
     logmeanexp_grads,
@@ -27,7 +26,7 @@ from .losses import (
     reparameterize,
     tape_likelihood,
 )
-from .optim import AdamState, adam_step
+from .optim import AdamState, ParamVector, adam_step
 from .rng import Rng
 
 __all__ = [
@@ -40,6 +39,7 @@ __all__ = [
     "LOGVAR_HI",
     "LOGVAR_LO",
     "PROB_EPS",
+    "ParamVector",
     "Rng",
     "TapeGaussian",
     "Tensor",
@@ -52,7 +52,6 @@ __all__ = [
     "gaussian_log_likelihood",
     "grad_enabled",
     "kl_diag_gaussian_to_standard",
-    "likelihood_grad",
     "likelihood_kernel",
     "logmeanexp",
     "logmeanexp_grads",

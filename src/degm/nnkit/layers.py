@@ -84,16 +84,18 @@ class DenseLayer:
             return mask
         return g
 
-    def accumulate_grads(self, grads: dict[str, np.ndarray], x: np.ndarray,
-                         g: np.ndarray) -> None:
-        """Add this layer's weight and bias gradients, from its input ``x``
-        and the gradient ``g`` at its affine output, into ``grads`` by
-        parameter name: the tape's VJPs of ``affine``, summed in call order."""
-        for p, pg in ((self.weight, g.T @ x), (self.bias, g.sum(axis=0))):
-            if p.name in grads:
-                grads[p.name] += pg
-            else:
-                grads[p.name] = pg
+    def accumulate_grads(self, grads: dict[str, np.ndarray], x: np.ndarray, g: np.ndarray,
+                         first: bool = True) -> None:
+        """Write (``first``) or add this layer's weight and bias gradients, from
+        its input ``x`` and the gradient ``g`` at its affine output, into ``grads``
+        by name: the tape's VJPs of ``affine``, summed in call order."""
+        w, b = grads[self.weight.name], grads[self.bias.name]
+        if first:
+            np.matmul(g.T, x, out=w)
+            g.sum(axis=0, out=b)
+        else:
+            w += g.T @ x
+            b += g.sum(axis=0)
 
 
 def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
@@ -117,8 +119,6 @@ def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
 
 
 def _finite(layer: DenseLayer, y: np.ndarray) -> np.ndarray:
-    # NaN propagates through min and max, so two reductions see every value
-    # without a boolean array the size of y; an empty y has neither
-    if y.size and not (np.isfinite(y.min()) and np.isfinite(y.max())):
+    if not np.isfinite(y).all():  # an empty y passes
         raise TrainingError(f"non-finite activation out of layer {layer.name!r}")
     return y

@@ -158,7 +158,7 @@ class DiagGaussian:
     the std are computed once; ``sample`` is ``reparameterize`` and ``kl`` is
     ``kl_diag_gaussian_to_standard``, bit for bit."""
 
-    __slots__ = ("mu", "logvar", "std")
+    __slots__ = ("mu", "logvar", "std", "var")
 
     def __init__(self, mu: np.ndarray, logvar: np.ndarray):
         if mu.shape != logvar.shape:
@@ -171,16 +171,17 @@ class DiagGaussian:
         return self.mu + self.std * eps
 
     def kl(self) -> np.ndarray:
-        inner = np.exp(self.logvar) + self.mu ** 2 - 1.0 - self.logvar
+        self.var = np.exp(self.logvar)  # kept for ``grads``
+        inner = self.var + self.mu ** 2 - 1.0 - self.logvar
         return np.clip(inner.sum(axis=1) * 0.5, 0.0, np.inf)
 
     def grads(self, g_samples: list[np.ndarray], eps_list: list[np.ndarray], kl: np.ndarray,
               g_kl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients at mu and at the unclipped logvar, from the gradient at
         ``sample(eps)`` for each draw of ``eps_list`` and ``g_kl`` at ``kl``
-        (the value ``kl()`` gave): the tape's VJPs of ``reparameterize`` and
-        ``kl_diag_gaussian_to_standard``, summed as the tape sums them, draw
-        by draw and then the KL."""
+        (the value ``kl()`` gave; so ``kl`` runs first): the tape's VJPs of
+        ``reparameterize`` and ``kl_diag_gaussian_to_standard``, summed as the
+        tape sums them, draw by draw and then the KL."""
         inside = (self.logvar > LOGVAR_LO) & (self.logvar < LOGVAR_HI)
         g_mu = g_lv = None
         for g, eps in zip(g_samples, eps_list):
@@ -189,7 +190,7 @@ class DiagGaussian:
             g_lv = lv if g_lv is None else g_lv + lv
         g_inner = (g_kl * ((kl > 0.0) & (kl < np.inf)) * 0.5)[:, None]
         g_mu = g_mu + g_inner * (2.0 * self.mu)
-        g_clipped = g_inner * np.exp(self.logvar)
+        g_clipped = g_inner * self.var
         g_clipped -= g_inner
         g_clipped *= inside
         return g_mu, g_lv + g_clipped
@@ -198,8 +199,10 @@ class DiagGaussian:
 def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
     """The per-sample log-likelihood of the fixed targets ``x`` as a function
     of the decoder output: ``bernoulli_log_likelihood`` or
-    ``gaussian_log_likelihood``, bit for bit. The checks on ``x`` and ``1 - x``
-    are computed here, once; a failed check is raised by each call, where the
+    ``gaussian_log_likelihood``, bit for bit. Its ``grad(out, g)`` is the
+    gradient at the output ``out`` from the gradient ``g`` at the values:
+    their tape VJPs, step for step. ``1 - x`` and the checks on ``x`` are
+    computed here, once; a failed check is raised by each call, where the
     Tensor function raises it."""
     if likelihood == "bernoulli":
         targets_ok = not (x.min() < 0.0 or x.max() > 1.0)
@@ -221,6 +224,19 @@ def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIG
             ll += p
             return ll.sum(axis=1)
 
+        def bernoulli_grad(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+            col = g[:, None]
+            p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+            g_probs = col * x
+            g_probs /= p
+            np.subtract(1.0, p, out=p)
+            g_rest = col * one_minus_x
+            g_rest /= p
+            g_probs -= g_rest
+            g_probs *= (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+            return g_probs
+
+        bernoulli.grad = bernoulli_grad
         return bernoulli
     if sigma <= 0.0:
         def invalid(mu: np.ndarray) -> np.ndarray:
@@ -235,38 +251,13 @@ def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIG
             raise DimensionError(f"x shape {x.shape} != mu shape {mu.shape}")
         return ((mu - x) ** 2).sum(axis=1) * scale - const
 
-    return gaussian
-
-
-def likelihood_grad(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
-    """The gradient at the decoder output of ``likelihood_kernel``'s values,
-    as a function of the output and the gradient at the values: the tape's
-    VJPs of ``bernoulli_log_likelihood`` or ``gaussian_log_likelihood``, step
-    for step, so bit for bit."""
-    if likelihood == "bernoulli":
-        one_minus_x = 1.0 - x
-
-        def bernoulli(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
-            col = g[:, None]
-            p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-            g_probs = col * x
-            g_probs /= p
-            np.subtract(1.0, p, out=p)
-            g_rest = col * one_minus_x
-            g_rest /= p
-            g_probs -= g_rest
-            g_probs *= (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
-            return g_probs
-
-        return bernoulli
-    scale = -0.5 / (sigma * sigma)
-
-    def gaussian(mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def gaussian_grad(mu: np.ndarray, g: np.ndarray) -> np.ndarray:
         diff = mu - x
         diff *= 2.0
         diff *= (g * scale)[:, None]
         return diff
 
+    gaussian.grad = gaussian_grad
     return gaussian
 
 

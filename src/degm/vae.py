@@ -33,7 +33,6 @@ from .nnkit import (
     affine_forward,
     diag_gaussian_logpdf,
     kl_diag_gaussian_to_standard,
-    likelihood_grad,
     likelihood_kernel,
     logmeanexp,
     logmeanexp_grads,
@@ -41,6 +40,7 @@ from .nnkit import (
     reparameterize,
     tape_likelihood,
 )
+from .nnkit.optim import ParamVector
 
 DEFAULT_HIDDEN = 200
 LIKELIHOODS = ("bernoulli", "gaussian")
@@ -66,12 +66,13 @@ class VaeComponent:
         self.enc_logvar = DenseLayer(hidden_dim, latent_dim, "identity", rng, f"{name}.enc_logvar")
         self.dec_lower = DenseLayer(latent_dim, hidden_dim, "leaky-relu", rng, f"{name}.dec_lower")
         self.dec_upper = DenseLayer(hidden_dim, input_dim, out_act, rng, f"{name}.dec_upper")
+        self._params = ParamVector(self.layer_params())
 
     @classmethod
     def from_layers(cls, enc_lower: DenseLayer, enc_mu: DenseLayer, enc_logvar: DenseLayer,
                     dec_lower: DenseLayer, dec_upper: DenseLayer, likelihood: str,
                     sigma: float = DEFAULT_SIGMA, name: str = "composite") -> "VaeComponent":
-        """Assemble a component from existing layers; the layer tensors are shared."""
+        """Assemble a component from existing layers, sharing their tensors; it is not trained."""
         obj = cls.__new__(cls)
         obj.input_dim = enc_lower.in_dim
         obj.latent_dim = enc_mu.out_dim
@@ -81,18 +82,23 @@ class VaeComponent:
         obj.name = name
         obj.enc_lower, obj.enc_mu, obj.enc_logvar = enc_lower, enc_mu, enc_logvar
         obj.dec_lower, obj.dec_upper = dec_lower, dec_upper
+        obj._params = obj.layer_params()
         return obj
 
-    def params(self) -> list[Tensor]:
+    def layer_params(self) -> list[Tensor]:
         layers = (self.enc_lower, self.enc_mu, self.enc_logvar, self.dec_lower, self.dec_upper)
         return [t for layer in layers for t in layer.params()]
+
+    def params(self) -> ParamVector:
+        return self._params
 
     def node_pass(self, x, train: bool = False) -> "NodePass":
         """This component's forward pass over the rows ``x``, its encoder run
         here: on the tape for a Tensor ``x``, on plain arrays otherwise; with
         ``train``, one that gives gradients."""
         return NodePass(x, self.enc_lower, [(self.enc_mu, self.enc_logvar)], None,
-                        [self.dec_lower], self.dec_upper, self.likelihood, self.sigma, train)
+                        [self.dec_lower], self.dec_upper, self.likelihood, self.sigma,
+                        self._params if train else None)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         """Ancestral samples; Bernoulli outputs are pixel-sampled to {0,1}."""
@@ -126,16 +132,16 @@ class NodePass:
     nodes, so on the tape they enter as constants. ``bound`` is the ELBO (one
     draw) or the K'-draw bound of a basic node, and the mixture bound of a
     specific one; ``kl`` is its KL term and ``reconstruction`` the decode of
-    the (blended) posterior mean. A ``train`` pass runs on arrays and keeps
-    the encoder output, so that ``bound_and_grads`` can give the gradients
-    without the tape.
+    the (blended) posterior mean. A training pass, given the ``params``
+    vector of its own layers, runs on arrays and keeps the encoder output, so
+    that ``bound_and_grads`` can give their gradients without the tape.
     """
 
     def __init__(self, x, enc_lower: DenseLayer, heads: list[tuple[DenseLayer, DenseLayer]],
                  weights: np.ndarray | None, lowers: list[DenseLayer], upper: DenseLayer,
-                 likelihood: str, sigma: float, train: bool = False):
+                 likelihood: str, sigma: float, params: ParamVector | None = None):
         if isinstance(x, Tensor):
-            if train:
+            if params is not None:
                 raise ContractError("a training pass runs on arrays")
             self.x = x.data
             own, posterior = affine_forward, TapeGaussian
@@ -151,7 +157,8 @@ class NodePass:
         self._own, self._borrowed = own, borrowed
         h = own(enc_lower, x)
         self.posteriors = [posterior(borrowed(mu, h), borrowed(logvar, h)) for mu, logvar in heads]
-        self._h = h if train else None
+        self._h = h if params is not None else None
+        self.params = params
         self.enc_lower = enc_lower
         self.heads = heads
         self.weights = weights
@@ -200,13 +207,15 @@ class NodePass:
                   for eps in eps_list]
         return self._logmeanexp(recons) - self.kl()
 
-    def bound_and_grads(self, eps_list: list[np.ndarray]) -> tuple[np.ndarray, dict]:
-        """``bound(eps_list)`` and the gradients of ``-bound.mean()`` by
-        parameter name, of a ``train`` pass. The backward is written out: each
+    def bound_and_grads(self, eps_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """``bound(eps_list)`` and the gradient of ``-bound.mean()``, of a
+        training pass: one vector laid out as ``params``, each layer's part
+        written into its views by name. The backward is written out: each
         step is the tape's VJP, and where gradients meet they are summed in the
         tape's order (draw by draw, then the KL; each source's mu then logvar
-        head; each lower decoder), so every array equals ``backprop``'s bit for
-        bit. The borrowed heads and lower decoders of a blended pass get none.
+        head; each lower decoder), so every view equals ``backprop``'s array
+        bit for bit. The borrowed heads and lower decoders of a blended pass
+        get none.
         """
         if self._h is None:
             raise ContractError("gradients need a pass made with train=True")
@@ -229,18 +238,19 @@ class NodePass:
         def scaled(g, pi):
             return g if pi is None else g * pi
 
-        grads: dict[str, np.ndarray] = {}
-        likelihood_vjp = likelihood_grad(self.likelihood, self.x, self.sigma)
+        flat = np.empty_like(self.params.flat)
+        grads = self.params.views(flat)  # every view is written below
         g_samples = [[] for _ in self.posteriors]
-        for (z, lows, hidden, out), g_recon in zip(draws, logmeanexp_grads(recons, g_values)):
-            g_out = self.upper.activation_grad(out, likelihood_vjp(out, g_recon))
-            self.upper.accumulate_grads(grads, hidden, g_out)
+        for d, ((z, lows, hidden, out), g_recon) in enumerate(
+                zip(draws, logmeanexp_grads(recons, g_values))):
+            g_out = self.upper.activation_grad(out, self._kernel.grad(out, g_recon))
+            self.upper.accumulate_grads(grads, hidden, g_out, d == 0)
             g_hidden = g_out @ self.upper.weight.data
             g_z = None
             for layer, low, pi in zip(self.lowers, lows, pis):
                 g_low = layer.activation_grad(low, scaled(g_hidden, pi))
                 if own:
-                    layer.accumulate_grads(grads, z, g_low)
+                    layer.accumulate_grads(grads, z, g_low, d == 0)
                 g_part = g_low @ layer.weight.data
                 g_z = g_part if g_z is None else g_z + g_part
             for g_sample, pi in zip(g_samples, pis):
@@ -256,7 +266,7 @@ class NodePass:
                 g_h = g_part if g_h is None else g_h + g_part
         self.enc_lower.accumulate_grads(grads, self.x,
                                         self.enc_lower.activation_grad(self._h, g_h))
-        return values, grads
+        return values, flat
 
 
 @dataclass
@@ -268,7 +278,7 @@ class BasicNode:
     reference_elbo: float | None = None
     kind = "basic"
 
-    def params(self) -> list[Tensor]:
+    def params(self) -> ParamVector:
         return self.vae.params()
 
 
@@ -285,6 +295,7 @@ class HierVae:
                  rng: Rng | None = None, name: str = "hier"):
         l1, l2 = latent_dims
         self.base = VaeComponent(input_dim, l1, hidden_dim, likelihood, sigma, rng, name)
+        base = self.base.params()
         self.latent_dims = (int(l1), int(l2))
         self.two_layers = bool(two_layers)
         self.name = name
@@ -294,6 +305,15 @@ class HierVae:
         self.prior_lower = DenseLayer(l2, hidden_dim, "leaky-relu", rng, f"{name}.prior_lower")
         self.prior_mu = DenseLayer(hidden_dim, l1, "identity", rng, f"{name}.prior_mu")
         self.prior_logvar = DenseLayer(hidden_dim, l1, "identity", rng, f"{name}.prior_logvar")
+        extra = (self.enc2_lower, self.enc2_mu, self.enc2_logvar,
+                 self.prior_lower, self.prior_mu, self.prior_logvar)
+        self._params = ParamVector(base + [t for layer in extra for t in layer.params()])
+        self.base._params = ParamVector(base, self._params.flat[:base.flat.size])  # its prefix
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)  # unpickled, the base's vector is a copy: bind its prefix
+        base = self.base._params
+        self.base._params = ParamVector(base, self._params.flat[:base.flat.size])
 
     @property
     def input_dim(self) -> int:
@@ -303,10 +323,8 @@ class HierVae:
     def likelihood(self) -> str:
         return self.base.likelihood
 
-    def params(self) -> list[Tensor]:
-        extra = (self.enc2_lower, self.enc2_mu, self.enc2_logvar,
-                 self.prior_lower, self.prior_mu, self.prior_logvar)
-        return self.base.params() + [t for layer in extra for t in layer.params()]
+    def params(self) -> ParamVector:
+        return self._params
 
     def hier_elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None,
                   eps2: np.ndarray | None = None) -> Tensor:
@@ -352,6 +370,5 @@ def copy_model(model):
     else:
         dup = VaeComponent(model.input_dim, model.latent_dim, model.hidden_dim,
                            model.likelihood, model.sigma, rng=None, name=model.name)
-    for mine, theirs in zip(dup.params(), model.params()):
-        mine.data[:] = theirs.data
+    dup.params().flat[...] = model.params().flat
     return dup

@@ -1,7 +1,8 @@
 """Shared test utilities: the central-finite-difference gradient oracle,
-views of models and graphs that only tests need, and a tape reference for
-node passes, written from the nnkit primitives alone, that ``NodePass``
-must equal bit for bit on the tape and on arrays."""
+views of models and graphs that only tests need, a tape reference for node
+passes, written from the nnkit primitives alone, that ``NodePass`` must
+equal bit for bit on the tape and on arrays, and a per-tensor Adam that the
+fused ``adam_step`` must equal bit for bit."""
 
 from __future__ import annotations
 
@@ -72,8 +73,26 @@ def train_elbo_steps(component, data: np.ndarray, steps: int, lr: float, seed: i
         values = drawn_bound(component.node_pass(Tensor(x)), rng)
         history.append(float(values.data.mean()))
         loss = -values.mean()
-        adam_step(state, component.params(), backprop(loss))
+        adam_step(state, component.params(), component.params().gradient(backprop(loss)))
     return history
+
+
+def reference_adam_step(state: dict, params: list[Tensor], grads: dict[str, np.ndarray],
+                        lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                        eps: float = 1e-8) -> None:
+    """Adam tensor by tensor, in the formula's order, with the moments kept
+    by name in ``state``; params missing from ``grads`` count as zero."""
+    state["step"] = t = state.get("step", 0) + 1
+    c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for p in params:
+        g = grads.get(p.name, np.zeros_like(p.data))
+        m = state.setdefault(("m", p.name), np.zeros_like(p.data))
+        v = state.setdefault(("v", p.name), np.zeros_like(p.data))
+        m *= beta1
+        m += g * (1.0 - beta1)
+        v *= beta2
+        v += g * (1.0 - beta2) * g
+        p.data -= m / c1 * lr / (np.sqrt(v / c2) + eps)
 
 
 def max_rel_err(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
@@ -89,6 +108,17 @@ def max_rel_err(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray])
 def parameter_bytes(obj) -> bytes:
     """Concatenated raw parameter buffers; equality means bit-identical weights."""
     return b"".join(t.data.tobytes() for t in obj.params())
+
+
+def vector_views(owner) -> bool:
+    """Every tensor of ``owner`` is its slice, in order, of the owner's one
+    C-contiguous float64 parameter vector."""
+    params = owner.params()
+    flat = params.flat
+    return (flat.flags["C_CONTIGUOUS"] and flat.dtype == np.float64
+            and all(np.shares_memory(t.data, flat) for t in params)
+            and b"".join(t.data.tobytes() for t in params) == flat.tobytes()
+            and sum(t.data.size for t in params) == flat.size)
 
 
 def owner_entry(graph, task_id: int):
@@ -189,14 +219,14 @@ def tape_objective(graph, entry, x, eps_list: list[np.ndarray]) -> Tensor:
     return _layers_objective(_node_layers(graph, entry), x, eps_list)
 
 
-def tape_bound_and_grads(node_pass, eps_list: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+def tape_bound_and_grads(node_pass, eps_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """What ``NodePass.bound_and_grads`` gives, from the tape reference over
     the pass's own layers: the bound's values and ``backprop`` of minus its
-    mean."""
+    mean, scattered into a vector laid out as the pass's parameters."""
     layers = (node_pass.enc_lower, node_pass.heads, node_pass.weights, node_pass.lowers,
               node_pass.upper, node_pass.likelihood, node_pass.sigma)
     objective = _layers_objective(layers, node_pass.x, eps_list)
-    return objective.data, backprop(-objective.mean())
+    return objective.data, node_pass.params.gradient(backprop(-objective.mean()))
 
 
 def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:

@@ -105,12 +105,28 @@ def test_closed_form_gradients_equal_the_tapes(likelihood, kind, basics, kprime,
     per_row = [rng.normal((37, LATENT)) for _ in range(kprime)]
     for eps_list in (shared, per_row):
         want = backprop(-tape_objective(g, entry, x, eps_list).mean())
-        values, grads = g.node_pass(entry, x, train=True).bound_and_grads(eps_list)
+        values, flat = g.node_pass(entry, x, train=True).bound_and_grads(eps_list)
+        grads = entry.params().views(flat)
         assert bits_equal(values, tape_bound(g, entry, x, eps_list))
         # equal names: no gradient reaches a borrowed basic layer, as in the reference
         assert sorted(grads) == sorted(want) == sorted(t.name for t in entry.params())
         for name, array in want.items():
             assert bits_equal(grads[name], array), name
+
+
+@pytest.mark.parametrize("kind", ["basic", "specific"])
+@pytest.mark.parametrize("kprime", [1, 3])
+def test_a_training_pass_writes_its_gradients_into_one_vector(kind, kprime):
+    g = spread_graph("bernoulli", 0.2)
+    entry = g.entries[0 if kind == "basic" else 2]
+    x = rows(37, "bernoulli")
+    eps_list = [Rng(4).normal((37, LATENT)) for _ in range(kprime)]
+    flat = g.node_pass(entry, x, train=True).bound_and_grads(eps_list)[1]
+    params = entry.params()
+    assert flat.shape == params.flat.shape and flat.flags["C_CONTIGUOUS"]
+    assert not np.shares_memory(flat, params.flat)
+    want = backprop(-tape_objective(g, entry, x, eps_list).mean())
+    assert flat.tobytes() == b"".join(want[t.name].tobytes() for t in params)
 
 
 def test_only_a_training_pass_gives_gradients():
@@ -133,8 +149,12 @@ def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kp
         rng = Rng(4)
         eps_list = [rng.normal((37, LATENT)) for _ in range(kprime)]
         grads = grads_of(g, entry, x, eps_list)
+        if isinstance(grads, dict):  # the tape's, by name
+            names, grads = sorted(grads), entry.params().gradient(grads)
+        else:
+            names = sorted(entry.params().views(grads))
         adam_step(AdamState(lr=1e-3), entry.params(), grads)
-        return sorted(grads), b"".join(t.data.tobytes() for t in g.all_params())
+        return names, b"".join(t.data.tobytes() for t in g.all_params())
 
     # equal gradient names: no gradient reaches a borrowed basic layer, as in the reference
     reference = step(lambda g, entry, x, eps_list:

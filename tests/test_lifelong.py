@@ -8,11 +8,14 @@ import pytest
 from degm.config import parse_config
 from degm.data import synthetic_task
 from degm.errors import ConfigError
+from degm.graph import GraphModel
 from degm.lifelong import (
     MetricsLog,
     Task,
     TaskStream,
     TrainConfig,
+    _install,
+    _train_node,
     accumulated_final_risk,
     order_experiment,
     run_degm,
@@ -20,9 +23,10 @@ from degm.lifelong import (
     run_gr_single,
 )
 from degm.nnkit import Rng
-from degm.vae import BasicNode, VaeComponent
+from degm.persist import load_checkpoint, save_graph, save_single
+from degm.vae import BasicNode, HierVae, VaeComponent, copy_model
 
-from helpers import parameter_bytes, tape_objective
+from helpers import parameter_bytes, tape_objective, vector_views
 
 DIM = 36
 
@@ -128,6 +132,53 @@ def test_degm_seed_determinism():
     assert parameter_bytes(g1.basics[0].vae) == parameter_bytes(g2.basics[0].vae)
 
 
+# --- one parameter vector per model ---------------------------------------------------
+
+def test_training_a_specific_node_leaves_every_basic_vector_unchanged():
+    g = GraphModel(DIM, 4, 16)
+    g.add_basic_node(0, rng=Rng(1))
+    g.add_basic_node(1, rng=Rng(2))
+    g.add_specific_node(np.array([0.3, 0.7]), 2, rng=Rng(3))
+    s = g.specifics[0]
+    before = [b.vae.params().flat.copy() for b in g.basics]
+    own_before = s.params().flat.copy()
+    _, flat, _ = _train_node(g, s, make_task("bars", "t", 40), quick_cfg(epochs=2), Rng(4),
+                             np.zeros((1, 4)))
+    assert flat is s.params().flat and flat.tobytes() != own_before.tobytes()
+    for b, copy in zip(g.basics, before):
+        assert b.vae.params().flat.tobytes() == copy.tobytes()
+        assert not np.shares_memory(b.vae.params().flat, flat)
+
+
+def test_vectors_stay_views_after_install_copy_and_load(tmp_path):
+    stream = TaskStream([make_task("half-active-top", "t1", 90),
+                         make_task("half-active-top", "t2", 95),
+                         make_task("bars", "t3", 100)])
+    graph, _ = run_degm(stream, quick_cfg(epochs=2, tau=1e6), Rng(7))  # _install on each node
+    assert [e.kind for e in graph.entries] == ["basic", "specific", "specific"]
+    assert all(vector_views(e) for e in graph.entries)
+    trained = [e.params().flat.copy() for e in graph.entries]
+    for e, flat in zip(graph.entries, trained):
+        e.params().flat[...] = 0.0
+        _install(e, ([], flat, 1.5))
+        assert vector_views(e) and e.params().flat.tobytes() == flat.tobytes()
+    save_graph(str(tmp_path / "graph"), graph)
+    _, loaded, _ = load_checkpoint(str(tmp_path / "graph"))
+    assert all(vector_views(e) for e in loaded.entries)
+    assert [e.params().flat.tobytes() for e in loaded.entries] == [f.tobytes() for f in trained]
+    for model in (VaeComponent(DIM, 4, 16, rng=Rng(8), name="v"),
+                  HierVae(DIM, (4, 3), 16, rng=Rng(9), name="h")):
+        dup = copy_model(model)
+        save_single(str(tmp_path / model.name), model)
+        _, back, _ = load_checkpoint(str(tmp_path / model.name))
+        for other in (dup, back):
+            assert vector_views(other) and not np.shares_memory(other.params().flat,
+                                                                 model.params().flat)
+            assert other.params().flat.tobytes() == model.params().flat.tobytes()
+            if isinstance(other, HierVae):
+                assert vector_views(other.base)
+
+
 # --- generative replay --------------------------------------------------------------
 
 def test_gr_single_task_equals_plain_training():
@@ -147,7 +198,7 @@ def test_gr_single_task_equals_plain_training():
             x = task.train.data[idx]
             values = tape_objective(None, BasicNode(plain, 0), x,
                                     [train_rng.normal((x.shape[0], cfg.latent_dim))])
-            adam_step(state, plain.params(), backprop(-values.mean()))
+            adam_step(state, plain.params(), plain.params().gradient(backprop(-values.mean())))
     assert parameter_bytes(model) == parameter_bytes(plain)
     assert [m.shape[0] for m in artifacts.mixtures] == [task.train.n]  # nothing replayed
 

@@ -3,6 +3,7 @@ rewritten pointwise ops and the allocator thresholds."""
 
 import ctypes
 import os
+import pickle
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from degm.errors import ContractError, DimensionError, TrainingError
 from degm.nnkit import (
     AdamState,
     DenseLayer,
+    ParamVector,
     Rng,
     Tensor,
     adam_step,
@@ -32,7 +34,11 @@ from degm.nnkit import (
     reparameterize,
 )
 
-from helpers import analytic_grads, finite_difference_grads, max_rel_err
+from degm.graph import GraphModel
+from degm.vae import HierVae, VaeComponent
+
+from helpers import (analytic_grads, finite_difference_grads, max_rel_err, reference_adam_step,
+                     vector_views)
 
 finite_rows = arrays(
     np.float64, (1, 6),
@@ -197,7 +203,8 @@ def test_logmeanexp_matches_numpy_reference():
 def test_adam_zero_gradient_is_fixed_point():
     p = parameter(np.array([1.0, -2.0]), "p")
     before = p.data.copy()
-    adam_step(AdamState(lr=0.1), [p], {"p": np.zeros(2)})
+    params = ParamVector([p])
+    adam_step(AdamState(lr=0.1), params, params.gradient({"p": np.zeros(2)}))
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -205,7 +212,8 @@ def test_adam_first_step_is_signed_lr():
     # bias correction makes mhat = g, vhat = g^2, so the step is lr * sign(g)
     p = parameter(np.array([1.0, 1.0]), "p")
     g = np.array([0.3, -0.7])
-    adam_step(AdamState(lr=0.1), [p], {"p": g})
+    params = ParamVector([p])
+    adam_step(AdamState(lr=0.1), params, params.gradient({"p": g}))
     np.testing.assert_allclose(p.data, [1.0 - 0.1, 1.0 + 0.1], atol=1e-7)
 
 
@@ -213,11 +221,12 @@ def test_adam_deterministic_across_runs():
     def run():
         rng = Rng(99)
         layer = DenseLayer(3, 2, "sigmoid", rng, name="l")
+        params = ParamVector(layer.params())
         state = AdamState(lr=1e-3)
         x = rng.normal((4, 3))
         for _ in range(10):
             grads = backprop(affine_forward(layer, x).square().sum())
-            adam_step(state, layer.params(), grads)
+            adam_step(state, params, params.gradient(grads))
         return layer.weight.data.copy(), layer.bias.data.copy()
 
     w1, b1 = run()
@@ -226,22 +235,118 @@ def test_adam_deterministic_across_runs():
 
 
 def test_adam_rejects_nan_gradient():
-    p = parameter(np.ones(2), "enc.W")
+    params = ParamVector([parameter(np.ones(2), "enc.W")])
     with pytest.raises(TrainingError, match="enc.W"):
-        adam_step(AdamState(), [p], {"enc.W": np.array([np.nan, 0.0])})
+        adam_step(AdamState(), params, params.gradient({"enc.W": np.array([np.nan, 0.0])}))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 @pytest.mark.parametrize("lr", [1e-3, 0.0])
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 def test_adam_names_an_infinite_gradient_and_an_overflowing_update(bad, lr):
-    p = parameter(np.ones(2), "enc.W")
+    params = ParamVector([parameter(np.ones(2), "enc.W")])
     with pytest.raises(TrainingError, match="NaN or inf gradient for parameter 'enc.W'"):
-        adam_step(AdamState(lr=lr), [p], {"enc.W": np.array([bad, 0.0])})
+        adam_step(AdamState(lr=lr), params, params.gradient({"enc.W": np.array([bad, 0.0])}))
     # a finite gradient whose update leaves the float range names the parameter too
-    q = parameter(np.full(2, 1.7e308), "dec.b")
+    params = ParamVector([parameter(np.full(2, 1.7e308), "dec.b")])
     with pytest.raises(TrainingError, match="non-finite value in parameter 'dec.b' after update"):
-        adam_step(AdamState(lr=1e308), [q], {"dec.b": np.array([-1.0, 0.0])})
+        adam_step(AdamState(lr=1e308), params, params.gradient({"dec.b": np.array([-1.0, 0.0])}))
+
+
+def test_adam_takes_only_a_param_vector_and_its_gradient_vector():
+    p = parameter(np.ones(2), "p")
+    params = ParamVector([p])
+    for args in (([p], np.zeros(2)), (params, {"p": np.zeros(2)}), (params, np.zeros(3))):
+        with pytest.raises(ContractError, match="ParamVector"):
+            adam_step(AdamState(), *args)
+    assert p.data.tolist() == [1.0, 1.0]
+    for tensors in ([Tensor(np.ones(2), requires_grad=True)], [p, parameter(np.ones(1), "p")]):
+        with pytest.raises(TrainingError, match="must be named, each name once"):
+            ParamVector(tensors)
+
+
+# --- the flat parameter vector and the fused Adam step ----------------------------------
+
+def flat_model(kind: str):
+    """A model of ``kind`` and a function giving its gradient vector on rows
+    ``x`` from draws of ``rng``."""
+    if kind == "basic":
+        vae = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
+        return vae, lambda x, rng: vae.node_pass(x, train=True).bound_and_grads(
+            [rng.normal((x.shape[0], 3))])[1]
+    if kind == "specific":
+        g = GraphModel(6, 3, 12)
+        g.add_basic_node(0, rng=Rng(4))
+        g.add_basic_node(1, rng=Rng(5))
+        g.add_specific_node(np.array([0.4, 0.6]), 2, rng=Rng(6))
+        s = g.specifics[0]
+        return s, lambda x, rng: g.node_pass(s, x, train=True).bound_and_grads(
+            [rng.normal((x.shape[0], 3)) for _ in range(2)])[1]
+    h = HierVae(6, latent_dims=(3, 2), hidden_dim=12, rng=Rng(7), name="h")
+    return h, lambda x, rng: h.params().gradient(backprop(-h.hier_elbo(x, rng=rng).mean()))
+
+
+@pytest.mark.parametrize("kind", ["basic", "specific", "hier"])
+def test_the_fused_step_equals_the_per_tensor_reference(kind):
+    fused, grads_of = flat_model(kind)
+    reference, _ = flat_model(kind)
+    params = fused.params()
+    state, ref_state = AdamState(lr=1e-2), {}
+    x, rng = Rng(2).uniform(0.05, 0.95, (9, 6)), Rng(3)
+    skipped = params[3].name
+    for step in range(6):
+        grads = grads_of(x, rng)
+        assert isinstance(grads, np.ndarray) and grads.shape == params.flat.shape
+        named = params.views(grads)
+        if step % 2:  # by name, one parameter without a gradient
+            named = {name: g.copy() for name, g in named.items() if name != skipped}
+            grads = params.gradient(named)
+        reference_adam_step(ref_state, reference.params(), named, lr=1e-2)
+        adam_step(state, params, grads)
+        assert params.flat.tobytes() == b"".join(
+            t.data.tobytes() for t in reference.params()), step
+    assert state.step == 6 and len(params) == len(reference.params())
+
+
+@pytest.mark.parametrize("kind", ["basic", "specific", "hier"])
+def test_every_tensor_is_a_view_of_its_owners_vector(kind):
+    model, grads_of = flat_model(kind)
+    assert vector_views(model)
+    adam_step(AdamState(lr=1e-2), model.params(), grads_of(Rng(2).uniform(0.05, 0.95, (9, 6)),
+                                                           Rng(3)))
+    assert vector_views(model)  # the step wrote through the views
+    if kind == "hier":  # the base's vector is the prefix of the model's
+        assert vector_views(model.base)
+        assert np.shares_memory(model.base.params().flat, model.params().flat)
+
+
+@pytest.mark.parametrize("kind", ["basic", "specific", "hier"])
+def test_an_unpickled_model_has_its_tensors_bound_to_its_new_vector(kind):
+    model, _ = flat_model(kind)
+    copy = pickle.loads(pickle.dumps(model))
+    assert vector_views(copy) and copy.params().flat.tobytes() == model.params().flat.tobytes()
+    assert not np.shares_memory(copy.params().flat, model.params().flat)
+    if kind == "hier":
+        assert vector_views(copy.base)
+        assert np.shares_memory(copy.base.params().flat, copy.params().flat)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_a_non_finite_gradient_or_update_names_its_tensor():
+    vae = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
+    params = vae.params()
+    third, last = params[2].name, params[-1].name
+    grads = params.gradient({})
+    # its first entry: the boundary with the second tensor
+    params.views(grads)[third].reshape(-1)[0] = np.nan
+    with pytest.raises(TrainingError, match=f"NaN or inf gradient for parameter {third!r}"):
+        adam_step(AdamState(lr=1e-3), params, grads)
+    vae = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
+    params = vae.params()
+    params[-1].data.reshape(-1)[0] = 1.7e308
+    grads = params.gradient({last: np.full(params[-1].data.shape, -1.0)})
+    with pytest.raises(TrainingError, match=f"non-finite value in parameter {last!r} after update"):
+        adam_step(AdamState(lr=1e308), params, grads)
 
 
 # --- RNG ---------------------------------------------------------------------------------
@@ -378,7 +483,8 @@ data = (rng.uniform(0.0, 1.0, (300, 64)) > 0.5).astype(np.float64)
 def step(i):
     x = data[64 * (i % 4):64 * (i % 4) + 64]
     node_pass = graph.node_pass(node, Tensor(x))
-    adam_step(state, params, backprop(-node_pass.bound(node_pass.draws(rng)).mean()))
+    loss = -node_pass.bound(node_pass.draws(rng)).mean()
+    adam_step(state, params, params.gradient(backprop(loss)))
 
 for i in range(5):
     step(i)

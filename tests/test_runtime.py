@@ -26,7 +26,7 @@ from degm.nnkit.runtime import blas_threads, fork_map, set_blas_threads, split_s
 from degm.select_eval import single_metric_table, task_metric_table
 from degm.vae import HierVae, VaeComponent
 
-from helpers import tape_bound, tape_reconstruction
+from helpers import tape_bound, tape_reconstruction, vector_views
 
 DIM, LATENT, HIDDEN = 16, 3, 8
 
@@ -295,8 +295,11 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
         refs = fit_references(stream, cfg, Rng(74), aux_epochs=1)
         rows = diagnose_snapshots(stream, cfg, out.gr_artifacts.snapshots, refs, Rng(74),
                                   sample_size=25, aux_epochs=1)
+        out_models.extend(out.reference_models + refs)
         params = [p.data for m in out.reference_models + refs for p in m.params()]
         return env, [repr(astuple(r)) for r in out.rows + rows], params
+
+    out_models = []
 
     cpus(monkeypatch, {0})
     inline, inline_rows, inline_params = run()
@@ -304,9 +307,24 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
     forked, forked_rows, forked_params = run()
     assert forked_rows == inline_rows and len(forked_rows) == 2 * 3 + 3
     assert all(np.array_equal(a, b) for a, b in zip(forked_params, inline_params))
+    assert all(vector_views(m) for m in out_models)
     assert (inline["children"], inline["children_wait_s"]) == (0, 0.0)
     assert forked["children"] == 1 + 2  # the refs' child, one per aux fit
     assert_no_child_left()
+
+
+def test_models_sent_back_by_children_keep_their_tensors_on_one_vector(monkeypatch):
+    def make(i):
+        return VaeComponent(DIM, LATENT, HIDDEN, rng=Rng(90 + i), name=f"m{i}")
+
+    cpus(monkeypatch, {0, 1})
+    models = [start(lambda: make(0)).result(), *fork_map(make, [1, 1])]
+    hier = start(lambda: HierVae(DIM, (LATENT, 2), HIDDEN, rng=Rng(93))).result()
+    assert_no_child_left()
+    assert all(vector_views(m) for m in models + [hier, hier.base])
+    assert np.shares_memory(hier.base.params().flat, hier.params().flat)
+    assert [m.params().flat.tobytes() for m in models] == [
+        make(i).params().flat.tobytes() for i in (0, 0, 1)]
 
 
 def test_bounds_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_path):
@@ -338,6 +356,39 @@ def test_bounds_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_pa
     assert two_summary == one_summary
     assert (one_env["children"], two_env["children"]) == (0, 3)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", ["gr", "gr-hier"])
+def test_replay_runs_write_the_same_files_at_one_blas_thread_and_two(monkeypatch, tmp_path,
+                                                                     mode):
+    # the 196-wide shape above: without the run's pin to one OpenBLAS thread,
+    # most of these files differed between a start at 1 and at 2 threads
+    before = blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread getter in this numpy build")
+    kinds = ("half-active-top", "half-active-bottom", "bars")
+    raw = {"mode": mode, "out_dir": str(tmp_path / "runs"),
+           "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
+                      "n_train": 200, "n_test": 100, "dim": 196} for i, kind in enumerate(kinds)],
+           "train": {"epochs": 2, "batch": 64, "lr": 1e-3, "latent_dim": 16, "hidden_dim": 64,
+                     "likelihood": "gaussian"}}
+    cpus(monkeypatch, {0})
+
+    def run(threads):
+        set_blas_threads(threads)
+        try:
+            if blas_threads() != threads:
+                pytest.skip(f"OpenBLAS does not run {threads} threads here")
+            shutil.rmtree(tmp_path / "runs", ignore_errors=True)
+            files = run_files(cmd_train(parse_config(json.dumps(raw))))
+        finally:
+            set_blas_threads(before)
+        files.pop("summary.json")
+        return files
+
+    one, two = run(1), run(2)
+    assert sorted(two) == sorted(one) and "metrics.csv" in one
+    assert [path for path in one if two[path] != one[path]] == []
 
 
 # --- the graph's nodes: the same files in any number of processes --------------------

@@ -1,6 +1,6 @@
 """The experiment scripts still import what they use from the package,
 every committed experiment config parses, and the output comparison finds
-the files a change alters."""
+the files a change alters and those it writes differently on two masks."""
 
 import glob
 import importlib.util
@@ -82,6 +82,40 @@ def test_compare_outputs_lists_the_files_a_change_alters(tmp_path):
     differing = {line.rpartition("/")[2] for line in other.stdout.splitlines()
                  if line.startswith("differs: ")}
     assert differing == {"metrics.csv"}  # the eval tables score with their own loss
+
+
+def test_compare_outputs_lists_the_files_a_tree_writes_differently_on_two_masks(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs")
+    # a copy whose square loss adds the CPU count: equal to itself on each
+    # mask, but its tables differ between the masks
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "mode": "gr",
+        "tasks": [{"name": "top", "source": "synthetic", "kind": "half-active-top",
+                   "n_train": 40, "n_test": 20, "dim": 16}],
+        "train": {"epochs": 1, "batch": 16, "latent_dim": 3, "hidden_dim": 8}}))
+    changed = tmp_path / "changed"
+    shutil.copytree(os.path.join(ROOT, "src"), changed / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lifelong = changed / "src" / "degm" / "lifelong.py"
+    source = lifelong.read_text()
+    lifelong.write_text(source.replace(".sum(axis=1).mean())",
+                                       ".sum(axis=1).mean()) + len(__import__('os')"
+                                       ".sched_getaffinity(0))"))
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "compare_outputs.py"),
+                           str(changed), str(changed), "--config", str(config), "--seeds", "0",
+                           "--masks", str(cpus[0]), f"{cpus[0]},{cpus[1]}"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert not any(line.startswith("differs: ") for line in lines)
+    across = {line.rpartition("/")[2] for line in lines if line.startswith("differs from mask ")}
+    # the replay log, the diagnose report and the summary's final losses
+    assert across == {"metrics.csv", "bounds_report.csv", "summary.json"}
+    assert lines[-2:] == ["3 files the change writes differ between masks",
+                          f"0 of {lines[-1].split()[2]} files differ"]
 
 
 def test_compare_outputs_refuses_a_mask_outside_the_affinity(tmp_path, capsys):

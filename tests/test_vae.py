@@ -287,7 +287,7 @@ def test_hier_training_step_smoke():
     x = binary_data(Rng(48), 8, 6)
     state = AdamState(lr=1e-3)
     loss = -h.hier_elbo(x, rng=Rng(49)).mean()
-    adam_step(state, h.params(), backprop(loss))
+    adam_step(state, h.params(), h.params().gradient(backprop(loss)))
     samples = h.generate(5, Rng(50))
     assert samples.shape == (5, 6)
     assert np.isfinite(samples).all()
