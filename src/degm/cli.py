@@ -365,9 +365,10 @@ def main(argv: list[str] | None = None) -> int:
             cmd_export_v(args.checkpoint, args.out)
             print(args.out)
         elif args.verb == "gen-synthetic":
-            # before any work, as a synthetic task's n_train and dim in the config
+            # before any work, as a synthetic task's n_train, dim and seed in the config
             rule(TASK, "n_train")(args.n, "--n")
             rule(TASK, "dim")(args.dim, "--dim")
+            rule(TASK, "seed")(args.seed, "--seed")
             cmd_gen_synthetic(args.kind, args.n, args.dim, args.seed, args.out)
             print(args.out)
     except (ConfigError, ContractError, FormatError, TrainingError, OSError) as err:

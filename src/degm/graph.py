@@ -8,7 +8,7 @@ a specific node is its edge-weight vector, the row of a basic node is zero.
 
 Every node is trained and evaluated through one ``NodePass``
 (``GraphModel.node_pass``): the ELBO or K'-draw bound of a basic node, the
-mixture bound of a specific node, on the tape or on plain arrays.
+mixture bound of a specific node.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nnkit import DEFAULT_SIGMA, DenseLayer, ParamVector, Rng, Tensor
+from .nnkit import DEFAULT_SIGMA, DenseLayer, Param, ParamVector, Rng
 from .vae import BasicNode, NodePass, VaeComponent
 
 SIMPLEX_TOL = 1e-9
@@ -154,10 +154,10 @@ class GraphModel:
     # -- the forward pass of a node ------------------------------------------------
 
     def node_pass(self, entry: BasicNode | SpecificNode, x, train: bool = False) -> NodePass:
-        """The pass of one node over the rows ``x`` (a Tensor on the tape, an
-        array off it; with ``train``, one that gives gradients), its encoder
-        run here: a basic node's own component, or a specific node's new lower
-        encoder into the frozen heads of the basic nodes it blends."""
+        """The pass of one node over the rows ``x`` (with ``train``, one that
+        gives gradients), its encoder run here: a basic node's own component,
+        or a specific node's new lower encoder into the frozen heads of the
+        basic nodes it blends."""
         if entry.kind == "basic":
             return entry.vae.node_pass(x, train)
         basics = [b.vae for b in self.basics[:entry.weights.size]]
@@ -167,5 +167,5 @@ class GraphModel:
                         entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
                         basics[0].likelihood, basics[0].sigma, entry.params() if train else None)
 
-    def all_params(self) -> list[Tensor]:
+    def all_params(self) -> list[Param]:
         return [t for node in self.basics + self.specifics for t in node.params()]

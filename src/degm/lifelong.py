@@ -28,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
-from .nnkit import DEFAULT_SIGMA, AdamState, ParamVector, Rng, adam_step, backprop, no_grad, runtime
+from .nnkit import DEFAULT_SIGMA, AdamState, ParamVector, Rng, adam_step, runtime
 from .vae import BasicNode, HierVae, NodePass, VaeComponent, copy_model
 
 
@@ -427,11 +427,10 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
 
 
 def elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Per-sample ELBO of a single model on fixed noise, without recording."""
+    """Per-sample ELBO of a single model on fixed noise; a two-layer model's
+    second draw is zero."""
     if isinstance(model, HierVae):
-        with no_grad():
-            eps2 = np.zeros((1, model.latent_dims[1]))
-            return model.hier_elbo(x, eps=eps, eps2=eps2).data
+        return model.bound(x, eps)
     return model.node_pass(x).bound([eps])
 
 
@@ -463,7 +462,7 @@ def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "g
                     cfg.sigma, cfg.hier_two_layers, rng.spawn("gr:init"), name="gr")
 
     def grads_of(x: np.ndarray, train_rng: Rng) -> np.ndarray:
-        return model.params().gradient(backprop(-model.hier_elbo(x, rng=train_rng).mean()))
+        return model.bound_and_grads(x, *model.draws(train_rng, x.shape[0]))[1]
 
     return run_gr_single(stream, cfg, rng, run_id=run_id, model=model, grads_of=grads_of)
 

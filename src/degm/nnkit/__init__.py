@@ -1,33 +1,34 @@
-"""Dense-network numeric kernel: tensors, tape, layers, Adam, RNG, likelihoods,
-each on the tape and on plain arrays.
+"""Dense-network numeric kernel on plain arrays: layers, Adam, RNG,
+likelihoods, the KL, and the hand-written VJPs that train them.
 
 Importing the package sets two process-wide glibc malloc thresholds (see
 :mod:`.runtime`).
 """
 
 from . import runtime
-from .autodiff import Tensor, affine, backprop, grad_enabled, no_grad, parameter
-from .layers import ACTIVATIONS, LEAKY_SLOPE, DenseLayer, affine_forward
+from .layers import ACTIVATIONS, LEAKY_SLOPE, DenseLayer, Param
 from .losses import (
     DEFAULT_SIGMA,
     LOGVAR_HI,
     LOGVAR_LO,
     PROB_EPS,
     DiagGaussian,
-    TapeGaussian,
-    bernoulli_log_likelihood,
     diag_gaussian_logpdf,
-    gaussian_log_likelihood,
-    kl_diag_gaussian_to_standard,
+    diag_gaussian_logpdf_grads,
     likelihood_kernel,
-    logmeanexp,
     logmeanexp_grads,
     logmeanexp_values,
-    reparameterize,
-    tape_likelihood,
 )
 from .optim import AdamState, ParamVector, adam_step
 from .rng import Rng
+
+
+def grad_enabled() -> bool:
+    """Always False: nothing here records a tape. Kept only because the
+    benchmark's tracer (``perfbench/run.py``) reads it on every run; ROADMAP
+    item 1, the tape-agnostic tracer, removes that reader and this function."""
+    return False
+
 
 __all__ = [
     "ACTIVATIONS",
@@ -39,25 +40,13 @@ __all__ = [
     "LOGVAR_HI",
     "LOGVAR_LO",
     "PROB_EPS",
+    "Param",
     "ParamVector",
     "Rng",
-    "TapeGaussian",
-    "Tensor",
     "adam_step",
-    "affine",
-    "affine_forward",
-    "backprop",
-    "bernoulli_log_likelihood",
     "diag_gaussian_logpdf",
-    "gaussian_log_likelihood",
-    "grad_enabled",
-    "kl_diag_gaussian_to_standard",
+    "diag_gaussian_logpdf_grads",
     "likelihood_kernel",
-    "logmeanexp",
     "logmeanexp_grads",
     "logmeanexp_values",
-    "no_grad",
-    "parameter",
-    "reparameterize",
-    "tape_likelihood",
 ]

@@ -1,9 +1,10 @@
-"""Dense layers with fixed activations.
+"""Dense layers with fixed activations, on plain arrays.
 
-A layer runs on the tape (``affine_forward``) or on plain arrays
-(``DenseLayer.apply``); a node pass picks one for all its layers from the
-type of its input. Both make the same numpy calls in the same order, so their
-outputs are the same bit for bit.
+Each weight and bias is a ``Param``: a named array that is a view into its
+model's one ``ParamVector``. ``DenseLayer.apply`` is the forward pass;
+``activation_grad`` and ``accumulate_grads`` are its vector-Jacobian
+products, in the order that the tape reference in ``tests/tape.py`` takes
+them, so that every gradient is the tape's bit for bit.
 """
 
 from __future__ import annotations
@@ -11,17 +12,45 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError, DimensionError, TrainingError
-from .autodiff import Tensor, affine, leaky_relu_values, parameter, sigmoid_values
 from .rng import Rng
 
 ACTIVATIONS = ("identity", "leaky-relu", "sigmoid")
 LEAKY_SLOPE = 0.01
 
-# activation -> (the Tensor method, its array formula); identity is absent
+
+class Param:
+    """A named parameter array."""
+
+    __slots__ = ("name", "data")
+
+    def __init__(self, name: str | None, data: np.ndarray):
+        self.name = name
+        self.data = data
+
+
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), step for step in one buffer."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
+    """x * (1 if x > 0 else slope), for a slope in [0, 1]."""
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope!r}")
+    if slope == 0.0:
+        return x * (x > 0.0)  # max(x, x * 0) would turn +inf into NaN
+    out = x * slope
+    return np.maximum(x, out, out=out)
+
+
+# activation -> its array formula; identity is absent
 _ACTIVATE = {
-    "leaky-relu": (lambda y: y.leaky_relu(LEAKY_SLOPE),
-                   lambda y: leaky_relu_values(y, LEAKY_SLOPE)),
-    "sigmoid": (lambda y: y.sigmoid(), sigmoid_values),
+    "leaky-relu": lambda y: leaky_relu_values(y, LEAKY_SLOPE),
+    "sigmoid": sigmoid_values,
 }
 
 
@@ -45,26 +74,24 @@ class DenseLayer:
             w = np.zeros((out_dim, in_dim))
         else:
             w = rng.uniform(-bound, bound, (out_dim, in_dim))
-        self.weight = parameter(w, f"{name}.W")
-        self.bias = parameter(np.zeros(out_dim), f"{name}.b")
+        self.weight = Param(f"{name}.W", w)
+        self.bias = Param(f"{name}.b", np.zeros(out_dim))
 
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def __call__(self, x, frozen: bool = False) -> Tensor:
-        return affine_forward(self, x, frozen=frozen)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """act(x @ W.T + b) of a C-contiguous float64 [batch, in] array,
-        recording nothing."""
+        """act(x @ W.T + b) of a C-contiguous float64 [batch, in] array."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(f"layer {self.name!r} expects [batch, {self.in_dim}], "
                                  f"got {x.shape}")
         y = x @ self.weight.data.T
         y += self.bias.data
         if self.activation in _ACTIVATE:
-            y = _ACTIVATE[self.activation][1](y)
-        return _finite(self, y)
+            y = _ACTIVATE[self.activation](y)
+        if not np.isfinite(y).all():  # an empty y passes
+            raise TrainingError(f"non-finite activation out of layer {self.name!r}")
+        return y
 
     def activation_grad(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The gradient at the affine output of ``apply``, from the gradient
@@ -96,29 +123,3 @@ class DenseLayer:
         else:
             w += g.T @ x
             b += g.sum(axis=0)
-
-
-def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
-    """act(x @ W.T + b), recorded on the tape.
-
-    With ``frozen=True`` the parameters enter as constants, so no gradient
-    reaches them even though they normally require one (used by shared
-    sub-modules of the graph model).
-    """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if frozen:
-        w, b = Tensor(layer.weight.data), Tensor(layer.bias.data)
-    else:
-        w, b = layer.weight, layer.bias
-    y = affine(x, w, b)
-    if layer.activation in _ACTIVATE:
-        y = _ACTIVATE[layer.activation][0](y)
-    _finite(layer, y.data)
-    return y
-
-
-def _finite(layer: DenseLayer, y: np.ndarray) -> np.ndarray:
-    if not np.isfinite(y).all():  # an empty y passes
-        raise TrainingError(f"non-finite activation out of layer {layer.name!r}")
-    return y

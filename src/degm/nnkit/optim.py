@@ -7,24 +7,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, TrainingError
-from .autodiff import Tensor
+from .layers import Param
 
 
 class ParamVector(list):
-    """Uniquely named tensors whose ``data`` are bound, in order, to reshaped
-    views of the one C-contiguous float64 vector ``flat``: a copy of their
-    arrays unless ``flat`` is given. ``len`` is the tensor count."""
+    """Uniquely named parameters whose ``data`` are bound, in order, to
+    reshaped views of the one C-contiguous float64 vector ``flat``: a copy of
+    their arrays unless ``flat`` is given. ``len`` is the parameter count."""
 
-    def __init__(self, tensors: list[Tensor], flat: np.ndarray | None = None):
-        super().__init__(tensors)
-        names = [t.name for t in tensors]
+    def __init__(self, params: list[Param], flat: np.ndarray | None = None):
+        super().__init__(params)
+        names = [p.name for p in params]
         if None in names or len(set(names)) != len(names):
             raise TrainingError("optimiser parameters must be named, each name once")
-        self.ends = np.cumsum([t.data.size for t in tensors], dtype=np.intp)
+        self.ends = np.cumsum([p.data.size for p in params], dtype=np.intp)
         if flat is None:
-            flat = np.concatenate([t.data.reshape(-1) for t in tensors] + [np.zeros(0)])
-        for t, view in zip(self, self.slices(flat)):
-            t.data = view
+            flat = np.concatenate([p.data.reshape(-1) for p in params] + [np.zeros(0)])
+        for p, view in zip(self, self.slices(flat)):
+            p.data = view
         self.flat = flat
 
     def __reduce__(self):
@@ -32,20 +32,12 @@ class ParamVector(list):
         return ParamVector, (list(self),)
 
     def slices(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each tensor's slice of a vector laid out as ``flat``, reshaped, in order."""
+        """Each parameter's slice of a vector laid out as ``flat``, reshaped, in order."""
         return [flat[e - t.data.size:e].reshape(t.data.shape) for t, e in zip(self, self.ends)]
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """``slices(flat)`` by tensor name."""
+        """``slices(flat)`` by parameter name."""
         return {t.name: view for t, view in zip(self, self.slices(flat))}
-
-    def gradient(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """A new zero gradient vector for these tensors, ``grads`` copied in by name."""
-        flat = np.zeros_like(self.flat)
-        for t, view in zip(self, self.slices(flat)):
-            if t.name in grads:
-                view[...] = grads[t.name]
-        return flat
 
 
 @dataclass
@@ -97,7 +89,7 @@ def adam_step(state: AdamState, params: ParamVector, g: np.ndarray) -> AdamState
         b *= state.lr
         b /= a
         p -= b
-    if not np.isfinite(p).all():  # the first tensor holding a non-finite value is named
+    if not np.isfinite(p).all():  # the first parameter holding a non-finite value is named
         name = params[int(np.searchsorted(params.ends, np.argmin(np.isfinite(p)), "right"))].name
         if not np.isfinite(params.views(g)[name]).all():
             raise TrainingError(f"NaN or inf gradient for parameter {name!r}")

@@ -5,20 +5,19 @@ heads (hidden -> mu, hidden -> logvar); the decoder splits into a lower layer
 (latent -> hidden) and an upper output layer. Keeping the four parts separate
 is what lets the graph model recombine them across components.
 
-A node's one forward pass is a ``NodePass`` over its rows: on the tape when
-the rows are a ``Tensor`` (the two-layer model's training), on plain arrays
-otherwise. Both make the same numpy calls in the same order, so their values
-are the same bit for bit. A training pass on arrays also gives the
-gradients, its backward written out VJP by VJP in the tape's order. Bounds
-return one value per sample, shape [B]. The weighted K'-draw bound is
-log-mean-exp of the per-draw reconstruction terms minus the closed-form KL,
-so the single-draw case *is* the ELBO estimate on the same noise.
+A node's one forward pass is a ``NodePass`` over its rows, on plain arrays.
+A training pass also gives the gradients, its backward written out VJP by
+VJP in the order of the tape reference (``tests/tape.py``), so that they
+equal the tape's bit for bit; ``HierVae`` writes out its two-layer bound's
+backward the same way. Bounds return one value per sample, shape [B]. The
+weighted K'-draw bound is log-mean-exp of the per-draw reconstruction terms
+minus the closed-form KL, so the single-draw case *is* the ELBO estimate on
+the same noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,20 +26,15 @@ from .nnkit import (
     DEFAULT_SIGMA,
     DenseLayer,
     DiagGaussian,
+    Param,
+    ParamVector,
     Rng,
-    TapeGaussian,
-    Tensor,
-    affine_forward,
     diag_gaussian_logpdf,
-    kl_diag_gaussian_to_standard,
+    diag_gaussian_logpdf_grads,
     likelihood_kernel,
-    logmeanexp,
     logmeanexp_grads,
     logmeanexp_values,
-    reparameterize,
-    tape_likelihood,
 )
-from .nnkit.optim import ParamVector
 
 DEFAULT_HIDDEN = 200
 LIKELIHOODS = ("bernoulli", "gaussian")
@@ -68,24 +62,7 @@ class VaeComponent:
         self.dec_upper = DenseLayer(hidden_dim, input_dim, out_act, rng, f"{name}.dec_upper")
         self._params = ParamVector(self.layer_params())
 
-    @classmethod
-    def from_layers(cls, enc_lower: DenseLayer, enc_mu: DenseLayer, enc_logvar: DenseLayer,
-                    dec_lower: DenseLayer, dec_upper: DenseLayer, likelihood: str,
-                    sigma: float = DEFAULT_SIGMA, name: str = "composite") -> "VaeComponent":
-        """Assemble a component from existing layers, sharing their tensors; it is not trained."""
-        obj = cls.__new__(cls)
-        obj.input_dim = enc_lower.in_dim
-        obj.latent_dim = enc_mu.out_dim
-        obj.hidden_dim = enc_lower.out_dim
-        obj.likelihood = likelihood
-        obj.sigma = float(sigma)
-        obj.name = name
-        obj.enc_lower, obj.enc_mu, obj.enc_logvar = enc_lower, enc_mu, enc_logvar
-        obj.dec_lower, obj.dec_upper = dec_lower, dec_upper
-        obj._params = obj.layer_params()
-        return obj
-
-    def layer_params(self) -> list[Tensor]:
+    def layer_params(self) -> list[Param]:
         layers = (self.enc_lower, self.enc_mu, self.enc_logvar, self.dec_lower, self.dec_upper)
         return [t for layer in layers for t in layer.params()]
 
@@ -94,8 +71,7 @@ class VaeComponent:
 
     def node_pass(self, x, train: bool = False) -> "NodePass":
         """This component's forward pass over the rows ``x``, its encoder run
-        here: on the tape for a Tensor ``x``, on plain arrays otherwise; with
-        ``train``, one that gives gradients."""
+        here; with ``train``, one that gives gradients."""
         return NodePass(x, self.enc_lower, [(self.enc_mu, self.enc_logvar)], None,
                         [self.dec_lower], self.dec_upper, self.likelihood, self.sigma,
                         self._params if train else None)
@@ -122,41 +98,26 @@ class VaeComponent:
 class NodePass:
     """One node's forward pass over the rows ``x``, its encoder run here.
 
-    A Tensor ``x`` runs the pass on the tape, a plain array on arrays; the
-    constructor picks the layer calls, the posterior, the likelihood and the
-    log-mean-exp once, from that type. ``heads`` holds one (mu, logvar) layer
-    pair per latent source, blended by ``weights`` (None for a plain
-    component, whose one source is used as is). ``lowers`` are the lower
-    decoders, blended the same way, and ``upper`` the output layer. The heads
-    and lower decoders of a blended pass are borrowed from frozen basic
-    nodes, so on the tape they enter as constants. ``bound`` is the ELBO (one
-    draw) or the K'-draw bound of a basic node, and the mixture bound of a
-    specific one; ``kl`` is its KL term and ``reconstruction`` the decode of
-    the (blended) posterior mean. A training pass, given the ``params``
-    vector of its own layers, runs on arrays and keeps the encoder output, so
-    that ``bound_and_grads`` can give their gradients without the tape.
+    ``heads`` holds one (mu, logvar) layer pair per latent source, blended by
+    ``weights`` (None for a plain component, whose one source is used as is).
+    ``lowers`` are the lower decoders, blended the same way, and ``upper``
+    the output layer. The heads and lower decoders of a blended pass are
+    borrowed from frozen basic nodes. ``bound`` is the ELBO (one draw) or the
+    K'-draw bound of a basic node, and the mixture bound of a specific one;
+    ``kl`` is its KL term, computed once per pass since no draw changes it,
+    and ``reconstruction`` the decode of the (blended) posterior mean. A
+    training pass, given the ``params`` vector of its own layers, keeps the
+    encoder output, so that ``bound_and_grads`` can give their gradients.
     """
 
     def __init__(self, x, enc_lower: DenseLayer, heads: list[tuple[DenseLayer, DenseLayer]],
                  weights: np.ndarray | None, lowers: list[DenseLayer], upper: DenseLayer,
                  likelihood: str, sigma: float, params: ParamVector | None = None):
-        if isinstance(x, Tensor):
-            if params is not None:
-                raise ContractError("a training pass runs on arrays")
-            self.x = x.data
-            own, posterior = affine_forward, TapeGaussian
-            borrowed = own if weights is None else partial(affine_forward, frozen=True)
-            self._kernel_of, self._logmeanexp = tape_likelihood, logmeanexp
-        else:
-            self.x = x = np.ascontiguousarray(x, dtype=np.float64)
-            own = borrowed = DenseLayer.apply
-            posterior = DiagGaussian
-            self._kernel_of, self._logmeanexp = likelihood_kernel, logmeanexp_values
-        if self.x.ndim != 2 or self.x.shape[1] != enc_lower.in_dim:
-            raise DimensionError(f"expected [batch, {enc_lower.in_dim}], got {self.x.shape}")
-        self._own, self._borrowed = own, borrowed
-        h = own(enc_lower, x)
-        self.posteriors = [posterior(borrowed(mu, h), borrowed(logvar, h)) for mu, logvar in heads]
+        self.x = x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != enc_lower.in_dim:
+            raise DimensionError(f"expected [batch, {enc_lower.in_dim}], got {x.shape}")
+        h = enc_lower.apply(x)
+        self.posteriors = [DiagGaussian(mu.apply(h), logvar.apply(h)) for mu, logvar in heads]
         self._h = h if params is not None else None
         self.params = params
         self.enc_lower = enc_lower
@@ -167,6 +128,7 @@ class NodePass:
         self.likelihood = likelihood
         self.sigma = sigma
         self._kernel = None  # made on first use: reconstructions check no x
+        self._kls = self._kl = None
 
     def _blend(self, parts):
         if self.weights is None:
@@ -176,22 +138,25 @@ class NodePass:
             total = part * pi if total is None else total + part * pi
         return total
 
-    def decode(self, z):
-        return self._own(self.upper, self._blend(self._borrowed(layer, z) for layer in self.lowers))
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        return self.upper.apply(self._blend(layer.apply(z) for layer in self.lowers))
 
-    def recon_term(self, decoded):
+    def recon_term(self, decoded: np.ndarray) -> np.ndarray:
         """log p(x | decoded) per sample: the reconstruction term of a bound."""
         if self._kernel is None:
-            self._kernel = self._kernel_of(self.likelihood, self.x, self.sigma)
+            self._kernel = likelihood_kernel(self.likelihood, self.x, self.sigma)
         return self._kernel(decoded)
 
-    def kl(self):
-        return self._blend(p.kl() for p in self.posteriors)
+    def kl(self) -> np.ndarray:
+        if self._kl is None:
+            self._kls = [p.kl() for p in self.posteriors]
+            self._kl = self._blend(self._kls)
+        return self._kl
 
-    def reconstruction(self):
+    def reconstruction(self) -> np.ndarray:
         return self.decode(self._blend(p.mu for p in self.posteriors))
 
-    def sample(self, eps):
+    def sample(self, eps: np.ndarray) -> np.ndarray:
         """The (blended) latent at the draw ``eps``, shared by every source."""
         return self._blend(p.sample(eps) for p in self.posteriors)
 
@@ -200,12 +165,12 @@ class NodePass:
         ``reparameterize`` takes them."""
         return [rng.normal(self.posteriors[0].mu.shape) for _ in range(k)]
 
-    def bound(self, eps_list: list[np.ndarray]):
+    def bound(self, eps_list: list[np.ndarray]) -> np.ndarray:
         """The per-sample bound over one draw per entry of ``eps_list``, each
         shared by every row (or one row per sample) and by every source."""
         recons = [self.recon_term(self.decode(self.sample(np.asarray(eps, dtype=np.float64))))
                   for eps in eps_list]
-        return self._logmeanexp(recons) - self.kl()
+        return logmeanexp_values(recons) - self.kl()
 
     def bound_and_grads(self, eps_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """``bound(eps_list)`` and the gradient of ``-bound.mean()``, of a
@@ -227,8 +192,7 @@ class NodePass:
             hidden = self._blend(lows)
             draws.append((z, lows, hidden, self.upper.apply(hidden)))
         recons = [self.recon_term(out) for *_, out in draws]
-        kls = [p.kl() for p in self.posteriors]
-        values = logmeanexp_values(recons) - self._blend(kls)
+        values = logmeanexp_values(recons) - self.kl()
 
         n = values.shape[0]
         g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
@@ -258,7 +222,8 @@ class NodePass:
 
         g_h = None
         g_kl = -g_values
-        for p, heads, kl, g_sample, pi in zip(self.posteriors, self.heads, kls, g_samples, pis):
+        for p, heads, kl, g_sample, pi in zip(self.posteriors, self.heads, self._kls, g_samples,
+                                              pis):
             for layer, g in zip(heads, p.grads(g_sample, eps_list, kl, scaled(g_kl, pi))):
                 if own:
                     layer.accumulate_grads(grads, self._h, g)
@@ -267,6 +232,23 @@ class NodePass:
         self.enc_lower.accumulate_grads(grads, self.x,
                                         self.enc_lower.activation_grad(self._h, g_h))
         return values, flat
+
+
+def _stage_grads(grads: dict[str, np.ndarray], lower: DenseLayer,
+                 heads: tuple[DenseLayer, DenseLayer], x: np.ndarray, h: np.ndarray,
+                 g_heads) -> np.ndarray:
+    """Write the gradients of a stage, a lower layer and its two identity heads
+    (``h = lower(x)``), from the gradients ``g_heads`` at the heads' outputs,
+    into ``grads`` by name; return the gradient at the lower layer's affine
+    output."""
+    g_h = None
+    for layer, g in zip(heads, g_heads):
+        layer.accumulate_grads(grads, h, g)
+        g_part = g @ layer.weight.data
+        g_h = g_part if g_h is None else g_h + g_part
+    g_a = lower.activation_grad(h, g_h)
+    lower.accumulate_grads(grads, x, g_a)
+    return g_a
 
 
 @dataclass
@@ -326,26 +308,85 @@ class HierVae:
     def params(self) -> ParamVector:
         return self._params
 
-    def hier_elbo(self, x, rng: Rng | None = None, eps: np.ndarray | None = None,
-                  eps2: np.ndarray | None = None) -> Tensor:
-        """Reconstruction minus both layer penalties (second layer closed-form,
-        first layer a density ratio at the sampled point), on the tape."""
-        first = self.base.node_pass(Tensor(x))
-        if eps is None:
-            eps = first.draws(rng)[0]
+    def draws(self, rng: Rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The noise of one training step over ``n`` rows, drawn from ``rng``:
+        ``eps`` for z1, then ``eps2`` for z2 (None with one layer)."""
+        eps = rng.normal((n, self.latent_dims[0]))
+        return eps, rng.normal((n, self.latent_dims[1])) if self.two_layers else None
+
+    def bound(self, x, eps: np.ndarray, eps2: np.ndarray | None = None) -> np.ndarray:
+        """The per-sample bound at the draws ``eps`` and ``eps2`` (zero when
+        None): reconstruction minus both layer penalties, the second layer's
+        closed-form, the first layer's a density ratio at the sampled point;
+        with one layer, the base's ELBO."""
+        node_pass = self.base.node_pass(x)
         if not self.two_layers:
-            return first.bound([eps])
-        q1 = first.posteriors[0]
-        z1 = first.sample(eps)
-        h2 = self.enc2_lower(z1)
-        mu2, lv2 = self.enc2_mu(h2), self.enc2_logvar(h2)
-        z2 = reparameterize(mu2, lv2, rng=rng, eps=eps2)
-        hp = self.prior_lower(z2)
-        mup, lvp = self.prior_mu(hp), self.prior_logvar(hp)
-        recon = first.recon_term(first.decode(z1))
-        kl2 = kl_diag_gaussian_to_standard(mu2, lv2)
-        ratio1 = diag_gaussian_logpdf(z1, q1.mu, q1.logvar) - diag_gaussian_logpdf(z1, mup, lvp)
-        return recon - ratio1 - kl2
+            return node_pass.bound([eps])
+        return self._forward(node_pass, eps, eps2)[0]
+
+    def _forward(self, node_pass: NodePass, eps: np.ndarray, eps2: np.ndarray | None):
+        """The two-layer bound over the base pass's rows, and what its backward reads."""
+        if eps2 is None:
+            eps2 = np.zeros((1, self.latent_dims[1]))
+        q1 = node_pass.posteriors[0]
+        z1 = q1.sample(eps)
+        h2 = self.enc2_lower.apply(z1)
+        q2 = DiagGaussian(self.enc2_mu.apply(h2), self.enc2_logvar.apply(h2))
+        z2 = q2.sample(eps2)
+        hp = self.prior_lower.apply(z2)
+        prior = (self.prior_mu.apply(hp), self.prior_logvar.apply(hp))
+        low = self.base.dec_lower.apply(z1)
+        out = self.base.dec_upper.apply(low)
+        recon = node_pass.recon_term(out)
+        kl2 = q2.kl()
+        ratio1 = (diag_gaussian_logpdf(z1, q1.mu, q1.logvar)
+                  - diag_gaussian_logpdf(z1, *prior))
+        return recon - ratio1 - kl2, (z1, h2, q2, eps2, z2, hp, prior, low, out, kl2)
+
+    def bound_and_grads(self, x, eps: np.ndarray,
+                        eps2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``bound(x, eps, eps2)`` and the gradient of ``-bound.mean()``, as
+        one vector laid out as ``params()``. With one layer it is the base
+        pass's, the extra layers' part zero. With two, the backward is written
+        out as ``NodePass.bound_and_grads``'s is: each step is the tape's VJP,
+        and where gradients meet they are summed in the tape's order, so every
+        gradient equals the tape's bit for bit."""
+        node_pass = self.base.node_pass(x, train=True)
+        if not self.two_layers:
+            values, base_flat = node_pass.bound_and_grads([eps])
+            flat = np.zeros_like(self._params.flat)
+            flat[:base_flat.size] = base_flat
+            return values, flat
+        values, (z1, h2, q2, eps2, z2, hp, prior, low, out, kl2) = self._forward(
+            node_pass, eps, eps2)
+        base, q1 = self.base, node_pass.posteriors[0]
+        flat = np.empty_like(self._params.flat)
+        grads = self._params.views(flat)  # every view is written below
+        n = values.shape[0]
+        g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
+        # values = recon - (log q(z1) - log p(z1)) - kl2
+        g_minus = -g_values
+
+        g_out = base.dec_upper.activation_grad(out, node_pass._kernel.grad(out, g_values))
+        base.dec_upper.accumulate_grads(grads, low, g_out)
+        g_low = base.dec_lower.activation_grad(low, g_out @ base.dec_upper.weight.data)
+        base.dec_lower.accumulate_grads(grads, z1, g_low)
+        g_z1_dec = g_low @ base.dec_lower.weight.data
+
+        g_z1_prior, *g_prior = diag_gaussian_logpdf_grads(z1, *prior, g_values)
+        g_z2 = _stage_grads(grads, self.prior_lower, (self.prior_mu, self.prior_logvar), z2, hp,
+                            g_prior) @ self.prior_lower.weight.data
+        g_q2 = q2.grads([g_z2], [eps2], kl2, g_minus)
+        g_z1_enc2 = _stage_grads(grads, self.enc2_lower, (self.enc2_mu, self.enc2_logvar), z1,
+                                 h2, g_q2) @ self.enc2_lower.weight.data
+        g_z1_q, g_mu1, g_lv1 = diag_gaussian_logpdf_grads(z1, q1.mu, q1.logvar, g_minus)
+
+        # the four gradients at z1, summed in the tape's order
+        g_z1 = g_z1_dec + g_z1_q + g_z1_prior + g_z1_enc2
+        g_mu, g_lv = q1.sample_grads([g_z1], [eps])
+        _stage_grads(grads, base.enc_lower, (base.enc_mu, base.enc_logvar), node_pass.x,
+                     node_pass._h, (g_mu + g_mu1, g_lv + g_lv1))
+        return values, flat
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         if not self.two_layers:

@@ -1,29 +1,32 @@
 """Shared test utilities: the central-finite-difference gradient oracle,
 views of models and graphs that only tests need, a tape reference for node
-passes, written from the nnkit primitives alone, that ``NodePass`` must
-equal bit for bit on the tape and on arrays, and a per-tensor Adam that the
-fused ``adam_step`` must equal bit for bit."""
+passes and for the two-layer bound, written from the tape primitives of
+``tape`` alone, that ``NodePass`` and ``HierVae`` must equal bit for bit, and
+a per-tensor Adam that the fused ``adam_step`` must equal bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from degm.errors import ContractError
-from degm.nnkit import (
+from degm.nnkit import AdamState, Rng, adam_step
+from degm.vae import VaeComponent
+
+from tape import (
     Tensor,
     affine_forward,
     backprop,
     bernoulli_log_likelihood,
+    diag_gaussian_logpdf,
     gaussian_log_likelihood,
     kl_diag_gaussian_to_standard,
     logmeanexp,
     no_grad,
     reparameterize,
 )
-from degm.vae import VaeComponent
 
 
-def finite_difference_grads(build_loss, params: list[Tensor], h: float = 1e-5) -> dict[str, np.ndarray]:
+def finite_difference_grads(build_loss, params, h: float = 1e-5) -> dict[str, np.ndarray]:
     """Central differences of a scalar loss wrt each named parameter.
 
     ``build_loss`` must rebuild the whole forward pass from current parameter
@@ -52,7 +55,7 @@ def finite_difference_grads(build_loss, params: list[Tensor], h: float = 1e-5) -
     return grads
 
 
-def analytic_grads(build_loss, params: list[Tensor]) -> dict[str, np.ndarray]:
+def analytic_grads(build_loss, params) -> dict[str, np.ndarray]:
     loss = build_loss()
     grads = backprop(loss)
     return {p.name: grads.get(p.name, np.zeros_like(p.data)) for p in params}
@@ -61,23 +64,30 @@ def analytic_grads(build_loss, params: list[Tensor]) -> dict[str, np.ndarray]:
 def train_elbo_steps(component, data: np.ndarray, steps: int, lr: float, seed: int,
                      batch: int = 32) -> list[float]:
     """Plain Adam/ELBO loop for toy fixtures; returns the per-step batch ELBO means."""
-    from degm.nnkit import AdamState, Rng, adam_step
-
     rng = Rng(seed)
     state = AdamState(lr=lr)
     history = []
     n = data.shape[0]
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
-        x = data[idx]
-        values = drawn_bound(component.node_pass(Tensor(x)), rng)
-        history.append(float(values.data.mean()))
-        loss = -values.mean()
-        adam_step(state, component.params(), component.params().gradient(backprop(loss)))
+        node_pass = component.node_pass(data[idx], train=True)
+        values, grads = node_pass.bound_and_grads(node_pass.draws(rng))
+        history.append(float(values.mean()))
+        adam_step(state, component.params(), grads)
     return history
 
 
-def reference_adam_step(state: dict, params: list[Tensor], grads: dict[str, np.ndarray],
+def gradient_vector(params, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """A new zero gradient vector laid out as the ``ParamVector`` ``params``,
+    ``grads`` copied in by name."""
+    flat = np.zeros_like(params.flat)
+    for p, view in zip(params, params.slices(flat)):
+        if p.name in grads:
+            view[...] = grads[p.name]
+    return flat
+
+
+def reference_adam_step(state: dict, params: list, grads: dict[str, np.ndarray],
                         lr: float, beta1: float = 0.9, beta2: float = 0.999,
                         eps: float = 1e-8) -> None:
     """Adam tensor by tensor, in the formula's order, with the moments kept
@@ -139,21 +149,18 @@ def single_draw_elbo(node_pass, eps):
     return node_pass.recon_term(node_pass.decode(node_pass.sample(eps))) - node_pass.kl()
 
 
-def specific_encode(graph, s, x, eps):
-    """Blend the per-basic posteriors of specific node ``s`` on the tape:
-    z = sum_j pi_j z_j. Gradients reach only the node's new lower encoder;
-    basic sub-modules stay frozen. Returns z and the per-basic posteriors."""
-    node_pass = graph.node_pass(s, Tensor(x))
-    return node_pass.sample(eps), node_pass.posteriors
-
-
 def composite_component(graph, s, basic_index: int) -> VaeComponent:
-    """The plain component a one-hot specific node ``s`` degenerates to."""
+    """The plain component a one-hot specific node ``s`` degenerates to,
+    assembled from the node's and the basic's layers, sharing their arrays.
+    It is not trained: its parameters are a list, not a vector."""
     b = graph.basics[basic_index].vae
-    return VaeComponent.from_layers(s.enc_lower_new, b.enc_mu, b.enc_logvar,
-                                    b.dec_lower, s.dec_upper_new,
-                                    graph.likelihood, graph.sigma,
-                                    name=f"{s.name}+b{basic_index}")
+    c = VaeComponent.__new__(VaeComponent)
+    c.input_dim, c.latent_dim, c.hidden_dim = b.input_dim, b.latent_dim, s.enc_lower_new.out_dim
+    c.likelihood, c.sigma, c.name = graph.likelihood, float(graph.sigma), f"{s.name}+b{basic_index}"
+    c.enc_lower, c.enc_mu, c.enc_logvar = s.enc_lower_new, b.enc_mu, b.enc_logvar
+    c.dec_lower, c.dec_upper = b.dec_lower, s.dec_upper_new
+    c._params = c.layer_params()
+    return c
 
 
 def _blend(weights, parts):
@@ -165,19 +172,31 @@ def _blend(weights, parts):
     return total
 
 
+def component_layers(vae) -> tuple:
+    """A plain component's layers as a ``NodePass`` takes them: its lower
+    encoder, its (mu, logvar) head pair, no weights, its lower decoder, its
+    output layer, the likelihood and sigma."""
+    return (vae.enc_lower, [(vae.enc_mu, vae.enc_logvar)], None, [vae.dec_lower],
+            vae.dec_upper, vae.likelihood, vae.sigma)
+
+
 def _node_layers(graph, entry) -> tuple:
-    """A node's layers as a ``NodePass`` takes them: its lower encoder, one
-    (mu, logvar) head pair per latent source, the weights that blend them
-    (None for a basic node), the lower decoders, the output layer, the
-    likelihood and sigma."""
+    """A node's layers as a ``NodePass`` takes them: a basic node's
+    component's, or a specific node's lower encoder, one (mu, logvar) head
+    pair per basic node it blends, the weights that blend them, the lower
+    decoders, the output layer, the likelihood and sigma."""
     if entry.kind == "basic":
-        vae = entry.vae
-        return (vae.enc_lower, [(vae.enc_mu, vae.enc_logvar)], None, [vae.dec_lower],
-                vae.dec_upper, vae.likelihood, vae.sigma)
+        return component_layers(entry.vae)
     basics = [b.vae for b in graph.basics[:entry.weights.size]]
     return (entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics], entry.weights,
             [v.dec_lower for v in basics], entry.dec_upper_new, basics[0].likelihood,
             basics[0].sigma)
+
+
+def pass_layers(node_pass) -> tuple:
+    """The layers a ``NodePass`` runs, as ``_node_layers`` gives them."""
+    return (node_pass.enc_lower, node_pass.heads, node_pass.weights, node_pass.lowers,
+            node_pass.upper, node_pass.likelihood, node_pass.sigma)
 
 
 def _tape_node(layers: tuple, x):
@@ -219,14 +238,65 @@ def tape_objective(graph, entry, x, eps_list: list[np.ndarray]) -> Tensor:
     return _layers_objective(_node_layers(graph, entry), x, eps_list)
 
 
+def tape_node(node_pass):
+    """The encoder of a pass's layers on the tape over the pass's rows, as
+    ``_tape_node`` gives it: the (mu, logvar) per latent source, the weights,
+    the decode and the likelihood."""
+    return _tape_node(pass_layers(node_pass), node_pass.x)
+
+
+def tape_pass_objective(node_pass, eps_list: list[np.ndarray]) -> Tensor:
+    """The bound of a pass's layers over its rows and the draws ``eps_list``,
+    recorded on the tape."""
+    return _layers_objective(pass_layers(node_pass), node_pass.x, eps_list)
+
+
 def tape_bound_and_grads(node_pass, eps_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """What ``NodePass.bound_and_grads`` gives, from the tape reference over
     the pass's own layers: the bound's values and ``backprop`` of minus its
     mean, scattered into a vector laid out as the pass's parameters."""
-    layers = (node_pass.enc_lower, node_pass.heads, node_pass.weights, node_pass.lowers,
-              node_pass.upper, node_pass.likelihood, node_pass.sigma)
-    objective = _layers_objective(layers, node_pass.x, eps_list)
-    return objective.data, node_pass.params.gradient(backprop(-objective.mean()))
+    objective = tape_pass_objective(node_pass, eps_list)
+    return objective.data, gradient_vector(node_pass.params, backprop(-objective.mean()))
+
+
+def specific_encode(graph, s, x, eps):
+    """Blend the per-basic posteriors of specific node ``s`` on the tape:
+    z = sum_j pi_j z_j. Gradients reach only the node's new lower encoder;
+    basic sub-modules stay frozen. Returns z and the per-basic (mu, logvar)."""
+    stats, weights, _, _ = _tape_node(_node_layers(graph, s), x)
+    return _blend(weights, [reparameterize(mu, lv, eps=eps) for mu, lv in stats]), stats
+
+
+def tape_hier_objective(model, x, eps: np.ndarray, eps2: np.ndarray | None = None) -> Tensor:
+    """``HierVae``'s bound at the draws ``eps`` and ``eps2`` (zero when None),
+    recorded on the tape: reconstruction minus both layer penalties, the
+    second layer's closed-form, the first layer's a density ratio at the
+    sampled point; with one layer, the base component's ELBO."""
+    layers = component_layers(model.base)
+    if not model.two_layers:
+        return _layers_objective(layers, x, [eps])
+    if eps2 is None:
+        eps2 = np.zeros((1, model.latent_dims[1]))
+    [(mu1, lv1)], _, decode, log_likelihood = _tape_node(layers, x)
+    z1 = reparameterize(mu1, lv1, eps=eps)
+    h2 = affine_forward(model.enc2_lower, z1)
+    mu2, lv2 = affine_forward(model.enc2_mu, h2), affine_forward(model.enc2_logvar, h2)
+    z2 = reparameterize(mu2, lv2, eps=eps2)
+    hp = affine_forward(model.prior_lower, z2)
+    mup, lvp = affine_forward(model.prior_mu, hp), affine_forward(model.prior_logvar, hp)
+    recon = log_likelihood(decode(z1))
+    kl2 = kl_diag_gaussian_to_standard(mu2, lv2)
+    ratio1 = diag_gaussian_logpdf(z1, mu1, lv1) - diag_gaussian_logpdf(z1, mup, lvp)
+    return recon - ratio1 - kl2
+
+
+def tape_hier_bound_and_grads(model, x, eps: np.ndarray,
+                              eps2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """What ``HierVae.bound_and_grads`` gives, from the tape reference: the
+    bound's values and ``backprop`` of minus its mean, as one vector laid
+    out as the model's parameters."""
+    objective = tape_hier_objective(model, x, eps, eps2)
+    return objective.data, gradient_vector(model.params(), backprop(-objective.mean()))
 
 
 def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Reverse-mode automatic differentiation over float64 arrays.
+"""The reverse-mode tape: the reference that the closed-form gradients of
+``degm`` are compared against, bit for bit.
 
 A :class:`Tensor` wraps a C-contiguous float64 ndarray and, while gradient
 recording is enabled, remembers how it was produced. The graph hanging off a
@@ -8,9 +9,12 @@ frees the graph. There is no persistent graph between minibatches.
 
 Only what the dense VAE stack needs is implemented: 2-D matmul inside the
 fused affine op, elementwise arithmetic with numpy-style broadcasting, a few
-pointwise nonlinearities, clipping, and axis/full reductions. The array
-formulas of the nonlinearities (``sigmoid_values``, ``leaky_relu_values``)
-are also what :meth:`DenseLayer.apply` runs on plain arrays.
+pointwise nonlinearities, clipping, and axis/full reductions. The pointwise
+nonlinearities use the array formulas that ``DenseLayer.apply`` runs
+(``sigmoid_values``, ``leaky_relu_values``). Below the tape sit a dense
+layer on it (``affine_forward``) and the Tensor forms of the likelihoods,
+the KL, the log-density, sampling and log-mean-exp, each making the numpy
+calls of its array counterpart in ``degm.nnkit.losses`` in the same order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ..errors import ContractError, DimensionError
+from degm.errors import ContractError, DimensionError, TrainingError
+from degm.nnkit import DEFAULT_SIGMA, LEAKY_SLOPE, LOGVAR_HI, LOGVAR_LO, PROB_EPS, DenseLayer, Rng
+from degm.nnkit.layers import leaky_relu_values, sigmoid_values
+from degm.nnkit.losses import LOG_2PI
 
 ArrayLike = Union["Tensor", np.ndarray, float, int]
 
@@ -37,10 +44,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -187,25 +190,6 @@ class Tensor:
         return self.sum() / float(self.data.size)
 
 
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), step for step in one buffer."""
-    out = np.negative(x)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    return out
-
-
-def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
-    """x * (1 if x > 0 else slope), for a slope in [0, 1]."""
-    if not 0.0 <= slope <= 1.0:
-        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope!r}")
-    if slope == 0.0:
-        return x * (x > 0.0)  # max(x, x * 0) would turn +inf into NaN
-    out = x * slope
-    return np.maximum(x, out, out=out)
-
-
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused ``x @ W.T + b`` for 2-D ``x`` with ``W`` stored as [out, in]."""
     if x.ndim != 2 or weight.ndim != 2:
@@ -290,4 +274,137 @@ def backprop(loss: Tensor) -> dict[str, np.ndarray]:
                 grads[id(parent)] = pg
         node._parents = ()
         node._consumed = True
+    _LEAVES.clear()
     return result
+
+
+# -- dense layers on the tape -----------------------------------------------------------
+
+_LEAVES: dict[int, Tensor] = {}  # id of a parameter's array -> its leaf
+
+
+def leaf(param) -> Tensor:
+    """The tape's leaf for a named parameter array (``degm.nnkit.Param``): one
+    Tensor per array until the next ``backprop``, so that every use of a
+    parameter on one tape meets at one node, and ``backprop`` sums its
+    gradients there in the tape's order."""
+    t = _LEAVES.get(id(param.data))
+    if t is None or t.data is not param.data:
+        t = _LEAVES[id(param.data)] = parameter(param.data, param.name)
+    return t
+
+
+def affine_forward(layer: DenseLayer, x, frozen: bool = False) -> Tensor:
+    """act(x @ W.T + b), recorded on the tape.
+
+    With ``frozen=True`` the parameters enter as constants, so no gradient
+    reaches them (used by the borrowed sub-modules of a specific node).
+    """
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
+    if frozen:
+        w, b = Tensor(layer.weight.data), Tensor(layer.bias.data)
+    else:
+        w, b = leaf(layer.weight), leaf(layer.bias)
+    y = affine(x, w, b)
+    if layer.activation == "leaky-relu":
+        y = y.leaky_relu(LEAKY_SLOPE)
+    elif layer.activation == "sigmoid":
+        y = y.sigmoid()
+    if not np.isfinite(y.data).all():  # an empty y passes
+        raise TrainingError(f"non-finite activation out of layer {layer.name!r}")
+    return y
+
+
+# -- likelihoods, KL, log-density, sampling and log-mean-exp on the tape ----------------
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def reparameterize(mu: Tensor, logvar: Tensor, rng: Rng | None = None,
+                   eps: np.ndarray | None = None) -> Tensor:
+    """z = mu + exp(logvar / 2) * eps with eps ~ N(0, I).
+
+    Differentiable in mu and logvar; pass ``eps`` explicitly to share
+    randomness across estimators.
+    """
+    mu, logvar = _as_tensor(mu), _as_tensor(logvar)
+    if mu.shape != logvar.shape:
+        raise DimensionError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
+    if eps is None:
+        if rng is None:
+            raise ContractError("reparameterize needs an rng or an explicit eps")
+        eps = rng.normal(mu.shape)
+    std = (logvar.clip(LOGVAR_LO, LOGVAR_HI) * 0.5).exp()
+    return mu + std * np.asarray(eps, dtype=np.float64)
+
+
+def kl_diag_gaussian_to_standard(mu: Tensor, logvar: Tensor) -> Tensor:
+    """KL(N(mu, diag exp(logvar)) || N(0, I)) per sample; always >= 0.
+
+    The closed form can dip an ulp below zero when exp(logvar) rounds to 1
+    for denormal-scale logvar, so the per-sample value is floored at 0 (the
+    gradient there is the exact one: the KL minimum sits at that point).
+    """
+    mu, logvar = _as_tensor(mu), _as_tensor(logvar)
+    if mu.shape != logvar.shape:
+        raise DimensionError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
+    lv = logvar.clip(LOGVAR_LO, LOGVAR_HI)
+    inner = lv.exp() + mu.square() - 1.0 - lv
+    return (inner.sum(axis=1) * 0.5).clip(0.0, np.inf)
+
+
+def gaussian_log_likelihood(x, mu: Tensor, sigma: float = DEFAULT_SIGMA) -> Tensor:
+    """log N(x; mu, sigma^2 I) per sample, sigma fixed."""
+    if sigma <= 0.0:
+        raise ContractError(f"sigma must be positive, got {sigma}")
+    mu = _as_tensor(mu)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != mu.shape:
+        raise DimensionError(f"x shape {x.shape} != mu shape {mu.shape}")
+    d = x.shape[1]
+    sq = (mu - x).square().sum(axis=1)
+    const = 0.5 * d * float(np.log(2.0 * np.pi * sigma * sigma))
+    return sq * (-0.5 / (sigma * sigma)) - const
+
+
+def bernoulli_log_likelihood(x, probs: Tensor) -> Tensor:
+    """Binary cross-entropy per sample, negated; always <= 0."""
+    probs = _as_tensor(probs)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != probs.shape:
+        raise DimensionError(f"x shape {x.shape} != probs shape {probs.shape}")
+    if x.min() < 0.0 or x.max() > 1.0:
+        raise ContractError("targets must lie in [0, 1]")
+    if probs.data.min() < 0.0 or probs.data.max() > 1.0:
+        raise ContractError("probabilities must lie in [0, 1]")
+    p = probs.clip(PROB_EPS, 1.0 - PROB_EPS)
+    ll = p.log() * x + (1.0 - p).log() * (1.0 - x)
+    return ll.sum(axis=1)
+
+
+def diag_gaussian_logpdf(z: Tensor, mu: Tensor, logvar: Tensor) -> Tensor:
+    """log N(z; mu, diag exp(logvar)) per sample, differentiable in all three."""
+    z, mu, logvar = _as_tensor(z), _as_tensor(mu), _as_tensor(logvar)
+    lv = logvar.clip(LOGVAR_LO, LOGVAR_HI)
+    diff_sq = (z - mu).square() * (-lv).exp()
+    inner = diff_sq + lv + LOG_2PI
+    return inner.sum(axis=1) * (-0.5)
+
+
+def logmeanexp(values: list[Tensor]) -> Tensor:
+    """log((1/K) sum exp(v_i)) over a list of same-shape per-sample tensors.
+
+    Max-shifted for stability; the shift is treated as constant, which leaves
+    the gradient (softmax-weighted) exact.
+    """
+    if not values:
+        raise ContractError("logmeanexp needs at least one value")
+    if len(values) == 1:
+        return values[0]
+    m = np.maximum.reduce([v.data for v in values])
+    acc = (values[0] - m).exp()
+    for v in values[1:]:
+        acc = acc + (v - m).exp()
+    return acc.log() + (m - float(np.log(len(values))))

@@ -1,7 +1,7 @@
-"""A node's one forward pass, ``NodePass``, runs on the tape for a Tensor and
-on plain arrays otherwise. Both must equal the tape reference built from the
-nnkit primitives, bit for bit (compared with ==, never a tolerance), and
-raise the errors it raises."""
+"""A node's one forward pass, ``NodePass``, and the two-layer ``HierVae``
+run on plain arrays. Their values and their closed-form gradients must equal
+the tape reference built from the tape primitives (``tape``), bit for bit
+(compared with ==, never a tolerance), and raise the errors it raises."""
 
 import os
 
@@ -13,11 +13,13 @@ from degm.data import synthetic_task
 from degm.errors import ContractError, TrainingError
 from degm.graph import GraphModel, knowledge_similarity
 from degm.lifelong import Task, TaskStream, elbo_values
-from degm.nnkit import (ACTIVATIONS, AdamState, DenseLayer, Rng, Tensor, adam_step,
-                        affine_forward, backprop, kl_diag_gaussian_to_standard, no_grad)
+from degm.nnkit import ACTIVATIONS, AdamState, DenseLayer, Rng, adam_step
 from degm.select_eval import single_metric_table, task_metric_table
+from degm.vae import HierVae
 
-from helpers import tape_bound, tape_objective, tape_reconstruction
+from helpers import (gradient_vector, tape_bound, tape_hier_objective, tape_objective,
+                     tape_reconstruction)
+from tape import Tensor, affine_forward, backprop, kl_diag_gaussian_to_standard, no_grad
 
 DIM, LATENT, HIDDEN = 64, 8, 32
 # the widened weights saturate the sigmoid: exp(-x) overflows to inf, 1 / inf is 0
@@ -41,7 +43,7 @@ def spread_graph(likelihood: str, scale: float = 0.8, basics: int = 2) -> GraphM
         g.add_basic_node(task_id=b, rng=rng.spawn(f"b{b}"))
     g.add_specific_node(np.array(SPECIFIC_WEIGHTS[basics]), task_id=basics, rng=rng.spawn("s0"))
     for k, tensor in enumerate(g.all_params()):
-        tensor.data[...] = Rng(100 + k).normal(tensor.shape) * scale
+        tensor.data[...] = Rng(100 + k).normal(tensor.data.shape) * scale
     return g
 
 
@@ -85,10 +87,7 @@ def test_node_bounds_and_reconstructions_equal_the_tape(likelihood, kind, kprime
     shared = [rng.normal((1, LATENT)) for _ in range(kprime)]  # one row per draw
     per_row = [rng.normal((n, LATENT)) for _ in range(kprime)]  # one per sample
     for eps_list in (shared, per_row):
-        want = tape_bound(g, entry, x, eps_list)
-        assert bits_equal(g.node_pass(entry, x).bound(eps_list), want)
-        with no_grad():
-            assert bits_equal(g.node_pass(entry, Tensor(x)).bound(eps_list).data, want)
+        assert bits_equal(g.node_pass(entry, x).bound(eps_list), tape_bound(g, entry, x, eps_list))
     assert bits_equal(g.node_pass(entry, x).reconstruction(), tape_reconstruction(g, entry, x))
 
 
@@ -114,6 +113,35 @@ def test_closed_form_gradients_equal_the_tapes(likelihood, kind, basics, kprime,
             assert bits_equal(grads[name], array), name
 
 
+@pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("two_layers", [True, False], ids=["two-layers", "one-layer"])
+@pytest.mark.parametrize("scale", [0.8, 0.2])
+def test_hier_closed_form_gradients_equal_the_tapes(likelihood, two_layers, scale):
+    h = HierVae(DIM, (LATENT, 4), HIDDEN, likelihood, two_layers=two_layers, rng=Rng(3),
+                name="h")
+    for k, tensor in enumerate(h.params()):
+        tensor.data[...] = Rng(100 + k).normal(tensor.data.shape) * scale
+    x = rows(37, likelihood)
+    if scale == 0.8:  # the first layer's logvar past both clips, re-clipped by its log-density
+        logvar = h.base.node_pass(x).posteriors[0].logvar
+        assert (logvar == -10.0).any() and (logvar == 10.0).any()
+    eps, eps2 = h.draws(Rng(4), 37)
+    assert (eps2 is None) == (not two_layers)
+    want = backprop(-tape_hier_objective(h, x, eps, eps2).mean())
+    values, flat = h.bound_and_grads(x, eps, eps2)
+    grads = h.params().views(flat)
+    with no_grad():
+        assert bits_equal(values, tape_hier_objective(h, x, eps, eps2).data)
+        evaluated = tape_hier_objective(h, x, eps[:1]).data  # the second draw at zero
+    assert bits_equal(h.bound(x, eps, eps2), values)
+    assert bits_equal(elbo_values(h, x, eps[:1]), evaluated)
+    # with one layer no gradient reaches the extra layers, in the reference or here
+    extra = {t.name for t in h.params()[len(h.base.params()):]}
+    assert sorted(want) == sorted(set(grads) - (set() if two_layers else extra))
+    for name, array in grads.items():
+        assert bits_equal(array, want[name]) if name in want else not array.any(), name
+
+
 @pytest.mark.parametrize("kind", ["basic", "specific"])
 @pytest.mark.parametrize("kprime", [1, 3])
 def test_a_training_pass_writes_its_gradients_into_one_vector(kind, kprime):
@@ -134,8 +162,6 @@ def test_only_a_training_pass_gives_gradients():
     x, eps_list = rows(5, "bernoulli"), [Rng(1).normal((1, LATENT))]
     with pytest.raises(ContractError, match="train=True"):
         g.node_pass(g.entries[2], x).bound_and_grads(eps_list)
-    with pytest.raises(ContractError, match="runs on arrays"):
-        g.node_pass(g.entries[2], Tensor(x), train=True)
 
 
 @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
@@ -150,7 +176,7 @@ def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kp
         eps_list = [rng.normal((37, LATENT)) for _ in range(kprime)]
         grads = grads_of(g, entry, x, eps_list)
         if isinstance(grads, dict):  # the tape's, by name
-            names, grads = sorted(grads), entry.params().gradient(grads)
+            names, grads = sorted(grads), gradient_vector(entry.params(), grads)
         else:
             names = sorted(entry.params().views(grads))
         adam_step(AdamState(lr=1e-3), entry.params(), grads)
@@ -159,8 +185,6 @@ def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kp
     # equal gradient names: no gradient reaches a borrowed basic layer, as in the reference
     reference = step(lambda g, entry, x, eps_list:
                      backprop(-tape_objective(g, entry, x, eps_list).mean()))
-    assert step(lambda g, entry, x, eps_list:
-                backprop(-g.node_pass(entry, Tensor(x)).bound(eps_list).mean())) == reference
     assert step(lambda g, entry, x, eps_list: g.node_pass(entry, x, train=True)
                 .bound_and_grads(eps_list)[1]) == reference
     untrained = b"".join(t.data.tobytes() for t in spread_graph(likelihood, 0.2).all_params())
@@ -207,10 +231,7 @@ def test_a_non_finite_activation_raises_the_tapes_error(kind, layer):
         tape_bound(g, entry, x, eps_list)
     with pytest.raises(TrainingError) as array:
         g.node_pass(entry, x).bound(eps_list)
-    with pytest.raises(TrainingError) as tape_pass:
-        g.node_pass(entry, Tensor(x)).bound(eps_list)
-    assert (str(array.value) == str(tape_pass.value) == str(tape.value)
-            == f"non-finite activation out of layer {layer!r}")
+    assert str(array.value) == str(tape.value) == f"non-finite activation out of layer {layer!r}"
 
 
 @pytest.mark.parametrize("kind", ["basic", "specific"])
@@ -224,10 +245,7 @@ def test_out_of_range_targets_raise_the_tapes_error(kind):
         tape_bound(g, entry, x, eps_list)
     with pytest.raises(ContractError) as array:
         g.node_pass(entry, x).bound(eps_list)
-    with pytest.raises(ContractError) as tape_pass:
-        g.node_pass(entry, Tensor(x)).bound(eps_list)
-    assert (str(array.value) == str(tape_pass.value) == str(tape.value)
-            == "targets must lie in [0, 1]")
+    assert str(array.value) == str(tape.value) == "targets must lie in [0, 1]"
     # a reconstruction reads no likelihood, on the tape or off it
     assert bits_equal(g.node_pass(entry, x).reconstruction(), tape_reconstruction(g, entry, x))
 

@@ -1,12 +1,20 @@
-"""Tape and dense-layer gradient contracts, checked against finite differences."""
+"""Contracts of the tape reference (``tape``) and its dense layer, checked
+against finite differences."""
+
+import ast
+import glob
+import os
 
 import numpy as np
 import pytest
 
-from degm.errors import ContractError, DimensionError
-from degm.nnkit import DenseLayer, Rng, Tensor, affine_forward, backprop, no_grad, parameter
+import degm
 
-from helpers import analytic_grads, drawn_bound, finite_difference_grads, max_rel_err
+from degm.errors import ContractError, DimensionError
+from degm.nnkit import DenseLayer, Param, Rng
+
+from helpers import analytic_grads, finite_difference_grads, max_rel_err, tape_pass_objective
+from tape import Tensor, affine_forward, backprop, no_grad, parameter
 
 
 def test_affine_identity_case():
@@ -45,8 +53,8 @@ def test_affine_sigmoid_gradient_matches_finite_differences():
 def test_backprop_linear_case_gradient_is_input():
     # loss = sum(x @ W.T) with x fixed: dLoss/dW_ij = sum_b x[b, j]
     rng = Rng(1)
-    w = parameter(rng.normal((3, 4)), "W")
-    b = parameter(np.zeros(3), "b")
+    w = Param("W", rng.normal((3, 4)))
+    b = Param("b", np.zeros(3))
     x = rng.normal((5, 4))
     layer = DenseLayer(4, 3, "identity", name="l")
     layer.weight, layer.bias = w, b
@@ -162,12 +170,17 @@ def reference_backprop(loss: Tensor) -> dict:
     return result
 
 
+def _drawn_objective(node_pass, rng, k=1):
+    """The tape's bound of a pass over ``k`` draws from ``rng``, as training takes them."""
+    return tape_pass_objective(node_pass, node_pass.draws(rng, k))
+
+
 def _vae_elbo_loss(likelihood):
     from degm.vae import VaeComponent
 
     model = VaeComponent(16, 3, 8, likelihood, rng=Rng(40), name="vae")
     x = (Rng(41).uniform(0, 1, (12, 16)) < 0.4).astype(np.float64)
-    return lambda: -drawn_bound(model.node_pass(Tensor(x)), Rng(42)).mean()
+    return lambda: -_drawn_objective(model.node_pass(x), Rng(42)).mean()
 
 
 def _specific_melbo_loss():
@@ -178,7 +191,7 @@ def _specific_melbo_loss():
         g.add_basic_node(task_id=i, rng=Rng(43 + i))
     g.add_specific_node(np.array([0.3, 0.7]), task_id=2, rng=Rng(45))
     x = (Rng(46).uniform(0, 1, (12, 16)) < 0.4).astype(np.float64)
-    return lambda: -drawn_bound(g.node_pass(g.specifics[0], Tensor(x)), Rng(47)).mean()
+    return lambda: -_drawn_objective(g.node_pass(g.specifics[0], x), Rng(47)).mean()
 
 
 def _iwelbo_loss():
@@ -186,7 +199,7 @@ def _iwelbo_loss():
 
     model = VaeComponent(16, 3, 8, rng=Rng(48), name="iw")
     x = (Rng(49).uniform(0, 1, (12, 16)) < 0.4).astype(np.float64)
-    return lambda: -drawn_bound(model.node_pass(Tensor(x)), Rng(50), 3).mean()
+    return lambda: -_drawn_objective(model.node_pass(x), Rng(50), 3).mean()
 
 
 @pytest.mark.parametrize("build", [lambda: _vae_elbo_loss("bernoulli"),
@@ -215,3 +228,42 @@ def test_backprop_leaf_gradients_are_read_only():
             grads[name][0] = 5.0
     np.testing.assert_array_equal(grads["a"], [1.0, 1.0, 1.0])
     assert a.grad is grads["a"]
+
+
+# --- the tape stays out of the package ---------------------------------------------------
+
+TAPE_NAMES = {"Tensor", "backprop", "no_grad", "affine_forward"}
+
+
+def tape_uses(source: str) -> list[str]:
+    """Each definition or import of a tape name in ``source``, and each call of
+    ``grad_enabled``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+            names += [(alias.asname or "") for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found += [f"line {node.lineno}: calls grad_enabled"] if called == "grad_enabled" else []
+            continue
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name in TAPE_NAMES]
+    return found
+
+
+def test_no_module_of_the_package_defines_imports_or_reads_the_tape():
+    root = os.path.dirname(degm.__file__)
+    paths = sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True))
+    assert len(paths) >= 10
+    uses = {os.path.relpath(p, root): tape_uses(open(p).read()) for p in paths}
+    assert {path: found for path, found in uses.items() if found} == {}
+    # the check sees each form it refuses
+    assert len(tape_uses("from .autodiff import Tensor\nimport x.backprop\n"
+                         "def no_grad(): pass\naffine_forward = 1\nnnkit.grad_enabled()\n")) == 5

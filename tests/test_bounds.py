@@ -28,11 +28,12 @@ from degm.cli import build_stream, cmd_diagnose, cmd_train, parse_config
 from degm.data import synthetic_task
 from degm.errors import ContractError
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm, run_gr_single
-from degm.nnkit import Rng, Tensor, no_grad
+from degm.nnkit import Rng
 from degm.persist import load_checkpoint
 from degm.vae import HierVae, VaeComponent
 
-from helpers import train_elbo_steps
+from helpers import tape_hier_objective, tape_pass_objective, train_elbo_steps
+from tape import no_grad
 
 DIM, LATENT, HIDDEN = 16, 3, 8
 
@@ -271,9 +272,9 @@ def test_forgetting_curves_rows_and_flat_mixture():
 def _reference_neg_elbo_mean(model, data, eps):
     with no_grad():
         if isinstance(model, HierVae):
-            return float(-model.hier_elbo(data, eps=eps,
-                                          eps2=np.zeros((1, model.latent_dims[1]))).data.mean())
-        return float(-model.node_pass(Tensor(data)).bound([eps]).data.mean())
+            return float(-tape_hier_objective(model, data, eps,
+                                              np.zeros((1, model.latent_dims[1]))).data.mean())
+        return float(-tape_pass_objective(model.node_pass(data), [eps]).data.mean())
 
 
 def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):

@@ -499,10 +499,13 @@ def test_main_unwritable_output_path_exits_2(tmp_path, capsys, verb):
         assert blocker.read_text() == "kept"
 
 
-@pytest.mark.parametrize("flag", ["--n", "--dim"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_main_gen_synthetic_refuses_a_bad_count_before_any_work(tmp_path, capsys,
-                                                                monkeypatch, flag, value):
+@pytest.mark.parametrize("flag, value, floor", [
+    *[pytest.param(flag, value, 1, id=f"{value}-{flag}")
+      for flag in ("--n", "--dim") for value in ("0", "-3")],
+    pytest.param("--seed", "-1", 0, id="-1---seed"),
+])
+def test_main_gen_synthetic_refuses_a_bad_count_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                flag, value, floor):
     import degm.cli as cli
 
     def never(*args, **kwargs):
@@ -513,7 +516,7 @@ def test_main_gen_synthetic_refuses_a_bad_count_before_any_work(tmp_path, capsys
     prefix = str(tmp_path / "toy")
     assert main(["gen-synthetic", "--kind", "bars", *[x for kv in args.items() for x in kv],
                  "--out", prefix]) == 2
-    assert capsys.readouterr().err == f"error: {flag} must be an integer >= 1, got {value}\n"
+    assert capsys.readouterr().err == f"error: {flag} must be an integer >= {floor}, got {value}\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from degm.errors import ContractError
 from degm.graph import GraphModel, edge_weights, expansion_decide, knowledge_similarity
-from degm.nnkit import AdamState, Rng, Tensor, adam_step, affine_forward, backprop, no_grad
+from degm.nnkit import AdamState, Rng, adam_step
 
 from helpers import (
     analytic_grads,
@@ -19,8 +19,10 @@ from helpers import (
     parameter_bytes,
     single_draw_elbo,
     specific_encode,
+    tape_objective,
     train_elbo_steps,
 )
+from tape import affine_forward, backprop, no_grad
 
 DIM, LATENT, HIDDEN = 6, 2, 5
 
@@ -199,14 +201,11 @@ def test_specific_decode_one_hot_and_zero_map():
     with no_grad():
         mixed = affine_forward(g.basics[0].vae.dec_lower, z)
         expected = affine_forward(s.dec_upper_new, mixed)
-        out = g.node_pass(s, Tensor(rows)).decode(z)
-    np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
+    np.testing.assert_allclose(g.node_pass(s, rows).decode(z), expected.data, atol=1e-12)
     # zero new output layer: Bernoulli probabilities collapse to one half
     s.dec_upper_new.weight.data[:] = 0.0
     s.dec_upper_new.bias.data[:] = 0.0
-    with no_grad():
-        np.testing.assert_array_equal(g.node_pass(s, Tensor(rows)).decode(z).data,
-                                      np.full((3, DIM), 0.5))
+    np.testing.assert_array_equal(g.node_pass(s, rows).decode(z), np.full((3, DIM), 0.5))
 
 
 def test_specific_training_freezes_basics():
@@ -219,8 +218,8 @@ def test_specific_training_freezes_basics():
     rng = Rng(25)
     for _ in range(100):
         x = data[rng.integers(0, 64, size=16)]
-        loss = -drawn_bound(g.node_pass(s, Tensor(x)), rng).mean()
-        adam_step(state, s.params(), s.params().gradient(backprop(loss)))
+        node_pass = g.node_pass(s, x, train=True)
+        adam_step(state, s.params(), node_pass.bound_and_grads(node_pass.draws(rng))[1])
     assert [parameter_bytes(b.vae) for b in g.basics] == before
 
 
@@ -232,7 +231,7 @@ def test_melbo_gradient_only_reaches_new_layers():
     eps = Rng(29).normal((3, LATENT))
 
     def loss():
-        return g.node_pass(s, Tensor(x)).bound([eps]).mean()
+        return tape_objective(g, s, x, [eps]).mean()
 
     grads = backprop(loss())
     basic_names = {t.name for b in g.basics for t in b.vae.params()}
@@ -268,9 +267,6 @@ def test_melbo_kl_term_nonnegative():
     g.add_specific_node(np.array([0.6, 0.4]), task_id=11, rng=Rng(39))
     s = g.specifics[0]
     x = binary_data(40, 8)
-    with no_grad():
-        kl = g.node_pass(s, Tensor(x)).kl()
-    assert (kl.data >= 0.0).all()
     assert (g.node_pass(s, x).kl() >= 0.0).all()
 
 
@@ -305,8 +301,8 @@ def test_melbo_iw_tightens_with_draws():
     rng = Rng(53)
     for _ in range(150):
         x = data[rng.integers(0, 200, size=32)]
-        loss = -drawn_bound(g.node_pass(s, Tensor(x)), rng).mean()
-        adam_step(state, s.params(), s.params().gradient(backprop(loss)))
+        node_pass = g.node_pass(s, x, train=True)
+        adam_step(state, s.params(), node_pass.bound_and_grads(node_pass.draws(rng))[1])
     x = binary_data(54, 5000)
     eps_bank = [Rng(55).spawn(f"d:{i}").normal((1, LATENT)) for i in range(5)]
     node_pass = g.node_pass(s, x)
@@ -328,8 +324,8 @@ def test_melbo_bounded_by_iw_estimate():
     rng = Rng(60)
     for _ in range(150):
         x = data[rng.integers(0, 200, size=32)]
-        loss = -drawn_bound(g.node_pass(s, Tensor(x)), rng).mean()
-        adam_step(state, s.params(), s.params().gradient(backprop(loss)))
+        node_pass = g.node_pass(s, x, train=True)
+        adam_step(state, s.params(), node_pass.bound_and_grads(node_pass.draws(rng))[1])
     x = data[:64]
     draw_rng = Rng(61)
     node_pass = g.node_pass(s, x)

@@ -26,7 +26,8 @@ from degm.nnkit import Rng
 from degm.persist import load_checkpoint, save_graph, save_single
 from degm.vae import BasicNode, HierVae, VaeComponent, copy_model
 
-from helpers import parameter_bytes, tape_objective, vector_views
+from helpers import gradient_vector, parameter_bytes, tape_objective, vector_views
+from tape import backprop
 
 DIM = 36
 
@@ -189,7 +190,7 @@ def test_gr_single_task_equals_plain_training():
 
     plain = VaeComponent(DIM, cfg.latent_dim, cfg.hidden_dim, cfg.likelihood,
                          cfg.sigma, Rng(5).spawn("gr:init"), name="gr")
-    from degm.nnkit import AdamState, adam_step, backprop
+    from degm.nnkit import AdamState, adam_step
     from degm.lifelong import _minibatches
     state = AdamState(lr=cfg.lr)
     train_rng = Rng(5).spawn(f"gr:train:{task.name}:0")
@@ -198,7 +199,8 @@ def test_gr_single_task_equals_plain_training():
             x = task.train.data[idx]
             values = tape_objective(None, BasicNode(plain, 0), x,
                                     [train_rng.normal((x.shape[0], cfg.latent_dim))])
-            adam_step(state, plain.params(), plain.params().gradient(backprop(-values.mean())))
+            adam_step(state, plain.params(),
+                      gradient_vector(plain.params(), backprop(-values.mean())))
     assert parameter_bytes(model) == parameter_bytes(plain)
     assert [m.shape[0] for m in artifacts.mixtures] == [task.train.n]  # nothing replayed
 

@@ -1,5 +1,5 @@
-"""Likelihood primitives, reparameterisation, Adam, the RNG contract, the
-rewritten pointwise ops and the allocator thresholds."""
+"""Likelihood primitives and reparameterisation on the tape reference, Adam,
+the RNG contract, the rewritten pointwise ops and the allocator thresholds."""
 
 import ctypes
 import os
@@ -15,13 +15,15 @@ from hypothesis.extra.numpy import arrays
 
 import degm
 from degm.errors import ContractError, DimensionError, TrainingError
-from degm.nnkit import (
-    AdamState,
-    DenseLayer,
-    ParamVector,
-    Rng,
+from degm.nnkit import AdamState, DenseLayer, Param, ParamVector, Rng, adam_step
+
+from degm.graph import GraphModel
+from degm.vae import HierVae, VaeComponent
+
+from helpers import (analytic_grads, finite_difference_grads, gradient_vector, max_rel_err,
+                     reference_adam_step, vector_views)
+from tape import (
     Tensor,
-    adam_step,
     affine,
     affine_forward,
     backprop,
@@ -33,12 +35,6 @@ from degm.nnkit import (
     parameter,
     reparameterize,
 )
-
-from degm.graph import GraphModel
-from degm.vae import HierVae, VaeComponent
-
-from helpers import (analytic_grads, finite_difference_grads, max_rel_err, reference_adam_step,
-                     vector_views)
 
 finite_rows = arrays(
     np.float64, (1, 6),
@@ -201,19 +197,19 @@ def test_logmeanexp_matches_numpy_reference():
 # --- Adam -----------------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_fixed_point():
-    p = parameter(np.array([1.0, -2.0]), "p")
+    p = Param("p", np.array([1.0, -2.0]))
     before = p.data.copy()
     params = ParamVector([p])
-    adam_step(AdamState(lr=0.1), params, params.gradient({"p": np.zeros(2)}))
+    adam_step(AdamState(lr=0.1), params, gradient_vector(params, {"p": np.zeros(2)}))
     np.testing.assert_array_equal(p.data, before)
 
 
 def test_adam_first_step_is_signed_lr():
     # bias correction makes mhat = g, vhat = g^2, so the step is lr * sign(g)
-    p = parameter(np.array([1.0, 1.0]), "p")
+    p = Param("p", np.array([1.0, 1.0]))
     g = np.array([0.3, -0.7])
     params = ParamVector([p])
-    adam_step(AdamState(lr=0.1), params, params.gradient({"p": g}))
+    adam_step(AdamState(lr=0.1), params, gradient_vector(params, {"p": g}))
     np.testing.assert_allclose(p.data, [1.0 - 0.1, 1.0 + 0.1], atol=1e-7)
 
 
@@ -226,7 +222,7 @@ def test_adam_deterministic_across_runs():
         x = rng.normal((4, 3))
         for _ in range(10):
             grads = backprop(affine_forward(layer, x).square().sum())
-            adam_step(state, params, params.gradient(grads))
+            adam_step(state, params, gradient_vector(params, grads))
         return layer.weight.data.copy(), layer.bias.data.copy()
 
     w1, b1 = run()
@@ -235,32 +231,33 @@ def test_adam_deterministic_across_runs():
 
 
 def test_adam_rejects_nan_gradient():
-    params = ParamVector([parameter(np.ones(2), "enc.W")])
+    params = ParamVector([Param("enc.W", np.ones(2))])
     with pytest.raises(TrainingError, match="enc.W"):
-        adam_step(AdamState(), params, params.gradient({"enc.W": np.array([np.nan, 0.0])}))
+        adam_step(AdamState(), params, gradient_vector(params, {"enc.W": np.array([np.nan, 0.0])}))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 @pytest.mark.parametrize("lr", [1e-3, 0.0])
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 def test_adam_names_an_infinite_gradient_and_an_overflowing_update(bad, lr):
-    params = ParamVector([parameter(np.ones(2), "enc.W")])
+    params = ParamVector([Param("enc.W", np.ones(2))])
     with pytest.raises(TrainingError, match="NaN or inf gradient for parameter 'enc.W'"):
-        adam_step(AdamState(lr=lr), params, params.gradient({"enc.W": np.array([bad, 0.0])}))
+        adam_step(AdamState(lr=lr), params, gradient_vector(params, {"enc.W": np.array([bad, 0.0])}))
     # a finite gradient whose update leaves the float range names the parameter too
-    params = ParamVector([parameter(np.full(2, 1.7e308), "dec.b")])
+    params = ParamVector([Param("dec.b", np.full(2, 1.7e308))])
     with pytest.raises(TrainingError, match="non-finite value in parameter 'dec.b' after update"):
-        adam_step(AdamState(lr=1e308), params, params.gradient({"dec.b": np.array([-1.0, 0.0])}))
+        adam_step(AdamState(lr=1e308), params,
+                  gradient_vector(params, {"dec.b": np.array([-1.0, 0.0])}))
 
 
 def test_adam_takes_only_a_param_vector_and_its_gradient_vector():
-    p = parameter(np.ones(2), "p")
+    p = Param("p", np.ones(2))
     params = ParamVector([p])
     for args in (([p], np.zeros(2)), (params, {"p": np.zeros(2)}), (params, np.zeros(3))):
         with pytest.raises(ContractError, match="ParamVector"):
             adam_step(AdamState(), *args)
     assert p.data.tolist() == [1.0, 1.0]
-    for tensors in ([Tensor(np.ones(2), requires_grad=True)], [p, parameter(np.ones(1), "p")]):
+    for tensors in ([Param(None, np.ones(2))], [p, Param("p", np.ones(1))]):
         with pytest.raises(TrainingError, match="must be named, each name once"):
             ParamVector(tensors)
 
@@ -283,7 +280,7 @@ def flat_model(kind: str):
         return s, lambda x, rng: g.node_pass(s, x, train=True).bound_and_grads(
             [rng.normal((x.shape[0], 3)) for _ in range(2)])[1]
     h = HierVae(6, latent_dims=(3, 2), hidden_dim=12, rng=Rng(7), name="h")
-    return h, lambda x, rng: h.params().gradient(backprop(-h.hier_elbo(x, rng=rng).mean()))
+    return h, lambda x, rng: h.bound_and_grads(x, *h.draws(rng, x.shape[0]))[1]
 
 
 @pytest.mark.parametrize("kind", ["basic", "specific", "hier"])
@@ -300,7 +297,7 @@ def test_the_fused_step_equals_the_per_tensor_reference(kind):
         named = params.views(grads)
         if step % 2:  # by name, one parameter without a gradient
             named = {name: g.copy() for name, g in named.items() if name != skipped}
-            grads = params.gradient(named)
+            grads = gradient_vector(params, named)
         reference_adam_step(ref_state, reference.params(), named, lr=1e-2)
         adam_step(state, params, grads)
         assert params.flat.tobytes() == b"".join(
@@ -336,7 +333,7 @@ def test_a_non_finite_gradient_or_update_names_its_tensor():
     vae = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
     params = vae.params()
     third, last = params[2].name, params[-1].name
-    grads = params.gradient({})
+    grads = gradient_vector(params, {})
     # its first entry: the boundary with the second tensor
     params.views(grads)[third].reshape(-1)[0] = np.nan
     with pytest.raises(TrainingError, match=f"NaN or inf gradient for parameter {third!r}"):
@@ -344,7 +341,7 @@ def test_a_non_finite_gradient_or_update_names_its_tensor():
     vae = VaeComponent(6, 3, 12, rng=Rng(1), name="c")
     params = vae.params()
     params[-1].data.reshape(-1)[0] = 1.7e308
-    grads = params.gradient({last: np.full(params[-1].data.shape, -1.0)})
+    grads = gradient_vector(params, {last: np.full(params[-1].data.shape, -1.0)})
     with pytest.raises(TrainingError, match=f"non-finite value in parameter {last!r} after update"):
         adam_step(AdamState(lr=1e308), params, grads)
 
@@ -470,7 +467,7 @@ FAULT_PROBE = """
 import resource
 import numpy as np
 from degm.graph import GraphModel
-from degm.nnkit import AdamState, Rng, Tensor, adam_step, backprop
+from degm.nnkit import AdamState, Rng, adam_step
 
 rng = Rng(0)
 graph = GraphModel(64, 32, 200, "bernoulli", tau=15.0)
@@ -482,9 +479,8 @@ data = (rng.uniform(0.0, 1.0, (300, 64)) > 0.5).astype(np.float64)
 
 def step(i):
     x = data[64 * (i % 4):64 * (i % 4) + 64]
-    node_pass = graph.node_pass(node, Tensor(x))
-    loss = -node_pass.bound(node_pass.draws(rng)).mean()
-    adam_step(state, params, params.gradient(backprop(loss)))
+    node_pass = graph.node_pass(node, x, train=True)
+    adam_step(state, params, node_pass.bound_and_grads(node_pass.draws(rng))[1])
 
 for i in range(5):
     step(i)

@@ -485,7 +485,7 @@ def test_every_nodes_rows_equal_a_recomputation_from_the_final_graph(monkeypatch
     for t, (task, entry) in enumerate(zip(stream.tasks, graph.entries), start=1):
         test = task.test.data
         eps = Rng(cfg.train.seed).spawn(f"eval:{task.name}").normal((1, LATENT))
-        # through the Tensor composites: the logged rows come from the array pass
+        # through the tape reference: the logged rows come from the array pass
         values = tape_bound(graph, entry, test, [eps])
         recon = tape_reconstruction(graph, entry, test)
         want = (float(values.mean()), float(((test - recon) ** 2).sum(axis=1).mean()))

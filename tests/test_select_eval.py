@@ -10,7 +10,7 @@ from degm.data import synthetic_task
 from degm.errors import ContractError, DimensionError
 from degm.graph import GraphModel
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm
-from degm.nnkit import Rng
+from degm.nnkit import DiagGaussian, Rng
 from degm.select_eval import (
     SelectionResult,
     eval_nll,
@@ -47,6 +47,24 @@ def test_single_node_selection():
     result = select_component(g, binary_data(1, 3))
     np.testing.assert_array_equal(result.chosen, [0, 0, 0])
     np.testing.assert_array_equal(result.posterior, np.ones((3, 1)))
+
+
+def test_selection_computes_each_posteriors_kl_once_whatever_k_eval(monkeypatch):
+    g = graph_with(2, seed=5)
+    g.add_specific_node(np.array([0.3, 0.7]), task_id=2, rng=Rng(6))
+    kl, calls = DiagGaussian.kl, []
+
+    def counted(self):
+        calls.append(self)
+        return kl(self)
+
+    monkeypatch.setattr(DiagGaussian, "kl", counted)
+    counts = []
+    for k_eval in (1, 4):
+        calls.clear()
+        select_component(g, binary_data(3, 7), k_eval=k_eval)
+        counts.append(len(calls))
+    assert counts == [4, 4]  # one posterior per basic node, two for the specific node
 
 
 def test_equal_nodes_tie_breaks_to_lowest_index():

@@ -1,8 +1,10 @@
 """Training without the tape: every node, replay model and bounds fit trains
-through the closed-form backward of ``NodePass.bound_and_grads``. With that
-method replaced by the tape reference (``helpers.tape_bound_and_grads``), a
-run must write the same bytes; training builds no Tensor; and a non-finite
-weight still ends the command with the error that names its layer."""
+through the closed-form backward of ``NodePass.bound_and_grads``, and the
+two-layer replay model through ``HierVae.bound_and_grads``. With those
+methods replaced by the tape reference (``helpers.tape_bound_and_grads`` and
+``helpers.tape_hier_bound_and_grads``), a run must write the same bytes;
+training builds no Tensor; and a non-finite weight still ends the command
+with the error that names its layer."""
 
 import json
 import shutil
@@ -14,10 +16,11 @@ from degm.cli import cmd_train, main, parse_config
 from degm.data import synthetic_task
 from degm.graph import GraphModel
 from degm.lifelong import Task, TrainConfig, _train_node, pass_grads, train_epoch
-from degm.nnkit import AdamState, DenseLayer, Rng, Tensor
-from degm.vae import NodePass, VaeComponent
+from degm.nnkit import AdamState, DenseLayer, Rng
+from degm.vae import HierVae, NodePass, VaeComponent
 
-from helpers import tape_bound, tape_bound_and_grads
+from helpers import tape_bound, tape_bound_and_grads, tape_hier_bound_and_grads
+from tape import Tensor
 from test_runtime import DIM, GRAPH_STREAMS, LATENT, assert_no_child_left, cpus, graph_config, run_files
 
 # the widened weights saturate the sigmoid: exp(-x) overflows to inf, 1 / inf is 0
@@ -49,6 +52,9 @@ RUNS = {
     "gr": lambda out: replay_config(out, "gr"),
     "gr iwelbo K'=2": lambda out: replay_config(out, "gr", objective="iwelbo", kprime=2),
     "bounds": lambda out: replay_config(out, "bounds", likelihood="gaussian"),
+    "gr-hier": lambda out: replay_config(out, "gr-hier", hier_latent_dims=[LATENT, 3]),
+    "gr-hier one layer": lambda out: replay_config(out, "gr-hier", hier_latent_dims=[LATENT, 3],
+                                                   hier_two_layers=False),
 }
 
 
@@ -71,7 +77,12 @@ def test_a_run_writes_the_bytes_of_the_tape_reference(monkeypatch, tmp_path, nam
         steps.append(len(eps_list))
         return tape_bound_and_grads(node_pass, eps_list)
 
+    def hier_on_the_tape(model, x, eps, eps2=None):
+        steps.append(1)
+        return tape_hier_bound_and_grads(model, x, eps, eps2)
+
     monkeypatch.setattr(NodePass, "bound_and_grads", on_the_tape)
+    monkeypatch.setattr(HierVae, "bound_and_grads", hier_on_the_tape)
     tape, tape_summary = run()
     kprime = raw["train"].get("kprime", 1) if raw["train"].get("objective") == "iwelbo" else 1
     assert steps and set(steps) == {kprime}

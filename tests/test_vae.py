@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from degm.errors import ContractError, DimensionError
-from degm.nnkit import AdamState, Rng, Tensor, adam_step, backprop, no_grad
+from degm.nnkit import AdamState, Rng, adam_step
 from degm.vae import HierVae, VaeComponent, copy_model
 
 from helpers import (
@@ -15,6 +15,8 @@ from helpers import (
     max_rel_err,
     parameter_bytes,
     single_draw_elbo,
+    tape_node,
+    tape_pass_objective,
     train_elbo_steps,
 )
 
@@ -29,13 +31,12 @@ def binary_data(rng, n, dim):
 
 def encode(c, x):
     """The (mu, logvar) Tensors of the component's pass over ``x`` on the tape."""
-    q = c.node_pass(Tensor(x)).posteriors[0]
-    return q.mu, q.logvar
+    return tape_node(c.node_pass(x))[0][0]
 
 
 def decode(c, z):
     """The decoder output at ``z`` on the tape."""
-    return c.node_pass(Tensor(np.zeros((1, c.input_dim)))).decode(z)
+    return tape_node(c.node_pass(np.zeros((1, c.input_dim))))[2](z)
 
 
 # --- encode / decode ---------------------------------------------------------
@@ -56,8 +57,6 @@ def test_encode_deterministic():
 
 
 def test_encode_rejects_wrong_width():
-    with pytest.raises(DimensionError):
-        tiny().node_pass(Tensor(np.zeros((2, 7))))
     with pytest.raises(DimensionError):
         tiny().node_pass(np.zeros((2, 7)))
 
@@ -101,8 +100,8 @@ def test_memorizes_single_point():
 def test_elbo_zero_init_closed_form():
     c = VaeComponent(8, 3, 5, rng=None)
     x = binary_data(Rng(0), 4, 8)
-    values = c.node_pass(Tensor(x)).bound([np.zeros((4, 3))])
-    np.testing.assert_allclose(values.data, np.full(4, 8 * np.log(0.5)), atol=1e-9)
+    values = c.node_pass(x).bound([np.zeros((4, 3))])
+    np.testing.assert_allclose(values, np.full(4, 8 * np.log(0.5)), atol=1e-9)
 
 
 def test_elbo_bounded_by_terms():
@@ -142,7 +141,7 @@ def test_elbo_gradient_matches_finite_differences():
     eps = Rng(10).normal((3, 2))
 
     def loss():
-        return c.node_pass(Tensor(x)).bound([eps]).mean()
+        return tape_pass_objective(c.node_pass(x), [eps]).mean()
 
     assert max_rel_err(analytic_grads(loss, c.params()),
                        finite_difference_grads(loss, c.params())) < 1e-4
@@ -169,9 +168,8 @@ def test_iwelbo_identical_draws_collapse():
 
 
 def test_iwelbo_rejects_bad_kprime():
-    for rows in (np.zeros((1, 6)), Tensor(np.zeros((1, 6)))):
-        with pytest.raises(ContractError):
-            tiny().node_pass(rows).bound([])
+    with pytest.raises(ContractError):
+        tiny().node_pass(np.zeros((1, 6))).bound([])
 
 
 def test_iwelbo_tightens_with_more_draws():
@@ -255,18 +253,22 @@ def hier_tiny(seed=0, two_layers=True):
 def test_hier_zero_init_closed_form():
     h = HierVae(8, latent_dims=(3, 2), hidden_dim=4, rng=None)
     x = binary_data(Rng(0), 4, 8)
-    values = h.hier_elbo(x, eps=Rng(1).normal((4, 3)), eps2=Rng(2).normal((4, 2)))
+    values = h.bound(x, Rng(1).normal((4, 3)), Rng(2).normal((4, 2)))
     # both latent penalties vanish at zero init; only the coin-flip reconstruction is left
-    np.testing.assert_allclose(values.data, np.full(4, 8 * np.log(0.5)), atol=1e-9)
+    np.testing.assert_allclose(values, np.full(4, 8 * np.log(0.5)), atol=1e-9)
 
 
 def test_hier_disabled_matches_plain_elbo():
     h = hier_tiny(40, two_layers=False)
     x = binary_data(Rng(41), 6, 6)
     eps = Rng(42).normal((6, 3))
-    with no_grad():
-        np.testing.assert_array_equal(h.hier_elbo(x, eps=eps).data,
-                                      single_draw_elbo(h.base.node_pass(Tensor(x)), eps).data)
+    np.testing.assert_array_equal(h.bound(x, eps), single_draw_elbo(h.base.node_pass(x), eps))
+    values, grads = h.bound_and_grads(x, eps)
+    base = h.base.params().flat.size
+    np.testing.assert_array_equal(values, h.bound(x, eps))
+    np.testing.assert_array_equal(grads[:base],
+                                  h.base.node_pass(x, train=True).bound_and_grads([eps])[1])
+    assert not grads[base:].any()
 
 
 def test_hier_gradient_matches_finite_differences():
@@ -274,20 +276,27 @@ def test_hier_gradient_matches_finite_differences():
     x = binary_data(Rng(44), 2, 6)
     eps = Rng(45).normal((2, 3))
     eps2 = Rng(46).normal((2, 2))
+    analytic = h.params().views(h.bound_and_grads(x, eps, eps2)[1])
+    numeric = finite_difference_grads(lambda: -h.bound(x, eps, eps2).mean(), h.params())
+    assert max_rel_err(analytic, numeric) < 1e-4
 
-    def loss():
-        return h.hier_elbo(x, eps=eps, eps2=eps2).mean()
 
-    assert max_rel_err(analytic_grads(loss, h.params()),
-                       finite_difference_grads(loss, h.params())) < 1e-4
+def test_hier_draws_take_eps_then_eps2():
+    for two_layers in (True, False):
+        eps, eps2 = hier_tiny(two_layers=two_layers).draws(Rng(5), 4)
+        want = Rng(5)
+        np.testing.assert_array_equal(eps, want.normal((4, 3)))
+        if two_layers:
+            np.testing.assert_array_equal(eps2, want.normal((4, 2)))
+        else:
+            assert eps2 is None
 
 
 def test_hier_training_step_smoke():
     h = hier_tiny(47)
     x = binary_data(Rng(48), 8, 6)
     state = AdamState(lr=1e-3)
-    loss = -h.hier_elbo(x, rng=Rng(49)).mean()
-    adam_step(state, h.params(), h.params().gradient(backprop(loss)))
+    adam_step(state, h.params(), h.bound_and_grads(x, *h.draws(Rng(49), 8))[1])
     samples = h.generate(5, Rng(50))
     assert samples.shape == (5, 6)
     assert np.isfinite(samples).all()
