@@ -5,9 +5,11 @@
 
 For each config, seed and CPU mask, each tree runs ``degm train`` in a
 subprocess (``PYTHONPATH=<tree>/src``, the CPU affinity set to the mask).
-A degm or ablation run is then scored by ``degm eval`` at K'=1 and K'=50; a gr,
-gr-hier or bounds run by ``degm diagnose``, the train-time
-``bounds_report.csv`` kept as ``bounds_report.train.csv``. Every file the
+A gr, gr-hier or bounds run is then scored by ``degm diagnose``, the
+train-time ``bounds_report.csv`` kept as ``bounds_report.train.csv``. Every
+run that leaves a checkpoint (``checkpoint/manifest.json``: the graph of a
+degm or ablation run, the single model of the others) is scored by
+``degm eval`` at K'=1 and K'=50. Every file the
 change writes is compared with the parent's, byte for byte, except the
 ``env`` block of ``summary.json`` and the ``out_dir`` of ``config.json``.
 With two or more masks, the files the change writes on each mask are also
@@ -49,15 +51,16 @@ def run_commands(tree: str, config: str, seed: int, mask: set[int], out: str) ->
         mode = json.load(fh)["mode"]
     run_dir = _degm(tree, mask, "train", "--config", config, "--seed", str(seed),
                     "--out", out).strip().splitlines()[-1]
-    if mode in ("degm", "ablation"):
-        for k in KPRIMES:
-            _degm(tree, mask, "eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
-                  "--config", config, "--kprime", str(k))
-    elif mode in ("gr", "gr-hier", "bounds"):
+    if mode in ("gr", "gr-hier", "bounds"):
         report = os.path.join(run_dir, "bounds_report.csv")
         if os.path.exists(report):
             shutil.copyfile(report, os.path.join(run_dir, "bounds_report.train.csv"))
         _degm(tree, mask, "diagnose", run_dir)
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    if os.path.exists(os.path.join(checkpoint, "manifest.json")):
+        for k in KPRIMES:
+            _degm(tree, mask, "eval", "--checkpoint", checkpoint, "--config", config,
+                  "--kprime", str(k))
 
 
 def digests(root: str) -> dict[str, str]:

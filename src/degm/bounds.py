@@ -12,16 +12,18 @@ reconstructions, and the risk of a model is that loss against the input.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import (TaskStream, TrainConfig, elbo_values, mean_square_loss, pass_grads,
-                       run_gr_single, train_epoch)
+from .lifelong import (TaskStream, TrainConfig, base_pass, elbo_values, mean_square_loss,
+                       pass_grads, run_gr_single, train_epoch)
 from .nnkit import AdamState, Rng, runtime
 from .persist import write_table
-from .vae import HierVae, VaeComponent, copy_model
+from .vae import VaeComponent, copy_model
 
 
 def _sq_loss(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,6 +39,12 @@ def risk(model, data: np.ndarray) -> float:
     return _sq_loss(data, model.reconstruct(data))
 
 
+def _err_d_sets(gen_samples: dict, mixtures: list, upto: int) -> list[tuple]:
+    """(j, the generations of snapshot j, as many rows of mixture j) for each
+    past transition j the err_d chain sums over."""
+    return [(j, gen_samples[j], mixtures[j][:gen_samples[j].shape[0]]) for j in range(1, upto)]
+
+
 def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
                             upto: int, fixed: dict | None = None) -> float:
     """Sum over past transitions of (loss vs the snapshot on its own
@@ -50,15 +58,20 @@ def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
     """
     fixed = {} if fixed is None else fixed
     total = 0.0
-    for j in range(1, upto):
-        gen = gen_samples[j]
-        mix = mixtures[j][:gen.shape[0]]
+    for j, gen, mix in _err_d_sets(gen_samples, mixtures, upto):
         if j not in fixed:
             fixed[j] = (snapshots[j].reconstruct(gen), aux_models[j].reconstruct(mix))
         snap_recon, aux_recon = fixed[j]
         total += (_sq_loss(model.reconstruct(gen), snap_recon)
                   - _sq_loss(model.reconstruct(mix), aux_recon))
     return total
+
+
+def _pair_gaps(recons: list) -> list[float]:
+    """|loss on P - loss on Q| of each unordered pair of hypotheses, in pair
+    order, where ``recons`` holds each one's (P, Q) reconstructions."""
+    return [abs(_sq_loss(a[0], b[0]) - _sq_loss(a[1], b[1]))
+            for i, a in enumerate(recons) for b in recons[i + 1:]]
 
 
 def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: dict,
@@ -85,20 +98,12 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: d
     for name, model in models.items():
         if name not in recons:
             recons[name] = (model.reconstruct(p), model.reconstruct(q))
-    names = list(models)
-    best = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            mean_p = _sq_loss(recons[a][0], recons[b][0])
-            mean_q = _sq_loss(recons[a][1], recons[b][1])
-            best = max(best, abs(mean_p - mean_q))
-    return best
+    return max([0.0, *_pair_gaps([recons[name] for name in models])])
 
 
 def encoder_kl_values(model, data: np.ndarray) -> np.ndarray:
     """Closed-form posterior-to-prior KL per sample (no sampling involved)."""
-    base = model.base if isinstance(model, HierVae) else model
-    return base.node_pass(data).kl()
+    return base_pass(model, data).kl()
 
 
 def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
@@ -110,19 +115,28 @@ def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
     return x[rng.spawn(key).choice_without_replacement(x.shape[0], size)]
 
 
+def _kl_sets(target_sets: list, source: np.ndarray, sample_size: int,
+             rng: Rng) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rows the KL gap scores: the source and each target set, each cut
+    to at most ``sample_size`` rows by its own stream of ``rng``."""
+    return (_subsample(source, sample_size, rng, "klgap:source"),
+            [_subsample(t, sample_size, rng, f"klgap:target:{i}")
+             for i, t in enumerate(target_sets)])
+
+
+def _kl_gap(source_mean: float, target_means: list[float]) -> float:
+    return abs(source_mean - float(np.mean(target_means)))
+
+
 def estimate_kl_gap(model, target_sets: list[np.ndarray], source: np.ndarray,
                     sample_size: int = 10_000, rng: Rng | None = None) -> float:
     """|mean encoder-KL over the evolved source - task-average over targets|."""
     source = np.asarray(source, dtype=np.float64)
     if source.shape[0] == 0 or not target_sets or any(np.shape(t)[0] == 0 for t in target_sets):
         raise ContractError("kl gap needs nonempty source and target sets")
-    rng = rng or Rng(0)
-    source_mean = float(encoder_kl_values(
-        model, _subsample(source, sample_size, rng, "klgap:source")).mean())
-    target_means = [float(encoder_kl_values(
-        model, _subsample(t, sample_size, rng, f"klgap:target:{i}")).mean())
-        for i, t in enumerate(target_sets)]
-    return abs(source_mean - float(np.mean(target_means)))
+    kl_source, kl_targets = _kl_sets(target_sets, source, sample_size, rng or Rng(0))
+    return _kl_gap(float(encoder_kl_values(model, kl_source).mean()),
+                   [float(encoder_kl_values(model, t).mean()) for t in kl_targets])
 
 
 # -- diagnostics over a replay run -----------------------------------------------------
@@ -156,6 +170,7 @@ class BoundsArtifacts:
     gr_model: object = None
     gr_artifacts: object = None
     metrics_log: object = None
+    rows_s: float = 0.0  # wall seconds this process spent producing the rows
 
 
 def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
@@ -195,16 +210,36 @@ def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
                                 [task.train.n for task in stream.tasks])
 
 
+class SetNumbers(NamedTuple):
+    """What a row reads of one model's pass over one row set."""
+
+    losses: dict  # id of an array -> the loss of the reconstruction against it
+    kl: float | None  # the mean encoder KL, where it is read
+    neg_elbo: float | None  # the mean negative ELBO at the chain's draw, where it is read
+
+
+def _set_numbers(model, x: np.ndarray, against: dict, kl: bool, elbo: bool,
+                 eps: np.ndarray) -> SetNumbers:
+    """From one pass of ``model`` over ``x``: the loss of its reconstruction
+    against each array of ``against``, its mean encoder KL if ``kl``, its mean
+    negative ELBO at the draw ``eps`` if ``elbo``."""
+    node_pass = base_pass(model, x)
+    recon = node_pass.reconstruction() if against else None
+    return SetNumbers({key: _sq_loss(recon, other) for key, other in against.items()},
+                      float(node_pass.kl().mean()) if kl else None,
+                      -elbo_values(model, x, eps, node_pass).mean() if elbo else None)
+
+
 class BoundsChain:
     """The chain of per-transition terms, from one task's rows to the next.
 
     It holds the reference models, the fixed noise of every ELBO term of the
     bound check, the aux model of each transition, the generations of each
-    snapshot, and the final ra term of each transition. While a task lasts,
-    it keeps the reconstructions of every model that stays fixed: the aux
-    model and the refs. For the whole chain it keeps the reconstructions
-    the err_d chain compares against, of each earlier snapshot on its
-    generations and each earlier aux model on its mixture.
+    snapshot, and the final ra term of each transition. For the whole chain
+    it keeps the reconstructions the err_d chain compares against, of each
+    earlier snapshot on its generations and each earlier aux model on its
+    mixture. Their inputs are keyed, so a process that fills them anew gets
+    the same bits.
     """
 
     def __init__(self, refs: list, cfg: TrainConfig, rng: Rng, sample_size: int):
@@ -215,58 +250,113 @@ class BoundsChain:
         self.aux_models: dict[int, VaeComponent] = {}
         self.gen_samples: dict[int, np.ndarray] = {}
         self.ra: dict[int, float] = {}  # the final epoch's term wins
-        self.kept: dict = {}
         self.err_d_fixed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def start(self, t: int, aux: VaeComponent | None, snapshots: list) -> None:
         """Begin task t + 1 with ``aux``, the aux model fitted on its mixture
-        (None at the first task), and draw, once per snapshot, the
-        generations the err_d chain scores it on."""
+        (None at the first task), and draw, once per snapshot the err_d chain
+        reads (all but the first), the generations it scores it on."""
         if aux is not None:
             self.aux_models[t] = aux
-        for k in range(len(snapshots)):
+        for k in range(1, len(snapshots)):
             if k not in self.gen_samples:
                 self.gen_samples[k] = snapshots[k].generate(min(self.sample_size, 512),
                                                             self.rng.spawn(f"bounds:gen:{k}"))
-        self.kept = {}
 
-    def row(self, model, source: np.ndarray, target_sets: list[np.ndarray], snapshots: list,
-            mixtures: list, epoch: int) -> BoundsRow:
-        """One diagnostics row for ``model`` while it learns task t + 1, where
-        ``target_sets`` holds the test sets of tasks 1..t+1. The sets are scored
-        as given, and must stay the same until the next ``start``.
-        ``snapshots`` and ``mixtures`` hold the transitions the err_d chain
-        sums over."""
-        t = len(target_sets) - 1
-        union = np.concatenate(target_sets)
-        aux = self.aux_models.get(t, model)
-        models = {"current": model}
-        if aux is not model:
-            # at the first task the aux model is the current model: its pairs would
-            # repeat current's, and (current, aux) scores exactly 0
-            models["aux"] = aux
-        for k in range(t + 1):
-            models[f"ref{k}"] = self.refs[k]
-        disc = estimate_discrepancy(union, source, models, self.kept)
-        current_union, current_source = self.kept.pop("current")  # it changes every epoch
-        aux_union, aux_source = self.kept.get("aux", (current_union, current_source))
-        target_risks = [risk(model, ts) for ts in target_sets]
-        gap = estimate_kl_gap(model, target_sets, source, self.sample_size,
-                              self.rng.spawn(f"bounds:kl:{t}"))
-        eps_proxy = _sq_loss(source, aux_source) + _sq_loss(union, aux_union)
-        lhs = float(np.mean([-elbo_values(model, ts, self.eval_eps).mean() for ts in target_sets]))
-        rhs_source = float(-elbo_values(model, source, self.eval_eps).mean())
-        row = BoundsRow(
-            task_t=t + 1, epoch=epoch,
-            source_risk=_sq_loss(source, current_source),
-            target_risks=target_risks,
-            target_risk_avg=float(np.mean(target_risks)),
-            kl_gap=gap, disc_lower_bound=disc,
-            lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
-            eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
-            err_d_proxy=replay_risk_differences(model, snapshots, self.aux_models, mixtures,
-                                                self.gen_samples, t, self.err_d_fixed),
-        )
+    def rows(self, models: list, epochs: list[int], source: np.ndarray,
+             target_sets: list[np.ndarray], snapshots: list, mixtures: list) -> list[BoundsRow]:
+        """One diagnostics row per model of ``models``, at its entry of
+        ``epochs``, while it learns task t + 1; ``target_sets`` holds the test
+        sets of tasks 1..t+1, and ``snapshots`` and ``mixtures`` the
+        transitions the err_d chain sums over. ``link`` sets err_a_proxy.
+
+        The models that stay fixed are reconstructed first: the aux model and
+        the refs on the union and the source, and the err_d chain's terms not
+        in ``err_d_fixed``. Each model then passes each distinct row set once,
+        and ``_set_numbers`` reduces the pass to the floats the row reads
+        before the next one is made.
+        """
+        source = np.asarray(source, dtype=np.float64)
+        targets = [np.asarray(ts, dtype=np.float64) for ts in target_sets]
+        if source.shape[0] == 0 or not targets or any(ts.shape[0] == 0 for ts in targets):
+            raise ContractError("bounds rows need nonempty source and target sets")
+        t = len(targets) - 1
+        union = targets[0] if t == 0 else np.concatenate(targets)  # one set is its own union
+        kl_source, kl_targets = _kl_sets(targets, source, self.sample_size,
+                                         self.rng.spawn(f"bounds:kl:{t}"))
+        err_d = _err_d_sets(self.gen_samples, mixtures, t)
+        for j, gen, mix in err_d:
+            if j not in self.err_d_fixed:
+                self.err_d_fixed[j] = (snapshots[j].reconstruct(gen),
+                                       self.aux_models[j].reconstruct(mix))
+        # at the first task the aux model is the current model: its pairs would
+        # repeat current's, and (current, aux) scores exactly 0
+        fixed = [self.aux_models[t]] if t in self.aux_models else []
+        kept = [(m.reconstruct(union), m.reconstruct(source))
+                for m in fixed + self.refs[:t + 1]]
+        fixed_gaps = _pair_gaps(kept)
+        # the aux model's eps_proxy; None at the first task, where it is the current model
+        eps_fixed = (_sq_loss(source, kept[0][1]) + _sq_loss(union, kept[0][0])) if fixed else None
+        # each distinct set once: [rows, the arrays its reconstruction is
+        # scored against, whether its KL is read, whether its ELBO is read];
+        # losses are symmetric bit for bit, so a set scored against itself
+        # is its risk
+        reads: dict[int, list] = {}
+
+        def read(x: np.ndarray, against: list, kl: bool = False, elbo: bool = False):
+            entry = reads.setdefault(id(x), [x, {}, False, False])
+            entry[1].update((id(a), a) for a in against)
+            entry[2] |= kl
+            entry[3] |= elbo
+
+        for ts in targets:
+            read(ts, [ts], elbo=True)
+        read(source, [source, *(s for _, s in kept)], elbo=True)
+        read(union, [union, *(u for u, _ in kept)])
+        for x in (kl_source, *kl_targets):
+            read(x, [], kl=True)
+        for j, gen, mix in err_d:
+            read(gen, [self.err_d_fixed[j][0]])
+            read(mix, [self.err_d_fixed[j][1]])
+
+        def row(model, epoch: int) -> BoundsRow:
+            own = {key: _set_numbers(model, *entry, self.eval_eps)
+                   for key, entry in reads.items()}
+
+            def loss(x: np.ndarray, other: np.ndarray) -> float:
+                return own[id(x)].losses[id(other)]
+
+            target_risks = [loss(ts, ts) for ts in targets]
+            gap = _kl_gap(own[id(kl_source)].kl, [own[id(x)].kl for x in kl_targets])
+            disc = max([0.0, *(abs(loss(union, u) - loss(source, s)) for u, s in kept),
+                        *fixed_gaps])
+            eps_proxy = eps_fixed
+            if eps_proxy is None:
+                eps_proxy = loss(source, source) + loss(union, union)
+            lhs = float(np.mean([own[id(ts)].neg_elbo for ts in targets]))
+            rhs_source = float(own[id(source)].neg_elbo)
+            err_d_proxy = 0.0
+            for j, gen, mix in err_d:
+                snap_recon, aux_recon = self.err_d_fixed[j]
+                err_d_proxy += loss(gen, snap_recon) - loss(mix, aux_recon)
+            return BoundsRow(
+                task_t=t + 1, epoch=epoch,
+                source_risk=loss(source, source),
+                target_risks=target_risks,
+                target_risk_avg=float(np.mean(target_risks)),
+                kl_gap=gap, disc_lower_bound=disc,
+                lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
+                eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
+                err_d_proxy=err_d_proxy,
+            )
+
+        return [row(model, epoch) for model, epoch in zip(models, epochs)]
+
+    def link(self, row: BoundsRow) -> BoundsRow:
+        """Set ``row``'s err_a_proxy, the ra terms of the earlier transitions
+        plus its own, and make its own the term of its transition. Rows are
+        linked in task and epoch order, so a task's last row sets its term."""
+        t = row.task_t - 1
         row.err_a_proxy = sum(self.ra[j] for j in range(t)) + row.ra_lower_bound
         self.ra[t] = row.ra_lower_bound
         return row
@@ -290,8 +380,9 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     which the first task's rows need; the aux model of each later task in a
     child started when its mixture is built. The model is copied after each
     epoch, and a task's rows are computed at its last epoch, in epoch order,
-    once the fits they need are joined. Every process runs OpenBLAS on one
-    thread meanwhile, so the rows are the same for any number of CPUs.
+    once the fits they need are joined (``BoundsChain.rows``); ``rows_s`` is
+    the wall time that takes. Every process runs OpenBLAS on one thread
+    meanwhile, so the rows are the same for any number of CPUs.
     """
     epochs = aux_epochs or cfg.epochs
     out = BoundsArtifacts()
@@ -311,13 +402,16 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
             return
         if len(chain.refs) <= t:
             chain.refs.extend(fits["refs"].result())
-        chain.start(t, fits[t].result() if t > 0 else None, artifacts.snapshots)
+        aux = fits[t].result() if t > 0 else None
+        t0 = time.perf_counter()
+        chain.start(t, aux, artifacts.snapshots)
         target_sets = [_subsample(task.test.data, sample_size, rng, f"bounds:tgt:{t}:{k}")
                        for k, task in enumerate(stream.tasks[:t + 1])]
         source = _subsample(mixture, sample_size, rng, f"bounds:src:{t}")
-        for e, m in enumerate(epoch_models):
-            out.rows.append(chain.row(m, source, target_sets, artifacts.snapshots,
-                                      artifacts.mixtures, e + 1))
+        rows = chain.rows(epoch_models, list(range(1, len(epoch_models) + 1)), source,
+                          target_sets, artifacts.snapshots, artifacts.mixtures)
+        out.rows.extend(chain.link(row) for row in rows)
+        out.rows_s += time.perf_counter() - t0
         epoch_models.clear()
 
     with runtime.one_blas_thread():
@@ -341,11 +435,15 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
     """One row per task, at task end, from the replay model's snapshot after
     each task; scores the whole mixture and test sets. ``refs`` are the
     reference models, loaded from the run or made by ``fit_references``; the
-    auxiliary models are fitted again with the keys ``bounds_run`` uses,
-    split over the CPUs by ``fork_map``, on one OpenBLAS thread as there."""
+    auxiliary models are fitted again with the keys ``bounds_run`` uses.
+
+    One ``fork_map`` splits the aux fits over the CPUs. A row reads nothing
+    of another row, so once the fits are joined a second ``fork_map`` splits
+    the rows, and this process links them in task order. Both run on one
+    OpenBLAS thread, as in ``bounds_run``."""
     epochs = aux_epochs or cfg.epochs
     mixtures = []
-    rows: list[BoundsRow] = []
+    tests = [task.test.data for task in stream.tasks]
     with runtime.one_blas_thread():
         for t, task in enumerate(stream.tasks):
             if t == 0:
@@ -360,12 +458,16 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
             lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
             [mixture.shape[0] for mixture in mixtures[1:]])]
         chain = BoundsChain(refs, cfg, rng, sample_size)
-        for t, task in enumerate(stream.tasks):
-            chain.start(t, aux_models[t], snapshots[:t])
-            rows.append(chain.row(snapshots[t], mixtures[t],
-                                  [seen.test.data for seen in stream.tasks[:t + 1]], snapshots,
-                                  mixtures, cfg.epochs))
-    return rows
+        for t, aux in enumerate(aux_models):
+            chain.start(t, aux, snapshots[:t])
+        # a row's cost: passes over its union and its source, by the t + 2
+        # fixed models and about twice by the snapshot
+        rows = runtime.fork_map(
+            lambda t: chain.rows([snapshots[t]], [cfg.epochs], mixtures[t], tests[:t + 1],
+                                 snapshots, mixtures)[0],
+            [(t + 4) * (mixtures[t].shape[0] + sum(x.shape[0] for x in tests[:t + 1]))
+             for t in range(len(mixtures))])
+    return [chain.link(row) for row in rows]
 
 
 def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:

@@ -97,7 +97,7 @@ def export_v_csv(graph: GraphModel, path: str) -> None:
                        for row, entry in zip(graph.v_matrix(), graph.entries)])
 
 
-PHASES = ("train", "eval_table", "write")  # summary.json's env["phase_s"] keys
+PHASES = ("train", "eval_table", "write")  # summary.json's env["phase_s"] keys; bounds adds one
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
@@ -128,7 +128,8 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
               orders: list[TaskStream] | None, phases: dict) -> dict:
     """Train the configured mode, write its tables and checkpoints into
     ``run_dir``, and return the summary. ``phases`` gains the seconds spent
-    in the mode's training call, the eval table and the writing."""
+    in the mode's training call, the eval table and the writing, and in
+    mode bounds the rows' share of the training call."""
     @contextlib.contextmanager
     def timed(name: str):
         t0 = time.perf_counter()
@@ -179,6 +180,7 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
                                             sample_size=cfg.bounds_sample_size,
                                             aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
             model, log, artifacts = out.gr_model, out.metrics_log, out.gr_artifacts
+            phases["bounds_rows"] = out.rows_s  # spent inside the training call
             with timed("write"):
                 bounds_mod.write_bounds_csv(out.rows, os.path.join(run_dir, "bounds_report.csv"),
                                             n_tasks=len(stream), config_hash=digest)

@@ -159,6 +159,12 @@ def _check_links(cfg: dict) -> None:
     for key, mode in MODE_ONLY.items():
         if (cfg["mode"] == mode) != (cfg[key] is not None):
             raise ConfigError(f"{key} is needed by mode {mode!r} and valid with no other mode")
+    train = cfg["train"]
+    if cfg["mode"] == "gr-hier" and (train["objective"], train["kprime"]) != ("elbo", 1):
+        # run_gr_hier trains on the one-draw bound, whatever these say
+        raise ConfigError("mode 'gr-hier' trains on one draw: train.objective must be "
+                          f"'elbo' and train.kprime 1, got {train['objective']!r} and "
+                          f"{train['kprime']}")
     for i, spec in enumerate(cfg["tasks"]):
         for key in TASK_NEEDS[spec["source"]]:
             if spec[key] is None:

@@ -426,12 +426,22 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     return model, log, artifacts
 
 
-def elbo_values(model, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def base_pass(model, x: np.ndarray) -> NodePass:
+    """The encoder pass of a single model over ``x``; a two-layer model's is
+    its base's."""
+    return (model.base if isinstance(model, HierVae) else model).node_pass(x)
+
+
+def elbo_values(model, x: np.ndarray, eps: np.ndarray,
+                node_pass: NodePass | None = None) -> np.ndarray:
     """Per-sample ELBO of a single model on fixed noise; a two-layer model's
-    second draw is zero."""
+    second draw is zero. ``node_pass`` is ``base_pass(model, x)`` when the
+    caller has it already."""
+    if node_pass is None:
+        node_pass = base_pass(model, x)
     if isinstance(model, HierVae):
-        return model.bound(x, eps)
-    return model.node_pass(x).bound([eps])
+        return model.pass_bound(node_pass, eps)
+    return node_pass.bound([eps])
 
 
 def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:

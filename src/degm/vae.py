@@ -319,7 +319,11 @@ class HierVae:
         None): reconstruction minus both layer penalties, the second layer's
         closed-form, the first layer's a density ratio at the sampled point;
         with one layer, the base's ELBO."""
-        node_pass = self.base.node_pass(x)
+        return self.pass_bound(self.base.node_pass(x), eps, eps2)
+
+    def pass_bound(self, node_pass: NodePass, eps: np.ndarray,
+                   eps2: np.ndarray | None = None) -> np.ndarray:
+        """``bound`` over the rows of ``node_pass``, a pass of the base."""
         if not self.two_layers:
             return node_pass.bound([eps])
         return self._forward(node_pass, eps, eps2)[0]

@@ -1,14 +1,18 @@
 """Bound-quantity estimators: risk, discrepancy, KL gap, per-epoch diagnostics."""
 
 import csv
+import hashlib
 import json
 import os
-from dataclasses import astuple
+import weakref
+from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from degm.bounds import (
+    BoundsChain,
     BoundsRow,
     _train_plain,
     accumulated_error_proxy,
@@ -27,10 +31,11 @@ from degm.bounds import (
 from degm.cli import build_stream, cmd_diagnose, cmd_train, parse_config
 from degm.data import synthetic_task
 from degm.errors import ContractError
-from degm.lifelong import Task, TaskStream, TrainConfig, run_degm, run_gr_single
-from degm.nnkit import Rng
+from degm.lifelong import (Task, TaskStream, TrainConfig, run_degm, run_gr_hier,
+                           run_gr_single)
+from degm.nnkit import Rng, runtime
 from degm.persist import load_checkpoint
-from degm.vae import HierVae, VaeComponent
+from degm.vae import HierVae, NodePass, VaeComponent
 
 from helpers import tape_hier_objective, tape_pass_objective, train_elbo_steps
 from tape import no_grad
@@ -419,7 +424,7 @@ def bits(rows):
     return [repr(astuple(r)) for r in rows]
 
 
-def test_bounds_run_rows_equal_reference_hook(tmp_path):
+def check_bounds_run_rows(tmp_path):
     cfg = pinned_config(str(tmp_path))
     stream = build_stream(cfg)
     assert all(t.test.n > PIN_SAMPLE for t in stream.tasks)
@@ -430,7 +435,7 @@ def test_bounds_run_rows_equal_reference_hook(tmp_path):
     assert bits(out.rows) == bits(expected)
 
 
-def test_cmd_diagnose_rows_equal_reference_loop(tmp_path):
+def check_diagnose_rows(tmp_path):
     cfg = pinned_config(str(tmp_path / "runs"))
     stream = build_stream(cfg)
     run_dir = cmd_train(cfg)
@@ -452,3 +457,105 @@ def test_cmd_diagnose_rows_equal_reference_loop(tmp_path):
             assert got[key] == repr(getattr(want, key)), key
         for k, value in enumerate(want.target_risks):
             assert got[f"target_risk_task_{k + 1}"] == repr(value)
+
+
+@pytest.mark.parametrize("two_layers", [True, False])
+def test_diagnose_rows_of_hier_snapshots_equal_reference_loop(two_layers):
+    # a gr-hier run's snapshots: reconstruction and KL from the base pass,
+    # the bound from HierVae.bound, through the one pass per set
+    cfg = pinned_config("unused").train
+    cfg = replace(cfg, hier_latent_dims=(LATENT, 2), hier_two_layers=two_layers)
+    stream = build_stream(pinned_config("unused"))
+    snapshots = run_gr_hier(stream, cfg, Rng(5))[2].snapshots
+    assert all(isinstance(s, HierVae) and s.two_layers == two_layers for s in snapshots)
+    expected = reference_diagnose_rows(stream, cfg, snapshots, Rng(5), PIN_SAMPLE,
+                                       PIN_AUX_EPOCHS)
+    refs = fit_references(stream, cfg, Rng(5), PIN_AUX_EPOCHS)
+    rows = diagnose_snapshots(stream, cfg, snapshots, refs, Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
+    assert bits(rows) == bits(expected)
+
+
+def one_process(monkeypatch):
+    monkeypatch.setattr(runtime, "share_count", lambda items: 1)
+
+
+# Each pair runs at the default process count (the fits, and diagnose's
+# rows, split over the CPUs) and in one process.
+def test_bounds_run_rows_equal_reference_hook(tmp_path):
+    check_bounds_run_rows(tmp_path)
+
+
+def test_bounds_run_rows_equal_reference_hook_in_one_process(tmp_path, monkeypatch):
+    one_process(monkeypatch)
+    check_bounds_run_rows(tmp_path)
+
+
+def test_cmd_diagnose_rows_equal_reference_loop(tmp_path):
+    check_diagnose_rows(tmp_path)
+
+
+def test_cmd_diagnose_rows_equal_reference_loop_in_one_process(tmp_path, monkeypatch):
+    one_process(monkeypatch)
+    check_diagnose_rows(tmp_path)
+
+
+def test_each_model_passes_each_row_set_once(tmp_path, monkeypatch):
+    # counted by content per BoundsChain.rows call, every pass in this process;
+    # a pass of a row's model, and its reconstruction, must be gone before the
+    # model's next pass, so that rows hold no array that grows with the epochs
+    one_process(monkeypatch)
+    calls = []  # per rows call: the ids of its models, and the passes by (model, rows)
+    active = []
+    row_passes = weakref.WeakSet()
+    held = []  # weak references to the latest pass of a row's model and its reconstruction
+    node_pass, rows = VaeComponent.node_pass, BoundsChain.rows
+    reconstruction = NodePass.reconstruction
+
+    def counted_pass(self, x, train=False):
+        if active and not train:
+            model_ids, counts = active[-1]
+            x = np.ascontiguousarray(x, dtype=np.float64)
+            counts[(id(self), x.shape, hashlib.sha256(x.tobytes()).digest())] += 1
+            if id(self) in model_ids:
+                assert all(ref() is None for ref in held)
+                out = node_pass(self, x, train)
+                row_passes.add(out)
+                held[:] = [weakref.ref(out)]
+                return out
+        return node_pass(self, x, train)
+
+    def tracked_reconstruction(self):
+        out = reconstruction(self)
+        if self in row_passes:
+            held.append(weakref.ref(out))
+        return out
+
+    def counted_rows(self, models, *args):
+        calls.append(([id(m) for m in models], Counter()))
+        active.append(calls[-1])
+        try:
+            return rows(self, models, *args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(VaeComponent, "node_pass", counted_pass)
+    monkeypatch.setattr(NodePass, "reconstruction", tracked_reconstruction)
+    monkeypatch.setattr(BoundsChain, "rows", counted_rows)
+    cfg = pinned_config(str(tmp_path))
+    stream = build_stream(cfg)
+    out = bounds_run(stream, cfg.train, Rng(5), sample_size=PIN_SAMPLE,
+                     aux_epochs=PIN_AUX_EPOCHS)
+    diagnose_snapshots(stream, cfg.train, out.gr_artifacts.snapshots, out.reference_models,
+                       Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
+
+    def sets_per_model(models, counts):
+        return [sum(key[0] == model for key in counts) for model in models]
+
+    assert len(calls) == 2 * len(stream)
+    assert all(set(counts.values()) == {1} for _, counts in calls)
+    # a train row: the targets, the source and, from the second task on, their
+    # union, then the err_d chain's generations and mixture rows (15 passes
+    # of the model at the third task before the passes were shared)
+    assert [sets_per_model(*call) for call in calls[:3]] == [[2] * 3, [4] * 3, [7] * 3]
+    # diagnose scores whole sets, so the KL gap's cuts are sets of their own
+    assert [sets_per_model(*call) for call in calls[3:]] == [[4], [7], [11]]

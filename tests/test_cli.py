@@ -789,6 +789,24 @@ def _config_text(raw, mutation):
     return json.dumps(raw)
 
 
+@pytest.mark.parametrize("train", [{"objective": "iwelbo", "kprime": 3},
+                                   {"objective": "iwelbo", "kprime": 1},
+                                   {"objective": "elbo", "kprime": 2}])
+def test_main_refuses_a_multi_draw_objective_for_gr_hier(tmp_path, capsys, train):
+    raw = minimal_config("gr-hier", out_dir=str(tmp_path / "runs"))
+    raw["train"].update(train)
+    config_path = tmp_path / "hier.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: mode 'gr-hier' trains on one draw: train.objective must be 'elbo' "
+                   f"and train.kprime 1, got {train['objective']!r} and {train['kprime']}\n")
+    assert not (tmp_path / "runs").exists()
+    raw["mode"] = "gr"  # the replay model takes K' draws
+    config_path.write_text(json.dumps(raw))
+    parse_config(config_path.read_text())
+
+
 def test_valid_base_config_trains(tmp_path):
     config_path = tmp_path / "ok.json"
     config_path.write_text(json.dumps(_valid_base(str(tmp_path / "runs"))))
@@ -840,6 +858,8 @@ def test_cmd_train_summary_env_block(tmp_path, monkeypatch):
         run_dir = cmd_train(parse_config(json.dumps(raw)))
         env = json.load(open(os.path.join(run_dir, "summary.json")))["env"]
         assert env["children"] == children
+        assert set(env["phase_s"]) == {"train", "eval_table", "write", "bounds_rows"}
+        assert 0.0 < env["phase_s"]["bounds_rows"] < env["phase_s"]["train"]
         assert env["children_wait_s"] >= 0.0 and env["children_user_s"] >= 0.0
         if children:
             assert env["children_maxrss_mb"] > 0.0

@@ -84,6 +84,32 @@ def test_compare_outputs_lists_the_files_a_change_alters(tmp_path):
     assert differing == {"metrics.csv"}  # the eval tables score with their own loss
 
 
+def test_compare_outputs_scores_single_model_checkpoints_by_eval(tmp_path):
+    # a copy whose single-model eval rows say another histogram differs only in
+    # the eval tables, which the comparison writes for a gr run at both K'
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "mode": "gr",
+        "tasks": [{"name": "top", "source": "synthetic", "kind": "half-active-top",
+                   "n_train": 40, "n_test": 20, "dim": 16}],
+        "train": {"epochs": 1, "batch": 16, "latent_dim": 3, "hidden_dim": 8}}))
+    changed = tmp_path / "changed"
+    shutil.copytree(os.path.join(ROOT, "src"), changed / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    select_eval = changed / "src" / "degm" / "select_eval.py"
+    source = select_eval.read_text()
+    assert source.count('"chosen_hist": "1"') == 1
+    select_eval.write_text(source.replace('"chosen_hist": "1"', '"chosen_hist": "2"'))
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "compare_outputs.py"), ROOT,
+                           str(changed), "--config", str(config), "--seeds", "0",
+                           "--masks", str(min(os.sched_getaffinity(0)))],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differing = {line.rpartition("/")[2] for line in proc.stdout.splitlines()
+                 if line.startswith("differs: ")}
+    assert differing == {"eval_k1.csv", "eval_k50.csv"}
+
+
 def test_compare_outputs_lists_the_files_a_tree_writes_differently_on_two_masks(tmp_path):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs two CPUs")
