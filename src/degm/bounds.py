@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import (TaskStream, TrainConfig, base_pass, elbo_values, mean_square_loss,
-                       pass_grads, run_gr_single, train_epoch)
+from .lifelong import (TaskStream, TrainConfig, mean_square_loss, pass_grads, run_gr_single,
+                       train_epoch)
 from .nnkit import AdamState, Rng, runtime
 from .persist import write_table
 from .vae import VaeComponent, copy_model
@@ -46,24 +46,14 @@ def _err_d_sets(gen_samples: dict, mixtures: list, upto: int) -> list[tuple]:
 
 
 def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
-                            upto: int, fixed: dict | None = None) -> float:
+                            upto: int) -> float:
     """Sum over past transitions of (loss vs the snapshot on its own
     generations) minus (loss vs the auxiliary model on the mixture it
-    bridged); the empirical stand-in for the risk-difference chain.
-
-    ``fixed`` maps a transition j to the reconstructions of ``snapshots[j]``
-    on its generations and of ``aux_models[j]`` on its mixture rows. Those
-    found there are not reconstructed again; the others are added, so a
-    caller that keeps the dict reconstructs each fixed model once.
-    """
-    fixed = {} if fixed is None else fixed
+    bridged); the empirical stand-in for the risk-difference chain."""
     total = 0.0
     for j, gen, mix in _err_d_sets(gen_samples, mixtures, upto):
-        if j not in fixed:
-            fixed[j] = (snapshots[j].reconstruct(gen), aux_models[j].reconstruct(mix))
-        snap_recon, aux_recon = fixed[j]
-        total += (_sq_loss(model.reconstruct(gen), snap_recon)
-                  - _sq_loss(model.reconstruct(mix), aux_recon))
+        total += (_sq_loss(model.reconstruct(gen), snapshots[j].reconstruct(gen))
+                  - _sq_loss(model.reconstruct(mix), aux_models[j].reconstruct(mix)))
     return total
 
 
@@ -74,8 +64,8 @@ def _pair_gaps(recons: list) -> list[float]:
             for i, a in enumerate(recons) for b in recons[i + 1:]]
 
 
-def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: dict,
-                         recons: dict | None = None) -> float:
+def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
+                         models: dict) -> float:
     """max over pairs (h, h') of |E_P loss(h, h') - E_Q loss(h, h')|, where
     ``models`` maps a hypothesis name to its model.
 
@@ -83,10 +73,6 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: d
     and symmetric in (P, Q) by construction. Each unordered pair is scored
     once: loss(h, h') equals loss(h', h) bit for bit, as fl(a - b) = -fl(b - a),
     and loss(h, h) is identically zero on both sides.
-
-    ``recons`` maps a hypothesis name to its (P, Q) reconstructions. Names
-    found there are not reconstructed again; the others are added, so the
-    caller can read or keep them.
     """
     if len(models) < 2:
         raise ContractError("discrepancy needs at least two hypotheses")
@@ -94,16 +80,13 @@ def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray, models: d
     q = np.asarray(q_samples, dtype=np.float64)
     if p.shape[0] == 0 or q.shape[0] == 0:
         raise ContractError("discrepancy needs nonempty sample sets")
-    recons = {} if recons is None else recons
-    for name, model in models.items():
-        if name not in recons:
-            recons[name] = (model.reconstruct(p), model.reconstruct(q))
-    return max([0.0, *_pair_gaps([recons[name] for name in models])])
+    return max([0.0, *_pair_gaps([(model.reconstruct(p), model.reconstruct(q))
+                                  for model in models.values()])])
 
 
 def encoder_kl_values(model, data: np.ndarray) -> np.ndarray:
     """Closed-form posterior-to-prior KL per sample (no sampling involved)."""
-    return base_pass(model, data).kl()
+    return model.node_pass(data).kl()
 
 
 def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
@@ -223,11 +206,11 @@ def _set_numbers(model, x: np.ndarray, against: dict, kl: bool, elbo: bool,
     """From one pass of ``model`` over ``x``: the loss of its reconstruction
     against each array of ``against``, its mean encoder KL if ``kl``, its mean
     negative ELBO at the draw ``eps`` if ``elbo``."""
-    node_pass = base_pass(model, x)
+    node_pass = model.node_pass(x)
     recon = node_pass.reconstruction() if against else None
     return SetNumbers({key: _sq_loss(recon, other) for key, other in against.items()},
                       float(node_pass.kl().mean()) if kl else None,
-                      -elbo_values(model, x, eps, node_pass).mean() if elbo else None)
+                      -model.pass_bound(node_pass, eps).mean() if elbo else None)
 
 
 class BoundsChain:

@@ -45,7 +45,7 @@ from .lifelong import (
     run_gr_single,
 )
 from .nnkit import Rng, runtime
-from .persist import load_checkpoint, save_graph, save_single, write_table
+from .persist import load_checkpoint, save_checkpoint, write_table
 from .select_eval import single_metric_table, task_metric_table
 
 
@@ -162,8 +162,8 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
             table("expansion.csv", log.expansion)
         with timed("write"):
             write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
-            save_graph(os.path.join(run_dir, "checkpoint"), graph,
-                       extra={"config_hash": digest})
+            save_checkpoint(os.path.join(run_dir, "checkpoint"), graph,
+                            extra={"config_hash": digest})
             export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))
         with timed("eval_table"):
             metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime,
@@ -199,12 +199,12 @@ def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStre
             stored["ref"] = out.reference_models  # read back by diagnose
         with timed("write"):
             write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
-            save_single(os.path.join(run_dir, "checkpoint"), model,
-                        extra={"config_hash": digest})
+            save_checkpoint(os.path.join(run_dir, "checkpoint"), model,
+                            extra={"config_hash": digest})
             for prefix, models in stored.items():
                 for i, m in enumerate(models):
-                    save_single(os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}"), m,
-                                extra={"config_hash": digest, "task_index": i + 1})
+                    save_checkpoint(os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}"), m,
+                                    extra={"config_hash": digest, "task_index": i + 1})
     elif cfg.mode == "order-study":
         with timed("train"):
             report = order_experiment(orders, cfg.train, rng)
@@ -247,14 +247,11 @@ def cmd_diagnose(run_dir: str) -> str:
     cfg = _load_config_file(config_path)
     digest = config_hash(cfg)
     stream = build_stream(cfg)
-    snapshots = []
-    for i in range(len(stream)):
-        snap_dir = os.path.join(run_dir, "checkpoint", f"task_{i + 1}")
-        if not os.path.isdir(snap_dir):
-            raise FormatError(f"missing snapshot {snap_dir}; diagnose needs a gr/bounds run")
-        snapshots.append(load_checkpoint(snap_dir)[1])
+    snapshots = _stored_models(run_dir, "task", len(stream), digest, ("single", "hier"))
+    if snapshots is None:
+        raise FormatError(f"{run_dir} holds no task snapshots; diagnose needs a gr/bounds run")
     rng = Rng(cfg.train.seed)
-    refs = _stored_references(run_dir, len(stream), digest)
+    refs = _stored_models(run_dir, "ref", len(stream), digest, ("single",))
     if refs is None:  # gr and gr-hier runs store none
         refs = bounds_mod.fit_references(stream, cfg.train, rng, cfg.bounds_aux_epochs)
     rows = bounds_mod.diagnose_snapshots(stream, cfg.train, snapshots, refs, rng,
@@ -264,25 +261,30 @@ def cmd_diagnose(run_dir: str) -> str:
     return out_path
 
 
-def _stored_references(run_dir: str, n_tasks: int, digest: str) -> list | None:
-    """The reference models a bounds run saved as checkpoint/ref_<i>/, or None
-    when it saved none. A partial set, or one saved under another config,
-    is an error rather than a reason to fit them again."""
-    dirs = [os.path.join(run_dir, "checkpoint", f"ref_{i + 1}") for i in range(n_tasks)]
+def _stored_models(run_dir: str, prefix: str, n_tasks: int, digest: str,
+                   kinds: tuple[str, ...]) -> list | None:
+    """The models a run saved as checkpoint/<prefix>_<i>/ for each task i (the
+    replay model's snapshots under "task", a bounds run's reference models
+    under "ref"), or None when it saved none. A partial set, or a model of
+    another kind than ``kinds``, another config or another task, is an error
+    rather than a reason to fit them again."""
+    dirs = [os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}") for i in range(n_tasks)]
     present = [d for d in dirs if os.path.isdir(d)]
     if not present:
         return None
     if len(present) != n_tasks:
-        raise FormatError(f"{run_dir} holds {len(present)} of {n_tasks} reference models")
-    refs = []
-    for i, ref_dir in enumerate(dirs):
-        kind, model, manifest = load_checkpoint(ref_dir)
-        extra = manifest.get("extra", {})
-        if (kind, extra.get("config_hash"), extra.get("task_index")) != ("single", digest, i + 1):
-            raise FormatError(f"{ref_dir} is not the task {i + 1} reference model of "
-                              f"config {digest}")
-        refs.append(model)
-    return refs
+        raise FormatError(f"{run_dir} holds {len(present)} of {n_tasks} {prefix}_<i> models")
+    models = []
+    for i, model_dir in enumerate(dirs):
+        kind, model, manifest = load_checkpoint(model_dir)
+        extra = manifest.get("extra")
+        extra = extra if isinstance(extra, dict) else {}
+        if (kind not in kinds
+                or (extra.get("config_hash"), extra.get("task_index")) != (digest, i + 1)):
+            raise FormatError(f"{model_dir} is not a {' or '.join(kinds)} model saved for "
+                              f"task {i + 1} by config {digest}")
+        models.append(model)
+    return models
 
 
 def cmd_export_v(checkpoint_dir: str, out_path: str) -> None:

@@ -92,6 +92,8 @@ class SpecificNode:
 
 
 class GraphModel:
+    kind = "graph"  # its checkpoint kind
+
     def __init__(self, input_dim: int, latent_dim: int, hidden_dim: int = 200,
                  likelihood: str = "bernoulli", sigma: float = DEFAULT_SIGMA,
                  tau: float = 1.0):
@@ -106,6 +108,32 @@ class GraphModel:
         self.basics: list[BasicNode] = []
         self.specifics: list[SpecificNode] = []
         self.entries: list[BasicNode | SpecificNode] = []  # every node, in creation order
+
+    # -- description -------------------------------------------------------
+
+    def spec(self) -> dict:
+        """What rebuilds this graph's shape: its checkpoint manifest's fields,
+        with each node's kind, task id, reference ELBO and edge weights."""
+        nodes = [{"kind": e.kind, "task_id": e.task_id,
+                  "reference_elbo": e.reference_elbo if e.kind == "basic" else None,
+                  "weights": list(e.weights) if e.kind == "specific" else None}
+                 for e in self.entries]
+        return {"kind": self.kind, "input_dim": self.input_dim, "latent_dim": self.latent_dim,
+                "hidden_dim": self.hidden_dim, "likelihood": self.likelihood,
+                "sigma": self.sigma, "tau": self.tau, "nodes": nodes}
+
+    @classmethod
+    def from_spec(cls, fields: dict) -> "GraphModel":
+        """The graph ``fields``, a ``spec()``, describes; its parameters zero."""
+        graph = cls(fields["input_dim"], fields["latent_dim"], fields["hidden_dim"],
+                    fields["likelihood"], fields["sigma"], fields["tau"])
+        for node in fields["nodes"]:
+            if node["kind"] == "basic":
+                idx = graph.add_basic_node(node["task_id"], rng=None)
+                graph.entries[idx].reference_elbo = node["reference_elbo"]
+            else:
+                graph.add_specific_node(np.asarray(node["weights"]), node["task_id"], rng=None)
+        return graph
 
     # -- structure ---------------------------------------------------------
 
@@ -167,5 +195,12 @@ class GraphModel:
                         entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
                         basics[0].likelihood, basics[0].sigma, entry.params() if train else None)
 
-    def all_params(self) -> list[Param]:
+    def pass_bound(self, node_pass: NodePass, eps: np.ndarray) -> np.ndarray:
+        """The per-sample bound over the rows of ``node_pass``, a node's pass,
+        at the fixed draw ``eps``: a basic node's ELBO, a specific node's
+        mixture bound."""
+        return node_pass.bound([eps])
+
+    def params(self) -> list[Param]:
+        """Every node's parameters: the basic nodes', then the specific ones'."""
         return [t for node in self.basics + self.specifics for t in node.params()]

@@ -366,7 +366,7 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
         final = epoch == epochs - 1 and entry.kind == "basic"
         train_epoch(state, params, task.train.data, cfg.batch, grads_of, train_rng,
                     add_reference if final else None)
-        rows.append(_live_row(graph.node_pass(entry, task.test.data), eps))
+        rows.append(_live_row(graph, graph.node_pass(entry, task.test.data), eps))
     reference_elbo = ref_sum / ref_count if entry.kind == "basic" else None
     return rows, params.flat, reference_elbo
 
@@ -418,7 +418,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
         train_rng = rng.spawn(f"gr:train:{task.name}:{i}")
         for epoch in range(cfg.epochs):
             train_epoch(state, model.params(), mixture, cfg.batch, grads_of, train_rng)
-            _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps, cfg)
+            _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps)
             if epoch_hook is not None:
                 epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture,
                            artifacts=artifacts)
@@ -426,39 +426,17 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     return model, log, artifacts
 
 
-def base_pass(model, x: np.ndarray) -> NodePass:
-    """The encoder pass of a single model over ``x``; a two-layer model's is
-    its base's."""
-    return (model.base if isinstance(model, HierVae) else model).node_pass(x)
+def _live_row(model, node_pass: NodePass, eps: np.ndarray) -> tuple[float, float]:
+    """(objective, square loss) of ``node_pass``, a pass of ``model`` over
+    test rows: its mean bound at the draw ``eps`` and the loss of its
+    reconstruction."""
+    return (float(model.pass_bound(node_pass, eps).mean()),
+            mean_square_loss(node_pass.x, node_pass.reconstruction()))
 
 
-def elbo_values(model, x: np.ndarray, eps: np.ndarray,
-                node_pass: NodePass | None = None) -> np.ndarray:
-    """Per-sample ELBO of a single model on fixed noise; a two-layer model's
-    second draw is zero. ``node_pass`` is ``base_pass(model, x)`` when the
-    caller has it already."""
-    if node_pass is None:
-        node_pass = base_pass(model, x)
-    if isinstance(model, HierVae):
-        return model.pass_bound(node_pass, eps)
-    return node_pass.bound([eps])
-
-
-def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:
-    """(objective, square loss) of one node on its test rows: the bound on the
-    draw ``eps`` and the reconstruction, from one encoder pass."""
-    values = node_pass.bound([eps])
-    return float(values.mean()), mean_square_loss(node_pass.x, node_pass.reconstruction())
-
-
-def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps, cfg):
+def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps):
     for t in range(task_i + 1):
-        test = stream.tasks[t].test.data
-        if isinstance(model, HierVae):
-            row = (float(elbo_values(model, test, eval_eps[t]).mean()),
-                   mean_square_loss(test, model.reconstruct(test)))
-        else:
-            row = _live_row(model.node_pass(test), eval_eps[t])
+        row = _live_row(model, model.node_pass(stream.tasks[t].test.data), eval_eps[t])
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=row[0], square_loss=row[1])
 

@@ -1,9 +1,10 @@
 """What a run writes to disk: checkpoints and CSV tables.
 
 A checkpoint is a JSON manifest plus one little-endian float64 blob per array.
-The manifest records topology (node kinds, edge weights, task ids, reference
-bounds) and a name/shape/file entry per parameter array. Buffers are written
-byte-exact, so a load reproduces every evaluation output bit for bit.
+The manifest is the model's own ``spec()`` (for a graph: node kinds, edge
+weights, task ids, reference bounds) and a name/shape/file entry per
+parameter array. Buffers are written byte-exact, so a load reproduces every
+evaluation output bit for bit.
 
 Every table goes through ``write_table``: a header from the first row's keys,
 then one line per row, floats at full precision.
@@ -22,6 +23,7 @@ from .graph import GraphModel
 from .vae import HierVae, VaeComponent
 
 FORMAT_VERSION = 1
+MODEL_CLASSES = (GraphModel, VaeComponent, HierVae)  # each names its checkpoint kind
 
 
 def _array_entries(params):
@@ -59,53 +61,23 @@ def _load_into(params, directory: str, entries) -> None:
         p.data[:] = arr
 
 
-def save_graph(directory: str, graph: GraphModel, extra: dict | None = None) -> None:
+def save_checkpoint(directory: str, model, extra: dict | None = None) -> None:
+    """Write ``model``'s manifest, its ``spec()`` with the format version, the
+    array entries and ``extra``, and one blob per array of ``params()``."""
     os.makedirs(directory, exist_ok=True)
-    nodes = []
-    for e in graph.entries:
-        if e.kind == "basic":
-            nodes.append({"kind": "basic", "task_id": e.task_id,
-                          "reference_elbo": e.reference_elbo, "weights": None})
-        else:
-            nodes.append({"kind": "specific", "task_id": e.task_id,
-                          "reference_elbo": None, "weights": list(e.weights)})
-    params = graph.all_params()
+    params = model.params()
     entries = _array_entries(params)
-    manifest = {
-        "format_version": FORMAT_VERSION, "kind": "graph",
-        "input_dim": graph.input_dim, "latent_dim": graph.latent_dim,
-        "hidden_dim": graph.hidden_dim, "likelihood": graph.likelihood,
-        "sigma": graph.sigma, "tau": graph.tau, "nodes": nodes, "arrays": entries,
-        "extra": extra or {},
-    }
+    manifest = {**model.spec(), "format_version": FORMAT_VERSION, "arrays": entries,
+                "extra": extra or {}}
     _write_arrays(directory, params, entries)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
-def save_single(directory: str, model, extra: dict | None = None) -> None:
-    os.makedirs(directory, exist_ok=True)
-    if isinstance(model, HierVae):
-        meta = {"kind": "hier", "input_dim": model.input_dim,
-                "latent_dims": list(model.latent_dims), "hidden_dim": model.base.hidden_dim,
-                "likelihood": model.base.likelihood, "sigma": model.base.sigma,
-                "two_layers": model.two_layers, "name": model.name}
-    else:
-        meta = {"kind": "single", "input_dim": model.input_dim,
-                "latent_dim": model.latent_dim, "hidden_dim": model.hidden_dim,
-                "likelihood": model.likelihood, "sigma": model.sigma, "name": model.name}
-    params = model.params()
-    entries = _array_entries(params)
-    meta.update({"format_version": FORMAT_VERSION, "arrays": entries, "extra": extra or {}})
-    _write_arrays(directory, params, entries)
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-
-
 def load_checkpoint(directory: str):
-    """Rebuild the saved model; returns (kind, model, manifest). A manifest
-    that does not parse, lacks a field its kind needs or holds one that
-    cannot build the model is a FormatError."""
+    """Rebuild the saved model by the class its ``kind`` names; returns (kind,
+    model, manifest). A manifest that does not parse, lacks a field its kind
+    needs or holds one that cannot build the model is a FormatError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.exists(path):
         raise FormatError(f"no manifest at {path}")
@@ -119,37 +91,18 @@ def load_checkpoint(directory: str):
         raise FormatError(f"unsupported checkpoint format version {version!r}")
     try:  # every key read below is a manifest field
         kind = manifest["kind"]
-        if kind == "graph":
-            graph = GraphModel(manifest["input_dim"], manifest["latent_dim"],
-                               manifest["hidden_dim"], manifest["likelihood"],
-                               manifest["sigma"], manifest["tau"])
-            for node in manifest["nodes"]:
-                if node["kind"] == "basic":
-                    idx = graph.add_basic_node(node["task_id"], rng=None)
-                    graph.entries[idx].reference_elbo = node["reference_elbo"]
-                else:
-                    graph.add_specific_node(np.asarray(node["weights"]), node["task_id"], rng=None)
-            _load_into(graph.all_params(), directory, manifest["arrays"])
-            return "graph", graph, manifest
-        if kind == "single":
-            model = VaeComponent(manifest["input_dim"], manifest["latent_dim"],
-                                 manifest["hidden_dim"], manifest["likelihood"],
-                                 manifest["sigma"], rng=None, name=manifest["name"])
-            _load_into(model.params(), directory, manifest["arrays"])
-            return "single", model, manifest
-        if kind == "hier":
-            model = HierVae(manifest["input_dim"], tuple(manifest["latent_dims"]),
-                            manifest["hidden_dim"], manifest["likelihood"], manifest["sigma"],
-                            manifest["two_layers"], rng=None, name=manifest["name"])
-            _load_into(model.params(), directory, manifest["arrays"])
-            return "hier", model, manifest
+        model_class = next((c for c in MODEL_CLASSES if c.kind == kind), None)
+        if model_class is None:
+            raise FormatError(f"unknown checkpoint kind {kind!r}")
+        model = model_class.from_spec(manifest)
+        _load_into(model.params(), directory, manifest["arrays"])
+        return kind, model, manifest
     except KeyError as err:
         raise FormatError(f"{path} lacks the field {err}") from err
     except FormatError:
         raise
     except (OSError, TypeError, ValueError) as err:  # ContractError and DimensionError too
         raise FormatError(f"{path} holds a field that cannot build the model: {err}") from err
-    raise FormatError(f"unknown checkpoint kind {kind!r}")
 
 
 def write_table(path: str, rows: list[dict], config_hash: str | None = None) -> None:

@@ -17,7 +17,6 @@ from .errors import ContractError, DimensionError
 from .graph import GraphModel
 from .nnkit import Rng
 from .nnkit.runtime import fork_map
-from .vae import HierVae
 
 PSNR_CAP_DB = 99.0
 PSNR_MSE_FLOOR = 1e-12
@@ -91,11 +90,16 @@ def _selected_nll(graph: GraphModel, passes: list, n: int, kprime: int, seed: in
 
 def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> float:
     """Same estimator for a single-model baseline (no selection step)."""
-    data = np.asarray(data, dtype=np.float64)
+    return _pass_nll(model, model.node_pass(data), kprime, seed)
+
+
+def _pass_nll(model, node_pass, kprime: int, seed: int) -> float:
+    """Mean negative K'-draw bound of ``node_pass``, a pass of the single
+    model ``model``."""
     if kprime < 1:
         raise ContractError(f"kprime must be >= 1, got {kprime}")
     eps_bank = _eval_eps_bank(model.latent_dim, seed, kprime, "nll")
-    return float(-model.node_pass(data).bound(eps_bank).mean())
+    return float(-node_pass.bound(eps_bank).mean())
 
 
 # -- reconstruction metrics ---------------------------------------------------------
@@ -208,14 +212,13 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
 
 def single_metric_table(model, stream, kprime: int = 1) -> list[dict]:
     """The same per-task rows for a single-model baseline: every sample goes
-    to the one model, whose plain component scores the NLL."""
-    base = model.base if isinstance(model, HierVae) else model
-
+    to the one model, whose one node pass per task gives the reconstruction
+    and the K'-draw bound (a two-layer model's, its base's one-layer one)."""
     def row(t: int) -> dict:
         task = stream.tasks[t]
-        data = task.test.data
-        sl, ps, ss = reconstruction_metrics(data, model.reconstruct(data))
-        return {"task": task.name, "nll": eval_nll_single(base, data, kprime=kprime),
+        node_pass = model.node_pass(task.test.data)
+        sl, ps, ss = reconstruction_metrics(task.test.data, node_pass.reconstruction())
+        return {"task": task.name, "nll": _pass_nll(model, node_pass, kprime, 0),
                 "sl": sl, "psnr": ps, "ssim": ss, "chosen_hist": "1"}
 
     return fork_map(row, [task.test.n for task in stream.tasks])

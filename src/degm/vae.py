@@ -41,6 +41,8 @@ LIKELIHOODS = ("bernoulli", "gaussian")
 
 
 class VaeComponent:
+    kind = "single"  # its checkpoint kind
+
     def __init__(self, input_dim: int, latent_dim: int, hidden_dim: int = DEFAULT_HIDDEN,
                  likelihood: str = "bernoulli", sigma: float = DEFAULT_SIGMA,
                  rng: Rng | None = None, name: str = "vae"):
@@ -69,6 +71,18 @@ class VaeComponent:
     def params(self) -> ParamVector:
         return self._params
 
+    def spec(self) -> dict:
+        """What rebuilds this model's shape: its checkpoint manifest's fields."""
+        return {"kind": self.kind, "input_dim": self.input_dim, "latent_dim": self.latent_dim,
+                "hidden_dim": self.hidden_dim, "likelihood": self.likelihood,
+                "sigma": self.sigma, "name": self.name}
+
+    @classmethod
+    def from_spec(cls, fields: dict) -> "VaeComponent":
+        """The model ``fields``, a ``spec()``, describes; its parameters zero."""
+        return cls(fields["input_dim"], fields["latent_dim"], fields["hidden_dim"],
+                   fields["likelihood"], fields["sigma"], rng=None, name=fields["name"])
+
     def node_pass(self, x, train: bool = False) -> "NodePass":
         """This component's forward pass over the rows ``x``, its encoder run
         here; with ``train``, one that gives gradients."""
@@ -93,6 +107,11 @@ class VaeComponent:
     def reconstruct(self, x) -> np.ndarray:
         """Deterministic encode-decode through the posterior mean."""
         return self.node_pass(x).reconstruction()
+
+    def pass_bound(self, node_pass: "NodePass", eps: np.ndarray) -> np.ndarray:
+        """The per-sample ELBO over the rows of ``node_pass``, a pass of this
+        model, at the fixed draw ``eps``."""
+        return node_pass.bound([eps])
 
 
 class NodePass:
@@ -268,8 +287,12 @@ class HierVae:
     """Two stochastic layers: q(z1|x) q(z2|z1) against prior p(z2) p(z1|z2).
 
     Exists as the deeper single-model baseline; with ``two_layers=False`` it
-    degenerates exactly to the plain component it wraps.
+    degenerates exactly to the plain component it wraps. Its evaluation pass
+    is its base's: the reconstruction and the K'-draw bound of that pass are
+    the base's one-layer ones.
     """
+
+    kind = "hier"  # its checkpoint kind
 
     def __init__(self, input_dim: int, latent_dims: tuple[int, int] = (100, 50),
                  hidden_dim: int = DEFAULT_HIDDEN, likelihood: str = "bernoulli",
@@ -302,11 +325,33 @@ class HierVae:
         return self.base.input_dim
 
     @property
+    def latent_dim(self) -> int:
+        return self.base.latent_dim
+
+    @property
     def likelihood(self) -> str:
         return self.base.likelihood
 
     def params(self) -> ParamVector:
         return self._params
+
+    def spec(self) -> dict:
+        """What rebuilds this model's shape: its checkpoint manifest's fields."""
+        return {"kind": self.kind, "input_dim": self.input_dim,
+                "latent_dims": list(self.latent_dims), "hidden_dim": self.base.hidden_dim,
+                "likelihood": self.base.likelihood, "sigma": self.base.sigma,
+                "two_layers": self.two_layers, "name": self.name}
+
+    @classmethod
+    def from_spec(cls, fields: dict) -> "HierVae":
+        """The model ``fields``, a ``spec()``, describes; its parameters zero."""
+        return cls(fields["input_dim"], tuple(fields["latent_dims"]), fields["hidden_dim"],
+                   fields["likelihood"], fields["sigma"], fields["two_layers"], rng=None,
+                   name=fields["name"])
+
+    def node_pass(self, x) -> NodePass:
+        """The evaluation pass over the rows ``x``: its base's."""
+        return self.base.node_pass(x)
 
     def draws(self, rng: Rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         """The noise of one training step over ``n`` rows, drawn from ``rng``:
@@ -319,11 +364,11 @@ class HierVae:
         None): reconstruction minus both layer penalties, the second layer's
         closed-form, the first layer's a density ratio at the sampled point;
         with one layer, the base's ELBO."""
-        return self.pass_bound(self.base.node_pass(x), eps, eps2)
+        return self.pass_bound(self.node_pass(x), eps, eps2)
 
     def pass_bound(self, node_pass: NodePass, eps: np.ndarray,
                    eps2: np.ndarray | None = None) -> np.ndarray:
-        """``bound`` over the rows of ``node_pass``, a pass of the base."""
+        """``bound`` over the rows of ``node_pass``, a ``node_pass`` of this model."""
         if not self.two_layers:
             return node_pass.bound([eps])
         return self._forward(node_pass, eps, eps2)[0]
@@ -406,14 +451,9 @@ class HierVae:
 
 
 def copy_model(model):
-    """An independent model of the same shape and name with bit-identical
-    parameters; works for VaeComponent and HierVae."""
-    if isinstance(model, HierVae):
-        dup = HierVae(model.input_dim, model.latent_dims, model.base.hidden_dim,
-                      model.base.likelihood, model.base.sigma, model.two_layers,
-                      rng=None, name=model.name)
-    else:
-        dup = VaeComponent(model.input_dim, model.latent_dim, model.hidden_dim,
-                           model.likelihood, model.sigma, rng=None, name=model.name)
-    dup.params().flat[...] = model.params().flat
+    """An independent model of the same spec with bit-identical parameters:
+    any model with ``spec``, ``from_spec`` and ``params``."""
+    dup = type(model).from_spec(model.spec())
+    for mine, theirs in zip(dup.params(), model.params()):
+        mine.data[...] = theirs.data
     return dup

@@ -6,6 +6,8 @@ a per-tensor Adam that the fused ``adam_step`` must equal bit for bit."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from degm.errors import ContractError
@@ -118,6 +120,25 @@ def max_rel_err(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray])
 def parameter_bytes(obj) -> bytes:
     """Concatenated raw parameter buffers; equality means bit-identical weights."""
     return b"".join(t.data.tobytes() for t in obj.params())
+
+
+def counted_eval_passes(monkeypatch) -> Counter:
+    """Count every evaluation pass of a ``VaeComponent`` from here on (a
+    training pass is not counted), keyed by the bytes of its rows."""
+    counts = Counter()
+    node_pass = VaeComponent.node_pass
+
+    def counted(self, x, train=False):
+        if not train:
+            counts[rows_key(x)] += 1
+        return node_pass(self, x, train)
+
+    monkeypatch.setattr(VaeComponent, "node_pass", counted)
+    return counts
+
+
+def rows_key(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
 
 
 def vector_views(owner) -> bool:

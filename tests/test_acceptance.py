@@ -25,7 +25,7 @@ from degm.lifelong import (
     run_gr_single,
 )
 from degm.nnkit import Rng
-from degm.persist import load_checkpoint, save_graph
+from degm.persist import load_checkpoint, save_checkpoint
 from degm.select_eval import eval_nll, eval_nll_single, select_component
 from degm.vae import HierVae, VaeComponent
 
@@ -415,7 +415,7 @@ def test_criterion_11_persistence(tmp_path):
     g.add_specific_node(np.array([0.2, 0.5, 0.3]), 3, rng=rng.spawn("s"))
     x = binary_data(81, 50, 16)
     before = eval_nll(g, x, kprime=5, seed=3)
-    save_graph(str(tmp_path / "ckpt"), g)
+    save_checkpoint(str(tmp_path / "ckpt"), g)
     _, loaded, _ = load_checkpoint(str(tmp_path / "ckpt"))
     round_trip_ok = eval_nll(loaded, x, kprime=5, seed=3) == before
 

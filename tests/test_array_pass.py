@@ -12,7 +12,7 @@ from degm.bounds import encoder_kl_values
 from degm.data import synthetic_task
 from degm.errors import ContractError, TrainingError
 from degm.graph import GraphModel, knowledge_similarity
-from degm.lifelong import Task, TaskStream, elbo_values
+from degm.lifelong import Task, TaskStream
 from degm.nnkit import ACTIVATIONS, AdamState, DenseLayer, Rng, adam_step
 from degm.select_eval import single_metric_table, task_metric_table
 from degm.vae import HierVae
@@ -42,7 +42,7 @@ def spread_graph(likelihood: str, scale: float = 0.8, basics: int = 2) -> GraphM
     for b in range(basics):
         g.add_basic_node(task_id=b, rng=rng.spawn(f"b{b}"))
     g.add_specific_node(np.array(SPECIFIC_WEIGHTS[basics]), task_id=basics, rng=rng.spawn("s0"))
-    for k, tensor in enumerate(g.all_params()):
+    for k, tensor in enumerate(g.params()):
         tensor.data[...] = Rng(100 + k).normal(tensor.data.shape) * scale
     return g
 
@@ -134,7 +134,7 @@ def test_hier_closed_form_gradients_equal_the_tapes(likelihood, two_layers, scal
         assert bits_equal(values, tape_hier_objective(h, x, eps, eps2).data)
         evaluated = tape_hier_objective(h, x, eps[:1]).data  # the second draw at zero
     assert bits_equal(h.bound(x, eps, eps2), values)
-    assert bits_equal(elbo_values(h, x, eps[:1]), evaluated)
+    assert bits_equal(h.pass_bound(h.node_pass(x), eps[:1]), evaluated)
     # with one layer no gradient reaches the extra layers, in the reference or here
     extra = {t.name for t in h.params()[len(h.base.params()):]}
     assert sorted(want) == sorted(set(grads) - (set() if two_layers else extra))
@@ -180,14 +180,14 @@ def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kp
         else:
             names = sorted(entry.params().views(grads))
         adam_step(AdamState(lr=1e-3), entry.params(), grads)
-        return names, b"".join(t.data.tobytes() for t in g.all_params())
+        return names, b"".join(t.data.tobytes() for t in g.params())
 
     # equal gradient names: no gradient reaches a borrowed basic layer, as in the reference
     reference = step(lambda g, entry, x, eps_list:
                      backprop(-tape_objective(g, entry, x, eps_list).mean()))
     assert step(lambda g, entry, x, eps_list: g.node_pass(entry, x, train=True)
                 .bound_and_grads(eps_list)[1]) == reference
-    untrained = b"".join(t.data.tobytes() for t in spread_graph(likelihood, 0.2).all_params())
+    untrained = b"".join(t.data.tobytes() for t in spread_graph(likelihood, 0.2).params())
     assert reference[1] != untrained
 
 
@@ -205,7 +205,7 @@ def test_component_passes_equal_the_tape(likelihood, scale):
         z = Rng(8).normal((9, LATENT))
         decoded = affine_forward(vae.dec_upper, affine_forward(vae.dec_lower, z)).data
     assert bits_equal(encoder_kl_values(vae, x), kl)
-    assert bits_equal(elbo_values(vae, x, eps), tape_bound(g, g.basics[1], x, [eps]))
+    assert bits_equal(vae.pass_bound(vae.node_pass(x), eps), tape_bound(g, g.basics[1], x, [eps]))
     assert bits_equal(vae.reconstruct(x), tape_reconstruction(g, g.basics[1], x))
     generated = vae.generate(9, Rng(8))
     want = Rng(8)
@@ -224,7 +224,7 @@ def test_component_passes_equal_the_tape(likelihood, scale):
 def test_a_non_finite_activation_raises_the_tapes_error(kind, layer):
     g = spread_graph("bernoulli")
     entry = g.entries[0 if kind == "basic" else 2]
-    owner = {t.name: t for t in g.all_params()}[f"{layer}.W"]
+    owner = {t.name: t for t in g.params()}[f"{layer}.W"]
     owner.data[0, 0] = np.nan
     x, eps_list = rows(5, "bernoulli"), [Rng(1).normal((1, LATENT))]
     with pytest.raises(TrainingError) as tape:

@@ -101,22 +101,26 @@ def test_discrepancy_identical_hypotheses_contribute_zero():
     assert estimate_discrepancy(p, q, h) == 0.0
 
 
-def test_replay_risk_differences_reconstructs_fixed_models_once():
+def test_replay_risk_differences_sums_past_transitions():
+    # transitions 1 and 2 of 3, each the snapshot's loss on its generations
+    # minus the aux model's on as many mixture rows; snapshot 0 is not read
     snapshots = [component(40 + j) for j in range(3)]
     aux_models = {j: component(50 + j) for j in (1, 2)}
     gen_samples = {j: binary_data(60 + j, 12) for j in range(3)}
     mixtures = [binary_data(70 + j, 20) for j in range(3)]
     model = component(80)
-    expected = replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples, 3)
-    calls = []
-    for m in [*snapshots, *aux_models.values()]:
-        m.reconstruct = lambda x, m=m, inner=m.reconstruct: calls.append(m) or inner(x)
-    fixed = {}
-    for _ in range(3):  # bitwise the same value, with each fixed model scored once
-        assert replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
-                                       3, fixed) == expected
-    assert sorted(fixed) == [1, 2] and len(calls) == 4
-    assert set(map(id, calls)) == {id(m) for m in (snapshots[1], snapshots[2], *aux_models.values())}
+
+    def sq_loss(a, b):
+        return float(((a - b) ** 2).sum(axis=1).mean()) / DIM
+
+    expected = 0.0
+    for j in (1, 2):
+        gen, mix = gen_samples[j], mixtures[j][:12]
+        expected += (sq_loss(model.reconstruct(gen), snapshots[j].reconstruct(gen))
+                     - sq_loss(model.reconstruct(mix), aux_models[j].reconstruct(mix)))
+    snapshots[0] = None
+    assert replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
+                                   3) == expected
 
 
 def test_discrepancy_requires_two_hypotheses():

@@ -30,7 +30,7 @@ from degm.errors import ConfigError, ContractError, FormatError
 from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
 from degm.nnkit import Rng
-from degm.persist import load_checkpoint, save_graph, save_single
+from degm.persist import load_checkpoint, save_checkpoint
 from degm.select_eval import eval_nll, task_metric_table
 from degm.vae import VaeComponent
 
@@ -182,7 +182,7 @@ def test_graph_checkpoint_round_trip_bit_identical(tmp_path):
     x = (Rng(2).uniform(0, 1, (40, DIM)) < 0.4).astype(np.float64)
     before = eval_nll(g, x, kprime=3, seed=4)
     ckpt = tmp_path / "checkpoint"
-    save_graph(str(ckpt), g)
+    save_checkpoint(str(ckpt), g)
     kind, loaded, manifest = load_checkpoint(str(ckpt))
     assert kind == "graph"
     assert eval_nll(loaded, x, kprime=3, seed=4) == before  # bitwise, not approx
@@ -192,7 +192,7 @@ def test_graph_checkpoint_round_trip_bit_identical(tmp_path):
 
 def test_single_checkpoint_round_trip(tmp_path):
     model = VaeComponent(DIM, 3, 8, rng=Rng(5), name="gr")
-    save_single(str(tmp_path / "c"), model)
+    save_checkpoint(str(tmp_path / "c"), model)
     kind, loaded, _ = load_checkpoint(str(tmp_path / "c"))
     assert kind == "single"
     x = (Rng(6).uniform(0, 1, (10, DIM)) < 0.4).astype(np.float64)
@@ -352,7 +352,7 @@ def test_k_eval_selects_over_that_many_draws(tmp_path):
 def test_cmd_export_v_after_mixed_run(tmp_path):
     g = trained_graph(12)
     g.add_basic_node(task_id=3, rng=Rng(13))
-    save_graph(str(tmp_path / "c"), g)
+    save_checkpoint(str(tmp_path / "c"), g)
     out = tmp_path / "v.csv"
     cmd_export_v(str(tmp_path / "c"), str(out))
     lines = out.read_text().strip().splitlines()

@@ -1,5 +1,6 @@
-"""degm diagnose reads the reference models a bounds run saved; the
-discrepancy scores each unordered hypothesis pair once."""
+"""degm diagnose reads the snapshots and reference models a run saved, each
+checked against the run's config and task; the discrepancy scores each
+unordered hypothesis pair once."""
 
 import glob
 import json
@@ -54,12 +55,8 @@ def test_unordered_pair_discrepancy_bit_equal_to_ordered_scan(seeds, likelihood,
             for i, seed in enumerate(seeds)}
     rng = Rng(data_seed)
     p, q = rng.uniform(0, 1, (n_p, DIM)), rng.uniform(0, 1, (n_q, DIM))
-    recons = {}
-    got = estimate_discrepancy(p, q, hset, recons)
+    got = estimate_discrepancy(p, q, hset)
     assert repr(got) == repr(reference_discrepancy(p, q, hset))
-    assert sorted(recons) == sorted(hset)
-    # reconstructions handed back in are used, not made again
-    assert repr(estimate_discrepancy(p, q, hset, recons)) == repr(got)
 
 
 def _read(path):
@@ -143,10 +140,18 @@ def _no_array_file(run_dir):
     os.remove(os.path.join(run_dir, "checkpoint", "task_1", "arr_0000.bin"))
 
 
+def _extra_not_object(run_dir):
+    path = os.path.join(run_dir, "checkpoint", "task_1", "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["extra"] = []
+    _write_manifest(run_dir, "task_1", json.dumps(manifest))
+
+
 @pytest.mark.parametrize("damage", [_partial, _other_config, _swapped, _not_json, _no_kind,
-                                    _no_hidden_dim, _no_array_file],
+                                    _no_hidden_dim, _no_array_file, _extra_not_object],
                          ids=["partial", "other-config", "swapped", "not-json", "no-kind",
-                              "no-hidden-dim", "no-array-file"])
+                              "no-hidden-dim", "no-array-file", "extra-not-object"])
 def test_diagnose_rejects_unusable_references(bounds_run_dir, tmp_path, capsys, damage):
     run_dir = _copy_run(bounds_run_dir, tmp_path)
     report = os.path.join(run_dir, "bounds_report.csv")
@@ -163,6 +168,32 @@ def degm_run_dir(tmp_path_factory):
     raw = json.loads(json.dumps(pinned_config(str(tmp_path_factory.mktemp("runs"))).raw))
     raw["mode"] = "degm"
     return cmd_train(parse_config(json.dumps(raw)))
+
+
+@pytest.fixture(scope="module")
+def other_seed_run_dir(tmp_path_factory):
+    raw = json.loads(json.dumps(pinned_config(str(tmp_path_factory.mktemp("runs"))).raw))
+    raw["train"]["seed"] = 6
+    return cmd_train(parse_config(json.dumps(raw)))
+
+
+@pytest.mark.parametrize("source", ["graph", "other-config"])
+def test_diagnose_rejects_foreign_snapshots(bounds_run_dir, degm_run_dir, other_seed_run_dir,
+                                            tmp_path, capsys, source):
+    # task_2/ replaced by a degm run's graph checkpoint, or by the task 2
+    # snapshot of a run of another config
+    run_dir = _copy_run(bounds_run_dir, tmp_path)
+    snapshot = os.path.join(run_dir, "checkpoint", "task_2")
+    shutil.rmtree(snapshot)
+    shutil.copytree(os.path.join(degm_run_dir, "checkpoint") if source == "graph"
+                    else os.path.join(other_seed_run_dir, "checkpoint", "task_2"), snapshot)
+    report = os.path.join(run_dir, "bounds_report.csv")
+    before = _read(report)
+    assert main(["diagnose", run_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert os.path.normpath(snapshot) in err
+    assert _read(report) == before
 
 
 @pytest.mark.parametrize("field, value", [("hidden_dim", "x"), ("latent_dim", [3])])

@@ -1,6 +1,7 @@
 """Sequence-level behaviour: expansion decisions, freezing, replay, order effects."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from degm.lifelong import (
     run_gr_single,
 )
 from degm.nnkit import Rng
-from degm.persist import load_checkpoint, save_graph, save_single
+from degm.persist import load_checkpoint, save_checkpoint
 from degm.vae import BasicNode, HierVae, VaeComponent, copy_model
 
-from helpers import gradient_vector, parameter_bytes, tape_objective, vector_views
+from helpers import (counted_eval_passes, gradient_vector, parameter_bytes, rows_key,
+                     tape_objective, vector_views)
 from tape import backprop
 
 DIM = 36
@@ -163,14 +165,14 @@ def test_vectors_stay_views_after_install_copy_and_load(tmp_path):
         e.params().flat[...] = 0.0
         _install(e, ([], flat, 1.5))
         assert vector_views(e) and e.params().flat.tobytes() == flat.tobytes()
-    save_graph(str(tmp_path / "graph"), graph)
+    save_checkpoint(str(tmp_path / "graph"), graph)
     _, loaded, _ = load_checkpoint(str(tmp_path / "graph"))
     assert all(vector_views(e) for e in loaded.entries)
     assert [e.params().flat.tobytes() for e in loaded.entries] == [f.tobytes() for f in trained]
     for model in (VaeComponent(DIM, 4, 16, rng=Rng(8), name="v"),
                   HierVae(DIM, (4, 3), 16, rng=Rng(9), name="h")):
         dup = copy_model(model)
-        save_single(str(tmp_path / model.name), model)
+        save_checkpoint(str(tmp_path / model.name), model)
         _, back, _ = load_checkpoint(str(tmp_path / model.name))
         for other in (dup, back):
             assert vector_views(other) and not np.shares_memory(other.params().flat,
@@ -259,6 +261,18 @@ def test_gr_hier_seed_determinism():
     _, l1, _ = run_gr_hier(stream, cfg, Rng(29))
     _, l2, _ = run_gr_hier(stream, cfg, Rng(29))
     assert l1.rows == l2.rows
+
+
+@pytest.mark.parametrize("two_layers", [True, False], ids=["two-layers", "one-layer"])
+def test_gr_hier_epoch_log_passes_each_test_set_once(monkeypatch, two_layers):
+    # the bound and the reconstruction of a logged row come from one base pass
+    stream = TaskStream([make_task("bars", "a", 290), make_task("stripes", "b", 300)])
+    cfg = quick_cfg(epochs=2, hier_latent_dims=(4, 3), hier_two_layers=two_layers)
+    counts = counted_eval_passes(monkeypatch)
+    run_gr_hier(stream, cfg, Rng(31))
+    # task a's test set is logged at both tasks' epochs, task b's at its own
+    a, b = (rows_key(task.test.data) for task in stream.tasks)
+    assert counts == Counter({a: 2 * cfg.epochs, b: cfg.epochs})
 
 
 # --- order study ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ def test_calibration_script_imports():
 
 
 def test_configs_are_found():
-    assert {"bounds_demo.json", "order_study.json"} <= {os.path.basename(p) for p in CONFIGS}
+    names = {os.path.basename(p) for p in CONFIGS}
+    assert {"bounds_demo.json", "gr_hier.json", "order_study.json"} <= names
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)

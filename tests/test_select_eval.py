@@ -10,7 +10,7 @@ from degm.data import synthetic_task
 from degm.errors import ContractError, DimensionError
 from degm.graph import GraphModel
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm
-from degm.nnkit import DiagGaussian, Rng
+from degm.nnkit import DiagGaussian, Rng, runtime
 from degm.select_eval import (
     SelectionResult,
     eval_nll,
@@ -18,12 +18,14 @@ from degm.select_eval import (
     psnr,
     reconstruction_metrics,
     select_component,
+    single_metric_table,
     square_loss,
     ssim,
     task_metric_table,
 )
+from degm.vae import HierVae, VaeComponent
 
-from helpers import tape_bound, train_elbo_steps
+from helpers import counted_eval_passes, rows_key, tape_bound, train_elbo_steps
 
 DIM, LATENT, HIDDEN = 16, 3, 8
 
@@ -331,3 +333,27 @@ def test_task_metric_table_nll_equals_eval_nll():
     assert all("0" not in r["chosen_hist"].split("|") for r in rows)  # both nodes score rows
     for row, task in zip(rows, stream.tasks):
         assert row["nll"] == eval_nll(graph, task.test.data, kprime=3, seed=4)  # bitwise
+
+
+@pytest.mark.parametrize("build", [
+    lambda: VaeComponent(DIM, LATENT, HIDDEN, rng=Rng(41), name="gr"),
+    lambda: HierVae(DIM, (LATENT, 2), HIDDEN, rng=Rng(42), name="gr"),
+    lambda: HierVae(DIM, (LATENT, 2), HIDDEN, two_layers=False, rng=Rng(43), name="gr"),
+], ids=["single", "hier", "hier-one-layer"])
+def test_single_metric_table_passes_each_test_set_once(monkeypatch, build):
+    # a row's reconstruction and K'-draw NLL come from one pass of the model
+    # (a two-layer model's, its base's), and equal those of a pass each
+    model = build()
+    stream = TaskStream([Task(name, synthetic_task(kind, 30, DIM, Rng(seed)),
+                              synthetic_task(kind, 20, DIM, Rng(seed + 1)))
+                         for name, kind, seed in (("a", "bars", 44), ("b", "stripes", 46))])
+    monkeypatch.setattr(runtime, "share_count", lambda items: 1)  # every row in this process
+    counts = counted_eval_passes(monkeypatch)
+    rows = single_metric_table(model, stream, kprime=3)
+    assert counts == {rows_key(task.test.data): 1 for task in stream.tasks}
+    base = getattr(model, "base", model)
+    for row, task in zip(rows, stream.tasks):
+        data = task.test.data
+        sl, ps, ss = reconstruction_metrics(data, base.reconstruct(data))
+        want = {"nll": eval_nll_single(base, data, kprime=3), "sl": sl, "psnr": ps, "ssim": ss}
+        assert {key: repr(row[key]) for key in want} == {k: repr(v) for k, v in want.items()}

@@ -102,7 +102,7 @@ def test_training_a_component_or_a_specific_node_constructs_no_tensor(monkeypatc
     cfg = TrainConfig(epochs=2, batch=16, lr=1e-2, latent_dim=LATENT, hidden_dim=16,
                       objective="iwelbo", kprime=2)
     vae = VaeComponent(DIM, LATENT, 16, rng=Rng(6), name="gr")
-    before = [t.data.copy() for t in g.all_params() + vae.params()]
+    before = [t.data.copy() for t in g.params() + vae.params()]
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Tensor was constructed")
@@ -116,7 +116,7 @@ def test_training_a_component_or_a_specific_node_constructs_no_tensor(monkeypatc
         assert len(rows) == cfg.epochs
     train_epoch(AdamState(lr=1e-2), vae.params(), task.train.data, 16,
                 pass_grads(lambda x: vae.node_pass(x, train=True), 2), Rng(8))
-    after = [t.data for t in g.all_params() + vae.params()]
+    after = [t.data for t in g.params() + vae.params()]
     assert sum(not np.array_equal(a, b) for a, b in zip(before, after)) > 0
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from degm.errors import ContractError, DimensionError
+from degm.graph import GraphModel
 from degm.nnkit import AdamState, Rng, adam_step
+from degm.persist import load_checkpoint, save_checkpoint
 from degm.vae import HierVae, VaeComponent, copy_model
 
 from helpers import (
@@ -234,6 +236,56 @@ def test_copy_is_deep_and_bit_identical(build):
     for p in dup.params():  # the last tensors are a HierVae's second-layer heads
         p.data[...] += 1.0
     assert parameter_bytes(c) == before
+
+
+def spec_model(kind):
+    """A model of each checkpoint kind, every parameter drawn at random."""
+    if kind == "graph":
+        model = GraphModel(6, 2, 8, likelihood="gaussian", tau=0.5)
+        for i in range(2):
+            model.add_basic_node(task_id=i, rng=None)
+            model.basics[i].reference_elbo = -3.0 - i / 7
+        model.add_specific_node(np.array([0.3, 0.7]), task_id=2, rng=None)
+    elif kind == "single":
+        model = tiny(73)
+    else:
+        model = hier_tiny(74, two_layers=kind == "hier")
+    for k, p in enumerate(model.params()):
+        p.data[...] = Rng(80 + k).normal(p.data.shape) * 0.3
+    return model
+
+
+def spec_bounds(model, x, eps, eps2) -> list[bytes]:
+    """Every per-sample bound the model gives at the draws ``eps`` and ``eps2``."""
+    if isinstance(model, GraphModel):
+        return [model.node_pass(e, x).bound([eps]).tobytes() for e in model.entries]
+    values = [model.pass_bound(model.node_pass(x), eps).tobytes()]
+    if isinstance(model, HierVae):
+        values.append(model.bound(x, eps, eps2).tobytes())
+    return values
+
+
+@pytest.mark.parametrize("kind", ["graph", "single", "hier", "hier-one-layer"])
+def test_spec_copy_and_checkpoint_are_bit_identical(kind, tmp_path):
+    model = spec_model(kind)
+    rebuilt = type(model).from_spec(model.spec())
+    owners = zip(rebuilt.entries, model.entries) if kind == "graph" else [(rebuilt, model)]
+    for mine, theirs in owners:  # a flat copy of each parameter vector
+        mine.params().flat[...] = theirs.params().flat
+    save_checkpoint(str(tmp_path / kind), model)
+    loaded_kind, loaded, manifest = load_checkpoint(str(tmp_path / kind))
+    assert loaded_kind == model.kind
+    # the manifest is the spec, the format version, the arrays and the extra
+    assert {k: v for k, v in manifest.items()
+            if k not in ("format_version", "arrays", "extra")} == model.spec()
+    x = binary_data(Rng(75), 9, 6)
+    eps, eps2 = Rng(76).normal((1, 3 if kind.startswith("hier") else 2)), Rng(77).normal((9, 2))
+    for other in (rebuilt, copy_model(model), loaded):
+        assert type(other) is type(model) and other.spec() == model.spec()
+        assert parameter_bytes(other) == parameter_bytes(model)
+        assert spec_bounds(other, x, eps, eps2) == spec_bounds(model, x, eps, eps2)
+        assert not any(np.shares_memory(a.data, b.data)
+                       for a, b in zip(other.params(), model.params()))
 
 
 def test_training_one_component_leaves_another_untouched():
