@@ -8,7 +8,28 @@ from degm.bounds import bounds_run
 from degm.data import synthetic_task, transform
 from degm.lifelong import Task, TaskStream, TrainConfig, run_degm, run_gr_single
 from degm.nnkit import Rng
-from degm.select_eval import eval_nll, eval_nll_single
+from degm.select_eval import select_component
+
+
+def _nll_eps(latent_dim, seed, kprime):
+    """The K' noise rows the eval tables draw for their NLL at ``seed``."""
+    rng = Rng(seed)
+    return [rng.spawn(f"nll:{i}").normal((1, latent_dim)) for i in range(kprime)]
+
+
+def eval_nll(graph, data, kprime, seed):
+    """Mean negative K'-draw bound of the rows of ``data``, each scored by
+    the node it selects, as in the eval table of a graph."""
+    chosen = select_component(graph, data, seed=seed).chosen
+    eps = _nll_eps(graph.latent_dim, seed, kprime)
+    total = sum(float(-graph.node_pass(entry, data[chosen == j]).bound(eps).sum())
+                for j, entry in enumerate(graph.entries) if (chosen == j).any())
+    return total / data.shape[0]
+
+
+def eval_nll_single(model, data, kprime, seed):
+    """The same estimate for a single model, which scores every row."""
+    return float(-model.node_pass(data).bound(_nll_eps(model.latent_dim, seed, kprime)).mean())
 
 
 def forgetting_stream(dim=196, n_train=2000, n_test=500):

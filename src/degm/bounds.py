@@ -22,7 +22,6 @@ from .errors import ContractError
 from .lifelong import (TaskStream, TrainConfig, mean_square_loss, pass_grads, run_gr_single,
                        train_epoch)
 from .nnkit import AdamState, Rng, runtime
-from .persist import write_table
 from .vae import VaeComponent, copy_model
 
 
@@ -45,48 +44,11 @@ def _err_d_sets(gen_samples: dict, mixtures: list, upto: int) -> list[tuple]:
     return [(j, gen_samples[j], mixtures[j][:gen_samples[j].shape[0]]) for j in range(1, upto)]
 
 
-def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
-                            upto: int) -> float:
-    """Sum over past transitions of (loss vs the snapshot on its own
-    generations) minus (loss vs the auxiliary model on the mixture it
-    bridged); the empirical stand-in for the risk-difference chain."""
-    total = 0.0
-    for j, gen, mix in _err_d_sets(gen_samples, mixtures, upto):
-        total += (_sq_loss(model.reconstruct(gen), snapshots[j].reconstruct(gen))
-                  - _sq_loss(model.reconstruct(mix), aux_models[j].reconstruct(mix)))
-    return total
-
-
 def _pair_gaps(recons: list) -> list[float]:
     """|loss on P - loss on Q| of each unordered pair of hypotheses, in pair
     order, where ``recons`` holds each one's (P, Q) reconstructions."""
     return [abs(_sq_loss(a[0], b[0]) - _sq_loss(a[1], b[1]))
             for i, a in enumerate(recons) for b in recons[i + 1:]]
-
-
-def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
-                         models: dict) -> float:
-    """max over pairs (h, h') of |E_P loss(h, h') - E_Q loss(h, h')|, where
-    ``models`` maps a hypothesis name to its model.
-
-    A lower bound on the true sup; 0 exactly when the two sample sets coincide
-    and symmetric in (P, Q) by construction. Each unordered pair is scored
-    once: loss(h, h') equals loss(h', h) bit for bit, as fl(a - b) = -fl(b - a),
-    and loss(h, h) is identically zero on both sides.
-    """
-    if len(models) < 2:
-        raise ContractError("discrepancy needs at least two hypotheses")
-    p = np.asarray(p_samples, dtype=np.float64)
-    q = np.asarray(q_samples, dtype=np.float64)
-    if p.shape[0] == 0 or q.shape[0] == 0:
-        raise ContractError("discrepancy needs nonempty sample sets")
-    return max([0.0, *_pair_gaps([(model.reconstruct(p), model.reconstruct(q))
-                                  for model in models.values()])])
-
-
-def encoder_kl_values(model, data: np.ndarray) -> np.ndarray:
-    """Closed-form posterior-to-prior KL per sample (no sampling involved)."""
-    return model.node_pass(data).kl()
 
 
 def _subsample(x: np.ndarray, size: int, rng: Rng, key: str) -> np.ndarray:
@@ -109,17 +71,6 @@ def _kl_sets(target_sets: list, source: np.ndarray, sample_size: int,
 
 def _kl_gap(source_mean: float, target_means: list[float]) -> float:
     return abs(source_mean - float(np.mean(target_means)))
-
-
-def estimate_kl_gap(model, target_sets: list[np.ndarray], source: np.ndarray,
-                    sample_size: int = 10_000, rng: Rng | None = None) -> float:
-    """|mean encoder-KL over the evolved source - task-average over targets|."""
-    source = np.asarray(source, dtype=np.float64)
-    if source.shape[0] == 0 or not target_sets or any(np.shape(t)[0] == 0 for t in target_sets):
-        raise ContractError("kl gap needs nonempty source and target sets")
-    kl_source, kl_targets = _kl_sets(target_sets, source, sample_size, rng or Rng(0))
-    return _kl_gap(float(encoder_kl_values(model, kl_source).mean()),
-                   [float(encoder_kl_values(model, t).mean()) for t in kl_targets])
 
 
 # -- diagnostics over a replay run -----------------------------------------------------
@@ -462,8 +413,7 @@ def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
              "slack": r.slack} for r in artifacts.rows]
 
 
-def write_bounds_csv(rows: list[BoundsRow], path: str, n_tasks: int,
-                     config_hash: str | None = None) -> None:
+def report_rows(rows: list[BoundsRow], n_tasks: int) -> list[dict]:
     """bounds_report.csv: one line per row, one column per task's target
     risk, blank for tasks not yet seen."""
     records = []
@@ -474,7 +424,7 @@ def write_bounds_csv(rows: list[BoundsRow], path: str, n_tasks: int,
                         **{f"target_risk_task_{k + 1}": v for k, v in enumerate(per_task)},
                         "kl_gap": r.kl_gap, "disc_lower_bound": r.disc_lower_bound,
                         "slack": r.slack})
-    write_table(path, records, config_hash)
+    return records
 
 
 # -- curves and generation chains ----------------------------------------------------------

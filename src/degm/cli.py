@@ -3,14 +3,14 @@ one function per verb.
 
 Verbs: train, eval, diagnose, export-v, ablate, gen-synthetic. A run writes
 into <out_dir>/<config-hash>/ so identical configs land in identical places;
-every table carries the config hash. Config files are JSON, checked by
-:mod:`degm.config`.
+it writes the record that its mode's run function (:mod:`degm.runs`)
+returns. Every verb writes through ``degm.persist.write_record``. Config
+files are JSON, checked by :mod:`degm.config`.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import shutil
@@ -33,19 +33,10 @@ from .data import (
     transform_chain,
 )
 from .errors import ConfigError, ContractError, FormatError, TrainingError
-from .graph import GraphModel
-from .lifelong import (
-    Task,
-    TaskStream,
-    accumulated_final_risk,
-    order_experiment,
-    run_ablation,
-    run_degm,
-    run_gr_hier,
-    run_gr_single,
-)
+from .lifelong import Task, TaskStream
 from .nnkit import Rng, runtime
-from .persist import load_checkpoint, save_checkpoint, write_table
+from .persist import RunRecord, load_checkpoint, write_record
+from .runs import RUNS, v_rows
 from .select_eval import single_metric_table, task_metric_table
 
 
@@ -78,7 +69,9 @@ def _task_data(spec: dict) -> list[tuple]:
 
 
 def build_stream(cfg: ExperimentConfig) -> TaskStream:
-    """The task stream of the config's specs, their defaults filled by degm.config."""
+    """The task stream of the config's specs, their defaults filled by
+    degm.config. Each configured ordering must name its tasks and be a
+    permutation of the first."""
     tasks = []
     for spec in cfg.tasks:
         for name, train, test in _task_data(spec):
@@ -86,143 +79,49 @@ def build_stream(cfg: ExperimentConfig) -> TaskStream:
             if cfg.desk_scale:
                 train, test = downsample(train), downsample(test)
             tasks.append(Task(name, train, test))
+    for i, names in enumerate(cfg.orders or ()):
+        missing = [n for n in names if n not in {t.name for t in tasks}]
+        if missing:
+            raise ConfigError(f"orders[{i}] references unknown tasks {missing}")
+        if sorted(names) != sorted(cfg.orders[0]):
+            raise ConfigError(f"orders[{i}] is not a permutation of orders[0]")
     return TaskStream(tasks)
 
 
 # -- commands -----------------------------------------------------------------------------
 
-def export_v_csv(graph: GraphModel, path: str) -> None:
-    write_table(path, [{"task_id": entry.task_id,
-                        **{f"C{k + 1}": float(val) for k, val in enumerate(row)}}
-                       for row, entry in zip(graph.v_matrix(), graph.entries)])
-
-
 PHASES = ("train", "eval_table", "write")  # summary.json's env["phase_s"] keys; bounds adds one
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
-    """Run the configured experiment; returns the run directory. A run that
-    fails removes the run directory when this call created it."""
+    """Run the configured mode and write its record into the run directory;
+    returns the run directory. A run that fails removes the run directory
+    when this call created it."""
     start = runtime.usage()
-    phases = dict.fromkeys(PHASES, 0.0)
-    # both before the run directory, so bad tasks or orderings leave none
-    stream = build_stream(cfg)
-    orders = _order_streams(cfg, stream) if cfg.mode == "order-study" else None
+    stream = build_stream(cfg)  # before the run directory, so bad tasks or orderings leave none
     digest = config_hash(cfg)
     run_dir = os.path.join(cfg.out_dir, digest)
     created = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     try:
-        summary = _run_into(run_dir, digest, cfg, stream, orders, phases)
+        t0 = time.perf_counter()
+        record = RUNS[cfg.mode](cfg, stream, Rng(cfg.train.seed), digest)
+        t1 = time.perf_counter()
+        with open(os.path.join(run_dir, "config.json"), "w") as fh:
+            fh.write(serialize_config(cfg))
+        write_record(run_dir, record, digest)
     except BaseException:
         if created:
             shutil.rmtree(run_dir, ignore_errors=True)
         raise
-    summary["env"] = {**runtime.env_block(start), "phase_s": phases}
+    phases = {**dict.fromkeys(PHASES, 0.0), **record.phases, "train": t1 - t0,
+              "write": time.perf_counter() - t1}
+    summary = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
+               "tasks": [t.name for t in stream.tasks], **record.summary,
+               "env": {**runtime.env_block(start), "phase_s": phases}}
     with open(os.path.join(run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return run_dir
-
-
-def _run_into(run_dir: str, digest: str, cfg: ExperimentConfig, stream: TaskStream,
-              orders: list[TaskStream] | None, phases: dict) -> dict:
-    """Train the configured mode, write its tables and checkpoints into
-    ``run_dir``, and return the summary. ``phases`` gains the seconds spent
-    in the mode's training call, the eval table and the writing, and in
-    mode bounds the rows' share of the training call."""
-    @contextlib.contextmanager
-    def timed(name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            phases[name] += time.perf_counter() - t0
-
-    def table(name: str, rows: list[dict]) -> None:
-        with timed("write"):
-            write_table(os.path.join(run_dir, name), rows, digest)
-
-    with timed("write"):
-        with open(os.path.join(run_dir, "config.json"), "w") as fh:
-            fh.write(serialize_config(cfg))
-    rng = Rng(cfg.train.seed)
-    summary: dict = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
-                     "tasks": [t.name for t in stream.tasks]}
-
-    if cfg.mode in ("degm", "ablation"):
-        with timed("train"):
-            if cfg.mode == "degm":
-                graph, log = run_degm(stream, cfg.train, rng, run_id=digest)
-            else:
-                ablation_rows, graphs, logs = run_ablation(stream, cfg.train, cfg.ablation, rng)
-                graph, log = graphs[cfg.ablation], logs[cfg.ablation]
-        if cfg.mode == "ablation":
-            table("ablation_table.csv", ablation_rows)
-        if log.expansion:  # a one-task stream makes no decision
-            table("expansion.csv", log.expansion)
-        with timed("write"):
-            write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
-            save_checkpoint(os.path.join(run_dir, "checkpoint"), graph,
-                            extra={"config_hash": digest})
-            export_v_csv(graph, os.path.join(run_dir, "v_matrix.csv"))
-        with timed("eval_table"):
-            metric_rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime,
-                                            k_eval=cfg.eval_k)
-        table("eval_metrics.csv", metric_rows)
-        summary["node_counts"] = {
-            "basic": len(graph.basics), "specific": len(graph.specifics)}
-        summary["mean_nll"] = float(np.mean([r["nll"] for r in metric_rows]))
-        summary["mean_sl"] = float(np.mean([r["sl"] for r in metric_rows]))
-    elif cfg.mode in ("gr", "gr-hier", "bounds"):
-        if cfg.mode == "bounds":
-            with timed("train"):
-                out = bounds_mod.bounds_run(stream, cfg.train, rng,
-                                            sample_size=cfg.bounds_sample_size,
-                                            aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
-            model, log, artifacts = out.gr_model, out.metrics_log, out.gr_artifacts
-            phases["bounds_rows"] = out.rows_s  # spent inside the training call
-            with timed("write"):
-                bounds_mod.write_bounds_csv(out.rows, os.path.join(run_dir, "bounds_report.csv"),
-                                            n_tasks=len(stream), config_hash=digest)
-            table("bound_check.csv", bounds_mod.bound_check_report(out))
-            table("accumulated_error.csv", bounds_mod.accumulated_error_proxy(
-                artifacts.snapshots, stream, model, rng.spawn("accum")))
-            table("curves.csv", bounds_mod.forgetting_curves(None, log, stream.input_dim))
-            summary["final_slack"] = out.rows[-1].slack
-        else:
-            runner = run_gr_hier if cfg.mode == "gr-hier" else run_gr_single
-            with timed("train"):
-                model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
-            summary["final_accumulated_risk"] = accumulated_final_risk(log, stream)
-        stored = {"task": artifacts.snapshots}
-        if cfg.mode == "bounds":
-            stored["ref"] = out.reference_models  # read back by diagnose
-        with timed("write"):
-            write_table(os.path.join(run_dir, "metrics.csv"), log.rows)
-            save_checkpoint(os.path.join(run_dir, "checkpoint"), model,
-                            extra={"config_hash": digest})
-            for prefix, models in stored.items():
-                for i, m in enumerate(models):
-                    save_checkpoint(os.path.join(run_dir, "checkpoint", f"{prefix}_{i + 1}"), m,
-                                    extra={"config_hash": digest, "task_index": i + 1})
-    elif cfg.mode == "order-study":
-        with timed("train"):
-            report = order_experiment(orders, cfg.train, rng)
-        table("order_report.csv", report)
-        summary["orders"] = [r["order"] for r in report]
-    return summary
-
-
-def _order_streams(cfg: ExperimentConfig, stream: TaskStream) -> list[TaskStream]:
-    """One stream per configured ordering, each a permutation of the first."""
-    by_name = {t.name: t for t in stream.tasks}
-    for i, names in enumerate(cfg.orders):
-        missing = [n for n in names if n not in by_name]
-        if missing:
-            raise ConfigError(f"orders[{i}] references unknown tasks {missing}")
-        if sorted(names) != sorted(cfg.orders[0]):
-            raise ConfigError(f"orders[{i}] is not a permutation of orders[0]")
-    return [TaskStream([by_name[n] for n in names]) for names in cfg.orders]
 
 
 def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
@@ -235,8 +134,14 @@ def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
     else:
         rows = single_metric_table(model, stream, kprime=kprime)
     if out_path:
-        write_table(out_path, rows, config_hash(cfg))
+        _write_file(out_path, rows, config_hash(cfg))
     return rows
+
+
+def _write_file(path: str, rows: list[dict], digest: str | None = None) -> None:
+    """The record of one table, written to ``path``, whatever its file name."""
+    write_record(os.path.dirname(path), RunRecord({os.path.basename(path): rows}, unhashed=()),
+                 digest)
 
 
 def cmd_diagnose(run_dir: str) -> str:
@@ -257,7 +162,7 @@ def cmd_diagnose(run_dir: str) -> str:
     rows = bounds_mod.diagnose_snapshots(stream, cfg.train, snapshots, refs, rng,
                                          cfg.bounds_sample_size, cfg.bounds_aux_epochs)
     out_path = os.path.join(run_dir, "bounds_report.csv")
-    bounds_mod.write_bounds_csv(rows, out_path, n_tasks=len(stream), config_hash=digest)
+    _write_file(out_path, bounds_mod.report_rows(rows, len(stream)), digest)
     return out_path
 
 
@@ -287,11 +192,22 @@ def _stored_models(run_dir: str, prefix: str, n_tasks: int, digest: str,
     return models
 
 
+def _eval_path(checkpoint: str, kprime: int) -> str:
+    """Where eval writes without --out: eval_k<K'>.csv for a run's
+    checkpoint/, else eval_k<K'>_<name>.csv for the checkpoint <name>/; in
+    the run directory for a snapshot checkpoint/<name>/. So never inside a
+    checkpoint, over the table train wrote or over another checkpoint's."""
+    parent, name = os.path.split(os.path.normpath(checkpoint))
+    if os.path.basename(parent) == "checkpoint":
+        parent = os.path.dirname(parent)
+    return os.path.join(parent, f"eval_k{kprime}{'' if name == 'checkpoint' else '_' + name}.csv")
+
+
 def cmd_export_v(checkpoint_dir: str, out_path: str) -> None:
     kind, model, _ = load_checkpoint(checkpoint_dir)
     if kind != "graph":
         raise ContractError("export-v needs a graph checkpoint")
-    export_v_csv(model, out_path)
+    _write_file(out_path, v_rows(model))
 
 
 def cmd_gen_synthetic(kind: str, n: int, dim: int, seed: int, out_prefix: str) -> None:
@@ -358,9 +274,7 @@ def main(argv: list[str] | None = None) -> int:
                 rule(EVAL, "kprime")(args.kprime, "--kprime")
             cfg = _load_config_file(args.config)
             kprime = args.kprime if args.kprime is not None else cfg.eval_kprime
-            # beside the checkpoint, and never over the table train wrote there
-            out = args.out or os.path.join(os.path.dirname(args.checkpoint.rstrip("/")),
-                                           f"eval_k{kprime}.csv")
+            out = args.out or _eval_path(args.checkpoint, kprime)
             for row in cmd_eval(args.checkpoint, cfg, kprime, out):
                 print(row)
         elif args.verb == "diagnose":

@@ -1,4 +1,5 @@
-"""What a run writes to disk: checkpoints and CSV tables.
+"""What a command writes to disk: checkpoints and CSV tables, each written
+by ``write_record``.
 
 A checkpoint is a JSON manifest plus one little-endian float64 blob per array.
 The manifest is the model's own ``spec()`` (for a graph: node kinds, edge
@@ -8,6 +9,11 @@ evaluation output bit for bit.
 
 Every table goes through ``write_table``: a header from the first row's keys,
 then one line per row, floats at full precision.
+
+A command's run function returns a ``RunRecord``, and ``write_record`` writes
+its tables and models into a directory: each table with a trailing
+config_hash column, but for ``UNHASHED_TABLES``, and each manifest with
+config_hash in its ``extra``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +31,8 @@ from .vae import HierVae, VaeComponent
 
 FORMAT_VERSION = 1
 MODEL_CLASSES = (GraphModel, VaeComponent, HierVae)  # each names its checkpoint kind
+# metrics.csv carries the hash as its run_id; v_matrix.csv carries none
+UNHASHED_TABLES = ("metrics.csv", "v_matrix.csv")
 
 
 def _array_entries(params):
@@ -115,3 +124,29 @@ def write_table(path: str, rows: list[dict], config_hash: str | None = None) -> 
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+@dataclass
+class RunRecord:
+    """What a command writes and reports: its tables by file name, its models
+    by path relative to the directory, each with its manifest ``extra``, its
+    summary.json fields, the seconds of its named phases, and the names of
+    the tables written without the config_hash column."""
+
+    tables: dict[str, list[dict]] = field(default_factory=dict)
+    models: dict[str, tuple[object, dict]] = field(default_factory=dict)
+    summary: dict = field(default_factory=dict)
+    phases: dict[str, float] = field(default_factory=dict)
+    unhashed: tuple[str, ...] = UNHASHED_TABLES
+
+
+def write_record(directory: str, record: RunRecord, config_hash: str | None = None) -> None:
+    """Write ``record``'s tables and models into ``directory``, which must
+    exist; with ``config_hash``, as the last column of each table not named
+    in ``record.unhashed`` and in each model's ``extra``."""
+    for name, rows in record.tables.items():
+        write_table(os.path.join(directory, name), rows,
+                    None if name in record.unhashed else config_hash)
+    for path, (model, extra) in record.models.items():
+        hashed = extra if config_hash is None else {**extra, "config_hash": config_hash}
+        save_checkpoint(os.path.join(directory, path), model, hashed)

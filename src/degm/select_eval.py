@@ -56,16 +56,6 @@ def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
     return SelectionResult(chosen=np.argmax(scores, axis=1), scores=scores, posterior=posterior)
 
 
-def eval_nll(graph: GraphModel, data: np.ndarray, kprime: int = 1, seed: int = 0,
-             k_eval: int = 1) -> float:
-    """Mean negative log-likelihood estimate: select a node per sample, then
-    score it with the K'-draw bound."""
-    data = np.asarray(data, dtype=np.float64)
-    selection = select_component(graph, data, k_eval=k_eval, seed=seed)
-    passes = _chosen_passes(graph, data, selection.chosen)
-    return _selected_nll(graph, passes, data.shape[0], kprime, seed)
-
-
 def _chosen_passes(graph: GraphModel, data: np.ndarray, chosen: np.ndarray) -> list:
     """(mask, pass) of each node that some sample chose, over the rows it chose."""
     passes = []
@@ -88,11 +78,6 @@ def _selected_nll(graph: GraphModel, passes: list, n: int, kprime: int, seed: in
     return total / n
 
 
-def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> float:
-    """Same estimator for a single-model baseline (no selection step)."""
-    return _pass_nll(model, model.node_pass(data), kprime, seed)
-
-
 def _pass_nll(model, node_pass, kprime: int, seed: int) -> float:
     """Mean negative K'-draw bound of ``node_pass``, a pass of the single
     model ``model``."""
@@ -104,38 +89,12 @@ def _pass_nll(model, node_pass, kprime: int, seed: int) -> float:
 
 # -- reconstruction metrics ---------------------------------------------------------
 
-def square_loss(x: np.ndarray, recon: np.ndarray) -> float:
-    """Summed squared error over all entries."""
-    x, recon = np.asarray(x), np.asarray(recon)
-    if x.shape != recon.shape:
-        raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
-    return float(((x - recon) ** 2).sum())
-
-
-def psnr(x: np.ndarray, recon: np.ndarray, max_val: float = 1.0) -> float:
-    """10 log10(max^2 / MSE) in dB, capped at 99 for (near-)exact matches."""
-    x, recon = np.asarray(x), np.asarray(recon)
-    if x.shape != recon.shape:
-        raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
-    return float(_psnr_db(((x - recon) ** 2).mean(), max_val))
-
-
 def _psnr_db(mse: np.ndarray, max_val: float) -> np.ndarray:
     if max_val <= 0.0:
         raise ContractError("max_val must be positive")
     capped = mse < PSNR_MSE_FLOOR
     db = 10.0 * np.log10(max_val * max_val / np.where(capped, 1.0, mse))
     return np.where(capped, PSNR_CAP_DB, db)
-
-
-def ssim(x: np.ndarray, recon: np.ndarray, window: int = SSIM_WINDOW,
-         stride: int = SSIM_STRIDE, max_val: float = 1.0) -> float:
-    """Mean local similarity over sliding windows; a flat vector (or an image
-    smaller than the window) is treated as one window."""
-    x, recon = np.asarray(x, dtype=np.float64).ravel(), np.asarray(recon, dtype=np.float64).ravel()
-    if x.shape != recon.shape:
-        raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
-    return float(_ssim_rows(x[None], recon[None], window, stride, max_val)[0])
 
 
 def _ssim_rows(x: np.ndarray, recon: np.ndarray, window: int, stride: int,
@@ -171,8 +130,11 @@ def _libm_square(v: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_metrics(x: np.ndarray, recon: np.ndarray, max_val: float = 1.0) -> tuple[float, float, float]:
-    """Dataset-level (mean SL, mean PSNR, mean SSIM) over rows, each row
-    scored as square_loss, psnr and ssim score it."""
+    """Dataset-level (mean SL, mean PSNR, mean SSIM) over rows: a row's SL
+    is its summed squared error, its PSNR 10 log10(max^2 / MSE) in dB,
+    capped at 99 for (near-)exact matches, and its SSIM the mean local
+    similarity over sliding windows (one window for a flat vector or an
+    image smaller than the window)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     recon = np.ascontiguousarray(recon, dtype=np.float64)
     if x.shape != recon.shape:

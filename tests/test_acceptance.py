@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from degm.bounds import bounds_run, estimate_discrepancy, estimate_kl_gap
-from degm.cli import export_v_csv
+from degm.bounds import bounds_run
+from degm.cli import cmd_export_v
 from degm.data import load_idx, save_idx_images, synthetic_task, transform
 from degm.graph import GraphModel, edge_weights
 from degm.lifelong import (
@@ -26,7 +26,7 @@ from degm.lifelong import (
 )
 from degm.nnkit import Rng
 from degm.persist import load_checkpoint, save_checkpoint
-from degm.select_eval import eval_nll, eval_nll_single, select_component
+from degm.select_eval import select_component
 from degm.vae import HierVae, VaeComponent
 
 from helpers import (
@@ -41,6 +41,8 @@ from helpers import (
     tape_reconstruction,
     train_elbo_steps,
 )
+from reference import (encoder_kl_values, estimate_discrepancy, estimate_kl_gap, eval_nll,
+                       eval_nll_single)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -388,7 +390,6 @@ def test_criterion_10_bounds_diagnostics(bounds_fixture):
     model = VaeComponent(8, 2, 4, rng=Rng(73), name="m")
     targets = [binary_data(74, 60, 8), binary_data(75, 60, 8)]
     gap = estimate_kl_gap(model, targets, np.concatenate(targets))
-    from degm.bounds import encoder_kl_values
     values = encoder_kl_values(model, np.concatenate(targets))
     gap_ok = gap <= 3.0 * values.std(ddof=1) / np.sqrt(values.size)
     # (c) discrepancy lower bound grows across task boundaries
@@ -423,7 +424,7 @@ def test_criterion_11_persistence(tmp_path):
     save_idx_images(str(tmp_path / "img.idx"), data, 4, 4)
     idx_ok = np.array_equal(load_idx(str(tmp_path / "img.idx")).data, data)
 
-    export_v_csv(g, str(tmp_path / "v.csv"))
+    cmd_export_v(str(tmp_path / "ckpt"), str(tmp_path / "v.csv"))
     lines = (tmp_path / "v.csv").read_text().strip().splitlines()
     rows = [line.split(",")[1:] for line in lines[1:]]
     basic_ok = all(float(v) == 0.0 for r in rows[:3] for v in r)

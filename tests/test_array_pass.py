@@ -8,7 +8,6 @@ import os
 import numpy as np
 import pytest
 
-from degm.bounds import encoder_kl_values
 from degm.data import synthetic_task
 from degm.errors import ContractError, TrainingError
 from degm.graph import GraphModel, knowledge_similarity
@@ -19,6 +18,7 @@ from degm.vae import HierVae
 
 from helpers import (gradient_vector, tape_bound, tape_hier_objective, tape_objective,
                      tape_reconstruction)
+from reference import encoder_kl_values
 from tape import Tensor, affine_forward, backprop, kl_diag_gaussian_to_standard, no_grad
 
 DIM, LATENT, HIDDEN = 64, 8, 32

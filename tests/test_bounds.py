@@ -18,15 +18,11 @@ from degm.bounds import (
     accumulated_error_proxy,
     bounds_run,
     diagnose_snapshots,
-    encoder_kl_values,
-    estimate_discrepancy,
-    estimate_kl_gap,
     fit_references,
     forgetting_curves,
     bound_check_report,
-    replay_risk_differences,
+    report_rows,
     risk,
-    write_bounds_csv,
 )
 from degm.cli import build_stream, cmd_diagnose, cmd_train, parse_config
 from degm.data import synthetic_task
@@ -34,10 +30,12 @@ from degm.errors import ContractError
 from degm.lifelong import (Task, TaskStream, TrainConfig, run_degm, run_gr_hier,
                            run_gr_single)
 from degm.nnkit import Rng, runtime
-from degm.persist import load_checkpoint
+from degm.persist import RunRecord, load_checkpoint, write_record
 from degm.vae import HierVae, NodePass, VaeComponent
 
 from helpers import tape_hier_objective, tape_pass_objective, train_elbo_steps
+from reference import (encoder_kl_values, estimate_discrepancy, estimate_kl_gap,
+                       replay_risk_differences)
 from tape import no_grad
 
 DIM, LATENT, HIDDEN = 16, 3, 8
@@ -205,7 +203,7 @@ def test_bounds_run_row_bookkeeping(tmp_path):
             assert r.err_d_proxy == 0.0
             assert r.err_a_proxy == pytest.approx(r.disc_lower_bound + r.eps_proxy)
     path = tmp_path / "bounds_report.csv"
-    write_bounds_csv(out.rows, str(path), n_tasks=len(stream))
+    write_record(str(tmp_path), RunRecord({path.name: report_rows(out.rows, len(stream))}))
     header = path.read_text().splitlines()[0].split(",")
     assert header[:4] == ["epoch", "task_t", "source_risk", "target_risk_avg"]
     assert header[-3:] == ["kl_gap", "disc_lower_bound", "slack"]

@@ -31,10 +31,11 @@ from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
 from degm.nnkit import Rng
 from degm.persist import load_checkpoint, save_checkpoint
-from degm.select_eval import eval_nll, task_metric_table
+from degm.select_eval import task_metric_table
 from degm.vae import VaeComponent
 
 from helpers import owner_entry
+from reference import eval_nll
 
 DIM = 16
 
@@ -257,6 +258,67 @@ def test_run_ablation_table(tmp_path):
 
 # --- commands ------------------------------------------------------------------------------
 
+def mode_configs(out_dir: str) -> list[dict]:
+    """A small config of each mode."""
+    configs = [two_task_config(mode, out_dir=out_dir) for mode in
+               ("degm", "ablation", "gr", "gr-hier", "bounds", "order-study")]
+    configs[1]["ablation"] = "degm-6"
+    configs[3]["train"]["hier_latent_dims"] = [3, 2]
+    configs[4]["train"]["likelihood"] = "gaussian"
+    configs[4]["bounds"] = {"sample_size": 40, "aux_epochs": 1}
+    configs[5]["orders"] = [["bars", "stripes"], ["stripes", "bars"]]
+    return configs
+
+
+def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatch, capsys):
+    import degm.persist as persist
+
+    writers = {}  # the path a table or checkpoint was written to -> its caller
+
+    def recorded(write):
+        def call(path, *args, **kwargs):
+            caller = sys._getframe(1)
+            writers[os.path.normpath(path)] = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
+            return write(path, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(persist, "write_table", recorded(persist.write_table))
+    monkeypatch.setattr(persist, "save_checkpoint", recorded(persist.save_checkpoint))
+    runs = {}
+    for i, raw in enumerate(mode_configs(str(tmp_path / "runs"))):
+        config_path = tmp_path / f"cfg{i}.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config_path)]) == 0
+        runs[raw["mode"]] = (capsys.readouterr().out.strip().splitlines()[-1], str(config_path))
+    assert main(["diagnose", runs["bounds"][0]]) == 0
+    for mode, name in (("degm", ""), ("gr", ""), ("gr", "task_2")):
+        run_dir, config_path = runs[mode]
+        assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint", name),
+                     "--config", config_path]) == 0
+    assert main(["export-v", "--checkpoint", os.path.join(runs["degm"][0], "checkpoint"),
+                 "--out", str(tmp_path / "v.csv")]) == 0
+
+    owners = {}
+    for base, _, names in os.walk(tmp_path):
+        for name in names:
+            path = os.path.join(base, name)
+            if name.startswith("cfg") or name in ("config.json", "summary.json"):
+                continue  # the configs given, and the two JSON files of cmd_train
+            owner = path
+            while owner not in writers:  # a checkpoint's files: its directory
+                assert owner != str(tmp_path), f"{path} came from no writer"
+                owner = os.path.dirname(owner)
+            owners[path] = writers[owner]
+    assert set(owners.values()) == {"degm.persist.write_record"}
+    written = {os.path.relpath(p, tmp_path) for p in owners}
+    assert "v.csv" in written
+    for mode, (run_dir, _) in runs.items():
+        tables = {os.path.basename(p) for p in owners if os.path.dirname(p) == run_dir}
+        assert ("metrics.csv" in tables) == (mode != "order-study"), (mode, tables)
+    assert {"eval_k1.csv", "eval_k1_task_2.csv"} <= {os.path.basename(p) for p in owners}
+
+
+
 def test_cmd_train_degm_outputs(tmp_path):
     raw = two_task_config("degm", out_dir=str(tmp_path / "runs"))
     cfg = parse_config(json.dumps(raw))
@@ -411,6 +473,34 @@ def test_main_eval_without_out_keeps_the_training_table(tmp_path, capsys):
     lines = open(os.path.join(run_dir, "eval_k5.csv")).read().splitlines()
     assert lines[0].split(",")[-1] == "config_hash"
     assert len(lines) == 3 and all(line.endswith("," + digest) for line in lines[1:])
+
+
+def test_main_eval_without_out_scores_each_snapshot_into_its_own_table(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(two_task_config("gr", out_dir=str(tmp_path / "runs"))))
+    assert main(["train", "--config", str(config_path)]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    checkpoint = os.path.join(run_dir, "checkpoint")
+
+    def files(root):
+        return {os.path.join(base, n) for base, _, names in os.walk(root) for n in names}
+
+    stored = files(checkpoint)
+    # the two snapshots, then the main checkpoint named with a trailing slash
+    cases = {"task_1": "eval_k2_task_1.csv", "task_2": "eval_k2_task_2.csv", "": "eval_k2.csv"}
+    for name in cases:
+        assert main(["eval", "--checkpoint", os.path.join(checkpoint, name),
+                     "--config", str(config_path), "--kprime", "2"]) == 0
+    assert files(checkpoint) == stored  # nothing written inside a checkpoint directory
+    cfg = parse_config(config_path.read_text())
+    tables = {}
+    for name, table in cases.items():
+        tables[name] = open(os.path.join(run_dir, table)).read()
+        rows = cmd_eval(os.path.join(checkpoint, name), cfg, kprime=2)
+        assert tables[name].splitlines()[1:] == [
+            ",".join(str(v) for v in row.values()) + "," + config_hash(cfg) for row in rows]
+    # the snapshot after the last task is the final model
+    assert tables["task_1"] != tables["task_2"] == tables[""]
 
 
 def test_main_eval_error_while_the_table_is_forked_exits_2(tmp_path, capsys, monkeypatch):
@@ -865,6 +955,33 @@ def test_cmd_train_summary_env_block(tmp_path, monkeypatch):
             assert env["children_maxrss_mb"] > 0.0
         else:  # nothing to wait for when the fits run inline
             assert env["children_wait_s"] == env["children_maxrss_mb"] == 0.0
+
+
+def test_cmd_train_times_every_table_of_a_bounds_run(tmp_path, monkeypatch):
+    import time
+
+    import degm.bounds as bounds
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    raw = two_task_config("bounds")
+    raw["train"]["likelihood"] = "gaussian"
+    raw["bounds"] = {"sample_size": 40, "aux_epochs": 1}
+
+    def phase_sum(out: str) -> float:
+        cfg = parse_config(json.dumps({**raw, "out_dir": str(tmp_path / out)}))
+        env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
+        return sum(env["phase_s"].values())
+
+    proxy = bounds.accumulated_error_proxy
+
+    def slow_proxy(*args, **kwargs):
+        time.sleep(0.3)
+        return proxy(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "accumulated_error_proxy", slow_proxy)
+    slow = phase_sum("slow")
+    monkeypatch.setattr(bounds, "accumulated_error_proxy", proxy)
+    assert slow - phase_sum("plain") >= 0.29  # the table's seconds are in a phase
 
 
 def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):

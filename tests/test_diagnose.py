@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degm.bounds import estimate_discrepancy, write_bounds_csv
+from degm.bounds import report_rows
 from degm.cli import build_stream, cmd_diagnose, cmd_train, config_hash, main, parse_config
 from degm.errors import ContractError
 from degm.nnkit import Rng
-from degm.persist import load_checkpoint
+from degm.persist import RunRecord, load_checkpoint, write_record
 from degm.vae import VaeComponent
 
+from reference import estimate_discrepancy
 from test_bounds import DIM, HIDDEN, LATENT, pinned_config, reference_diagnose_rows
 
 
@@ -238,5 +239,6 @@ def test_diagnose_on_replay_runs_fits_the_references(tmp_path, mode):
     expected = reference_diagnose_rows(stream, cfg.train, snapshots, Rng(cfg.train.seed),
                                        cfg.bounds_sample_size, cfg.bounds_aux_epochs)
     want = tmp_path / "expected.csv"
-    write_bounds_csv(expected, str(want), n_tasks=len(stream), config_hash=config_hash(cfg))
+    write_record(str(tmp_path), RunRecord({want.name: report_rows(expected, len(stream))}),
+                 config_hash(cfg))
     assert _read(cmd_diagnose(run_dir)) == _read(str(want))

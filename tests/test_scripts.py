@@ -41,7 +41,8 @@ def test_calibration_script_imports():
 
 def test_configs_are_found():
     names = {os.path.basename(p) for p in CONFIGS}
-    assert {"bounds_demo.json", "gr_hier.json", "order_study.json"} <= names
+    assert {"ablation.json", "bounds_demo.json", "degm.json", "gr.json", "gr_hier.json",
+            "order_study.json"} <= names
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)

@@ -13,19 +13,15 @@ from degm.lifelong import Task, TaskStream, TrainConfig, run_degm
 from degm.nnkit import DiagGaussian, Rng, runtime
 from degm.select_eval import (
     SelectionResult,
-    eval_nll,
-    eval_nll_single,
-    psnr,
     reconstruction_metrics,
     select_component,
     single_metric_table,
-    square_loss,
-    ssim,
     task_metric_table,
 )
 from degm.vae import HierVae, VaeComponent
 
 from helpers import counted_eval_passes, rows_key, tape_bound, train_elbo_steps
+from reference import eval_nll, eval_nll_single, psnr, square_loss, ssim
 
 DIM, LATENT, HIDDEN = 16, 3, 8
 
