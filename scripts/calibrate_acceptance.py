@@ -11,25 +11,27 @@ from degm.nnkit import Rng
 from degm.select_eval import select_component
 
 
-def _nll_eps(latent_dim, seed, kprime):
-    """The K' noise rows the eval tables draw for their NLL at ``seed``."""
+def _mean_nll(passes, kprime, seed):
+    """Mean negative K'-draw bound over the rows of ``passes``, passes of one
+    model, at the K' draws the eval tables take for their NLL at ``seed``."""
     rng = Rng(seed)
-    return [rng.spawn(f"nll:{i}").normal((1, latent_dim)) for i in range(kprime)]
+    draws = [passes[0].draws(rng.spawn(f"nll:{i}"), 1, rows=1)[0] for i in range(kprime)]
+    total = sum(float(-node_pass.bound(draws).sum()) for node_pass in passes)
+    return total / sum(node_pass.x.shape[0] for node_pass in passes)
 
 
 def eval_nll(graph, data, kprime, seed):
-    """Mean negative K'-draw bound of the rows of ``data``, each scored by
-    the node it selects, as in the eval table of a graph."""
+    """The estimate of the eval table of a graph: each row of ``data`` scored
+    by the node it selects."""
     chosen = select_component(graph, data, seed=seed).chosen
-    eps = _nll_eps(graph.latent_dim, seed, kprime)
-    total = sum(float(-graph.node_pass(entry, data[chosen == j]).bound(eps).sum())
-                for j, entry in enumerate(graph.entries) if (chosen == j).any())
-    return total / data.shape[0]
+    return _mean_nll([graph.node_pass(entry, data[chosen == j])
+                      for j, entry in enumerate(graph.entries) if (chosen == j).any()],
+                     kprime, seed)
 
 
 def eval_nll_single(model, data, kprime, seed):
-    """The same estimate for a single model, which scores every row."""
-    return float(-model.node_pass(data).bound(_nll_eps(model.latent_dim, seed, kprime)).mean())
+    """The same estimate for a single model, whose one pass scores every row."""
+    return _mean_nll([model.node_pass(data)], kprime, seed)
 
 
 def forgetting_stream(dim=196, n_train=2000, n_test=500):

@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import (TaskStream, TrainConfig, mean_square_loss, pass_grads, run_gr_single,
-                       train_epoch)
+from .lifelong import TaskStream, TrainConfig, mean_square_loss, run_gr_single, train_epoch
 from .nnkit import AdamState, Rng, runtime
 from .vae import VaeComponent, copy_model
 
@@ -113,9 +112,8 @@ def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
                          cfg.likelihood, cfg.sigma, rng.spawn("init"), name=name)
     state = AdamState(lr=cfg.lr)
     train_rng = rng.spawn("train")
-    grads_of = pass_grads(lambda x: model.node_pass(x, train=True), 1)
     for _ in range(epochs):
-        train_epoch(state, model.params(), data, cfg.batch, grads_of, train_rng)
+        train_epoch(state, model.node_pass, 1, data, cfg.batch, train_rng)
     return model
 
 
@@ -161,7 +159,7 @@ def _set_numbers(model, x: np.ndarray, against: dict, kl: bool, elbo: bool,
     recon = node_pass.reconstruction() if against else None
     return SetNumbers({key: _sq_loss(recon, other) for key, other in against.items()},
                       float(node_pass.kl().mean()) if kl else None,
-                      -model.pass_bound(node_pass, eps).mean() if elbo else None)
+                      -node_pass.bound([eps]).mean() if elbo else None)
 
 
 class BoundsChain:
@@ -459,7 +457,7 @@ def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,
             for k in range(1, len(stream.tasks) - i):
                 snap = snapshots[i + k - 1]
                 recon = snap.reconstruct(lineage)
-                if getattr(snap, "likelihood", "bernoulli") == "bernoulli":
+                if snap.likelihood == "bernoulli":
                     lineage = rng.spawn(f"accum:{i}:{k}").bernoulli(recon)
                 else:
                     lineage = recon

@@ -161,7 +161,7 @@ def _check_links(cfg: dict) -> None:
             raise ConfigError(f"{key} is needed by mode {mode!r} and valid with no other mode")
     train = cfg["train"]
     if cfg["mode"] == "gr-hier" and (train["objective"], train["kprime"]) != ("elbo", 1):
-        # run_gr_hier trains on the one-draw bound, whatever these say
+        # a two-layer HierPass takes its gradients at one draw
         raise ConfigError("mode 'gr-hier' trains on one draw: train.objective must be "
                           f"'elbo' and train.kprime 1, got {train['objective']!r} and "
                           f"{train['kprime']}")

@@ -195,12 +195,6 @@ class GraphModel:
                         entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
                         basics[0].likelihood, basics[0].sigma, entry.params() if train else None)
 
-    def pass_bound(self, node_pass: NodePass, eps: np.ndarray) -> np.ndarray:
-        """The per-sample bound over the rows of ``node_pass``, a node's pass,
-        at the fixed draw ``eps``: a basic node's ELBO, a specific node's
-        mixture bound."""
-        return node_pass.bound([eps])
-
     def params(self) -> list[Param]:
         """Every node's parameters: the basic nodes', then the specific ones'."""
         return [t for node in self.basics + self.specifics for t in node.params()]

@@ -21,6 +21,7 @@ assembled from them at the end, in stream order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,8 +29,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
-from .nnkit import DEFAULT_SIGMA, AdamState, ParamVector, Rng, adam_step, runtime
-from .vae import BasicNode, HierVae, NodePass, VaeComponent, copy_model
+from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, runtime
+from .vae import BasicNode, HierVae, VaeComponent, copy_model
 
 
 @dataclass
@@ -112,31 +113,21 @@ def _minibatches(n: int, batch: int, rng: Rng):
         yield perm[start:start + batch]
 
 
-# a training step's gradient vector of its rows x, its draws taken from the train stream
-GradsOf = Callable[[np.ndarray, Rng], np.ndarray]
-
-
-def train_epoch(state: AdamState, params: ParamVector, data: np.ndarray, batch: int,
-                grads_of: GradsOf, train_rng: Rng,
+def train_epoch(state: AdamState, make_pass: Callable, draws: int, data: np.ndarray,
+                batch: int, train_rng: Rng,
                 on_step: Callable[[np.ndarray], None] | None = None) -> None:
-    """One epoch of Adam steps on ``params``: the rows of ``data`` in
-    minibatches of ``batch``, shuffled from ``train_rng``, each step taking
-    ``grads_of(x, train_rng)`` and then calling ``on_step(x)``."""
+    """One epoch of Adam steps: the rows of ``data`` in minibatches of
+    ``batch``, shuffled from ``train_rng``. Each step makes the training pass
+    ``make_pass(x, train=True)``, takes ``draws`` draws of its noise from
+    ``train_rng``, steps the pass's ``params`` by the gradient of its mean
+    bound, and then calls ``on_step(x)``."""
     for idx in _minibatches(data.shape[0], batch, train_rng):
         x = data[idx]
-        adam_step(state, params, grads_of(x, train_rng))
+        node_pass = make_pass(x, train=True)
+        adam_step(state, node_pass.params,
+                  node_pass.bound_and_grads(node_pass.draws(train_rng, draws))[1])
         if on_step is not None:
             on_step(x)
-
-
-def pass_grads(make_pass: Callable[[np.ndarray], NodePass], draws: int) -> GradsOf:
-    """The gradient function of a model trained through its node pass: the
-    gradient vector of ``make_pass(x)``'s mean bound over ``draws`` draws."""
-    def grads_of(x: np.ndarray, train_rng: Rng) -> np.ndarray:
-        node_pass = make_pass(x)
-        return node_pass.bound_and_grads(node_pass.draws(train_rng, draws))[1]
-
-    return grads_of
 
 
 def _eval_eps(rng: Rng, task: Task, latent_dim: int) -> np.ndarray:
@@ -350,7 +341,6 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
     params = entry.params()
     train_rng = rng.spawn(f"train:{task.name}")
     ref_rng = rng.spawn(f"ref:{task.name}")
-    grads_of = pass_grads(lambda x: graph.node_pass(entry, x, train=True), cfg.train_draws)
     epochs = _node_epochs(entry, cfg)
     ref_sum, ref_count = 0.0, 0
 
@@ -364,9 +354,9 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
     rows = []
     for epoch in range(epochs):
         final = epoch == epochs - 1 and entry.kind == "basic"
-        train_epoch(state, params, task.train.data, cfg.batch, grads_of, train_rng,
-                    add_reference if final else None)
-        rows.append(_live_row(graph, graph.node_pass(entry, task.test.data), eps))
+        train_epoch(state, partial(graph.node_pass, entry), cfg.train_draws, task.train.data,
+                    cfg.batch, train_rng, add_reference if final else None)
+        rows.append(_live_row(graph.node_pass(entry, task.test.data), eps))
     reference_elbo = ref_sum / ref_count if entry.kind == "basic" else None
     return rows, params.flat, reference_elbo
 
@@ -383,21 +373,19 @@ class GrArtifacts:
 
 @runtime.one_blas_thread()
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
-                  model=None, grads_of: GradsOf | None = None, epoch_hook=None,
-                  task_hook=None) -> tuple:
-    """Single model; from the second task on it trains on its own generations
-    mixed uniformly with the new task's data (replay count (i-1) x |train_i|).
+                  model=None, epoch_hook=None, task_hook=None) -> tuple:
+    """Single model (by default a ``VaeComponent``), trained and scored
+    through its own pass; from the second task on it trains on its own
+    generations mixed uniformly with the new task's data (replay count
+    (i-1) x |train_i|).
 
-    ``grads_of`` gives the model's training gradients (by default those of
-    its node pass). ``task_hook(task_index, mixture)`` is called once per
-    task, when its mixture is built and before its first epoch;
-    ``epoch_hook`` after every epoch. The run holds OpenBLAS at one thread,
-    so its bits do not depend on the CPU count."""
+    ``task_hook(task_index, mixture)`` is called once per task, when its
+    mixture is built and before its first epoch; ``epoch_hook`` after every
+    epoch. The run holds OpenBLAS at one thread, so its bits do not depend on
+    the CPU count."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
-    if grads_of is None:
-        grads_of = pass_grads(lambda x: model.node_pass(x, train=True), cfg.train_draws)
 
     log = MetricsLog()
     artifacts = GrArtifacts()
@@ -417,7 +405,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
 
         train_rng = rng.spawn(f"gr:train:{task.name}:{i}")
         for epoch in range(cfg.epochs):
-            train_epoch(state, model.params(), mixture, cfg.batch, grads_of, train_rng)
+            train_epoch(state, model.node_pass, cfg.train_draws, mixture, cfg.batch, train_rng)
             _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps)
             if epoch_hook is not None:
                 epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture,
@@ -426,33 +414,30 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     return model, log, artifacts
 
 
-def _live_row(model, node_pass: NodePass, eps: np.ndarray) -> tuple[float, float]:
-    """(objective, square loss) of ``node_pass``, a pass of ``model`` over
-    test rows: its mean bound at the draw ``eps`` and the loss of its
+def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:
+    """(objective, square loss) of ``node_pass``, a model's pass over test
+    rows: its mean bound at the draw ``eps`` and the loss of its
     reconstruction."""
-    return (float(model.pass_bound(node_pass, eps).mean()),
+    return (float(node_pass.bound([eps]).mean()),
             mean_square_loss(node_pass.x, node_pass.reconstruction()))
 
 
 def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps):
     for t in range(task_i + 1):
-        row = _live_row(model, model.node_pass(stream.tasks[t].test.data), eval_eps[t])
+        row = _live_row(model.node_pass(stream.tasks[t].test.data), eval_eps[t])
         log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=row[0], square_loss=row[1])
 
 
 def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr-hier") -> tuple:
-    """Replay baseline with the two-stochastic-layer model."""
+    """Replay baseline with the two-stochastic-layer model, trained through
+    its own pass by ``run_gr_single``."""
     latent_dims = cfg.hier_latent_dims
     if latent_dims[0] != cfg.latent_dim:
         latent_dims = (cfg.latent_dim, latent_dims[1])
     model = HierVae(stream.input_dim, latent_dims, cfg.hidden_dim, cfg.likelihood,
                     cfg.sigma, cfg.hier_two_layers, rng.spawn("gr:init"), name="gr")
-
-    def grads_of(x: np.ndarray, train_rng: Rng) -> np.ndarray:
-        return model.bound_and_grads(x, *model.draws(train_rng, x.shape[0]))[1]
-
-    return run_gr_single(stream, cfg, rng, run_id=run_id, model=model, grads_of=grads_of)
+    return run_gr_single(stream, cfg, rng, run_id=run_id, model=model)
 
 
 # -- order study ------------------------------------------------------------------------

@@ -56,7 +56,10 @@ def _read_array(directory: str, entry) -> np.ndarray:
     expected = int(np.prod(shape)) * 8
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    return np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
+    arr = np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: holds a non-finite value")
+    return arr
 
 
 def _load_into(params, directory: str, entries) -> None:

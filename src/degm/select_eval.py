@@ -32,9 +32,12 @@ class SelectionResult:
     posterior: np.ndarray  # [B, nodes] softmax over nodes
 
 
-def _eval_eps_bank(latent_dim: int, seed: int, draws: int, key: str) -> list[np.ndarray]:
+def _eval_bank(node_pass, seed: int, draws: int, key: str) -> list:
+    """``draws`` draws of the noise of ``node_pass``, a model's pass, each
+    shared by every row: draw i from the stream ``key:i`` of ``Rng(seed)``.
+    Every pass of one model gets the same bank, whatever its rows."""
     rng = Rng(seed)
-    return [rng.spawn(f"{key}:{i}").normal((1, latent_dim)) for i in range(draws)]
+    return [node_pass.draws(rng.spawn(f"{key}:{i}"), 1, rows=1)[0] for i in range(draws)]
 
 
 def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
@@ -45,10 +48,11 @@ def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected [batch, dim], got {x.shape}")
-    eps_bank = _eval_eps_bank(graph.latent_dim, seed, k_eval, "select")
     scores = np.zeros((x.shape[0], graph.node_count))
     for j, entry in enumerate(graph.entries):
         node_pass = graph.node_pass(entry, x)
+        if j == 0:
+            eps_bank = _eval_bank(node_pass, seed, k_eval, "select")
         scores[:, j] = np.mean([node_pass.bound([eps]) for eps in eps_bank], axis=0)
     shifted = scores - scores.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
@@ -66,25 +70,17 @@ def _chosen_passes(graph: GraphModel, data: np.ndarray, chosen: np.ndarray) -> l
     return passes
 
 
-def _selected_nll(graph: GraphModel, passes: list, n: int, kprime: int, seed: int) -> float:
-    """Mean negative K'-draw bound over ``n`` samples, each scored by the
-    pass of its chosen node."""
+def _selected_nll(passes: list, kprime: int, seed: int) -> float:
+    """Mean negative K'-draw bound over the rows of ``passes``, passes of one
+    model: a graph's, one per chosen node over the rows that chose it; a
+    single model's, one over every row."""
     if kprime < 1:
         raise ContractError(f"kprime must be >= 1, got {kprime}")
-    eps_bank = _eval_eps_bank(graph.latent_dim, seed, kprime, "nll")
+    eps_bank = _eval_bank(passes[0], seed, kprime, "nll")
     total = 0.0
-    for _, node_pass in passes:
+    for node_pass in passes:
         total += float(-node_pass.bound(eps_bank).sum())
-    return total / n
-
-
-def _pass_nll(model, node_pass, kprime: int, seed: int) -> float:
-    """Mean negative K'-draw bound of ``node_pass``, a pass of the single
-    model ``model``."""
-    if kprime < 1:
-        raise ContractError(f"kprime must be >= 1, got {kprime}")
-    eps_bank = _eval_eps_bank(model.latent_dim, seed, kprime, "nll")
-    return float(-node_pass.bound(eps_bank).mean())
+    return total / sum(node_pass.x.shape[0] for node_pass in passes)
 
 
 # -- reconstruction metrics ---------------------------------------------------------
@@ -165,7 +161,7 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
         sl, ps, ss = reconstruction_metrics(data, recon)
         hist = np.bincount(selection.chosen, minlength=graph.node_count)
         return {"task": task.name,
-                "nll": _selected_nll(graph, passes, data.shape[0], kprime, seed),
+                "nll": _selected_nll([node_pass for _, node_pass in passes], kprime, seed),
                 "sl": sl, "psnr": ps, "ssim": ss,
                 "chosen_hist": "|".join(str(int(c)) for c in hist)}
 
@@ -174,13 +170,13 @@ def task_metric_table(graph: GraphModel, stream, kprime: int = 1, seed: int = 0,
 
 def single_metric_table(model, stream, kprime: int = 1) -> list[dict]:
     """The same per-task rows for a single-model baseline: every sample goes
-    to the one model, whose one node pass per task gives the reconstruction
-    and the K'-draw bound (a two-layer model's, its base's one-layer one)."""
+    to the one model, whose one pass per task gives the reconstruction and
+    the K'-draw bound."""
     def row(t: int) -> dict:
         task = stream.tasks[t]
         node_pass = model.node_pass(task.test.data)
         sl, ps, ss = reconstruction_metrics(task.test.data, node_pass.reconstruction())
-        return {"task": task.name, "nll": _pass_nll(model, node_pass, kprime, 0),
+        return {"task": task.name, "nll": _selected_nll([node_pass], kprime, 0),
                 "sl": sl, "psnr": ps, "ssim": ss, "chosen_hist": "1"}
 
     return fork_map(row, [task.test.n for task in stream.tasks])

@@ -8,11 +8,11 @@ is what lets the graph model recombine them across components.
 A node's one forward pass is a ``NodePass`` over its rows, on plain arrays.
 A training pass also gives the gradients, its backward written out VJP by
 VJP in the order of the tape reference (``tests/tape.py``), so that they
-equal the tape's bit for bit; ``HierVae`` writes out its two-layer bound's
-backward the same way. Bounds return one value per sample, shape [B]. The
-weighted K'-draw bound is log-mean-exp of the per-draw reconstruction terms
-minus the closed-form KL, so the single-draw case *is* the ELBO estimate on
-the same noise.
+equal the tape's bit for bit; ``HierPass``, a ``HierVae``'s pass, writes
+out its two-layer bound's backward the same way. Bounds return one value
+per sample, shape [B]. The weighted K'-draw bound is log-mean-exp of the
+per-draw reconstruction terms minus the closed-form KL, so the single-draw
+case *is* the ELBO estimate on the same noise.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ class VaeComponent:
         """Deterministic encode-decode through the posterior mean."""
         return self.node_pass(x).reconstruction()
 
-    def pass_bound(self, node_pass: "NodePass", eps: np.ndarray) -> np.ndarray:
-        """The per-sample ELBO over the rows of ``node_pass``, a pass of this
-        model, at the fixed draw ``eps``."""
-        return node_pass.bound([eps])
-
 
 class NodePass:
     """One node's forward pass over the rows ``x``, its encoder run here.
@@ -179,10 +174,12 @@ class NodePass:
         """The (blended) latent at the draw ``eps``, shared by every source."""
         return self._blend(p.sample(eps) for p in self.posteriors)
 
-    def draws(self, rng: Rng, k: int = 1) -> list[np.ndarray]:
-        """``k`` draws of the noise from ``rng``, one row per sample, taken as
-        ``reparameterize`` takes them."""
-        return [rng.normal(self.posteriors[0].mu.shape) for _ in range(k)]
+    def draws(self, rng: Rng, k: int = 1, rows: int | None = None) -> list[np.ndarray]:
+        """``k`` draws of the noise from ``rng``, taken as ``reparameterize``
+        takes them: one row per sample, or ``rows`` rows (one is a draw shared
+        by every sample)."""
+        n, latent = self.posteriors[0].mu.shape
+        return [rng.normal((n if rows is None else rows, latent)) for _ in range(k)]
 
     def bound(self, eps_list: list[np.ndarray]) -> np.ndarray:
         """The per-sample bound over one draw per entry of ``eps_list``, each
@@ -287,9 +284,8 @@ class HierVae:
     """Two stochastic layers: q(z1|x) q(z2|z1) against prior p(z2) p(z1|z2).
 
     Exists as the deeper single-model baseline; with ``two_layers=False`` it
-    degenerates exactly to the plain component it wraps. Its evaluation pass
-    is its base's: the reconstruction and the K'-draw bound of that pass are
-    the base's one-layer ones.
+    degenerates exactly to the plain component it wraps. It trains and is
+    scored through its own pass, a ``HierPass``.
     """
 
     kind = "hier"  # its checkpoint kind
@@ -325,10 +321,6 @@ class HierVae:
         return self.base.input_dim
 
     @property
-    def latent_dim(self) -> int:
-        return self.base.latent_dim
-
-    @property
     def likelihood(self) -> str:
         return self.base.likelihood
 
@@ -349,93 +341,10 @@ class HierVae:
                    fields["likelihood"], fields["sigma"], fields["two_layers"], rng=None,
                    name=fields["name"])
 
-    def node_pass(self, x) -> NodePass:
-        """The evaluation pass over the rows ``x``: its base's."""
-        return self.base.node_pass(x)
-
-    def draws(self, rng: Rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The noise of one training step over ``n`` rows, drawn from ``rng``:
-        ``eps`` for z1, then ``eps2`` for z2 (None with one layer)."""
-        eps = rng.normal((n, self.latent_dims[0]))
-        return eps, rng.normal((n, self.latent_dims[1])) if self.two_layers else None
-
-    def bound(self, x, eps: np.ndarray, eps2: np.ndarray | None = None) -> np.ndarray:
-        """The per-sample bound at the draws ``eps`` and ``eps2`` (zero when
-        None): reconstruction minus both layer penalties, the second layer's
-        closed-form, the first layer's a density ratio at the sampled point;
-        with one layer, the base's ELBO."""
-        return self.pass_bound(self.node_pass(x), eps, eps2)
-
-    def pass_bound(self, node_pass: NodePass, eps: np.ndarray,
-                   eps2: np.ndarray | None = None) -> np.ndarray:
-        """``bound`` over the rows of ``node_pass``, a ``node_pass`` of this model."""
-        if not self.two_layers:
-            return node_pass.bound([eps])
-        return self._forward(node_pass, eps, eps2)[0]
-
-    def _forward(self, node_pass: NodePass, eps: np.ndarray, eps2: np.ndarray | None):
-        """The two-layer bound over the base pass's rows, and what its backward reads."""
-        if eps2 is None:
-            eps2 = np.zeros((1, self.latent_dims[1]))
-        q1 = node_pass.posteriors[0]
-        z1 = q1.sample(eps)
-        h2 = self.enc2_lower.apply(z1)
-        q2 = DiagGaussian(self.enc2_mu.apply(h2), self.enc2_logvar.apply(h2))
-        z2 = q2.sample(eps2)
-        hp = self.prior_lower.apply(z2)
-        prior = (self.prior_mu.apply(hp), self.prior_logvar.apply(hp))
-        low = self.base.dec_lower.apply(z1)
-        out = self.base.dec_upper.apply(low)
-        recon = node_pass.recon_term(out)
-        kl2 = q2.kl()
-        ratio1 = (diag_gaussian_logpdf(z1, q1.mu, q1.logvar)
-                  - diag_gaussian_logpdf(z1, *prior))
-        return recon - ratio1 - kl2, (z1, h2, q2, eps2, z2, hp, prior, low, out, kl2)
-
-    def bound_and_grads(self, x, eps: np.ndarray,
-                        eps2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``bound(x, eps, eps2)`` and the gradient of ``-bound.mean()``, as
-        one vector laid out as ``params()``. With one layer it is the base
-        pass's, the extra layers' part zero. With two, the backward is written
-        out as ``NodePass.bound_and_grads``'s is: each step is the tape's VJP,
-        and where gradients meet they are summed in the tape's order, so every
-        gradient equals the tape's bit for bit."""
-        node_pass = self.base.node_pass(x, train=True)
-        if not self.two_layers:
-            values, base_flat = node_pass.bound_and_grads([eps])
-            flat = np.zeros_like(self._params.flat)
-            flat[:base_flat.size] = base_flat
-            return values, flat
-        values, (z1, h2, q2, eps2, z2, hp, prior, low, out, kl2) = self._forward(
-            node_pass, eps, eps2)
-        base, q1 = self.base, node_pass.posteriors[0]
-        flat = np.empty_like(self._params.flat)
-        grads = self._params.views(flat)  # every view is written below
-        n = values.shape[0]
-        g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
-        # values = recon - (log q(z1) - log p(z1)) - kl2
-        g_minus = -g_values
-
-        g_out = base.dec_upper.activation_grad(out, node_pass._kernel.grad(out, g_values))
-        base.dec_upper.accumulate_grads(grads, low, g_out)
-        g_low = base.dec_lower.activation_grad(low, g_out @ base.dec_upper.weight.data)
-        base.dec_lower.accumulate_grads(grads, z1, g_low)
-        g_z1_dec = g_low @ base.dec_lower.weight.data
-
-        g_z1_prior, *g_prior = diag_gaussian_logpdf_grads(z1, *prior, g_values)
-        g_z2 = _stage_grads(grads, self.prior_lower, (self.prior_mu, self.prior_logvar), z2, hp,
-                            g_prior) @ self.prior_lower.weight.data
-        g_q2 = q2.grads([g_z2], [eps2], kl2, g_minus)
-        g_z1_enc2 = _stage_grads(grads, self.enc2_lower, (self.enc2_mu, self.enc2_logvar), z1,
-                                 h2, g_q2) @ self.enc2_lower.weight.data
-        g_z1_q, g_mu1, g_lv1 = diag_gaussian_logpdf_grads(z1, q1.mu, q1.logvar, g_minus)
-
-        # the four gradients at z1, summed in the tape's order
-        g_z1 = g_z1_dec + g_z1_q + g_z1_prior + g_z1_enc2
-        g_mu, g_lv = q1.sample_grads([g_z1], [eps])
-        _stage_grads(grads, base.enc_lower, (base.enc_mu, base.enc_logvar), node_pass.x,
-                     node_pass._h, (g_mu + g_mu1, g_lv + g_lv1))
-        return values, flat
+    def node_pass(self, x, train: bool = False) -> "HierPass":
+        """This model's forward pass over the rows ``x``; with ``train``, one
+        that gives gradients."""
+        return HierPass(self, x, train)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         if not self.two_layers:
@@ -448,6 +357,113 @@ class HierVae:
 
     def reconstruct(self, x) -> np.ndarray:
         return self.base.reconstruct(x)
+
+
+class HierPass:
+    """A ``HierVae``'s forward pass over the rows ``x``: its base's pass, and
+    the second layer at each draw, computed only when a bound needs it.
+
+    A draw is ``(eps, eps2)``, for z1 and z2; a bare ``eps`` means
+    ``eps2 = 0``. ``bound`` is the log-mean-exp over draws of the per-draw
+    bound training takes: the reconstruction minus both layer penalties, the
+    second layer's closed-form, the first layer's a density ratio at the
+    sampled point. With one layer a draw is a bare ``eps`` and every value is
+    the base pass's. ``kl`` and ``reconstruction`` are the base pass's. A
+    training pass, its ``params`` the model's vector, gives the gradients of
+    one draw.
+    """
+
+    def __init__(self, model: HierVae, x, train: bool = False):
+        self.model = model
+        self.base_pass = model.base.node_pass(x, train)
+        self.x = self.base_pass.x
+        self.params = model.params() if train else None
+
+    def kl(self) -> np.ndarray:
+        return self.base_pass.kl()
+
+    def reconstruction(self) -> np.ndarray:
+        return self.base_pass.reconstruction()
+
+    def draws(self, rng: Rng, k: int = 1, rows: int | None = None) -> list:
+        """``k`` draws from ``rng``, as ``NodePass.draws`` takes them: each
+        ``eps`` for z1 and then, with two layers, ``eps2`` for z2."""
+        if not self.model.two_layers:
+            return self.base_pass.draws(rng, k, rows)
+        n = self.x.shape[0] if rows is None else rows
+        l1, l2 = self.model.latent_dims
+        return [(rng.normal((n, l1)), rng.normal((n, l2))) for _ in range(k)]
+
+    def bound(self, draws: list) -> np.ndarray:
+        """The per-sample bound over ``draws``."""
+        if not self.model.two_layers:
+            return self.base_pass.bound(draws)
+        return logmeanexp_values([self._forward(draw)[0] for draw in draws])
+
+    def _forward(self, draw):
+        """The two-layer bound at ``draw``, and what its backward reads."""
+        m, q1 = self.model, self.base_pass.posteriors[0]
+        eps, eps2 = draw if isinstance(draw, tuple) else (draw, np.zeros((1, m.latent_dims[1])))
+        z1 = q1.sample(eps)
+        h2 = m.enc2_lower.apply(z1)
+        q2 = DiagGaussian(m.enc2_mu.apply(h2), m.enc2_logvar.apply(h2))
+        z2 = q2.sample(eps2)
+        hp = m.prior_lower.apply(z2)
+        prior = (m.prior_mu.apply(hp), m.prior_logvar.apply(hp))
+        low = m.base.dec_lower.apply(z1)
+        out = m.base.dec_upper.apply(low)
+        recon = self.base_pass.recon_term(out)
+        kl2 = q2.kl()
+        ratio1 = (diag_gaussian_logpdf(z1, q1.mu, q1.logvar)
+                  - diag_gaussian_logpdf(z1, *prior))
+        return recon - ratio1 - kl2, (eps, z1, h2, q2, eps2, z2, hp, prior, low, out, kl2)
+
+    def bound_and_grads(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
+        """``bound(draws)`` and the gradient of ``-bound.mean()``, as one
+        vector laid out as ``params``. With one layer it is the base pass's,
+        the extra layers' part zero. With two it takes one draw, and the
+        backward is written out as ``NodePass.bound_and_grads``'s is: each
+        step is the tape's VJP, and where gradients meet they are summed in
+        the tape's order, so every gradient equals the tape's bit for bit."""
+        if self.params is None:
+            raise ContractError("gradients need a pass made with train=True")
+        if not self.model.two_layers:
+            values, base_flat = self.base_pass.bound_and_grads(draws)
+            flat = np.zeros_like(self.params.flat)
+            flat[:base_flat.size] = base_flat
+            return values, flat
+        if len(draws) != 1:
+            raise ContractError(f"a two-layer pass's gradients take one draw, got {len(draws)}")
+        values, (eps, z1, h2, q2, eps2, z2, hp, prior, low, out, kl2) = self._forward(draws[0])
+        m, node_pass = self.model, self.base_pass
+        base, q1 = m.base, node_pass.posteriors[0]
+        flat = np.empty_like(self.params.flat)
+        grads = self.params.views(flat)  # every view is written below
+        n = values.shape[0]
+        g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
+        # values = recon - (log q(z1) - log p(z1)) - kl2
+        g_minus = -g_values
+
+        g_out = base.dec_upper.activation_grad(out, node_pass._kernel.grad(out, g_values))
+        base.dec_upper.accumulate_grads(grads, low, g_out)
+        g_low = base.dec_lower.activation_grad(low, g_out @ base.dec_upper.weight.data)
+        base.dec_lower.accumulate_grads(grads, z1, g_low)
+        g_z1_dec = g_low @ base.dec_lower.weight.data
+
+        g_z1_prior, *g_prior = diag_gaussian_logpdf_grads(z1, *prior, g_values)
+        g_z2 = _stage_grads(grads, m.prior_lower, (m.prior_mu, m.prior_logvar), z2, hp,
+                            g_prior) @ m.prior_lower.weight.data
+        g_q2 = q2.grads([g_z2], [eps2], kl2, g_minus)
+        g_z1_enc2 = _stage_grads(grads, m.enc2_lower, (m.enc2_mu, m.enc2_logvar), z1,
+                                 h2, g_q2) @ m.enc2_lower.weight.data
+        g_z1_q, g_mu1, g_lv1 = diag_gaussian_logpdf_grads(z1, q1.mu, q1.logvar, g_minus)
+
+        # the four gradients at z1, summed in the tape's order
+        g_z1 = g_z1_dec + g_z1_q + g_z1_prior + g_z1_enc2
+        g_mu, g_lv = q1.sample_grads([g_z1], [eps])
+        _stage_grads(grads, base.enc_lower, (base.enc_mu, base.enc_logvar), node_pass.x,
+                     node_pass._h, (g_mu + g_mu1, g_lv + g_lv1))
+        return values, flat
 
 
 def copy_model(model):

@@ -1,7 +1,7 @@
 """Shared test utilities: the central-finite-difference gradient oracle,
 views of models and graphs that only tests need, a tape reference for node
 passes and for the two-layer bound, written from the tape primitives of
-``tape`` alone, that ``NodePass`` and ``HierVae`` must equal bit for bit, and
+``tape`` alone, that ``NodePass`` and ``HierPass`` must equal bit for bit, and
 a per-tensor Adam that the fused ``adam_step`` must equal bit for bit."""
 
 from __future__ import annotations
@@ -311,13 +311,15 @@ def tape_hier_objective(model, x, eps: np.ndarray, eps2: np.ndarray | None = Non
     return recon - ratio1 - kl2
 
 
-def tape_hier_bound_and_grads(model, x, eps: np.ndarray,
-                              eps2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """What ``HierVae.bound_and_grads`` gives, from the tape reference: the
-    bound's values and ``backprop`` of minus its mean, as one vector laid
-    out as the model's parameters."""
-    objective = tape_hier_objective(model, x, eps, eps2)
-    return objective.data, gradient_vector(model.params(), backprop(-objective.mean()))
+def tape_hier_bound_and_grads(hier_pass, draws: list) -> tuple[np.ndarray, np.ndarray]:
+    """What ``HierPass.bound_and_grads`` gives at its one draw, ``(eps, eps2)``
+    or a bare ``eps``, from the tape reference: the bound's values and
+    ``backprop`` of minus its mean, as one vector laid out as the model's
+    parameters."""
+    [draw] = draws
+    eps, eps2 = draw if isinstance(draw, tuple) else (draw, None)
+    objective = tape_hier_objective(hier_pass.model, hier_pass.x, eps, eps2)
+    return objective.data, gradient_vector(hier_pass.params, backprop(-objective.mean()))
 
 
 def tape_bound(graph, entry, x, eps_list: list[np.ndarray]) -> np.ndarray:

@@ -17,7 +17,6 @@ from degm.select_eval import (
     SSIM_STRIDE,
     SSIM_WINDOW,
     _chosen_passes,
-    _pass_nll,
     _psnr_db,
     _selected_nll,
     _ssim_rows,
@@ -84,12 +83,13 @@ def eval_nll(graph: GraphModel, data: np.ndarray, kprime: int = 1, seed: int = 0
     data = np.asarray(data, dtype=np.float64)
     selection = select_component(graph, data, k_eval=k_eval, seed=seed)
     passes = _chosen_passes(graph, data, selection.chosen)
-    return _selected_nll(graph, passes, data.shape[0], kprime, seed)
+    return _selected_nll([node_pass for _, node_pass in passes], kprime, seed)
 
 
 def eval_nll_single(model, data: np.ndarray, kprime: int = 1, seed: int = 0) -> float:
-    """Same estimator for a single-model baseline (no selection step)."""
-    return _pass_nll(model, model.node_pass(data), kprime, seed)
+    """Same estimator for a single-model baseline: no selection step, one
+    pass of the model over every row."""
+    return _selected_nll([model.node_pass(data)], kprime, seed)
 
 
 def square_loss(x: np.ndarray, recon: np.ndarray) -> float:

@@ -125,16 +125,17 @@ def test_hier_closed_form_gradients_equal_the_tapes(likelihood, two_layers, scal
     if scale == 0.8:  # the first layer's logvar past both clips, re-clipped by its log-density
         logvar = h.base.node_pass(x).posteriors[0].logvar
         assert (logvar == -10.0).any() and (logvar == 10.0).any()
-    eps, eps2 = h.draws(Rng(4), 37)
-    assert (eps2 is None) == (not two_layers)
+    [draw] = h.node_pass(x).draws(Rng(4))
+    assert isinstance(draw, tuple) == two_layers  # a one-layer draw is eps alone
+    eps, eps2 = draw if two_layers else (draw, None)
     want = backprop(-tape_hier_objective(h, x, eps, eps2).mean())
-    values, flat = h.bound_and_grads(x, eps, eps2)
+    values, flat = h.node_pass(x, train=True).bound_and_grads([draw])
     grads = h.params().views(flat)
     with no_grad():
         assert bits_equal(values, tape_hier_objective(h, x, eps, eps2).data)
         evaluated = tape_hier_objective(h, x, eps[:1]).data  # the second draw at zero
-    assert bits_equal(h.bound(x, eps, eps2), values)
-    assert bits_equal(h.pass_bound(h.node_pass(x), eps[:1]), evaluated)
+    assert bits_equal(h.node_pass(x).bound([draw]), values)
+    assert bits_equal(h.node_pass(x).bound([eps[:1]]), evaluated)
     # with one layer no gradient reaches the extra layers, in the reference or here
     extra = {t.name for t in h.params()[len(h.base.params()):]}
     assert sorted(want) == sorted(set(grads) - (set() if two_layers else extra))
@@ -168,13 +169,13 @@ def test_only_a_training_pass_gives_gradients():
 @pytest.mark.parametrize("kind", ["basic", "specific"])
 @pytest.mark.parametrize("kprime", [1, 3])
 def test_an_adam_step_through_the_pass_equals_the_reference(likelihood, kind, kprime):
-    def step(grads_of) -> tuple[list[str], bytes]:
+    def step(grads_at) -> tuple[list[str], bytes]:
         g = spread_graph(likelihood, 0.2)
         entry = g.entries[0 if kind == "basic" else 2]
         x = rows(37, likelihood)
         rng = Rng(4)
         eps_list = [rng.normal((37, LATENT)) for _ in range(kprime)]
-        grads = grads_of(g, entry, x, eps_list)
+        grads = grads_at(g, entry, x, eps_list)
         if isinstance(grads, dict):  # the tape's, by name
             names, grads = sorted(grads), gradient_vector(entry.params(), grads)
         else:
@@ -205,7 +206,7 @@ def test_component_passes_equal_the_tape(likelihood, scale):
         z = Rng(8).normal((9, LATENT))
         decoded = affine_forward(vae.dec_upper, affine_forward(vae.dec_lower, z)).data
     assert bits_equal(encoder_kl_values(vae, x), kl)
-    assert bits_equal(vae.pass_bound(vae.node_pass(x), eps), tape_bound(g, g.basics[1], x, [eps]))
+    assert bits_equal(vae.node_pass(x).bound([eps]), tape_bound(g, g.basics[1], x, [eps]))
     assert bits_equal(vae.reconstruct(x), tape_reconstruction(g, g.basics[1], x))
     generated = vae.generate(9, Rng(8))
     want = Rng(8)

@@ -464,7 +464,7 @@ def check_diagnose_rows(tmp_path):
 @pytest.mark.parametrize("two_layers", [True, False])
 def test_diagnose_rows_of_hier_snapshots_equal_reference_loop(two_layers):
     # a gr-hier run's snapshots: reconstruction and KL from the base pass,
-    # the bound from HierVae.bound, through the one pass per set
+    # the bound from its own HierPass, through the one pass per set
     cfg = pinned_config("unused").train
     cfg = replace(cfg, hier_latent_dims=(LATENT, 2), hier_two_layers=two_layers)
     stream = build_stream(pinned_config("unused"))

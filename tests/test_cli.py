@@ -527,6 +527,33 @@ def test_main_eval_error_while_the_table_is_forked_exits_2(tmp_path, capsys, mon
     assert not os.path.exists(os.path.join(run_dir, "eval_k2.csv"))
 
 
+@pytest.mark.parametrize("verb, mode, blob, value", [
+    ("eval", "gr-hier", "checkpoint/arr_0000.bin", np.nan),
+    ("diagnose", "gr-hier", "checkpoint/task_2/arr_0003.bin", np.inf),
+    ("export-v", "degm", "checkpoint/arr_0000.bin", np.nan),
+])
+def test_main_a_non_finite_blob_exits_2_naming_its_file(tmp_path, capsys, verb, mode, blob,
+                                                         value):
+    config_path = tmp_path / "cfg.json"
+    raw = two_task_config(mode, out_dir=str(tmp_path / "runs"))
+    if mode == "gr-hier":
+        raw["train"]["hier_latent_dims"] = [3, 2]
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    path = os.path.join(run_dir, blob)
+    with open(path, "r+b") as fh:  # the first float, in place; the size is kept
+        fh.write(np.array([value], dtype="<f8").tobytes())
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    argv = {"eval": ["eval", "--checkpoint", checkpoint, "--config", str(config_path)],
+            "diagnose": ["diagnose", run_dir],
+            "export-v": ["export-v", "--checkpoint", checkpoint,
+                         "--out", str(tmp_path / "v.csv")]}[verb]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: holds a non-finite value\n"
+    assert not os.path.exists(tmp_path / "v.csv")
+
+
 @pytest.mark.parametrize("kprime", ["0", "-1", "True"])
 def test_main_eval_refuses_a_bad_kprime_before_any_work(tmp_path, capsys, monkeypatch, kprime):
     import degm.cli as cli

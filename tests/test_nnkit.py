@@ -280,19 +280,23 @@ def flat_model(kind: str):
         return s, lambda x, rng: g.node_pass(s, x, train=True).bound_and_grads(
             [rng.normal((x.shape[0], 3)) for _ in range(2)])[1]
     h = HierVae(6, latent_dims=(3, 2), hidden_dim=12, rng=Rng(7), name="h")
-    return h, lambda x, rng: h.bound_and_grads(x, *h.draws(rng, x.shape[0]))[1]
+    def hier_grads(x, rng):
+        node_pass = h.node_pass(x, train=True)
+        return node_pass.bound_and_grads(node_pass.draws(rng))[1]
+
+    return h, hier_grads
 
 
 @pytest.mark.parametrize("kind", ["basic", "specific", "hier"])
 def test_the_fused_step_equals_the_per_tensor_reference(kind):
-    fused, grads_of = flat_model(kind)
+    fused, grads_at = flat_model(kind)
     reference, _ = flat_model(kind)
     params = fused.params()
     state, ref_state = AdamState(lr=1e-2), {}
     x, rng = Rng(2).uniform(0.05, 0.95, (9, 6)), Rng(3)
     skipped = params[3].name
     for step in range(6):
-        grads = grads_of(x, rng)
+        grads = grads_at(x, rng)
         assert isinstance(grads, np.ndarray) and grads.shape == params.flat.shape
         named = params.views(grads)
         if step % 2:  # by name, one parameter without a gradient
@@ -307,9 +311,9 @@ def test_the_fused_step_equals_the_per_tensor_reference(kind):
 
 @pytest.mark.parametrize("kind", ["basic", "specific", "hier"])
 def test_every_tensor_is_a_view_of_its_owners_vector(kind):
-    model, grads_of = flat_model(kind)
+    model, grads_at = flat_model(kind)
     assert vector_views(model)
-    adam_step(AdamState(lr=1e-2), model.params(), grads_of(Rng(2).uniform(0.05, 0.95, (9, 6)),
+    adam_step(AdamState(lr=1e-2), model.params(), grads_at(Rng(2).uniform(0.05, 0.95, (9, 6)),
                                                            Rng(3)))
     assert vector_views(model)  # the step wrote through the views
     if kind == "hier":  # the base's vector is the prefix of the model's

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from degm.data import synthetic_task
 from degm.errors import ContractError, DimensionError
 from degm.graph import GraphModel
-from degm.lifelong import Task, TaskStream, TrainConfig, run_degm
-from degm.nnkit import DiagGaussian, Rng, runtime
+from degm.lifelong import Task, TaskStream, TrainConfig, run_degm, train_epoch
+from degm.nnkit import AdamState, DiagGaussian, Rng, runtime
 from degm.select_eval import (
     SelectionResult,
     reconstruction_metrics,
@@ -331,18 +331,23 @@ def test_task_metric_table_nll_equals_eval_nll():
         assert row["nll"] == eval_nll(graph, task.test.data, kprime=3, seed=4)  # bitwise
 
 
+def small_stream():
+    return TaskStream([Task(name, synthetic_task(kind, 30, DIM, Rng(seed)),
+                            synthetic_task(kind, 20, DIM, Rng(seed + 1)))
+                       for name, kind, seed in (("a", "bars", 44), ("b", "stripes", 46))])
+
+
 @pytest.mark.parametrize("build", [
     lambda: VaeComponent(DIM, LATENT, HIDDEN, rng=Rng(41), name="gr"),
     lambda: HierVae(DIM, (LATENT, 2), HIDDEN, rng=Rng(42), name="gr"),
     lambda: HierVae(DIM, (LATENT, 2), HIDDEN, two_layers=False, rng=Rng(43), name="gr"),
 ], ids=["single", "hier", "hier-one-layer"])
 def test_single_metric_table_passes_each_test_set_once(monkeypatch, build):
-    # a row's reconstruction and K'-draw NLL come from one pass of the model
-    # (a two-layer model's, its base's), and equal those of a pass each
+    # a row's reconstruction and K'-draw NLL come from one pass of the model,
+    # and equal those of a pass each: a two-layer model's reconstruction is
+    # its base's, its NLL its own two-layer bound
     model = build()
-    stream = TaskStream([Task(name, synthetic_task(kind, 30, DIM, Rng(seed)),
-                              synthetic_task(kind, 20, DIM, Rng(seed + 1)))
-                         for name, kind, seed in (("a", "bars", 44), ("b", "stripes", 46))])
+    stream = small_stream()
     monkeypatch.setattr(runtime, "share_count", lambda items: 1)  # every row in this process
     counts = counted_eval_passes(monkeypatch)
     rows = single_metric_table(model, stream, kprime=3)
@@ -351,5 +356,63 @@ def test_single_metric_table_passes_each_test_set_once(monkeypatch, build):
     for row, task in zip(rows, stream.tasks):
         data = task.test.data
         sl, ps, ss = reconstruction_metrics(data, base.reconstruct(data))
-        want = {"nll": eval_nll_single(base, data, kprime=3), "sl": sl, "psnr": ps, "ssim": ss}
+        want = {"nll": eval_nll_single(model, data, kprime=3), "sl": sl, "psnr": ps, "ssim": ss}
         assert {key: repr(row[key]) for key in want} == {k: repr(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("two_layers", [True, False], ids=["two-layers", "one-layer"])
+def test_a_prior_shift_moves_a_two_layer_models_eval_nll(two_layers):
+    # the NLL is the model's own bound, so it reads the prior p(z1|z2), which
+    # the reconstruction and a one-layer model never read
+    stream = small_stream()
+    model = HierVae(DIM, (LATENT, 2), HIDDEN, two_layers=two_layers, rng=Rng(42), name="gr")
+    before = single_metric_table(model, stream, kprime=50)
+    model.prior_mu.bias.data += 3.0
+    after = single_metric_table(model, stream, kprime=50)
+    base = single_metric_table(model.base, stream, kprime=50)
+    for b, a, one_layer in zip(before, after, base):
+        assert [a[k] for k in ("sl", "psnr", "ssim")] == [b[k] for k in ("sl", "psnr", "ssim")]
+        if two_layers:  # a worse prior, a worse bound
+            assert a["nll"] > b["nll"] + 1.0 and b["nll"] != one_layer["nll"]
+        else:
+            assert a["nll"] == b["nll"] == one_layer["nll"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_two_layer_k1_bound_is_the_training_bound(seed):
+    # at one draw the bound is the per-draw bound training takes, bit for bit,
+    # and the K'=1 eval NLL is minus its mean at the keyed draw: eps, then eps2
+    model = HierVae(DIM, (LATENT, 2), HIDDEN, rng=Rng(47), name="gr")
+    x = binary_data(48, 25)
+    node_pass = model.node_pass(x)
+    keyed = Rng(seed).spawn("nll:0")
+    nll_draw = (keyed.normal((1, LATENT)), keyed.normal((1, 2)))
+    plug_in = Rng(51).normal((1, LATENT))  # eps2 = 0, as the per-epoch objective_value
+    for draw in [*node_pass.draws(Rng(49), 2), *node_pass.draws(Rng(50), rows=1), nll_draw,
+                 plug_in]:
+        values = model.node_pass(x, train=True).bound_and_grads([draw])[0]
+        assert node_pass.bound([draw]).tobytes() == values.tobytes()
+        if draw is nll_draw:
+            nll = float(-values.sum()) / x.shape[0]
+            assert eval_nll_single(model, x, kprime=1, seed=seed) == nll
+
+
+def test_two_layer_bound_is_non_decreasing_in_kprime():
+    # criterion 2's pattern for the two-layer bound: non-decreasing from K'=1
+    # to 5 to 50 within 3 SE, and the K'=50 mean at most K'=1000's + 3 SE.
+    # Each row draws its own noise, in chunks of rows to bound the memory.
+    dim = 6
+    model = HierVae(dim, latent_dims=(2, 2), hidden_dim=8, rng=Rng(20), name="toy")
+    state, train_rng = AdamState(lr=5e-3), Rng(21)
+    for _ in range(25):
+        train_epoch(state, model.node_pass, 1, binary_data(22, 256, dim), 32, train_rng)
+    kprimes = (1, 5, 50, 1000)
+    chunks = []
+    for i, rows in enumerate(np.array_split(binary_data(23, 4000, dim), 8)):
+        node_pass = model.node_pass(rows)
+        bank = node_pass.draws(Rng(24).spawn(f"rows:{i}"), kprimes[-1])
+        chunks.append([node_pass.bound(bank[:k]) for k in kprimes])
+    bounds = [np.concatenate(per_k) for per_k in zip(*chunks)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        diff = hi - lo
+        assert diff.mean() >= -3.0 * diff.std(ddof=1) / np.sqrt(diff.size)

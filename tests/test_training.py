@@ -1,6 +1,6 @@
 """Training without the tape: every node, replay model and bounds fit trains
 through the closed-form backward of ``NodePass.bound_and_grads``, and the
-two-layer replay model through ``HierVae.bound_and_grads``. With those
+two-layer replay model through ``HierPass.bound_and_grads``. With those
 methods replaced by the tape reference (``helpers.tape_bound_and_grads`` and
 ``helpers.tape_hier_bound_and_grads``), a run must write the same bytes;
 training builds no Tensor; and a non-finite weight still ends the command
@@ -15,9 +15,9 @@ import pytest
 from degm.cli import cmd_train, main, parse_config
 from degm.data import synthetic_task
 from degm.graph import GraphModel
-from degm.lifelong import Task, TrainConfig, _train_node, pass_grads, train_epoch
+from degm.lifelong import Task, TrainConfig, _train_node, train_epoch
 from degm.nnkit import AdamState, DenseLayer, Rng
-from degm.vae import HierVae, NodePass, VaeComponent
+from degm.vae import HierPass, NodePass, VaeComponent
 
 from helpers import tape_bound, tape_bound_and_grads, tape_hier_bound_and_grads
 from tape import Tensor
@@ -77,12 +77,12 @@ def test_a_run_writes_the_bytes_of_the_tape_reference(monkeypatch, tmp_path, nam
         steps.append(len(eps_list))
         return tape_bound_and_grads(node_pass, eps_list)
 
-    def hier_on_the_tape(model, x, eps, eps2=None):
-        steps.append(1)
-        return tape_hier_bound_and_grads(model, x, eps, eps2)
+    def hier_on_the_tape(hier_pass, draws):
+        steps.append(len(draws))
+        return tape_hier_bound_and_grads(hier_pass, draws)
 
     monkeypatch.setattr(NodePass, "bound_and_grads", on_the_tape)
-    monkeypatch.setattr(HierVae, "bound_and_grads", hier_on_the_tape)
+    monkeypatch.setattr(HierPass, "bound_and_grads", hier_on_the_tape)
     tape, tape_summary = run()
     kprime = raw["train"].get("kprime", 1) if raw["train"].get("objective") == "iwelbo" else 1
     assert steps and set(steps) == {kprime}
@@ -114,8 +114,7 @@ def test_training_a_component_or_a_specific_node_constructs_no_tensor(monkeypatc
     for entry in (g.entries[0], g.entries[2]):
         rows, _, _ = _train_node(g, entry, task, cfg, Rng(7), eps)
         assert len(rows) == cfg.epochs
-    train_epoch(AdamState(lr=1e-2), vae.params(), task.train.data, 16,
-                pass_grads(lambda x: vae.node_pass(x, train=True), 2), Rng(8))
+    train_epoch(AdamState(lr=1e-2), vae.node_pass, 2, task.train.data, 16, Rng(8))
     after = [t.data for t in g.params() + vae.params()]
     assert sum(not np.array_equal(a, b) for a, b in zip(before, after)) > 0
 

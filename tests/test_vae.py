@@ -259,9 +259,9 @@ def spec_bounds(model, x, eps, eps2) -> list[bytes]:
     """Every per-sample bound the model gives at the draws ``eps`` and ``eps2``."""
     if isinstance(model, GraphModel):
         return [model.node_pass(e, x).bound([eps]).tobytes() for e in model.entries]
-    values = [model.pass_bound(model.node_pass(x), eps).tobytes()]
-    if isinstance(model, HierVae):
-        values.append(model.bound(x, eps, eps2).tobytes())
+    values = [model.node_pass(x).bound([eps]).tobytes()]
+    if isinstance(model, HierVae) and model.two_layers:  # a one-layer draw is eps alone
+        values.append(model.node_pass(x).bound([(eps, eps2)]).tobytes())
     return values
 
 
@@ -305,7 +305,7 @@ def hier_tiny(seed=0, two_layers=True):
 def test_hier_zero_init_closed_form():
     h = HierVae(8, latent_dims=(3, 2), hidden_dim=4, rng=None)
     x = binary_data(Rng(0), 4, 8)
-    values = h.bound(x, Rng(1).normal((4, 3)), Rng(2).normal((4, 2)))
+    values = h.node_pass(x).bound([(Rng(1).normal((4, 3)), Rng(2).normal((4, 2)))])
     # both latent penalties vanish at zero init; only the coin-flip reconstruction is left
     np.testing.assert_allclose(values, np.full(4, 8 * np.log(0.5)), atol=1e-9)
 
@@ -314,10 +314,11 @@ def test_hier_disabled_matches_plain_elbo():
     h = hier_tiny(40, two_layers=False)
     x = binary_data(Rng(41), 6, 6)
     eps = Rng(42).normal((6, 3))
-    np.testing.assert_array_equal(h.bound(x, eps), single_draw_elbo(h.base.node_pass(x), eps))
-    values, grads = h.bound_and_grads(x, eps)
+    bound = h.node_pass(x).bound([eps])
+    np.testing.assert_array_equal(bound, single_draw_elbo(h.base.node_pass(x), eps))
+    values, grads = h.node_pass(x, train=True).bound_and_grads([eps])
     base = h.base.params().flat.size
-    np.testing.assert_array_equal(values, h.bound(x, eps))
+    np.testing.assert_array_equal(values, bound)
     np.testing.assert_array_equal(grads[:base],
                                   h.base.node_pass(x, train=True).bound_and_grads([eps])[1])
     assert not grads[base:].any()
@@ -328,27 +329,30 @@ def test_hier_gradient_matches_finite_differences():
     x = binary_data(Rng(44), 2, 6)
     eps = Rng(45).normal((2, 3))
     eps2 = Rng(46).normal((2, 2))
-    analytic = h.params().views(h.bound_and_grads(x, eps, eps2)[1])
-    numeric = finite_difference_grads(lambda: -h.bound(x, eps, eps2).mean(), h.params())
+    analytic = h.params().views(h.node_pass(x, train=True).bound_and_grads([(eps, eps2)])[1])
+    numeric = finite_difference_grads(lambda: -h.node_pass(x).bound([(eps, eps2)]).mean(),
+                                      h.params())
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
 def test_hier_draws_take_eps_then_eps2():
     for two_layers in (True, False):
-        eps, eps2 = hier_tiny(two_layers=two_layers).draws(Rng(5), 4)
+        [draw] = hier_tiny(two_layers=two_layers).node_pass(np.zeros((4, 6))).draws(Rng(5))
         want = Rng(5)
-        np.testing.assert_array_equal(eps, want.normal((4, 3)))
         if two_layers:
+            eps, eps2 = draw
+            np.testing.assert_array_equal(eps, want.normal((4, 3)))
             np.testing.assert_array_equal(eps2, want.normal((4, 2)))
-        else:
-            assert eps2 is None
+        else:  # a bare eps, as a plain component's pass draws it
+            np.testing.assert_array_equal(draw, want.normal((4, 3)))
 
 
 def test_hier_training_step_smoke():
     h = hier_tiny(47)
     x = binary_data(Rng(48), 8, 6)
     state = AdamState(lr=1e-3)
-    adam_step(state, h.params(), h.bound_and_grads(x, *h.draws(Rng(49), 8))[1])
+    node_pass = h.node_pass(x, train=True)
+    adam_step(state, h.params(), node_pass.bound_and_grads(node_pass.draws(Rng(49)))[1])
     samples = h.generate(5, Rng(50))
     assert samples.shape == (5, 6)
     assert np.isfinite(samples).all()
