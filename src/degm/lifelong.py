@@ -431,12 +431,13 @@ def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps):
 
 def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr-hier") -> tuple:
     """Replay baseline with the two-stochastic-layer model, trained through
-    its own pass by ``run_gr_single``."""
-    latent_dims = cfg.hier_latent_dims
-    if latent_dims[0] != cfg.latent_dim:
-        latent_dims = (cfg.latent_dim, latent_dims[1])
-    model = HierVae(stream.input_dim, latent_dims, cfg.hidden_dim, cfg.likelihood,
-                    cfg.sigma, cfg.hier_two_layers, rng.spawn("gr:init"), name="gr")
+    its own pass by ``run_gr_single``; with ``hier_two_layers`` false, the
+    plain component, as mode gr trains it."""
+    model = None
+    if cfg.hier_two_layers:
+        model = HierVae(stream.input_dim, (cfg.latent_dim, cfg.hier_latent_dims[1]),
+                        cfg.hidden_dim, cfg.likelihood, cfg.sigma, rng.spawn("gr:init"),
+                        name="gr")
     return run_gr_single(stream, cfg, rng, run_id=run_id, model=model)
 
 

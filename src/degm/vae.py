@@ -283,22 +283,20 @@ class BasicNode:
 class HierVae:
     """Two stochastic layers: q(z1|x) q(z2|z1) against prior p(z2) p(z1|z2).
 
-    Exists as the deeper single-model baseline; with ``two_layers=False`` it
-    degenerates exactly to the plain component it wraps. It trains and is
-    scored through its own pass, a ``HierPass``.
+    Exists as the deeper single-model baseline; a one-layer baseline is the
+    plain component. It trains and is scored through its own pass, a
+    ``HierPass``.
     """
 
     kind = "hier"  # its checkpoint kind
 
     def __init__(self, input_dim: int, latent_dims: tuple[int, int] = (100, 50),
                  hidden_dim: int = DEFAULT_HIDDEN, likelihood: str = "bernoulli",
-                 sigma: float = DEFAULT_SIGMA, two_layers: bool = True,
-                 rng: Rng | None = None, name: str = "hier"):
+                 sigma: float = DEFAULT_SIGMA, rng: Rng | None = None, name: str = "hier"):
         l1, l2 = latent_dims
         self.base = VaeComponent(input_dim, l1, hidden_dim, likelihood, sigma, rng, name)
         base = self.base.params()
         self.latent_dims = (int(l1), int(l2))
-        self.two_layers = bool(two_layers)
         self.name = name
         self.enc2_lower = DenseLayer(l1, hidden_dim, "leaky-relu", rng, f"{name}.enc2_lower")
         self.enc2_mu = DenseLayer(hidden_dim, l2, "identity", rng, f"{name}.enc2_mu")
@@ -332,14 +330,18 @@ class HierVae:
         return {"kind": self.kind, "input_dim": self.input_dim,
                 "latent_dims": list(self.latent_dims), "hidden_dim": self.base.hidden_dim,
                 "likelihood": self.base.likelihood, "sigma": self.base.sigma,
-                "two_layers": self.two_layers, "name": self.name}
+                "name": self.name}
 
     @classmethod
     def from_spec(cls, fields: dict) -> "HierVae":
-        """The model ``fields``, a ``spec()``, describes; its parameters zero."""
+        """The model ``fields``, a ``spec()``, describes; its parameters zero.
+        Older manifests carry ``two_layers``, and a one-layer one is refused:
+        loaded, its untrained second layer would score and generate."""
+        if fields.get("two_layers", True) is not True:
+            raise ContractError("two_layers is false, but a hier model has two layers; "
+                                "a one-layer gr-hier run saves a single model")
         return cls(fields["input_dim"], tuple(fields["latent_dims"]), fields["hidden_dim"],
-                   fields["likelihood"], fields["sigma"], fields["two_layers"], rng=None,
-                   name=fields["name"])
+                   fields["likelihood"], fields["sigma"], rng=None, name=fields["name"])
 
     def node_pass(self, x, train: bool = False) -> "HierPass":
         """This model's forward pass over the rows ``x``; with ``train``, one
@@ -347,8 +349,6 @@ class HierVae:
         return HierPass(self, x, train)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
-        if not self.two_layers:
-            return self.base.generate(n, rng)
         if n == 0:
             return np.zeros((0, self.input_dim))
         hp = self.prior_lower.apply(rng.normal((n, self.latent_dims[1])))
@@ -367,8 +367,7 @@ class HierPass:
     ``eps2 = 0``. ``bound`` is the log-mean-exp over draws of the per-draw
     bound training takes: the reconstruction minus both layer penalties, the
     second layer's closed-form, the first layer's a density ratio at the
-    sampled point. With one layer a draw is a bare ``eps`` and every value is
-    the base pass's. ``kl`` and ``reconstruction`` are the base pass's. A
+    sampled point. ``kl`` and ``reconstruction`` are the base pass's. A
     training pass, its ``params`` the model's vector, gives the gradients of
     one draw.
     """
@@ -387,17 +386,13 @@ class HierPass:
 
     def draws(self, rng: Rng, k: int = 1, rows: int | None = None) -> list:
         """``k`` draws from ``rng``, as ``NodePass.draws`` takes them: each
-        ``eps`` for z1 and then, with two layers, ``eps2`` for z2."""
-        if not self.model.two_layers:
-            return self.base_pass.draws(rng, k, rows)
+        ``eps`` for z1 and then ``eps2`` for z2."""
         n = self.x.shape[0] if rows is None else rows
         l1, l2 = self.model.latent_dims
         return [(rng.normal((n, l1)), rng.normal((n, l2))) for _ in range(k)]
 
     def bound(self, draws: list) -> np.ndarray:
         """The per-sample bound over ``draws``."""
-        if not self.model.two_layers:
-            return self.base_pass.bound(draws)
         return logmeanexp_values([self._forward(draw)[0] for draw in draws])
 
     def _forward(self, draw):
@@ -420,18 +415,12 @@ class HierPass:
 
     def bound_and_grads(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
         """``bound(draws)`` and the gradient of ``-bound.mean()``, as one
-        vector laid out as ``params``. With one layer it is the base pass's,
-        the extra layers' part zero. With two it takes one draw, and the
-        backward is written out as ``NodePass.bound_and_grads``'s is: each
-        step is the tape's VJP, and where gradients meet they are summed in
-        the tape's order, so every gradient equals the tape's bit for bit."""
+        vector laid out as ``params``. It takes one draw, and the backward is
+        written out as ``NodePass.bound_and_grads``'s is: each step is the
+        tape's VJP, and where gradients meet they are summed in the tape's
+        order, so every gradient equals the tape's bit for bit."""
         if self.params is None:
             raise ContractError("gradients need a pass made with train=True")
-        if not self.model.two_layers:
-            values, base_flat = self.base_pass.bound_and_grads(draws)
-            flat = np.zeros_like(self.params.flat)
-            flat[:base_flat.size] = base_flat
-            return values, flat
         if len(draws) != 1:
             raise ContractError(f"a two-layer pass's gradients take one draw, got {len(draws)}")
         values, (eps, z1, h2, q2, eps2, z2, hp, prior, low, out, kl2) = self._forward(draws[0])

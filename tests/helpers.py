@@ -292,10 +292,8 @@ def tape_hier_objective(model, x, eps: np.ndarray, eps2: np.ndarray | None = Non
     """``HierVae``'s bound at the draws ``eps`` and ``eps2`` (zero when None),
     recorded on the tape: reconstruction minus both layer penalties, the
     second layer's closed-form, the first layer's a density ratio at the
-    sampled point; with one layer, the base component's ELBO."""
+    sampled point."""
     layers = component_layers(model.base)
-    if not model.two_layers:
-        return _layers_objective(layers, x, [eps])
     if eps2 is None:
         eps2 = np.zeros((1, model.latent_dims[1]))
     [(mu1, lv1)], _, decode, log_likelihood = _tape_node(layers, x)

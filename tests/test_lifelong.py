@@ -238,20 +238,11 @@ def test_gr_trains_exactly_one_parameter_set():
     assert parameter_bytes(artifacts.snapshots[-1]) == parameter_bytes(model)
 
 
-def test_gr_hier_disabled_second_layer_matches_single():
-    stream = TaskStream([make_task("bars", "a", 230), make_task("stripes", "b", 240)])
-    cfg = quick_cfg(epochs=2, hier_latent_dims=(4, 3), hier_two_layers=False)
-    model_h, log_h, _ = run_gr_hier(stream, cfg, Rng(21), run_id="gr")
-    model_s, log_s, _ = run_gr_single(stream, cfg, Rng(21), run_id="gr")
-    assert log_h.rows == log_s.rows
-    assert parameter_bytes(model_h.base) == parameter_bytes(model_s)
-
-
 def test_gr_hier_two_layer_smoke():
     stream = TaskStream([make_task("bars", "a", 250), make_task("stripes", "b", 260)])
     cfg = quick_cfg(epochs=2, hier_latent_dims=(4, 3))
     model, log, _ = run_gr_hier(stream, cfg, Rng(23))
-    assert model.two_layers
+    assert isinstance(model, HierVae)
     assert all(np.isfinite(r["objective_value"]) for r in log.rows)
 
 

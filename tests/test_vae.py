@@ -223,9 +223,8 @@ def test_generate_seed_determinism():
 
 @pytest.mark.parametrize("build", [
     lambda: tiny(33),
-    lambda: hier_tiny(33, two_layers=True),
-    lambda: hier_tiny(33, two_layers=False),
-], ids=["vae", "hier", "hier-one-layer"])
+    lambda: hier_tiny(33),
+], ids=["vae", "hier"])
 def test_copy_is_deep_and_bit_identical(build):
     c = build()
     dup = copy_model(c)
@@ -249,7 +248,7 @@ def spec_model(kind):
     elif kind == "single":
         model = tiny(73)
     else:
-        model = hier_tiny(74, two_layers=kind == "hier")
+        model = hier_tiny(74)
     for k, p in enumerate(model.params()):
         p.data[...] = Rng(80 + k).normal(p.data.shape) * 0.3
     return model
@@ -260,12 +259,12 @@ def spec_bounds(model, x, eps, eps2) -> list[bytes]:
     if isinstance(model, GraphModel):
         return [model.node_pass(e, x).bound([eps]).tobytes() for e in model.entries]
     values = [model.node_pass(x).bound([eps]).tobytes()]
-    if isinstance(model, HierVae) and model.two_layers:  # a one-layer draw is eps alone
+    if isinstance(model, HierVae):
         values.append(model.node_pass(x).bound([(eps, eps2)]).tobytes())
     return values
 
 
-@pytest.mark.parametrize("kind", ["graph", "single", "hier", "hier-one-layer"])
+@pytest.mark.parametrize("kind", ["graph", "single", "hier"])
 def test_spec_copy_and_checkpoint_are_bit_identical(kind, tmp_path):
     model = spec_model(kind)
     rebuilt = type(model).from_spec(model.spec())
@@ -279,7 +278,7 @@ def test_spec_copy_and_checkpoint_are_bit_identical(kind, tmp_path):
     assert {k: v for k, v in manifest.items()
             if k not in ("format_version", "arrays", "extra")} == model.spec()
     x = binary_data(Rng(75), 9, 6)
-    eps, eps2 = Rng(76).normal((1, 3 if kind.startswith("hier") else 2)), Rng(77).normal((9, 2))
+    eps, eps2 = Rng(76).normal((1, 3 if kind == "hier" else 2)), Rng(77).normal((9, 2))
     for other in (rebuilt, copy_model(model), loaded):
         assert type(other) is type(model) and other.spec() == model.spec()
         assert parameter_bytes(other) == parameter_bytes(model)
@@ -297,9 +296,8 @@ def test_training_one_component_leaves_another_untouched():
 
 # --- two-layer baseline ---------------------------------------------------------------------
 
-def hier_tiny(seed=0, two_layers=True):
-    return HierVae(6, latent_dims=(3, 2), hidden_dim=5, two_layers=two_layers,
-                   rng=Rng(seed), name="h")
+def hier_tiny(seed=0):
+    return HierVae(6, latent_dims=(3, 2), hidden_dim=5, rng=Rng(seed), name="h")
 
 
 def test_hier_zero_init_closed_form():
@@ -308,20 +306,6 @@ def test_hier_zero_init_closed_form():
     values = h.node_pass(x).bound([(Rng(1).normal((4, 3)), Rng(2).normal((4, 2)))])
     # both latent penalties vanish at zero init; only the coin-flip reconstruction is left
     np.testing.assert_allclose(values, np.full(4, 8 * np.log(0.5)), atol=1e-9)
-
-
-def test_hier_disabled_matches_plain_elbo():
-    h = hier_tiny(40, two_layers=False)
-    x = binary_data(Rng(41), 6, 6)
-    eps = Rng(42).normal((6, 3))
-    bound = h.node_pass(x).bound([eps])
-    np.testing.assert_array_equal(bound, single_draw_elbo(h.base.node_pass(x), eps))
-    values, grads = h.node_pass(x, train=True).bound_and_grads([eps])
-    base = h.base.params().flat.size
-    np.testing.assert_array_equal(values, bound)
-    np.testing.assert_array_equal(grads[:base],
-                                  h.base.node_pass(x, train=True).bound_and_grads([eps])[1])
-    assert not grads[base:].any()
 
 
 def test_hier_gradient_matches_finite_differences():
@@ -336,15 +320,10 @@ def test_hier_gradient_matches_finite_differences():
 
 
 def test_hier_draws_take_eps_then_eps2():
-    for two_layers in (True, False):
-        [draw] = hier_tiny(two_layers=two_layers).node_pass(np.zeros((4, 6))).draws(Rng(5))
-        want = Rng(5)
-        if two_layers:
-            eps, eps2 = draw
-            np.testing.assert_array_equal(eps, want.normal((4, 3)))
-            np.testing.assert_array_equal(eps2, want.normal((4, 2)))
-        else:  # a bare eps, as a plain component's pass draws it
-            np.testing.assert_array_equal(draw, want.normal((4, 3)))
+    [(eps, eps2)] = hier_tiny().node_pass(np.zeros((4, 6))).draws(Rng(5))
+    want = Rng(5)
+    np.testing.assert_array_equal(eps, want.normal((4, 3)))
+    np.testing.assert_array_equal(eps2, want.normal((4, 2)))
 
 
 def test_hier_training_step_smoke():
