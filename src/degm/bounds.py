@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .lifelong import TaskStream, TrainConfig, mean_square_loss, run_gr_single, train_epoch
+from .lifelong import (TaskStream, TrainConfig, mean_square_loss, replay_mixture, run_gr_single,
+                       train_epoch)
 from .nnkit import AdamState, Rng, runtime
 from .vae import VaeComponent, copy_model
 
@@ -134,12 +135,10 @@ def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, t: int,
 def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
                    aux_epochs: int | None = None) -> list[VaeComponent]:
     """The reference model of each task, fitted on that task's training set
-    alone; ``fork_map`` splits the fits over the CPUs, each on one OpenBLAS
-    thread, also when there is one CPU."""
+    alone; ``fork_map`` splits the fits over the CPUs."""
     epochs = aux_epochs or cfg.epochs
-    with runtime.one_blas_thread():
-        return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, epochs),
-                                [task.train.n for task in stream.tasks])
+    return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, epochs),
+                            [task.train.n for task in stream.tasks])
 
 
 class SetNumbers(NamedTuple):
@@ -313,8 +312,7 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     child started when its mixture is built. The model is copied after each
     epoch, and a task's rows are computed at its last epoch, in epoch order,
     once the fits they need are joined (``BoundsChain.rows``); ``rows_s`` is
-    the wall time that takes. Every process runs OpenBLAS on one thread
-    meanwhile, so the rows are the same for any number of CPUs.
+    the wall time that takes. The rows are the same for any number of CPUs.
     """
     epochs = aux_epochs or cfg.epochs
     out = BoundsArtifacts()
@@ -346,17 +344,16 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
         out.rows_s += time.perf_counter() - t0
         epoch_models.clear()
 
-    with runtime.one_blas_thread():
-        try:
-            if len(stream) > 1:
-                fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
-                                                      for i in range(1, len(stream))])
-            out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
-            model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id,
-                                                  epoch_hook=epoch_hook, task_hook=task_hook)
-        finally:
-            for handle in fits.values():  # only left unjoined when the run failed
-                handle.cancel()
+    try:
+        if len(stream) > 1:
+            fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
+                                                  for i in range(1, len(stream))])
+        out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
+        model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id,
+                                              epoch_hook=epoch_hook, task_hook=task_hook)
+    finally:
+        for handle in fits.values():  # only left unjoined when the run failed
+            handle.cancel()
     out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
     return out
 
@@ -371,34 +368,25 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
 
     One ``fork_map`` splits the aux fits over the CPUs. A row reads nothing
     of another row, so once the fits are joined a second ``fork_map`` splits
-    the rows, and this process links them in task order. Both run on one
-    OpenBLAS thread, as in ``bounds_run``."""
+    the rows, and this process links them in task order."""
     epochs = aux_epochs or cfg.epochs
-    mixtures = []
+    # the rows of each training mixture, regenerated from the previous
+    # snapshot; run_gr_single also shuffles them, which this does not
+    mixtures = [replay_mixture(snapshots, task, t, rng) for t, task in enumerate(stream.tasks)]
     tests = [task.test.data for task in stream.tasks]
-    with runtime.one_blas_thread():
-        for t, task in enumerate(stream.tasks):
-            if t == 0:
-                mixtures.append(task.train.data)
-            else:
-                # the rows of the training mixture, regenerated from the previous
-                # snapshot; run_gr_single also shuffles them, which this does not
-                replay = snapshots[t - 1].generate(t * task.train.n,
-                                                   rng.spawn(f"gr:replay:{t}"))
-                mixtures.append(np.concatenate([task.train.data, replay]))
-        aux_models = [None, *runtime.fork_map(
-            lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
-            [mixture.shape[0] for mixture in mixtures[1:]])]
-        chain = BoundsChain(refs, cfg, rng, sample_size)
-        for t, aux in enumerate(aux_models):
-            chain.start(t, aux, snapshots[:t])
-        # a row's cost: passes over its union and its source, by the t + 2
-        # fixed models and about twice by the snapshot
-        rows = runtime.fork_map(
-            lambda t: chain.rows([snapshots[t]], [cfg.epochs], mixtures[t], tests[:t + 1],
-                                 snapshots, mixtures)[0],
-            [(t + 4) * (mixtures[t].shape[0] + sum(x.shape[0] for x in tests[:t + 1]))
-             for t in range(len(mixtures))])
+    aux_models = [None, *runtime.fork_map(
+        lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
+        [mixture.shape[0] for mixture in mixtures[1:]])]
+    chain = BoundsChain(refs, cfg, rng, sample_size)
+    for t, aux in enumerate(aux_models):
+        chain.start(t, aux, snapshots[:t])
+    # a row's cost: passes over its union and its source, by the t + 2
+    # fixed models and about twice by the snapshot
+    rows = runtime.fork_map(
+        lambda t: chain.rows([snapshots[t]], [cfg.epochs], mixtures[t], tests[:t + 1],
+                             snapshots, mixtures)[0],
+        [(t + 4) * (mixtures[t].shape[0] + sum(x.shape[0] for x in tests[:t + 1]))
+         for t in range(len(mixtures))])
     return [chain.link(row) for row in rows]
 
 
@@ -449,20 +437,19 @@ def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,
     if len(snapshots) != len(stream.tasks):
         raise ContractError("need one snapshot per task")
     rows = []
-    with runtime.one_blas_thread():  # the same bits for any number of CPUs
-        for i, task in enumerate(stream.tasks):
-            lineage = task.train.data
-            rows.append({"task_index": i + 1, "generation": 0,
-                         "risk_under_final": risk(final_model, lineage), "delta": 0.0})
-            for k in range(1, len(stream.tasks) - i):
-                snap = snapshots[i + k - 1]
-                recon = snap.reconstruct(lineage)
-                if snap.likelihood == "bernoulli":
-                    lineage = rng.spawn(f"accum:{i}:{k}").bernoulli(recon)
-                else:
-                    lineage = recon
-                prev = rows[-1]["risk_under_final"]
-                value = risk(final_model, lineage)
-                rows.append({"task_index": i + 1, "generation": k,
-                             "risk_under_final": value, "delta": value - prev})
+    for i, task in enumerate(stream.tasks):
+        lineage = task.train.data
+        rows.append({"task_index": i + 1, "generation": 0,
+                     "risk_under_final": risk(final_model, lineage), "delta": 0.0})
+        for k in range(1, len(stream.tasks) - i):
+            snap = snapshots[i + k - 1]
+            recon = snap.reconstruct(lineage)
+            if snap.likelihood == "bernoulli":
+                lineage = rng.spawn(f"accum:{i}:{k}").bernoulli(recon)
+            else:
+                lineage = recon
+            prev = rows[-1]["risk_under_final"]
+            value = risk(final_model, lineage)
+            rows.append({"task_index": i + 1, "generation": k,
+                         "risk_under_final": value, "delta": value - prev})
     return rows

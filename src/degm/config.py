@@ -160,7 +160,8 @@ def _check_links(cfg: dict) -> None:
         if (cfg["mode"] == mode) != (cfg[key] is not None):
             raise ConfigError(f"{key} is needed by mode {mode!r} and valid with no other mode")
     train = cfg["train"]
-    if cfg["mode"] == "gr-hier" and (train["objective"], train["kprime"]) != ("elbo", 1):
+    if (cfg["mode"] == "gr-hier" and train["hier_two_layers"]
+            and (train["objective"], train["kprime"]) != ("elbo", 1)):
         # a two-layer HierPass takes its gradients at one draw
         raise ConfigError("mode 'gr-hier' trains on one draw: train.objective must be "
                           f"'elbo' and train.kprime 1, got {train['objective']!r} and "

@@ -105,8 +105,6 @@ class GraphModel:
         self.likelihood = likelihood
         self.sigma = float(sigma)
         self.tau = float(tau)
-        self.basics: list[BasicNode] = []
-        self.specifics: list[SpecificNode] = []
         self.entries: list[BasicNode | SpecificNode] = []  # every node, in creation order
 
     # -- description -------------------------------------------------------
@@ -141,6 +139,16 @@ class GraphModel:
     def node_count(self) -> int:
         return len(self.entries)
 
+    @property
+    def basics(self) -> tuple[BasicNode, ...]:
+        """The basic nodes of ``entries``, in creation order."""
+        return tuple(e for e in self.entries if e.kind == "basic")
+
+    @property
+    def specifics(self) -> tuple[SpecificNode, ...]:
+        """The specific nodes of ``entries``, in creation order."""
+        return tuple(e for e in self.entries if e.kind == "specific")
+
     def _check_task_free(self, task_id: int) -> None:
         if any(e.task_id == task_id for e in self.entries):
             raise ContractError(f"task id {task_id} already owned by a node")
@@ -149,9 +157,7 @@ class GraphModel:
         self._check_task_free(task_id)
         vae = VaeComponent(self.input_dim, self.latent_dim, self.hidden_dim,
                            self.likelihood, self.sigma, rng, name=f"b{len(self.basics)}")
-        node = BasicNode(vae=vae, task_id=task_id)
-        self.basics.append(node)
-        self.entries.append(node)
+        self.entries.append(BasicNode(vae=vae, task_id=task_id))
         return len(self.entries) - 1
 
     def add_specific_node(self, weights: np.ndarray, task_id: int, rng: Rng) -> int:
@@ -159,10 +165,8 @@ class GraphModel:
         w = np.asarray(weights, dtype=np.float64)
         if w.size != len(self.basics):
             raise ContractError(f"{w.size} weights for {len(self.basics)} basic nodes")
-        node = SpecificNode(self.input_dim, self.hidden_dim, w, task_id,
-                            self.likelihood, rng, name=f"s{len(self.specifics)}")
-        self.specifics.append(node)
-        self.entries.append(node)
+        self.entries.append(SpecificNode(self.input_dim, self.hidden_dim, w, task_id,
+                                         self.likelihood, rng, name=f"s{len(self.specifics)}"))
         return len(self.entries) - 1
 
     def v_matrix(self) -> np.ndarray:

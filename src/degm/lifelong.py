@@ -213,10 +213,9 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
     decisions. While it trains a basic node, a child started by
     ``runtime.start`` trains the next task as a basic node too, which is
     installed if the decision is basic and cancelled if not. Specific nodes
-    are queued, and ``runtime.fork_map`` trains them after the chain. Every
-    process runs OpenBLAS on one thread meanwhile, so the graph and the log
-    are the same for any number of CPUs; with one, nothing is forked and no
-    candidate node is trained.
+    are queued, and ``runtime.fork_map`` trains them after the chain. The
+    graph and the log are the same for any number of CPUs; with one, nothing
+    is forked and no candidate node is trained.
     """
     graph = GraphModel(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                        cfg.likelihood, cfg.sigma, cfg.tau)
@@ -231,42 +230,39 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
         return _train_node(graph, graph.entries[i], stream.tasks[i], cfg, rng, eval_eps[i])
 
     pending: tuple[str, np.ndarray | None] = ("basic", None)
-    # one BLAS thread in every process: a node's bits then do not depend on
-    # where it trained or on how many children were outstanding meanwhile
-    with runtime.one_blas_thread():
-        try:
-            for i, task in enumerate(stream.tasks):
-                init_rng = rng.spawn(f"init:{task.name}")
-                if pending[0] == "specific":
-                    graph.add_specific_node(pending[1], task_id=i, rng=init_rng)
-                    queued.append(i)
+    try:
+        for i, task in enumerate(stream.tasks):
+            init_rng = rng.spawn(f"init:{task.name}")
+            if pending[0] == "specific":
+                graph.add_specific_node(pending[1], task_id=i, rng=init_rng)
+                queued.append(i)
+            else:
+                graph.add_basic_node(task_id=i, rng=init_rng)
+                if candidate is not None:
+                    trained, candidate = candidate.result(), None
                 else:
-                    graph.add_basic_node(task_id=i, rng=init_rng)
-                    if candidate is not None:
-                        trained, candidate = candidate.result(), None
-                    else:
-                        if i + 1 < len(stream) and runtime.share_count(2) > 1:
-                            candidate = runtime.start(lambda k=i + 1: _basic_candidate(
-                                graph, stream.tasks[k], k, cfg, rng, eval_eps[k]))
-                        trained = train(i)
-                    live[i] = _install(graph.entries[i], trained)
+                    if i + 1 < len(stream) and runtime.share_count(2) > 1:
+                        candidate = runtime.start(lambda k=i + 1: _basic_candidate(
+                            graph, stream.tasks[k], k, cfg, rng, eval_eps[k]))
+                    trained = train(i)
+                live[i] = _install(graph.entries[i], trained)
 
-                if i + 1 < len(stream):
-                    nxt = stream.tasks[i + 1]
-                    probe = _draw_probe(nxt, cfg.probe_size, rng.spawn(f"probe:{nxt.name}"))
-                    scores = graph.knowledge_scores(probe, rng.spawn(f"ks:{nxt.name}"))
-                    kind, _ = expansion_decide(scores, cfg.tau)
-                    pending = (kind, policy(scores, graph) if kind == "specific" else None)
-                    expansion.append(_expansion_row(graph, stream, nxt, probe, scores, cfg.tau,
-                                                    *pending))
-                    if kind == "specific" and candidate is not None:
-                        candidate.cancel()
-                        candidate = None
-        finally:
-            if candidate is not None:  # only left outstanding when the run failed
-                candidate.cancel()
-        costs = [_node_epochs(graph.entries[i], cfg) * stream.tasks[i].train.n for i in queued]
-        pooled = runtime.fork_map(lambda q: train(queued[q]), costs)
+            if i + 1 < len(stream):
+                nxt = stream.tasks[i + 1]
+                probe = _draw_probe(nxt, cfg.probe_size, rng.spawn(f"probe:{nxt.name}"))
+                scores = graph.knowledge_scores(probe, rng.spawn(f"ks:{nxt.name}"))
+                kind, _ = expansion_decide(scores, cfg.tau)
+                pending = (kind, policy(scores, graph) if kind == "specific" else None)
+                expansion.append(_expansion_row(graph, stream, nxt, probe, scores, cfg.tau,
+                                                *pending))
+                if kind == "specific" and candidate is not None:
+                    candidate.cancel()
+                    candidate = None
+    finally:
+        if candidate is not None:  # only left outstanding when the run failed
+            candidate.cancel()
+    costs = [_node_epochs(graph.entries[i], cfg) * stream.tasks[i].train.n for i in queued]
+    pooled = runtime.fork_map(lambda q: train(queued[q]), costs)
     for i, trained in zip(queued, pooled):
         live[i] = _install(graph.entries[i], trained)
     return graph, _metrics_log(live, expansion, run_id)
@@ -371,7 +367,16 @@ class GrArtifacts:
     mixtures: list[np.ndarray] = field(default_factory=list)  # evolved-source sample sets
 
 
-@runtime.one_blas_thread()
+def replay_mixture(snapshots: list, task: Task, i: int, rng: Rng) -> np.ndarray:
+    """The rows task i (from 0) of a replay run trains on, unshuffled: the
+    task's training rows, then i x |train_i| generations of ``snapshots[i-1]``,
+    the model after the previous task; the first task's rows alone."""
+    if i == 0:
+        return task.train.data
+    replay = snapshots[i - 1].generate(i * task.train.n, rng.spawn(f"gr:replay:{i}"))
+    return np.concatenate([task.train.data, replay])
+
+
 def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
                   model=None, epoch_hook=None, task_hook=None) -> tuple:
     """Single model (by default a ``VaeComponent``), trained and scored
@@ -381,8 +386,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
 
     ``task_hook(task_index, mixture)`` is called once per task, when its
     mixture is built and before its first epoch; ``epoch_hook`` after every
-    epoch. The run holds OpenBLAS at one thread, so its bits do not depend on
-    the CPU count."""
+    epoch."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
@@ -393,11 +397,8 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     eval_eps = [_eval_eps(rng, t, cfg.latent_dim) for t in stream.tasks]
 
     for i, task in enumerate(stream.tasks):
-        if i == 0:
-            mixture = task.train.data
-        else:
-            replay = artifacts.snapshots[-1].generate(i * task.train.n, rng.spawn(f"gr:replay:{i}"))
-            mixture = np.concatenate([task.train.data, replay])
+        mixture = replay_mixture(artifacts.snapshots, task, i, rng)
+        if i > 0:
             mixture = mixture[rng.spawn(f"gr:mix:{i}").permutation(mixture.shape[0])]
         artifacts.mixtures.append(mixture)
         if task_hook is not None:

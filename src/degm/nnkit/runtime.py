@@ -1,5 +1,5 @@
-"""Process-wide settings and probes: glibc malloc thresholds, the BLAS thread
-count, forked children for independent work (``start``, and ``fork_map`` on
+"""Process-wide settings and probes: glibc malloc thresholds, one OpenBLAS
+thread, forked children for independent work (``start``, and ``fork_map`` on
 top of it), and the environment block a run records.
 
 One minibatch step of a specific node allocates about 2 MB of [batch, hidden]
@@ -8,13 +8,12 @@ threshold are mapped and unmapped one by one, and the heap is trimmed back to
 the OS whenever its free top exceeds twice the largest chunk ever mapped (a
 480 KB evaluation array here). Every step then faults the same pages back in.
 Fixing both thresholds keeps the step's working set in the heap. Importing
-this module sets them; where ``mallopt`` does not exist (non-glibc platforms)
-nothing is changed.
+this module sets them, and pins OpenBLAS to one thread; where ``mallopt`` or
+OpenBLAS's setter does not exist, that setting is left as it is.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -90,6 +89,13 @@ def set_blas_threads(n: int) -> bool:
     return True
 
 
+# OpenBLAS can round a product differently at another thread count, so every
+# degm process runs it on one thread: a run's bits then depend neither on the
+# CPU count nor on where a piece of work ran, and forked children do not
+# contend for the CPUs with BLAS threads of their own.
+BLAS_PINNED = set_blas_threads(1)
+
+
 # -- one process per CPU for independent items -------------------------------
 
 def share_count(items: int) -> int:
@@ -119,42 +125,6 @@ def split_shares(costs: list, shares: int) -> list[list[int]]:
     return [sorted(share) for share in out]
 
 
-# OpenBLAS runs one thread in every process while a forked child is
-# outstanding, so that the processes do not contend for the CPUs with their
-# BLAS threads, and inside a ``one_blas_thread`` block. The count before the
-# first pin comes back with the last join or block end.
-_outstanding = 0
-_restore_threads: int | None = None
-
-
-def _pin_blas() -> None:
-    global _outstanding, _restore_threads
-    if _outstanding == 0:
-        old = blas_threads()
-        _restore_threads = old if old is not None and set_blas_threads(1) else None
-    _outstanding += 1
-
-
-def _unpin_blas() -> None:
-    global _outstanding
-    _outstanding -= 1
-    if _outstanding == 0 and _restore_threads is not None:
-        set_blas_threads(_restore_threads)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with one OpenBLAS thread, in this process and in every
-    child forked meanwhile. OpenBLAS can round a product differently at
-    another thread count, so work whose bits must not depend on how many
-    children are outstanding, or on the CPU count, runs in such a block."""
-    _pin_blas()
-    try:
-        yield
-    finally:
-        _unpin_blas()
-
-
 class Handle:
     """``fn()`` of one ``start`` call: computed by a forked child, or already
     computed in this process."""
@@ -170,10 +140,7 @@ class Handle:
         that ends without sending one raises ``ChildProcessError``."""
         if self._pid is not None:
             pid, self._pid = self._pid, None
-            try:
-                self._outcome = _join(pid, self._read_fd)
-            finally:
-                _unpin_blas()
+            self._outcome = _join(pid, self._read_fd)
         ok, value = self._outcome
         if not ok:
             raise value
@@ -187,7 +154,6 @@ class Handle:
             t0 = time.perf_counter()
             os.kill(pid, signal.SIGKILL)
             _reap(pid, t0)
-            _unpin_blas()
 
 
 def start(fn) -> Handle:
@@ -204,17 +170,12 @@ def start(fn) -> Handle:
     """
     if share_count(2) == 1:
         return Handle(outcome=(True, fn()))
-    _pin_blas()
+    read_fd, write_fd = os.pipe()
     try:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-    except BaseException:
-        _unpin_blas()
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
         raise
     if pid == 0:
         # the child never returns into the caller, and leaves through _exit

@@ -947,32 +947,34 @@ def _checkpoints(run_dir: str) -> dict[str, tuple[dict, dict[str, bytes]]]:
 
 def test_a_one_layer_gr_hier_run_writes_what_a_gr_run_writes(tmp_path, capsys):
     # with hier_two_layers false, gr-hier trains, logs and saves the plain
-    # component: the same rows, single checkpoints of the same bytes, the
-    # same eval tables
-    runs = {}
-    for mode, train in (("gr", {}), ("gr-hier", {"hier_latent_dims": [3, 2],
-                                                 "hier_two_layers": False})):
-        raw = two_task_config(mode, out_dir=str(tmp_path / mode))
-        raw["train"].update(train)
-        config_path = tmp_path / f"{mode}.json"
-        config_path.write_text(json.dumps(raw))
-        run_dir = cmd_train(parse_config(config_path.read_text()))
-        for kprime in ("1", "50"):
-            assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
-                         "--config", str(config_path), "--kprime", kprime]) == 0
-        runs[mode] = run_dir
-    capsys.readouterr()
-    gr, hier = runs["gr"], runs["gr-hier"]
-    assert _read_csv(os.path.join(gr, "metrics.csv"), "run_id") == \
-        _read_csv(os.path.join(hier, "metrics.csv"), "run_id")
-    checkpoints = _checkpoints(hier)
-    assert sorted(checkpoints) == ["checkpoint", "checkpoint/task_1", "checkpoint/task_2"]
-    assert {manifest["kind"] for manifest, _ in checkpoints.values()} == {"single"}
-    assert checkpoints == _checkpoints(gr)
-    for kprime in (1, 50):
-        name = f"eval_k{kprime}.csv"
-        assert _read_csv(os.path.join(gr, name), "config_hash") == \
-            _read_csv(os.path.join(hier, name), "config_hash")
+    # component, on one draw or on K' (which a two-layer run refuses): the
+    # same rows, single checkpoints of the same bytes, the same eval tables
+    for objective in ({}, {"objective": "iwelbo", "kprime": 3}):
+        runs = {}
+        for mode, train in (("gr", {}), ("gr-hier", {"hier_latent_dims": [3, 2],
+                                                     "hier_two_layers": False})):
+            out = tmp_path / f"{mode}-{objective.get('objective', 'elbo')}"
+            raw = two_task_config(mode, out_dir=str(out))
+            raw["train"].update(objective, **train)
+            config_path = out.with_suffix(".json")
+            config_path.write_text(json.dumps(raw))
+            run_dir = cmd_train(parse_config(config_path.read_text()))
+            for kprime in ("1", "50"):
+                assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                             "--config", str(config_path), "--kprime", kprime]) == 0
+            runs[mode] = run_dir
+        capsys.readouterr()
+        gr, hier = runs["gr"], runs["gr-hier"]
+        assert _read_csv(os.path.join(gr, "metrics.csv"), "run_id") == \
+            _read_csv(os.path.join(hier, "metrics.csv"), "run_id")
+        checkpoints = _checkpoints(hier)
+        assert sorted(checkpoints) == ["checkpoint", "checkpoint/task_1", "checkpoint/task_2"]
+        assert {manifest["kind"] for manifest, _ in checkpoints.values()} == {"single"}
+        assert checkpoints == _checkpoints(gr)
+        for kprime in (1, 50):
+            name = f"eval_k{kprime}.csv"
+            assert _read_csv(os.path.join(gr, name), "config_hash") == \
+                _read_csv(os.path.join(hier, name), "config_hash")
 
 
 def _set_two_layers(manifest_dir: str, value: bool) -> str:
@@ -1134,12 +1136,16 @@ def test_cmd_train_env_leaves_out_children_reaped_before_it(tmp_path):
 
 
 def test_blas_threads_reads_the_loaded_library():
-    # OpenBLAS reads its thread count from the environment when it loads
-    code = "from degm.nnkit.runtime import blas_threads; print(blas_threads())"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+    # OpenBLAS reads its thread count from the environment when it loads, and
+    # importing degm sets it to 1 whatever that count was
+    code = ("from degm.nnkit.runtime import blas_threads, set_blas_threads; "
+            "print(blas_threads()); set_blas_threads(2); print(blas_threads())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.strip()
-    if out == "None":
+                         text=True, check=True).stdout.split()
+    if out[0] == "None":
         pytest.skip("no OpenBLAS thread getter in this numpy build")
-    assert out == "1"
+    assert out[0] == "1"
+    if out[1] != "2":
+        pytest.skip("OpenBLAS runs at most one thread here")

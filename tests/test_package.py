@@ -114,3 +114,18 @@ def test_the_check_counts_uses_not_name_matches():
     assert unused_public_names(sources) == [
         "b.imported_only", "b.in_attribute", "b.in_keyword", "b.in_string",
         "b.only_from_unused", "b.unused", "c.Unbuilt"]
+
+
+def test_blas_threads_are_set_only_when_the_runtime_is_imported():
+    # one OpenBLAS thread per process is one setting, made in one place
+    root = os.path.dirname(degm.__file__)
+    calls = []
+    for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+        tree = ast.parse(open(path).read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "set_blas_threads" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    in_def = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    calls.append((os.path.relpath(path, root).replace(os.sep, "/"), in_def))
+    assert calls == [("nnkit/runtime.py", False)]

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import time
 from dataclasses import astuple
@@ -167,32 +168,6 @@ def test_large_results_come_back_intact(monkeypatch):
     assert_no_child_left()
 
 
-def test_blas_threads_pinned_while_running_and_restored(monkeypatch):
-    before = blas_threads()
-    if before is None:
-        pytest.skip("no OpenBLAS thread getter in this numpy build")
-    set_blas_threads(2)  # more than the pin, so that a count left at 1 shows
-    try:
-        if blas_threads() != 2:
-            pytest.skip("OpenBLAS runs at most one thread here")
-        cpus(monkeypatch, {0, 1})
-        assert fork_map(lambda i: blas_threads(), [1, 1]) == [1, 1]
-        assert blas_threads() == 2
-        outer = start(blas_threads)
-        assert blas_threads() == 1
-        # a fork_map while a child is outstanding, and a start inside fork_map's items
-        inner = fork_map(lambda i: (blas_threads(), start(blas_threads).result()), [1, 1])
-        assert inner == [(1, 1), (1, 1)] and blas_threads() == 1
-        assert outer.result() == 1
-        assert blas_threads() == 2  # restored with the last join
-        for handle in (start(blas_threads), start(blas_threads)):
-            handle.cancel()
-        assert blas_threads() == 2  # and with the last cancel
-    finally:
-        set_blas_threads(before)
-    assert_no_child_left()
-
-
 def test_buffered_output_is_written_once(monkeypatch, capfd):
     cpus(monkeypatch, {0, 1})
     # a block-buffered stdout, as when output goes to a file or a pipe
@@ -327,17 +302,19 @@ def test_models_sent_back_by_children_keep_their_tensors_on_one_vector(monkeypat
         make(i).params().flat.tobytes() for i in (0, 0, 1)]
 
 
-def test_bounds_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_path):
+def wide_config(mode: str, out_dir: str, kinds=("half-active-top", "half-active-bottom", "bars"),
+                **train) -> dict:
     # 196 wide: OpenBLAS rounds some products of this shape differently at 1
-    # and 2 threads, so a run that pinned only while a fit child was
-    # outstanding wrote other bytes on 2 CPUs than on 1
-    kinds = ("half-active-top", "half-active-bottom", "bars")
-    raw = {"mode": "bounds", "out_dir": str(tmp_path / "runs"),
-           "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
-                      "n_train": 200, "n_test": 100, "dim": 196} for i, kind in enumerate(kinds)],
-           "train": {"epochs": 2, "batch": 64, "lr": 1e-3, "latent_dim": 16, "hidden_dim": 64,
-                     "likelihood": "gaussian"},
-           "bounds": {"sample_size": 300}}
+    # and 2 threads
+    return {"mode": mode, "out_dir": out_dir,
+            "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
+                       "n_train": 200, "n_test": 100, "dim": 196} for i, kind in enumerate(kinds)],
+            "train": {"epochs": 2, "batch": 64, "lr": 1e-3, "latent_dim": 16, "hidden_dim": 64,
+                      "likelihood": "gaussian", **train}}
+
+
+def test_bounds_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_path):
+    raw = {**wide_config("bounds", str(tmp_path / "runs")), "bounds": {"sample_size": 300}}
 
     def run(mask):
         cpus(monkeypatch, mask)
@@ -358,37 +335,47 @@ def test_bounds_runs_write_the_same_files_on_one_cpu_and_two(monkeypatch, tmp_pa
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("mode", ["gr", "gr-hier"])
-def test_replay_runs_write_the_same_files_at_one_blas_thread_and_two(monkeypatch, tmp_path,
-                                                                     mode):
-    # the 196-wide shape above: without the run's pin to one OpenBLAS thread,
-    # most of these files differed between a start at 1 and at 2 threads
-    before = blas_threads()
-    if before is None:
+def two_blas_threads_or_skip():
+    if blas_threads() is None:
         pytest.skip("no OpenBLAS thread getter in this numpy build")
-    kinds = ("half-active-top", "half-active-bottom", "bars")
-    raw = {"mode": mode, "out_dir": str(tmp_path / "runs"),
-           "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
-                      "n_train": 200, "n_test": 100, "dim": 196} for i, kind in enumerate(kinds)],
-           "train": {"epochs": 2, "batch": 64, "lr": 1e-3, "latent_dim": 16, "hidden_dim": 64,
-                     "likelihood": "gaussian"}}
-    cpus(monkeypatch, {0})
+    set_blas_threads(2)
+    try:
+        if blas_threads() != 2:
+            pytest.skip("OpenBLAS runs at most one thread here")
+    finally:
+        set_blas_threads(1)
 
-    def run(threads):
-        set_blas_threads(threads)
-        try:
-            if blas_threads() != threads:
-                pytest.skip(f"OpenBLAS does not run {threads} threads here")
-            shutil.rmtree(tmp_path / "runs", ignore_errors=True)
-            files = run_files(cmd_train(parse_config(json.dumps(raw))))
-        finally:
-            set_blas_threads(before)
-        files.pop("summary.json")
-        return files
 
-    one, two = run(1), run(2)
+def train_in_a_process(raw: dict, tmp_path, threads: int, mask=(0,)) -> tuple[dict, dict, dict]:
+    """The files ``degm train`` writes for ``raw`` in a fresh process whose
+    OpenBLAS loads with ``threads`` threads and which sees the CPUs ``mask``:
+    all but summary.json, that summary without its env block, and the env."""
+    shutil.rmtree(raw["out_dir"], ignore_errors=True)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    code = (f"import os, sys; os.sched_getaffinity = lambda pid: {set(mask)!r}; "
+            "from degm.cli import main; sys.exit(main(['train', '--config', sys.argv[1]]))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", code, str(config_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    files = run_files(out.strip().splitlines()[-1])
+    summary = json.loads(files.pop("summary.json"))
+    return files, summary, summary.pop("env")
+
+
+@pytest.mark.parametrize("mode", ["gr", "gr-hier"])
+def test_replay_runs_write_the_same_files_at_one_blas_thread_and_two(tmp_path, mode):
+    # importing degm pins OpenBLAS to one thread: without that, most of these
+    # files differed between a process loaded with 1 and with 2 threads
+    two_blas_threads_or_skip()
+    raw = wide_config(mode, str(tmp_path / "runs"))
+    (one, one_summary, one_env), (two, two_summary, two_env) = (
+        train_in_a_process(raw, tmp_path, n) for n in (1, 2))
     assert sorted(two) == sorted(one) and "metrics.csv" in one
     assert [path for path in one if two[path] != one[path]] == []
+    assert two_summary == one_summary
+    assert one_env["blas_threads"] == two_env["blas_threads"] == 1
 
 
 # --- the graph's nodes: the same files in any number of processes --------------------
@@ -495,36 +482,24 @@ def test_every_nodes_rows_equal_a_recomputation_from_the_final_graph(monkeypatch
 
 
 @pytest.mark.parametrize("mask", [{0}, {0, 1}])
-def test_graph_nodes_train_on_one_blas_thread(monkeypatch, tmp_path, mask):
+def test_graph_nodes_train_on_one_blas_thread(tmp_path, mask):
     # OpenBLAS can round differently at another thread count, so a node's
-    # bits would otherwise depend on whether a child was outstanding
-    import degm.lifelong as lifelong
-
-    before = blas_threads()
-    if before is None:
-        pytest.skip("no OpenBLAS thread getter in this numpy build")
-    set_blas_threads(2)
-    try:
-        if blas_threads() != 2:
-            pytest.skip("OpenBLAS runs at most one thread here")
-        cpus(monkeypatch, mask)
-        train_node = lifelong._train_node
-
-        def recording(*args):  # the count comes back with the rows, also from a child
-            rows, arrays, reference_elbo = train_node(*args)
-            return [(*row, blas_threads()) for row in rows], arrays, reference_elbo
-
-        monkeypatch.setattr(lifelong, "_train_node", recording)
-        cfg = parse_config(json.dumps(graph_config(str(tmp_path),
-                                                   GRAPH_STREAMS["basics-then-specifics"])))
-        stream = build_stream(cfg)
-        monkeypatch.setattr(lifelong, "_metrics_log", lambda live, expansion, run_id: live)
-        _, live = run_degm(stream, cfg.train, Rng(cfg.train.seed))
-        assert len(live) == 4 and {row[2] for rows in live for row in rows} == {1}
-        assert blas_threads() == 2  # restored after the run
-    finally:
-        set_blas_threads(before)
-    assert_no_child_left()
+    # bits would otherwise depend on the thread count the process loaded
+    # with; with two CPUs, a child trains the second basic node and the pool
+    # the specific nodes
+    two_blas_threads_or_skip()
+    raw = wide_config("degm", str(tmp_path / "runs"), GRAPH_STREAMS["basics-then-specifics"],
+                      tau=8.0, probe_size=50)
+    (one, one_summary, one_env), (two, two_summary, two_env) = (
+        train_in_a_process(raw, tmp_path, n, mask) for n in (1, 2))
+    lines = one["expansion.csv"].decode().splitlines()
+    column = lines[0].split(",").index("decision")
+    assert [line.split(",")[column] for line in lines[1:]] == ["basic", "specific", "specific"]
+    assert sorted(two) == sorted(one)
+    assert [path for path in one if two[path] != one[path]] == []
+    assert two_summary == one_summary
+    assert one_env["blas_threads"] == two_env["blas_threads"] == 1
+    assert one_env["children"] == two_env["children"] == (0 if mask == {0} else 3)
 
 
 @pytest.mark.parametrize("where", ["a pooled child", "the parent beside a candidate"])
