@@ -400,7 +400,7 @@ def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
 
 
 def report_rows(rows: list[BoundsRow], n_tasks: int) -> list[dict]:
-    """bounds_report.csv: one line per row, one column per task's target
+    """The bounds report: one line per row, one column per task's target
     risk, blank for tasks not yet seen."""
     records = []
     for r in rows:

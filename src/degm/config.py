@@ -219,8 +219,14 @@ def parse_config(text: str, seed: int | None = None, out_dir: str | None = None,
     )
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.raw, sort_keys=True, indent=1)
+def load_config_file(path: str, **flags) -> ExperimentConfig:
+    """``parse_config`` of the file at ``path``, with the same keyword flags."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
+    return parse_config(text, **flags)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

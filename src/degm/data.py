@@ -1,4 +1,5 @@
-"""Datasets, IDX ingestion, label splits, pixel transforms, synthetic tasks.
+"""Datasets, IDX ingestion, label splits, pixel transforms, synthetic tasks,
+and the task streams a config describes.
 
 Every dataset is a flat [n, dim] float64 array with values in [0, 1], plus
 optional integer labels. Image-shaped operations (rotation, pooling, the grid
@@ -9,11 +10,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError
 from .nnkit import Rng
+
+if TYPE_CHECKING:  # degm.config imports this module
+    from .config import ExperimentConfig
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -105,6 +110,15 @@ def save_idx_labels(path: str, labels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def cmd_gen_synthetic(kind: str, n: int, dim: int, seed: int, out_prefix: str) -> None:
+    side = int(round(np.sqrt(dim)))
+    if side * side != dim:
+        raise ConfigError("gen-synthetic writes IDX images and needs a square dim")
+    data = synthetic_task(kind, n, dim, Rng(seed).spawn(f"data:{kind}"))
+    save_idx_images(out_prefix + "-images.idx", data.data, side, side)
+    save_idx_labels(out_prefix + "-labels.idx", np.zeros(n, dtype=np.int64))
 
 
 def attach_labels(images: Dataset, labels: Dataset) -> Dataset:
@@ -220,3 +234,95 @@ def synthetic_task(kind: str, n: int, dim: int, rng: Rng, center: tuple | None =
     dist = (grid_r[None] - cr) ** 2 + (grid_c[None] - cc) ** 2
     imgs = np.exp(-dist / (2.0 * spread ** 2))
     return Dataset(np.clip(imgs.reshape(n, dim), 0.0, 1.0))
+
+
+# -- task streams ---------------------------------------------------------------------
+
+@dataclass
+class Task:
+    name: str
+    train: Dataset
+    test: Dataset
+
+    def __post_init__(self):
+        if self.train.dim != self.test.dim:
+            raise ConfigError(f"task {self.name!r}: train dim {self.train.dim} != test dim {self.test.dim}")
+
+
+@dataclass
+class TaskStream:
+    tasks: list[Task]
+
+    def __post_init__(self):
+        if not self.tasks:
+            raise ConfigError("task stream is empty")
+        names = [t.name for t in self.tasks]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            # every random stream is keyed by task name, so repeats would share draws
+            raise ConfigError(f"task names must be unique, repeated: {repeated}")
+        dims = {t.train.dim for t in self.tasks}
+        if len(dims) != 1:
+            raise ConfigError(f"tasks disagree on input_dim: {sorted(dims)}")
+
+    @property
+    def input_dim(self) -> int:
+        return self.tasks[0].train.dim
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+
+def _load_split(spec: dict, which: str):
+    images = load_idx(spec[f"{which}_images"])
+    labels = spec[f"{which}_labels"]
+    return images if labels is None else attach_labels(images, load_idx(labels))
+
+
+def _task_data(spec: dict) -> list[tuple]:
+    """(name, train, test) of each task a spec describes, before its transforms.
+    Synthetic data is keyed by the task's seed and name."""
+    if spec["source"] == "synthetic":
+        center = None if spec["center"] is None else tuple(spec["center"])
+        train, test = (synthetic_task(spec["kind"], spec[f"n_{which}"], spec["dim"],
+                                      Rng(spec["seed"]).spawn(f"data:{spec['name']}:{which}"),
+                                      center=center)
+                       for which in ("train", "test"))
+        return [(spec["name"], train, test)]
+    train, test = _load_split(spec, "train"), _load_split(spec, "test")
+    if spec["split_groups"] is not None:
+        groups = [set(g) for g in spec["split_groups"]]
+        return [(f"{spec['name']}-{gname}", tr, te)
+                for gname, tr, te in split_by_labels(train, test, groups)]
+    if spec["labels"] is not None:
+        [(_, train, test)] = split_by_labels(train, test, [set(spec["labels"])])
+    return [(spec["name"], train, test)]
+
+
+def build_stream(cfg: ExperimentConfig) -> TaskStream:
+    """The task stream of the config's specs, their defaults filled by
+    degm.config; ``order_streams`` checks its orderings first."""
+    tasks = []
+    for spec in cfg.tasks:
+        for name, train, test in _task_data(spec):
+            train, test = (transform_chain(d, spec["transforms"]) for d in (train, test))
+            if cfg.desk_scale:
+                train, test = downsample(train), downsample(test)
+            tasks.append(Task(name, train, test))
+    order_streams(cfg, tasks)
+    return TaskStream(tasks)
+
+
+def order_streams(cfg: ExperimentConfig, tasks: list[Task]) -> list[TaskStream]:
+    """One stream per configured ordering, none without ``orders``. Each
+    ordering must name some of ``tasks`` and be a permutation of the first."""
+    by_name = {t.name: t for t in tasks}
+    streams = []
+    for i, names in enumerate(cfg.orders or ()):
+        missing = [n for n in names if n not in by_name]
+        if missing:
+            raise ConfigError(f"orders[{i}] references unknown tasks {missing}")
+        if sorted(names) != sorted(cfg.orders[0]):
+            raise ConfigError(f"orders[{i}] is not a permutation of orders[0]")
+        streams.append(TaskStream([by_name[n] for n in names]))
+    return streams

@@ -26,46 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Task, TaskStream
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
 from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, runtime
 from .vae import BasicNode, HierVae, VaeComponent, copy_model
-
-
-@dataclass
-class Task:
-    name: str
-    train: Dataset
-    test: Dataset
-
-    def __post_init__(self):
-        if self.train.dim != self.test.dim:
-            raise ConfigError(f"task {self.name!r}: train dim {self.train.dim} != test dim {self.test.dim}")
-
-
-@dataclass
-class TaskStream:
-    tasks: list[Task]
-
-    def __post_init__(self):
-        if not self.tasks:
-            raise ConfigError("task stream is empty")
-        names = [t.name for t in self.tasks]
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            # every random stream is keyed by task name, so repeats would share draws
-            raise ConfigError(f"task names must be unique, repeated: {repeated}")
-        dims = {t.train.dim for t in self.tasks}
-        if len(dims) != 1:
-            raise ConfigError(f"tasks disagree on input_dim: {sorted(dims)}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.tasks[0].train.dim
-
-    def __len__(self) -> int:
-        return len(self.tasks)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""What a command writes to disk: checkpoints and CSV tables, each written
-by ``write_record``.
+"""What a command writes to disk: checkpoints, CSV tables and JSON files,
+each written by ``write_record``.
 
 A checkpoint is a JSON manifest plus one little-endian float64 blob per array.
 The manifest is the model's own ``spec()`` (for a graph: node kinds, edge
@@ -11,9 +11,10 @@ Every table goes through ``write_table``: a header from the first row's keys,
 then one line per row, floats at full precision.
 
 A command's run function returns a ``RunRecord``, and ``write_record`` writes
-its tables and models into a directory: each table with a trailing
-config_hash column, but for ``UNHASHED_TABLES``, and each manifest with
-config_hash in its ``extra``.
+its tables, models and JSON files into a directory: each table with a
+trailing config_hash column, but for ``UNHASHED_TABLES``, and each manifest
+with config_hash in its ``extra``. Every JSON file, a manifest too, goes
+through ``write_json``.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def save_checkpoint(directory: str, model, extra: dict | None = None) -> None:
     manifest = {**model.spec(), "format_version": FORMAT_VERSION, "arrays": entries,
                 "extra": extra or {}}
     _write_arrays(directory, params, entries)
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_checkpoint(directory: str):
@@ -129,27 +129,37 @@ def write_table(path: str, rows: list[dict], config_hash: str | None = None) -> 
         writer.writerows(rows)
 
 
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` as JSON, its keys sorted, indented by one space."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
 @dataclass
 class RunRecord:
     """What a command writes and reports: its tables by file name, its models
     by path relative to the directory, each with its manifest ``extra``, its
-    summary.json fields, the seconds of its named phases, and the names of
-    the tables written without the config_hash column."""
+    summary.json fields, the seconds of its named phases, the names of the
+    tables written without the config_hash column, and its JSON files by
+    file name."""
 
     tables: dict[str, list[dict]] = field(default_factory=dict)
     models: dict[str, tuple[object, dict]] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     phases: dict[str, float] = field(default_factory=dict)
     unhashed: tuple[str, ...] = UNHASHED_TABLES
+    documents: dict[str, object] = field(default_factory=dict)
 
 
 def write_record(directory: str, record: RunRecord, config_hash: str | None = None) -> None:
-    """Write ``record``'s tables and models into ``directory``, which must
-    exist; with ``config_hash``, as the last column of each table not named
-    in ``record.unhashed`` and in each model's ``extra``."""
+    """Write ``record``'s tables, models and JSON files into ``directory``,
+    which must exist; with ``config_hash``, as the last column of each table
+    not named in ``record.unhashed`` and in each model's ``extra``."""
     for name, rows in record.tables.items():
         write_table(os.path.join(directory, name), rows,
                     None if name in record.unhashed else config_hash)
     for path, (model, extra) in record.models.items():
         hashed = extra if config_hash is None else {**extra, "config_hash": config_hash}
         save_checkpoint(os.path.join(directory, path), model, hashed)
+    for name, doc in record.documents.items():
+        write_json(os.path.join(directory, name), doc)

@@ -21,11 +21,10 @@ from degm.cli import (
     cmd_eval,
     cmd_export_v,
     cmd_train,
-    config_hash,
     main,
     parse_config,
-    serialize_config,
 )
+from degm.config import config_hash
 from degm.data import SYNTHETIC_KINDS, save_idx_images, save_idx_labels
 from degm.errors import ConfigError, ContractError, FormatError
 from degm.graph import GraphModel
@@ -100,9 +99,10 @@ def test_parse_mode_and_ablation_validation():
     assert parse_config(json.dumps(raw)).ablation == "degm-6"
 
 
-def test_parse_round_trip():
-    cfg = parse_config(json.dumps(two_task_config()))
-    again = parse_config(serialize_config(cfg))
+def test_parse_round_trip(tmp_path):
+    cfg = parse_config(json.dumps(two_task_config(out_dir=str(tmp_path / "runs"))))
+    with open(os.path.join(cmd_train(cfg), "config.json")) as fh:
+        again = parse_config(fh.read())
     assert again.raw == cfg.raw
     assert config_hash(again) == config_hash(cfg)
 
@@ -274,7 +274,7 @@ def mode_configs(out_dir: str) -> list[dict]:
 def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatch, capsys):
     import degm.persist as persist
 
-    writers = {}  # the path a table or checkpoint was written to -> its caller
+    writers = {}  # the path a table, checkpoint or JSON file was written to -> its caller
 
     def recorded(write):
         def call(path, *args, **kwargs):
@@ -285,6 +285,7 @@ def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatc
 
     monkeypatch.setattr(persist, "write_table", recorded(persist.write_table))
     monkeypatch.setattr(persist, "save_checkpoint", recorded(persist.save_checkpoint))
+    monkeypatch.setattr(persist, "write_json", recorded(persist.write_json))
     runs = {}
     for i, raw in enumerate(mode_configs(str(tmp_path / "runs"))):
         config_path = tmp_path / f"cfg{i}.json"
@@ -303,13 +304,13 @@ def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatc
     for base, _, names in os.walk(tmp_path):
         for name in names:
             path = os.path.join(base, name)
-            if name.startswith("cfg") or name in ("config.json", "summary.json"):
-                continue  # the configs given, and the two JSON files of cmd_train
-            owner = path
-            while owner not in writers:  # a checkpoint's files: its directory
-                assert owner != str(tmp_path), f"{path} came from no writer"
-                owner = os.path.dirname(owner)
-            owners[path] = writers[owner]
+            if name.startswith("cfg"):
+                continue  # the configs given
+            # the outermost written path that holds the file: a checkpoint's
+            # files, its manifest too, belong to the checkpoint's directory
+            held_by = [p for p in writers if path == p or path.startswith(p + os.sep)]
+            assert held_by, f"{path} came from no writer"
+            owners[path] = writers[min(held_by, key=len)]
     assert set(owners.values()) == {"degm.persist.write_record"}
     written = {os.path.relpath(p, tmp_path) for p in owners}
     assert "v.csv" in written
@@ -557,7 +558,7 @@ def test_main_a_non_finite_blob_exits_2_naming_its_file(tmp_path, capsys, verb, 
 
 @pytest.mark.parametrize("kprime", ["0", "-1", "True"])
 def test_main_eval_refuses_a_bad_kprime_before_any_work(tmp_path, capsys, monkeypatch, kprime):
-    import degm.cli as cli
+    import degm.runs as runs
 
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(two_task_config("degm", out_dir=str(tmp_path / "runs"))))
@@ -567,7 +568,7 @@ def test_main_eval_refuses_a_bad_kprime_before_any_work(tmp_path, capsys, monkey
     def never(*args, **kwargs):
         raise AssertionError("a refused --kprime loads nothing")
 
-    monkeypatch.setattr(cli, "load_checkpoint", never)
+    monkeypatch.setattr(runs, "load_checkpoint", never)
     argv = ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
             "--config", str(config_path), "--kprime", kprime]
     if kprime == "True":  # argparse's int() refuses it before main sees it
@@ -617,24 +618,27 @@ def test_main_unwritable_output_path_exits_2(tmp_path, capsys, verb):
         assert blocker.read_text() == "kept"
 
 
-@pytest.mark.parametrize("flag, value, floor", [
-    *[pytest.param(flag, value, 1, id=f"{value}-{flag}")
+@pytest.mark.parametrize("flag, value, message", [
+    *[pytest.param(flag, value, f"{flag} must be an integer >= 1, got {value}",
+                   id=f"{value}-{flag}")
       for flag in ("--n", "--dim") for value in ("0", "-3")],
-    pytest.param("--seed", "-1", 0, id="-1---seed"),
+    pytest.param("--seed", "-1", "--seed must be an integer >= 0, got -1", id="-1---seed"),
+    pytest.param("--dim", "10", "gen-synthetic writes IDX images and needs a square dim",
+                 id="10---dim"),
 ])
 def test_main_gen_synthetic_refuses_a_bad_count_before_any_work(tmp_path, capsys, monkeypatch,
-                                                                flag, value, floor):
-    import degm.cli as cli
+                                                                flag, value, message):
+    import degm.data as data
 
     def never(*args, **kwargs):
         raise AssertionError("a refused count generates nothing")
 
-    monkeypatch.setattr(cli, "synthetic_task", never)
+    monkeypatch.setattr(data, "synthetic_task", never)
     args = {"--n": "12", "--dim": "16", flag: value}
     prefix = str(tmp_path / "toy")
     assert main(["gen-synthetic", "--kind", "bars", *[x for kv in args.items() for x in kv],
                  "--out", prefix]) == 2
-    assert capsys.readouterr().err == f"error: {flag} must be an integer >= {floor}, got {value}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -1094,25 +1098,28 @@ def test_cmd_train_times_every_table_of_a_bounds_run(tmp_path, monkeypatch):
     import degm.bounds as bounds
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    raw = two_task_config("bounds")
+    raw = two_task_config("bounds", out_dir=str(tmp_path / "runs"))
     raw["train"]["likelihood"] = "gaussian"
     raw["bounds"] = {"sample_size": 40, "aux_epochs": 1}
-
-    def phase_sum(out: str) -> float:
-        cfg = parse_config(json.dumps({**raw, "out_dir": str(tmp_path / out)}))
-        env = json.load(open(os.path.join(cmd_train(cfg), "summary.json")))["env"]
-        return sum(env["phase_s"].values())
-
-    proxy = bounds.accumulated_error_proxy
+    proxy, inside = bounds.accumulated_error_proxy, []
 
     def slow_proxy(*args, **kwargs):
+        t0 = time.perf_counter()
         time.sleep(0.3)
-        return proxy(*args, **kwargs)
+        try:
+            return proxy(*args, **kwargs)
+        finally:
+            inside.append(time.perf_counter() - t0)
 
     monkeypatch.setattr(bounds, "accumulated_error_proxy", slow_proxy)
-    slow = phase_sum("slow")
-    monkeypatch.setattr(bounds, "accumulated_error_proxy", proxy)
-    assert slow - phase_sum("plain") >= 0.29  # the table's seconds are in a phase
+    t0 = time.perf_counter()
+    run_dir = cmd_train(parse_config(json.dumps(raw)))
+    wall = time.perf_counter() - t0
+    phases = json.load(open(os.path.join(run_dir, "summary.json")))["env"]["phase_s"]
+    timed = phases["train"] + phases["write"]
+    assert len(inside) == 1
+    # the table's seconds are in a phase: what no phase times is less than they are
+    assert timed >= inside[0] > wall - timed
 
 
 def test_cmd_train_env_counts_the_forked_eval_shares(tmp_path, monkeypatch):

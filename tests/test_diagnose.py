@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degm.bounds import report_rows
-from degm.cli import build_stream, cmd_diagnose, cmd_train, config_hash, main, parse_config
+from degm.cli import build_stream, cmd_diagnose, cmd_train, main, parse_config
+from degm.config import config_hash
 from degm.errors import ContractError
 from degm.nnkit import Rng
 from degm.persist import RunRecord, load_checkpoint, write_record

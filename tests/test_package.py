@@ -9,7 +9,7 @@ import os
 import degm
 
 # what perfbench and the command line call from outside the package
-ENTRY_POINTS = {"cli.main", "cli.build_stream", "config.parse_config", "nnkit.grad_enabled"}
+ENTRY_POINTS = {"cli.main", "data.build_stream", "config.parse_config", "nnkit.grad_enabled"}
 
 
 def _module(path: str) -> str:
@@ -129,3 +129,11 @@ def test_blas_threads_are_set_only_when_the_runtime_is_imported():
                     in_def = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     calls.append((os.path.relpath(path, root).replace(os.sep, "/"), in_def))
     assert calls == [("nnkit/runtime.py", False)]
+
+
+def test_the_command_line_module_only_parses_and_dispatches():
+    # the verbs, and the run directory they lay out, live in degm.runs and degm.data
+    tree = ast.parse(open(os.path.join(os.path.dirname(degm.__file__), "cli.py")).read())
+    defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                           ast.ClassDef))]
+    assert defined == ["main"]
