@@ -1,7 +1,9 @@
 """The experiment scripts still import what they use from the package,
-every committed experiment config parses, and the output comparison finds
-the files a change alters and those it writes differently on two masks."""
+every committed experiment config parses, the acceptance sweep tables each
+check at each seed, and the output comparison finds the files a change
+alters and those it writes differently on two masks."""
 
+import csv
 import glob
 import importlib.util
 import json
@@ -19,7 +21,15 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 
 
-@pytest.mark.parametrize("script", ["run_forgetting_demo.py"])
+def _load(script: str):
+    spec = importlib.util.spec_from_file_location(script[:-len(".py")],
+                                                  os.path.join(SCRIPTS, script))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("script", ["calibrate_acceptance.py", "run_forgetting_demo.py"])
 def test_script_help(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
@@ -30,13 +40,19 @@ def test_script_help(script):
     assert "usage:" in proc.stdout
 
 
-def test_calibration_script_imports():
-    # it has no --help: run as a program it starts the calibration at once
-    spec = importlib.util.spec_from_file_location(
-        "calibrate_acceptance", os.path.join(SCRIPTS, "calibrate_acceptance.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.ac10)
+def test_calibration_sweep_tables_each_check_at_each_seed(tmp_path):
+    # the sub-second criteria at one seed besides the committed 0; the whole
+    # sweep, every criterion at 9 seeds, takes minutes
+    module = _load("calibrate_acceptance.py")
+    criteria = (2, 3, 9, 10, 12)
+    out = tmp_path / "sweep.csv"
+    rows = module.sweep({n: module.CRITERIA[n] for n in criteria}, [1], str(out))
+    with open(out) as fh:
+        table = list(csv.DictReader(fh))
+    assert list(table[0]) == ["criterion", "check", "seed", "value", "threshold", "margin", "pass"]
+    assert len(table) == len(rows) == len({(r["criterion"], r["check"], r["seed"]) for r in table})
+    assert {(r["criterion"], r["seed"]) for r in table} == {(str(n), "1") for n in criteria}
+    assert all(float(r["margin"]) >= 0.0 for r in table if r["pass"] == "True")
 
 
 def test_configs_are_found():
@@ -147,10 +163,7 @@ def test_compare_outputs_lists_the_files_a_tree_writes_differently_on_two_masks(
 
 
 def test_compare_outputs_refuses_a_mask_outside_the_affinity(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "compare_outputs", os.path.join(SCRIPTS, "compare_outputs.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load("compare_outputs.py")
     outside = str(max(os.sched_getaffinity(0)) + 1)
     assert module.main([ROOT, ROOT, "--config", str(tmp_path / "unread.json"), "--seeds", "0",
                         "--masks", outside, "--work", str(tmp_path / "work")]) == 2
