@@ -8,6 +8,12 @@ reference models) and is therefore a *lower bound*. Output columns say so.
 Losses follow the encode-decode-as-identity reading: the per-sample loss
 between two hypotheses is the dimension-normalised squared distance of their
 reconstructions, and the risk of a model is that loss against the input.
+
+A bounds row holds what ``bounds_report.csv`` and ``bound_check.csv`` write
+of one model: its risks, the KL gap, the discrepancy lower bound, both sides
+of the bound check and its slack. ``task_rows`` computes a task's rows from
+that task's sets and fixed models alone, for the per-epoch rows of
+``bounds_run`` and the task-end rows of ``diagnose_snapshots``.
 """
 
 from __future__ import annotations
@@ -36,12 +42,6 @@ def risk(model, data: np.ndarray) -> float:
     if data.shape[0] == 0:
         raise ContractError("risk needs a nonempty dataset")
     return _sq_loss(data, model.reconstruct(data))
-
-
-def _err_d_sets(gen_samples: dict, mixtures: list, upto: int) -> list[tuple]:
-    """(j, the generations of snapshot j, as many rows of mixture j) for each
-    past transition j the err_d chain sums over."""
-    return [(j, gen_samples[j], mixtures[j][:gen_samples[j].shape[0]]) for j in range(1, upto)]
 
 
 def _pair_gaps(recons: list) -> list[float]:
@@ -88,12 +88,10 @@ class BoundsRow:
     rhs_source_neg_elbo: float
     eps_proxy: float
     slack: float  # RHS - LHS of the per-epoch bound check
-    err_a_proxy: float = 0.0  # accumulated bridging terms across replay rounds
-    err_d_proxy: float = 0.0  # generator-vs-mixture risk differences (can dip negative)
 
     @property
     def ra_lower_bound(self) -> float:
-        """disc + eps: this transition's term of the accumulated-error chain."""
+        """disc + eps: the bound check's error term of this transition."""
         return self.disc_lower_bound + self.eps_proxy
 
 
@@ -102,7 +100,7 @@ class BoundsArtifacts:
     rows: list[BoundsRow] = field(default_factory=list)
     reference_models: list = field(default_factory=list)
     gr_model: object = None
-    gr_artifacts: object = None
+    snapshots: list = field(default_factory=list)  # the replay model after each task
     metrics_log: object = None
     rows_s: float = 0.0  # wall seconds this process spent producing the rows
 
@@ -146,7 +144,7 @@ class SetNumbers(NamedTuple):
 
     losses: dict  # id of an array -> the loss of the reconstruction against it
     kl: float | None  # the mean encoder KL, where it is read
-    neg_elbo: float | None  # the mean negative ELBO at the chain's draw, where it is read
+    neg_elbo: float | None  # the mean negative ELBO at the rows' draw, where it is read
 
 
 def _set_numbers(model, x: np.ndarray, against: dict, kl: bool, elbo: bool,
@@ -161,136 +159,81 @@ def _set_numbers(model, x: np.ndarray, against: dict, kl: bool, elbo: bool,
                       -node_pass.bound([eps]).mean() if elbo else None)
 
 
-class BoundsChain:
-    """The chain of per-transition terms, from one task's rows to the next.
+def task_rows(models: list, epochs: list[int], source: np.ndarray,
+              target_sets: list[np.ndarray], aux: VaeComponent | None, refs: list,
+              eval_eps: np.ndarray, rng: Rng, sample_size: int) -> list[BoundsRow]:
+    """One diagnostics row per model of ``models``, at its entry of
+    ``epochs``, while it learns task t + 1: ``target_sets`` holds the test
+    sets of tasks 1..t+1, ``aux`` the aux model fitted on the task's mixture
+    (None at the first task, where the current model stands in for it),
+    ``refs`` the reference models, of which those of tasks 1..t+1 are read,
+    and ``eval_eps`` the fixed draw of every ELBO term of the bound check.
 
-    It holds the reference models, the fixed noise of every ELBO term of the
-    bound check, the aux model of each transition, the generations of each
-    snapshot, and the final ra term of each transition. For the whole chain
-    it keeps the reconstructions the err_d chain compares against, of each
-    earlier snapshot on its generations and each earlier aux model on its
-    mixture. Their inputs are keyed, so a process that fills them anew gets
-    the same bits.
+    The models that stay fixed, the aux model and the refs, are reconstructed
+    on the union and the source first. Each model then passes each distinct
+    row set once, and ``_set_numbers`` reduces the pass to the floats the row
+    reads before the next one is made. A task's rows read nothing of another
+    task's, so they are the same whatever process computes them.
     """
+    source = np.asarray(source, dtype=np.float64)
+    targets = [np.asarray(ts, dtype=np.float64) for ts in target_sets]
+    if source.shape[0] == 0 or not targets or any(ts.shape[0] == 0 for ts in targets):
+        raise ContractError("bounds rows need nonempty source and target sets")
+    t = len(targets) - 1
+    union = targets[0] if t == 0 else np.concatenate(targets)  # one set is its own union
+    kl_source, kl_targets = _kl_sets(targets, source, sample_size, rng.spawn(f"bounds:kl:{t}"))
+    # at the first task the aux model is the current model: its pairs would
+    # repeat current's, and (current, aux) scores exactly 0
+    fixed = [aux] if aux is not None else []
+    kept = [(m.reconstruct(union), m.reconstruct(source)) for m in fixed + refs[:t + 1]]
+    fixed_gaps = _pair_gaps(kept)
+    # the aux model's eps_proxy; None at the first task, where it is the current model
+    eps_fixed = (_sq_loss(source, kept[0][1]) + _sq_loss(union, kept[0][0])) if fixed else None
+    # each distinct set once: [rows, the arrays its reconstruction is
+    # scored against, whether its KL is read, whether its ELBO is read];
+    # losses are symmetric bit for bit, so a set scored against itself
+    # is its risk
+    reads: dict[int, list] = {}
 
-    def __init__(self, refs: list, cfg: TrainConfig, rng: Rng, sample_size: int):
-        self.refs = refs
-        self.rng = rng
-        self.sample_size = sample_size
-        self.eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
-        self.aux_models: dict[int, VaeComponent] = {}
-        self.gen_samples: dict[int, np.ndarray] = {}
-        self.ra: dict[int, float] = {}  # the final epoch's term wins
-        self.err_d_fixed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def read(x: np.ndarray, against: list, kl: bool = False, elbo: bool = False):
+        entry = reads.setdefault(id(x), [x, {}, False, False])
+        entry[1].update((id(a), a) for a in against)
+        entry[2] |= kl
+        entry[3] |= elbo
 
-    def start(self, t: int, aux: VaeComponent | None, snapshots: list) -> None:
-        """Begin task t + 1 with ``aux``, the aux model fitted on its mixture
-        (None at the first task), and draw, once per snapshot the err_d chain
-        reads (all but the first), the generations it scores it on."""
-        if aux is not None:
-            self.aux_models[t] = aux
-        for k in range(1, len(snapshots)):
-            if k not in self.gen_samples:
-                self.gen_samples[k] = snapshots[k].generate(min(self.sample_size, 512),
-                                                            self.rng.spawn(f"bounds:gen:{k}"))
+    for ts in targets:
+        read(ts, [ts], elbo=True)
+    read(source, [source, *(s for _, s in kept)], elbo=True)
+    read(union, [union, *(u for u, _ in kept)])
+    for x in (kl_source, *kl_targets):
+        read(x, [], kl=True)
 
-    def rows(self, models: list, epochs: list[int], source: np.ndarray,
-             target_sets: list[np.ndarray], snapshots: list, mixtures: list) -> list[BoundsRow]:
-        """One diagnostics row per model of ``models``, at its entry of
-        ``epochs``, while it learns task t + 1; ``target_sets`` holds the test
-        sets of tasks 1..t+1, and ``snapshots`` and ``mixtures`` the
-        transitions the err_d chain sums over. ``link`` sets err_a_proxy.
+    def row(model, epoch: int) -> BoundsRow:
+        own = {key: _set_numbers(model, *entry, eval_eps) for key, entry in reads.items()}
 
-        The models that stay fixed are reconstructed first: the aux model and
-        the refs on the union and the source, and the err_d chain's terms not
-        in ``err_d_fixed``. Each model then passes each distinct row set once,
-        and ``_set_numbers`` reduces the pass to the floats the row reads
-        before the next one is made.
-        """
-        source = np.asarray(source, dtype=np.float64)
-        targets = [np.asarray(ts, dtype=np.float64) for ts in target_sets]
-        if source.shape[0] == 0 or not targets or any(ts.shape[0] == 0 for ts in targets):
-            raise ContractError("bounds rows need nonempty source and target sets")
-        t = len(targets) - 1
-        union = targets[0] if t == 0 else np.concatenate(targets)  # one set is its own union
-        kl_source, kl_targets = _kl_sets(targets, source, self.sample_size,
-                                         self.rng.spawn(f"bounds:kl:{t}"))
-        err_d = _err_d_sets(self.gen_samples, mixtures, t)
-        for j, gen, mix in err_d:
-            if j not in self.err_d_fixed:
-                self.err_d_fixed[j] = (snapshots[j].reconstruct(gen),
-                                       self.aux_models[j].reconstruct(mix))
-        # at the first task the aux model is the current model: its pairs would
-        # repeat current's, and (current, aux) scores exactly 0
-        fixed = [self.aux_models[t]] if t in self.aux_models else []
-        kept = [(m.reconstruct(union), m.reconstruct(source))
-                for m in fixed + self.refs[:t + 1]]
-        fixed_gaps = _pair_gaps(kept)
-        # the aux model's eps_proxy; None at the first task, where it is the current model
-        eps_fixed = (_sq_loss(source, kept[0][1]) + _sq_loss(union, kept[0][0])) if fixed else None
-        # each distinct set once: [rows, the arrays its reconstruction is
-        # scored against, whether its KL is read, whether its ELBO is read];
-        # losses are symmetric bit for bit, so a set scored against itself
-        # is its risk
-        reads: dict[int, list] = {}
+        def loss(x: np.ndarray, other: np.ndarray) -> float:
+            return own[id(x)].losses[id(other)]
 
-        def read(x: np.ndarray, against: list, kl: bool = False, elbo: bool = False):
-            entry = reads.setdefault(id(x), [x, {}, False, False])
-            entry[1].update((id(a), a) for a in against)
-            entry[2] |= kl
-            entry[3] |= elbo
+        target_risks = [loss(ts, ts) for ts in targets]
+        gap = _kl_gap(own[id(kl_source)].kl, [own[id(x)].kl for x in kl_targets])
+        disc = max([0.0, *(abs(loss(union, u) - loss(source, s)) for u, s in kept),
+                    *fixed_gaps])
+        eps_proxy = eps_fixed
+        if eps_proxy is None:
+            eps_proxy = loss(source, source) + loss(union, union)
+        lhs = float(np.mean([own[id(ts)].neg_elbo for ts in targets]))
+        rhs_source = float(own[id(source)].neg_elbo)
+        return BoundsRow(
+            task_t=t + 1, epoch=epoch,
+            source_risk=loss(source, source),
+            target_risks=target_risks,
+            target_risk_avg=float(np.mean(target_risks)),
+            kl_gap=gap, disc_lower_bound=disc,
+            lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
+            eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
+        )
 
-        for ts in targets:
-            read(ts, [ts], elbo=True)
-        read(source, [source, *(s for _, s in kept)], elbo=True)
-        read(union, [union, *(u for u, _ in kept)])
-        for x in (kl_source, *kl_targets):
-            read(x, [], kl=True)
-        for j, gen, mix in err_d:
-            read(gen, [self.err_d_fixed[j][0]])
-            read(mix, [self.err_d_fixed[j][1]])
-
-        def row(model, epoch: int) -> BoundsRow:
-            own = {key: _set_numbers(model, *entry, self.eval_eps)
-                   for key, entry in reads.items()}
-
-            def loss(x: np.ndarray, other: np.ndarray) -> float:
-                return own[id(x)].losses[id(other)]
-
-            target_risks = [loss(ts, ts) for ts in targets]
-            gap = _kl_gap(own[id(kl_source)].kl, [own[id(x)].kl for x in kl_targets])
-            disc = max([0.0, *(abs(loss(union, u) - loss(source, s)) for u, s in kept),
-                        *fixed_gaps])
-            eps_proxy = eps_fixed
-            if eps_proxy is None:
-                eps_proxy = loss(source, source) + loss(union, union)
-            lhs = float(np.mean([own[id(ts)].neg_elbo for ts in targets]))
-            rhs_source = float(own[id(source)].neg_elbo)
-            err_d_proxy = 0.0
-            for j, gen, mix in err_d:
-                snap_recon, aux_recon = self.err_d_fixed[j]
-                err_d_proxy += loss(gen, snap_recon) - loss(mix, aux_recon)
-            return BoundsRow(
-                task_t=t + 1, epoch=epoch,
-                source_risk=loss(source, source),
-                target_risks=target_risks,
-                target_risk_avg=float(np.mean(target_risks)),
-                kl_gap=gap, disc_lower_bound=disc,
-                lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
-                eps_proxy=eps_proxy, slack=rhs_source + gap + disc + eps_proxy - lhs,
-                err_d_proxy=err_d_proxy,
-            )
-
-        return [row(model, epoch) for model, epoch in zip(models, epochs)]
-
-    def link(self, row: BoundsRow) -> BoundsRow:
-        """Set ``row``'s err_a_proxy, the ra terms of the earlier transitions
-        plus its own, and make its own the term of its transition. Rows are
-        linked in task and epoch order, so a task's last row sets its term."""
-        t = row.task_t - 1
-        row.err_a_proxy = sum(self.ra[j] for j in range(t)) + row.ra_lower_bound
-        self.ra[t] = row.ra_lower_bound
-        return row
+    return [row(model, epoch) for model, epoch in zip(models, epochs)]
 
 
 def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
@@ -311,12 +254,12 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     which the first task's rows need; the aux model of each later task in a
     child started when its mixture is built. The model is copied after each
     epoch, and a task's rows are computed at its last epoch, in epoch order,
-    once the fits they need are joined (``BoundsChain.rows``); ``rows_s`` is
-    the wall time that takes. The rows are the same for any number of CPUs.
+    once the fits they need are joined (``task_rows``); ``rows_s`` is the
+    wall time that takes. The rows are the same for any number of CPUs.
     """
     epochs = aux_epochs or cfg.epochs
     out = BoundsArtifacts()
-    chain = BoundsChain(out.reference_models, cfg, rng, sample_size)
+    eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
     fits: dict = {}  # started fits: "refs" (tasks 2..) and t (the aux model of task t + 1)
     epoch_models: list = []  # the model after each epoch of the current task
 
@@ -325,22 +268,21 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
             fits[task_index] = runtime.start(
                 lambda: _fit_aux(mixture, cfg, rng, task_index, epochs))
 
-    def epoch_hook(task_index: int, epoch: int, model, mixture: np.ndarray, artifacts):
+    def epoch_hook(task_index: int, epoch: int, model, mixture: np.ndarray):
         t = task_index
         epoch_models.append(copy_model(model))
         if epoch + 1 < cfg.epochs:
             return
-        if len(chain.refs) <= t:
-            chain.refs.extend(fits["refs"].result())
+        if len(out.reference_models) <= t:
+            out.reference_models.extend(fits["refs"].result())
         aux = fits[t].result() if t > 0 else None
         t0 = time.perf_counter()
-        chain.start(t, aux, artifacts.snapshots)
         target_sets = [_subsample(task.test.data, sample_size, rng, f"bounds:tgt:{t}:{k}")
                        for k, task in enumerate(stream.tasks[:t + 1])]
         source = _subsample(mixture, sample_size, rng, f"bounds:src:{t}")
-        rows = chain.rows(epoch_models, list(range(1, len(epoch_models) + 1)), source,
-                          target_sets, artifacts.snapshots, artifacts.mixtures)
-        out.rows.extend(chain.link(row) for row in rows)
+        out.rows.extend(task_rows(epoch_models, list(range(1, len(epoch_models) + 1)), source,
+                                  target_sets, aux, out.reference_models, eval_eps, rng,
+                                  sample_size))
         out.rows_s += time.perf_counter() - t0
         epoch_models.clear()
 
@@ -349,12 +291,11 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
             fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
                                                   for i in range(1, len(stream))])
         out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
-        model, log, artifacts = run_gr_single(stream, cfg, rng, run_id=run_id,
-                                              epoch_hook=epoch_hook, task_hook=task_hook)
+        out.gr_model, out.metrics_log, out.snapshots = run_gr_single(
+            stream, cfg, rng, run_id=run_id, epoch_hook=epoch_hook, task_hook=task_hook)
     finally:
         for handle in fits.values():  # only left unjoined when the run failed
             handle.cancel()
-    out.gr_model, out.gr_artifacts, out.metrics_log = model, artifacts, log
     return out
 
 
@@ -368,7 +309,7 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
 
     One ``fork_map`` splits the aux fits over the CPUs. A row reads nothing
     of another row, so once the fits are joined a second ``fork_map`` splits
-    the rows, and this process links them in task order."""
+    the rows."""
     epochs = aux_epochs or cfg.epochs
     # the rows of each training mixture, regenerated from the previous
     # snapshot; run_gr_single also shuffles them, which this does not
@@ -377,26 +318,23 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
     aux_models = [None, *runtime.fork_map(
         lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
         [mixture.shape[0] for mixture in mixtures[1:]])]
-    chain = BoundsChain(refs, cfg, rng, sample_size)
-    for t, aux in enumerate(aux_models):
-        chain.start(t, aux, snapshots[:t])
+    eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
     # a row's cost: passes over its union and its source, by the t + 2
     # fixed models and about twice by the snapshot
-    rows = runtime.fork_map(
-        lambda t: chain.rows([snapshots[t]], [cfg.epochs], mixtures[t], tests[:t + 1],
-                             snapshots, mixtures)[0],
+    return runtime.fork_map(
+        lambda t: task_rows([snapshots[t]], [cfg.epochs], mixtures[t], tests[:t + 1],
+                            aux_models[t], refs, eval_eps, rng, sample_size)[0],
         [(t + 4) * (mixtures[t].shape[0] + sum(x.shape[0] for x in tests[:t + 1]))
          for t in range(len(mixtures))])
-    return [chain.link(row) for row in rows]
 
 
-def bound_check_report(artifacts: BoundsArtifacts) -> list[dict]:
+def bound_check_report(rows: list[BoundsRow]) -> list[dict]:
     """Per-epoch view of the bound check: LHS, each RHS term, and the slack."""
     return [{"task_t": r.task_t, "epoch": r.epoch,
              "lhs_target_neg_elbo": r.lhs_target_neg_elbo,
              "rhs_source_neg_elbo": r.rhs_source_neg_elbo,
              "rhs_kl_gap": r.kl_gap, "rhs_ra_lower_bound": r.ra_lower_bound,
-             "slack": r.slack} for r in artifacts.rows]
+             "slack": r.slack} for r in rows]
 
 
 def report_rows(rows: list[BoundsRow], n_tasks: int) -> list[dict]:

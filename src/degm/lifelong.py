@@ -324,14 +324,6 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
 
 # -- generative replay ----------------------------------------------------------------
 
-@dataclass
-class GrArtifacts:
-    """Everything the bound diagnostics need from a replay run."""
-
-    snapshots: list = field(default_factory=list)  # model copy after each task
-    mixtures: list[np.ndarray] = field(default_factory=list)  # evolved-source sample sets
-
-
 def replay_mixture(snapshots: list, task: Task, i: int, rng: Rng) -> np.ndarray:
     """The rows task i (from 0) of a replay run trains on, unshuffled: the
     task's training rows, then i x |train_i| generations of ``snapshots[i-1]``,
@@ -349,23 +341,23 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     generations mixed uniformly with the new task's data (replay count
     (i-1) x |train_i|).
 
-    ``task_hook(task_index, mixture)`` is called once per task, when its
-    mixture is built and before its first epoch; ``epoch_hook`` after every
-    epoch."""
+    Returns the model, its log and its snapshots, a copy of the model after
+    each task. ``task_hook(task_index, mixture)`` is called once per task,
+    when its mixture is built and before its first epoch;
+    ``epoch_hook(task_index, epoch, model, mixture)`` after every epoch."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
                              cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
 
     log = MetricsLog()
-    artifacts = GrArtifacts()
+    snapshots: list = []
     state = AdamState(lr=cfg.lr)
     eval_eps = [_eval_eps(rng, t, cfg.latent_dim) for t in stream.tasks]
 
     for i, task in enumerate(stream.tasks):
-        mixture = replay_mixture(artifacts.snapshots, task, i, rng)
+        mixture = replay_mixture(snapshots, task, i, rng)
         if i > 0:
             mixture = mixture[rng.spawn(f"gr:mix:{i}").permutation(mixture.shape[0])]
-        artifacts.mixtures.append(mixture)
         if task_hook is not None:
             task_hook(task_index=i, mixture=mixture)
 
@@ -374,10 +366,9 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
             train_epoch(state, model.node_pass, cfg.train_draws, mixture, cfg.batch, train_rng)
             _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps)
             if epoch_hook is not None:
-                epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture,
-                           artifacts=artifacts)
-        artifacts.snapshots.append(copy_model(model))
-    return model, log, artifacts
+                epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture)
+        snapshots.append(copy_model(model))
+    return model, log, snapshots
 
 
 def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:

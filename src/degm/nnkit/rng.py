@@ -34,9 +34,6 @@ class Rng:
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def integers(self, low: int, high: int | None = None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

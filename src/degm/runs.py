@@ -89,21 +89,21 @@ def _run_ablation(cfg, stream, rng, digest) -> RunRecord:
 
 
 def _run_replay(cfg, stream, rng, digest, runner=run_gr_single) -> RunRecord:
-    model, log, artifacts = runner(stream, cfg.train, rng, run_id=digest)
-    return _replay_record(model, log, {"task": artifacts.snapshots},
+    model, log, snapshots = runner(stream, cfg.train, rng, run_id=digest)
+    return _replay_record(model, log, {"task": snapshots},
                           {"final_accumulated_risk": accumulated_final_risk(log, stream)})
 
 
 def _run_bounds(cfg, stream, rng, digest) -> RunRecord:
     out = bounds_mod.bounds_run(stream, cfg.train, rng, sample_size=cfg.bounds_sample_size,
                                 aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
-    model, log, snapshots = out.gr_model, out.metrics_log, out.gr_artifacts.snapshots
+    model, log, snapshots = out.gr_model, out.metrics_log, out.snapshots
     # the references are read back by diagnose
     record = _replay_record(model, log, {"task": snapshots, "ref": out.reference_models},
                             {"final_slack": out.rows[-1].slack})
     record.tables.update({
         BOUNDS_REPORT: bounds_mod.report_rows(out.rows, len(stream)),
-        "bound_check.csv": bounds_mod.bound_check_report(out),
+        "bound_check.csv": bounds_mod.bound_check_report(out.rows),
         "accumulated_error.csv": bounds_mod.accumulated_error_proxy(
             snapshots, stream, model, rng.spawn("accum")),
         "curves.csv": bounds_mod.forgetting_curves(None, log, stream.input_dim)})

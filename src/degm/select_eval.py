@@ -2,9 +2,9 @@
 
 Selection scores each node by its own bound on the sample (elbo family for
 basic nodes, the mixture bound for specific ones) under a uniform prior over
-nodes, which cancels in the softmax posterior. Evaluation draws are broadcast
-per draw, so every per-sample number is independent of batch order and
-composition.
+nodes, which cancels in the argmax of the posterior. Evaluation draws are
+broadcast per draw, so every per-sample number is independent of batch order
+and composition.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ METRIC_BLOCK_ROWS = 1024  # rows per SSIM pass; bounds the window copies' memory
 class SelectionResult:
     chosen: np.ndarray  # [B] node indices, ties resolved to the lowest index
     scores: np.ndarray  # [B, nodes] mean per-sample bounds
-    posterior: np.ndarray  # [B, nodes] softmax over nodes
 
 
 def _eval_bank(node_pass, seed: int, draws: int, key: str) -> list:
@@ -54,10 +53,7 @@ def select_component(graph: GraphModel, x: np.ndarray, k_eval: int = 1,
         if j == 0:
             eps_bank = _eval_bank(node_pass, seed, k_eval, "select")
         scores[:, j] = np.mean([node_pass.bound([eps]) for eps in eps_bank], axis=0)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    posterior = weights / weights.sum(axis=1, keepdims=True)
-    return SelectionResult(chosen=np.argmax(scores, axis=1), scores=scores, posterior=posterior)
+    return SelectionResult(chosen=np.argmax(scores, axis=1), scores=scores)
 
 
 def _chosen_passes(graph: GraphModel, data: np.ndarray, chosen: np.ndarray) -> list:

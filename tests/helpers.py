@@ -1,8 +1,9 @@
 """Shared test utilities: the central-finite-difference gradient oracle,
 views of models and graphs that only tests need, a tape reference for node
 passes and for the two-layer bound, written from the tape primitives of
-``tape`` alone, that ``NodePass`` and ``HierPass`` must equal bit for bit, and
-a per-tensor Adam that the fused ``adam_step`` must equal bit for bit."""
+``tape`` alone, that ``NodePass`` and ``HierPass`` must equal bit for bit, a
+per-tensor Adam that the fused ``adam_step`` must equal bit for bit, and
+integer draws from an ``Rng``, which no command makes."""
 
 from __future__ import annotations
 
@@ -63,6 +64,12 @@ def analytic_grads(build_loss, params) -> dict[str, np.ndarray]:
     return {p.name: grads.get(p.name, np.zeros_like(p.data)) for p in params}
 
 
+def integers(rng: Rng, low: int, high: int, size) -> np.ndarray:
+    """Integers in [low, high) drawn from ``rng``'s own stream, so that they
+    interleave with its other draws."""
+    return rng._gen.integers(low, high, size=size)
+
+
 def train_elbo_steps(component, data: np.ndarray, steps: int, lr: float, seed: int,
                      batch: int = 32) -> list[float]:
     """Plain Adam/ELBO loop for toy fixtures; returns the per-step batch ELBO means."""
@@ -71,7 +78,7 @@ def train_elbo_steps(component, data: np.ndarray, steps: int, lr: float, seed: i
     history = []
     n = data.shape[0]
     for step in range(steps):
-        idx = rng.integers(0, n, size=min(batch, n))
+        idx = integers(rng, 0, n, min(batch, n))
         node_pass = component.node_pass(data[idx], train=True)
         values, grads = node_pass.bound_and_grads(node_pass.draws(rng))
         history.append(float(values.mean()))

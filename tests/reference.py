@@ -1,15 +1,15 @@
 """Estimators that no command calls, kept as references for the tests: the
-standalone discrepancy, KL-gap and risk-difference estimators that the
-bounds rows must agree with, the NLL estimates of one data set, and the
-single-row reconstruction metrics that ``reconstruction_metrics`` must equal
-bit for bit. Each is written from the package's private pieces, as it was
-written in the package."""
+standalone discrepancy and KL-gap estimators that the bounds rows must agree
+with, the NLL estimates of one data set, and the single-row reconstruction
+metrics that ``reconstruction_metrics`` must equal bit for bit. Each is
+written from the package's private pieces, as it was written in the
+package."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from degm.bounds import _err_d_sets, _kl_gap, _kl_sets, _pair_gaps, _sq_loss
+from degm.bounds import _kl_gap, _kl_sets, _pair_gaps
 from degm.errors import ContractError, DimensionError
 from degm.graph import GraphModel
 from degm.nnkit import Rng
@@ -25,18 +25,6 @@ from degm.select_eval import (
 
 
 # -- bounds ------------------------------------------------------------------------------
-
-def replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
-                            upto: int) -> float:
-    """Sum over past transitions of (loss vs the snapshot on its own
-    generations) minus (loss vs the auxiliary model on the mixture it
-    bridged); the empirical stand-in for the risk-difference chain."""
-    total = 0.0
-    for j, gen, mix in _err_d_sets(gen_samples, mixtures, upto):
-        total += (_sq_loss(model.reconstruct(gen), snapshots[j].reconstruct(gen))
-                  - _sq_loss(model.reconstruct(mix), aux_models[j].reconstruct(mix)))
-    return total
-
 
 def estimate_discrepancy(p_samples: np.ndarray, q_samples: np.ndarray,
                          models: dict) -> float:

@@ -21,7 +21,7 @@ from degm.vae import HierVae, VaeComponent
 
 from criteria import (binary_data, criterion_2, criterion_3, criterion_6, criterion_7, criterion_8,
                       criterion_9, criterion_10, criterion_12, make_task)
-from helpers import finite_difference_grads, max_rel_err
+from helpers import finite_difference_grads, integers, max_rel_err
 from reference import eval_nll
 
 
@@ -216,7 +216,7 @@ def test_criterion_11_persistence(tmp_path):
     _, loaded, _ = load_checkpoint(str(tmp_path / "ckpt"))
     round_trip_ok = eval_nll(loaded, x, kprime=5, seed=3) == before
 
-    data = Rng(82).integers(0, 256, size=(4, 16)).astype(np.float64) / 255.0
+    data = integers(Rng(82), 0, 256, (4, 16)).astype(np.float64) / 255.0
     save_idx_images(str(tmp_path / "img.idx"), data, 4, 4)
     idx_ok = np.array_equal(load_idx(str(tmp_path / "img.idx")).data, data)
 
@@ -230,6 +230,7 @@ def test_criterion_11_persistence(tmp_path):
 
 
 def test_criterion_12_order_robustness():
-    order, seed = checks = criterion_12(0)
+    order, seed, gr = checks = criterion_12(0)
     report(12, "forced-basics runs are order-invariant within the seed envelope", passed(checks),
-           f"order spread={order.value:.2e} seed spread={seed.value:.2e}")
+           f"order spread={order.value:.2e} seed spread={seed.value:.2e} "
+           f"gr order spread={gr.value:.2e}")

@@ -6,13 +6,13 @@ import json
 import os
 import weakref
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
+from degm import bounds as bounds_mod
 from degm.bounds import (
-    BoundsChain,
     BoundsRow,
     _train_plain,
     accumulated_error_proxy,
@@ -34,8 +34,7 @@ from degm.persist import RunRecord, load_checkpoint, write_record
 from degm.vae import HierVae, NodePass, VaeComponent
 
 from helpers import tape_hier_objective, tape_pass_objective, train_elbo_steps
-from reference import (encoder_kl_values, estimate_discrepancy, estimate_kl_gap,
-                       replay_risk_differences)
+from reference import encoder_kl_values, estimate_discrepancy, estimate_kl_gap
 from tape import no_grad
 
 DIM, LATENT, HIDDEN = 16, 3, 8
@@ -97,28 +96,6 @@ def test_discrepancy_identical_hypotheses_contribute_zero():
     h = {"a": c, "b": c}  # the same weights under two names
     p, q = binary_data(16, 20), binary_data(17, 20)
     assert estimate_discrepancy(p, q, h) == 0.0
-
-
-def test_replay_risk_differences_sums_past_transitions():
-    # transitions 1 and 2 of 3, each the snapshot's loss on its generations
-    # minus the aux model's on as many mixture rows; snapshot 0 is not read
-    snapshots = [component(40 + j) for j in range(3)]
-    aux_models = {j: component(50 + j) for j in (1, 2)}
-    gen_samples = {j: binary_data(60 + j, 12) for j in range(3)}
-    mixtures = [binary_data(70 + j, 20) for j in range(3)]
-    model = component(80)
-
-    def sq_loss(a, b):
-        return float(((a - b) ** 2).sum(axis=1).mean()) / DIM
-
-    expected = 0.0
-    for j in (1, 2):
-        gen, mix = gen_samples[j], mixtures[j][:12]
-        expected += (sq_loss(model.reconstruct(gen), snapshots[j].reconstruct(gen))
-                     - sq_loss(model.reconstruct(mix), aux_models[j].reconstruct(mix)))
-    snapshots[0] = None
-    assert replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples,
-                                   3) == expected
 
 
 def test_discrepancy_requires_two_hypotheses():
@@ -188,6 +165,22 @@ def bounds_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def test_every_bounds_row_field_reaches_a_written_table():
+    # a field is written when changing it changes a row of bounds_report.csv
+    # or bound_check.csv, directly or through ra_lower_bound; a field that
+    # neither reads is computed for nothing
+    base_values = {"int": 1, "float": 0.5, "list[float]": [0.5]}
+    other_values = {"int": 2, "float": 0.75, "list[float]": [0.75]}
+
+    def written(row):
+        return report_rows([row], 1), bound_check_report([row])
+
+    base = BoundsRow(**{f.name: base_values[f.type] for f in fields(BoundsRow)})
+    unwritten = [f.name for f in fields(BoundsRow)
+                 if written(replace(base, **{f.name: other_values[f.type]})) == written(base)]
+    assert unwritten == []
+
+
 def test_bounds_run_row_bookkeeping(tmp_path):
     stream = bounds_stream()
     cfg = bounds_cfg()
@@ -195,13 +188,8 @@ def test_bounds_run_row_bookkeeping(tmp_path):
     assert len(out.rows) == cfg.epochs * len(stream)
     for r in out.rows:
         assert np.isfinite(r.slack)
-        assert np.isfinite(r.err_a_proxy) and np.isfinite(r.err_d_proxy)
         assert r.disc_lower_bound >= 0.0 and r.kl_gap >= 0.0
         assert r.source_risk >= 0.0 and all(v >= 0.0 for v in r.target_risks)
-    for r in out.rows:
-        if r.task_t == 1:  # nothing has been replayed yet
-            assert r.err_d_proxy == 0.0
-            assert r.err_a_proxy == pytest.approx(r.disc_lower_bound + r.eps_proxy)
     path = tmp_path / "bounds_report.csv"
     write_record(str(tmp_path), RunRecord({path.name: report_rows(out.rows, len(stream))}))
     header = path.read_text().splitlines()[0].split(",")
@@ -218,7 +206,7 @@ def test_bound_check_slack_single_task():
     stream = TaskStream([mk("bars", "bars", 60)])
     cfg = bounds_cfg(epochs=4)
     out = bounds_run(stream, cfg, Rng(61), sample_size=150, aux_epochs=2)
-    report = bound_check_report(out)
+    report = bound_check_report(out.rows)
     assert len(report) == cfg.epochs
     model = out.gr_model
     test_data = stream.tasks[0].test.data
@@ -240,8 +228,8 @@ def test_accumulated_error_proxy_chains():
              synthetic_task("bars", 30, DIM, Rng(75))),
     ])
     cfg = bounds_cfg(likelihood="bernoulli", epochs=2)
-    model, _, artifacts = run_gr_single(stream3, cfg, Rng(76))
-    rows = accumulated_error_proxy(artifacts.snapshots, stream3, model, Rng(77))
+    model, _, snapshots = run_gr_single(stream3, cfg, Rng(76))
+    rows = accumulated_error_proxy(snapshots, stream3, model, Rng(77))
     chain = {t: [r for r in rows if r["task_index"] == t] for t in (1, 2, 3)}
     assert [r["generation"] for r in chain[1]] == [0, 1, 2]
     assert [r["generation"] for r in chain[3]] == [0]
@@ -254,8 +242,8 @@ def test_accumulated_error_proxy_single_task():
     stream = TaskStream([Task("solo", synthetic_task("bars", 40, DIM, Rng(80)),
                               synthetic_task("bars", 20, DIM, Rng(81)))])
     cfg = bounds_cfg(likelihood="bernoulli", epochs=2)
-    model, _, artifacts = run_gr_single(stream, cfg, Rng(82))
-    rows = accumulated_error_proxy(artifacts.snapshots, stream, model, Rng(83))
+    model, _, snapshots = run_gr_single(stream, cfg, Rng(82))
+    rows = accumulated_error_proxy(snapshots, stream, model, Rng(83))
     assert [r["generation"] for r in rows] == [0]
 
 
@@ -286,7 +274,8 @@ def _reference_neg_elbo_mean(model, data, eps):
 
 def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
     """The per-epoch hook of bounds_run as it was before the row computation
-    was shared with diagnose, kept verbatim apart from its container."""
+    was shared with diagnose, kept verbatim apart from its container and the
+    two columns that no table wrote."""
     rows, aux_models, reference_models = [], {}, {}
     for i, task in enumerate(stream.tasks):
         reference_models[i] = _train_plain(task.train.data, cfg,
@@ -300,19 +289,12 @@ def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
             return x
         return x[rng.spawn(key).choice_without_replacement(x.shape[0], sample_size)]
 
-    gen_samples = {}
-    transition_ra = {}
-
-    def hook(task_index, epoch, model, mixture, artifacts):
+    def hook(task_index, epoch, model, mixture):
         t = task_index
         if t not in aux_models:
             aux_models[t] = None if t == 0 else _train_plain(
                 mixture, cfg, rng.spawn(f"bounds:aux:{t}"), aux_epochs, name=f"aux{t}")
         aux = aux_models[t] if aux_models[t] is not None else model
-        for k in range(len(artifacts.snapshots)):
-            if k not in gen_samples:
-                gen_samples[k] = artifacts.snapshots[k].generate(
-                    min(sample_size, 512), rng.spawn(f"bounds:gen:{k}"))
 
         source = subsample(mixture, f"bounds:src:{t}")
         target_sets = [subsample(stream.tasks[k].test.data, f"bounds:tgt:{t}:{k}")
@@ -327,12 +309,6 @@ def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
         disc = estimate_discrepancy(union, source, hset)
         gap = estimate_kl_gap(model, target_sets, source, sample_size, rng.spawn(f"bounds:kl:{t}"))
         eps_proxy = risk(aux, source) + risk(aux, union)
-        ra_now = disc + eps_proxy
-        transition_ra[t] = ra_now  # overwritten each epoch; final epoch wins
-        err_a = sum(transition_ra[j] for j in range(t)) + ra_now
-        aux_for_chain = {j: aux_models[j] for j in aux_models if aux_models[j]}
-        err_d = replay_risk_differences(model, artifacts.snapshots, aux_for_chain,
-                                        artifacts.mixtures, gen_samples, t)
         lhs = float(np.mean([_reference_neg_elbo_mean(model, ts, eval_eps) for ts in target_sets]))
         rhs_source = _reference_neg_elbo_mean(model, source, eval_eps)
         slack = rhs_source + gap + disc + eps_proxy - lhs
@@ -344,7 +320,6 @@ def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
             kl_gap=gap, disc_lower_bound=disc,
             lhs_target_neg_elbo=lhs, rhs_source_neg_elbo=rhs_source,
             eps_proxy=eps_proxy, slack=slack,
-            err_a_proxy=err_a, err_d_proxy=err_d,
         ))
 
     run_gr_single(stream, cfg, rng, run_id="bounds", epoch_hook=hook)
@@ -353,14 +328,14 @@ def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
 
 def reference_diagnose_rows(stream, cfg, snapshots, rng, sample_size, aux_epochs):
     """The loop of cmd_diagnose as it was before the row computation was
-    shared with bounds_run, kept verbatim apart from its arguments."""
+    shared with bounds_run, kept verbatim apart from its arguments and the
+    two columns that no table wrote."""
     rows = []
     refs = {}
     for i, task in enumerate(stream.tasks):
         refs[i] = _train_plain(task.train.data, cfg, rng.spawn(f"bounds:ref:{task.name}"),
                                aux_epochs, name=f"ref{i}")
     eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
-    mixtures, aux_models, gen_samples, transition_ra = [], {}, {}, {}
     for t, task in enumerate(stream.tasks):
         model = snapshots[t]
         if t == 0:
@@ -371,11 +346,6 @@ def reference_diagnose_rows(stream, cfg, snapshots, rng, sample_size, aux_epochs
             mixture = np.concatenate([task.train.data, replay])
             aux = _train_plain(mixture, cfg, rng.spawn(f"bounds:aux:{t}"),
                                aux_epochs, name=f"aux{t}")
-            aux_models[t] = aux
-        mixtures.append(mixture)
-        if t > 0:
-            gen_samples[t - 1] = snapshots[t - 1].generate(
-                min(sample_size, 512), rng.spawn(f"bounds:gen:{t - 1}"))
         hset = {"current": model, "aux": aux}
         for k in range(t + 1):
             hset[f"ref{k}"] = refs[k]
@@ -385,10 +355,6 @@ def reference_diagnose_rows(stream, cfg, snapshots, rng, sample_size, aux_epochs
         gap = estimate_kl_gap(model, target_sets, mixture, sample_size, rng.spawn(f"bounds:kl:{t}"))
         target_risks = [risk(model, ts) for ts in target_sets]
         eps_proxy = risk(aux, mixture) + risk(aux, union)
-        ra_now = disc + eps_proxy
-        err_a = sum(transition_ra[j] for j in range(t)) + ra_now
-        transition_ra[t] = ra_now
-        err_d = replay_risk_differences(model, snapshots, aux_models, mixtures, gen_samples, t)
         lhs = float(np.mean([_reference_neg_elbo_mean(model, ts, eval_eps)
                              for ts in target_sets]))
         rhs_source = _reference_neg_elbo_mean(model, mixture, eval_eps)
@@ -398,14 +364,13 @@ def reference_diagnose_rows(stream, cfg, snapshots, rng, sample_size, aux_epochs
             target_risks=target_risks, target_risk_avg=float(np.mean(target_risks)),
             kl_gap=gap, disc_lower_bound=disc, lhs_target_neg_elbo=lhs,
             rhs_source_neg_elbo=rhs_source, eps_proxy=eps_proxy,
-            slack=rhs_source + gap + disc + eps_proxy - lhs,
-            err_a_proxy=err_a, err_d_proxy=err_d))
+            slack=rhs_source + gap + disc + eps_proxy - lhs))
     return rows
 
 
 # Every set (mixtures of 80-240 rows, 40 test rows) is larger than the sample
 # size, so the per-epoch rows score subsamples and diagnose whole sets. Three
-# tasks, because the err_d chain first has a term at the third.
+# tasks, so that the last rows score a union of three sets by three refs.
 PIN_SAMPLE, PIN_AUX_EPOCHS = 30, 2
 
 
@@ -433,7 +398,7 @@ def check_bounds_run_rows(tmp_path):
     out = bounds_run(stream, cfg.train, Rng(5), sample_size=PIN_SAMPLE,
                      aux_epochs=PIN_AUX_EPOCHS)
     expected = reference_bounds_rows(stream, cfg.train, Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
-    assert len(out.rows) == 3 * len(stream) and out.rows[-1].err_d_proxy != 0.0
+    assert len(out.rows) == 3 * len(stream)
     assert bits(out.rows) == bits(expected)
 
 
@@ -448,7 +413,6 @@ def check_diagnose_rows(tmp_path):
     refs = fit_references(stream, cfg.train, Rng(5), PIN_AUX_EPOCHS)
     rows = diagnose_snapshots(stream, cfg.train, snapshots, refs, Rng(5), PIN_SAMPLE,
                               PIN_AUX_EPOCHS)
-    assert rows[-1].err_d_proxy != 0.0
     assert bits(rows) == bits(expected)
     with open(cmd_diagnose(run_dir), newline="") as fh:
         written = list(csv.DictReader(fh))
@@ -468,7 +432,7 @@ def test_diagnose_rows_of_hier_snapshots_equal_reference_loop(two_layers):
     cfg = pinned_config("unused").train
     cfg = replace(cfg, hier_latent_dims=(LATENT, 2), hier_two_layers=two_layers)
     stream = build_stream(pinned_config("unused"))
-    snapshots = run_gr_hier(stream, cfg, Rng(5))[2].snapshots
+    snapshots = run_gr_hier(stream, cfg, Rng(5))[2]
     # with one layer, the plain component a gr run trains
     assert all(type(s) is (HierVae if two_layers else VaeComponent) for s in snapshots)
     expected = reference_diagnose_rows(stream, cfg, snapshots, Rng(5), PIN_SAMPLE,
@@ -503,7 +467,7 @@ def test_cmd_diagnose_rows_equal_reference_loop_in_one_process(tmp_path, monkeyp
 
 
 def test_each_model_passes_each_row_set_once(tmp_path, monkeypatch):
-    # counted by content per BoundsChain.rows call, every pass in this process;
+    # counted by content per task_rows call, every pass in this process;
     # a pass of a row's model, and its reconstruction, must be gone before the
     # model's next pass, so that rows hold no array that grows with the epochs
     one_process(monkeypatch)
@@ -511,7 +475,7 @@ def test_each_model_passes_each_row_set_once(tmp_path, monkeypatch):
     active = []
     row_passes = weakref.WeakSet()
     held = []  # weak references to the latest pass of a row's model and its reconstruction
-    node_pass, rows = VaeComponent.node_pass, BoundsChain.rows
+    node_pass, rows = VaeComponent.node_pass, bounds_mod.task_rows
     reconstruction = NodePass.reconstruction
 
     def counted_pass(self, x, train=False):
@@ -533,22 +497,22 @@ def test_each_model_passes_each_row_set_once(tmp_path, monkeypatch):
             held.append(weakref.ref(out))
         return out
 
-    def counted_rows(self, models, *args):
+    def counted_rows(models, *args):
         calls.append(([id(m) for m in models], Counter()))
         active.append(calls[-1])
         try:
-            return rows(self, models, *args)
+            return rows(models, *args)
         finally:
             active.pop()
 
     monkeypatch.setattr(VaeComponent, "node_pass", counted_pass)
     monkeypatch.setattr(NodePass, "reconstruction", tracked_reconstruction)
-    monkeypatch.setattr(BoundsChain, "rows", counted_rows)
+    monkeypatch.setattr(bounds_mod, "task_rows", counted_rows)
     cfg = pinned_config(str(tmp_path))
     stream = build_stream(cfg)
     out = bounds_run(stream, cfg.train, Rng(5), sample_size=PIN_SAMPLE,
                      aux_epochs=PIN_AUX_EPOCHS)
-    diagnose_snapshots(stream, cfg.train, out.gr_artifacts.snapshots, out.reference_models,
+    diagnose_snapshots(stream, cfg.train, out.snapshots, out.reference_models,
                        Rng(5), PIN_SAMPLE, PIN_AUX_EPOCHS)
 
     def sets_per_model(models, counts):
@@ -557,8 +521,7 @@ def test_each_model_passes_each_row_set_once(tmp_path, monkeypatch):
     assert len(calls) == 2 * len(stream)
     assert all(set(counts.values()) == {1} for _, counts in calls)
     # a train row: the targets, the source and, from the second task on, their
-    # union, then the err_d chain's generations and mixture rows (15 passes
-    # of the model at the third task before the passes were shared)
-    assert [sets_per_model(*call) for call in calls[:3]] == [[2] * 3, [4] * 3, [7] * 3]
+    # union
+    assert [sets_per_model(*call) for call in calls[:3]] == [[2] * 3, [4] * 3, [5] * 3]
     # diagnose scores whole sets, so the KL gap's cuts are sets of their own
-    assert [sets_per_model(*call) for call in calls[3:]] == [[4], [7], [11]]
+    assert [sets_per_model(*call) for call in calls[3:]] == [[4], [7], [9]]

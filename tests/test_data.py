@@ -22,6 +22,8 @@ from degm.data import (
 from degm.errors import ConfigError, ContractError, FormatError
 from degm.nnkit import Rng
 
+from helpers import integers
+
 
 # --- IDX -----------------------------------------------------------------------
 
@@ -64,8 +66,7 @@ def test_load_idx_truncated_payload(tmp_path):
 
 
 def test_idx_round_trip_bit_identical(tmp_path):
-    rng = Rng(0)
-    data = rng.integers(0, 256, size=(5, 9)).astype(np.float64) / 255.0
+    data = integers(Rng(0), 0, 256, (5, 9)).astype(np.float64) / 255.0
     img_path, lab_path = tmp_path / "img.idx", tmp_path / "lab.idx"
     save_idx_images(str(img_path), data, 3, 3)
     save_idx_labels(str(lab_path), np.array([0, 1, 2, 3, 4]))

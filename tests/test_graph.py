@@ -15,6 +15,7 @@ from helpers import (
     composite_component,
     drawn_bound,
     finite_difference_grads,
+    integers,
     max_rel_err,
     parameter_bytes,
     single_draw_elbo,
@@ -217,7 +218,7 @@ def test_specific_training_freezes_basics():
     state = AdamState(lr=1e-3)
     rng = Rng(25)
     for _ in range(100):
-        x = data[rng.integers(0, 64, size=16)]
+        x = data[integers(rng, 0, 64, 16)]
         node_pass = g.node_pass(s, x, train=True)
         adam_step(state, s.params(), node_pass.bound_and_grads(node_pass.draws(rng))[1])
     assert [parameter_bytes(b.vae) for b in g.basics] == before
@@ -300,7 +301,7 @@ def test_melbo_iw_tightens_with_draws():
     state = AdamState(lr=5e-3)
     rng = Rng(53)
     for _ in range(150):
-        x = data[rng.integers(0, 200, size=32)]
+        x = data[integers(rng, 0, 200, 32)]
         node_pass = g.node_pass(s, x, train=True)
         adam_step(state, s.params(), node_pass.bound_and_grads(node_pass.draws(rng))[1])
     x = binary_data(54, 5000)
@@ -323,7 +324,7 @@ def test_melbo_bounded_by_iw_estimate():
     state = AdamState(lr=5e-3)
     rng = Rng(60)
     for _ in range(150):
-        x = data[rng.integers(0, 200, size=32)]
+        x = data[integers(rng, 0, 200, 32)]
         node_pass = g.node_pass(s, x, train=True)
         adam_step(state, s.params(), node_pass.bound_and_grads(node_pass.draws(rng))[1])
     x = data[:64]

@@ -268,7 +268,7 @@ def test_bounds_rows_and_fits_equal_inline_ones(monkeypatch, stream):
         out = bounds_run(stream, cfg, Rng(74), sample_size=25, aux_epochs=1)
         env = runtime.env_block(mark)
         refs = fit_references(stream, cfg, Rng(74), aux_epochs=1)
-        rows = diagnose_snapshots(stream, cfg, out.gr_artifacts.snapshots, refs, Rng(74),
+        rows = diagnose_snapshots(stream, cfg, out.snapshots, refs, Rng(74),
                                   sample_size=25, aux_epochs=1)
         out_models.extend(out.reference_models + refs)
         params = [p.data for m in out.reference_models + refs for p in m.params()]
