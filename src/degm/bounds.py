@@ -108,7 +108,7 @@ class BoundsArtifacts:
 def _train_plain(data: np.ndarray, cfg: TrainConfig, rng: Rng, epochs: int,
                  name: str) -> VaeComponent:
     model = VaeComponent(data.shape[1], cfg.latent_dim, cfg.hidden_dim,
-                         cfg.likelihood, cfg.sigma, rng.spawn("init"), name=name)
+                         cfg.likelihood, rng.spawn("init"), name=name)
     state = AdamState(lr=cfg.lr)
     train_rng = rng.spawn("train")
     for _ in range(epochs):
@@ -131,11 +131,10 @@ def _fit_aux(mixture: np.ndarray, cfg: TrainConfig, rng: Rng, t: int,
 
 
 def fit_references(stream: TaskStream, cfg: TrainConfig, rng: Rng,
-                   aux_epochs: int | None = None) -> list[VaeComponent]:
-    """The reference model of each task, fitted on that task's training set
-    alone; ``fork_map`` splits the fits over the CPUs."""
-    epochs = aux_epochs or cfg.epochs
-    return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, epochs),
+                   aux_epochs: int) -> list[VaeComponent]:
+    """The reference model of each task, fitted for ``aux_epochs`` on that
+    task's training set alone; ``fork_map`` splits the fits over the CPUs."""
+    return runtime.fork_map(lambda i: _fit_reference(stream, cfg, rng, i, aux_epochs),
                             [task.train.n for task in stream.tasks])
 
 
@@ -236,17 +235,17 @@ def task_rows(models: list, epochs: list[int], source: np.ndarray,
     return [row(model, epoch) for model, epoch in zip(models, epochs)]
 
 
-def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
-               sample_size: int = 10_000, aux_epochs: int | None = None,
-               run_id: str = "bounds") -> BoundsArtifacts:
+def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng, sample_size: int,
+               aux_epochs: int, run_id: str = "bounds") -> BoundsArtifacts:
     """Replay run instrumented per epoch with risk, KL-gap, discrepancy lower
     bound, and the slack of the target-vs-evolved-source inequality.
 
-    The auxiliary model for task t is fitted once, on the same evolved-source
-    mixture the main model trains on; for the first task the auxiliary model
-    *is* the current model (nothing has evolved yet). Each epoch's row scores
-    subsamples of at most ``sample_size`` rows, the same ones every epoch of
-    a task.
+    The auxiliary model for task t is fitted once, for ``aux_epochs``, on
+    the same evolved-source mixture the main model trains on; for the first
+    task the auxiliary model *is* the current model (nothing has evolved
+    yet). The reference models are fitted for ``aux_epochs`` too. Each
+    epoch's row scores subsamples of at most ``sample_size`` rows, the same
+    ones every epoch of a task.
 
     No fit reads another fit or the replay model, so the fits run beside the
     replay training, each started by ``runtime.start``: the references of
@@ -257,7 +256,6 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     once the fits they need are joined (``task_rows``); ``rows_s`` is the
     wall time that takes. The rows are the same for any number of CPUs.
     """
-    epochs = aux_epochs or cfg.epochs
     out = BoundsArtifacts()
     eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
     fits: dict = {}  # started fits: "refs" (tasks 2..) and t (the aux model of task t + 1)
@@ -266,7 +264,7 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
     def task_hook(task_index: int, mixture: np.ndarray):
         if task_index > 0:
             fits[task_index] = runtime.start(
-                lambda: _fit_aux(mixture, cfg, rng, task_index, epochs))
+                lambda: _fit_aux(mixture, cfg, rng, task_index, aux_epochs))
 
     def epoch_hook(task_index: int, epoch: int, model, mixture: np.ndarray):
         t = task_index
@@ -288,9 +286,9 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
 
     try:
         if len(stream) > 1:
-            fits["refs"] = runtime.start(lambda: [_fit_reference(stream, cfg, rng, i, epochs)
-                                                  for i in range(1, len(stream))])
-        out.reference_models.append(_fit_reference(stream, cfg, rng, 0, epochs))
+            fits["refs"] = runtime.start(lambda: [
+                _fit_reference(stream, cfg, rng, i, aux_epochs) for i in range(1, len(stream))])
+        out.reference_models.append(_fit_reference(stream, cfg, rng, 0, aux_epochs))
         out.gr_model, out.metrics_log, out.snapshots = run_gr_single(
             stream, cfg, rng, run_id=run_id, epoch_hook=epoch_hook, task_hook=task_hook)
     finally:
@@ -300,8 +298,7 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng,
 
 
 def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, refs: list,
-                       rng: Rng, sample_size: int = 10_000,
-                       aux_epochs: int | None = None) -> list[BoundsRow]:
+                       rng: Rng, sample_size: int, aux_epochs: int) -> list[BoundsRow]:
     """One row per task, at task end, from the replay model's snapshot after
     each task; scores the whole mixture and test sets. ``refs`` are the
     reference models, loaded from the run or made by ``fit_references``; the
@@ -310,13 +307,12 @@ def diagnose_snapshots(stream: TaskStream, cfg: TrainConfig, snapshots: list, re
     One ``fork_map`` splits the aux fits over the CPUs. A row reads nothing
     of another row, so once the fits are joined a second ``fork_map`` splits
     the rows."""
-    epochs = aux_epochs or cfg.epochs
     # the rows of each training mixture, regenerated from the previous
     # snapshot; run_gr_single also shuffles them, which this does not
     mixtures = [replay_mixture(snapshots, task, t, rng) for t, task in enumerate(stream.tasks)]
     tests = [task.test.data for task in stream.tasks]
     aux_models = [None, *runtime.fork_map(
-        lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, epochs),
+        lambda i: _fit_aux(mixtures[i + 1], cfg, rng, i + 1, aux_epochs),
         [mixture.shape[0] for mixture in mixtures[1:]])]
     eval_eps = rng.spawn("bounds:eval").normal((1, cfg.latent_dim))
     # a row's cost: passes over its union and its source, by the t + 2

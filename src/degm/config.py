@@ -185,7 +185,7 @@ class ExperimentConfig:
     eval_kprime: int
     eval_k: int
     bounds_sample_size: int
-    bounds_aux_epochs: int | None
+    bounds_aux_epochs: int  # bounds.aux_epochs, or train.epochs where that is null
     desk_scale: bool
     raw: dict  # the walked config with the task specs as written; hashing happens on this
 
@@ -214,7 +214,8 @@ def parse_config(text: str, seed: int | None = None, out_dir: str | None = None,
         mode=cfg["mode"], tasks=cfg["tasks"], train=train, out_dir=cfg["out_dir"],
         ablation=cfg["ablation"], orders=cfg["orders"], eval_kprime=cfg["eval"]["kprime"],
         eval_k=cfg["eval"]["k_eval"], bounds_sample_size=cfg["bounds"]["sample_size"],
-        bounds_aux_epochs=cfg["bounds"]["aux_epochs"], desk_scale=cfg["desk_scale"],
+        bounds_aux_epochs=cfg["bounds"]["aux_epochs"] or train.epochs,
+        desk_scale=cfg["desk_scale"],
         raw={**cfg, "tasks": raw["tasks"]},
     )
 

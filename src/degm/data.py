@@ -24,6 +24,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 SYNTHETIC_KINDS = ("half-active-top", "half-active-bottom", "bars", "stripes", "gauss-blob")
+DESK_SCALE = 2  # --desk-scale pools each image side by this factor
 
 
 @dataclass
@@ -182,13 +183,14 @@ def transform_chain(d: Dataset, specs: list[str]) -> Dataset:
     return d
 
 
-def downsample(d: Dataset, factor: int = 2) -> Dataset:
-    """Mean-pool square images by factor x factor blocks (the desk-scale knob)."""
+def downsample(d: Dataset) -> Dataset:
+    """Mean-pool square images by DESK_SCALE x DESK_SCALE blocks (the
+    desk-scale knob)."""
     side = _square_side(d.dim)
-    if side % factor:
-        raise ContractError(f"side {side} not divisible by {factor}")
-    out = side // factor
-    imgs = d.data.reshape(d.n, out, factor, out, factor)
+    if side % DESK_SCALE:
+        raise ContractError(f"side {side} not divisible by {DESK_SCALE}")
+    out = side // DESK_SCALE
+    imgs = d.data.reshape(d.n, out, DESK_SCALE, out, DESK_SCALE)
     return Dataset(imgs.mean(axis=(2, 4)).reshape(d.n, out * out), d.labels)
 
 

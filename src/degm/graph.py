@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .nnkit import DEFAULT_SIGMA, DenseLayer, Param, ParamVector, Rng
+from .errors import ContractError
+from .nnkit import DenseLayer, Param, ParamVector, Rng
 from .vae import BasicNode, NodePass, VaeComponent
 
 SIMPLEX_TOL = 1e-9
@@ -95,15 +95,13 @@ class GraphModel:
     kind = "graph"  # its checkpoint kind
 
     def __init__(self, input_dim: int, latent_dim: int, hidden_dim: int = 200,
-                 likelihood: str = "bernoulli", sigma: float = DEFAULT_SIGMA,
-                 tau: float = 1.0):
+                 likelihood: str = "bernoulli", tau: float = 1.0):
         if tau < 0.0:
             raise ContractError("tau must be nonnegative")
         self.input_dim = int(input_dim)
         self.latent_dim = int(latent_dim)
         self.hidden_dim = int(hidden_dim)
         self.likelihood = likelihood
-        self.sigma = float(sigma)
         self.tau = float(tau)
         self.entries: list[BasicNode | SpecificNode] = []  # every node, in creation order
 
@@ -117,14 +115,14 @@ class GraphModel:
                   "weights": list(e.weights) if e.kind == "specific" else None}
                  for e in self.entries]
         return {"kind": self.kind, "input_dim": self.input_dim, "latent_dim": self.latent_dim,
-                "hidden_dim": self.hidden_dim, "likelihood": self.likelihood,
-                "sigma": self.sigma, "tau": self.tau, "nodes": nodes}
+                "hidden_dim": self.hidden_dim, "likelihood": self.likelihood, "tau": self.tau,
+                "nodes": nodes}
 
     @classmethod
     def from_spec(cls, fields: dict) -> "GraphModel":
         """The graph ``fields``, a ``spec()``, describes; its parameters zero."""
         graph = cls(fields["input_dim"], fields["latent_dim"], fields["hidden_dim"],
-                    fields["likelihood"], fields["sigma"], fields["tau"])
+                    fields["likelihood"], fields["tau"])
         for node in fields["nodes"]:
             if node["kind"] == "basic":
                 idx = graph.add_basic_node(node["task_id"], rng=None)
@@ -156,7 +154,7 @@ class GraphModel:
     def add_basic_node(self, task_id: int, rng: Rng) -> int:
         self._check_task_free(task_id)
         vae = VaeComponent(self.input_dim, self.latent_dim, self.hidden_dim,
-                           self.likelihood, self.sigma, rng, name=f"b{len(self.basics)}")
+                           self.likelihood, rng, name=f"b{len(self.basics)}")
         self.entries.append(BasicNode(vae=vae, task_id=task_id))
         return len(self.entries) - 1
 
@@ -193,11 +191,9 @@ class GraphModel:
         if entry.kind == "basic":
             return entry.vae.node_pass(x, train)
         basics = [b.vae for b in self.basics[:entry.weights.size]]
-        if any(vae.latent_dim != self.latent_dim for vae in basics):
-            raise DimensionError("basic nodes must share the latent dimension")
         return NodePass(x, entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics],
                         entry.weights, [v.dec_lower for v in basics], entry.dec_upper_new,
-                        basics[0].likelihood, basics[0].sigma, entry.params() if train else None)
+                        self.likelihood, entry.params() if train else None)
 
     def params(self) -> list[Param]:
         """Every node's parameters: the basic nodes', then the specific ones'."""

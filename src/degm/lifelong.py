@@ -29,7 +29,7 @@ import numpy as np
 from .data import Task, TaskStream
 from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
-from .nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step, runtime
+from .nnkit import AdamState, Rng, adam_step, runtime
 from .vae import BasicNode, HierVae, VaeComponent, copy_model
 
 
@@ -50,7 +50,6 @@ class TrainConfig:
     latent_dim: int = 100
     hidden_dim: int = 200
     likelihood: str = "bernoulli"
-    sigma: float = DEFAULT_SIGMA
     hier_latent_dims: tuple[int, int] = (100, 50)
     hier_two_layers: bool = True
 
@@ -182,8 +181,7 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
     graph and the log are the same for any number of CPUs; with one, nothing
     is forked and no candidate node is trained.
     """
-    graph = GraphModel(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
-                       cfg.likelihood, cfg.sigma, cfg.tau)
+    graph = GraphModel(stream.input_dim, cfg.latent_dim, cfg.hidden_dim, cfg.likelihood, cfg.tau)
     policy = edge_policy or adaptive_edge_policy
     eval_eps = [_eval_eps(rng, t, cfg.latent_dim) for t in stream.tasks]
     expansion: list[dict] = []
@@ -347,7 +345,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
     ``epoch_hook(task_index, epoch, model, mixture)`` after every epoch."""
     if model is None:
         model = VaeComponent(stream.input_dim, cfg.latent_dim, cfg.hidden_dim,
-                             cfg.likelihood, cfg.sigma, rng.spawn("gr:init"), name="gr")
+                             cfg.likelihood, rng.spawn("gr:init"), name="gr")
 
     log = MetricsLog()
     snapshots: list = []
@@ -393,8 +391,7 @@ def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "g
     model = None
     if cfg.hier_two_layers:
         model = HierVae(stream.input_dim, (cfg.latent_dim, cfg.hier_latent_dims[1]),
-                        cfg.hidden_dim, cfg.likelihood, cfg.sigma, rng.spawn("gr:init"),
-                        name="gr")
+                        cfg.hidden_dim, cfg.likelihood, rng.spawn("gr:init"), name="gr")
     return run_gr_single(stream, cfg, rng, run_id=run_id, model=model)
 
 

@@ -23,7 +23,8 @@ from ..errors import ContractError, DimensionError
 LOGVAR_LO, LOGVAR_HI = -10.0, 10.0
 PROB_EPS = 1e-6
 
-# fixed decoder standard deviation; 2 pi sigma^2 collapses to pi
+# the decoder standard deviation of every Gaussian model, which no config
+# sets; 2 pi sigma^2 collapses to pi
 DEFAULT_SIGMA = 1.0 / np.sqrt(2.0)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -79,14 +80,14 @@ class DiagGaussian:
         return g_mu, g_lv + g_clipped
 
 
-def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIGMA):
+def likelihood_kernel(likelihood: str, x: np.ndarray):
     """The per-sample log-likelihood of the fixed targets ``x`` as a function
     of the decoder output: ``bernoulli_log_likelihood`` or
-    ``gaussian_log_likelihood``, bit for bit. Its ``grad(out, g)`` is the
-    gradient at the output ``out`` from the gradient ``g`` at the values:
-    their tape VJPs, step for step. ``1 - x`` and the checks on ``x`` are
-    computed here, once; a failed check is raised by each call, where the
-    tape's function raises it."""
+    ``gaussian_log_likelihood`` at ``DEFAULT_SIGMA``, bit for bit. Its
+    ``grad(out, g)`` is the gradient at the output ``out`` from the gradient
+    ``g`` at the values: their tape VJPs, step for step. ``1 - x`` and the
+    checks on ``x`` are computed here, once; a failed check is raised by each
+    call, where the tape's function raises it."""
     if likelihood == "bernoulli":
         targets_ok = not (x.min() < 0.0 or x.max() > 1.0)
         one_minus_x = 1.0 - x
@@ -121,13 +122,8 @@ def likelihood_kernel(likelihood: str, x: np.ndarray, sigma: float = DEFAULT_SIG
 
         bernoulli.grad = bernoulli_grad
         return bernoulli
-    if sigma <= 0.0:
-        def invalid(mu: np.ndarray) -> np.ndarray:
-            raise ContractError(f"sigma must be positive, got {sigma}")
-
-        return invalid
-    scale = -0.5 / (sigma * sigma)
-    const = 0.5 * x.shape[1] * float(np.log(2.0 * np.pi * sigma * sigma))
+    scale = -0.5 / (DEFAULT_SIGMA * DEFAULT_SIGMA)
+    const = 0.5 * x.shape[1] * float(np.log(2.0 * np.pi * DEFAULT_SIGMA * DEFAULT_SIGMA))
 
     def gaussian(mu: np.ndarray) -> np.ndarray:
         if x.shape != mu.shape:

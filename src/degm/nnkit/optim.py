@@ -9,6 +9,9 @@ import numpy as np
 from ..errors import ContractError, TrainingError
 from .layers import Param
 
+# the settings of Kingma and Ba, "Adam" (ICLR 2015), which no config sets
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class ParamVector(list):
     """Uniquely named parameters whose ``data`` are bound, in order, to
@@ -43,9 +46,6 @@ class ParamVector(list):
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     # the moments and two work vectors, each shaped as the parameter vector
     m: np.ndarray | None = None
@@ -64,8 +64,8 @@ def adam_step(state: AdamState, params: ParamVector, g: np.ndarray) -> AdamState
     p = params.flat
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     if state.m is None:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
         state.buffers = (np.empty_like(p), np.empty_like(p))
@@ -75,16 +75,16 @@ def adam_step(state: AdamState, params: ParamVector, g: np.ndarray) -> AdamState
     # inf / inf is the only invalid step), so the gradient is checked only
     # when the parameters are no longer finite
     with np.errstate(invalid="ignore"):
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=a)
         m += a
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=a)
         a *= g
         v += a
         np.divide(v, c2, out=a)
         np.sqrt(a, out=a)
-        a += state.eps
+        a += ADAM_EPS
         np.divide(m, c1, out=b)
         b *= state.lr
         b /= a

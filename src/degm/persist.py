@@ -3,8 +3,9 @@ each written by ``write_record``.
 
 A checkpoint is a JSON manifest plus one little-endian float64 blob per array.
 The manifest is the model's own ``spec()`` (for a graph: node kinds, edge
-weights, task ids, reference bounds) and a name/shape/file entry per
-parameter array. Buffers are written byte-exact, so a load reproduces every
+weights, task ids, reference bounds), the Gaussian decoder's ``sigma``, and
+a name/shape/file entry per parameter array. Every model's ``sigma`` is
+``DEFAULT_SIGMA``: a save writes it and a load refuses any other value. Buffers are written byte-exact, so a load reproduces every
 evaluation output bit for bit.
 
 Every table goes through ``write_table``: a header from the first row's keys,
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .graph import GraphModel
+from .nnkit import DEFAULT_SIGMA
 from .vae import HierVae, VaeComponent
 
 FORMAT_VERSION = 1
@@ -75,13 +77,14 @@ def _load_into(params, directory: str, entries) -> None:
 
 
 def save_checkpoint(directory: str, model, extra: dict | None = None) -> None:
-    """Write ``model``'s manifest, its ``spec()`` with the format version, the
-    array entries and ``extra``, and one blob per array of ``params()``."""
+    """Write ``model``'s manifest, its ``spec()`` with ``sigma``, the format
+    version, the array entries and ``extra``, and one blob per array of
+    ``params()``."""
     os.makedirs(directory, exist_ok=True)
     params = model.params()
     entries = _array_entries(params)
-    manifest = {**model.spec(), "format_version": FORMAT_VERSION, "arrays": entries,
-                "extra": extra or {}}
+    manifest = {**model.spec(), "sigma": float(DEFAULT_SIGMA), "format_version": FORMAT_VERSION,
+                "arrays": entries, "extra": extra or {}}
     _write_arrays(directory, params, entries)
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
@@ -89,7 +92,8 @@ def save_checkpoint(directory: str, model, extra: dict | None = None) -> None:
 def load_checkpoint(directory: str):
     """Rebuild the saved model by the class its ``kind`` names; returns (kind,
     model, manifest). A manifest that does not parse, lacks a field its kind
-    needs or holds one that cannot build the model is a FormatError."""
+    needs, holds another ``sigma`` or a field that cannot build the model is
+    a FormatError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.exists(path):
         raise FormatError(f"no manifest at {path}")
@@ -106,6 +110,9 @@ def load_checkpoint(directory: str):
         model_class = next((c for c in MODEL_CLASSES if c.kind == kind), None)
         if model_class is None:
             raise FormatError(f"unknown checkpoint kind {kind!r}")
+        if manifest["sigma"] != float(DEFAULT_SIGMA):
+            raise FormatError(f"{path} holds sigma {manifest['sigma']!r}; every model's "
+                              f"decoder has sigma {float(DEFAULT_SIGMA)!r}")
         model = model_class.from_spec(manifest)
         _load_into(model.params(), directory, manifest["arrays"])
         return kind, model, manifest

@@ -95,8 +95,8 @@ def _run_replay(cfg, stream, rng, digest, runner=run_gr_single) -> RunRecord:
 
 
 def _run_bounds(cfg, stream, rng, digest) -> RunRecord:
-    out = bounds_mod.bounds_run(stream, cfg.train, rng, sample_size=cfg.bounds_sample_size,
-                                aux_epochs=cfg.bounds_aux_epochs, run_id=digest)
+    out = bounds_mod.bounds_run(stream, cfg.train, rng, cfg.bounds_sample_size,
+                                cfg.bounds_aux_epochs, run_id=digest)
     model, log, snapshots = out.gr_model, out.metrics_log, out.snapshots
     # the references are read back by diagnose
     record = _replay_record(model, log, {"task": snapshots, "ref": out.reference_models},

@@ -18,6 +18,7 @@ from .graph import GraphModel
 from .nnkit import Rng
 from .nnkit.runtime import fork_map
 
+MAX_VAL = 1.0  # the pixel range of every dataset, [0, 1]
 PSNR_CAP_DB = 99.0
 PSNR_MSE_FLOOR = 1e-12
 SSIM_WINDOW = 8
@@ -81,30 +82,28 @@ def _selected_nll(passes: list, kprime: int, seed: int) -> float:
 
 # -- reconstruction metrics ---------------------------------------------------------
 
-def _psnr_db(mse: np.ndarray, max_val: float) -> np.ndarray:
-    if max_val <= 0.0:
-        raise ContractError("max_val must be positive")
+def _psnr_db(mse: np.ndarray) -> np.ndarray:
     capped = mse < PSNR_MSE_FLOOR
-    db = 10.0 * np.log10(max_val * max_val / np.where(capped, 1.0, mse))
+    db = 10.0 * np.log10(MAX_VAL * MAX_VAL / np.where(capped, 1.0, mse))
     return np.where(capped, PSNR_CAP_DB, db)
 
 
-def _ssim_rows(x: np.ndarray, recon: np.ndarray, window: int, stride: int,
-               max_val: float) -> np.ndarray:
+def _ssim_rows(x: np.ndarray, recon: np.ndarray) -> np.ndarray:
     """ssim of each row pair of two [n, d] float64 arrays, all rows at once.
     Windows are copied out into contiguous runs: numpy sums a lone strided
     window in the order it sums such a copy, so each row's value is bitwise
     what scoring that window on its own gives."""
-    c1 = (0.01 * max_val) ** 2
-    c2 = (0.03 * max_val) ** 2
+    c1 = (0.01 * MAX_VAL) ** 2
+    c2 = (0.03 * MAX_VAL) ** 2
     n, d = x.shape
     side = int(round(np.sqrt(d)))
-    if side * side != d or side < window:
+    if side * side != d or side < SSIM_WINDOW:
         wa, wb = x[:, None, :], recon[:, None, :]
     else:
         view = np.lib.stride_tricks.sliding_window_view
-        wa, wb = (view(v.reshape(n, side, side), (window, window), axis=(1, 2))
-                  [:, ::stride, ::stride].reshape(n, -1, window * window) for v in (x, recon))
+        wa, wb = (view(v.reshape(n, side, side), (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
+                  [:, ::SSIM_STRIDE, ::SSIM_STRIDE].reshape(n, -1, SSIM_WINDOW * SSIM_WINDOW)
+                  for v in (x, recon))
     mu_a, mu_b = wa.mean(axis=-1), wb.mean(axis=-1)
     dev_a, dev_b = wa - mu_a[..., None], wb - mu_b[..., None]
     var_a, var_b = (dev_a * dev_a).mean(axis=-1), (dev_b * dev_b).mean(axis=-1)
@@ -121,7 +120,7 @@ def _libm_square(v: np.ndarray) -> np.ndarray:
     return np.array([m ** 2 for m in v.ravel().tolist()]).reshape(v.shape)
 
 
-def reconstruction_metrics(x: np.ndarray, recon: np.ndarray, max_val: float = 1.0) -> tuple[float, float, float]:
+def reconstruction_metrics(x: np.ndarray, recon: np.ndarray) -> tuple[float, float, float]:
     """Dataset-level (mean SL, mean PSNR, mean SSIM) over rows: a row's SL
     is its summed squared error, its PSNR 10 log10(max^2 / MSE) in dB,
     capped at 99 for (near-)exact matches, and its SSIM the mean local
@@ -133,10 +132,9 @@ def reconstruction_metrics(x: np.ndarray, recon: np.ndarray, max_val: float = 1.
         raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
     x, recon = x.reshape(x.shape[0], -1), recon.reshape(x.shape[0], -1)
     sq = (x - recon) ** 2
-    ssims = [_ssim_rows(x[i:i + METRIC_BLOCK_ROWS], recon[i:i + METRIC_BLOCK_ROWS],
-                        SSIM_WINDOW, SSIM_STRIDE, max_val)
+    ssims = [_ssim_rows(x[i:i + METRIC_BLOCK_ROWS], recon[i:i + METRIC_BLOCK_ROWS])
              for i in range(0, x.shape[0], METRIC_BLOCK_ROWS)]
-    return (float(sq.sum(axis=1).mean()), float(_psnr_db(sq.mean(axis=1), max_val).mean()),
+    return (float(sq.sum(axis=1).mean()), float(_psnr_db(sq.mean(axis=1)).mean()),
             float(np.concatenate(ssims).mean()))
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nnkit import (
-    DEFAULT_SIGMA,
     DenseLayer,
     DiagGaussian,
     Param,
@@ -44,8 +43,7 @@ class VaeComponent:
     kind = "single"  # its checkpoint kind
 
     def __init__(self, input_dim: int, latent_dim: int, hidden_dim: int = DEFAULT_HIDDEN,
-                 likelihood: str = "bernoulli", sigma: float = DEFAULT_SIGMA,
-                 rng: Rng | None = None, name: str = "vae"):
+                 likelihood: str = "bernoulli", rng: Rng | None = None, name: str = "vae"):
         if latent_dim <= 0:
             raise ContractError("latent_dim must be positive")
         if likelihood not in LIKELIHOODS:
@@ -54,7 +52,6 @@ class VaeComponent:
         self.latent_dim = int(latent_dim)
         self.hidden_dim = int(hidden_dim)
         self.likelihood = likelihood
-        self.sigma = float(sigma)
         self.name = name
         out_act = "sigmoid" if likelihood == "bernoulli" else "identity"
         self.enc_lower = DenseLayer(input_dim, hidden_dim, "leaky-relu", rng, f"{name}.enc_lower")
@@ -74,20 +71,19 @@ class VaeComponent:
     def spec(self) -> dict:
         """What rebuilds this model's shape: its checkpoint manifest's fields."""
         return {"kind": self.kind, "input_dim": self.input_dim, "latent_dim": self.latent_dim,
-                "hidden_dim": self.hidden_dim, "likelihood": self.likelihood,
-                "sigma": self.sigma, "name": self.name}
+                "hidden_dim": self.hidden_dim, "likelihood": self.likelihood, "name": self.name}
 
     @classmethod
     def from_spec(cls, fields: dict) -> "VaeComponent":
         """The model ``fields``, a ``spec()``, describes; its parameters zero."""
         return cls(fields["input_dim"], fields["latent_dim"], fields["hidden_dim"],
-                   fields["likelihood"], fields["sigma"], rng=None, name=fields["name"])
+                   fields["likelihood"], rng=None, name=fields["name"])
 
     def node_pass(self, x, train: bool = False) -> "NodePass":
         """This component's forward pass over the rows ``x``, its encoder run
         here; with ``train``, one that gives gradients."""
         return NodePass(x, self.enc_lower, [(self.enc_mu, self.enc_logvar)], None,
-                        [self.dec_lower], self.dec_upper, self.likelihood, self.sigma,
+                        [self.dec_lower], self.dec_upper, self.likelihood,
                         self._params if train else None)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
@@ -126,7 +122,7 @@ class NodePass:
 
     def __init__(self, x, enc_lower: DenseLayer, heads: list[tuple[DenseLayer, DenseLayer]],
                  weights: np.ndarray | None, lowers: list[DenseLayer], upper: DenseLayer,
-                 likelihood: str, sigma: float, params: ParamVector | None = None):
+                 likelihood: str, params: ParamVector | None = None):
         self.x = x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != enc_lower.in_dim:
             raise DimensionError(f"expected [batch, {enc_lower.in_dim}], got {x.shape}")
@@ -140,7 +136,6 @@ class NodePass:
         self.lowers = lowers
         self.upper = upper
         self.likelihood = likelihood
-        self.sigma = sigma
         self._kernel = None  # made on first use: reconstructions check no x
         self._kls = self._kl = None
 
@@ -158,7 +153,7 @@ class NodePass:
     def recon_term(self, decoded: np.ndarray) -> np.ndarray:
         """log p(x | decoded) per sample: the reconstruction term of a bound."""
         if self._kernel is None:
-            self._kernel = likelihood_kernel(self.likelihood, self.x, self.sigma)
+            self._kernel = likelihood_kernel(self.likelihood, self.x)
         return self._kernel(decoded)
 
     def kl(self) -> np.ndarray:
@@ -280,24 +275,24 @@ class BasicNode:
         return self.vae.params()
 
 
-class HierVae:
+class HierVae(VaeComponent):
     """Two stochastic layers: q(z1|x) q(z2|z1) against prior p(z2) p(z1|z2).
 
     Exists as the deeper single-model baseline; a one-layer baseline is the
-    plain component. It trains and is scored through its own pass, a
-    ``HierPass``.
+    plain component. Its first layer is the component it extends, whose
+    reconstruction and ``emit`` it keeps; its vector holds that component's
+    parameters and then the second layer's. It trains and is scored through
+    its own pass, a ``HierPass``.
     """
 
     kind = "hier"  # its checkpoint kind
 
     def __init__(self, input_dim: int, latent_dims: tuple[int, int] = (100, 50),
                  hidden_dim: int = DEFAULT_HIDDEN, likelihood: str = "bernoulli",
-                 sigma: float = DEFAULT_SIGMA, rng: Rng | None = None, name: str = "hier"):
+                 rng: Rng | None = None, name: str = "hier"):
         l1, l2 = latent_dims
-        self.base = VaeComponent(input_dim, l1, hidden_dim, likelihood, sigma, rng, name)
-        base = self.base.params()
+        super().__init__(input_dim, l1, hidden_dim, likelihood, rng, name)
         self.latent_dims = (int(l1), int(l2))
-        self.name = name
         self.enc2_lower = DenseLayer(l1, hidden_dim, "leaky-relu", rng, f"{name}.enc2_lower")
         self.enc2_mu = DenseLayer(hidden_dim, l2, "identity", rng, f"{name}.enc2_mu")
         self.enc2_logvar = DenseLayer(hidden_dim, l2, "identity", rng, f"{name}.enc2_logvar")
@@ -306,31 +301,13 @@ class HierVae:
         self.prior_logvar = DenseLayer(hidden_dim, l1, "identity", rng, f"{name}.prior_logvar")
         extra = (self.enc2_lower, self.enc2_mu, self.enc2_logvar,
                  self.prior_lower, self.prior_mu, self.prior_logvar)
-        self._params = ParamVector(base + [t for layer in extra for t in layer.params()])
-        self.base._params = ParamVector(base, self._params.flat[:base.flat.size])  # its prefix
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)  # unpickled, the base's vector is a copy: bind its prefix
-        base = self.base._params
-        self.base._params = ParamVector(base, self._params.flat[:base.flat.size])
-
-    @property
-    def input_dim(self) -> int:
-        return self.base.input_dim
-
-    @property
-    def likelihood(self) -> str:
-        return self.base.likelihood
-
-    def params(self) -> ParamVector:
-        return self._params
+        self._params = ParamVector(self._params + [t for layer in extra for t in layer.params()])
 
     def spec(self) -> dict:
         """What rebuilds this model's shape: its checkpoint manifest's fields."""
         return {"kind": self.kind, "input_dim": self.input_dim,
-                "latent_dims": list(self.latent_dims), "hidden_dim": self.base.hidden_dim,
-                "likelihood": self.base.likelihood, "sigma": self.base.sigma,
-                "name": self.name}
+                "latent_dims": list(self.latent_dims), "hidden_dim": self.hidden_dim,
+                "likelihood": self.likelihood, "name": self.name}
 
     @classmethod
     def from_spec(cls, fields: dict) -> "HierVae":
@@ -341,7 +318,7 @@ class HierVae:
             raise ContractError("two_layers is false, but a hier model has two layers; "
                                 "a one-layer gr-hier run saves a single model")
         return cls(fields["input_dim"], tuple(fields["latent_dims"]), fields["hidden_dim"],
-                   fields["likelihood"], fields["sigma"], rng=None, name=fields["name"])
+                   fields["likelihood"], rng=None, name=fields["name"])
 
     def node_pass(self, x, train: bool = False) -> "HierPass":
         """This model's forward pass over the rows ``x``; with ``train``, one
@@ -353,36 +330,28 @@ class HierVae:
             return np.zeros((0, self.input_dim))
         hp = self.prior_lower.apply(rng.normal((n, self.latent_dims[1])))
         prior = DiagGaussian(self.prior_mu.apply(hp), self.prior_logvar.apply(hp))
-        return self.base.emit(prior.sample(rng.normal(prior.mu.shape)), rng)
-
-    def reconstruct(self, x) -> np.ndarray:
-        return self.base.reconstruct(x)
+        return self.emit(prior.sample(rng.normal(prior.mu.shape)), rng)
 
 
-class HierPass:
-    """A ``HierVae``'s forward pass over the rows ``x``: its base's pass, and
-    the second layer at each draw, computed only when a bound needs it.
+class HierPass(NodePass):
+    """A ``HierVae``'s forward pass over the rows ``x``: its first layer's
+    pass, and the second layer at each draw, computed only when a bound needs
+    it.
 
     A draw is ``(eps, eps2)``, for z1 and z2; a bare ``eps`` means
     ``eps2 = 0``. ``bound`` is the log-mean-exp over draws of the per-draw
     bound training takes: the reconstruction minus both layer penalties, the
     second layer's closed-form, the first layer's a density ratio at the
-    sampled point. ``kl`` and ``reconstruction`` are the base pass's. A
+    sampled point. ``kl`` and ``reconstruction`` are the first layer's. A
     training pass, its ``params`` the model's vector, gives the gradients of
     one draw.
     """
 
     def __init__(self, model: HierVae, x, train: bool = False):
+        super().__init__(x, model.enc_lower, [(model.enc_mu, model.enc_logvar)], None,
+                         [model.dec_lower], model.dec_upper, model.likelihood,
+                         model.params() if train else None)
         self.model = model
-        self.base_pass = model.base.node_pass(x, train)
-        self.x = self.base_pass.x
-        self.params = model.params() if train else None
-
-    def kl(self) -> np.ndarray:
-        return self.base_pass.kl()
-
-    def reconstruction(self) -> np.ndarray:
-        return self.base_pass.reconstruction()
 
     def draws(self, rng: Rng, k: int = 1, rows: int | None = None) -> list:
         """``k`` draws from ``rng``, as ``NodePass.draws`` takes them: each
@@ -397,7 +366,7 @@ class HierPass:
 
     def _forward(self, draw):
         """The two-layer bound at ``draw``, and what its backward reads."""
-        m, q1 = self.model, self.base_pass.posteriors[0]
+        m, q1 = self.model, self.posteriors[0]
         eps, eps2 = draw if isinstance(draw, tuple) else (draw, np.zeros((1, m.latent_dims[1])))
         z1 = q1.sample(eps)
         h2 = m.enc2_lower.apply(z1)
@@ -405,9 +374,9 @@ class HierPass:
         z2 = q2.sample(eps2)
         hp = m.prior_lower.apply(z2)
         prior = (m.prior_mu.apply(hp), m.prior_logvar.apply(hp))
-        low = m.base.dec_lower.apply(z1)
-        out = m.base.dec_upper.apply(low)
-        recon = self.base_pass.recon_term(out)
+        low = m.dec_lower.apply(z1)
+        out = m.dec_upper.apply(low)
+        recon = self.recon_term(out)
         kl2 = q2.kl()
         ratio1 = (diag_gaussian_logpdf(z1, q1.mu, q1.logvar)
                   - diag_gaussian_logpdf(z1, *prior))
@@ -424,8 +393,7 @@ class HierPass:
         if len(draws) != 1:
             raise ContractError(f"a two-layer pass's gradients take one draw, got {len(draws)}")
         values, (eps, z1, h2, q2, eps2, z2, hp, prior, low, out, kl2) = self._forward(draws[0])
-        m, node_pass = self.model, self.base_pass
-        base, q1 = m.base, node_pass.posteriors[0]
+        m, q1 = self.model, self.posteriors[0]
         flat = np.empty_like(self.params.flat)
         grads = self.params.views(flat)  # every view is written below
         n = values.shape[0]
@@ -433,11 +401,11 @@ class HierPass:
         # values = recon - (log q(z1) - log p(z1)) - kl2
         g_minus = -g_values
 
-        g_out = base.dec_upper.activation_grad(out, node_pass._kernel.grad(out, g_values))
-        base.dec_upper.accumulate_grads(grads, low, g_out)
-        g_low = base.dec_lower.activation_grad(low, g_out @ base.dec_upper.weight.data)
-        base.dec_lower.accumulate_grads(grads, z1, g_low)
-        g_z1_dec = g_low @ base.dec_lower.weight.data
+        g_out = m.dec_upper.activation_grad(out, self._kernel.grad(out, g_values))
+        m.dec_upper.accumulate_grads(grads, low, g_out)
+        g_low = m.dec_lower.activation_grad(low, g_out @ m.dec_upper.weight.data)
+        m.dec_lower.accumulate_grads(grads, z1, g_low)
+        g_z1_dec = g_low @ m.dec_lower.weight.data
 
         g_z1_prior, *g_prior = diag_gaussian_logpdf_grads(z1, *prior, g_values)
         g_z2 = _stage_grads(grads, m.prior_lower, (m.prior_mu, m.prior_logvar), z2, hp,
@@ -450,8 +418,8 @@ class HierPass:
         # the four gradients at z1, summed in the tape's order
         g_z1 = g_z1_dec + g_z1_q + g_z1_prior + g_z1_enc2
         g_mu, g_lv = q1.sample_grads([g_z1], [eps])
-        _stage_grads(grads, base.enc_lower, (base.enc_mu, base.enc_logvar), node_pass.x,
-                     node_pass._h, (g_mu + g_mu1, g_lv + g_lv1))
+        _stage_grads(grads, m.enc_lower, (m.enc_mu, m.enc_logvar), self.x, self._h,
+                     (g_mu + g_mu1, g_lv + g_lv1))
         return values, flat
 
 

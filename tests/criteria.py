@@ -236,7 +236,8 @@ def criterion_9(seed: int) -> list[Check]:
 
 def criterion_10(seed: int) -> list[Check]:
     """(a) identical sample sets have zero discrepancy, (b) a balanced union
-    of targets closes the KL gap to 3 SE, (c) the task-end discrepancy lower
+    of targets closes the KL gap to 3 SE, and an unbalanced one leaves the
+    nonzero gap its row shares give, (c) the task-end discrepancy lower
     bound does not fall across tasks, (d) every first-task slack is >= -3 SE."""
     off = SEED_STRIDE * seed
     hset = {"a": VaeComponent(8, 2, 4, rng=Rng(70 + off), name="a"),
@@ -248,6 +249,14 @@ def criterion_10(seed: int) -> list[Check]:
     gap = estimate_kl_gap(model, targets, np.concatenate(targets), rng=Rng(off))
     values = encoder_kl_values(model, np.concatenate(targets))
     checks.append(check("KL gap", gap, "<=", 3.0 * values.std(ddof=1) / np.sqrt(values.size)))
+    # the balanced gap is 0 by construction; 60 and 20 rows weigh the first
+    # target's mean KL m1 by 3/4 in the union, so the gap is |(3/4 - 1/2)(m1 - m2)|
+    cut = [targets[0][:60], targets[1][:20]]
+    gap = estimate_kl_gap(model, cut, np.concatenate(cut), rng=Rng(off))
+    m1, m2 = (float(encoder_kl_values(model, t).mean()) for t in cut)
+    closed_form = abs((60 / 80 - 0.5) * (m1 - m2))
+    checks += [check("unbalanced KL gap off closed form", abs(gap - closed_form), "<=", 1e-12),
+               check("unbalanced KL gap", gap, ">", 1e-9)]
 
     stream = TaskStream(_three_tasks(300 + off, 400, 200))
     cfg = TrainConfig(epochs=6, batch=64, lr=2e-3, tau=0.5, probe_size=100,

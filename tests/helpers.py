@@ -13,7 +13,7 @@ import numpy as np
 
 from degm.errors import ContractError
 from degm.nnkit import AdamState, Rng, adam_step
-from degm.vae import VaeComponent
+from degm.vae import HierVae, VaeComponent
 
 from tape import (
     Tensor,
@@ -130,17 +130,19 @@ def parameter_bytes(obj) -> bytes:
 
 
 def counted_eval_passes(monkeypatch) -> Counter:
-    """Count every evaluation pass of a ``VaeComponent`` from here on (a
-    training pass is not counted), keyed by the bytes of its rows."""
+    """Count every evaluation pass of a ``VaeComponent`` or ``HierVae`` from
+    here on (a training pass is not counted), keyed by the bytes of its rows."""
     counts = Counter()
-    node_pass = VaeComponent.node_pass
 
-    def counted(self, x, train=False):
-        if not train:
-            counts[rows_key(x)] += 1
-        return node_pass(self, x, train)
+    def counting(node_pass):
+        def counted(self, x, train=False):
+            if not train:
+                counts[rows_key(x)] += 1
+            return node_pass(self, x, train)
+        return counted
 
-    monkeypatch.setattr(VaeComponent, "node_pass", counted)
+    for cls in (VaeComponent, HierVae):  # neither calls the other's
+        monkeypatch.setattr(cls, "node_pass", counting(cls.__dict__["node_pass"]))
     return counts
 
 
@@ -184,7 +186,7 @@ def composite_component(graph, s, basic_index: int) -> VaeComponent:
     b = graph.basics[basic_index].vae
     c = VaeComponent.__new__(VaeComponent)
     c.input_dim, c.latent_dim, c.hidden_dim = b.input_dim, b.latent_dim, s.enc_lower_new.out_dim
-    c.likelihood, c.sigma, c.name = graph.likelihood, float(graph.sigma), f"{s.name}+b{basic_index}"
+    c.likelihood, c.name = graph.likelihood, f"{s.name}+b{basic_index}"
     c.enc_lower, c.enc_mu, c.enc_logvar = s.enc_lower_new, b.enc_mu, b.enc_logvar
     c.dec_lower, c.dec_upper = b.dec_lower, s.dec_upper_new
     c._params = c.layer_params()
@@ -203,28 +205,27 @@ def _blend(weights, parts):
 def component_layers(vae) -> tuple:
     """A plain component's layers as a ``NodePass`` takes them: its lower
     encoder, its (mu, logvar) head pair, no weights, its lower decoder, its
-    output layer, the likelihood and sigma."""
+    output layer and the likelihood."""
     return (vae.enc_lower, [(vae.enc_mu, vae.enc_logvar)], None, [vae.dec_lower],
-            vae.dec_upper, vae.likelihood, vae.sigma)
+            vae.dec_upper, vae.likelihood)
 
 
 def _node_layers(graph, entry) -> tuple:
     """A node's layers as a ``NodePass`` takes them: a basic node's
     component's, or a specific node's lower encoder, one (mu, logvar) head
     pair per basic node it blends, the weights that blend them, the lower
-    decoders, the output layer, the likelihood and sigma."""
+    decoders, the output layer and the likelihood."""
     if entry.kind == "basic":
         return component_layers(entry.vae)
     basics = [b.vae for b in graph.basics[:entry.weights.size]]
     return (entry.enc_lower_new, [(v.enc_mu, v.enc_logvar) for v in basics], entry.weights,
-            [v.dec_lower for v in basics], entry.dec_upper_new, basics[0].likelihood,
-            basics[0].sigma)
+            [v.dec_lower for v in basics], entry.dec_upper_new, graph.likelihood)
 
 
 def pass_layers(node_pass) -> tuple:
     """The layers a ``NodePass`` runs, as ``_node_layers`` gives them."""
     return (node_pass.enc_lower, node_pass.heads, node_pass.weights, node_pass.lowers,
-            node_pass.upper, node_pass.likelihood, node_pass.sigma)
+            node_pass.upper, node_pass.likelihood)
 
 
 def _tape_node(layers: tuple, x):
@@ -232,7 +233,7 @@ def _tape_node(layers: tuple, x):
     weights that blend them (None for a plain component, which trains its
     heads and lower decoder; a blend borrows them, frozen), its decode and
     its likelihood of ``x``."""
-    enc_lower, heads, weights, lowers, upper, likelihood, sigma = layers
+    enc_lower, heads, weights, lowers, upper, likelihood = layers
     frozen = weights is not None
     h = affine_forward(enc_lower, x)
     stats = [(affine_forward(mu, h, frozen=frozen), affine_forward(logvar, h, frozen=frozen))
@@ -245,7 +246,7 @@ def _tape_node(layers: tuple, x):
     def log_likelihood(decoded):
         if likelihood == "bernoulli":
             return bernoulli_log_likelihood(x, decoded)
-        return gaussian_log_likelihood(x, decoded, sigma)
+        return gaussian_log_likelihood(x, decoded)
 
     return stats, weights, decode, log_likelihood
 
@@ -300,7 +301,7 @@ def tape_hier_objective(model, x, eps: np.ndarray, eps2: np.ndarray | None = Non
     recorded on the tape: reconstruction minus both layer penalties, the
     second layer's closed-form, the first layer's a density ratio at the
     sampled point."""
-    layers = component_layers(model.base)
+    layers = component_layers(model)
     if eps2 is None:
         eps2 = np.zeros((1, model.latent_dims[1]))
     [(mu1, lv1)], _, decode, log_likelihood = _tape_node(layers, x)

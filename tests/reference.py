@@ -14,8 +14,6 @@ from degm.errors import ContractError, DimensionError
 from degm.graph import GraphModel
 from degm.nnkit import Rng
 from degm.select_eval import (
-    SSIM_STRIDE,
-    SSIM_WINDOW,
     _chosen_passes,
     _psnr_db,
     _selected_nll,
@@ -88,19 +86,18 @@ def square_loss(x: np.ndarray, recon: np.ndarray) -> float:
     return float(((x - recon) ** 2).sum())
 
 
-def psnr(x: np.ndarray, recon: np.ndarray, max_val: float = 1.0) -> float:
+def psnr(x: np.ndarray, recon: np.ndarray) -> float:
     """10 log10(max^2 / MSE) in dB, capped at 99 for (near-)exact matches."""
     x, recon = np.asarray(x), np.asarray(recon)
     if x.shape != recon.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
-    return float(_psnr_db(((x - recon) ** 2).mean(), max_val))
+    return float(_psnr_db(((x - recon) ** 2).mean()))
 
 
-def ssim(x: np.ndarray, recon: np.ndarray, window: int = SSIM_WINDOW,
-         stride: int = SSIM_STRIDE, max_val: float = 1.0) -> float:
+def ssim(x: np.ndarray, recon: np.ndarray) -> float:
     """Mean local similarity over sliding windows; a flat vector (or an image
     smaller than the window) is treated as one window."""
     x, recon = np.asarray(x, dtype=np.float64).ravel(), np.asarray(recon, dtype=np.float64).ravel()
     if x.shape != recon.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {recon.shape}")
-    return float(_ssim_rows(x[None], recon[None], window, stride, max_val)[0])
+    return float(_ssim_rows(x[None], recon[None])[0])

@@ -199,8 +199,10 @@ def test_criterion_10_bounds_diagnostics():
     checks = criterion_10(0)
     growth = [c for c in checks if c.name.startswith("disc end")]
     ends = [growth[0].threshold] + [c.value for c in growth]
+    unbalanced = next(c.value for c in checks if c.name == "unbalanced KL gap")
     report(10, "bound diagnostics: zero self-disc, closed KL gap, growing disc, valid slack",
-           passed(checks), f"disc ends={['%.4f' % v for v in ends]}")
+           passed(checks), f"disc ends={['%.4f' % v for v in ends]}, "
+                           f"unbalanced KL gap={unbalanced:.2e}")
 
 
 def test_criterion_11_persistence(tmp_path):

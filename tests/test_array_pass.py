@@ -122,7 +122,7 @@ def test_hier_closed_form_gradients_equal_the_tapes(likelihood, both_drawn, scal
         tensor.data[...] = Rng(100 + k).normal(tensor.data.shape) * scale
     x = rows(37, likelihood)
     if scale == 0.8:  # the first layer's logvar past both clips, re-clipped by its log-density
-        logvar = h.base.node_pass(x).posteriors[0].logvar
+        logvar = h.node_pass(x).posteriors[0].logvar
         assert (logvar == -10.0).any() and (logvar == 10.0).any()
     [(eps, eps2)] = h.node_pass(x).draws(Rng(4))
     if not both_drawn:  # a bare eps: the second draw at zero

@@ -29,7 +29,7 @@ from degm.data import SYNTHETIC_KINDS, save_idx_images, save_idx_labels
 from degm.errors import ConfigError, ContractError, FormatError
 from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
-from degm.nnkit import Rng
+from degm.nnkit import DEFAULT_SIGMA, Rng
 from degm.persist import load_checkpoint, save_checkpoint
 from degm.select_eval import task_metric_table
 from degm.vae import VaeComponent
@@ -981,13 +981,13 @@ def test_a_one_layer_gr_hier_run_writes_what_a_gr_run_writes(tmp_path, capsys):
                 _read_csv(os.path.join(hier, name), "config_hash")
 
 
-def _set_two_layers(manifest_dir: str, value: bool) -> str:
-    """Write ``two_layers`` into a manifest, as a one- or two-layer ``HierVae``
-    saved it before the field was dropped; returns the manifest's path."""
+def _set_field(manifest_dir: str, key: str, value) -> str:
+    """Write ``key`` into a manifest as ``value``, as a hand edit or an older
+    save would have it; returns the manifest's path."""
     path = os.path.join(manifest_dir, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
-    manifest["two_layers"] = value
+    manifest[key] = value
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return path
@@ -1014,15 +1014,44 @@ def test_an_older_hier_manifest_loads_only_with_two_layers(tmp_path, capsys):
 
     written = outputs()
     for manifest_dir in manifests:  # as the model was saved with the field
-        _set_two_layers(manifest_dir, True)
+        _set_field(manifest_dir, "two_layers", True)
     assert outputs() == written  # bit for bit
     for argv, manifest_dir in ((eval_argv, checkpoint),
                                (["diagnose", run_dir], manifests[2])):
-        path = _set_two_layers(manifest_dir, False)
+        path = _set_field(manifest_dir, "two_layers", False)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} ") and "one-layer" in err, err
-        _set_two_layers(manifest_dir, True)
+        _set_field(manifest_dir, "two_layers", True)
+
+
+@pytest.mark.parametrize("mode, kind", [("degm", "graph"), ("gr", "single"), ("gr-hier", "hier")])
+def test_a_manifest_with_another_sigma_exits_2_naming_it(tmp_path, capsys, mode, kind):
+    # every model's Gaussian decoder has DEFAULT_SIGMA, so a manifest that
+    # holds another value describes a model no command builds
+    config_path = tmp_path / "cfg.json"
+    raw = two_task_config(mode, out_dir=str(tmp_path / "runs"))
+    raw["train"]["hier_latent_dims"] = [3, 2]
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    assert load_checkpoint(checkpoint)[0] == kind
+    runs = [(["eval", "--checkpoint", checkpoint, "--config", str(config_path)], checkpoint)]
+    if kind == "graph":
+        runs.append((["export-v", "--checkpoint", checkpoint, "--out", str(tmp_path / "v.csv")],
+                     checkpoint))
+    else:  # diagnose reads the snapshots
+        runs.append((["diagnose", run_dir], os.path.join(checkpoint, "task_2")))
+    for argv, manifest_dir in runs:
+        path = _set_field(manifest_dir, "sigma", 0.5)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} holds sigma 0.5;"), err
+        _set_field(manifest_dir, "sigma", DEFAULT_SIGMA)
+        load_checkpoint(manifest_dir)  # the saved value loads
+    assert not os.path.exists(tmp_path / "v.csv")
+    assert not os.path.exists(os.path.join(run_dir, "bounds_report.csv"))
 
 
 def test_valid_base_config_trains(tmp_path):

@@ -172,7 +172,7 @@ def test_transforms_preserve_unit_range(name, seed):
 
 def test_downsample_mean_pool():
     img = np.arange(16, dtype=np.float64).reshape(1, 16) / 15.0
-    out = downsample(Dataset(img), 2)
+    out = downsample(Dataset(img))
     expected = img.reshape(4, 4)
     pooled = expected.reshape(2, 2, 2, 2).mean(axis=(1, 3)).reshape(1, 4)
     np.testing.assert_allclose(out.data, pooled)

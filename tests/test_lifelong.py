@@ -179,8 +179,6 @@ def test_vectors_stay_views_after_install_copy_and_load(tmp_path):
             assert vector_views(other) and not np.shares_memory(other.params().flat,
                                                                  model.params().flat)
             assert other.params().flat.tobytes() == model.params().flat.tobytes()
-            if isinstance(other, HierVae):
-                assert vector_views(other.base)
 
 
 # --- generative replay --------------------------------------------------------------
@@ -192,7 +190,7 @@ def test_gr_single_task_equals_plain_training():
     model, _, _ = run_gr_single(TaskStream([task]), cfg, rng)
 
     plain = VaeComponent(DIM, cfg.latent_dim, cfg.hidden_dim, cfg.likelihood,
-                         cfg.sigma, Rng(5).spawn("gr:init"), name="gr")
+                         Rng(5).spawn("gr:init"), name="gr")
     from degm.nnkit import AdamState, adam_step
     from degm.lifelong import _minibatches
     state = AdamState(lr=cfg.lr)

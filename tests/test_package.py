@@ -3,10 +3,13 @@ code in ``src/degm`` is there only for the tests, which keep such code in
 their own reference modules (``tape``, ``reference``)."""
 
 import ast
+import dataclasses
 import glob
 import os
 
 import degm
+from degm.config import TRAIN
+from degm.lifelong import TrainConfig
 
 # what perfbench and the command line call from outside the package
 ENTRY_POINTS = {"cli.main", "data.build_stream", "config.parse_config", "nnkit.grad_enabled"}
@@ -137,3 +140,8 @@ def test_the_command_line_module_only_parses_and_dispatches():
     defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
                                                            ast.ClassDef))]
     assert defined == ["main"]
+
+
+def test_every_train_config_field_is_a_row_of_the_train_table():
+    # a value no config key can set is a constant of the module that reads it
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == {key for key, _, _ in TRAIN}

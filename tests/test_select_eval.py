@@ -167,11 +167,6 @@ def test_psnr_decreases_with_mse():
     assert psnr(x, x + 0.1) > psnr(x, x + 0.2) > psnr(x, x + 0.4)
 
 
-def test_psnr_rejects_bad_max():
-    with pytest.raises(ContractError):
-        psnr(np.zeros(4), np.zeros(4), max_val=0.0)
-
-
 def test_ssim_symmetry():
     a = Rng(42).uniform(0, 1, (64,))
     b = Rng(43).uniform(0, 1, (64,))
@@ -326,6 +321,18 @@ def small_stream():
                        for name, kind, seed in (("a", "bars", 44), ("b", "stripes", 46))])
 
 
+def first_layer(model) -> VaeComponent:
+    """A plain component: ``model`` itself, or a plain copy of a two-layer
+    model's first layer, whose parameters lead its vector."""
+    if type(model) is VaeComponent:
+        return model
+    plain = VaeComponent(model.input_dim, model.latent_dim, model.hidden_dim, model.likelihood,
+                         name=model.name)
+    for mine, theirs in zip(plain.params(), model.params()):
+        mine.data[...] = theirs.data
+    return plain
+
+
 @pytest.mark.parametrize("build", [
     lambda: VaeComponent(DIM, LATENT, HIDDEN, rng=Rng(41), name="gr"),
     lambda: HierVae(DIM, (LATENT, 2), HIDDEN, rng=Rng(42), name="gr"),
@@ -333,31 +340,31 @@ def small_stream():
 def test_single_metric_table_passes_each_test_set_once(monkeypatch, build):
     # a row's reconstruction and K'-draw NLL come from one pass of the model,
     # and equal those of a pass each: a two-layer model's reconstruction is
-    # its base's, its NLL its own two-layer bound
+    # its first layer's, its NLL its own two-layer bound
     model = build()
     stream = small_stream()
     monkeypatch.setattr(runtime, "share_count", lambda items: 1)  # every row in this process
     counts = counted_eval_passes(monkeypatch)
     rows = single_metric_table(model, stream, kprime=3)
     assert counts == {rows_key(task.test.data): 1 for task in stream.tasks}
-    base = getattr(model, "base", model)
+    plain = first_layer(model)
     for row, task in zip(rows, stream.tasks):
         data = task.test.data
-        sl, ps, ss = reconstruction_metrics(data, base.reconstruct(data))
+        sl, ps, ss = reconstruction_metrics(data, plain.reconstruct(data))
         want = {"nll": eval_nll_single(model, data, kprime=3), "sl": sl, "psnr": ps, "ssim": ss}
         assert {key: repr(row[key]) for key in want} == {k: repr(v) for k, v in want.items()}
 
 
 def test_a_prior_shift_moves_a_two_layer_models_eval_nll():
     # the NLL is the model's own bound, so it reads the prior p(z1|z2), which
-    # the reconstruction and the base's one-layer bound never read
+    # the reconstruction and the first layer's one-layer bound never read
     stream = small_stream()
     model = HierVae(DIM, (LATENT, 2), HIDDEN, rng=Rng(42), name="gr")
     before = single_metric_table(model, stream, kprime=50)
     model.prior_mu.bias.data += 3.0
     after = single_metric_table(model, stream, kprime=50)
-    base = single_metric_table(model.base, stream, kprime=50)
-    for b, a, one_layer in zip(before, after, base):
+    one_layers = single_metric_table(first_layer(model), stream, kprime=50)
+    for b, a, one_layer in zip(before, after, one_layers):
         assert [a[k] for k in ("sl", "psnr", "ssim")] == [b[k] for k in ("sl", "psnr", "ssim")]
         # a worse prior, a worse bound
         assert a["nll"] > b["nll"] + 1.0 and b["nll"] != one_layer["nll"]

@@ -6,7 +6,7 @@ import pytest
 
 from degm.errors import ContractError, DimensionError
 from degm.graph import GraphModel
-from degm.nnkit import AdamState, Rng, adam_step
+from degm.nnkit import DEFAULT_SIGMA, AdamState, Rng, adam_step
 from degm.persist import load_checkpoint, save_checkpoint
 from degm.vae import HierVae, VaeComponent, copy_model
 
@@ -274,9 +274,10 @@ def test_spec_copy_and_checkpoint_are_bit_identical(kind, tmp_path):
     save_checkpoint(str(tmp_path / kind), model)
     loaded_kind, loaded, manifest = load_checkpoint(str(tmp_path / kind))
     assert loaded_kind == model.kind
-    # the manifest is the spec, the format version, the arrays and the extra
+    # the manifest is the spec, sigma, the format version, the arrays and the extra
     assert {k: v for k, v in manifest.items()
-            if k not in ("format_version", "arrays", "extra")} == model.spec()
+            if k not in ("format_version", "arrays", "extra")} == {**model.spec(),
+                                                                   "sigma": DEFAULT_SIGMA}
     x = binary_data(Rng(75), 9, 6)
     eps, eps2 = Rng(76).normal((1, 3 if kind == "hier" else 2)), Rng(77).normal((9, 2))
     for other in (rebuilt, copy_model(model), loaded):
