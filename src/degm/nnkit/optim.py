@@ -15,17 +15,16 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class ParamVector(list):
     """Uniquely named parameters whose ``data`` are bound, in order, to
-    reshaped views of the one C-contiguous float64 vector ``flat``: a copy of
-    their arrays unless ``flat`` is given. ``len`` is the parameter count."""
+    reshaped views of the one C-contiguous float64 vector ``flat``, a copy of
+    their arrays. ``len`` is the parameter count."""
 
-    def __init__(self, params: list[Param], flat: np.ndarray | None = None):
+    def __init__(self, params: list[Param]):
         super().__init__(params)
         names = [p.name for p in params]
         if None in names or len(set(names)) != len(names):
             raise TrainingError("optimiser parameters must be named, each name once")
         self.ends = np.cumsum([p.data.size for p in params], dtype=np.intp)
-        if flat is None:
-            flat = np.concatenate([p.data.reshape(-1) for p in params] + [np.zeros(0)])
+        flat = np.concatenate([p.data.reshape(-1) for p in params] + [np.zeros(0)])
         for p, view in zip(self, self.slices(flat)):
             p.data = view
         self.flat = flat

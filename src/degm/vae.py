@@ -8,8 +8,9 @@ is what lets the graph model recombine them across components.
 A node's one forward pass is a ``NodePass`` over its rows, on plain arrays.
 A training pass also gives the gradients, its backward written out VJP by
 VJP in the order of the tape reference (``tests/tape.py``), so that they
-equal the tape's bit for bit; ``HierPass``, a ``HierVae``'s pass, writes
-out its two-layer bound's backward the same way. Bounds return one value
+equal the tape's bit for bit; ``HierPass``, a ``HierVae``'s pass, runs its
+first layer through the same per-draw forward, decoder VJP and stage VJP
+(``_stage_grads``) as a ``NodePass`` does. Bounds return one value
 per sample, shape [B]. The weighted K'-draw bound is log-mean-exp of the
 per-draw reconstruction terms minus the closed-form KL, so the single-draw
 case *is* the ELBO estimate on the same noise.
@@ -88,8 +89,6 @@ class VaeComponent:
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
         """Ancestral samples; Bernoulli outputs are pixel-sampled to {0,1}."""
-        if n == 0:
-            return np.zeros((0, self.input_dim))
         return self.emit(rng.normal((n, self.latent_dim)), rng)
 
     def emit(self, z: np.ndarray, rng: Rng) -> np.ndarray:
@@ -133,6 +132,7 @@ class NodePass:
         self.enc_lower = enc_lower
         self.heads = heads
         self.weights = weights
+        self._pis = [None] if weights is None else weights  # each source's weight
         self.lowers = lowers
         self.upper = upper
         self.likelihood = likelihood
@@ -176,12 +176,48 @@ class NodePass:
         n, latent = self.posteriors[0].mu.shape
         return [rng.normal((n if rows is None else rows, latent)) for _ in range(k)]
 
+    def _draw(self, eps) -> tuple[np.ndarray, tuple]:
+        """The reconstruction term at the draw ``eps``, and what the backward
+        reads: z, the lower decoder outputs, their blend and the output."""
+        z = self.sample(np.asarray(eps, dtype=np.float64))
+        lows = [layer.apply(z) for layer in self.lowers]
+        hidden = self._blend(lows)
+        out = self.upper.apply(hidden)
+        return self.recon_term(out), (z, lows, hidden, out)
+
     def bound(self, eps_list: list[np.ndarray]) -> np.ndarray:
         """The per-sample bound over one draw per entry of ``eps_list``, each
         shared by every row (or one row per sample) and by every source."""
-        recons = [self.recon_term(self.decode(self.sample(np.asarray(eps, dtype=np.float64))))
-                  for eps in eps_list]
-        return logmeanexp_values(recons) - self.kl()
+        return logmeanexp_values([self._draw(eps)[0] for eps in eps_list]) - self.kl()
+
+    def _backward_start(self) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+        """A new gradient vector laid out as ``params``, its views by name
+        (the backward writes every one), and the gradient of ``-values.mean()``
+        at the per-sample values."""
+        if self.params is None:
+            raise ContractError("gradients need a pass made with train=True")
+        flat = np.empty_like(self.params.flat)
+        n = self.x.shape[0]
+        return flat, self.params.views(flat), np.full(n, -(1.0 / float(n)))
+
+    def _decoder_grads(self, grads: dict[str, np.ndarray], draw: tuple, g_recon: np.ndarray,
+                       first: bool = True) -> np.ndarray:
+        """Write (``first``) or add the output layer's gradients at one draw,
+        ``_draw``'s intermediates, from the gradient ``g_recon`` at its
+        reconstruction term, and an own pass's lower decoders' (a blended
+        pass's are borrowed); return the gradient at z."""
+        z, lows, hidden, out = draw
+        g_out = self.upper.activation_grad(out, self._kernel.grad(out, g_recon))
+        self.upper.accumulate_grads(grads, hidden, g_out, first)
+        g_hidden = g_out @ self.upper.weight.data
+        g_z = None
+        for layer, low, pi in zip(self.lowers, lows, self._pis):
+            g_low = layer.activation_grad(low, _scaled(g_hidden, pi))
+            if self.weights is None:
+                layer.accumulate_grads(grads, z, g_low, first)
+            g_part = g_low @ layer.weight.data
+            g_z = g_part if g_z is None else g_z + g_part
+        return g_z
 
     def bound_and_grads(self, eps_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """``bound(eps_list)`` and the gradient of ``-bound.mean()``, of a
@@ -193,68 +229,38 @@ class NodePass:
         bit for bit. The borrowed heads and lower decoders of a blended pass
         get none.
         """
-        if self._h is None:
-            raise ContractError("gradients need a pass made with train=True")
+        flat, grads, g_values = self._backward_start()
         eps_list = [np.asarray(eps, dtype=np.float64) for eps in eps_list]
-        draws = []  # per draw: z, the lower decoder outputs, their blend, the output
-        for eps in eps_list:
-            z = self.sample(eps)
-            lows = [layer.apply(z) for layer in self.lowers]
-            hidden = self._blend(lows)
-            draws.append((z, lows, hidden, self.upper.apply(hidden)))
-        recons = [self.recon_term(out) for *_, out in draws]
+        draws = [self._draw(eps) for eps in eps_list]
+        recons = [recon for recon, _ in draws]
         values = logmeanexp_values(recons) - self.kl()
-
-        n = values.shape[0]
-        g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
-        own = self.weights is None  # else the heads and lower decoders are borrowed
-        pis = [None] if own else self.weights
-
-        def scaled(g, pi):
-            return g if pi is None else g * pi
-
-        flat = np.empty_like(self.params.flat)
-        grads = self.params.views(flat)  # every view is written below
-        g_samples = [[] for _ in self.posteriors]
-        for d, ((z, lows, hidden, out), g_recon) in enumerate(
-                zip(draws, logmeanexp_grads(recons, g_values))):
-            g_out = self.upper.activation_grad(out, self._kernel.grad(out, g_recon))
-            self.upper.accumulate_grads(grads, hidden, g_out, d == 0)
-            g_hidden = g_out @ self.upper.weight.data
-            g_z = None
-            for layer, low, pi in zip(self.lowers, lows, pis):
-                g_low = layer.activation_grad(low, scaled(g_hidden, pi))
-                if own:
-                    layer.accumulate_grads(grads, z, g_low, d == 0)
-                g_part = g_low @ layer.weight.data
-                g_z = g_part if g_z is None else g_z + g_part
-            for g_sample, pi in zip(g_samples, pis):
-                g_sample.append(scaled(g_z, pi))
-
-        g_h = None
-        g_kl = -g_values
-        for p, heads, kl, g_sample, pi in zip(self.posteriors, self.heads, self._kls, g_samples,
-                                              pis):
-            for layer, g in zip(heads, p.grads(g_sample, eps_list, kl, scaled(g_kl, pi))):
-                if own:
-                    layer.accumulate_grads(grads, self._h, g)
-                g_part = g @ layer.weight.data
-                g_h = g_part if g_h is None else g_h + g_part
-        self.enc_lower.accumulate_grads(grads, self.x,
-                                        self.enc_lower.activation_grad(self._h, g_h))
+        g_recons = logmeanexp_grads(recons, g_values)
+        g_zs = [self._decoder_grads(grads, draw, g, d == 0)
+                for d, ((_, draw), g) in enumerate(zip(draws, g_recons))]
+        g_heads = []
+        for p, kl, pi in zip(self.posteriors, self._kls, self._pis):
+            g_heads += p.grads([_scaled(g_z, pi) for g_z in g_zs], eps_list, kl,
+                               _scaled(-g_values, pi))
+        _stage_grads(grads, self.enc_lower, [layer for pair in self.heads for layer in pair],
+                     self.x, self._h, g_heads, self.weights is None)
         return values, flat
 
 
-def _stage_grads(grads: dict[str, np.ndarray], lower: DenseLayer,
-                 heads: tuple[DenseLayer, DenseLayer], x: np.ndarray, h: np.ndarray,
-                 g_heads) -> np.ndarray:
-    """Write the gradients of a stage, a lower layer and its two identity heads
+def _scaled(g: np.ndarray, pi) -> np.ndarray:
+    return g if pi is None else g * pi
+
+
+def _stage_grads(grads: dict[str, np.ndarray], lower: DenseLayer, heads: list[DenseLayer],
+                 x: np.ndarray, h: np.ndarray, g_heads, own: bool = True) -> np.ndarray:
+    """Write the gradients of a stage, a lower layer and its identity heads
     (``h = lower(x)``), from the gradients ``g_heads`` at the heads' outputs,
     into ``grads`` by name; return the gradient at the lower layer's affine
-    output."""
+    output. Heads that are not ``own`` (borrowed) pass their gradient on and
+    get none."""
     g_h = None
     for layer, g in zip(heads, g_heads):
-        layer.accumulate_grads(grads, h, g)
+        if own:
+            layer.accumulate_grads(grads, h, g)
         g_part = g @ layer.weight.data
         g_h = g_part if g_h is None else g_h + g_part
     g_a = lower.activation_grad(h, g_h)
@@ -326,8 +332,6 @@ class HierVae(VaeComponent):
         return HierPass(self, x, train)
 
     def generate(self, n: int, rng: Rng) -> np.ndarray:
-        if n == 0:
-            return np.zeros((0, self.input_dim))
         hp = self.prior_lower.apply(rng.normal((n, self.latent_dims[1])))
         prior = DiagGaussian(self.prior_mu.apply(hp), self.prior_logvar.apply(hp))
         return self.emit(prior.sample(rng.normal(prior.mu.shape)), rng)
@@ -368,57 +372,44 @@ class HierPass(NodePass):
         """The two-layer bound at ``draw``, and what its backward reads."""
         m, q1 = self.model, self.posteriors[0]
         eps, eps2 = draw if isinstance(draw, tuple) else (draw, np.zeros((1, m.latent_dims[1])))
-        z1 = q1.sample(eps)
+        recon, decoded = self._draw(eps)
+        z1 = decoded[0]
         h2 = m.enc2_lower.apply(z1)
         q2 = DiagGaussian(m.enc2_mu.apply(h2), m.enc2_logvar.apply(h2))
         z2 = q2.sample(eps2)
         hp = m.prior_lower.apply(z2)
         prior = (m.prior_mu.apply(hp), m.prior_logvar.apply(hp))
-        low = m.dec_lower.apply(z1)
-        out = m.dec_upper.apply(low)
-        recon = self.recon_term(out)
         kl2 = q2.kl()
         ratio1 = (diag_gaussian_logpdf(z1, q1.mu, q1.logvar)
                   - diag_gaussian_logpdf(z1, *prior))
-        return recon - ratio1 - kl2, (eps, z1, h2, q2, eps2, z2, hp, prior, low, out, kl2)
+        return recon - ratio1 - kl2, (eps, decoded, h2, q2, eps2, z2, hp, prior, kl2)
 
     def bound_and_grads(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
         """``bound(draws)`` and the gradient of ``-bound.mean()``, as one
-        vector laid out as ``params``. It takes one draw, and the backward is
-        written out as ``NodePass.bound_and_grads``'s is: each step is the
-        tape's VJP, and where gradients meet they are summed in the tape's
-        order, so every gradient equals the tape's bit for bit."""
-        if self.params is None:
-            raise ContractError("gradients need a pass made with train=True")
+        vector laid out as ``params``. It takes one draw; its backward runs
+        through the decoder and stage VJPs ``NodePass.bound_and_grads`` uses,
+        and where gradients meet they are summed in the tape's order, so every
+        gradient equals the tape's bit for bit."""
+        flat, grads, g_values = self._backward_start()
         if len(draws) != 1:
             raise ContractError(f"a two-layer pass's gradients take one draw, got {len(draws)}")
-        values, (eps, z1, h2, q2, eps2, z2, hp, prior, low, out, kl2) = self._forward(draws[0])
-        m, q1 = self.model, self.posteriors[0]
-        flat = np.empty_like(self.params.flat)
-        grads = self.params.views(flat)  # every view is written below
-        n = values.shape[0]
-        g_values = np.full(n, -(1.0 / float(n)))  # d(-values.mean()) / d values
+        values, (eps, decoded, h2, q2, eps2, z2, hp, prior, kl2) = self._forward(draws[0])
+        m, q1, z1 = self.model, self.posteriors[0], decoded[0]
         # values = recon - (log q(z1) - log p(z1)) - kl2
         g_minus = -g_values
-
-        g_out = m.dec_upper.activation_grad(out, self._kernel.grad(out, g_values))
-        m.dec_upper.accumulate_grads(grads, low, g_out)
-        g_low = m.dec_lower.activation_grad(low, g_out @ m.dec_upper.weight.data)
-        m.dec_lower.accumulate_grads(grads, z1, g_low)
-        g_z1_dec = g_low @ m.dec_lower.weight.data
-
+        g_z1_dec = self._decoder_grads(grads, decoded, g_values)
         g_z1_prior, *g_prior = diag_gaussian_logpdf_grads(z1, *prior, g_values)
-        g_z2 = _stage_grads(grads, m.prior_lower, (m.prior_mu, m.prior_logvar), z2, hp,
+        g_z2 = _stage_grads(grads, m.prior_lower, [m.prior_mu, m.prior_logvar], z2, hp,
                             g_prior) @ m.prior_lower.weight.data
         g_q2 = q2.grads([g_z2], [eps2], kl2, g_minus)
-        g_z1_enc2 = _stage_grads(grads, m.enc2_lower, (m.enc2_mu, m.enc2_logvar), z1,
+        g_z1_enc2 = _stage_grads(grads, m.enc2_lower, [m.enc2_mu, m.enc2_logvar], z1,
                                  h2, g_q2) @ m.enc2_lower.weight.data
         g_z1_q, g_mu1, g_lv1 = diag_gaussian_logpdf_grads(z1, q1.mu, q1.logvar, g_minus)
 
         # the four gradients at z1, summed in the tape's order
         g_z1 = g_z1_dec + g_z1_q + g_z1_prior + g_z1_enc2
         g_mu, g_lv = q1.sample_grads([g_z1], [eps])
-        _stage_grads(grads, m.enc_lower, (m.enc_mu, m.enc_logvar), self.x, self._h,
+        _stage_grads(grads, m.enc_lower, [m.enc_mu, m.enc_logvar], self.x, self._h,
                      (g_mu + g_mu1, g_lv + g_lv1))
         return values, flat
 

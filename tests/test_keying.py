@@ -25,8 +25,6 @@ from degm.cli import cmd_diagnose, cmd_train, parse_config
 from degm.nnkit import Rng
 
 REPEATS_BY_DESIGN = {
-    r"bounds:kl:": "every epoch of a task scores the same KL draws",
-    r"klgap:": "drawn from the bounds:kl stream, which every epoch of a task derives again",
     r"(select|nll):": "one evaluation draw per index, shared by every task's metric row",
 }
 
@@ -60,7 +58,7 @@ def test_the_check_flags_shared_streams(monkeypatch):
     calls = record_spawns(monkeypatch)
     Rng(1).spawn("a")
     Rng(1).spawn("a")  # a second call site
-    for key in ("b", "b", "bounds:kl:0", "bounds:kl:0"):
+    for key in ("b", "b", "nll:0", "nll:0"):
         Rng(1).spawn(key)  # one site, twice each
     Rng(2).spawn("b")
     found = shared_streams(calls)
