@@ -66,8 +66,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config_file(args.config)
             kprime = args.kprime if args.kprime is not None else cfg.eval_kprime
             out = args.out or eval_path(args.checkpoint, kprime)
-            for row in cmd_eval(args.checkpoint, cfg, kprime, out):
-                print(row)
+            cmd_eval(args.checkpoint, cfg, kprime, out)
+            print(out)
         elif args.verb == "diagnose":
             print(cmd_diagnose(args.run_dir))
         elif args.verb == "export-v":

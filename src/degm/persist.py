@@ -1,12 +1,16 @@
 """What a command writes to disk: checkpoints, CSV tables and JSON files,
 each written by ``write_record``.
 
-A checkpoint is a JSON manifest plus one little-endian float64 blob per array.
+A checkpoint is a JSON manifest plus one blob, ``params.bin``: the
+little-endian float64 bytes of the model's tensors in ``params()`` order.
 The manifest is the model's own ``spec()`` (for a graph: node kinds, edge
-weights, task ids, reference bounds), the Gaussian decoder's ``sigma``, and
-a name/shape/file entry per parameter array. Every model's ``sigma`` is
-``DEFAULT_SIGMA``: a save writes it and a load refuses any other value. Buffers are written byte-exact, so a load reproduces every
-evaluation output bit for bit.
+weights, task ids, reference bounds), the Gaussian decoder's ``sigma``, the
+layout (each tensor's name and shape, in order) and the blob's sha256. Every
+model's ``sigma`` is ``DEFAULT_SIGMA``: a save writes it and a load refuses
+any other value. A load reads the blob into the parameters of the model that
+``from_spec`` builds, and refuses another layout, a blob of another length,
+a non-finite value or another sha256. Buffers are written byte-exact, so a
+load reproduces every evaluation output bit for bit.
 
 Every table goes through ``write_table``: a header from the first row's keys,
 then one line per row, floats at full precision.
@@ -21,8 +25,10 @@ through ``write_json``.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,68 +38,42 @@ from .graph import GraphModel
 from .nnkit import DEFAULT_SIGMA
 from .vae import HierVae, VaeComponent
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+BLOB = "params.bin"  # a checkpoint's one blob, beside its manifest.json
 MODEL_CLASSES = (GraphModel, VaeComponent, HierVae)  # each names its checkpoint kind
 # metrics.csv carries the hash as its run_id; v_matrix.csv carries none
 UNHASHED_TABLES = ("metrics.csv", "v_matrix.csv")
 
 
-def _array_entries(params):
-    entries = []
-    for i, p in enumerate(params):
-        entries.append({"name": p.name, "shape": list(p.data.shape), "file": f"arr_{i:04d}.bin"})
-    return entries
-
-
-def _write_arrays(directory: str, params, entries) -> None:
-    for p, e in zip(params, entries):
-        with open(os.path.join(directory, e["file"]), "wb") as fh:
-            fh.write(p.data.astype("<f8").tobytes())
-
-
-def _read_array(directory: str, entry) -> np.ndarray:
-    path = os.path.join(directory, entry["file"])
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    shape = tuple(entry["shape"])
-    expected = int(np.prod(shape)) * 8
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    arr = np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{path}: holds a non-finite value")
-    return arr
-
-
-def _load_into(params, directory: str, entries) -> None:
-    by_name = {e["name"]: e for e in entries}
-    for p in params:
-        if p.name not in by_name:
-            raise FormatError(f"checkpoint missing array {p.name!r}")
-        arr = _read_array(directory, by_name[p.name])
-        if arr.shape != p.data.shape:
-            raise FormatError(f"array {p.name!r}: shape {arr.shape} != expected {p.data.shape}")
-        p.data[:] = arr
+def _layout(params) -> list[dict]:
+    return [{"name": p.name, "shape": list(p.data.shape)} for p in params]
 
 
 def save_checkpoint(directory: str, model, extra: dict | None = None) -> None:
-    """Write ``model``'s manifest, its ``spec()`` with ``sigma``, the format
-    version, the array entries and ``extra``, and one blob per array of
-    ``params()``."""
+    """Write ``model``'s tensors, one after another, into ``params.bin``, and
+    its manifest: its ``spec()`` with ``sigma``, the format version, the
+    layout, the blob's sha256 and ``extra``."""
     os.makedirs(directory, exist_ok=True)
     params = model.params()
-    entries = _array_entries(params)
+    digest = hashlib.sha256()
+    with open(os.path.join(directory, BLOB), "wb") as fh:
+        for p in params:  # tensor by tensor, so no second copy of the model
+            data = np.ascontiguousarray(p.data, dtype="<f8")
+            digest.update(data)
+            fh.write(data)
     manifest = {**model.spec(), "sigma": float(DEFAULT_SIGMA), "format_version": FORMAT_VERSION,
-                "arrays": entries, "extra": extra or {}}
-    _write_arrays(directory, params, entries)
+                "layout": _layout(params), "sha256": digest.hexdigest(), "extra": extra or {}}
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_checkpoint(directory: str):
-    """Rebuild the saved model by the class its ``kind`` names; returns (kind,
-    model, manifest). A manifest that does not parse, lacks a field its kind
-    needs, holds another ``sigma`` or a field that cannot build the model is
-    a FormatError."""
+    """Rebuild the saved model by the class its ``kind`` names and read
+    ``params.bin`` into its parameters; returns (kind, model, manifest). A
+    manifest that does not parse, is of another format version, lacks a
+    field its kind needs, holds another ``sigma``, a field that cannot build
+    the model or a layout other than that model's is a FormatError naming
+    the manifest; a missing blob, or one of another length, holding a
+    non-finite value or of another sha256, one naming the blob."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.exists(path):
         raise FormatError(f"no manifest at {path}")
@@ -104,24 +84,45 @@ def load_checkpoint(directory: str):
             raise FormatError(f"{path} is not valid JSON: {err}") from err
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported checkpoint format version {version!r}")
+        raise FormatError(f"{path}: unsupported checkpoint format version {version!r}; "
+                          f"this version reads {FORMAT_VERSION}")
     try:  # every key read below is a manifest field
         kind = manifest["kind"]
         model_class = next((c for c in MODEL_CLASSES if c.kind == kind), None)
         if model_class is None:
-            raise FormatError(f"unknown checkpoint kind {kind!r}")
+            raise FormatError(f"{path}: unknown checkpoint kind {kind!r}")
         if manifest["sigma"] != float(DEFAULT_SIGMA):
             raise FormatError(f"{path} holds sigma {manifest['sigma']!r}; every model's "
                               f"decoder has sigma {float(DEFAULT_SIGMA)!r}")
         model = model_class.from_spec(manifest)
-        _load_into(model.params(), directory, manifest["arrays"])
-        return kind, model, manifest
+        layout, recorded = manifest["layout"], manifest["sha256"]
     except KeyError as err:
         raise FormatError(f"{path} lacks the field {err}") from err
     except FormatError:
         raise
-    except (OSError, TypeError, ValueError) as err:  # ContractError and DimensionError too
+    except (TypeError, ValueError) as err:  # ContractError and DimensionError too
         raise FormatError(f"{path} holds a field that cannot build the model: {err}") from err
+    params = model.params()
+    if layout != _layout(params):
+        raise FormatError(f"{path}: its layout is not that of the {kind} model its fields build")
+    blob = os.path.join(directory, BLOB)
+    if not os.path.isfile(blob):
+        raise FormatError(f"{blob}: missing")
+    expected, size = sum(p.data.nbytes for p in params), os.path.getsize(blob)
+    if size != expected:
+        raise FormatError(f"{blob}: expected {expected} bytes, got {size}")
+    digest = hashlib.sha256()
+    with open(blob, "rb") as fh:
+        for p in params:  # into the model's own views, so no second copy of the model
+            fh.readinto(p.data)
+            digest.update(p.data)
+            if sys.byteorder == "big":
+                p.data.byteswap(inplace=True)
+    if not all(np.isfinite(p.data).all() for p in params):
+        raise FormatError(f"{blob}: holds a non-finite value")
+    if digest.hexdigest() != recorded:
+        raise FormatError(f"{blob}: sha256 {digest.hexdigest()} is not the manifest's {recorded!r}")
+    return kind, model, manifest
 
 
 def write_table(path: str, rows: list[dict], config_hash: str | None = None) -> None:

@@ -317,12 +317,7 @@ class HierVae(VaeComponent):
 
     @classmethod
     def from_spec(cls, fields: dict) -> "HierVae":
-        """The model ``fields``, a ``spec()``, describes; its parameters zero.
-        Older manifests carry ``two_layers``, and a one-layer one is refused:
-        loaded, its untrained second layer would score and generate."""
-        if fields.get("two_layers", True) is not True:
-            raise ContractError("two_layers is false, but a hier model has two layers; "
-                                "a one-layer gr-hier run saves a single model")
+        """The model ``fields``, a ``spec()``, describes; its parameters zero."""
         return cls(fields["input_dim"], tuple(fields["latent_dims"]), fields["hidden_dim"],
                    fields["likelihood"], rng=None, name=fields["name"])
 

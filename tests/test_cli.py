@@ -6,6 +6,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from degm.errors import ConfigError, ContractError, FormatError
 from degm.graph import GraphModel
 from degm.lifelong import ablation_edge_policy, run_ablation
 from degm.nnkit import DEFAULT_SIGMA, Rng
-from degm.persist import load_checkpoint, save_checkpoint
+from degm.persist import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from degm.select_eval import task_metric_table
 from degm.vae import VaeComponent
 
@@ -470,6 +471,7 @@ def test_main_eval_without_out_keeps_the_training_table(tmp_path, capsys):
     before = open(train_table, "rb").read()
     assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
                  "--config", str(config_path), "--kprime", "5"]) == 0
+    assert capsys.readouterr().out == os.path.join(run_dir, "eval_k5.csv") + "\n"
     assert open(train_table, "rb").read() == before
     digest = config_hash(parse_config(config_path.read_text()))
     lines = open(os.path.join(run_dir, "eval_k5.csv")).read().splitlines()
@@ -529,31 +531,126 @@ def test_main_eval_error_while_the_table_is_forked_exits_2(tmp_path, capsys, mon
     assert not os.path.exists(os.path.join(run_dir, "eval_k2.csv"))
 
 
-@pytest.mark.parametrize("verb, mode, blob, value", [
-    ("eval", "gr-hier", "checkpoint/arr_0000.bin", np.nan),
-    ("diagnose", "gr-hier", "checkpoint/task_2/arr_0003.bin", np.inf),
-    ("export-v", "degm", "checkpoint/arr_0000.bin", np.nan),
-])
-def test_main_a_non_finite_blob_exits_2_naming_its_file(tmp_path, capsys, verb, mode, blob,
-                                                         value):
-    config_path = tmp_path / "cfg.json"
-    raw = two_task_config(mode, out_dir=str(tmp_path / "runs"))
-    if mode == "gr-hier":
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory):
+    """A two-task gr-hier run and a degm run, each by mode: its run
+    directory and its config's path."""
+    runs = {}
+    for mode in ("gr-hier", "degm"):
+        base = tmp_path_factory.mktemp(mode)
+        raw = two_task_config(mode, out_dir=str(base / "runs"))
         raw["train"]["hier_latent_dims"] = [3, 2]
-    config_path.write_text(json.dumps(raw))
-    assert main(["train", "--config", str(config_path)]) == 0
-    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
-    path = os.path.join(run_dir, blob)
-    with open(path, "r+b") as fh:  # the first float, in place; the size is kept
-        fh.write(np.array([value], dtype="<f8").tobytes())
+        config_path = base / "cfg.json"
+        config_path.write_text(json.dumps(raw))
+        runs[mode] = (cmd_train(parse_config(config_path.read_text())), str(config_path))
+    return runs
+
+
+def _verb_on_a_copy(stored_runs, tmp_path, verb) -> tuple[list[str], str, str]:
+    """A copy of the run ``verb`` reads: eval the gr-hier checkpoint, diagnose
+    the gr-hier run, whose task_2/ snapshot it loads, or export-v the degm
+    graph. Returns the verb's argv, the model directory it loads, and the
+    copied run directory, which every output would land in."""
+    mode, model = {"eval": ("gr-hier", "checkpoint"), "diagnose": ("gr-hier", "checkpoint/task_2"),
+                   "export-v": ("degm", "checkpoint")}[verb]
+    source, config_path = stored_runs[mode]
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(source, run_dir)
     checkpoint = os.path.join(run_dir, "checkpoint")
-    argv = {"eval": ["eval", "--checkpoint", checkpoint, "--config", str(config_path)],
+    argv = {"eval": ["eval", "--checkpoint", checkpoint, "--config", config_path],
             "diagnose": ["diagnose", run_dir],
             "export-v": ["export-v", "--checkpoint", checkpoint,
-                         "--out", str(tmp_path / "v.csv")]}[verb]
+                         "--out", os.path.join(run_dir, "v.csv")]}[verb]
+    return argv, os.path.join(run_dir, model), run_dir
+
+
+def _files(root: str) -> set[str]:
+    return {os.path.join(base, n) for base, _, names in os.walk(root) for n in names}
+
+
+def _overwrite(offset: int, value: float):
+    def damage(blob: str) -> None:  # in place; the size is kept
+        with open(blob, "r+b") as fh:
+            fh.seek(offset, os.SEEK_SET if offset >= 0 else os.SEEK_END)
+            fh.write(np.array([value], dtype="<f8").tobytes())
+    return damage
+
+
+def _flip_bit(blob: str) -> None:
+    # byte 100 is a mantissa byte of the 13th float, which stays finite
+    with open(blob, "r+b") as fh:
+        fh.seek(100)
+        byte = fh.read(1)[0]
+        fh.seek(100)
+        fh.write(bytes([byte ^ 1]))
+
+
+def _truncate(blob: str) -> None:
+    os.truncate(blob, os.path.getsize(blob) - 8)
+
+
+def _append(blob: str) -> None:
+    with open(blob, "ab") as fh:
+        fh.write(bytes(8))
+
+
+def _edit_manifest(edit):
+    def damage(blob: str) -> None:
+        path = os.path.join(os.path.dirname(blob), "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+    return damage
+
+
+def _rename_entry(manifest: dict) -> None:
+    manifest["layout"][0]["name"] += "_renamed"
+
+
+def _reshape_entry(manifest: dict) -> None:
+    entry = manifest["layout"][0]  # a weight, transposed: the same size, another shape
+    entry["shape"] = entry["shape"][::-1]
+
+
+def _edit_sha256(manifest: dict) -> None:
+    manifest["sha256"] = "0" * 64
+
+
+def _rename_kind(manifest: dict) -> None:
+    manifest["kind"] = "graf"
+
+
+# each damage to a model directory's params.bin or its manifest: the file the
+# error names, and what it says of that file
+_DAMAGES = {
+    "nan": (_overwrite(0, np.nan), "params.bin", "holds a non-finite value"),
+    "inf": (_overwrite(-8, np.inf), "params.bin", "holds a non-finite value"),
+    "flipped-bit": (_flip_bit, "params.bin", "sha256 "),
+    "truncated": (_truncate, "params.bin", "expected "),
+    "appended": (_append, "params.bin", "expected "),
+    "deleted": (os.remove, "params.bin", "missing"),
+    "renamed-entry": (_edit_manifest(_rename_entry), "manifest.json", "its layout is not"),
+    "reshaped-entry": (_edit_manifest(_reshape_entry), "manifest.json", "its layout is not"),
+    "edited-sha256": (_edit_manifest(_edit_sha256), "params.bin", "sha256 "),
+    "unknown-kind": (_edit_manifest(_rename_kind), "manifest.json", "unknown checkpoint kind"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGES))
+@pytest.mark.parametrize("verb", ["eval", "diagnose", "export-v"])
+def test_main_a_damaged_blob_exits_2_naming_its_file(stored_runs, tmp_path, capsys, verb,
+                                                     damage):
+    argv, model_dir, run_dir = _verb_on_a_copy(stored_runs, tmp_path, verb)
+    apply, name, says = _DAMAGES[damage]
+    apply(os.path.join(model_dir, "params.bin"))
+    before = _files(run_dir)
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {path}: holds a non-finite value\n"
-    assert not os.path.exists(tmp_path / "v.csv")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {os.path.join(model_dir, name)}: {says}"), err
+    assert err.count("\n") == 1
+    assert _files(run_dir) == before  # no table written
 
 
 @pytest.mark.parametrize("kprime", ["0", "-1", "True"])
@@ -993,36 +1090,17 @@ def _set_field(manifest_dir: str, key: str, value) -> str:
     return path
 
 
-def test_an_older_hier_manifest_loads_only_with_two_layers(tmp_path, capsys):
-    config_path = tmp_path / "cfg.json"
-    raw = two_task_config("gr-hier", out_dir=str(tmp_path / "runs"))
-    raw["train"]["hier_latent_dims"] = [3, 2]
-    config_path.write_text(json.dumps(raw))
-    assert main(["train", "--config", str(config_path)]) == 0
-    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
-    checkpoint = os.path.join(run_dir, "checkpoint")
-    manifests = [checkpoint] + [os.path.join(checkpoint, f"task_{i}") for i in (1, 2)]
-    eval_argv = ["eval", "--checkpoint", checkpoint, "--config", str(config_path),
-                 "--kprime", "50"]
-
-    def outputs() -> tuple[bytes, bytes]:
-        assert main(eval_argv) == 0
-        assert main(["diagnose", run_dir]) == 0
-        capsys.readouterr()
-        return tuple(open(os.path.join(run_dir, name), "rb").read()
-                     for name in ("eval_k50.csv", "bounds_report.csv"))
-
-    written = outputs()
-    for manifest_dir in manifests:  # as the model was saved with the field
-        _set_field(manifest_dir, "two_layers", True)
-    assert outputs() == written  # bit for bit
-    for argv, manifest_dir in ((eval_argv, checkpoint),
-                               (["diagnose", run_dir], manifests[2])):
-        path = _set_field(manifest_dir, "two_layers", False)
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path} ") and "one-layer" in err, err
-        _set_field(manifest_dir, "two_layers", True)
+@pytest.mark.parametrize("verb", ["eval", "diagnose", "export-v"])
+def test_a_format_version_1_manifest_exits_2_naming_the_version(stored_runs, tmp_path, capsys,
+                                                                verb):
+    # version 1 wrote one blob per tensor; this version reads only its own format
+    argv, model_dir, run_dir = _verb_on_a_copy(stored_runs, tmp_path, verb)
+    path = _set_field(model_dir, "format_version", 1)
+    before = _files(run_dir)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {path}: unsupported checkpoint format "
+                                       f"version 1; this version reads {FORMAT_VERSION}\n")
+    assert _files(run_dir) == before
 
 
 @pytest.mark.parametrize("mode, kind", [("degm", "graph"), ("gr", "single"), ("gr-hier", "hier")])

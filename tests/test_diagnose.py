@@ -17,7 +17,7 @@ from degm.cli import build_stream, cmd_diagnose, cmd_train, main, parse_config
 from degm.config import config_hash
 from degm.errors import ContractError
 from degm.nnkit import Rng
-from degm.persist import RunRecord, load_checkpoint, write_record
+from degm.persist import FORMAT_VERSION, RunRecord, load_checkpoint, write_record
 from degm.vae import VaeComponent
 
 from reference import estimate_discrepancy
@@ -127,7 +127,7 @@ def _not_json(run_dir):
 
 
 def _no_kind(run_dir):
-    _write_manifest(run_dir, "task_1", json.dumps({"format_version": 1}))
+    _write_manifest(run_dir, "task_1", json.dumps({"format_version": FORMAT_VERSION}))
 
 
 def _no_hidden_dim(run_dir):
@@ -139,7 +139,7 @@ def _no_hidden_dim(run_dir):
 
 
 def _no_array_file(run_dir):
-    os.remove(os.path.join(run_dir, "checkpoint", "task_1", "arr_0000.bin"))
+    os.remove(os.path.join(run_dir, "checkpoint", "task_1", "params.bin"))
 
 
 def _extra_not_object(run_dir):

@@ -1,6 +1,8 @@
 """Component-level contracts: the node pass's encoder, decoder and bounds,
 generation, the deep baseline."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -274,9 +276,10 @@ def test_spec_copy_and_checkpoint_are_bit_identical(kind, tmp_path):
     save_checkpoint(str(tmp_path / kind), model)
     loaded_kind, loaded, manifest = load_checkpoint(str(tmp_path / kind))
     assert loaded_kind == model.kind
-    # the manifest is the spec, sigma, the format version, the arrays and the extra
+    assert sorted(os.listdir(tmp_path / kind)) == ["manifest.json", "params.bin"]
+    # the manifest is the spec, sigma, the format version, the layout, the sha256 and the extra
     assert {k: v for k, v in manifest.items()
-            if k not in ("format_version", "arrays", "extra")} == {**model.spec(),
+            if k not in ("format_version", "layout", "sha256", "extra")} == {**model.spec(),
                                                                    "sigma": DEFAULT_SIGMA}
     x = binary_data(Rng(75), 9, 6)
     eps, eps2 = Rng(76).normal((1, 3 if kind == "hier" else 2)), Rng(77).normal((9, 2))
