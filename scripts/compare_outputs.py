@@ -6,10 +6,11 @@
 For each config, seed and CPU mask, each tree runs ``degm train`` in a
 subprocess (``PYTHONPATH=<tree>/src``, the CPU affinity set to the mask).
 A gr, gr-hier or bounds run is then scored by ``degm diagnose``, the
-train-time ``bounds_report.csv`` kept as ``bounds_report.train.csv``. Every
-run that leaves a checkpoint (``checkpoint/manifest.json``: the graph of a
-degm or ablation run, the single model of the others) is scored by
-``degm eval`` at K'=1 and K'=50. Every file the
+train-time ``bounds_report.csv`` kept as ``bounds_report.train.csv``. The
+final model of every run that keeps one is scored by ``degm eval`` at K'=1
+and K'=50 into ``eval_k1.csv`` and ``eval_k50.csv``: ``checkpoint/``, the
+graph, of a degm or ablation run, and ``checkpoint/task_<n>/``, the snapshot
+after the last task, of a gr, gr-hier or bounds run. Every file the
 change writes is compared with the parent's, byte for byte, except the
 ``env`` block of ``summary.json`` and the ``out_dir`` of ``config.json``.
 With two or more masks, the files the change writes on each mask are also
@@ -31,6 +32,7 @@ import tempfile
 
 IGNORED = {"summary.json": "env", "config.json": "out_dir"}  # file name -> key left out
 KPRIMES = (1, 50)
+REPLAY_MODES = ("gr", "gr-hier", "bounds")  # their final model is their last snapshot
 
 
 def _degm(tree: str, mask: set[int], *args: str) -> str:
@@ -48,19 +50,20 @@ def _degm(tree: str, mask: set[int], *args: str) -> str:
 def run_commands(tree: str, config: str, seed: int, mask: set[int], out: str) -> None:
     """Every command of one (config, seed, mask) from ``tree``, writing under ``out``."""
     with open(config) as fh:
-        mode = json.load(fh)["mode"]
+        raw = json.load(fh)
     run_dir = _degm(tree, mask, "train", "--config", config, "--seed", str(seed),
                     "--out", out).strip().splitlines()[-1]
-    if mode in ("gr", "gr-hier", "bounds"):
+    final = os.path.join(run_dir, "checkpoint")
+    if raw["mode"] in REPLAY_MODES:
         report = os.path.join(run_dir, "bounds_report.csv")
         if os.path.exists(report):
             shutil.copyfile(report, os.path.join(run_dir, "bounds_report.train.csv"))
         _degm(tree, mask, "diagnose", run_dir)
-    checkpoint = os.path.join(run_dir, "checkpoint")
-    if os.path.exists(os.path.join(checkpoint, "manifest.json")):
+        final = os.path.join(final, f"task_{len(raw['tasks'])}")
+    if os.path.exists(os.path.join(final, "manifest.json")):  # order-study keeps no model
         for k in KPRIMES:
-            _degm(tree, mask, "eval", "--checkpoint", checkpoint, "--config", config,
-                  "--kprime", str(k))
+            _degm(tree, mask, "eval", "--checkpoint", final, "--config", config,
+                  "--kprime", str(k), "--out", os.path.join(run_dir, f"eval_k{k}.csv"))
 
 
 def digests(root: str) -> dict[str, str]:

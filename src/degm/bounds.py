@@ -357,9 +357,9 @@ def forgetting_curves(degm_log, gr_log, input_dim: int) -> list[dict]:
             for r in log.rows]
 
 
-def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,
-                            rng: Rng) -> list[dict]:
-    """Per-task generation chains evaluated under the final model.
+def accumulated_error_proxy(snapshots: list, stream: TaskStream, rng: Rng) -> list[dict]:
+    """Per-task generation chains evaluated under the final model, the
+    snapshot after the last task.
 
     Generation 0 of task i is its real training set. Generation k is the
     previous generation pushed through the snapshot taken after task i+k-1
@@ -374,7 +374,7 @@ def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,
     for i, task in enumerate(stream.tasks):
         lineage = task.train.data
         rows.append({"task_index": i + 1, "generation": 0,
-                     "risk_under_final": risk(final_model, lineage), "delta": 0.0})
+                     "risk_under_final": risk(snapshots[-1], lineage), "delta": 0.0})
         for k in range(1, len(stream.tasks) - i):
             snap = snapshots[i + k - 1]
             recon = snap.reconstruct(lineage)
@@ -383,7 +383,7 @@ def accumulated_error_proxy(snapshots: list, stream: TaskStream, final_model,
             else:
                 lineage = recon
             prev = rows[-1]["risk_under_final"]
-            value = risk(final_model, lineage)
+            value = risk(snapshots[-1], lineage)
             rows.append({"task_index": i + 1, "generation": k,
                          "risk_under_final": value, "delta": value - prev})
     return rows

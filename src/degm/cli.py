@@ -1,10 +1,11 @@
 """The command-line entry point: argument parsing, and the mapping from
 errors to exit codes.
 
-Verbs: train, eval, diagnose, export-v, ablate, gen-synthetic. Config files
-are JSON, read and checked by :mod:`degm.config`. Each verb is one function:
-``degm.runs.cmd_*`` for those that read or write a run directory, whose
-layout :mod:`degm.runs` alone knows, and ``degm.data.cmd_gen_synthetic``.
+Verbs: train, eval, diagnose, export-v, gen-synthetic; ``train`` runs every
+mode the config names, ``ablation`` too. Config files are JSON, read and
+checked by :mod:`degm.config`. Each verb is one function: ``degm.runs.cmd_*``
+for those that read or write a run directory, whose layout :mod:`degm.runs`
+alone knows, and ``degm.data.cmd_gen_synthetic``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_train = sub.add_parser("train", help="run the configured experiment")
+    p_train.add_argument("--config", required=True)
+    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--out", default=None)
+    p_train.add_argument("--desk-scale", action="store_true")
 
     p_eval = sub.add_parser("eval", help="metric table for a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
@@ -38,13 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     p_export.add_argument("--checkpoint", required=True)
     p_export.add_argument("--out", required=True)
 
-    p_ablate = sub.add_parser("ablate", help="train with an alternative edge policy")
-    for p in (p_train, p_ablate):
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-    p_train.add_argument("--desk-scale", action="store_true")
-
     p_gen = sub.add_parser("gen-synthetic", help="write a synthetic task as IDX files")
     p_gen.add_argument("--kind", required=True)
     p_gen.add_argument("--n", type=int, default=1000)
@@ -54,12 +52,9 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.verb in ("train", "ablate"):
-            cfg = load_config_file(args.config, seed=args.seed, out_dir=args.out,
-                                   desk_scale=getattr(args, "desk_scale", False))
-            if args.verb == "ablate" and cfg.mode != "ablation":
-                raise ConfigError("ablate needs a config with mode 'ablation'")
-            print(cmd_train(cfg))
+        if args.verb == "train":
+            print(cmd_train(load_config_file(args.config, seed=args.seed, out_dir=args.out,
+                                             desk_scale=args.desk_scale)))
         elif args.verb == "eval":
             if args.kprime is not None:  # before any work, as eval.kprime in the config
                 rule(EVAL, "kprime")(args.kprime, "--kprime")

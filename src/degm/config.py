@@ -106,8 +106,7 @@ TRAIN = (
     ("latent_dim", count(), DEFAULT_TRAIN.latent_dim),
     ("hidden_dim", count(), DEFAULT_TRAIN.hidden_dim),
     ("likelihood", choice("bernoulli", "gaussian"), DEFAULT_TRAIN.likelihood),
-    ("hier_latent_dims", list_of(count(), size=2), list(DEFAULT_TRAIN.hier_latent_dims)),
-    ("hier_two_layers", BOOL, DEFAULT_TRAIN.hier_two_layers),
+    ("hier_z2_dim", count(), DEFAULT_TRAIN.hier_z2_dim),
 )
 TASK = (
     ("source", choice("synthetic", "idx"), "synthetic"),
@@ -160,9 +159,8 @@ def _check_links(cfg: dict) -> None:
         if (cfg["mode"] == mode) != (cfg[key] is not None):
             raise ConfigError(f"{key} is needed by mode {mode!r} and valid with no other mode")
     train = cfg["train"]
-    if (cfg["mode"] == "gr-hier" and train["hier_two_layers"]
-            and (train["objective"], train["kprime"]) != ("elbo", 1)):
-        # a two-layer HierPass takes its gradients at one draw
+    if cfg["mode"] == "gr-hier" and (train["objective"], train["kprime"]) != ("elbo", 1):
+        # a HierPass takes its gradients at one draw
         raise ConfigError("mode 'gr-hier' trains on one draw: train.objective must be "
                           f"'elbo' and train.kprime 1, got {train['objective']!r} and "
                           f"{train['kprime']}")
@@ -208,8 +206,7 @@ def parse_config(text: str, seed: int | None = None, out_dir: str | None = None,
             raw["desk_scale"] = True
     cfg = section(TOP)(raw, "")
     _check_links(cfg)
-    train = TrainConfig(**{**cfg["train"],
-                           "hier_latent_dims": tuple(cfg["train"]["hier_latent_dims"])})
+    train = TrainConfig(**cfg["train"])
     return ExperimentConfig(
         mode=cfg["mode"], tasks=cfg["tasks"], train=train, out_dir=cfg["out_dir"],
         ablation=cfg["ablation"], orders=cfg["orders"], eval_kprime=cfg["eval"]["kprime"],

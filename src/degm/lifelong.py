@@ -50,8 +50,7 @@ class TrainConfig:
     latent_dim: int = 100
     hidden_dim: int = 200
     likelihood: str = "bernoulli"
-    hier_latent_dims: tuple[int, int] = (100, 50)
-    hier_two_layers: bool = True
+    hier_z2_dim: int = 50  # gr-hier's top layer; its z1 is latent_dim wide
 
     @property
     def train_draws(self) -> int:
@@ -386,12 +385,9 @@ def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps):
 
 def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr-hier") -> tuple:
     """Replay baseline with the two-stochastic-layer model, trained through
-    its own pass by ``run_gr_single``; with ``hier_two_layers`` false, the
-    plain component, as mode gr trains it."""
-    model = None
-    if cfg.hier_two_layers:
-        model = HierVae(stream.input_dim, (cfg.latent_dim, cfg.hier_latent_dims[1]),
-                        cfg.hidden_dim, cfg.likelihood, rng.spawn("gr:init"), name="gr")
+    its own pass by ``run_gr_single``."""
+    model = HierVae(stream.input_dim, (cfg.latent_dim, cfg.hier_z2_dim), cfg.hidden_dim,
+                    cfg.likelihood, rng.spawn("gr:init"), name="gr")
     return run_gr_single(stream, cfg, rng, run_id=run_id, model=model)
 
 

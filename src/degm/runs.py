@@ -7,9 +7,10 @@ table, model and summary field of the run directory, all of it timed as the
 command's train phase; ``degm.persist.write_record`` then writes the record.
 ``digest``, the config hash, is the ``run_id`` of the metrics rows.
 
-The ``cmd_*`` functions are the verbs. ``cmd_train`` makes the run
+The ``cmd_*`` functions are the verbs. ``cmd_train`` writes the run
 directory, <out_dir>/<config-hash>/, so identical configs land in identical
-places, and removes it again when a run it started fails. ``cmd_eval``,
+places: it writes a staging sibling and publishes it whole, in place of any
+earlier run directory, only when the run has succeeded. ``cmd_eval``,
 ``cmd_diagnose`` and ``cmd_export_v`` read a run's models back and write one
 table each. Every file goes through ``write_record``.
 """
@@ -68,13 +69,12 @@ def _graph_record(cfg: ExperimentConfig, stream: TaskStream, graph: GraphModel, 
         {"eval_table": time.perf_counter() - t0})
 
 
-def _replay_record(model, log, stored: dict, summary: dict) -> RunRecord:
-    """gr, gr-hier and bounds: the model with its log, and each list of
-    ``stored`` as checkpoint/<prefix>_<i>/ for task i."""
-    models = {"checkpoint": (model, {})}
-    for prefix, saved in stored.items():
-        models.update({STORED.format(prefix, i + 1): (m, {"task_index": i + 1})
-                       for i, m in enumerate(saved)})
+def _replay_record(log, stored: dict, summary: dict) -> RunRecord:
+    """gr, gr-hier and bounds: the log, and each list of ``stored`` as
+    checkpoint/<prefix>_<i>/ for task i; the final model is the last
+    ``task`` snapshot, so it is saved once, as checkpoint/task_<n>/."""
+    models = {STORED.format(prefix, i + 1): (m, {"task_index": i + 1})
+              for prefix, saved in stored.items() for i, m in enumerate(saved)}
     return RunRecord({"metrics.csv": log.rows}, models, summary)
 
 
@@ -89,24 +89,23 @@ def _run_ablation(cfg, stream, rng, digest) -> RunRecord:
 
 
 def _run_replay(cfg, stream, rng, digest, runner=run_gr_single) -> RunRecord:
-    model, log, snapshots = runner(stream, cfg.train, rng, run_id=digest)
-    return _replay_record(model, log, {"task": snapshots},
+    _, log, snapshots = runner(stream, cfg.train, rng, run_id=digest)
+    return _replay_record(log, {"task": snapshots},
                           {"final_accumulated_risk": accumulated_final_risk(log, stream)})
 
 
 def _run_bounds(cfg, stream, rng, digest) -> RunRecord:
     out = bounds_mod.bounds_run(stream, cfg.train, rng, cfg.bounds_sample_size,
                                 cfg.bounds_aux_epochs, run_id=digest)
-    model, log, snapshots = out.gr_model, out.metrics_log, out.snapshots
     # the references are read back by diagnose
-    record = _replay_record(model, log, {"task": snapshots, "ref": out.reference_models},
+    record = _replay_record(out.metrics_log, {"task": out.snapshots, "ref": out.reference_models},
                             {"final_slack": out.rows[-1].slack})
     record.tables.update({
         BOUNDS_REPORT: bounds_mod.report_rows(out.rows, len(stream)),
         "bound_check.csv": bounds_mod.bound_check_report(out.rows),
         "accumulated_error.csv": bounds_mod.accumulated_error_proxy(
-            snapshots, stream, model, rng.spawn("accum")),
-        "curves.csv": bounds_mod.forgetting_curves(None, log, stream.input_dim)})
+            out.snapshots, stream, rng.spawn("accum")),
+        "curves.csv": bounds_mod.forgetting_curves(None, out.metrics_log, stream.input_dim)})
     record.phases["bounds_rows"] = out.rows_s  # spent inside the run
     return record
 
@@ -125,31 +124,42 @@ RUNS: dict[str, Callable[[ExperimentConfig, TaskStream, Rng, str], RunRecord]] =
 # -- the verbs ----------------------------------------------------------------------
 
 def cmd_train(cfg: ExperimentConfig) -> str:
-    """Run the configured mode and write its record into the run directory;
-    returns the run directory. A run that fails removes the run directory
-    when this call created it."""
+    """Run the configured mode and write its record and summary.json into a
+    staging sibling of the run directory, .<config-hash>.<pid>.tmp; then
+    rename it to the run directory, which returns, moving any earlier one
+    aside first (a rename cannot replace a directory that holds files) and
+    deleting that after. A failed run leaves an earlier one as it was."""
     start = runtime.usage()
-    stream = build_stream(cfg)  # before the run directory, so bad tasks or orderings leave none
+    stream = build_stream(cfg)  # before any directory, so bad tasks or orderings leave none
     digest = config_hash(cfg)
     run_dir = os.path.join(cfg.out_dir, digest)
-    created = not os.path.isdir(run_dir)
-    os.makedirs(run_dir, exist_ok=True)
+    staging = os.path.join(cfg.out_dir, f".{digest}.{os.getpid()}.tmp")
+    earlier = staging + ".old"
+    for path in (staging, earlier):  # left by a killed run of this pid
+        shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(staging)
     try:
         t0 = time.perf_counter()
         record = RUNS[cfg.mode](cfg, stream, Rng(cfg.train.seed), digest)
         t1 = time.perf_counter()
         record.documents["config.json"] = cfg.raw
-        write_record(run_dir, record, digest)
+        write_record(staging, record, digest)
+        phases = {**dict.fromkeys(PHASES, 0.0), **record.phases, "train": t1 - t0,
+                  "write": time.perf_counter() - t1}
+        summary = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
+                   "tasks": [t.name for t in stream.tasks], **record.summary,
+                   "env": {**runtime.env_block(start), "phase_s": phases}}
+        write_record(staging, RunRecord(documents={"summary.json": summary}))
+        if os.path.isdir(run_dir):
+            os.replace(run_dir, earlier)
+        os.replace(staging, run_dir)
     except BaseException:
-        if created:
-            shutil.rmtree(run_dir, ignore_errors=True)
+        if os.path.isdir(earlier):  # moved aside, and the new one is not in place
+            os.replace(earlier, run_dir)
         raise
-    phases = {**dict.fromkeys(PHASES, 0.0), **record.phases, "train": t1 - t0,
-              "write": time.perf_counter() - t1}
-    summary = {"config_hash": digest, "mode": cfg.mode, "seed": cfg.train.seed,
-               "tasks": [t.name for t in stream.tasks], **record.summary,
-               "env": {**runtime.env_block(start), "phase_s": phases}}
-    write_record(run_dir, RunRecord(documents={"summary.json": summary}))
+    finally:
+        for path in (staging, earlier):
+            shutil.rmtree(path, ignore_errors=True)
     return run_dir
 
 

@@ -229,7 +229,7 @@ def test_accumulated_error_proxy_chains():
     ])
     cfg = bounds_cfg(likelihood="bernoulli", epochs=2)
     model, _, snapshots = run_gr_single(stream3, cfg, Rng(76))
-    rows = accumulated_error_proxy(snapshots, stream3, model, Rng(77))
+    rows = accumulated_error_proxy(snapshots, stream3, Rng(77))
     chain = {t: [r for r in rows if r["task_index"] == t] for t in (1, 2, 3)}
     assert [r["generation"] for r in chain[1]] == [0, 1, 2]
     assert [r["generation"] for r in chain[3]] == [0]
@@ -242,8 +242,8 @@ def test_accumulated_error_proxy_single_task():
     stream = TaskStream([Task("solo", synthetic_task("bars", 40, DIM, Rng(80)),
                               synthetic_task("bars", 20, DIM, Rng(81)))])
     cfg = bounds_cfg(likelihood="bernoulli", epochs=2)
-    model, _, snapshots = run_gr_single(stream, cfg, Rng(82))
-    rows = accumulated_error_proxy(snapshots, stream, model, Rng(83))
+    _, _, snapshots = run_gr_single(stream, cfg, Rng(82))
+    rows = accumulated_error_proxy(snapshots, stream, Rng(83))
     assert [r["generation"] for r in rows] == [0]
 
 
@@ -425,16 +425,13 @@ def check_diagnose_rows(tmp_path):
             assert got[f"target_risk_task_{k + 1}"] == repr(value)
 
 
-@pytest.mark.parametrize("two_layers", [True, False])
-def test_diagnose_rows_of_hier_snapshots_equal_reference_loop(two_layers):
+def test_diagnose_rows_of_hier_snapshots_equal_reference_loop():
     # a gr-hier run's snapshots: reconstruction and KL from the base pass,
     # the bound from its own HierPass, through the one pass per set
-    cfg = pinned_config("unused").train
-    cfg = replace(cfg, hier_latent_dims=(LATENT, 2), hier_two_layers=two_layers)
+    cfg = replace(pinned_config("unused").train, hier_z2_dim=2)
     stream = build_stream(pinned_config("unused"))
     snapshots = run_gr_hier(stream, cfg, Rng(5))[2]
-    # with one layer, the plain component a gr run trains
-    assert all(type(s) is (HierVae if two_layers else VaeComponent) for s in snapshots)
+    assert all(type(s) is HierVae for s in snapshots)
     expected = reference_diagnose_rows(stream, cfg, snapshots, Rng(5), PIN_SAMPLE,
                                        PIN_AUX_EPOCHS)
     refs = fit_references(stream, cfg, Rng(5), PIN_AUX_EPOCHS)

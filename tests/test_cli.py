@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -37,6 +38,7 @@ from degm.vae import VaeComponent
 
 from helpers import owner_entry
 from reference import eval_nll
+from test_runtime import run_files
 
 DIM = 16
 
@@ -134,8 +136,8 @@ README_CONFIG = {
 
 def test_config_hash_pinned():
     # run directories are named by this hash, so a change to it moves every run
-    assert config_hash(parse_config(json.dumps(README_CONFIG))) == "b4eef7c2d876"
-    assert config_hash(parse_config(json.dumps(_valid_base("runs")))) == "32b89d7f0a65"
+    assert config_hash(parse_config(json.dumps(README_CONFIG))) == "ac8af6c973cd"
+    assert config_hash(parse_config(json.dumps(_valid_base("runs")))) == "06b602e25c45"
 
 
 def test_unnamed_synthetic_tasks_draw_their_own_data():
@@ -265,7 +267,7 @@ def mode_configs(out_dir: str) -> list[dict]:
     configs = [two_task_config(mode, out_dir=out_dir) for mode in
                ("degm", "ablation", "gr", "gr-hier", "bounds", "order-study")]
     configs[1]["ablation"] = "degm-6"
-    configs[3]["train"]["hier_latent_dims"] = [3, 2]
+    configs[3]["train"]["hier_z2_dim"] = 2
     configs[4]["train"]["likelihood"] = "gaussian"
     configs[4]["bounds"] = {"sample_size": 40, "aux_epochs": 1}
     configs[5]["orders"] = [["bars", "stripes"], ["stripes", "bars"]]
@@ -280,7 +282,9 @@ def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatc
     def recorded(write):
         def call(path, *args, **kwargs):
             caller = sys._getframe(1)
-            writers[os.path.normpath(path)] = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
+            # a run directory is written as its staging sibling, then renamed
+            published = re.sub(r"\.([0-9a-f]{12})\.\d+\.tmp(?=/|$)", r"\1", os.path.normpath(path))
+            writers[published] = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
             return write(path, *args, **kwargs)
         return call
 
@@ -294,7 +298,7 @@ def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatc
         assert main(["train", "--config", str(config_path)]) == 0
         runs[raw["mode"]] = (capsys.readouterr().out.strip().splitlines()[-1], str(config_path))
     assert main(["diagnose", runs["bounds"][0]]) == 0
-    for mode, name in (("degm", ""), ("gr", ""), ("gr", "task_2")):
+    for mode, name in (("degm", ""), ("gr", "task_2")):
         run_dir, config_path = runs[mode]
         assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint", name),
                      "--config", config_path]) == 0
@@ -458,8 +462,92 @@ def test_main_cli_round_trip(tmp_path, capsys):
     assert main(["train", "--config", str(config_path)]) == 0
     run_dir = capsys.readouterr().out.strip().splitlines()[-1]
     assert os.path.isdir(run_dir)
-    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint", "task_1"),
                  "--config", str(config_path), "--kprime", "2"]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("hier_two_layers", True), ("hier_latent_dims", [3, 2])])
+def test_main_refuses_the_removed_hier_keys(tmp_path, capsys, key, value):
+    # a one-layer replay run is mode gr, and gr-hier's z2 width is hier_z2_dim
+    raw = two_task_config("gr-hier", out_dir=str(tmp_path / "runs"))
+    raw["train"][key] = value
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown key train.{key!r}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_main_has_no_ablate_verb(capsys):
+    # train runs mode ablation
+    with pytest.raises(SystemExit) as caught:
+        main(["ablate", "--config", "ablation.json"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'ablate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, prefixes", [("gr", ("task",)), ("gr-hier", ("task",)),
+                                            ("bounds", ("ref", "task"))],
+                         ids=["gr", "gr-hier", "bounds"])
+def test_a_replay_run_saves_each_model_once(tmp_path, capsys, mode, prefixes):
+    # the final model is the last snapshot, so checkpoint/ itself holds none
+    raw = next(c for c in mode_configs(str(tmp_path / "runs")) if c["mode"] == mode)
+    run_dir = cmd_train(parse_config(json.dumps(raw)))
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    assert sorted(os.listdir(checkpoint)) == [f"{p}_{i}" for p in prefixes for i in (1, 2)]
+    written = sorted(os.listdir(run_dir))
+    assert main(["eval", "--checkpoint", checkpoint,
+                 "--config", os.path.join(run_dir, "config.json")]) == 2
+    manifest = os.path.join(checkpoint, "manifest.json")
+    assert capsys.readouterr().err == f"error: no manifest at {manifest}\n"
+    assert sorted(os.listdir(run_dir)) == written
+
+
+def test_a_second_train_into_one_out_leaves_only_its_own_files(tmp_path):
+    raw = two_task_config("gr", out_dir=str(tmp_path / "runs"))
+    run_dir = cmd_train(parse_config(json.dumps(raw)))
+    fresh = set(run_files(run_dir))
+    # an earlier run's files: a table, and a checkpoint's stale model
+    for name in ("stray.csv", "checkpoint/arr_0000.bin", "checkpoint/manifest.json"):
+        with open(os.path.join(run_dir, name), "w") as fh:
+            fh.write("stale")
+    assert cmd_train(parse_config(json.dumps(raw))) == run_dir
+    assert set(run_files(run_dir)) == fresh
+    assert os.listdir(tmp_path / "runs") == [os.path.basename(run_dir)]  # no staging left
+
+
+@pytest.mark.parametrize("earlier", [True, False], ids=["over-a-run", "into-an-empty-out"])
+def test_a_failed_train_leaves_the_earlier_run_directory_as_it_was(tmp_path, capsys,
+                                                                   monkeypatch, earlier):
+    import degm.persist as persist
+
+    out = tmp_path / "runs"
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(two_task_config("gr", out_dir=str(out))))
+    before = {}
+    if earlier:
+        assert main(["train", "--config", str(config_path)]) == 0
+        run_dir = capsys.readouterr().out.strip()
+        before = {run_dir: run_files(run_dir)}
+    save, saved = persist.save_checkpoint, []
+
+    def full_disk_at_the_second_model(directory, *args, **kwargs):
+        if saved:
+            raise OSError(28, "No space left on device")
+        saved.append(save(directory, *args, **kwargs))
+
+    monkeypatch.setattr(persist, "save_checkpoint", full_disk_at_the_second_model)
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert saved  # the first model was written, into the staging directory
+    assert {os.path.join(out, name): run_files(os.path.join(out, name))
+            for name in os.listdir(out)} == before
+
+
+def test_the_published_run_directory_has_the_permissions_of_makedirs(tmp_path):
+    run_dir = cmd_train(parse_config(json.dumps(minimal_config("gr", out_dir=str(tmp_path)))))
+    os.makedirs(tmp_path / "made")
+    assert os.stat(run_dir).st_mode == os.stat(tmp_path / "made").st_mode
 
 
 def test_main_eval_without_out_keeps_the_training_table(tmp_path, capsys):
@@ -490,8 +578,7 @@ def test_main_eval_without_out_scores_each_snapshot_into_its_own_table(tmp_path,
         return {os.path.join(base, n) for base, _, names in os.walk(root) for n in names}
 
     stored = files(checkpoint)
-    # the two snapshots, then the main checkpoint named with a trailing slash
-    cases = {"task_1": "eval_k2_task_1.csv", "task_2": "eval_k2_task_2.csv", "": "eval_k2.csv"}
+    cases = {"task_1": "eval_k2_task_1.csv", "task_2": "eval_k2_task_2.csv"}
     for name in cases:
         assert main(["eval", "--checkpoint", os.path.join(checkpoint, name),
                      "--config", str(config_path), "--kprime", "2"]) == 0
@@ -503,8 +590,7 @@ def test_main_eval_without_out_scores_each_snapshot_into_its_own_table(tmp_path,
         rows = cmd_eval(os.path.join(checkpoint, name), cfg, kprime=2)
         assert tables[name].splitlines()[1:] == [
             ",".join(str(v) for v in row.values()) + "," + config_hash(cfg) for row in rows]
-    # the snapshot after the last task is the final model
-    assert tables["task_1"] != tables["task_2"] == tables[""]
+    assert tables["task_1"] != tables["task_2"]
 
 
 def test_main_eval_error_while_the_table_is_forked_exits_2(tmp_path, capsys, monkeypatch):
@@ -539,7 +625,7 @@ def stored_runs(tmp_path_factory):
     for mode in ("gr-hier", "degm"):
         base = tmp_path_factory.mktemp(mode)
         raw = two_task_config(mode, out_dir=str(base / "runs"))
-        raw["train"]["hier_latent_dims"] = [3, 2]
+        raw["train"]["hier_z2_dim"] = 2
         config_path = base / "cfg.json"
         config_path.write_text(json.dumps(raw))
         runs[mode] = (cmd_train(parse_config(config_path.read_text())), str(config_path))
@@ -547,21 +633,20 @@ def stored_runs(tmp_path_factory):
 
 
 def _verb_on_a_copy(stored_runs, tmp_path, verb) -> tuple[list[str], str, str]:
-    """A copy of the run ``verb`` reads: eval the gr-hier checkpoint, diagnose
-    the gr-hier run, whose task_2/ snapshot it loads, or export-v the degm
-    graph. Returns the verb's argv, the model directory it loads, and the
-    copied run directory, which every output would land in."""
-    mode, model = {"eval": ("gr-hier", "checkpoint"), "diagnose": ("gr-hier", "checkpoint/task_2"),
-                   "export-v": ("degm", "checkpoint")}[verb]
+    """A copy of the run ``verb`` reads: eval the gr-hier run's final model,
+    diagnose the gr-hier run, which loads that task_2/ snapshot too, or
+    export-v the degm graph. Returns the verb's argv, the model directory it
+    loads, and the copied run directory, which every output would land in."""
+    mode, model = ("degm", "checkpoint") if verb == "export-v" else ("gr-hier", "checkpoint/task_2")
     source, config_path = stored_runs[mode]
     run_dir = str(tmp_path / "run")
     shutil.copytree(source, run_dir)
-    checkpoint = os.path.join(run_dir, "checkpoint")
-    argv = {"eval": ["eval", "--checkpoint", checkpoint, "--config", config_path],
+    model_dir = os.path.join(run_dir, model)
+    argv = {"eval": ["eval", "--checkpoint", model_dir, "--config", config_path],
             "diagnose": ["diagnose", run_dir],
-            "export-v": ["export-v", "--checkpoint", checkpoint,
+            "export-v": ["export-v", "--checkpoint", model_dir,
                          "--out", os.path.join(run_dir, "v.csv")]}[verb]
-    return argv, os.path.join(run_dir, model), run_dir
+    return argv, model_dir, run_dir
 
 
 def _files(root: str) -> set[str]:
@@ -887,8 +972,7 @@ _UNKNOWN_KEYS = {
     (): {"mode", "out_dir", "desk_scale", "ablation", "orders", "tasks", "train", "eval",
          "bounds"},
     ("train",): {"epochs", "batch", "lr", "objective", "kprime", "tau", "probe_size", "seed",
-                 "specific_epochs", "latent_dim", "hidden_dim", "likelihood",
-                 "hier_latent_dims", "hier_two_layers"},
+                 "specific_epochs", "latent_dim", "hidden_dim", "likelihood", "hier_z2_dim"},
     ("tasks", 0): {"name", "source", "kind", "n_train", "n_test", "dim", "center", "seed",
                    "transforms", "train_images", "train_labels", "test_images", "test_labels",
                    "labels", "split_groups"},
@@ -914,19 +998,13 @@ _BAD_VALUES = {
     ("eval",): _NOT_OBJECT,
     ("bounds",): _NOT_OBJECT,
     **{("train", key): _bad_count() for key in
-       ("epochs", "batch", "kprime", "probe_size", "latent_dim", "hidden_dim")},
+       ("epochs", "batch", "kprime", "probe_size", "latent_dim", "hidden_dim", "hier_z2_dim")},
     ("train", "seed"): _bad_count(minimum=0),
     ("train", "specific_epochs"): _bad_count(nullable=True),
     ("train", "lr"): _bad_real(None),
     ("train", "tau"): _bad_real(0.0),
     ("train", "objective"): _bad_choice(("elbo", "iwelbo")),
     ("train", "likelihood"): _bad_choice(("bernoulli", "gaussian")),
-    ("train", "hier_latent_dims"): st.one_of(
-        _NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
-        st.lists(st.integers(1, 4), max_size=4).filter(lambda v: len(v) != 2),
-        st.tuples(st.integers(1, 4), _bad_count()).map(list),
-        st.tuples(_bad_count(), st.integers(1, 4)).map(list)),
-    ("train", "hier_two_layers"): _NOT_BOOL,
     **{("tasks", 0, key): _bad_count() for key in ("n_train", "n_test", "dim")},
     ("tasks", 0, "seed"): _bad_count(minimum=0),
     ("tasks", 0, "name"): _NOT_STR,
@@ -988,8 +1066,7 @@ def _valid_base(out_dir):
                          bounds={"sample_size": 50, "aux_epochs": None})
     raw["tasks"][0].update({"seed": 0, "center": [1.5, 1.5], "transforms": ["none"]})
     raw["train"].update({"seed": 0, "specific_epochs": None, "objective": "elbo",
-                         "likelihood": "bernoulli", "hier_latent_dims": [3, 2],
-                         "hier_two_layers": True, "kprime": 1})
+                         "likelihood": "bernoulli", "hier_z2_dim": 2, "kprime": 1})
     raw["desk_scale"] = False
     return raw
 
@@ -1026,58 +1103,6 @@ def test_main_refuses_a_multi_draw_objective_for_gr_hier(tmp_path, capsys, train
     parse_config(config_path.read_text())
 
 
-def _read_csv(path: str, dropped: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [{k: v for k, v in row.items() if k != dropped} for row in csv.DictReader(fh)]
-
-
-def _checkpoints(run_dir: str) -> dict[str, tuple[dict, dict[str, bytes]]]:
-    """Each checkpoint of a run by its path: its manifest without the
-    config hash, and its blobs by file name."""
-    found = {}
-    for root, _, names in os.walk(os.path.join(run_dir, "checkpoint")):
-        if "manifest.json" in names:
-            with open(os.path.join(root, "manifest.json")) as fh:
-                manifest = json.load(fh)
-            manifest["extra"].pop("config_hash")
-            blobs = {n: open(os.path.join(root, n), "rb").read()
-                     for n in names if n.endswith(".bin")}
-            found[os.path.relpath(root, run_dir)] = (manifest, blobs)
-    return found
-
-
-def test_a_one_layer_gr_hier_run_writes_what_a_gr_run_writes(tmp_path, capsys):
-    # with hier_two_layers false, gr-hier trains, logs and saves the plain
-    # component, on one draw or on K' (which a two-layer run refuses): the
-    # same rows, single checkpoints of the same bytes, the same eval tables
-    for objective in ({}, {"objective": "iwelbo", "kprime": 3}):
-        runs = {}
-        for mode, train in (("gr", {}), ("gr-hier", {"hier_latent_dims": [3, 2],
-                                                     "hier_two_layers": False})):
-            out = tmp_path / f"{mode}-{objective.get('objective', 'elbo')}"
-            raw = two_task_config(mode, out_dir=str(out))
-            raw["train"].update(objective, **train)
-            config_path = out.with_suffix(".json")
-            config_path.write_text(json.dumps(raw))
-            run_dir = cmd_train(parse_config(config_path.read_text()))
-            for kprime in ("1", "50"):
-                assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
-                             "--config", str(config_path), "--kprime", kprime]) == 0
-            runs[mode] = run_dir
-        capsys.readouterr()
-        gr, hier = runs["gr"], runs["gr-hier"]
-        assert _read_csv(os.path.join(gr, "metrics.csv"), "run_id") == \
-            _read_csv(os.path.join(hier, "metrics.csv"), "run_id")
-        checkpoints = _checkpoints(hier)
-        assert sorted(checkpoints) == ["checkpoint", "checkpoint/task_1", "checkpoint/task_2"]
-        assert {manifest["kind"] for manifest, _ in checkpoints.values()} == {"single"}
-        assert checkpoints == _checkpoints(gr)
-        for kprime in (1, 50):
-            name = f"eval_k{kprime}.csv"
-            assert _read_csv(os.path.join(gr, name), "config_hash") == \
-                _read_csv(os.path.join(hier, name), "config_hash")
-
-
 def _set_field(manifest_dir: str, key: str, value) -> str:
     """Write ``key`` into a manifest as ``value``, as a hand edit or an older
     save would have it; returns the manifest's path."""
@@ -1109,18 +1134,19 @@ def test_a_manifest_with_another_sigma_exits_2_naming_it(tmp_path, capsys, mode,
     # holds another value describes a model no command builds
     config_path = tmp_path / "cfg.json"
     raw = two_task_config(mode, out_dir=str(tmp_path / "runs"))
-    raw["train"]["hier_latent_dims"] = [3, 2]
+    raw["train"]["hier_z2_dim"] = 2
     config_path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(config_path)]) == 0
     run_dir = capsys.readouterr().out.strip().splitlines()[-1]
-    checkpoint = os.path.join(run_dir, "checkpoint")
-    assert load_checkpoint(checkpoint)[0] == kind
-    runs = [(["eval", "--checkpoint", checkpoint, "--config", str(config_path)], checkpoint)]
+    # a replay run's final model is its last snapshot
+    model = os.path.join(run_dir, "checkpoint", "" if kind == "graph" else "task_2")
+    assert load_checkpoint(model)[0] == kind
+    runs = [(["eval", "--checkpoint", model, "--config", str(config_path)], model)]
     if kind == "graph":
-        runs.append((["export-v", "--checkpoint", checkpoint, "--out", str(tmp_path / "v.csv")],
-                     checkpoint))
+        runs.append((["export-v", "--checkpoint", model, "--out", str(tmp_path / "v.csv")],
+                     model))
     else:  # diagnose reads the snapshots
-        runs.append((["diagnose", run_dir], os.path.join(checkpoint, "task_2")))
+        runs.append((["diagnose", run_dir], model))
     for argv, manifest_dir in runs:
         path = _set_field(manifest_dir, "sigma", 0.5)
         assert main(argv) == 2

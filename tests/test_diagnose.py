@@ -203,7 +203,7 @@ def test_diagnose_rejects_foreign_snapshots(bounds_run_dir, degm_run_dir, other_
 def test_manifest_field_of_wrong_type_exits_2(bounds_run_dir, degm_run_dir, tmp_path, capsys,
                                               verb, field, value):
     run_dir = _copy_run(degm_run_dir if verb == "export-v" else bounds_run_dir, tmp_path)
-    model_dir = os.path.join(run_dir, "checkpoint", "task_1" if verb == "diagnose" else "")
+    model_dir = os.path.join(run_dir, "checkpoint", "" if verb == "export-v" else "task_1")
     manifest_path = os.path.join(model_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -230,7 +230,7 @@ def test_manifest_field_of_wrong_type_exits_2(bounds_run_dir, degm_run_dir, tmp_
 def test_diagnose_on_replay_runs_fits_the_references(tmp_path, mode):
     raw = json.loads(json.dumps(pinned_config(str(tmp_path / "runs")).raw))
     raw["mode"] = mode
-    raw["train"]["hier_latent_dims"] = [LATENT, 2]
+    raw["train"]["hier_z2_dim"] = 2
     cfg = parse_config(json.dumps(raw))
     run_dir = cmd_train(cfg)
     assert not glob.glob(os.path.join(run_dir, "checkpoint", "ref_*"))

@@ -75,7 +75,7 @@ def keyed_config(mode: str, out_dir: str):
     return parse_config(json.dumps({
         "mode": mode, "out_dir": out_dir, "tasks": tasks,
         "train": {"epochs": 2, "batch": 16, "lr": 2e-3, "tau": 40.0, "probe_size": 16,
-                  "latent_dim": 3, "hidden_dim": 8, "seed": 0, "hier_latent_dims": [3, 2]},
+                  "latent_dim": 3, "hidden_dim": 8, "seed": 0, "hier_z2_dim": 2},
         "bounds": {"sample_size": 16, "aux_epochs": 1},  # below every set's size: subsampled
     }))
 

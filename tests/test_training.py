@@ -52,9 +52,7 @@ RUNS = {
     "gr": lambda out: replay_config(out, "gr"),
     "gr iwelbo K'=2": lambda out: replay_config(out, "gr", objective="iwelbo", kprime=2),
     "bounds": lambda out: replay_config(out, "bounds", likelihood="gaussian"),
-    "gr-hier": lambda out: replay_config(out, "gr-hier", hier_latent_dims=[LATENT, 3]),
-    "gr-hier one layer": lambda out: replay_config(out, "gr-hier", hier_latent_dims=[LATENT, 3],
-                                                   hier_two_layers=False),
+    "gr-hier": lambda out: replay_config(out, "gr-hier", hier_z2_dim=3),
 }
 
 
