@@ -8,15 +8,21 @@ subprocess (``PYTHONPATH=<tree>/src``, the CPU affinity set to the mask).
 A gr, gr-hier or bounds run is then scored by ``degm diagnose``, the
 train-time ``bounds_report.csv`` kept as ``bounds_report.train.csv``. The
 final model of every run that keeps one is scored by ``degm eval`` at K'=1
-and K'=50 into ``eval_k1.csv`` and ``eval_k50.csv``: ``checkpoint/``, the
-graph, of a degm or ablation run, and ``checkpoint/task_<n>/``, the snapshot
-after the last task, of a gr, gr-hier or bounds run. Every file the
-change writes is compared with the parent's, byte for byte, except the
-``env`` block of ``summary.json`` and the ``out_dir`` of ``config.json``.
-With two or more masks, the files the change writes on each mask are also
-compared with those it writes on the first, the same way. Prints the
-differing files; exits 1 when there is any, 2 when a command fails, 0
-otherwise.
+and K'=50, under the ``config.json`` the run wrote (its seed, and so its
+config hash, is the run's), into ``eval_k1.csv`` and ``eval_k50.csv``:
+``checkpoint/``, the graph, of a degm or ablation run, and
+``checkpoint/task_<n>/``, the snapshot after the last task, of a gr, gr-hier
+or bounds run. Every file in the run
+directory ``degm train`` printed for the change is compared with the file
+at the same place in the parent's, byte for byte, except the ``env`` block
+of ``summary.json`` and the ``out_dir`` of ``config.json``; the two run
+directories are named by each tree's config hash, so a change that moves
+the hash is still compared file by file. With two or more masks, the files
+the change writes on each mask are also compared with those it writes on
+the first, the same way. Prints the differing files, and on one line of
+their own those that differ only in the config hash (the run directory's
+name); the count is out of the files either side wrote. Exits 1 when any
+file differs, 2 when a command fails, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import sys
 import tempfile
 
 IGNORED = {"summary.json": "env", "config.json": "out_dir"}  # file name -> key left out
+HASH = b"<config_hash>"  # stands for either side's hash when hash-only differences are sought
 KPRIMES = (1, 50)
 REPLAY_MODES = ("gr", "gr-hier", "bounds")  # their final model is their last snapshot
 
@@ -47,8 +54,9 @@ def _degm(tree: str, mask: set[int], *args: str) -> str:
     return proc.stdout
 
 
-def run_commands(tree: str, config: str, seed: int, mask: set[int], out: str) -> None:
-    """Every command of one (config, seed, mask) from ``tree``, writing under ``out``."""
+def run_commands(tree: str, config: str, seed: int, mask: set[int], out: str) -> str:
+    """Every command of one (config, seed, mask) from ``tree``, writing under
+    ``out``; returns the run directory."""
     with open(config) as fh:
         raw = json.load(fh)
     run_dir = _degm(tree, mask, "train", "--config", config, "--seed", str(seed),
@@ -62,13 +70,18 @@ def run_commands(tree: str, config: str, seed: int, mask: set[int], out: str) ->
         final = os.path.join(final, f"task_{len(raw['tasks'])}")
     if os.path.exists(os.path.join(final, "manifest.json")):  # order-study keeps no model
         for k in KPRIMES:
-            _degm(tree, mask, "eval", "--checkpoint", final, "--config", config,
+            _degm(tree, mask, "eval", "--checkpoint", final,
+                  "--config", os.path.join(run_dir, "config.json"),
                   "--kprime", str(k), "--out", os.path.join(run_dir, f"eval_k{k}.csv"))
+    return run_dir
 
 
-def digests(root: str) -> dict[str, str]:
-    """sha256 of every file under ``root`` by relative path, the ignored keys
-    left out of the JSON files that carry them."""
+def digests(root: str) -> dict[str, tuple[str, str]]:
+    """Two sha256 of every file under the run directory ``root`` by relative
+    path, the ignored keys left out of the JSON files that carry them: of the
+    file, and of the file with the config hash, the name of ``root``, as
+    ``HASH``."""
+    config_hash = os.path.basename(os.path.normpath(root)).encode()
     found = {}
     for base, _, names in os.walk(root):
         for name in names:
@@ -79,14 +92,21 @@ def digests(root: str) -> dict[str, str]:
                 doc = json.loads(blob)
                 doc.pop(IGNORED[name], None)
                 blob = json.dumps(doc, sort_keys=True).encode()
-            found[os.path.relpath(path, root)] = hashlib.sha256(blob).hexdigest()
+            found[os.path.relpath(path, root)] = (
+                hashlib.sha256(blob).hexdigest(),
+                hashlib.sha256(blob.replace(config_hash, HASH)).hexdigest())
     return found
 
 
-def compare(parent: str, change: str) -> list[str]:
-    """Relative paths that differ, or that only one side wrote."""
+def compare(parent: str, change: str) -> tuple[list[str], list[str], int]:
+    """Relative paths that differ in more than the config hash, or that only
+    one side wrote; those that differ in the config hash alone; and the
+    number of paths either side wrote."""
     want, got = digests(parent), digests(change)
-    return sorted(p for p in set(want) | set(got) if want.get(p) != got.get(p))
+    paths, missing = set(want) | set(got), ("", "")  # the digests of a file not written
+    differing = sorted(p for p in paths if want.get(p, missing)[0] != got.get(p, missing)[0])
+    hash_only = [p for p in differing if want.get(p, missing)[1] == got.get(p, missing)[1]]
+    return [p for p in differing if p not in hash_only], hash_only, len(paths)
 
 
 def main(argv=None) -> int:
@@ -111,7 +131,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs-")
-    differing, across, compared = [], [], 0
+    differing, hash_only, across, compared = [], [], [], 0
     try:
         for config in args.config:
             config = os.path.abspath(config)
@@ -120,18 +140,20 @@ def main(argv=None) -> int:
                 change_runs = {}  # mask -> the change's outputs
                 for mask_spec, mask in masks.items():
                     case = os.path.join(stem, f"seed{seed}", f"mask{mask_spec}")
-                    outs = {}
-                    for label, tree in (("parent", args.parent), ("change", args.change)):
-                        outs[label] = os.path.join(work, label, case)
-                        run_commands(os.path.abspath(tree), config, seed, mask, outs[label])
-                    compared += len(digests(outs["parent"]))
-                    for path in compare(outs["parent"], outs["change"]):
+                    runs = {label: run_commands(os.path.abspath(tree), config, seed, mask,
+                                                os.path.join(work, label, case))
+                            for label, tree in (("parent", args.parent), ("change", args.change))}
+                    changed, only_hash, count = compare(runs["parent"], runs["change"])
+                    compared += count
+                    hash_only += [os.path.join(case, path) for path in only_hash]
+                    for path in changed:
                         differing.append(os.path.join(case, path))
                         print(f"differs: {differing[-1]}")
-                    change_runs[mask_spec] = outs["change"]
+                    change_runs[mask_spec] = runs["change"]
                 first, *others = change_runs
                 for mask_spec in others:
-                    for path in compare(change_runs[first], change_runs[mask_spec]):
+                    changed, only_hash, _ = compare(change_runs[first], change_runs[mask_spec])
+                    for path in changed + only_hash:
                         across.append(os.path.join(stem, f"seed{seed}", f"mask{mask_spec}", path))
                         print(f"differs from mask {first}: {across[-1]}")
     except (RuntimeError, OSError, subprocess.SubprocessError) as err:
@@ -140,10 +162,12 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
+    if hash_only:
+        print(f"differ only in the config hash: {' '.join(hash_only)}")
     if len(masks) > 1:
         print(f"{len(across)} files the change writes differ between masks")
-    print(f"{len(differing)} of {compared} files differ")
-    return 1 if differing or across else 0
+    print(f"{len(differing) + len(hash_only)} of {compared} files differ")
+    return 1 if differing or hash_only or across else 0
 
 
 if __name__ == "__main__":

@@ -236,7 +236,7 @@ def task_rows(models: list, epochs: list[int], source: np.ndarray,
 
 
 def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng, sample_size: int,
-               aux_epochs: int, run_id: str = "bounds") -> BoundsArtifacts:
+               aux_epochs: int) -> BoundsArtifacts:
     """Replay run instrumented per epoch with risk, KL-gap, discrepancy lower
     bound, and the slack of the target-vs-evolved-source inequality.
 
@@ -290,7 +290,7 @@ def bounds_run(stream: TaskStream, cfg: TrainConfig, rng: Rng, sample_size: int,
                 _fit_reference(stream, cfg, rng, i, aux_epochs) for i in range(1, len(stream))])
         out.reference_models.append(_fit_reference(stream, cfg, rng, 0, aux_epochs))
         out.gr_model, out.metrics_log, out.snapshots = run_gr_single(
-            stream, cfg, rng, run_id=run_id, epoch_hook=epoch_hook, task_hook=task_hook)
+            stream, cfg, rng, epoch_hook=epoch_hook, task_hook=task_hook)
     finally:
         for handle in fits.values():  # only left unjoined when the run failed
             handle.cancel()

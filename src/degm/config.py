@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .data import SYNTHETIC_KINDS
 from .errors import ConfigError
-from .lifelong import TrainConfig
+from .lifelong import ABLATIONS, TrainConfig
 
 REQUIRED = object()  # the default of a key that must be given
 
@@ -102,7 +102,6 @@ TRAIN = (
     ("tau", real(0.0), DEFAULT_TRAIN.tau),
     ("probe_size", count(), DEFAULT_TRAIN.probe_size),
     ("seed", count(0), DEFAULT_TRAIN.seed),
-    ("specific_epochs", optional(count()), DEFAULT_TRAIN.specific_epochs),
     ("latent_dim", count(), DEFAULT_TRAIN.latent_dim),
     ("hidden_dim", count(), DEFAULT_TRAIN.hidden_dim),
     ("likelihood", choice("bernoulli", "gaussian"), DEFAULT_TRAIN.likelihood),
@@ -137,7 +136,7 @@ TOP = (
     ("mode", choice("degm", "gr", "gr-hier", "bounds", "order-study", "ablation"), REQUIRED),
     ("out_dir", STRING, "runs"),
     ("desk_scale", BOOL, False),
-    ("ablation", optional(choice("degm-1", "degm-4", "degm-5", "degm-6", "degm-7")), None),
+    ("ablation", optional(choice(*ABLATIONS)), None),
     ("orders", optional(list_of(list_of(STRING), at_least=2)), None),
     ("tasks", list_of(section(TASK), at_least=1), REQUIRED),
     ("train", section(TRAIN), {}),

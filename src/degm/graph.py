@@ -43,18 +43,16 @@ def edge_weights(scores: np.ndarray) -> np.ndarray:
     return (total - ks) / ((k - 1) * total)
 
 
-def expansion_decide(scores: np.ndarray, tau: float) -> tuple[str, np.ndarray | None]:
+def expansion_decide(scores: np.ndarray, tau: float) -> str:
     """min(ks) > tau means nothing transfers: build a basic node. Otherwise a
-    specific node with adaptive weights. tau = 0 therefore forces per-task
-    basic nodes whenever every score is strictly positive."""
+    specific node, weighted by the run's edge policy. tau = 0 therefore forces
+    per-task basic nodes whenever every score is strictly positive."""
     ks = np.asarray(scores, dtype=np.float64)
     if ks.size == 0:
         raise ContractError("expansion decision needs at least one score")
     if tau < 0.0:
         raise ContractError("tau must be nonnegative")
-    if ks.min() > tau:
-        return "basic", None
-    return "specific", edge_weights(ks)
+    return "basic" if ks.min() > tau else "specific"
 
 
 def knowledge_similarity(node: BasicNode, probe: np.ndarray, rng: Rng) -> float:

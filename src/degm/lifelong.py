@@ -16,6 +16,9 @@ No expansion decision reads a specific node, and a basic node reads no
 other node, so the graph run trains its nodes out of stream order and on
 every CPU: each node returns its per-epoch rows, and the metrics log is
 assembled from them at the end, in stream order.
+
+The graph run's ablations are the rows of ``ABLATIONS``: each gives its
+variant's edge policy and the epochs of its specific nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .data import Task, TaskStream
-from .errors import ConfigError
 from .graph import GraphModel, SpecificNode, edge_weights, expansion_decide
 from .nnkit import AdamState, Rng, adam_step, runtime
 from .vae import BasicNode, HierVae, VaeComponent, copy_model
@@ -46,7 +48,6 @@ class TrainConfig:
     tau: float = 40.0
     probe_size: int = 1000
     seed: int = 0
-    specific_epochs: int | None = None
     latent_dim: int = 100
     hidden_dim: int = 200
     likelihood: str = "bernoulli"
@@ -112,65 +113,59 @@ def adaptive_edge_policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
     return edge_weights(scores)
 
 
-def ablation_edge_policy(name: str) -> EdgePolicy | None:
-    """Alternative weight rules; the expand-or-reuse decision is untouched."""
-    if name == "degm-4":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            # every learned node feeds the new one equally: a basic node its
-            # own 1, a specific node its weights over the basics it blends
-            acc = np.ones(len(graph.basics))
-            for s in graph.specifics:
-                acc[:s.weights.size] += s.weights
-            return acc / len(graph.entries)
-        return policy
-    if name == "degm-5":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            mask = (scores < graph.tau).astype(np.float64)
-            if mask.sum() == 0.0:  # only possible at exact ks == tau
-                mask[int(np.argmin(scores))] = 1.0
-            return mask / mask.sum()
-        return policy
-    if name == "degm-6":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            return np.full(scores.size, 1.0 / scores.size)
-        return policy
-    if name == "degm-7":
-        def policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
-            one_hot = np.zeros(scores.size)
-            one_hot[int(np.argmin(scores))] = 1.0
-            return one_hot
-        return policy
-    if name == "degm-1":
-        return None  # shortened specific training, not a weight rule
-    raise ConfigError(f"unknown ablation {name!r}")
+def _equal_feed_policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+    # every learned node feeds the new one equally: a basic node its own 1, a
+    # specific node its weights over the basics it blends
+    acc = np.ones(len(graph.basics))
+    for s in graph.specifics:
+        acc[:s.weights.size] += s.weights
+    return acc / len(graph.entries)
+
+
+def _below_tau_policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+    mask = (scores < graph.tau).astype(np.float64)
+    if mask.sum() == 0.0:  # only possible at exact ks == tau
+        mask[int(np.argmin(scores))] = 1.0
+    return mask / mask.sum()
+
+
+def _nearest_policy(scores: np.ndarray, graph: GraphModel) -> np.ndarray:
+    one_hot = np.zeros(scores.size)
+    one_hot[int(np.argmin(scores))] = 1.0
+    return one_hot
+
+
+# Each ablation varies one part of the expansion rule: the edge policy of a
+# specific node and the epochs it trains for (None: train.epochs). The
+# expand-or-reuse decision is untouched.
+ABLATIONS: dict[str, tuple[EdgePolicy, int | None]] = {
+    "degm-1": (adaptive_edge_policy, 5),
+    "degm-4": (_equal_feed_policy, None),
+    "degm-5": (_below_tau_policy, None),
+    "degm-6": (lambda scores, graph: np.full(scores.size, 1.0 / scores.size), None),
+    "degm-7": (_nearest_policy, None),
+}
 
 
 def run_ablation(stream: TaskStream, cfg: TrainConfig, name: str,
-                 rng: Rng) -> tuple[list[dict], dict, dict]:
-    """Baseline run plus the named variant; side-by-side square-loss table."""
-    base_graph, base_log = run_degm(stream, cfg, rng, run_id="degm")
-    if name == "degm-1":
-        variant_graph, variant_log = run_degm(stream, replace(cfg, specific_epochs=5), rng,
-                                              run_id=name)
-    else:
-        variant_graph, variant_log = run_degm(stream, cfg, rng, run_id=name,
-                                              edge_policy=ablation_edge_policy(name))
-    table = []
-    last = len(stream)
-    for t in range(1, last + 1):
-        base_sl = base_log.query(task_index=last, eval_task=t)[-1]["square_loss"]
-        var_sl = variant_log.query(task_index=last, eval_task=t)[-1]["square_loss"]
-        table.append({"task": stream.tasks[t - 1].name, "sl_degm": base_sl,
-                      f"sl_{name}": var_sl})
-    graphs = {"degm": base_graph, name: variant_graph}
-    logs = {"degm": base_log, name: variant_log}
-    return table, graphs, logs
+                 rng: Rng) -> tuple[list[dict], GraphModel, MetricsLog]:
+    """The baseline run and the variant ``name`` of ``ABLATIONS``: a
+    side-by-side table of their final square losses, and the variant's graph
+    and log."""
+    edge_policy, specific_epochs = ABLATIONS[name]
+    _, base_log = run_degm(stream, cfg, rng)
+    graph, log = run_degm(stream, cfg, rng, specific_epochs, edge_policy)
+    table = [{"task": task.name, "sl_degm": base["square_loss"], f"sl_{name}": row["square_loss"]}
+             for task, base, row in zip(stream.tasks, final_rows(base_log, stream),
+                                        final_rows(log, stream))]
+    return table, graph, log
 
 
-def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm",
-             edge_policy: EdgePolicy | None = None) -> tuple[GraphModel, MetricsLog]:
+def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, specific_epochs: int | None = None,
+             edge_policy: EdgePolicy = adaptive_edge_policy) -> tuple[GraphModel, MetricsLog]:
     """One new node per task; probe the next task, score the basic nodes, and
-    expand with either a fresh basic node or a weighted specific node.
+    expand with either a fresh basic node or a specific node, weighted by
+    ``edge_policy`` and trained for ``specific_epochs`` (None: cfg.epochs).
 
     This process walks the decision chain: basic nodes, knowledge scores and
     decisions. While it trains a basic node, a child started by
@@ -181,15 +176,15 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
     is forked and no candidate node is trained.
     """
     graph = GraphModel(stream.input_dim, cfg.latent_dim, cfg.hidden_dim, cfg.likelihood, cfg.tau)
-    policy = edge_policy or adaptive_edge_policy
     eval_eps = [_eval_eps(rng, t, cfg.latent_dim) for t in stream.tasks]
     expansion: list[dict] = []
     live: list[list[tuple[float, float]]] = [[] for _ in stream.tasks]  # per node and epoch
     queued: list[int] = []  # specific nodes; node i learns task i
     candidate = None  # the next task trained as a basic node in a child
+    specific_cfg = cfg if specific_epochs is None else replace(cfg, epochs=specific_epochs)
 
-    def train(i: int):
-        return _train_node(graph, graph.entries[i], stream.tasks[i], cfg, rng, eval_eps[i])
+    def train(i: int, node_cfg: TrainConfig = cfg):
+        return _train_node(graph, graph.entries[i], stream.tasks[i], node_cfg, rng, eval_eps[i])
 
     pending: tuple[str, np.ndarray | None] = ("basic", None)
     try:
@@ -213,8 +208,8 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
                 nxt = stream.tasks[i + 1]
                 probe = _draw_probe(nxt, cfg.probe_size, rng.spawn(f"probe:{nxt.name}"))
                 scores = graph.knowledge_scores(probe, rng.spawn(f"ks:{nxt.name}"))
-                kind, _ = expansion_decide(scores, cfg.tau)
-                pending = (kind, policy(scores, graph) if kind == "specific" else None)
+                kind = expansion_decide(scores, cfg.tau)
+                pending = (kind, edge_policy(scores, graph) if kind == "specific" else None)
                 expansion.append(_expansion_row(graph, stream, nxt, probe, scores, cfg.tau,
                                                 *pending))
                 if kind == "specific" and candidate is not None:
@@ -223,11 +218,11 @@ def run_degm(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "degm
     finally:
         if candidate is not None:  # only left outstanding when the run failed
             candidate.cancel()
-    costs = [_node_epochs(graph.entries[i], cfg) * stream.tasks[i].train.n for i in queued]
-    pooled = runtime.fork_map(lambda q: train(queued[q]), costs)
+    costs = [specific_cfg.epochs * stream.tasks[i].train.n for i in queued]
+    pooled = runtime.fork_map(lambda q: train(queued[q], specific_cfg), costs)
     for i, trained in zip(queued, pooled):
         live[i] = _install(graph.entries[i], trained)
-    return graph, _metrics_log(live, expansion, run_id)
+    return graph, _metrics_log(live, expansion)
 
 
 def _basic_candidate(graph: GraphModel, task: Task, task_id: int, cfg: TrainConfig, rng: Rng,
@@ -249,8 +244,7 @@ def _install(entry: BasicNode | SpecificNode, trained: tuple) -> list[tuple[floa
     return rows
 
 
-def _metrics_log(live: list[list[tuple[float, float]]], expansion: list[dict],
-                 run_id: str) -> MetricsLog:
+def _metrics_log(live: list[list[tuple[float, float]]], expansion: list[dict]) -> MetricsLog:
     """Each epoch of task i logs one row per task so far: the end-of-task
     rows of the frozen nodes before it, then its own node's row."""
     log = MetricsLog(expansion=expansion)
@@ -258,7 +252,7 @@ def _metrics_log(live: list[list[tuple[float, float]]], expansion: list[dict],
     for i, rows in enumerate(live):
         for epoch, row in enumerate(rows):
             for t, (objective_value, square_loss) in enumerate([*finals[:i], row]):
-                log.add(run_id=run_id, task_index=i + 1, epoch=epoch + 1, eval_task=t + 1,
+                log.add(task_index=i + 1, epoch=epoch + 1, eval_task=t + 1,
                         objective_value=objective_value, square_loss=square_loss)
     return log
 
@@ -284,22 +278,15 @@ def _draw_probe(task: Task, probe_size: int, rng: Rng) -> np.ndarray:
     return task.train.data[idx]
 
 
-def _node_epochs(entry: BasicNode | SpecificNode, cfg: TrainConfig) -> int:
-    if entry.kind == "specific" and cfg.specific_epochs is not None:
-        return cfg.specific_epochs
-    return cfg.epochs
-
-
 def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
                 cfg: TrainConfig, rng: Rng, eps: np.ndarray) -> tuple:
-    """Train one node on its task. Returns what ``_install`` puts back: its
+    """Train one node on its task for ``cfg.epochs``. Returns what ``_install`` puts back: its
     (objective, square loss) row on the test set after each epoch, its
     parameter vector, and its reference ELBO (None for a specific node)."""
     state = AdamState(lr=cfg.lr)
     params = entry.params()
     train_rng = rng.spawn(f"train:{task.name}")
     ref_rng = rng.spawn(f"ref:{task.name}")
-    epochs = _node_epochs(entry, cfg)
     ref_sum, ref_count = 0.0, 0
 
     def add_reference(x: np.ndarray) -> None:  # a basic node's ELBO after its last steps
@@ -310,8 +297,8 @@ def _train_node(graph: GraphModel, entry: BasicNode | SpecificNode, task: Task,
         ref_count += batch_elbo.size
 
     rows = []
-    for epoch in range(epochs):
-        final = epoch == epochs - 1 and entry.kind == "basic"
+    for epoch in range(cfg.epochs):
+        final = epoch == cfg.epochs - 1 and entry.kind == "basic"
         train_epoch(state, partial(graph.node_pass, entry), cfg.train_draws, task.train.data,
                     cfg.batch, train_rng, add_reference if final else None)
         rows.append(_live_row(graph.node_pass(entry, task.test.data), eps))
@@ -331,8 +318,8 @@ def replay_mixture(snapshots: list, task: Task, i: int, rng: Rng) -> np.ndarray:
     return np.concatenate([task.train.data, replay])
 
 
-def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr",
-                  model=None, epoch_hook=None, task_hook=None) -> tuple:
+def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, model=None,
+                  epoch_hook=None, task_hook=None) -> tuple:
     """Single model (by default a ``VaeComponent``), trained and scored
     through its own pass; from the second task on it trains on its own
     generations mixed uniformly with the new task's data (replay count
@@ -361,7 +348,7 @@ def run_gr_single(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = 
         train_rng = rng.spawn(f"gr:train:{task.name}:{i}")
         for epoch in range(cfg.epochs):
             train_epoch(state, model.node_pass, cfg.train_draws, mixture, cfg.batch, train_rng)
-            _log_gr_epoch(model, stream, i, epoch, log, run_id, eval_eps)
+            _log_gr_epoch(model, stream, i, epoch, log, eval_eps)
             if epoch_hook is not None:
                 epoch_hook(task_index=i, epoch=epoch, model=model, mixture=mixture)
         snapshots.append(copy_model(model))
@@ -376,19 +363,19 @@ def _live_row(node_pass, eps: np.ndarray) -> tuple[float, float]:
             mean_square_loss(node_pass.x, node_pass.reconstruction()))
 
 
-def _log_gr_epoch(model, stream, task_i, epoch, log, run_id, eval_eps):
+def _log_gr_epoch(model, stream, task_i, epoch, log, eval_eps):
     for t in range(task_i + 1):
         row = _live_row(model.node_pass(stream.tasks[t].test.data), eval_eps[t])
-        log.add(run_id=run_id, task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
+        log.add(task_index=task_i + 1, epoch=epoch + 1, eval_task=t + 1,
                 objective_value=row[0], square_loss=row[1])
 
 
-def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng, run_id: str = "gr-hier") -> tuple:
+def run_gr_hier(stream: TaskStream, cfg: TrainConfig, rng: Rng) -> tuple:
     """Replay baseline with the two-stochastic-layer model, trained through
     its own pass by ``run_gr_single``."""
     model = HierVae(stream.input_dim, (cfg.latent_dim, cfg.hier_z2_dim), cfg.hidden_dim,
                     cfg.likelihood, rng.spawn("gr:init"), name="gr")
-    return run_gr_single(stream, cfg, rng, run_id=run_id, model=model)
+    return run_gr_single(stream, cfg, rng, model=model)
 
 
 # -- order study ------------------------------------------------------------------------
@@ -399,8 +386,8 @@ def order_experiment(orders: list[TaskStream], cfg: TrainConfig, rng: Rng) -> li
     per-task test risk for both."""
     report = []
     for k, stream in enumerate(orders):
-        _, degm_log = run_degm(stream, cfg, rng, run_id=f"degm-order{k}")
-        _, gr_log, _ = run_gr_single(stream, cfg, rng, run_id=f"gr-order{k}")
+        _, degm_log = run_degm(stream, cfg, rng)
+        _, gr_log, _ = run_gr_single(stream, cfg, rng)
         report.append({
             "order_index": k,
             "order": ",".join(t.name for t in stream.tasks),
@@ -410,12 +397,11 @@ def order_experiment(orders: list[TaskStream], cfg: TrainConfig, rng: Rng) -> li
     return report
 
 
+def final_rows(log: MetricsLog, stream: TaskStream) -> list[dict]:
+    """Each task's row at the final epoch of the stream's last task, in stream order."""
+    return [log.query(task_index=len(stream), eval_task=t)[-1] for t in range(1, len(stream) + 1)]
+
+
 def accumulated_final_risk(log: MetricsLog, stream: TaskStream) -> float:
     """Sum over tasks of the dimension-normalised final-epoch test risk."""
-    total = 0.0
-    last_task = len(stream)
-    d = stream.input_dim
-    for t in range(1, last_task + 1):
-        rows = log.query(task_index=last_task, eval_task=t)
-        total += rows[-1]["square_loss"] / d
-    return total
+    return sum(row["square_loss"] / stream.input_dim for row in final_rows(log, stream))

@@ -16,10 +16,11 @@ Every table goes through ``write_table``: a header from the first row's keys,
 then one line per row, floats at full precision.
 
 A command's run function returns a ``RunRecord``, and ``write_record`` writes
-its tables, models and JSON files into a directory: each table with a
-trailing config_hash column, but for ``UNHASHED_TABLES``, and each manifest
-with config_hash in its ``extra``. Every JSON file, a manifest too, goes
-through ``write_json``.
+its tables, models and JSON files into a directory. Given the config hash, it
+is the one writer of that hash into tables and manifests: each table gets a
+trailing config_hash column, but for those the record names ``unhashed``,
+and each manifest has config_hash in its ``extra``. Every JSON file, a
+manifest too, goes through ``write_json``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .vae import HierVae, VaeComponent
 FORMAT_VERSION = 2
 BLOB = "params.bin"  # a checkpoint's one blob, beside its manifest.json
 MODEL_CLASSES = (GraphModel, VaeComponent, HierVae)  # each names its checkpoint kind
-# metrics.csv carries the hash as its run_id; v_matrix.csv carries none
-UNHASHED_TABLES = ("metrics.csv", "v_matrix.csv")
 
 
 def _layout(params) -> list[dict]:
@@ -155,7 +154,7 @@ class RunRecord:
     models: dict[str, tuple[object, dict]] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     phases: dict[str, float] = field(default_factory=dict)
-    unhashed: tuple[str, ...] = UNHASHED_TABLES
+    unhashed: tuple[str, ...] = ()
     documents: dict[str, object] = field(default_factory=dict)
 
 

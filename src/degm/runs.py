@@ -1,11 +1,11 @@
 """What each mode of ``degm train`` runs, what every verb writes, and the
 layout of a run directory.
 
-``RUNS`` maps a mode to its run function, ``(cfg, stream, rng, digest) ->
+``RUNS`` maps a mode to its run function, ``(cfg, stream, rng) ->
 RunRecord``. A run function trains what its mode trains and computes every
 table, model and summary field of the run directory, all of it timed as the
-command's train phase; ``degm.persist.write_record`` then writes the record.
-``digest``, the config hash, is the ``run_id`` of the metrics rows.
+command's train phase; ``degm.persist.write_record`` then writes the record,
+and the config hash with it.
 
 The ``cmd_*`` functions are the verbs. ``cmd_train`` writes the run
 directory, <out_dir>/<config-hash>/, so identical configs land in identical
@@ -55,7 +55,9 @@ def v_rows(graph: GraphModel) -> list[dict]:
 
 def _graph_record(cfg: ExperimentConfig, stream: TaskStream, graph: GraphModel, log,
                   tables: dict) -> RunRecord:
-    """degm and ablation: ``tables``, the graph with its log, V matrix and eval table."""
+    """degm and ablation: ``tables``, the graph with its log, V matrix and eval
+    table. v_matrix.csv carries no config hash: its readers, perfbench's among
+    them, take every column after its first for a weight."""
     t0 = time.perf_counter()
     rows = task_metric_table(graph, stream, kprime=cfg.eval_kprime, k_eval=cfg.eval_k)
     tables.update({"metrics.csv": log.rows, "v_matrix.csv": v_rows(graph),
@@ -66,7 +68,7 @@ def _graph_record(cfg: ExperimentConfig, stream: TaskStream, graph: GraphModel, 
         "node_counts": {"basic": len(graph.basics), "specific": len(graph.specifics)},
         "mean_nll": float(np.mean([r["nll"] for r in rows])),
         "mean_sl": float(np.mean([r["sl"] for r in rows]))},
-        {"eval_table": time.perf_counter() - t0})
+        {"eval_table": time.perf_counter() - t0}, unhashed=("v_matrix.csv",))
 
 
 def _replay_record(log, stored: dict, summary: dict) -> RunRecord:
@@ -78,25 +80,24 @@ def _replay_record(log, stored: dict, summary: dict) -> RunRecord:
     return RunRecord({"metrics.csv": log.rows}, models, summary)
 
 
-def _run_degm(cfg, stream, rng, digest) -> RunRecord:
-    return _graph_record(cfg, stream, *run_degm(stream, cfg.train, rng, run_id=digest), {})
+def _run_degm(cfg, stream, rng) -> RunRecord:
+    return _graph_record(cfg, stream, *run_degm(stream, cfg.train, rng), {})
 
 
-def _run_ablation(cfg, stream, rng, digest) -> RunRecord:
-    table, graphs, logs = run_ablation(stream, cfg.train, cfg.ablation, rng)
-    return _graph_record(cfg, stream, graphs[cfg.ablation], logs[cfg.ablation],
-                         {"ablation_table.csv": table})
+def _run_ablation(cfg, stream, rng) -> RunRecord:
+    table, graph, log = run_ablation(stream, cfg.train, cfg.ablation, rng)
+    return _graph_record(cfg, stream, graph, log, {"ablation_table.csv": table})
 
 
-def _run_replay(cfg, stream, rng, digest, runner=run_gr_single) -> RunRecord:
-    _, log, snapshots = runner(stream, cfg.train, rng, run_id=digest)
+def _run_replay(cfg, stream, rng, runner=run_gr_single) -> RunRecord:
+    _, log, snapshots = runner(stream, cfg.train, rng)
     return _replay_record(log, {"task": snapshots},
                           {"final_accumulated_risk": accumulated_final_risk(log, stream)})
 
 
-def _run_bounds(cfg, stream, rng, digest) -> RunRecord:
+def _run_bounds(cfg, stream, rng) -> RunRecord:
     out = bounds_mod.bounds_run(stream, cfg.train, rng, cfg.bounds_sample_size,
-                                cfg.bounds_aux_epochs, run_id=digest)
+                                cfg.bounds_aux_epochs)
     # the references are read back by diagnose
     record = _replay_record(out.metrics_log, {"task": out.snapshots, "ref": out.reference_models},
                             {"final_slack": out.rows[-1].slack})
@@ -110,12 +111,12 @@ def _run_bounds(cfg, stream, rng, digest) -> RunRecord:
     return record
 
 
-def _run_order_study(cfg, stream, rng, digest) -> RunRecord:
+def _run_order_study(cfg, stream, rng) -> RunRecord:
     report = order_experiment(order_streams(cfg, stream.tasks), cfg.train, rng)
     return RunRecord({"order_report.csv": report}, summary={"orders": [r["order"] for r in report]})
 
 
-RUNS: dict[str, Callable[[ExperimentConfig, TaskStream, Rng, str], RunRecord]] = {
+RUNS: dict[str, Callable[[ExperimentConfig, TaskStream, Rng], RunRecord]] = {
     "degm": _run_degm, "ablation": _run_ablation, "gr": _run_replay,
     "gr-hier": partial(_run_replay, runner=run_gr_hier), "bounds": _run_bounds,
     "order-study": _run_order_study}
@@ -140,7 +141,7 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     os.makedirs(staging)
     try:
         t0 = time.perf_counter()
-        record = RUNS[cfg.mode](cfg, stream, Rng(cfg.train.seed), digest)
+        record = RUNS[cfg.mode](cfg, stream, Rng(cfg.train.seed))
         t1 = time.perf_counter()
         record.documents["config.json"] = cfg.raw
         write_record(staging, record, digest)
@@ -172,9 +173,9 @@ def cmd_eval(checkpoint_dir: str, cfg: ExperimentConfig, kprime: int,
         rows = task_metric_table(model, stream, kprime=kprime, k_eval=cfg.eval_k)
     else:
         rows = single_metric_table(model, stream, kprime=kprime)
-    if out_path:  # hashed whatever its file name
-        write_record(os.path.dirname(out_path),
-                     RunRecord({os.path.basename(out_path): rows}, unhashed=()), config_hash(cfg))
+    if out_path:
+        write_record(os.path.dirname(out_path), RunRecord({os.path.basename(out_path): rows}),
+                     config_hash(cfg))
     return rows
 
 

@@ -9,8 +9,8 @@ ablation run, ``checkpoint/task_<n>/`` of a replay run); then, for a gr,
 gr-hier or bounds run, ``degm diagnose``. Every value of every table these
 write is kept, with ``summary.json`` but for its ``env``, and rewrites
 tests/pinned_outputs.json, keyed by the config's file stem. Left out: the
-``config_hash`` column, ``metrics.csv``'s ``run_id`` and ``summary.json``'s
-``config_hash``, which name the config rather than measure the run.
+``config_hash`` column and ``summary.json``'s ``config_hash``, which name the
+config rather than measure the run.
 Re-record only in a change that means to change these outputs, and say which
 and why; the diff of that one file then shows them.
 """
@@ -33,7 +33,7 @@ PIN_PATH = os.path.join(ROOT, "tests", "pinned_outputs.json")
 SEED = 0
 KPRIMES = (1, 50)
 REPLAY_MODES = ("gr", "gr-hier", "bounds")
-NAMING = {"config_hash"}  # columns left out of every table; metrics.csv also its run_id
+NAMING = {"config_hash"}  # columns left out of every table
 RECORDED_ENV = ("numpy", "blas", "blas_version")  # summary.json env keys kept beside the pin
 
 
@@ -55,8 +55,7 @@ def config_outputs(config: str, work: str) -> tuple[dict, dict]:
     run_dir = cmd_train(cfg)
     outputs = {}
     for path in sorted(glob.glob(os.path.join(run_dir, "*.csv"))):
-        name = os.path.basename(path)
-        outputs[name] = read_table(path, NAMING | ({"run_id"} if name == "metrics.csv" else set()))
+        outputs[os.path.basename(path)] = read_table(path)
     with open(os.path.join(run_dir, "summary.json")) as fh:
         summary = json.load(fh)
     env = summary.pop("env")

@@ -14,7 +14,7 @@ import numpy as np
 from degm.cli import cmd_export_v
 from degm.data import load_idx, save_idx_images
 from degm.graph import GraphModel, edge_weights
-from degm.lifelong import TaskStream, TrainConfig, ablation_edge_policy, run_degm
+from degm.lifelong import ABLATIONS, TaskStream, TrainConfig, run_degm
 from degm.nnkit import Rng
 from degm.persist import load_checkpoint, save_checkpoint
 from degm.vae import HierVae, VaeComponent
@@ -165,8 +165,8 @@ def test_criterion_5_edge_weights():
         g.add_basic_node(i, rng=rng.spawn(f"i:{i}"))
     g.add_specific_node(np.array([0.3, 0.7]), 2, rng=rng.spawn("s"))
     simplex = True
-    for name in ("degm-4", "degm-5", "degm-6", "degm-7"):
-        pi = ablation_edge_policy(name)(np.array([0.4, 1.7]), g)
+    for policy, _ in ABLATIONS.values():
+        pi = policy(np.array([0.4, 1.7]), g)
         simplex = simplex and abs(pi.sum() - 1.0) <= 1e-9 and (pi >= 0.0).all()
     report(5, "edge weights: worked example exact, degenerate cases, simplex everywhere",
            exact and uniform and single and simplex)

@@ -322,7 +322,7 @@ def reference_bounds_rows(stream, cfg, rng, sample_size, aux_epochs):
             eps_proxy=eps_proxy, slack=slack,
         ))
 
-    run_gr_single(stream, cfg, rng, run_id="bounds", epoch_hook=hook)
+    run_gr_single(stream, cfg, rng, epoch_hook=hook)
     return rows
 
 

@@ -30,7 +30,7 @@ from degm.config import config_hash
 from degm.data import SYNTHETIC_KINDS, save_idx_images, save_idx_labels
 from degm.errors import ConfigError, ContractError, FormatError
 from degm.graph import GraphModel
-from degm.lifelong import ablation_edge_policy, run_ablation
+from degm import lifelong
 from degm.nnkit import DEFAULT_SIGMA, Rng
 from degm.persist import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from degm.select_eval import task_metric_table
@@ -136,8 +136,8 @@ README_CONFIG = {
 
 def test_config_hash_pinned():
     # run directories are named by this hash, so a change to it moves every run
-    assert config_hash(parse_config(json.dumps(README_CONFIG))) == "ac8af6c973cd"
-    assert config_hash(parse_config(json.dumps(_valid_base("runs")))) == "06b602e25c45"
+    assert config_hash(parse_config(json.dumps(README_CONFIG))) == "780618a9ce6e"
+    assert config_hash(parse_config(json.dumps(_valid_base("runs")))) == "75eecf63240d"
 
 
 def test_unnamed_synthetic_tasks_draw_their_own_data():
@@ -213,28 +213,28 @@ def test_load_checkpoint_missing_manifest(tmp_path):
 
 def test_policy_degm6_uniform():
     g = trained_graph(7)
-    pi = ablation_edge_policy("degm-6")(np.array([3.0, 9.0]), g)
+    pi = lifelong.ABLATIONS["degm-6"][0](np.array([3.0, 9.0]), g)
     np.testing.assert_array_equal(pi, [0.5, 0.5])
 
 
 def test_policy_degm7_one_hot_at_argmin():
     g = trained_graph(8)
-    pi = ablation_edge_policy("degm-7")(np.array([3.0, 9.0]), g)
+    pi = lifelong.ABLATIONS["degm-7"][0](np.array([3.0, 9.0]), g)
     np.testing.assert_array_equal(pi, [1.0, 0.0])
 
 
 def test_policy_degm5_mask_and_degeneration():
     g = trained_graph(9)  # tau = 1.0
-    below = ablation_edge_policy("degm-5")(np.array([0.2, 0.4]), g)
-    uniform = ablation_edge_policy("degm-6")(np.array([0.2, 0.4]), g)
+    below = lifelong.ABLATIONS["degm-5"][0](np.array([0.2, 0.4]), g)
+    uniform = lifelong.ABLATIONS["degm-6"][0](np.array([0.2, 0.4]), g)
     np.testing.assert_array_equal(below, uniform)
-    mixed = ablation_edge_policy("degm-5")(np.array([0.2, 5.0]), g)
+    mixed = lifelong.ABLATIONS["degm-5"][0](np.array([0.2, 5.0]), g)
     np.testing.assert_array_equal(mixed, [1.0, 0.0])
 
 
 def test_policy_degm4_resolves_specifics_onto_basics():
     g = trained_graph(10)  # two basics and one specific with [0.25, 0.75]
-    pi = ablation_edge_policy("degm-4")(np.array([1.0, 1.0]), g)
+    pi = lifelong.ABLATIONS["degm-4"][0](np.array([1.0, 1.0]), g)
     np.testing.assert_allclose(pi, [(1.0 + 0.25) / 3.0, (1.0 + 0.75) / 3.0])
     assert pi.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -242,8 +242,8 @@ def test_policy_degm4_resolves_specifics_onto_basics():
 def test_all_policies_emit_simplex():
     g = trained_graph(11)
     scores = np.array([0.3, 2.5])
-    for name in ("degm-4", "degm-5", "degm-6", "degm-7"):
-        pi = ablation_edge_policy(name)(scores, g)
+    for policy, _ in lifelong.ABLATIONS.values():
+        pi = policy(scores, g)
         assert pi.sum() == pytest.approx(1.0, abs=1e-9)
         assert (pi >= 0.0).all()
 
@@ -252,10 +252,9 @@ def test_run_ablation_table(tmp_path):
     raw = two_task_config("ablation", ablation="degm-6")
     raw["train"]["tau"] = 50.0  # force the second node to be specific
     cfg = parse_config(json.dumps(raw))
-    table, graphs, _ = run_ablation(build_stream(cfg), cfg.train, cfg.ablation, Rng(0))
+    table, variant, _ = lifelong.run_ablation(build_stream(cfg), cfg.train, cfg.ablation, Rng(0))
     assert {r["task"] for r in table} == {"bars", "stripes"}
     assert set(table[0]) == {"task", "sl_degm", "sl_degm-6"}
-    variant = graphs["degm-6"]
     assert len(variant.specifics) == 1
     np.testing.assert_array_equal(variant.specifics[0].weights, [1.0])
 
@@ -322,6 +321,13 @@ def test_every_file_of_every_verb_comes_from_the_one_writer(tmp_path, monkeypatc
     for mode, (run_dir, _) in runs.items():
         tables = {os.path.basename(p) for p in owners if os.path.dirname(p) == run_dir}
         assert ("metrics.csv" in tables) == (mode != "order-study"), (mode, tables)
+        # every table names the run's config in its last column, but the V
+        # matrix, whose every column after the first is a weight
+        for name in {t for t in tables if t.endswith(".csv")} - {"v_matrix.csv"}:
+            with open(os.path.join(run_dir, name), newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header[-1] == "config_hash", (mode, name)
+            assert {row[-1] for row in rows} == {os.path.basename(run_dir)}, (mode, name)
     assert {"eval_k1.csv", "eval_k1_task_2.csv"} <= {os.path.basename(p) for p in owners}
 
 
@@ -475,6 +481,18 @@ def test_main_refuses_the_removed_hier_keys(tmp_path, capsys, key, value):
     config_path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err == f"error: unknown key train.{key!r}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", [None, 5])
+def test_main_refuses_specific_epochs(tmp_path, capsys, value):
+    # an ablation variant's specific-node epochs come from its row of ABLATIONS
+    raw = two_task_config("ablation", out_dir=str(tmp_path / "runs"), ablation="degm-1")
+    raw["train"]["specific_epochs"] = value
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown key train.'specific_epochs'\n"
     assert not (tmp_path / "runs").exists()
 
 
@@ -972,7 +990,7 @@ _UNKNOWN_KEYS = {
     (): {"mode", "out_dir", "desk_scale", "ablation", "orders", "tasks", "train", "eval",
          "bounds"},
     ("train",): {"epochs", "batch", "lr", "objective", "kprime", "tau", "probe_size", "seed",
-                 "specific_epochs", "latent_dim", "hidden_dim", "likelihood", "hier_z2_dim"},
+                 "latent_dim", "hidden_dim", "likelihood", "hier_z2_dim"},
     ("tasks", 0): {"name", "source", "kind", "n_train", "n_test", "dim", "center", "seed",
                    "transforms", "train_images", "train_labels", "test_images", "test_labels",
                    "labels", "split_groups"},
@@ -1000,7 +1018,6 @@ _BAD_VALUES = {
     **{("train", key): _bad_count() for key in
        ("epochs", "batch", "kprime", "probe_size", "latent_dim", "hidden_dim", "hier_z2_dim")},
     ("train", "seed"): _bad_count(minimum=0),
-    ("train", "specific_epochs"): _bad_count(nullable=True),
     ("train", "lr"): _bad_real(None),
     ("train", "tau"): _bad_real(0.0),
     ("train", "objective"): _bad_choice(("elbo", "iwelbo")),
@@ -1065,7 +1082,7 @@ def _valid_base(out_dir):
     raw = minimal_config("gr", out_dir=out_dir, eval={"kprime": 1, "k_eval": 1},
                          bounds={"sample_size": 50, "aux_epochs": None})
     raw["tasks"][0].update({"seed": 0, "center": [1.5, 1.5], "transforms": ["none"]})
-    raw["train"].update({"seed": 0, "specific_epochs": None, "objective": "elbo",
+    raw["train"].update({"seed": 0, "objective": "elbo",
                          "likelihood": "bernoulli", "hier_z2_dim": 2, "kprime": 1})
     raw["desk_scale"] = False
     return raw

@@ -20,6 +20,7 @@ from degm.lifelong import (
     accumulated_final_risk,
     order_experiment,
     replay_mixture,
+    run_ablation,
     run_degm,
     run_gr_hier,
     run_gr_single,
@@ -72,6 +73,22 @@ def test_config_validation():
 
 
 # --- expansion behaviour ---------------------------------------------------------
+
+def test_a_degm1_variant_trains_only_its_specific_nodes_for_5_epochs():
+    # degm-1 shortens a specific node's training and nothing else: the
+    # basic nodes, and so every decision, are the baseline's
+    kinds = ["half-active-top", "half-active-bottom"] * 2
+    stream = TaskStream([make_task(kind, f"{kind}-{i}", 10 * i, n_train=60, n_test=30)
+                         for i, kind in enumerate(kinds)])
+    cfg = quick_cfg(epochs=2, tau=0.5, probe_size=30)
+    _, base_log = run_degm(stream, cfg, Rng(0))
+    _, graph, log = run_ablation(stream, cfg, "degm-1", Rng(0))
+    assert log.expansion == base_log.expansion
+    nodes = [e.kind for e in graph.entries]
+    assert set(nodes) == {"basic", "specific"}
+    epochs = [max(r["epoch"] for r in log.query(task_index=i)) for i in range(1, len(stream) + 1)]
+    assert epochs == [5 if kind == "specific" else cfg.epochs for kind in nodes]
+
 
 def test_identical_tasks_yield_specific_node():
     # same generator, generous threshold: the probe looks familiar
@@ -296,7 +313,7 @@ def test_accumulated_risk_helper():
     log = MetricsLog()
     d = DIM
     for t, sl in ((1, 2.0), (2, 4.0)):
-        log.add(run_id="x", task_index=2, epoch=1, eval_task=t, objective_value=0.0,
+        log.add(task_index=2, epoch=1, eval_task=t, objective_value=0.0,
                 square_loss=sl)
     stream = TaskStream([make_task("bars", "a", 330, n_train=20, n_test=10),
                          make_task("stripes", "b", 340, n_train=20, n_test=10)])

@@ -1,7 +1,8 @@
 """The experiment scripts still import what they use from the package,
 every committed experiment config parses, the acceptance sweep tables each
 check at each seed, and the output comparison finds the files a change
-alters and those it writes differently on two masks."""
+alters, those that differ in the config hash alone and those it writes
+differently on two masks."""
 
 import csv
 import glob
@@ -100,6 +101,41 @@ def test_compare_outputs_lists_the_files_a_change_alters(tmp_path):
     differing = {line.rpartition("/")[2] for line in other.stdout.splitlines()
                  if line.startswith("differs: ")}
     assert differing == {"metrics.csv"}  # the eval tables score with their own loss
+
+
+def test_compare_outputs_pairs_the_run_directories_of_two_config_hashes(tmp_path):
+    # a copy whose config hash is another slice of the digest names its run
+    # directory otherwise: each file is compared with its counterpart and
+    # counted once, and those that differ in the hash alone are listed apart
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "mode": "degm",
+        "tasks": [{"name": f"{kind}-{i}", "source": "synthetic", "kind": kind,
+                   "n_train": 40, "n_test": 20, "dim": 16}
+                  for i, kind in enumerate(["half-active-top", "half-active-bottom"])],
+        "train": {"epochs": 1, "batch": 16, "latent_dim": 3, "hidden_dim": 8, "probe_size": 20}}))
+    changed = tmp_path / "changed"
+    shutil.copytree(os.path.join(ROOT, "src"), changed / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    config_module = changed / "src" / "degm" / "config.py"
+    source = config_module.read_text()
+    assert source.count(".hexdigest()[:12]") == 1
+    config_module.write_text(source.replace(".hexdigest()[:12]", ".hexdigest()[-12:]"))
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "compare_outputs.py"), ROOT,
+                           str(changed), "--config", str(config), "--seeds", "0",
+                           "--masks", str(min(os.sched_getaffinity(0)))],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    *lines, hash_line, count_line = proc.stdout.splitlines()
+    assert lines == []
+    prefix = "differ only in the config hash: "
+    assert hash_line.startswith(prefix)
+    listed = [path.partition("mask")[2].partition("/")[2]
+              for path in hash_line[len(prefix):].split()]
+    # the V matrix, the config and the parameter blob name no config
+    assert sorted(listed) == ["checkpoint/manifest.json", "eval_k1.csv", "eval_k50.csv",
+                              "eval_metrics.csv", "expansion.csv", "metrics.csv", "summary.json"]
+    assert count_line == "7 of 10 files differ"
 
 
 def test_compare_outputs_scores_single_model_checkpoints_by_eval(tmp_path):
